@@ -15,12 +15,30 @@ element-wise AND exactly as the paper's hardware does.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..isa import OpClass
 from .config import AcceleratorConfig, Coord
 
 __all__ = ["PEGrid"]
+
+
+@functools.lru_cache(maxsize=1024)
+def _op_mask(config: AcceleratorConfig, op_class: OpClass) -> np.ndarray:
+    """F_op of one class on one backend, built once and shared read-only.
+
+    A mapper builds a fresh :class:`PEGrid` per region, so without this
+    every mapping would re-evaluate ``config.supports`` over the array.
+    """
+    mask = np.array(
+        [[config.supports(op_class, (r, c)) for c in range(config.cols)]
+         for r in range(config.rows)],
+        dtype=bool,
+    )
+    mask.setflags(write=False)
+    return mask
 
 
 class PEGrid:
@@ -42,14 +60,7 @@ class PEGrid:
         """F_op for one operation class (cached constant mask)."""
         mask = self._op_masks.get(op_class)
         if mask is None:
-            rows, cols = self.shape
-            mask = np.array(
-                [[self.config.supports(op_class, (r, c)) for c in range(cols)]
-                 for r in range(rows)],
-                dtype=bool,
-            )
-            mask.setflags(write=False)
-            self._op_masks[op_class] = mask
+            mask = self._op_masks[op_class] = _op_mask(self.config, op_class)
         return mask
 
     def available_mask(self, op_class: OpClass) -> np.ndarray:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..isa import Instruction, OpClass
+from ..isa import OpClass
 
 __all__ = ["PerfCounters"]
 
@@ -23,11 +23,6 @@ class PerfCounters:
     by_class: dict[OpClass, int] = field(default_factory=dict)
     branch_mispredicts: int = 0
     load_forwards: int = 0
-
-    def note(self, instr: Instruction) -> None:
-        """Count one dynamic instruction."""
-        self.instructions += 1
-        self.by_class[instr.op_class] = self.by_class.get(instr.op_class, 0) + 1
 
     @property
     def ipc(self) -> float:

@@ -10,14 +10,15 @@ that stream.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from ..isa import Executor, Instruction, MachineState, Program
+from ..isa import ExecutionError, Executor, Instruction, MachineState, Program
+from ..isa.semantics import _DISPATCH
 
 __all__ = ["TraceEntry", "Trace", "collect_trace"]
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One dynamically executed instruction."""
 
     seq: int
@@ -70,19 +71,36 @@ def collect_trace(program: Program, state: MachineState | None = None,
         repro.isa.ExecutionError: on runaway loops or system instructions.
     """
     executor = Executor(program, state)
+    state = executor.state
+    instructions = program.instructions
+    # Per-opcode handlers, resolved once per static instruction.
+    handlers = [_DISPATCH.get(instr.opcode) for instr in instructions]
+    address_mask = (1 << state.xlen) - 1
+    # A named tuple's generated __new__ is a Python-level call per entry.
+    new_entry = tuple.__new__
     entries: list[TraceEntry] = []
+    append = entries.append
     start, end = program.base_address, program.end_address
-    while start <= executor.state.pc < end:
-        if len(entries) >= max_steps:
-            from ..isa import ExecutionError
-
+    pc = state.pc
+    while start <= pc < end:
+        seq = len(entries)
+        if seq >= max_steps:
             raise ExecutionError(f"exceeded {max_steps} steps (runaway loop?)")
-        pc_before = executor.state.pc
-        instr = program.at(pc_before)
-        address = executor.effective_address(instr) if instr.is_memory else None
-        executor.step()
-        taken: bool | None = None
+        offset = pc - start
+        if offset & 3:
+            program.at(pc)  # raises KeyError: misaligned
+        index = offset >> 2
+        instr = instructions[index]
+        handler = handlers[index]
+        if handler is None:
+            executor._execute(instr)  # raises ExecutionError: no semantics
+        address = taken = None
+        if instr.is_memory:
+            address = (int(state.read(instr.rs1)) + instr.imm) & address_mask
+        target = handler(executor, instr)
+        next_pc = pc + 4
         if instr.is_control:
-            taken = executor.state.pc != pc_before + 4
-        entries.append(TraceEntry(len(entries), instr, address, taken))
-    return Trace(tuple(entries), executor.state)
+            taken = target is not None and target != next_pc
+        pc = state.pc = next_pc if target is None else target
+        append(new_entry(TraceEntry, (seq, instr, address, taken)))
+    return Trace(tuple(entries), state)

@@ -69,14 +69,17 @@ class Cache:
         self.config = config
         self.name = name
         self.stats = CacheStats()
-        # One ordered dict per set: tag -> dirty flag; order is LRU order.
-        self._sets: list[OrderedDict[int, bool]] = [
-            OrderedDict() for _ in range(config.num_sets)
-        ]
+        self._line_bytes = config.line_bytes
+        self._num_sets = config.num_sets
+        self._ways = config.associativity
+        # One ordered dict per set (tag -> dirty flag, in LRU order),
+        # created when the set is first touched: an 8MB L2 has 8192 sets,
+        # and most runs touch few of them.
+        self._sets: list[OrderedDict[int, bool] | None] = [None] * self._num_sets
 
     def _locate(self, address: int) -> tuple[int, int]:
-        line = address // self.config.line_bytes
-        return line % self.config.num_sets, line // self.config.num_sets
+        line = address // self._line_bytes
+        return line % self._num_sets, line // self._num_sets
 
     def access(self, address: int, is_write: bool = False) -> bool:
         """Access one address; returns True on hit.
@@ -85,15 +88,19 @@ class Cache:
         writes) and the LRU way evicted if the set is full; dirty evictions
         count as writebacks.
         """
-        set_index, tag = self._locate(address)
+        line = address // self._line_bytes
+        set_index, tag = line % self._num_sets, line // self._num_sets
         ways = self._sets[set_index]
-        if tag in ways:
+        if ways is None:
+            ways = self._sets[set_index] = OrderedDict()
+        elif tag in ways:
             self.stats.hits += 1
-            ways[tag] = ways[tag] or is_write
+            if is_write:
+                ways[tag] = True
             ways.move_to_end(tag)
             return True
         self.stats.misses += 1
-        if len(ways) >= self.config.associativity:
+        if len(ways) >= self._ways:
             _, dirty = ways.popitem(last=False)
             self.stats.evictions += 1
             if dirty:
@@ -104,19 +111,19 @@ class Cache:
     def probe(self, address: int) -> bool:
         """Check residency without updating LRU state or counters."""
         set_index, tag = self._locate(address)
-        return tag in self._sets[set_index]
+        ways = self._sets[set_index]
+        return ways is not None and tag in ways
 
     def flush(self) -> None:
         """Invalidate all lines (counters are preserved)."""
-        for ways in self._sets:
-            ways.clear()
+        self._sets = [None] * self._num_sets
 
     def reset_stats(self) -> None:
         self.stats = CacheStats()
 
     @property
     def resident_lines(self) -> int:
-        return sum(len(ways) for ways in self._sets)
+        return sum(len(ways) for ways in self._sets if ways is not None)
 
     def __repr__(self) -> str:
         cfg = self.config

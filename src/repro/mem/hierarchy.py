@@ -74,7 +74,10 @@ class MemoryHierarchy:
                 latency += self.config.dram_latency
                 self.dram_accesses += 1
         if pc is not None:
-            self._amat.setdefault(pc, AmatCounter()).record(latency)
+            counter = self._amat.get(pc)
+            if counter is None:
+                counter = self._amat[pc] = AmatCounter()
+            counter.record(latency)
         return latency
 
     def amat(self, pc: int) -> float:

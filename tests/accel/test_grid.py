@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.accel import AcceleratorConfig, PEGrid
+from repro.accel import M_64, M_128, M_512, AcceleratorConfig, PEGrid
 from repro.isa import OpClass
 
 
@@ -59,6 +59,19 @@ class TestMasks:
         assert g.op_mask(OpClass.INT_ALU) is mask
         with pytest.raises(ValueError):
             mask[0, 0] = False
+
+    @pytest.mark.parametrize("config", [M_64, M_128, M_512],
+                             ids=lambda c: c.name)
+    def test_masks_shared_across_grids_of_one_config(self, config):
+        first, second = PEGrid(config), PEGrid(config)
+        for op_class in OpClass:
+            mask = first.op_mask(op_class)
+            assert second.op_mask(op_class) is mask
+            assert not mask.flags.writeable
+            assert mask.shape == (config.rows, config.cols)
+            for r in range(config.rows):
+                for c in range(config.cols):
+                    assert mask[r, c] == config.supports(op_class, (r, c))
 
     def test_available_mask_excludes_occupied(self):
         g = grid()

@@ -2,23 +2,26 @@
 
 import pytest
 
-from repro.cpu import PerfCounters
-from repro.isa import Instruction, OpClass, Opcode, x
+from repro.cpu import OutOfOrderCore, PerfCounters, Trace, TraceEntry
+from repro.isa import Instruction, MachineState, OpClass, Opcode, x
 
 
 def counted(*opcodes) -> PerfCounters:
-    counters = PerfCounters()
-    for op in opcodes:
-        counters.note(Instruction(0, op, rd=x(1), rs1=x(2), rs2=x(3)))
-    return counters
+    """The counters the core model folds for one instruction per opcode."""
+    entries = []
+    for seq, op in enumerate(opcodes):
+        instr = Instruction(4 * seq, op, rd=x(1), rs1=x(2), rs2=x(3))
+        address = 0x100 if instr.is_memory else None
+        entries.append(TraceEntry(seq, instr, address))
+    return OutOfOrderCore().run(Trace(tuple(entries), MachineState())).counters
 
 
 class TestClassification:
     def test_note_counts_instructions(self):
-        counters = counted(Opcode.ADD, Opcode.ADD, Opcode.MUL)
+        counters = counted(Opcode.ADD, Opcode.MUL, Opcode.ADD)
         assert counters.instructions == 3
-        assert counters.by_class[OpClass.INT_ALU] == 2
-        assert counters.by_class[OpClass.INT_MUL] == 1
+        assert list(counters.by_class.items()) == [(OpClass.INT_ALU, 2),
+                                                   (OpClass.INT_MUL, 1)]
 
     def test_memory_properties(self):
         counters = counted(Opcode.LW, Opcode.LW, Opcode.SW)
@@ -38,6 +41,7 @@ class TestClassification:
 
     def test_ipc(self):
         counters = counted(Opcode.ADD, Opcode.ADD)
+        assert counters.ipc > 0
         counters.cycles = 4
         assert counters.ipc == pytest.approx(0.5)
         assert PerfCounters().ipc == 0.0

@@ -1,9 +1,11 @@
 """Tests for the set-associative cache timing model."""
 
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.mem import Cache, CacheConfig
+from repro.mem import Cache, CacheConfig, MemoryHierarchy
 
 
 def small_cache(assoc=2, sets=4, line=16) -> Cache:
@@ -129,3 +131,69 @@ class TestProperties:
         for address in addresses:
             cache.access(address)
         assert cache.stats.misses == 0
+
+
+def _replay(cache: Cache, accesses) -> list[tuple]:
+    """Hit/miss plus eviction/writeback deltas for each access."""
+    outcome = []
+    for address, is_write in accesses:
+        evictions, writebacks = cache.stats.evictions, cache.stats.writebacks
+        hit = cache.access(address, is_write)
+        outcome.append((hit, cache.stats.evictions - evictions,
+                        cache.stats.writebacks - writebacks))
+    return outcome
+
+
+def _accesses(seed: int, count: int = 400, span: int = 0x800):
+    rng = random.Random(seed)
+    return [(rng.randrange(span), rng.random() < 0.3) for _ in range(count)]
+
+
+class TestLazySets:
+    """Sets are allocated on first touch; none of that is observable."""
+
+    def test_probe_on_untouched_set_is_false(self):
+        cache = small_cache(assoc=2, sets=4, line=16)
+        assert not cache.probe(0x0)
+        cache.access(0x0)            # touches set 0 only
+        assert not cache.probe(0x10), "set 1 never touched"
+        assert not cache.probe(0x40), "set 0, other tag"
+        assert cache.stats.accesses == 1
+
+    def test_flushed_cache_replays_like_a_fresh_one(self):
+        accesses = _accesses(seed=3)
+        used = small_cache(assoc=2, sets=4, line=16)
+        _replay(used, _accesses(seed=4))
+        used.flush()
+        used.reset_stats()
+        fresh = small_cache(assoc=2, sets=4, line=16)
+        assert _replay(used, accesses) == _replay(fresh, accesses)
+        assert used.stats == fresh.stats
+        assert used.stats.evictions and used.stats.writebacks
+
+    def test_resident_lines_count_only_touched_lines(self):
+        cache = Cache(CacheConfig(size_bytes=8 * 1024 * 1024,
+                                  associativity=16))
+        assert cache.resident_lines == 0
+        lines = {0x0, 0x40, 0x1000, 0x7FFFC0}
+        for address in lines:
+            cache.access(address)
+        cache.access(0x4)            # same line as 0x0
+        assert cache.resident_lines == len(lines)
+        cache.flush()
+        assert cache.resident_lines == 0
+
+    def test_hierarchy_flush_then_reaccess_matches_new_hierarchy(self):
+        accesses = _accesses(seed=5, span=0x4000)
+        used = MemoryHierarchy()
+        for address, is_write in _accesses(seed=6, span=0x4000):
+            used.access(address, is_write)
+        used.flush()
+        used.reset_stats()
+        fresh = MemoryHierarchy()
+        assert ([used.access(a, w, pc=a & 0xFC) for a, w in accesses]
+                == [fresh.access(a, w, pc=a & 0xFC) for a, w in accesses])
+        assert used.l1.stats == fresh.l1.stats
+        assert used.l2.stats == fresh.l2.stats
+        assert used.dram_accesses == fresh.dram_accesses
+        assert used.amat_counters() == fresh.amat_counters()
