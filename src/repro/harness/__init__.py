@@ -35,7 +35,6 @@ from .parallel import (
     ShardRunner,
     describe_error,
     pool_start_method,
-    run_sharded,
     warm_boot_imports,
 )
 from .report import (
@@ -82,7 +81,6 @@ __all__ = [
     "ShardRunner",
     "describe_error",
     "pool_start_method",
-    "run_sharded",
     "warm_boot_imports",
     "SweepPoint",
     "SweepResult",

@@ -1,4 +1,4 @@
-"""Process-parallel shard runner for sweeps and experiments.
+"""Supervised worker pool and the process-parallel shard runner.
 
 The paper's evaluation is an embarrassingly parallel grid — kernels ×
 backend configs × PE-scaling points — but a single Python process caps the
@@ -10,30 +10,31 @@ executes them on a **persistent pool of warm workers**, merging the results
 completion order, so any table or JSON built from them is byte-identical to
 a serial run.
 
-The pool is not a ``ProcessPoolExecutor``.  Each worker process is owned
-directly and served one shard at a time over its own pipe, which buys three
-serving-grade properties the shared-queue executor cannot give:
+:class:`WorkerPool` is the one supervised process pool in the repo; the
+sweep harness (:class:`ShardRunner`) and the offload service's process
+backend (:class:`repro.service.ProcessWorkerPool`) both run on it.  Each
+worker process is owned directly and served one task at a time over its
+own pipe, which buys three serving-grade properties a shared-queue
+``ProcessPoolExecutor`` cannot give:
 
 * **warm boot** — every worker runs an ``initializer`` before accepting
-  work (pre-import the simulator stack, pre-build per-config controllers)
-  and signals readiness over the pipe; a worker survives across shards and
-  across retry rounds, so per-process caches stay resident;
-* **deadline watchdog** — a shard's wall-clock budget (``shard_timeout``,
-  or the per-shard :attr:`Shard.timeout` override) is measured from the
-  moment the shard is handed to an idle worker, i.e. from actual execution
-  start.  A shard queued behind a slow one gets its *full* budget.  On
+  work (pre-import the simulator stack, pre-build per-config controllers,
+  seed caches) and then signals readiness over the pipe; a worker survives
+  across tasks, so per-process caches stay resident;
+* **deadline watchdog** — a task's wall-clock budget is measured from the
+  moment it is handed to an idle worker, i.e. from actual execution
+  start.  A task queued behind a slow one gets its *full* budget.  On
   expiry only the wedged worker is killed and replaced; every other
-  in-flight shard keeps running — the pool is repaired, never rebuilt;
-* **exact crash blame** — the parent knows which worker holds which shard,
-  so a dying worker process degrades *its* shard only.  Innocent shards
-  are unaffected (no ``BrokenProcessPool`` fan-out, no refund bookkeeping).
+  in-flight task keeps running — the pool is repaired, never rebuilt;
+* **exact crash blame** — the caller that dispatched a task is the only
+  one waiting on that worker's pipe, so a dying worker process fails
+  *its* task only (no ``BrokenProcessPool`` fan-out).
 
-Each shard gets robustness semantics that transfer to any serving stack:
-a wall-clock deadline, ``retries`` bounded re-execution after a crash,
-timeout, or worker exception, and **graceful degradation** — a shard that
-exhausts its retries becomes a failed :class:`ShardOutcome` carrying the
-error string, and the caller renders it as a degraded row instead of
-aborting the whole sweep.
+:class:`ShardRunner` adds per-shard robustness on top: ``retries`` bounded
+re-execution after a crash, timeout, or worker exception, and **graceful
+degradation** — a shard that exhausts its retries becomes a failed
+:class:`ShardOutcome` carrying the error string, and the caller renders it
+as a degraded row instead of aborting the whole sweep.
 
 ``workers=1`` runs every shard inline in the calling process — no pool, no
 pickling — preserving the exact pre-existing serial behaviour (and letting
@@ -52,15 +53,37 @@ from __future__ import annotations
 
 import multiprocessing
 import os
+import threading
 import time
 import traceback
-from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from multiprocessing.connection import wait as _wait_on
 from typing import Any, Callable, Sequence
 
-__all__ = ["Shard", "ShardOutcome", "ShardRunner", "run_sharded",
-           "describe_error", "pool_start_method", "warm_boot_imports"]
+__all__ = ["Shard", "ShardOutcome", "ShardRunner", "WorkerPool",
+           "WorkerCrash", "WorkerTimeout", "WorkerTaskError", "PoolBroken",
+           "MAX_BOOT_FAILURES", "describe_error", "pool_start_method",
+           "warm_boot_imports"]
+
+#: Consecutive worker boot deaths tolerated before the pool gives up; a
+#: worker that can't even boot is an environment failure, not any task's.
+MAX_BOOT_FAILURES = 3
+
+
+class WorkerCrash(RuntimeError):
+    """The worker process died mid-task; it has been replaced."""
+
+
+class WorkerTimeout(RuntimeError):
+    """The task blew its deadline; the worker was killed and replaced."""
+
+
+class WorkerTaskError(RuntimeError):
+    """The task raised inside the worker; the worker itself is healthy."""
+
+
+class PoolBroken(RuntimeError):
+    """Workers failed to boot, none remain, or the pool is closed."""
 
 
 def pool_start_method() -> str:
@@ -135,12 +158,12 @@ _STOP = "stop"
 
 
 def _worker_main(conn, worker_fn, initializer, initargs) -> None:
-    """Worker process loop: warm boot, signal readiness, then serve one
-    shard at a time (strict request/response over ``conn``)."""
+    """Worker process loop: warm boot, signal readiness (with the pid),
+    then serve one task at a time (strict request/response over ``conn``)."""
     try:
         if initializer is not None:
             initializer(*initargs)
-        conn.send((_READY, None))
+        conn.send((_READY, os.getpid()))
         while True:
             kind, payload = conn.recv()
             if kind == _STOP:
@@ -154,7 +177,7 @@ def _worker_main(conn, worker_fn, initializer, initargs) -> None:
             except (EOFError, OSError):
                 break
             except Exception as exc:
-                # The result didn't pickle; the shard still gets an answer.
+                # The result didn't pickle; the task still gets an answer.
                 # (Connection.send pickles before writing, so the stream is
                 # still clean when it raises.)
                 conn.send((_ERR, describe_error(exc)))
@@ -169,10 +192,10 @@ def _worker_main(conn, worker_fn, initializer, initargs) -> None:
 
 # -- parent side --------------------------------------------------------------
 
-class _PoolWorker:
-    """Parent-side handle for one persistent worker process."""
+class _Worker:
+    """Parent-side handle for one worker process and its duplex pipe."""
 
-    __slots__ = ("process", "conn", "ready", "shard_index", "deadline")
+    __slots__ = ("process", "conn", "pid")
 
     def __init__(self, ctx, worker_fn, initializer, initargs) -> None:
         self.conn, child_conn = ctx.Pipe(duplex=True)
@@ -182,31 +205,23 @@ class _PoolWorker:
             daemon=True)
         self.process.start()
         child_conn.close()
-        self.ready = False
-        #: Index of the in-flight shard, or None when idle.
-        self.shard_index: int | None = None
-        #: Monotonic deadline of the in-flight shard (None = unbounded).
-        self.deadline: float | None = None
+        self.pid: int | None = None
 
-    @property
-    def idle(self) -> bool:
-        return self.ready and self.shard_index is None
+    def handshake(self, timeout: float) -> bool:
+        """Wait for the ready message; False if the worker died booting."""
+        try:
+            if not self.conn.poll(timeout):
+                return False
+            kind, self.pid = self.conn.recv()
+        except (EOFError, OSError):
+            return False
+        return kind == _READY
 
-    def dispatch(self, index: int, payload: Any,
-                 timeout: float | None) -> None:
-        """Hand one shard to this (idle) worker.  The worker is blocked on
-        ``recv``, so the send time *is* the shard's execution start — the
-        deadline clock anchors here, not at submission or harvest."""
-        self.conn.send((_TASK, payload))
-        self.shard_index = index
-        self.deadline = (time.monotonic() + timeout
-                         if timeout is not None else None)
-
-    def retire(self) -> None:
-        """Ask an idle worker to exit (best effort)."""
+    def stop(self) -> None:
+        """Ask the worker to exit once it is idle (best effort)."""
         try:
             self.conn.send((_STOP, None))
-        except (EOFError, OSError):
+        except OSError:
             pass
 
     def kill(self) -> None:
@@ -223,144 +238,231 @@ class _PoolWorker:
             self.process.join(timeout=2.0)
 
 
-class _WorkerPool:
-    """A fixed-size pool of persistent workers with direct dispatch.
+class WorkerPool:
+    """Fixed-size supervised pool of persistent worker processes.
 
-    The parent tracks exactly which worker holds which shard, so timeout
-    and crash blame are per-worker, and repair replaces only the killed
-    member — surviving workers keep their warm state.
+    Every worker runs ``initializer(*initargs)`` and then
+    ``worker_fn(payload)`` for each task it is handed.  :meth:`execute` is
+    blocking and thread-safe: callers drive the pool from as many threads
+    as there are workers, one task per thread.  ``affinity`` routes a task
+    to a preferred worker (``hash(affinity) % size``) when that worker is
+    idle, falling back to any idle worker.
+
+    Subclasses override :meth:`_spawn_initargs` to compute the
+    initializer's arguments at every spawn — a replacement worker boots
+    from the state the parent holds *then*, not at construction.
     """
 
-    #: Consecutive exits during warm-up tolerated before giving up; a
-    #: worker that can't even boot is an environment failure, not any
-    #: shard's fault.
-    MAX_BOOT_FAILURES = 3
+    BOOT_TIMEOUT = 120.0
 
-    #: A worker died while holding a shard.
-    DIED = "died"
-    #: A worker blew through its shard's deadline and was killed.
-    DEADLINE = "deadline"
-
-    def __init__(self, size: int, worker_fn, initializer, initargs,
-                 start_method: str) -> None:
-        self._ctx = multiprocessing.get_context(start_method)
-        self._spawn_args = (worker_fn, initializer, initargs)
-        self._size = size
-        self._members: list[_PoolWorker] = []
+    def __init__(self, workers: int, worker_fn: Callable[[Any], Any],
+                 initializer: Callable[..., None] | None = None,
+                 initargs: Sequence[Any] = ()) -> None:
+        if workers < 1:
+            raise ValueError("workers must be positive")
+        self.size = workers
+        self._worker_fn = worker_fn
+        self._initializer = initializer
+        self._initargs = tuple(initargs)
+        self._ctx = multiprocessing.get_context(pool_start_method())
+        self._cond = threading.Condition()
+        # Replacements spawn from dispatch threads.  One spawn at a time,
+        # so no forked child inherits another new worker's end of its
+        # pipe (which would hide that worker's death from the parent).
+        self._spawn_lock = threading.Lock()
+        self._slots: list[_Worker | None] = [None] * workers
+        self._idle: set[int] = set()
         self._boot_failures = 0
+        self._closed = False
+        #: Workers killed for a crash or a blown deadline (read under the
+        #: pool lock).
+        self.restarts = 0
 
-    def repair(self, outstanding: int) -> None:
-        """Keep ``min(size, outstanding)`` workers alive — the initial
-        spawn and every replacement after a kill go through here."""
-        target = min(self._size, outstanding)
-        while len(self._members) < target:
-            self._members.append(_PoolWorker(self._ctx, *self._spawn_args))
+    # -- lifecycle ------------------------------------------------------------
 
-    def idle_workers(self) -> list[_PoolWorker]:
-        return [w for w in self._members if w.idle]
+    def start(self) -> None:
+        """Spawn every worker, then wait for every handshake (blocking).
 
-    def wait(self) -> list[tuple]:
-        """Block until the next event: a worker message, a worker death, or
-        the nearest in-flight deadline.  Returns ``(kind, shard_index,
-        value)`` tuples for every shard-affecting event."""
-        now = time.monotonic()
-        deadlines = [w.deadline for w in self._members
-                     if w.shard_index is not None and w.deadline is not None]
-        timeout = max(0.0, min(deadlines) - now) if deadlines else None
-        by_conn = {w.conn: w for w in self._members}
-        by_sentinel = {w.process.sentinel: w for w in self._members}
-        fired = _wait_on(list(by_conn) + list(by_sentinel), timeout=timeout)
-
-        events: list[tuple] = []
-        dead: list[_PoolWorker] = []
-        # Messages first: a worker that answered and then died delivered a
-        # result, not a casualty.
-        for obj in fired:
-            worker = by_conn.get(obj)
-            if worker is None:
-                continue
-            if not self._receive(worker, events):
-                dead.append(worker)
-        for obj in fired:
-            worker = by_sentinel.get(obj)
-            if worker is not None and worker not in dead:
-                dead.append(worker)
-        for worker in dead:
-            self._bury(worker, events)
-        # Deadlines last: anything that finished in this batch is already
-        # settled and cannot be charged a timeout.
-        now = time.monotonic()
-        for worker in list(self._members):
-            if (worker.shard_index is not None and worker.deadline is not None
-                    and now >= worker.deadline):
-                index = worker.shard_index
-                self._discard(worker)
-                events.append((self.DEADLINE, index, None))
-        return events
+        Raises :class:`PoolBroken` once :data:`MAX_BOOT_FAILURES` workers in
+        a row die before signalling readiness.
+        """
+        spawned = [self._spawn() for _ in range(self.size)]
+        booted: list[_Worker] = []
+        try:
+            for worker in spawned:
+                booted.append(self._boot(worker))
+        except PoolBroken:
+            for worker in spawned + booted:
+                worker.kill()
+            raise
+        with self._cond:
+            self._slots = booted
+            self._idle = set(range(self.size))
+            self._cond.notify_all()
 
     def close(self) -> None:
-        """Graceful stop for idle members, hard kill for the rest."""
-        for worker in self._members:
-            if worker.idle:
-                worker.retire()
+        """Ask every worker to stop, allow a second's grace, then kill
+        whatever is still running (a busy worker never reads the stop)."""
+        with self._cond:
+            self._closed = True
+            workers = [worker for worker in self._slots if worker is not None]
+            self._slots = [None] * self.size
+            self._idle.clear()
+            self._cond.notify_all()
+        for worker in workers:
+            worker.stop()
         grace = time.monotonic() + 1.0
-        for worker in self._members:
+        for worker in workers:
             worker.process.join(timeout=max(0.0, grace - time.monotonic()))
-        for worker in self._members:
+        for worker in workers:
             worker.kill()
-        self._members = []
 
-    # -- internals ----------------------------------------------------------
+    # -- introspection --------------------------------------------------------
 
-    def _receive(self, worker: _PoolWorker, events: list) -> bool:
-        """Drain one message from a worker; False if the pipe is dead."""
+    def worker_pids(self) -> list[int | None]:
+        """Current pid per slot (None for a dead slot)."""
+        with self._cond:
+            return [worker.pid if worker is not None else None
+                    for worker in self._slots]
+
+    def alive(self) -> int:
+        with self._cond:
+            return sum(1 for worker in self._slots if worker is not None)
+
+    # -- execution ------------------------------------------------------------
+
+    def execute(self, payload: Any, timeout_s: float | None = None,
+                affinity: Any = None) -> Any:
+        """Run one payload on a worker; blocking, thread-safe.
+
+        Raises :class:`WorkerTaskError` (the task raised or didn't pickle;
+        the worker is healthy), :class:`WorkerCrash` /
+        :class:`WorkerTimeout` (worker killed and replaced in place), or
+        :class:`PoolBroken` (closed / no live workers).  The deadline
+        anchors at dispatch: queueing for an idle worker does not consume
+        the task's execution budget.
+        """
+        slot, worker = self._acquire(affinity)
+        healthy = True
         try:
-            kind, value = worker.conn.recv()
-        except (EOFError, OSError):
-            return False
-        if kind == _READY:
-            worker.ready = True
-            self._boot_failures = 0
-        else:
-            index = worker.shard_index
-            worker.shard_index = None
-            worker.deadline = None
-            events.append((kind, index, value))
-        return True
+            try:
+                worker.conn.send((_TASK, payload))
+            except OSError as exc:
+                healthy = False
+                raise WorkerCrash(
+                    f"worker {worker.pid} pipe failed: {exc}") from exc
+            except Exception as exc:
+                # The payload didn't pickle — the task's fault, not the
+                # worker's: nothing was written, the worker stays idle.
+                raise WorkerTaskError(describe_error(exc)) from exc
+            try:
+                if not worker.conn.poll(timeout_s):
+                    healthy = False
+                    raise WorkerTimeout(
+                        f"execution exceeded {timeout_s:g}s; worker "
+                        f"{worker.pid} killed and replaced")
+                kind, value = worker.conn.recv()
+            except (EOFError, OSError) as exc:
+                healthy = False
+                raise WorkerCrash(
+                    f"worker {worker.pid} crashed mid-request "
+                    f"(exit code {worker.process.exitcode})") from exc
+            if kind == _ERR:
+                raise WorkerTaskError(value)
+            return value
+        finally:
+            if healthy:
+                self._checkin(slot)
+            else:
+                self._replace(slot, worker)
 
-    def _bury(self, worker: _PoolWorker, events: list) -> None:
-        """A worker process died: blame its in-flight shard (if any),
-        count a boot failure if it never became ready, and discard it —
-        ``repair`` will spawn the replacement."""
-        # A final answer may still be buffered on the pipe; harvesting it
-        # converts "crash" into a delivered result.
-        try:
-            while worker.conn.poll(0):
-                if not self._receive(worker, events):
-                    break
-        except (EOFError, OSError):
-            pass
-        index = worker.shard_index
-        became_ready = worker.ready
-        self._discard(worker)
-        if index is not None:
-            events.append((self.DIED, index, None))
-        elif not became_ready:
-            self._boot_failures += 1
-            if self._boot_failures >= self.MAX_BOOT_FAILURES:
-                raise RuntimeError(
-                    "worker pool failed to boot: workers keep exiting "
-                    "during warm-up (crashing initializer?)")
+    # -- internals ------------------------------------------------------------
 
-    def _discard(self, worker: _PoolWorker) -> None:
-        if worker in self._members:
-            self._members.remove(worker)
+    def _spawn_initargs(self) -> tuple:
+        """The initializer's arguments for the worker about to spawn."""
+        return self._initargs
+
+    def _spawn(self) -> _Worker:
+        initargs = self._spawn_initargs()
+        with self._spawn_lock:
+            return _Worker(self._ctx, self._worker_fn, self._initializer,
+                           initargs)
+
+    def _boot(self, worker: _Worker | None = None) -> _Worker:
+        """Handshake ``worker`` (or a fresh spawn), respawning after a boot
+        death until :data:`MAX_BOOT_FAILURES` consecutive failures."""
+        while True:
+            worker = worker if worker is not None else self._spawn()
+            if worker.handshake(self.BOOT_TIMEOUT):
+                with self._cond:
+                    self._boot_failures = 0
+                return worker
+            worker.kill()
+            worker = None
+            with self._cond:
+                self._boot_failures += 1
+                failures = self._boot_failures
+            if failures >= MAX_BOOT_FAILURES:
+                raise PoolBroken(
+                    f"worker pool failed to boot: {failures} workers in a "
+                    f"row exited during warm-up (crashing initializer?)")
+
+    def _acquire(self, affinity: Any) -> tuple[int, _Worker]:
+        with self._cond:
+            while True:
+                if self._closed:
+                    raise PoolBroken("worker pool is closed")
+                if all(worker is None for worker in self._slots):
+                    raise PoolBroken("no live workers remain")
+                if self._idle:
+                    preferred = (hash(affinity) % self.size
+                                 if affinity is not None else None)
+                    slot = (preferred if preferred in self._idle
+                            else min(self._idle))
+                    self._idle.remove(slot)
+                    worker = self._slots[slot]
+                    assert worker is not None
+                    return slot, worker
+                self._cond.wait(timeout=1.0)
+
+    def _checkin(self, slot: int) -> None:
+        with self._cond:
+            if not self._closed and self._slots[slot] is not None:
+                self._idle.add(slot)
+                self._cond.notify()
+
+    def _replace(self, slot: int, worker: _Worker) -> None:
+        """Kill a wedged/dead worker and boot a replacement into its slot.
+
+        The pool is repaired, never rebuilt: only this slot changes, the
+        other workers keep running (and keep their warm caches).  If the
+        replacement cannot boot, the slot is marked dead rather than
+        raising — the original task's failure is the caller's error.
+        """
         worker.kill()
+        with self._cond:
+            self.restarts += 1
+            if self._closed:
+                return
+        try:
+            replacement = self._boot()
+        except PoolBroken:
+            with self._cond:
+                self._slots[slot] = None
+                self._cond.notify_all()
+            return
+        with self._cond:
+            if not self._closed:
+                self._slots[slot] = replacement
+                self._idle.add(slot)
+                self._cond.notify()
+                return
+        replacement.kill()
 
 
 class ShardRunner:
-    """Executes shards on a persistent worker pool with warm boot, a
-    start-anchored deadline watchdog, and exact retry/degrade semantics.
+    """Executes shards on a :class:`WorkerPool` with exact retry/degrade
+    semantics.
 
     Args:
         workers: pool size; ``1`` (the default) runs shards inline in the
@@ -378,15 +480,12 @@ class ShardRunner:
             the inline path, which *is* the worker).  Must be picklable
             under the ``spawn`` start method.
         initargs: arguments for ``initializer``.
-        start_method: multiprocessing start method; defaults to
-            :func:`pool_start_method` (fork where available, else spawn).
     """
 
     def __init__(self, workers: int = 1, shard_timeout: float | None = None,
                  retries: int = 1,
                  initializer: Callable[..., None] | None = None,
-                 initargs: Sequence[Any] = (),
-                 start_method: str | None = None) -> None:
+                 initargs: Sequence[Any] = ()) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if retries < 0:
@@ -396,9 +495,6 @@ class ShardRunner:
         self.retries = retries
         self.initializer = initializer
         self.initargs = tuple(initargs)
-        self.start_method = start_method or pool_start_method()
-
-    # -- public API ---------------------------------------------------------
 
     def map(self, worker: Callable[[Any], Any],
             shards: Sequence[Shard]) -> list[ShardOutcome]:
@@ -406,7 +502,8 @@ class ShardRunner:
 
         Returns one :class:`ShardOutcome` per shard **in input order**,
         regardless of completion order or worker count.  ``worker`` must be
-        a module-level (picklable) callable when ``workers > 1``.
+        a module-level (picklable) callable when ``workers > 1``.  Raises
+        :class:`PoolBroken` if the pool's workers cannot boot.
         """
         shards = list(shards)
         if not shards:
@@ -414,101 +511,55 @@ class ShardRunner:
         if self.workers == 1:
             if self.initializer is not None:
                 self.initializer(*self.initargs)
-            return [self._run_inline(worker, shard) for shard in shards]
-        return self._run_pooled(worker, shards)
+            return [self._run(lambda s: worker(s.payload), shard)
+                    for shard in shards]
+        pool = WorkerPool(min(self.workers, len(shards)), worker,
+                          self.initializer, self.initargs)
+        pool.start()
 
-    # -- serial path --------------------------------------------------------
+        def execute(shard: Shard) -> Any:
+            return pool.execute(shard.payload, timeout_s=self._budget(shard))
 
-    def _run_inline(self, worker, shard: Shard) -> ShardOutcome:
+        threads = ThreadPoolExecutor(max_workers=pool.size,
+                                     thread_name_prefix="shard-dispatch")
+        try:
+            return list(threads.map(lambda shard: self._run(execute, shard),
+                                    shards))
+        finally:
+            # Close the pool before joining the threads, so an interrupted
+            # map ends every in-flight shard instead of waiting on it.
+            pool.close()
+            threads.shutdown()
+
+    def _run(self, call: Callable[[Shard], Any],
+             shard: Shard) -> ShardOutcome:
+        """Call until success or the retry budget is spent; a failure that
+        exhausts it becomes a degraded outcome carrying the error."""
         attempts = 0
         while True:
             attempts += 1
             try:
-                return ShardOutcome(key=shard.key,
-                                    value=worker(shard.payload),
+                return ShardOutcome(key=shard.key, value=call(shard),
                                     attempts=attempts)
+            except PoolBroken:
+                raise
             except Exception as exc:
                 if attempts > self.retries:
-                    return ShardOutcome(
-                        key=shard.key, attempts=attempts,
-                        error=describe_error(exc))
-
-    # -- pooled path --------------------------------------------------------
-
-    def _run_pooled(self, worker, shards: list[Shard]) -> list[ShardOutcome]:
-        outcomes: dict[int, ShardOutcome] = {}
-        attempts = [0] * len(shards)
-        pending = deque(range(len(shards)))
-        pool = _WorkerPool(min(self.workers, len(shards)), worker,
-                           self.initializer, self.initargs,
-                           self.start_method)
-        try:
-            while len(outcomes) < len(shards):
-                pool.repair(outstanding=len(shards) - len(outcomes))
-                self._dispatch(pool, worker_shards=shards, pending=pending,
-                               attempts=attempts, outcomes=outcomes)
-                for kind, index, value in pool.wait():
-                    if kind == _OK:
-                        outcomes[index] = ShardOutcome(
-                            key=shards[index].key, value=value,
-                            attempts=attempts[index])
-                    elif kind == _ERR:
-                        self._settle(index, shards, attempts, outcomes,
-                                     pending, value)
-                    elif kind == _WorkerPool.DIED:
-                        self._settle(index, shards, attempts, outcomes,
-                                     pending, "worker process crashed")
-                    elif kind == _WorkerPool.DEADLINE:
-                        budget = self._budget(shards[index])
-                        self._settle(index, shards, attempts, outcomes,
-                                     pending,
-                                     f"timed out after {budget:g}s")
-        finally:
-            pool.close()
-        return [outcomes[i] for i in range(len(shards))]
-
-    def _dispatch(self, pool: _WorkerPool, worker_shards: list[Shard],
-                  pending: deque, attempts: list[int],
-                  outcomes: dict[int, ShardOutcome]) -> None:
-        """Hand pending shards to every ready idle worker."""
-        for worker in pool.idle_workers():
-            if not pending:
-                break
-            index = pending.popleft()
-            attempts[index] += 1
-            try:
-                worker.dispatch(index, worker_shards[index].payload,
-                                self._budget(worker_shards[index]))
-            except Exception as exc:
-                # The payload didn't pickle — that is this shard's fault,
-                # not the worker's; the worker stays idle and alive.
-                self._settle(index, worker_shards, attempts, outcomes,
-                             pending, describe_error(exc))
+                    return ShardOutcome(key=shard.key, attempts=attempts,
+                                        error=self._error(exc, shard))
 
     def _budget(self, shard: Shard) -> float | None:
         return (shard.timeout if shard.timeout is not None
                 else self.shard_timeout)
 
-    def _settle(self, index: int, shards, attempts: list[int],
-                outcomes: dict[int, ShardOutcome], pending: deque,
-                error: str) -> None:
-        """Retry the failed shard if it has budget left, else degrade it."""
-        if attempts[index] <= self.retries:
-            pending.append(index)
-        else:
-            outcomes[index] = ShardOutcome(
-                key=shards[index].key, attempts=attempts[index], error=error)
-
-
-def run_sharded(worker: Callable[[Any], Any], shards: Sequence[Shard],
-                workers: int = 1, shard_timeout: float | None = None,
-                retries: int = 1,
-                initializer: Callable[..., None] | None = None,
-                initargs: Sequence[Any] = ()) -> list[ShardOutcome]:
-    """One-call convenience wrapper over :class:`ShardRunner`."""
-    return ShardRunner(workers=workers, shard_timeout=shard_timeout,
-                       retries=retries, initializer=initializer,
-                       initargs=initargs).map(worker, shards)
+    def _error(self, exc: Exception, shard: Shard) -> str:
+        if isinstance(exc, WorkerCrash):
+            return "worker process crashed"
+        if isinstance(exc, WorkerTimeout):
+            return f"timed out after {self._budget(shard):g}s"
+        if isinstance(exc, WorkerTaskError):
+            return str(exc)
+        return describe_error(exc)
 
 
 def describe_error(exc: BaseException) -> str:

@@ -2,26 +2,20 @@
 
 One asyncio process tops out at ~1 core of simulation (the GIL serializes
 the thread-pool executors), so the service's multi-process backend runs
-``MesaController.execute`` in N long-lived worker *processes*, supervised
-with the same semantics the parallel harness proved out
-(:mod:`repro.harness.parallel`):
-
-* **dispatch over per-worker pipes** — one request at a time per worker,
-  so the per-request deadline anchors at actual dispatch and crash blame
-  is exact;
-* **kill-and-replace repair** — a worker that crashes or blows its
-  deadline degrades only its own request and is replaced in place; the
-  pool is repaired, never rebuilt, and the other workers keep their warm
-  caches;
-* **boot-failure cap** — :data:`MAX_BOOT_FAILURES` consecutive boot
-  deaths mark the slot dead instead of respawn-looping.
+``MesaController.execute`` in N long-lived worker *processes* on the
+repo's one supervised pool, :class:`repro.harness.parallel.WorkerPool`:
+dispatch over per-worker pipes (the per-request deadline anchors at
+actual dispatch and crash blame is exact), kill-and-replace repair (a
+worker that crashes or blows its deadline degrades only its own request
+and is replaced in place), and a cap on consecutive boot failures.  This
+module holds only what is particular to the service.
 
 Each worker owns its own per-chip controllers (process memory is not
 shared), so warm-cache behavior is preserved two ways: *sticky affinity*
 routes identical regions to the same worker when it is idle, and every
-freshly booted worker (initial or replacement) is seeded with the
-service's :class:`~repro.service.checkpoint.RegionStore` records, so a
-replacement rejoins warm instead of cold.
+worker's warm boot (initial or replacement) is seeded with the service's
+:class:`~repro.service.checkpoint.RegionStore` records as they stand at
+that spawn, so a replacement rejoins warm instead of cold.
 
 Results cross the pipe as compact summary dicts (a
 :class:`~repro.core.controller.MesaResult` holds closures and traces and
@@ -35,395 +29,137 @@ half-open probing so a recovered region closes the circuit again.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
-import threading
 import time
 from typing import Any, Callable
 
-from ..harness.parallel import describe_error, pool_start_method
+from ..harness.parallel import (
+    PoolBroken,
+    WorkerCrash,
+    WorkerPool,
+    WorkerTaskError,
+    WorkerTimeout,
+)
 
 __all__ = ["ProcessWorkerPool", "WorkerCrash", "WorkerTimeout",
            "WorkerTaskError", "PoolBroken", "CircuitBreaker",
-           "MAX_BOOT_FAILURES"]
-
-_READY = "ready"
-_TASK = "task"
-_SEED = "seed"
-_STOP = "stop"
-_OK = "ok"
-_ERR = "err"
-
-#: Consecutive worker boot deaths tolerated before a slot is marked dead.
-MAX_BOOT_FAILURES = 3
+           "cpu_baseline_summary"]
 
 
-class WorkerCrash(RuntimeError):
-    """The worker process died mid-request; it has been replaced."""
-
-
-class WorkerTimeout(RuntimeError):
-    """The request blew its deadline; the worker was killed and replaced."""
-
-
-class WorkerTaskError(RuntimeError):
-    """The request raised inside the worker; the worker itself is healthy."""
-
-
-class PoolBroken(RuntimeError):
-    """No live workers remain (or the pool is closed)."""
-
-
-# -- worker process side ------------------------------------------------------
-
-
-def _cpu_baseline_summary(kernel, cpu_config) -> dict:
+def cpu_baseline_summary(program, state_factory, cpu_config=None) -> dict:
     """CPU-only execution summary (the circuit breaker's degraded path)."""
     from ..cpu import CpuConfig, OutOfOrderCore, collect_trace
     from ..mem import MemoryHierarchy
 
     config = cpu_config if cpu_config is not None else CpuConfig()
-    trace = collect_trace(kernel.program, kernel.state_factory())
+    trace = collect_trace(program, state_factory())
     core = OutOfOrderCore(config, MemoryHierarchy(config.memory)).run(trace)
     return {"accelerated": False, "cache_hit": False,
             "reason": "cpu baseline", "speedup": 1.0,
-            "total_cycles": float(core.cycles), "phase_seconds": {},
-            "cache_stats": (0, 0, 0, 0), "new_regions": [],
-            "pid": os.getpid()}
+            "total_cycles": float(core.cycles), "phase_seconds": {}}
 
 
-def _execute_payload(controller_for: Callable, cpu_config,
-                     payload: dict) -> dict:
-    """Run one request payload inside the worker; returns a summary dict."""
-    fault = payload.get("fault")
-    if fault == "crash":
-        # Injected fault: die exactly the way a segfaulting worker would —
-        # no exception crosses the pipe, the parent sees EOF.
-        os._exit(13)
-    if fault == "hang":
-        # Injected fault: wedge until the supervisor's deadline kills us.
-        time.sleep(float(payload.get("hang_s", 3600.0)))
-
-    from ..workloads import build_kernel
-
-    kernel = build_kernel(payload["kernel"],
-                          iterations=int(payload["iterations"]))
-    if payload.get("mode") == "cpu":
-        return _cpu_baseline_summary(kernel, cpu_config)
-    controller = controller_for(payload.get("config", "M-128"))
-    result = controller.execute(kernel.program, kernel.state_factory,
-                                parallelizable=bool(
-                                    payload.get("parallelizable", False)))
-    tally = result.cache_stats
-    # Fresh insertions mean this worker configured something the parent's
-    # store may not know yet; the full export is small (bitstream words)
-    # and the store deduplicates by key.
-    new_regions = (controller.export_cache_regions()
-                   if tally.insertions else [])
-    return {"accelerated": result.accelerated,
-            "cache_hit": result.config_cache_hit,
-            "reason": result.reason,
-            "speedup": result.speedup_vs_single_core,
-            "total_cycles": result.total_cycles,
-            "phase_seconds": dict(result.phase_seconds),
-            "cache_stats": (tally.hits, tally.misses, tally.evictions,
-                            tally.insertions),
-            "new_regions": new_regions,
-            "pid": os.getpid()}
+# -- worker process side ------------------------------------------------------
 
 
-def _service_worker_main(conn, options, cpu_config) -> None:
-    """Worker loop: ready handshake, optional seed, then tasks until stop."""
-    from ..accel import mesa_config
-    from ..core import MesaController
+class _WorkerChips:
+    """One worker process's per-chip controllers.
 
-    controllers: dict[str, Any] = {}
+    The pool hands the same instance to every worker as both the task
+    function and (via :meth:`seed`) the initializer; each worker process
+    gets its own copy, which the two share.
+    """
 
-    def controller_for(name: str):
-        controller = controllers.get(name)
+    def __init__(self, options, cpu_config) -> None:
+        self.options = options
+        self.cpu_config = cpu_config
+        self.controllers: dict[str, Any] = {}
+
+    def controller(self, name: str):
+        controller = self.controllers.get(name)
         if controller is None:
-            controller = MesaController(mesa_config(name), cpu_config,
-                                        options)
-            controllers[name] = controller
+            from ..accel import mesa_config
+            from ..core import MesaController
+
+            controller = MesaController(mesa_config(name), self.cpu_config,
+                                        self.options)
+            self.controllers[name] = controller
         return controller
 
-    try:
-        conn.send((_READY, os.getpid()))
-        while True:
-            kind, payload = conn.recv()
-            if kind == _STOP:
-                break
-            if kind == _SEED:
-                seeded = 0
-                for record in payload:
-                    try:
-                        controller = controller_for(record["config"])
-                    except Exception:
-                        continue
-                    seeded += controller.restore_cache_regions([record])
-                conn.send((_OK, seeded))
-                continue
+    def seed(self, records: list[dict]) -> None:
+        """Warm boot: restore the parent's region records into the caches."""
+        for record in records:
             try:
-                message = (_OK, _execute_payload(controller_for, cpu_config,
-                                                 payload))
-            except Exception as exc:
-                message = (_ERR, describe_error(exc))
-            conn.send(message)
-    except (EOFError, OSError, KeyboardInterrupt):
-        pass
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
+                controller = self.controller(record["config"])
+            except Exception:
+                continue
+            controller.restore_cache_regions([record])
+
+    def __call__(self, payload: dict) -> dict:
+        """Run one request payload; returns a summary dict."""
+        fault = payload.get("fault")
+        if fault == "crash":
+            # Injected fault: die exactly the way a segfaulting worker
+            # would — no exception crosses the pipe, the parent sees EOF.
+            os._exit(13)
+        if fault == "hang":
+            # Injected fault: wedge until the supervisor's deadline kills us.
+            time.sleep(float(payload.get("hang_s", 3600.0)))
+
+        from ..workloads import build_kernel
+
+        kernel = build_kernel(payload["kernel"],
+                              iterations=int(payload["iterations"]))
+        if payload.get("mode") == "cpu":
+            return {**cpu_baseline_summary(kernel.program,
+                                           kernel.state_factory,
+                                           self.cpu_config),
+                    "pid": os.getpid()}
+        controller = self.controller(payload.get("config", "M-128"))
+        result = controller.execute(kernel.program, kernel.state_factory,
+                                    parallelizable=bool(
+                                        payload.get("parallelizable", False)))
+        tally = result.cache_stats
+        # Fresh insertions mean this worker configured something the
+        # parent's store may not know yet; the full export is small
+        # (bitstream words) and the store deduplicates by key.
+        new_regions = (controller.export_cache_regions()
+                       if tally.insertions else [])
+        return {"accelerated": result.accelerated,
+                "cache_hit": result.config_cache_hit,
+                "reason": result.reason,
+                "speedup": result.speedup_vs_single_core,
+                "total_cycles": result.total_cycles,
+                "phase_seconds": dict(result.phase_seconds),
+                "cache_stats": (tally.hits, tally.misses, tally.evictions,
+                                tally.insertions),
+                "new_regions": new_regions,
+                "pid": os.getpid()}
 
 
 # -- parent side --------------------------------------------------------------
 
 
-class _ServiceWorker:
-    """One supervised worker process and its duplex pipe."""
-
-    __slots__ = ("process", "conn", "pid")
-
-    def __init__(self, ctx, options, cpu_config) -> None:
-        parent_conn, child_conn = ctx.Pipe(duplex=True)
-        self.process = ctx.Process(
-            target=_service_worker_main,
-            args=(child_conn, options, cpu_config),
-            daemon=True)
-        self.process.start()
-        child_conn.close()
-        self.conn = parent_conn
-        self.pid: int | None = None
-
-    def handshake(self, timeout: float, seed_records: list[dict]) -> bool:
-        """Wait for readiness, then seed the worker's caches."""
-        try:
-            if not self.conn.poll(timeout):
-                return False
-            kind, value = self.conn.recv()
-            if kind != _READY:
-                return False
-            self.pid = value
-            if seed_records:
-                self.conn.send((_SEED, seed_records))
-                if not self.conn.poll(timeout):
-                    return False
-                kind, _ = self.conn.recv()
-                return kind == _OK
-            return True
-        except (EOFError, OSError):
-            return False
-
-    def kill(self) -> None:
-        try:
-            self.conn.close()
-        except OSError:
-            pass
-        if self.process.is_alive():
-            self.process.terminate()
-        self.process.join(timeout=2.0)
-        if self.process.is_alive():
-            self.process.kill()
-            self.process.join(timeout=2.0)
-
-
-class ProcessWorkerPool:
+class ProcessWorkerPool(WorkerPool):
     """Fixed-size supervised pool of simulation worker processes.
 
-    ``execute`` is blocking and thread-safe — the asyncio server calls it
-    from executor threads, one request per thread.  ``affinity`` routes a
-    request to a preferred worker (``hash(key) % size``) when that worker
-    is idle, falling back to any idle worker; identical regions therefore
-    tend to land on an already-warm process without ever serializing the
-    pool behind one hot key.
+    The asyncio server calls ``execute`` from executor threads, one
+    request per thread, with the region's ``(config, digest)`` key as the
+    affinity: identical regions tend to land on an already-warm process
+    without ever serializing the pool behind one hot key.
+    ``seed_source`` is read at every spawn, so each worker boots with the
+    region records the service holds then.
     """
 
-    BOOT_TIMEOUT = 120.0
-
     def __init__(self, workers: int, options=None, cpu_config=None,
-                 start_method: str | None = None,
                  seed_source: Callable[[], list[dict]] | None = None) -> None:
-        if workers < 1:
-            raise ValueError("workers must be positive")
-        self.size = workers
-        self._options = options
-        self._cpu_config = cpu_config
+        chips = _WorkerChips(options, cpu_config)
+        super().__init__(workers, chips, initializer=chips.seed)
         self._seed_source = seed_source
-        self._ctx = multiprocessing.get_context(
-            start_method or pool_start_method())
-        self._cond = threading.Condition()
-        self._slots: list[_ServiceWorker | None] = [None] * workers
-        self._idle: set[int] = set()
-        self._boot_failures = 0
-        self._closed = False
-        self._started = False
-        #: Monotonic supervision counters (read under the pool lock).
-        self.restarts = 0
 
-    # -- lifecycle ------------------------------------------------------------
-
-    def start(self) -> None:
-        """Boot every worker (blocking; call off the event loop)."""
-        if self._started:
-            return
-        for slot in range(self.size):
-            worker = self._boot()
-            with self._cond:
-                self._slots[slot] = worker
-                self._idle.add(slot)
-                self._cond.notify()
-        self._started = True
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            workers = [worker for worker in self._slots if worker is not None]
-            self._slots = [None] * self.size
-            self._idle.clear()
-            self._cond.notify_all()
-        for worker in workers:
-            try:
-                worker.conn.send((_STOP, None))
-            except (OSError, ValueError):
-                pass
-        for worker in workers:
-            worker.kill()
-
-    # -- introspection --------------------------------------------------------
-
-    def worker_pids(self) -> list[int | None]:
-        """Current pid per slot (None for a dead slot)."""
-        with self._cond:
-            return [worker.pid if worker is not None else None
-                    for worker in self._slots]
-
-    def alive(self) -> int:
-        with self._cond:
-            return sum(1 for worker in self._slots if worker is not None)
-
-    # -- execution ------------------------------------------------------------
-
-    def execute(self, payload: dict, timeout_s: float | None = None,
-                affinity: Any = None) -> dict:
-        """Run one payload on a worker; blocking, thread-safe.
-
-        Raises :class:`WorkerTaskError` (worker healthy),
-        :class:`WorkerCrash` / :class:`WorkerTimeout` (worker killed and
-        replaced in place), or :class:`PoolBroken` (closed / no live
-        workers).  The deadline anchors at dispatch: queueing for an idle
-        worker does not consume the request's execution budget (the
-        server enforces its own end-to-end deadline on top).
-        """
-        slot, worker = self._acquire(affinity)
-        healthy = True
-        try:
-            try:
-                worker.conn.send((_TASK, payload))
-            except (OSError, ValueError) as exc:
-                healthy = False
-                raise WorkerCrash(
-                    f"worker {worker.pid} pipe failed: {exc}") from exc
-            try:
-                if not worker.conn.poll(timeout_s):
-                    healthy = False
-                    raise WorkerTimeout(
-                        f"execution exceeded {timeout_s:g}s; worker "
-                        f"{worker.pid} killed and replaced")
-                kind, value = worker.conn.recv()
-            except WorkerTimeout:
-                raise
-            except (EOFError, OSError) as exc:
-                healthy = False
-                raise WorkerCrash(
-                    f"worker {worker.pid} crashed mid-request "
-                    f"(exit code {worker.process.exitcode})") from exc
-            if kind == _ERR:
-                raise WorkerTaskError(value)
-            return value
-        finally:
-            if healthy:
-                self._checkin(slot)
-            else:
-                self._replace(slot, worker)
-
-    # -- internals ------------------------------------------------------------
-
-    def _boot(self) -> _ServiceWorker:
-        """Spawn + handshake one worker, with the consecutive-failure cap."""
-        while True:
-            worker = _ServiceWorker(self._ctx, self._options,
-                                    self._cpu_config)
-            seed = list(self._seed_source()) if self._seed_source else []
-            if worker.handshake(self.BOOT_TIMEOUT, seed):
-                with self._cond:
-                    self._boot_failures = 0
-                return worker
-            worker.kill()
-            with self._cond:
-                self._boot_failures += 1
-                failures = self._boot_failures
-            if failures >= MAX_BOOT_FAILURES:
-                raise PoolBroken(
-                    f"service worker failed to boot {failures} times in a "
-                    f"row; giving up on this slot")
-
-    def _acquire(self, affinity: Any) -> tuple[int, _ServiceWorker]:
-        with self._cond:
-            while True:
-                if self._closed:
-                    raise PoolBroken("worker pool is closed")
-                if (self._started
-                        and all(worker is None for worker in self._slots)):
-                    raise PoolBroken("no live workers remain")
-                if self._idle:
-                    preferred = (hash(affinity) % self.size
-                                 if affinity is not None else None)
-                    slot = (preferred if preferred in self._idle
-                            else min(self._idle))
-                    self._idle.remove(slot)
-                    worker = self._slots[slot]
-                    assert worker is not None
-                    return slot, worker
-                self._cond.wait(timeout=1.0)
-
-    def _checkin(self, slot: int) -> None:
-        with self._cond:
-            if not self._closed and self._slots[slot] is not None:
-                self._idle.add(slot)
-                self._cond.notify()
-
-    def _replace(self, slot: int, worker: _ServiceWorker) -> None:
-        """Kill a wedged/dead worker and boot a replacement into its slot.
-
-        The pool is repaired, never rebuilt: only this slot changes, the
-        other workers keep running (and keep their warm caches).  If the
-        replacement cannot boot, the slot is marked dead rather than
-        raising — the original request's failure is the caller's error.
-        """
-        worker.kill()
-        with self._cond:
-            self.restarts += 1
-            if self._closed:
-                return
-        try:
-            replacement = self._boot()
-        except PoolBroken:
-            with self._cond:
-                self._slots[slot] = None
-                self._cond.notify_all()
-            return
-        with self._cond:
-            if self._closed:
-                self._cond.notify_all()
-                replacement_to_kill = replacement
-            else:
-                self._slots[slot] = replacement
-                self._idle.add(slot)
-                self._cond.notify()
-                return
-        replacement_to_kill.kill()
+    def _spawn_initargs(self) -> tuple:
+        seed = self._seed_source() if self._seed_source is not None else []
+        return (list(seed),)
 
 
 class CircuitBreaker:

@@ -32,8 +32,9 @@ Two execution backends drive the simulations:
   ``ThreadPoolExecutor`` (thread-safe: locked cache, thread-local phase
   accumulator).  Simple, shares one cache, capped at ~1 core by the GIL.
 * ``execution="process"`` — a supervised
-  :class:`~repro.service.procpool.ProcessWorkerPool`: N worker
-  *processes*, per-request deadlines, crash isolation (a dying worker
+  :class:`~repro.service.procpool.ProcessWorkerPool` (the service's
+  subclass of the shared :class:`~repro.harness.parallel.WorkerPool`): N
+  worker *processes*, per-request deadlines, crash isolation (a dying worker
   degrades only its own request and is replaced in place), sticky
   region→worker affinity, and checkpoint-record seeding so replacement
   workers rejoin warm.
@@ -83,6 +84,7 @@ from .procpool import (
     WorkerCrash,
     WorkerTaskError,
     WorkerTimeout,
+    cpu_baseline_summary,
 )
 
 __all__ = ["AdmissionError", "OffloadRequest", "OffloadResponse",
@@ -288,8 +290,7 @@ class MesaService:
                  checkpoint_interval_s: float = 0.0,
                  breaker_threshold: int = 3,
                  breaker_probe_interval: int = 8,
-                 fault_plan=None,
-                 start_method: str | None = None) -> None:
+                 fault_plan=None) -> None:
         if max_queue < 1 or max_per_client < 1 or workers < 1:
             raise ValueError("max_queue, max_per_client, and workers must "
                              "be positive")
@@ -306,7 +307,6 @@ class MesaService:
         self.checkpoint_path = checkpoint_path
         self.checkpoint_interval_s = checkpoint_interval_s
         self.fault_plan = fault_plan
-        self._start_method = start_method
         self._breaker = (CircuitBreaker(breaker_threshold,
                                         breaker_probe_interval)
                          if breaker_threshold > 0 else None)
@@ -327,8 +327,8 @@ class MesaService:
             "submitted", "admitted", "rejected_queue_full",
             "rejected_client_quota", "completed", "failed", "cancelled",
             "timed_out", "degraded", "coalesced", "deduped", "accelerated",
-            "cache_hits", "worker_crashes", "worker_restarts",
-            "checkpoints_saved", "regions_restored")}
+            "cache_hits", "worker_crashes", "checkpoints_saved",
+            "regions_restored")}
         self._latency: dict[str, LatencyHistogram] = {}
         self._started_at = time.perf_counter()
         self._closed = False
@@ -360,7 +360,6 @@ class MesaService:
             self._procpool = ProcessWorkerPool(
                 self.workers, options=self.pool.options,
                 cpu_config=self.pool.cpu_config,
-                start_method=self._start_method,
                 seed_source=self._store.records)
             await loop.run_in_executor(None, self._procpool.start)
         # One spare thread so interval checkpoints never wait behind a
@@ -396,8 +395,9 @@ class MesaService:
             self._executor = None
         loop = asyncio.get_running_loop()
         if self._procpool is not None:
+            # The closed pool stays referenced: stats() keeps reading its
+            # restart count.
             await loop.run_in_executor(None, self._procpool.close)
-            self._procpool = None
         if self.checkpoint_path:
             await loop.run_in_executor(None, self.save_checkpoint)
 
@@ -576,6 +576,8 @@ class MesaService:
         """Monotonic snapshot; subtract an earlier one for an interval."""
         return ServiceStats(
             **self._counters,
+            worker_restarts=(self._procpool.restarts
+                             if self._procpool is not None else 0),
             cache=self.pool.cache_stats() + self._cache_tally,
             uptime_seconds=time.perf_counter() - self._started_at,
             queue_depth=self._queue.qsize(),
@@ -694,9 +696,7 @@ class MesaService:
         start = time.perf_counter()
         try:
             if degraded_reason is not None:
-                summary = await self._dispatch_degraded(job)
-                summary["status"] = "degraded"
-                summary["reason"] = degraded_reason
+                summary = await self._dispatch_degraded(job, degraded_reason)
             else:
                 summary = await self._dispatch(job, key)
         except asyncio.CancelledError:
@@ -791,21 +791,9 @@ class MesaService:
         if fault is not None:
             payload["fault"] = fault
             payload["hang_s"] = hang_s
-        loop = asyncio.get_running_loop()
-        try:
-            summary = await loop.run_in_executor(
-                self._executor,
-                partial(self._procpool.execute, payload,
-                        timeout_s=remaining, affinity=key))
-        except WorkerTimeout as exc:
-            self._counters["worker_restarts"] += 1
-            return {"status": "timeout", "reason": str(exc)}
-        except WorkerCrash as exc:
-            self._counters["worker_crashes"] += 1
-            self._counters["worker_restarts"] += 1
-            return {"status": "failed", "reason": str(exc)}
-        except (WorkerTaskError, PoolBroken) as exc:
-            return {"status": "failed", "reason": str(exc)}
+        summary = await self._pool_execute(payload, remaining, affinity=key)
+        if "status" in summary:
+            return summary
         summary["status"] = "completed"
         tally = summary.get("cache_stats")
         if tally:
@@ -814,6 +802,28 @@ class MesaService:
         if new_regions:
             self._store.add_many(new_regions)
         return summary
+
+    async def _pool_execute(self, payload: dict, timeout_s: float | None,
+                            affinity: Any = None) -> dict:
+        """Run one payload on the process pool.
+
+        Returns the worker's summary (no ``status`` key), or a terminal
+        status when the pool failed the request: a blown deadline is a
+        ``timeout``; a crash, a task error or a broken pool is ``failed``.
+        """
+        loop = asyncio.get_running_loop()
+        try:
+            return await loop.run_in_executor(
+                self._executor,
+                partial(self._procpool.execute, payload,
+                        timeout_s=timeout_s, affinity=affinity))
+        except WorkerTimeout as exc:
+            return {"status": "timeout", "reason": str(exc)}
+        except WorkerCrash as exc:
+            self._counters["worker_crashes"] += 1
+            return {"status": "failed", "reason": str(exc)}
+        except (WorkerTaskError, PoolBroken) as exc:
+            return {"status": "failed", "reason": str(exc)}
 
     async def _dispatch_thread(self, job: _Job,
                                remaining: float | None) -> dict:
@@ -862,33 +872,22 @@ class MesaService:
         if not future.cancelled():
             future.exception()
 
-    async def _dispatch_degraded(self, job: _Job) -> dict:
+    async def _dispatch_degraded(self, job: _Job, reason: str) -> dict:
         """The circuit breaker's fallback: a CPU-baseline execution."""
         request = job.request
-        loop = asyncio.get_running_loop()
         if self._procpool is not None and request.kernel:
             payload = {"kernel": request.kernel,
                        "iterations": request.iterations,
                        "config": request.config, "mode": "cpu"}
-            return await loop.run_in_executor(
+            summary = await self._pool_execute(payload, self._remaining(job))
+        else:
+            summary = await asyncio.get_running_loop().run_in_executor(
                 self._executor,
-                partial(self._procpool.execute, payload,
-                        timeout_s=self._remaining(job)))
-        return await loop.run_in_executor(
-            self._executor, partial(self._thread_cpu_baseline, request))
-
-    def _thread_cpu_baseline(self, request: OffloadRequest) -> dict:
-        from ..cpu import OutOfOrderCore, collect_trace
-        from ..mem import MemoryHierarchy
-
-        config = (self.pool.cpu_config if self.pool.cpu_config is not None
-                  else CpuConfig())
-        trace = collect_trace(request.program, request.state_factory())
-        core = OutOfOrderCore(config,
-                              MemoryHierarchy(config.memory)).run(trace)
-        return {"accelerated": False, "cache_hit": False,
-                "reason": "cpu baseline", "speedup": 1.0,
-                "total_cycles": float(core.cycles), "phase_seconds": {}}
+                partial(cpu_baseline_summary, request.program,
+                        request.state_factory, self.pool.cpu_config))
+        if "status" not in summary:
+            summary.update(status="degraded", reason=reason)
+        return summary
 
     def _finish(self, job: _Job, response: OffloadResponse) -> None:
         if job.future.cancelled():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from repro.harness import Shard, ShardOutcome, ShardRunner, run_sharded
+from repro.harness import Shard, ShardOutcome, ShardRunner
 
 
 # -- worker functions (module-level: picklable into pool processes) -----------
@@ -146,6 +146,10 @@ class TestShardRunnerSerial:
             ShardRunner(workers=0)
         with pytest.raises(ValueError):
             ShardRunner(retries=-1)
+
+    def test_outcome_failed_property(self):
+        assert ShardOutcome(key=(0,), error="boom").failed
+        assert not ShardOutcome(key=(0,), value=1).failed
 
 
 class TestShardRunnerPooled:
@@ -337,19 +341,3 @@ class TestDeadlineWatchdog:
         assert outcomes[0].value == 9, "override grants the longer budget"
         assert outcomes[1].failed
         assert "timed out after 0.4s" in outcomes[1].error
-
-
-class TestRunSharded:
-    def test_convenience_wrapper(self):
-        outcomes = run_sharded(_square, _shards([2, 3]), workers=2)
-        assert [o.value for o in outcomes] == [4, 9]
-
-    def test_wrapper_forwards_initializer(self):
-        outcomes = run_sharded(_read_boot_token, _shards([0]), workers=2,
-                               initializer=_set_boot_token,
-                               initargs=("wrapped",))
-        assert outcomes[0].value == "wrapped"
-
-    def test_outcome_failed_property(self):
-        assert ShardOutcome(key=(0,), error="boom").failed
-        assert not ShardOutcome(key=(0,), value=1).failed

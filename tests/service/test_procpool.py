@@ -2,8 +2,11 @@
 deadline kills with in-place replacement, task-error containment, warm
 seeding, and the circuit breaker."""
 
+import sys
+
 import pytest
 
+from repro.harness import Shard, ShardRunner
 from repro.service import (
     CircuitBreaker,
     ProcessWorkerPool,
@@ -11,6 +14,20 @@ from repro.service import (
     WorkerTaskError,
     WorkerTimeout,
 )
+
+_BOOT_TOKEN = None
+#: Set only in the test process; a forked worker would inherit it.
+_PARENT_MARK = None
+
+
+def _set_boot_token(value):
+    global _BOOT_TOKEN
+    _BOOT_TOKEN = value
+
+
+def _read_process_state(payload):
+    return _BOOT_TOKEN, _PARENT_MARK
+
 
 def cpu_payload(kernel="nn", iterations=24, **extra):
     """A fast worker payload (CPU baseline; no fabric pipeline)."""
@@ -102,6 +119,46 @@ class TestSeeding:
             assert summary["total_cycles"] == warm.total_cycles
         finally:
             pool.close()
+
+
+class TestSpawnStartMethod:
+    def test_initializer_and_seed_records_travel_as_spawn_args(
+            self, monkeypatch):
+        from repro.accel import mesa_config
+        from repro.core import MesaController
+        from repro.workloads import build_kernel
+
+        monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
+        monkeypatch.setattr(sys.modules[__name__], "_PARENT_MARK", "parent")
+
+        outcomes = ShardRunner(
+            workers=2, initializer=_set_boot_token,
+            initargs=("spawn-warm",)).map(
+                _read_process_state,
+                [Shard(key=(i,), payload=i) for i in range(3)])
+        assert [o.value for o in outcomes] == [("spawn-warm", None)] * 3, \
+            "workers start from a fresh import, warmed by the initializer"
+
+        kernel = build_kernel("nn", iterations=64)
+        controller = MesaController(mesa_config("M-128"))
+        controller.execute(kernel.program, kernel.state_factory,
+                           parallelizable=kernel.parallelizable)
+        warm = controller.execute(kernel.program, kernel.state_factory,
+                                  parallelizable=kernel.parallelizable)
+        records = controller.export_cache_regions()
+
+        pool = ProcessWorkerPool(workers=1, seed_source=lambda: records)
+        pool.start()
+        try:
+            summary = pool.execute({"kernel": "nn", "iterations": 64,
+                                    "config": "M-128",
+                                    "parallelizable":
+                                        kernel.parallelizable,
+                                    "mode": "mesa"})
+        finally:
+            pool.close()
+        assert summary["cache_hit"] is True
+        assert summary["total_cycles"] == warm.total_cycles
 
 
 class TestCircuitBreaker:

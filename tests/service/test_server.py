@@ -13,10 +13,14 @@ from repro.service import (
     ControllerPool,
     MesaService,
     OffloadRequest,
+    WorkerCrash,
+    WorkerTaskError,
+    WorkerTimeout,
     request_once,
     run_self_test,
     serve,
 )
+from repro.service import server as server_module
 from repro.workloads import build_kernel
 
 
@@ -567,3 +571,64 @@ class TestGracefulDrain:
     def test_invalid_execution_backend_rejected(self):
         with pytest.raises(ValueError):
             MesaService(execution="fiber")
+
+
+class FailingPool:
+    """Stands in for ``ProcessWorkerPool``: an accelerated request fails
+    with a task error (worker healthy), a CPU-baseline request with
+    ``degraded_error`` after its worker is killed and replaced."""
+
+    degraded_error: type = WorkerCrash
+
+    def __init__(self, workers, **_):
+        self.size = workers
+        self.restarts = 0
+
+    def start(self):
+        pass
+
+    def close(self):
+        pass
+
+    def alive(self):
+        return self.size
+
+    def worker_pids(self):
+        return [None] * self.size
+
+    def execute(self, payload, timeout_s=None, affinity=None):
+        if payload["mode"] != "cpu":
+            raise WorkerTaskError("fabric caught fire")
+        self.restarts += 1
+        raise self.degraded_error("injected pool failure")
+
+
+class TestProcessDegradedPath:
+    @pytest.mark.parametrize("error, status, counter", [
+        (WorkerTimeout, "timeout", "timed_out"),
+        (WorkerCrash, "failed", "worker_crashes"),
+    ])
+    def test_pool_failure_on_degraded_request(self, monkeypatch, error,
+                                              status, counter):
+        pool_type = type("Pool", (FailingPool,), {"degraded_error": error})
+        monkeypatch.setattr(server_module, "ProcessWorkerPool", pool_type)
+
+        async def scenario():
+            service = MesaService(workers=1, execution="process",
+                                  breaker_threshold=1,
+                                  breaker_probe_interval=100)
+            await service.start()
+            first = await service.offload(kernel_request(iterations=24))
+            degraded = await service.offload(kernel_request(iterations=24))
+            stats = service.stats()
+            restarts = service.process_stats()["restarts"]
+            await service.close()
+            return first, degraded, stats, restarts
+
+        first, degraded, stats, restarts = asyncio.run(scenario())
+        assert first.status == "failed", "opens the circuit"
+        assert degraded.status == status
+        assert "injected pool failure" in degraded.reason
+        assert getattr(stats, counter) == 1
+        assert stats.degraded == 0
+        assert stats.worker_restarts == restarts == 1
