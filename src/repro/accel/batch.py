@@ -1,17 +1,18 @@
 """Batched execution: advance a block of fabric iterations as numpy vectors.
 
-The scalar compiled loop (:meth:`DataflowEngine._drive_compiled`) walks every
-node of every iteration in Python.  For most kernels the dynamic behaviour
-per iteration is tiny — values change, but routing, latencies, guards, and
-the schedule are frozen in the :class:`~repro.accel.plan.ExecutionPlan` — so
-a block of B iterations can be advanced at once with (B,)-shaped vectors per
-node instead of B full Python sweeps.
+The interpreter (:meth:`DataflowEngine._run_iteration`) walks every node of
+every iteration in Python.  For most kernels the dynamic behaviour per
+iteration is tiny — values change, but routing, latencies, guards, and the
+schedule are frozen in the :class:`~repro.accel.plan.ExecutionPlan` — so a
+block of B iterations can be advanced at once with (B,)-shaped vectors per
+node instead of B full Python sweeps.  This is the engine's one fast drive
+path; the interpreter stays as its bit-identity oracle.
 
 The contract is the same as the plan's: **bit-identical** to the interpreter
 on everything the batched path accepts.  That is only possible because of a
 few provable properties of the model:
 
-* **Float semantics.**  The scalar path computes every FP op as
+* **Float semantics.**  The interpreter computes every FP op as
   ``_f32(op(float(a), float(b)))`` — float64 arithmetic rounded to binary32.
   The batched path converts operands to float64 (exact for binary32 values
   and for integers in the RV32 range), applies the same float64 ufunc, and
@@ -26,33 +27,42 @@ few provable properties of the model:
   grant plus the edge latency (>= 1 cycle), which is exactly when the
   channel frees — so per-iteration request chains are independent and
   vectorize.  A row with one NoC slot provably never waits; a row with
-  several fires them in the scalar loop's request order (node id, src1
+  several fires them in the interpreter's request order (node id, src1
   before src2), and the grant of slot ``j`` is ``max(depart_j,
   grant_{j-1} + 1)``.  Because the issue-interval bump distributes over
   the max-plus source decomposition, the whole chain is carried as
   per-source weight matrices (phase T) and reproduces the event-order
   departures bit-exactly.  Only a *fallback* slot on a contended row —
-  whose firing depends on runtime guard values — has no static order and
-  falls back to the scalar loop.
+  whose firing depends on runtime guard values — has no static order, and
+  such a plan runs on the interpreter.
 * **Guarded nodes mix, guarded memory masks.**  A predicated-off lane
   takes its fallback value (``np.where``) and the fallback transfer's
   timing; an off *memory* lane additionally skips the port request, the
   cache access, and the store commit — a mask-aware ``Memory.gather``
   reads only live lanes, and the block alias check ignores dead ones, so
   guard-false lanes charge neither port occupancy nor AMAT, exactly like
-  the scalar loop's suppressed accesses.
+  the interpreter's suppressed accesses.
 * **Coupled recurrences run as an exact microloop.**  Loop-carried
   strongly connected components with no closed scan form (mutually
   recursive producers, guarded self-loops, non-linear updates) are
   *clusters*: their members are evaluated lane by lane with the plan's own
   scalar evaluator closures — bit-identical by construction — while every
   node outside the cluster, and all timing, stays vectorized.  Clusters
-  through memory nodes still fall back (their lane values gate port state).
-* **The LSQ is inert** when no store in a block byte-overlaps a
-  same-or-later-iteration load.  A vectorized alias check proves that per
-  block from the concrete addresses; a violating block *bails* untouched and
-  the engine finishes the run on the scalar loop (state is continuous:
-  nothing is mutated before the check passes).
+  through memory nodes are rejected (their lane values gate port state).
+* **First-hazard truncation keeps the LSQ inert.**  Loads are gathered
+  before any store of the block commits, so a block is exact up to its
+  first iteration whose load byte-overlaps an earlier store of the block
+  (same iteration and earlier in program order, or any earlier
+  iteration).  A vectorized alias check finds that iteration from the
+  concrete addresses, and only the iterations before it commit; the next
+  block starts there, sized from the hazard spacing.  This holds even when store addresses are computed
+  from loaded values: every access before the first hazard reads memory
+  no store of the block wrote, so its address and value are exact, and so
+  is the hazard search up to that point.  A hazard in a block's first
+  iteration can only be an in-iteration store-to-load forward; the
+  interpreter executes that one iteration (iteration barriers leave no
+  NoC or LSQ state behind, and counter folds are additive), then
+  batching resumes.
 * **Timing is max-plus linear.**  Completion times decompose over the
   sources {iteration start} ∪ {memory completions}: per node a static
   weight row per source is computed vectorially (phase T), only the memory
@@ -62,14 +72,13 @@ few provable properties of the model:
 
 Capability analysis (:func:`compile_batch`) decides statically whether a
 plan qualifies; :attr:`ExecutionPlan.batchable` exposes the verdict with a
-machine-readable reason so a fallback is visible in profiles instead of
-just "it got slower".
+machine-readable reason, and a rejected plan runs on the interpreter with
+that reason reported as the run's ``drive_reason``.
 """
 
 from __future__ import annotations
 
 import heapq
-import os
 from dataclasses import dataclass
 
 try:
@@ -90,15 +99,10 @@ from .plan import (
 )
 
 __all__ = ["BatchCapability", "BatchProgram", "compile_batch",
-           "drive_batched", "DEFAULT_BLOCK", "BLOCK_ENV"]
+           "drive_batched", "DEFAULT_BLOCK"]
 
-#: Default iterations per batched block.
+#: Iterations per batched block.
 DEFAULT_BLOCK = 256
-#: Environment override for the block size (``ExecutionOptions.batch_block``
-#: wins when nonzero).
-BLOCK_ENV = "REPRO_BATCH_BLOCK"
-#: Hard ceiling keeping closed-form index arithmetic within int64.
-MAX_BLOCK = 1 << 20
 
 _M32 = 0xFFFFFFFF
 _SIGN32 = 0x80000000
@@ -155,8 +159,8 @@ def _compile_compute(instr, evaluate):
     ``tag`` is "const" (payload: the constant value) or "fn" (payload: a
     ``(a_vec, b_vec) -> vec`` ufunc chain).  Returns None when the opcode
     has no exact vector form.  Requirement codes: "i" = operand lanes must
-    be int64 (the scalar path applies ``int()``), "x" = any dtype (the
-    scalar path applies ``float()``, exact from both lane types), None =
+    be int64 (the interpreter applies ``int()``), "x" = any dtype (the
+    interpreter applies ``float()``, exact from both lane types), None =
     operand value unused.
     """
     op = instr.opcode
@@ -194,7 +198,7 @@ def _compile_compute(instr, evaluate):
     # FCVT_W_S / FCVT_WU_S truncate (and raise on NaN) via Python int();
     # the RV64 W-forms and MULH/DIV/REM families have no exact vector
     # counterpart here; raiser nodes (system ops) must fault like the
-    # interpreter.  All fall back to the scalar loop.
+    # interpreter.  All run on the interpreter.
     return None
 
 
@@ -210,8 +214,9 @@ def _vec_fdiv(a, b):
 def _vec_fsqrt(a, b):
     a64 = _f64(a)
     root = np.sqrt(a64)
-    # Negative (and NaN) inputs produce the canonical NaN, like the scalar
-    # path's float("nan") — np.sqrt's payload-propagating NaN must not leak.
+    # Negative (and NaN) inputs produce the canonical NaN, like the
+    # interpreter's float("nan") — np.sqrt's payload-propagating NaN must
+    # not leak.
     return _r32(np.where(a64 >= 0.0, root, np.nan))
 
 
@@ -332,8 +337,8 @@ class _Cluster:
     """One loop-carried strongly connected component, evaluated lane by
     lane with the plan's scalar evaluator closures (exact by construction:
     int64/float32 lanes round-trip through Python scalars losslessly, and
-    the closures apply the same int()/float() conversions as the scalar
-    drive loop)."""
+    the closures apply the same int()/float() conversions as the
+    interpreter)."""
 
     __slots__ = ("members", "member_set", "steps")
 
@@ -450,7 +455,7 @@ def _compile(plan):
 
     for rec in nodes:
         rec.np_dtype = np.float32 if rec.dtype == D_FP else np.int64
-        # Guards at or after their node never fire (the scalar loop reads
+        # Guards at or after their node never fire (the interpreter reads
         # the iteration's still-False branch state) — the plan hoists that
         # rule into ``effective_guard``.
         rec.guard = rec.plan_node.effective_guard
@@ -467,7 +472,7 @@ def _compile(plan):
             ops.append(pnode.fallback)
         for op in ops:
             if op.kind == K_NODE and op.src_id >= rec.i:
-                # The scalar loops only ever read completed same-iteration
+                # The interpreter only ever reads completed same-iteration
                 # producers; a forward edge has no defined value.
                 return "forward same-iteration edge"
             if op.kind in (K_NODE, K_LOOP):
@@ -525,7 +530,7 @@ def _compile(plan):
             nodes[i].scan = ""  # a swallowed candidate runs in the loop
 
     # Pass 2b: operands of *vectorized* nodes are checked for exact dtype
-    # agreement with the scalar path's int()/float() conversions.  Cluster
+    # agreement with the interpreter's int()/float() conversions.  Cluster
     # members call the scalar evaluators directly and skip these — except
     # the guard-fallback check, whose value lands in the typed lane array.
     for rec in nodes:
@@ -539,7 +544,7 @@ def _compile(plan):
                 return "guard fallback dtype mismatch"
         if rec.cluster >= 0 or rec.scan:
             continue
-        # The scalar path converts operands with int()/float() — the lane
+        # The interpreter converts operands with int()/float() — the lane
         # dtype must make those conversions the identity.
         for op, req in ((pnode.src1, rec.req1), (pnode.src2, rec.req2)):
             if req == "i" and _operand_dtype(op, dtypes) != D_INT:
@@ -587,31 +592,14 @@ def _compile(plan):
             if cindeg[sk] == 0:
                 heapq.heappush(heap, sk)
 
-    # Pass 4: with stores present, no memory address may transitively
-    # depend on a load — the per-block alias check reads all addresses
-    # before any store commits, which is only sound when addresses cannot
-    # change under a scalar replay of the same block.
     mem_ids = [rec.i for rec in nodes if rec.kind == N_MEMORY]
     has_store = any(nodes[i].plan_node.is_store for i in mem_ids)
-    if has_store:
-        for i in mem_ids:
-            cone: set[int] = set()
-            src1 = nodes[i].plan_node.src1
-            stack = [src1.src_id] if src1.kind in (K_NODE, K_LOOP) else []
-            while stack:
-                node_id = stack.pop()
-                if node_id in cone:
-                    continue
-                cone.add(node_id)
-                if nodes[node_id].kind == N_MEMORY:
-                    return "load-dependent store addressing"
-                stack.extend(preds_of[node_id])
 
-    # Pass 5: rows whose ring channel carries more than one firing NoC
+    # Pass 4: rows whose ring channel carries more than one firing NoC
     # slot serialize through the closed-form grant chain, which replays
-    # the scalar loop's static request order (node id, src1 before src2).
+    # the interpreter's static request order (node id, src1 before src2).
     # A *fallback* slot fires only on predicated-off iterations — its
-    # position in the chain is data-dependent, so such rows fall back.
+    # position in the chain is data-dependent, so such plans are rejected.
     # (Inert-guard fallback edges never fire and are ignored entirely.)
     row_total: dict[int, int] = {}
     row_fb: dict[int, int] = {}
@@ -726,37 +714,27 @@ def _make_cluster(comp, nodes):
 
 # -- block driver --------------------------------------------------------------
 
-def resolve_block(options) -> int:
-    """Iterations per block: option knob, then env, then the default."""
-    block = options.batch_block
-    if not block:
-        try:
-            block = int(os.environ.get(BLOCK_ENV) or 0)
-        except ValueError:
-            block = 0
-    if not block:
-        block = DEFAULT_BLOCK
-    return max(1, min(block, MAX_BLOCK))
-
-
 def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
-                  latency, activity, options):
+                  latency, activity, options, step):
     """Drive the loop in vectorized blocks.
 
-    Returns ``(iterations, iteration_latencies, bail)`` — ``bail`` is None
-    on completion, else ``(clock, prev_values, reason)`` for the scalar
-    loop to resume from (no state of the bailed block has been committed).
+    Each block is cut at its first store-to-load hazard (module
+    docstring); a hazard in a block's first iteration is executed by
+    ``step(prev_values, iteration, start)`` — the interpreter's
+    :meth:`~repro.accel.engine.DataflowEngine._run_iteration`, which
+    records that iteration's counters itself.
+
+    Returns ``(iterations, iteration_latencies, reason)``; ``reason`` names
+    the first iteration the interpreter stepped ("" when none was).
     """
     plan = bp.plan
     nodes = bp.nodes
     n = plan.n_nodes
-    order = bp.order
     mem_ids = bp.mem_ids
     n_sources = bp.n_sources
     mem_source = {i: j + 1 for j, i in enumerate(mem_ids)}
     loop_id = plan.loop_branch_id
     const1, const2, const_fb = plan.bind_constants(reg_env)
-    block = resolve_block(options)
     max_iterations = options.max_iterations
     speculative = options.speculative_loads
     store_issue = plan.store_issue
@@ -776,7 +754,9 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
     prev: list = [0] * n
     clock = 0.0
     iterations = 0
-    bail = None
+    batched = 0  # iterations folded here (stepped ones fold themselves)
+    reason = ""
+    block = DEFAULT_BLOCK
     finished = False
 
     while not finished:
@@ -793,18 +773,11 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
         exited = not loop_vec.all()
         if exited:
             nb = int(np.argmin(loop_vec)) + 1
-            for i in range(n):
-                vals[i] = vals[i][:nb]
-                if offs[i] is not None:
-                    offs[i] = offs[i][:nb]
-            for rec_vec in mem_vecs.values():
-                rec_vec[0] = rec_vec[0][:nb]
-                if rec_vec[1] is not None:
-                    rec_vec[1] = rec_vec[1][:nb]
-                if rec_vec[2] is not None:
-                    rec_vec[2] = rec_vec[2][:nb]
+            _truncate(vals, offs, mem_vecs, nb)
 
-        # -- alias check: prove the LSQ inert for this block -----------------
+        # -- alias check: commit only the iterations before the first
+        # load that reads a store of this block ------------------------------
+        hazard = None
         if bp.has_store:
             load_streams = []
             store_streams = []
@@ -815,11 +788,32 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
                     load_streams.append((addr, mem_plan.size, i, on))
                 else:
                     store_streams.append((addr, mem_plan.size, i, on))
-            if load_streams and block_alias_hazard(load_streams,
-                                                   store_streams):
-                bail = (clock, list(prev) if iterations else None,
-                        f"memory aliasing at iteration {iterations}")
-                break
+            if load_streams:
+                hazard = block_alias_hazard(load_streams, store_streams)
+        # Size the next block from this one's outcome: after a cut, twice
+        # the iterations the cut block commits; after a clean block,
+        # double back toward DEFAULT_BLOCK.  Lanes computed past a hazard
+        # then scale with the hazard spacing instead of costing a full
+        # DEFAULT_BLOCK per cut.
+        block = (min(2 * block, DEFAULT_BLOCK) if hazard is None
+                 else max(2 * hazard, 1))
+        if hazard == 0:
+            # An in-iteration store-to-load forward: one interpreter step.
+            if not reason:
+                reason = ("in-iteration store-to-load forwarding at "
+                          f"iteration {iterations}")
+            values, completion, loop_taken = step(prev, iterations, clock)
+            end = max(completion.values(), default=clock)
+            iteration_latencies.append(end - clock)
+            clock = end
+            iterations += 1
+            prev = [values[i] for i in range(n)]
+            finished = not loop_taken or iterations >= max_iterations
+            continue
+        if hazard is not None:
+            nb = hazard
+            exited = False  # every iteration before the hazard loops on
+            _truncate(vals, offs, mem_vecs, nb)
 
         # -- phase T: static timing weights per source -----------------------
         W, mem_ready, mem_off, wend, noc_waits = _phase_timing(
@@ -866,16 +860,16 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
         # Commit the block.
         clock = float(ends[-1])
         iterations += nb
+        batched += nb
         for i in range(n):
             prev[i] = vals[i][nb - 1].item()
         finished = exited or iterations >= max_iterations
 
-    if bail is None:
-        for register, node_id in plan.program.live_out.items():
-            if 0 <= node_id < n:
-                state.write(register, prev[node_id])
+    for register, node_id in plan.program.live_out.items():
+        if 0 <= node_id < n:
+            state.write(register, prev[node_id])
 
-    # Fold the accumulators (additive, like the scalar loop's bulk fold).
+    # Fold the accumulators (additive, so interpreter steps mix in).
     edge_total: dict = {}
     edge_count: dict = {}
     for edge in plan.edge_slots:
@@ -886,7 +880,7 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
                                + count * edge.cycles
                                + slot_wait[edge.slot])
             edge_count[key] = edge_count.get(key, 0) + count
-    latency.bulk_record(node_total, iterations, edge_total, edge_count)
+    latency.bulk_record(node_total, batched, edge_total, edge_count)
     activity.int_ops += acc["int_ops"]
     activity.fp_ops += acc["fp_ops"]
     activity.forwards += acc["forwards"]
@@ -897,7 +891,19 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
     activity.noc_wait_cycles += acc["noc_wait"]
     activity.pe_busy_cycles += acc["pe_busy"]
     activity.control_events += acc["control_events"]
-    return iterations, iteration_latencies, bail
+    return iterations, iteration_latencies, reason
+
+
+def _truncate(vals, offs, mem_vecs, nb):
+    """Keep the first ``nb`` lanes of a block's phase-A vectors."""
+    for i, vec in enumerate(vals):
+        vals[i] = vec[:nb]
+        if offs[i] is not None:
+            offs[i] = offs[i][:nb]
+    for rec_vec in mem_vecs.values():
+        for j, vec in enumerate(rec_vec):
+            if vec is not None:
+                rec_vec[j] = vec[:nb]
 
 
 def _phase_values(bp, nb, first, prev, const1, const2, const_fb, memory,
@@ -1033,7 +1039,7 @@ def _run_scan(rec, nb, first, prev, const1, const2, operand):
     carry = const1[i] if first else prev[i]
     scan = rec.scan
     if scan == "addi":
-        # Closed form: |imm| < 2**31 and nb <= 2**20 keep every partial
+        # Closed form: |imm| < 2**31 and nb < 2**32 keep every partial
         # within int64; _vts wraps each step exactly like the scalar chain.
         steps = np.arange(1, nb + 1, dtype=np.int64)
         return _vts(carry + rec.scan_imm * steps)
@@ -1059,8 +1065,8 @@ def _run_cluster(cluster, nodes, nb, first, prev, const1, const2, const_fb,
     """Evaluate a coupled-recurrence cluster lane by lane.
 
     Members run in ascending node-id order per lane using the plan's
-    scalar evaluator closures, which is bit-identical to the scalar drive
-    loop: int64/float32 lanes round-trip through Python scalars exactly,
+    scalar evaluator closures, which is bit-identical to the interpreter:
+    int64/float32 lanes round-trip through Python scalars exactly,
     and the closures apply the same int()/float() conversions.  External
     producers (node or loop-carried) are already vectorized; internal
     loop-carried reads hit the previous lane's column.
@@ -1161,8 +1167,8 @@ def _phase_timing(bp, nb, first, offs):
     distributes over the source decomposition, so concrete grants are
     exactly ``max_s(T[s] + G[s])``.  Channel state never carries between
     iterations (the next start is at least the last grant + 1), so lanes
-    are independent.  Nodes are walked in node-id order — the scalar
-    loop's request order — which pass 2's forward-edge check makes a valid
+    are independent.  Nodes are walked in node-id order — the
+    interpreter's request order — which pass 2's forward-edge check makes a valid
     topological order.
     """
     nodes = bp.nodes

@@ -90,19 +90,18 @@ class LatencyCounters:
     def bulk_record(self, node_total: list[float], node_count: int,
                     edge_total: dict[tuple[int, int], float],
                     edge_count: dict[tuple[int, int], int]) -> None:
-        """Fold pre-accumulated sums from a plan-compiled run.
+        """Fold pre-accumulated sums from a batched run.
 
         ``node_total`` is indexed by node id; every node completed
         ``node_count`` times (the engine records one completion per node per
         iteration).  Edge dicts carry the summed transfer latencies and
         event counts keyed ``(src, dst)``.
 
-        The fold is purely additive, so a run may call it more than once —
-        the batched executor folds its vectorized per-block sums here, and
-        when it bails mid-run the scalar loop folds the remainder as a
-        second call.  Every engine timing quantity is an integer-valued
-        float64, so the split sums equal the interpreter's event-order
-        sums bit for bit.
+        The fold is purely additive, so it mixes with per-event records —
+        the batched executor folds its vectorized sums here, while an
+        iteration the interpreter steps records its own events.  Every
+        engine timing quantity is an integer-valued float64, so the split
+        sums equal the interpreter's event-order sums bit for bit.
         """
         if node_count:
             for node_id, total in enumerate(node_total):

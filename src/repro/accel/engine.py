@@ -20,21 +20,23 @@ Functional results are mode-independent (the paper only tiles loops that are
 explicitly parallel), so the engine always executes iterations sequentially
 for correctness and applies the mode's timing model for cycle counts.
 
-Two execution paths produce bit-identical results:
+Two drive paths produce bit-identical results:
 
-* the **plan-compiled** path (default) drives each iteration from a
-  precompiled :class:`~repro.accel.plan.ExecutionPlan` — operand routing,
-  transfer latencies, operation evaluators, and memory descriptors are all
-  resolved once per program, and the iteration loop touches only flat lists
-  indexed by node id;
-* the **interpreter** path (``compiled=False``) walks the configured nodes
-  directly, re-deriving every static fact per iteration.  It is the
-  executable specification the golden tests in
-  ``tests/accel/test_plan_equivalence.py`` compare against.
+* the **batched** path (default) compiles the program's
+  :class:`~repro.accel.plan.ExecutionPlan` into flat arrays and advances
+  blocks of iterations as numpy vectors (:mod:`repro.accel.batch`).  A
+  block is cut at its first store-to-load hazard, and an in-iteration
+  store-to-load forward is executed by one interpreter step;
+* the **interpreter** walks the configured nodes one iteration at a time,
+  re-deriving every static fact.  It is the executable specification the
+  golden tests compare against (``compiled=False`` pins it), and it runs
+  every plan the batched capability analysis rejects, with the reason
+  reported as the run's ``drive_reason``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -57,19 +59,10 @@ from .batch import drive_batched
 from .config import AcceleratorConfig
 from .counters import ActivityCounters, LatencyCounters
 from .interconnect import Interconnect, build_interconnect
-from .plan import K_LOOP, K_NODE, N_CONTROL, N_MEMORY, compile_plan
+from .plan import _LOAD_FORMATS, _STORE_SIZES, compile_plan
 from .program import AcceleratorProgram, ConfiguredNode, Operand, OperandKind
 
 __all__ = ["ExecutionOptions", "AcceleratorRun", "DataflowEngine"]
-
-_LOAD_FORMATS = {
-    Opcode.LB: (1, True), Opcode.LBU: (1, False),
-    Opcode.LH: (2, True), Opcode.LHU: (2, False),
-    Opcode.LW: (4, True), Opcode.FLW: (4, False),
-    Opcode.LWU: (4, False), Opcode.LD: (8, True),
-}
-_STORE_SIZES = {Opcode.SB: 1, Opcode.SH: 2, Opcode.SW: 4, Opcode.FSW: 4,
-                Opcode.SD: 8}
 
 
 @dataclass(frozen=True)
@@ -90,14 +83,6 @@ class ExecutionOptions:
     speculative_loads: bool = True
     #: Cycles to re-propagate a value after a load invalidation.
     replay_penalty: int = 6
-    #: Batched (vectorized-block) drive path: None auto-selects it whenever
-    #: the plan's capability analysis accepts the program, True asks for it
-    #: explicitly (still falls back — with the reason reported — when the
-    #: plan is not batchable), False pins the scalar compiled loop.
-    batch: bool | None = None
-    #: Iterations per batched block; 0 defers to the ``REPRO_BATCH_BLOCK``
-    #: environment variable, then the built-in default (256).
-    batch_block: int = 0
 
     def __post_init__(self) -> None:
         if self.tile_factor < 1:
@@ -106,8 +91,6 @@ class ExecutionOptions:
             raise ValueError("max_iterations must be >= 1")
         if self.replay_penalty < 0:
             raise ValueError("replay_penalty must be >= 0")
-        if self.batch_block < 0:
-            raise ValueError("batch_block must be >= 0")
 
 
 @dataclass
@@ -123,10 +106,11 @@ class AcceleratorRun:
     latency: LatencyCounters
     activity: ActivityCounters
     final_state: MachineState
-    #: Which drive loop executed: "interpreted", "compiled", "batched", or
-    #: "batched+compiled" when a mid-run bail finished on the scalar loop.
+    #: Which drive loop executed: "batched" or "interpreted".
     drive_path: str = "interpreted"
-    #: Why the batched path was not (fully) used, when it wasn't.
+    #: Why the batched path was not (fully) used, when it wasn't: the
+    #: capability analysis's rejection, or the first iteration the
+    #: interpreter stepped for an in-iteration store-to-load forward.
     drive_reason: str = ""
 
     @property
@@ -173,44 +157,22 @@ class DataflowEngine:
         activity = ActivityCounters()
         reg_env = {reg: state.read(reg) for reg in self.program.live_in}
 
-        drive_path = "compiled" if self._compiled else "interpreted"
+        drive_path = "interpreted"
         drive_reason = ""
-        if not self._compiled:
+        batch_program = self.plan.batch_program if self._compiled else None
+        if batch_program is not None and batch_program.capability:
+            drive_path = "batched"
+            step = functools.partial(
+                self._run_iteration, state, reg_env, ports=ports,
+                latency=latency, activity=activity, options=options)
+            iterations, iteration_latencies, drive_reason = drive_batched(
+                batch_program, self.hierarchy, state, reg_env, ports,
+                latency, activity, options, step)
+        else:
+            if batch_program is not None:
+                drive_reason = batch_program.capability.reason
             iterations, iteration_latencies = self._drive_interpreted(
                 state, reg_env, ports, latency, activity, options)
-        else:
-            batch_program = None
-            if options.batch is not False:
-                batch_program = self.plan.batch_program
-                if not batch_program.capability:
-                    drive_reason = batch_program.capability.reason
-                    batch_program = None
-            if batch_program is None:
-                iterations, iteration_latencies = self._drive_compiled(
-                    state, reg_env, ports, latency, activity, options)
-            else:
-                iterations, iteration_latencies, bail = drive_batched(
-                    batch_program, self.hierarchy, state, reg_env, ports,
-                    latency, activity, options)
-                drive_path = "batched"
-                if bail is not None:
-                    # A block violated a batching precondition (e.g. a
-                    # store aliased a later load).  Nothing of that block
-                    # was committed; the scalar loop continues the run from
-                    # the last completed iteration — ports, caches, and
-                    # counters carry over, so the result is still
-                    # bit-identical to a pure scalar run.
-                    clock, carried, drive_reason = bail
-                    if carried is None:
-                        drive_path = "compiled"
-                        iterations, iteration_latencies = self._drive_compiled(
-                            state, reg_env, ports, latency, activity, options)
-                    else:
-                        drive_path = "batched+compiled"
-                        iterations, tail = self._drive_compiled(
-                            state, reg_env, ports, latency, activity, options,
-                            resume=(iterations, clock, carried))
-                        iteration_latencies += tail
 
         mean_latency = (sum(iteration_latencies) / len(iteration_latencies)
                         if iteration_latencies else 0.0)
@@ -227,275 +189,6 @@ class DataflowEngine:
             drive_path=drive_path,
             drive_reason=drive_reason,
         )
-
-    # -- plan-compiled execution -------------------------------------------------
-
-    def _drive_compiled(self, state, reg_env, ports,
-                        latency: LatencyCounters, activity: ActivityCounters,
-                        options: ExecutionOptions, resume=None):
-        """Run the loop via the precompiled plan (flat lists per node id).
-
-        ``resume`` — ``(iterations, clock, values)`` from a batched-path
-        bail — continues a run mid-flight: the handed-over values act as
-        the loop-carried inputs of the next iteration, and only the
-        iterations this loop itself executes are folded into the counters.
-        """
-        plan = self.plan
-        nodes = plan.nodes
-        n = plan.n_nodes
-        has_memory = plan.has_memory
-        loop_branch = plan.loop_branch_id
-        max_iterations = options.max_iterations
-        const1, const2, const_fb = plan.bind_constants(reg_env)
-        noc_channels = self._noc_channels
-
-        # Accumulated in flat structures, folded into the counters at the
-        # end.  Edge events index per-slot arrays (one slot per operand
-        # occurrence, ``EdgePlan.slot``); per-slot totals are summed in the
-        # same event order the interpreter uses, so float sums stay
-        # identical once folded back into the per-key counters.
-        node_total = [0.0] * n
-        slot_cycles = [0.0] * len(plan.edge_slots)
-        slot_count = [0] * len(plan.edge_slots)
-        int_ops = fp_ops = forwards = control_events = 0
-        local_hops = pe_busy = 0
-
-        def transfer(e, depart):
-            """Static edge latency plus (for NoC routes) ring-channel wait."""
-            nonlocal local_hops
-            if e.is_local:
-                cycles = e.cycles
-                local_hops += e.manhattan
-            else:
-                channel = noc_channels.get(e.src_row)
-                if channel is None:
-                    channel = MemoryPorts(num_ports=1)
-                    noc_channels[e.src_row] = channel
-                grant = channel.request(depart)
-                wait = grant - depart
-                cycles = e.cycles + wait
-                activity.noc_hops += e.router_hops
-                activity.noc_wait_cycles += wait
-            slot = e.slot
-            slot_cycles[slot] += cycles
-            slot_count[slot] += 1
-            return cycles
-
-        # Inert guards (at or after their node) are already resolved away
-        # in the plan, which lets the branch-state buffer be reused across
-        # iterations (every effective guard's entry is rewritten before it
-        # is read).
-        guard_ids = [node.effective_guard for node in nodes]
-
-        # Per-iteration buffers, allocated once and reused: values swap
-        # with prev_values at the top of each iteration; completion and
-        # branch_state entries are rewritten before any read.
-        prev_values: list = [0] * n
-        values: list = [0] * n
-        completion: list = [0.0] * n
-        branch_state: list = [False] * n
-        vector_grants: dict[int, float] = {}
-        stores_seen: list[tuple[int, int, int, float]] = []
-        iteration_latencies: list[float] = []
-        clock = 0.0
-        iterations = 0
-        base_iterations = 0
-        if resume is not None:
-            iterations, clock, carried = resume
-            base_iterations = iterations
-            values[:] = carried
-        while True:
-            start = clock
-            first = iterations == 0
-            prev_values, values = values, prev_values
-            loop_taken = False
-            lsq = LoadStoreQueue(capacity=n or 1) if has_memory else None
-            vector_grants.clear()
-            stores_seen.clear()
-
-            for node in nodes:
-                i = node.node_id
-                op = node.src1
-                kind = op.kind
-                if kind == K_NODE:
-                    src = op.src_id
-                    depart = completion[src]
-                    a = values[src]
-                    a_arr = depart + transfer(op.edge, depart)
-                elif kind == K_LOOP and not first:
-                    a = prev_values[op.src_id]
-                    a_arr = start + transfer(op.edge, start)
-                else:
-                    a = const1[i]
-                    a_arr = start
-                op = node.src2
-                kind = op.kind
-                if kind == K_NODE:
-                    src = op.src_id
-                    depart = completion[src]
-                    b = values[src]
-                    b_arr = depart + transfer(op.edge, depart)
-                elif kind == K_LOOP and not first:
-                    b = prev_values[op.src_id]
-                    b_arr = start + transfer(op.edge, start)
-                else:
-                    b = const2[i]
-                    b_arr = start
-                ready = max(start, a_arr, b_arr)
-
-                guard = guard_ids[i]
-                if guard >= 0 and branch_state[guard]:
-                    # Predicated off: forward the old destination value (§5).
-                    op = node.fallback
-                    kind = op.kind
-                    if kind == K_NODE:
-                        src = op.src_id
-                        depart = completion[src]
-                        value = values[src]
-                        fb_arr = depart + transfer(op.edge, depart)
-                    elif kind == K_LOOP and not first:
-                        value = prev_values[op.src_id]
-                        fb_arr = start + transfer(op.edge, start)
-                    else:
-                        value = const_fb[i]
-                        fb_arr = start
-                    done = ready if ready > fb_arr else fb_arr
-                    forwards += 1
-                    control_events += 1
-                    if node.is_store:
-                        value = 0  # suppressed store produces nothing
-                    elif node.kind == N_CONTROL:
-                        branch_state[i] = False  # a disabled branch is untaken
-                elif node.kind == N_MEMORY:
-                    value, done = self._run_memory_fast(
-                        node, int(a), b, ready, state, lsq, ports, activity,
-                        iterations, vector_grants, completion, stores_seen,
-                        options)
-                elif node.kind == N_CONTROL:
-                    taken = node.evaluate(a, b)
-                    branch_state[i] = taken
-                    if node.is_loop_branch:
-                        loop_taken = taken
-                    value = int(taken)
-                    done = ready + node.latency
-                    control_events += 1
-                else:
-                    value = node.evaluate(a, b)
-                    done = ready + node.latency
-                    if node.is_fp:
-                        fp_ops += 1
-                    else:
-                        int_ops += 1
-                    pe_busy += node.latency
-
-                values[i] = value
-                completion[i] = done
-                node_total[i] += done - start
-
-            iteration_end = max(completion) if n else clock
-            iteration_latencies.append(iteration_end - clock)
-            clock = iteration_end  # barrier between iterations
-            iterations += 1
-            if loop_branch is None or not loop_taken:
-                break
-            if iterations >= max_iterations:
-                break
-
-        # Write live-out registers back to the architectural state (the
-        # last iteration's results are still in ``values`` — the swap only
-        # happens at the top of the next iteration).
-        for register, node_id in self.program.live_out.items():
-            if 0 <= node_id < n:
-                state.write(register, values[node_id])
-
-        edge_total: dict[tuple[int, int], float] = {}
-        edge_count: dict[tuple[int, int], int] = {}
-        for e in plan.edge_slots:
-            count = slot_count[e.slot]
-            if count:
-                key = e.key
-                edge_total[key] = edge_total.get(key, 0.0) + slot_cycles[e.slot]
-                edge_count[key] = edge_count.get(key, 0) + count
-        latency.bulk_record(node_total, iterations - base_iterations,
-                            edge_total, edge_count)
-        activity.int_ops += int_ops
-        activity.fp_ops += fp_ops
-        activity.forwards += forwards
-        activity.control_events += control_events
-        activity.local_hops += local_hops
-        activity.pe_busy_cycles += pe_busy
-        return iterations, iteration_latencies
-
-    def _run_memory_fast(self, node, base: int, data, ready, state, lsq,
-                         ports: MemoryPorts, activity: ActivityCounters,
-                         iteration: int, vector_grants: dict[int, float],
-                         completion: list[float],
-                         stores_seen: list[tuple[int, int, int, float]],
-                         options: ExecutionOptions):
-        """Plan-driven load/store entry: disambiguation, forwarding, ports."""
-        m = node.memory
-        node_id = node.node_id
-        address = (base + m.imm) & self.plan.xlen_mask
-        if m.is_load:
-            lsq.push(node_id, AccessKind.LOAD, pc=m.pc, size=m.size)
-            outcome, store = lsq.resolve_load(node_id, address)
-            activity.loads += 1
-            if outcome is LoadOutcome.FORWARDED:
-                value = m.from_raw(state.memory.load(address, m.size))
-                store_done = completion[store.seq]
-                fwd_done = (max(ready, store_done) + self.plan.store_issue)
-                if options.speculative_loads and ready < store_done:
-                    # The load issued before the store resolved, already
-                    # read stale data, and is *invalidated* when the store
-                    # broadcasts — "this invalidation forces the new value
-                    # to propagate through the remainder of the DFG" (§4.2).
-                    activity.load_replays += 1
-                    return value, max(fwd_done,
-                                      store_done + options.replay_penalty)
-                # The forwarding path delivers the data directly.
-                activity.lsq_forwards += 1
-                return value, fwd_done
-            if not options.speculative_loads:
-                # Conservative ordering: wait for every older store's
-                # address to resolve before issuing.
-                for _, _, _, store_done in stores_seen:
-                    ready = max(ready, store_done)
-            # Vectorized loads piggyback on their group's port grant.
-            group = m.vector_group
-            if group is not None and group in vector_grants:
-                grant = max(ready, vector_grants[group])
-            else:
-                grant = ports.request(ready)
-                if group is not None:
-                    vector_grants[group] = grant
-            cycles = self.hierarchy.access(address, pc=m.pc)
-            if m.prefetched and iteration > 0:
-                # Issued an iteration early: only the L1 latency is exposed.
-                cycles = min(cycles, self.hierarchy.ideal_latency)
-            value = m.from_raw(state.memory.load(address, m.size))
-            done = grant + cycles
-            if options.speculative_loads:
-                # §4.2 invalidation: an older store whose address resolved
-                # *after* this load issued and overlaps it forces the new
-                # value to re-propagate through the DFG.
-                for _, s_addr, s_size, s_done in stores_seen:
-                    overlaps = (s_addr < address + m.size
-                                and address < s_addr + s_size)
-                    if overlaps and s_done > grant:
-                        activity.load_replays += 1
-                        done = max(done, s_done + options.replay_penalty)
-                        break
-            return value, done
-        # Store: commit the value to memory; timing is port grant + hand-off.
-        lsq.push(node_id, AccessKind.STORE, pc=m.pc, size=m.size)
-        lsq.resolve_store(node_id, address)
-        activity.stores += 1
-        grant = ports.request(ready)
-        self.hierarchy.access(address, is_write=True, pc=m.pc)
-        state.memory.store(address, m.size, m.to_raw(data))
-        done = grant + self.plan.store_issue
-        stores_seen.append((node_id, address, m.size, done))
-        return 0, done
 
     # -- interpreter execution ---------------------------------------------------
 
@@ -734,6 +427,7 @@ class DataflowEngine:
             sign = 1 << (size * 8 - 1)
             return (raw & (sign - 1)) - (raw & sign)
         return raw
+
     @staticmethod
     def _store_value(state: MachineState, instr: Instruction, address: int,
                      size: int, data) -> None:

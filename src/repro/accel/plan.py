@@ -13,8 +13,8 @@ An :class:`ExecutionPlan` exploits that split.  It is compiled once per
 * the operation's evaluator (a closure from
   :func:`repro.isa.compile_operation` / :func:`~repro.isa.compile_branch`),
   its constant latency, and its operand resolution codes;
-* for memory nodes, the decoded access descriptor (size, signedness,
-  float/int format, immediate, raw<->value converters);
+* for memory nodes, the decoded access descriptor (size, direction,
+  immediate, vector group);
 
 and per DFG or loop-carried edge:
 
@@ -23,15 +23,15 @@ and per DFG or loop-carried edge:
 * the number of NoC router hops the packet traverses (the activity the
   transfer induces on the secondary interconnect).
 
-Only the NoC queue wait and memory behaviour remain dynamic.  The engine's
-plan-driven iteration loop produces *bit-identical* results to the
-node-by-node interpreter — the golden equivalence tests in
-``tests/accel/test_plan_equivalence.py`` hold both paths to that contract.
+Only the NoC queue wait and memory behaviour remain dynamic.  The batched
+drive path (:mod:`repro.accel.batch`) compiles a plan further into flat
+arrays and produces *bit-identical* results to the node-by-node
+interpreter — the golden equivalence tests in ``tests/accel/`` hold both
+paths to that contract.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from typing import Callable
 
@@ -121,11 +121,6 @@ class MemoryPlan:
     pc: int
     vector_group: int | None
     prefetched: bool
-    #: raw bits -> architectural value (loads): FP reinterpret, sign-extend,
-    #: or identity.
-    from_raw: Callable
-    #: architectural value -> raw bits (stores).
-    to_raw: Callable
 
 
 @dataclass(frozen=True, slots=True)
@@ -140,7 +135,8 @@ class NodePlan:
     #: ``guard_branch`` when the guard can actually fire (a branch strictly
     #: before this node), else -1 — a guard at or after its node reads the
     #: iteration's still-default branch state and never predicates it off.
-    #: Both drive loops and the batched capability analysis share this rule.
+    #: The batched capability analysis and the cluster microloop share this
+    #: rule with the interpreter.
     effective_guard: int
     fallback: OperandPlan | None
     #: Constant operation latency (0 for memory nodes, whose timing is
@@ -151,11 +147,6 @@ class NodePlan:
     is_fp: bool
     is_store: bool
     memory: MemoryPlan | None
-    is_loop_branch: bool
-
-
-def _identity(raw):
-    return raw
 
 
 def _make_raiser(instr) -> Callable:
@@ -165,37 +156,12 @@ def _make_raiser(instr) -> Callable:
     return raise_
 
 
-def _make_from_raw(opcode: Opcode, size: int, signed: bool) -> Callable:
-    if opcode is Opcode.FLW:
-        def from_raw(raw):
-            return struct.unpack("<f", raw.to_bytes(4, "little"))[0]
-        return from_raw
-    if signed:
-        sign = 1 << (size * 8 - 1)
-        low = sign - 1
-        def from_raw(raw):
-            return (raw & low) - (raw & sign)
-        return from_raw
-    return _identity
-
-
-def _make_to_raw(opcode: Opcode, size: int) -> Callable:
-    if opcode is Opcode.FSW:
-        def to_raw(data):
-            return int.from_bytes(struct.pack("<f", float(data)), "little")
-        return to_raw
-    mask = (1 << (size * 8)) - 1
-    def to_raw(data):
-        return int(data) & mask
-    return to_raw
-
-
 class ExecutionPlan:
     """The compiled form of one (program, interconnect) pair."""
 
     __slots__ = (
         "program", "config", "interconnect", "nodes", "n_nodes",
-        "loop_branch_id", "has_memory", "xlen_mask", "store_issue",
+        "loop_branch_id", "store_issue",
         "memory_per_iter", "occupancy_entries", "edge_slots",
         "_recurrence_cache", "_batch",
     )
@@ -206,16 +172,14 @@ class ExecutionPlan:
         self.config: AcceleratorConfig = program.config
         self.interconnect = interconnect
         #: Every EdgePlan in compile order — one slot per operand occurrence.
-        #: Both drive loops account edge events into flat arrays indexed by
-        #: ``EdgePlan.slot`` and fold into the keyed counters once per run.
+        #: The batched path accounts edge events into flat arrays indexed by
+        #: ``EdgePlan.slot`` and folds into the keyed counters once per run.
         self.edge_slots: list[EdgePlan] = []
         self.nodes: list[NodePlan] = [
             self._compile_node(node) for node in program.nodes
         ]
         self.n_nodes = len(self.nodes)
         self.loop_branch_id = program.loop_branch_id
-        self.has_memory = any(n.kind == N_MEMORY for n in self.nodes)
-        self.xlen_mask = (1 << self.config.xlen) - 1
         self.store_issue = self.config.latencies.store_issue
         # Port requests per iteration: every store and ungrouped load is one
         # request; a vector group of loads shares a single grant.
@@ -248,7 +212,7 @@ class ExecutionPlan:
 
         Always returns a :class:`repro.accel.batch.BatchProgram`; when the
         plan cannot be vectorized its ``capability`` carries the reason and
-        the engine stays on the scalar compiled loop.
+        the engine runs it on the interpreter.
         """
         if self._batch is None:
             from .batch import compile_batch
@@ -277,19 +241,14 @@ class ExecutionPlan:
         latency = 0
         if node.is_memory:
             kind = N_MEMORY
-            if instr.is_load:
-                size, signed = _LOAD_FORMATS[instr.opcode]
-            else:
-                size, signed = _STORE_SIZES[instr.opcode], False
             memory = MemoryPlan(
                 is_load=instr.is_load,
-                size=size,
+                size=(_LOAD_FORMATS[instr.opcode][0] if instr.is_load
+                      else _STORE_SIZES[instr.opcode]),
                 imm=instr.imm,
                 pc=instr.address,
                 vector_group=node.vector_group,
                 prefetched=node.prefetched,
-                from_raw=_make_from_raw(instr.opcode, size, signed),
-                to_raw=_make_to_raw(instr.opcode, size),
             )
         elif instr.is_control:
             kind = N_CONTROL
@@ -321,7 +280,6 @@ class ExecutionPlan:
             is_fp=instr.is_fp,
             is_store=instr.is_store,
             memory=memory,
-            is_loop_branch=(node.node_id == self.program.loop_branch_id),
         )
 
     def _compile_operand(self, dst: ConfiguredNode,

@@ -17,7 +17,7 @@ import sys
 from typing import Sequence
 
 from .accel import mesa_config
-from .core import MesaController, MesaOptions
+from .core import MesaController
 from .harness import (
     Shard,
     ShardRunner,
@@ -68,12 +68,6 @@ def build_parser() -> argparse.ArgumentParser:
     run_cmd.add_argument("--config", default="M-128",
                          help="backend: M-64 / M-128 / M-512")
     run_cmd.add_argument("--iterations", type=int, default=256)
-    run_cmd.add_argument("--no-batch", action="store_true",
-                         help="pin the scalar compiled drive loop (disable "
-                              "the vectorized batched executor)")
-    run_cmd.add_argument("--batch-block", type=int, default=0, metavar="B",
-                         help="batched-executor block size in iterations "
-                              "(0 = REPRO_BATCH_BLOCK env or the default)")
     run_cmd.add_argument("--serial", action="store_true",
                          help="ignore the kernel's parallel annotation")
     run_cmd.add_argument("--repeat", type=int, default=1,
@@ -233,9 +227,7 @@ def _cmd_run_many(args) -> str:
 
 def _cmd_run(args) -> str:
     kernel = build_kernel(args.kernel[0], iterations=args.iterations)
-    options = MesaOptions(batched=False if args.no_batch else None,
-                          batch_block=args.batch_block)
-    controller = MesaController(mesa_config(args.config), options=options)
+    controller = MesaController(mesa_config(args.config))
     controller.profile_phases = args.profile
     parallel = False if args.serial else kernel.parallelizable
     repeats = max(1, args.repeat)

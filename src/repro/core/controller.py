@@ -108,12 +108,6 @@ class MesaOptions:
     pipelining: bool = True
     #: Out-of-order load issue with invalidation replay (§4.2).
     speculative_loads: bool = True
-    #: Batched (vectorized-block) engine drive path: None auto-selects it
-    #: per region from the plan's capability analysis, True requests it
-    #: (falls back with a reported reason), False pins the scalar loop.
-    batched: bool | None = None
-    #: Iterations per batched block (0: env/default).
-    batch_block: int = 0
     #: Extra profile→remap rounds after the initial configuration.
     iterative_rounds: int = 0
     mapping: MappingOptions = field(default_factory=MappingOptions)
@@ -263,9 +257,11 @@ class MesaResult:
 
     @property
     def drive_path(self) -> str:
-        """Which engine drive loop(s) executed the offloaded iterations —
-        "batched", "compiled", "interpreted", "batched+compiled" for a
-        mid-run bail, or a comma-joined set if offloads diverged."""
+        """Which engine drive path(s) executed the offloaded iterations —
+        "batched" (the vectorized block executor), "interpreted" (a plan
+        its capability analysis rejects), or a comma-joined set if
+        offloads diverged.  ``drive_reason`` says why a run was not
+        purely batched."""
         paths = []
         for run in self.runs:
             if run.drive_path not in paths:
@@ -641,9 +637,7 @@ class MesaController:
                         len(accel_program.live_in))
                     run = engines[entry].run(
                         state, region.plan.to_execution_options(
-                            speculative_loads=options.speculative_loads,
-                            batch=options.batched,
-                            batch_block=options.batch_block))
+                            speculative_loads=options.speculative_loads))
                     region.runs.append(run)
                     breakdown.accel_cycles += run.cycles
                     breakdown.return_cycles += options.offload.return_cycles(

@@ -27,19 +27,22 @@ __all__ = ["AccessKind", "LoadOutcome", "LsqEntry", "LsqStats",
            "LoadStoreQueue", "block_alias_hazard"]
 
 
-def block_alias_hazard(load_streams, store_streams) -> bool:
-    """Block-level disambiguation for the batched engine: True when any
-    store byte-overlaps a load of the same iteration that follows it in
-    program order, or of any later iteration in the block.
+def block_alias_hazard(load_streams, store_streams) -> int | None:
+    """Block-level disambiguation for the batched engine: the first
+    iteration of the block with a load that byte-overlaps an earlier store
+    — one of the same iteration that precedes it in program order, or of
+    any earlier iteration in the block — or None when there is none.
 
     This is the vectorized form of the ordering the queue enforces one
-    access at a time — when it returns False the LSQ is provably inert for
-    the whole block (no forward, no violation, no stall), which is what
-    lets :mod:`repro.accel.batch` gather a block of loads before any store
+    access at a time.  Every iteration before the returned one reads only
+    memory no store of the block has written, so the LSQ is provably inert
+    for them (no forward, no violation, no stall), which is what lets
+    :mod:`repro.accel.batch` gather a block of loads before any store
     commits.  Streams are ``(addresses, size, node_id, on_mask)`` tuples;
     ``on_mask`` marks the lanes a guarded access actually issues on (None
     = always issues), since a predicated-off access never enters the queue.
     """
+    first = None
     for s_addr, s_size, s_id, s_on in store_streams:
         s_lo = int(s_addr.min())
         s_hi = int(s_addr.max()) + s_size
@@ -53,11 +56,13 @@ def block_alias_hazard(load_streams, store_streams) -> bool:
             if l_on is not None:
                 overlap &= l_on[:, None]
             # Rows index the load's iteration, columns the store's.
-            hazard = (np.tril(overlap) if s_id < l_id
-                      else np.tril(overlap, -1))
-            if hazard.any():
-                return True
-    return False
+            rows = (np.tril(overlap) if s_id < l_id
+                    else np.tril(overlap, -1)).any(axis=1)
+            if rows.any():
+                row = int(rows.argmax())
+                if first is None or row < first:
+                    first = row
+    return first
 
 
 class AccessKind(enum.Enum):

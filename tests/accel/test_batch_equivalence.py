@@ -8,7 +8,8 @@ per-edge latencies, registers (by IEEE bit pattern) and memory (byte for
 byte).  These tests hold it to that contract through the full controller
 pipeline, through direct engine runs over hand-built programs that hit the
 tricky corners (block boundaries, loop-carried reductions, predication,
-NaN payloads, mid-run aliasing bails), and across block sizes.
+NaN payloads, blocks truncated at a store-to-load alias, interpreter steps
+for in-iteration forwarding), and across block sizes.
 """
 
 from __future__ import annotations
@@ -26,9 +27,8 @@ from repro.accel import (
     Guard,
     Operand,
 )
-from repro.accel import M_128
-from repro.accel.batch import BLOCK_ENV, DEFAULT_BLOCK, MAX_BLOCK, resolve_block
-from repro.core import MesaController, MesaOptions
+from repro.accel import M_128, batch
+from repro.core import MesaController
 from repro.isa import Instruction, MachineState, Opcode, f, x
 from repro.mem import Memory
 from repro.workloads import build_kernel
@@ -39,6 +39,7 @@ from .test_plan_equivalence import (
     result_fingerprint,
     run_fingerprint,
 )
+from .test_plan_equivalence import execute_kernel as execute_on_path
 
 CFG = AcceleratorConfig(rows=16, cols=8)
 
@@ -48,12 +49,10 @@ LOAD_BASE = 0x100
 FP_OFFSET = 0x200
 
 
-def execute_kernel(name: str, config, options, batched) -> tuple:
-    """One kernel through the full pipeline with the drive path pinned."""
-    base = options if options is not None else MesaOptions()
+def execute_kernel(name: str, config, options=None) -> tuple:
+    """One kernel through the full pipeline on the default drive path."""
     kernel = build_kernel(name, iterations=96, seed=1)
-    controller = MesaController(
-        config, options=dataclasses.replace(base, batched=batched))
+    controller = MesaController(config, options=options)
     result = controller.execute(kernel.program, kernel.state_factory,
                                 parallelizable=kernel.parallelizable)
     return result_fingerprint(result), result
@@ -62,23 +61,30 @@ def execute_kernel(name: str, config, options, batched) -> tuple:
 class TestPipelineEquivalence:
     @pytest.mark.parametrize("name", KERNELS)
     @pytest.mark.parametrize("mode", sorted(MODES))
-    def test_batched_vs_scalar_bit_identical(self, name, mode):
+    def test_batched_vs_scalar_bit_identical(self, name, mode, monkeypatch):
+        # Every kernel here batches end to end (bfs included: its
+        # load-dependent store addresses are handled by first-hazard
+        # truncation) and matches the scalar reference, the interpreter.
         options = MODES[mode]
-        batched, _ = execute_kernel(name, M_128, options, True)
-        scalar, _ = execute_kernel(name, M_128, options, False)
+        batched, result = execute_kernel(name, M_128, options)
+        assert result.drive_path == "batched", result.drive_reason
+        assert result.drive_reason == ""
+        scalar = execute_on_path(name, M_128, options, False, monkeypatch)
         assert batched == scalar
 
     def test_fallback_reason_is_reported(self):
-        # bfs computes a store address from a loaded value: the LSQ would
-        # have to disambiguate inside the block, so the capability
-        # analysis must route it to the scalar loop — visibly.
-        _, result = execute_kernel("bfs", M_128, None, True)
-        assert result.accelerated
-        assert result.drive_path == "compiled"
-        assert result.drive_reason == "load-dependent store addressing"
+        # A plan the capability analysis rejects runs on the interpreter,
+        # and the run says why.
+        program = dataclasses.replace(
+            loop_program(), config=dataclasses.replace(CFG, xlen=64))
+        run = DataflowEngine(program).run(make_state())
+        reference = DataflowEngine(program, compiled=False).run(make_state())
+        assert run.drive_path == "interpreted"
+        assert run.drive_reason == "xlen 64"
+        assert run_fingerprint(run) == run_fingerprint(reference)
 
     def test_batchable_kernel_reports_batched(self):
-        _, result = execute_kernel("hotspot", M_128, None, None)
+        _, result = execute_kernel("hotspot", M_128)
         assert result.accelerated
         assert result.drive_path == "batched"
         assert result.drive_reason == ""
@@ -87,7 +93,7 @@ class TestPipelineEquivalence:
         # kmeans fans one producer out across a row — two NoC slots on
         # one ring channel, formerly a fallback, now reproduced by the
         # closed-form grant chain.
-        _, result = execute_kernel("kmeans", M_128, None, None)
+        _, result = execute_kernel("kmeans", M_128)
         assert result.accelerated
         assert result.drive_path == "batched"
         assert result.drive_reason == ""
@@ -185,112 +191,128 @@ def make_state(iterations: int = 50, store_target: int = 0) -> MachineState:
     return state
 
 
-def run_direct(program, state, **option_overrides):
-    options = ExecutionOptions(**option_overrides)
-    return DataflowEngine(program).run(state, options)
-
-
-def three_way(program, make, **overrides):
-    """(batched, scalar, interpreted) runs of one program/state recipe."""
-    batched = run_direct(program, make(), batch=True, **overrides)
-    scalar = run_direct(program, make(), batch=False, **overrides)
-    interpreted = DataflowEngine(program, compiled=False).run(
-        make(), ExecutionOptions(**overrides))
-    return batched, scalar, interpreted
+def both_paths(program, make, **overrides):
+    """(batched, interpreted) runs of one program/state recipe."""
+    options = ExecutionOptions(**overrides)
+    batched = DataflowEngine(program).run(make(), options)
+    interpreted = DataflowEngine(program, compiled=False).run(make(), options)
+    return batched, interpreted
 
 
 class TestDirectEngineEquivalence:
     def test_disjoint_store_is_batchable_and_bit_identical(self):
         program = loop_program()
-        batched, scalar, interpreted = three_way(program, make_state)
+        batched, interpreted = both_paths(program, make_state)
         assert batched.drive_path == "batched"
         assert batched.drive_reason == ""
         assert run_fingerprint(batched) == run_fingerprint(interpreted)
-        assert run_fingerprint(scalar) == run_fingerprint(interpreted)
 
     @pytest.mark.parametrize("block", (1, 3, 7, 64, 4096))
-    def test_block_boundaries_bit_identical(self, block):
-        program = loop_program()
-        reference = DataflowEngine(program, compiled=False).run(
-            make_state(), ExecutionOptions())
-        run = run_direct(program, make_state(), batch=True,
-                         batch_block=block)
-        assert run.drive_path == "batched"
-        assert run_fingerprint(run) == run_fingerprint(reference)
+    def test_block_boundaries_bit_identical(self, block, monkeypatch):
+        monkeypatch.setattr(batch, "DEFAULT_BLOCK", block)
+        batched, interpreted = both_paths(loop_program(), make_state)
+        assert batched.drive_path == "batched"
+        assert run_fingerprint(batched) == run_fingerprint(interpreted)
 
-    def test_env_block_override(self, monkeypatch):
-        monkeypatch.setenv(BLOCK_ENV, "5")
-        assert resolve_block(ExecutionOptions()) == 5
-        # The option knob wins over the environment.
-        assert resolve_block(ExecutionOptions(batch_block=9)) == 9
-        monkeypatch.setenv(BLOCK_ENV, "not-a-number")
-        assert resolve_block(ExecutionOptions()) == DEFAULT_BLOCK
-        monkeypatch.delenv(BLOCK_ENV)
-        assert resolve_block(ExecutionOptions()) == DEFAULT_BLOCK
-        assert resolve_block(
-            ExecutionOptions(batch_block=MAX_BLOCK * 4)) == MAX_BLOCK
-        program = loop_program()
-        monkeypatch.setenv(BLOCK_ENV, "3")
-        run = run_direct(program, make_state(), batch=True)
-        reference = DataflowEngine(program, compiled=False).run(
-            make_state(), ExecutionOptions())
-        assert run_fingerprint(run) == run_fingerprint(reference)
-
-    def test_mid_run_alias_bails_to_scalar_bit_identical(self):
+    def test_mid_run_alias_truncates_block_bit_identical(self, monkeypatch):
         # The store writes a fixed address the walking load reaches at
-        # iteration 10 — inside the *second* block of 8, so the batched
-        # path must bail mid-run and hand the scalar loop a live state.
+        # iteration 10 — inside the *second* block of 8, which must commit
+        # only its first two iterations and start the next block at the
+        # aliasing load.
+        monkeypatch.setattr(batch, "DEFAULT_BLOCK", 8)
         program = loop_program(store_offset=0, store_base_register=True)
         target = LOAD_BASE + 4 * 11
 
         def make():
             return make_state(iterations=30, store_target=target)
 
-        batched, scalar, interpreted = three_way(program, make,
-                                                 batch_block=8)
-        assert batched.drive_path == "batched+compiled"
-        assert "memory aliasing at iteration 8" in batched.drive_reason
+        batched, interpreted = both_paths(program, make)
+        assert batched.drive_path == "batched"
+        assert batched.drive_reason == ""
         assert batched.iterations == 30
         assert run_fingerprint(batched) == run_fingerprint(interpreted)
-        assert run_fingerprint(scalar) == run_fingerprint(interpreted)
 
-    def test_first_block_alias_falls_back_whole_run(self):
+    def test_first_block_alias_truncates_bit_identical(self):
         # Store at base+4: iteration k writes the address iteration k+1
-        # loads, so the very first block trips the alias check and the
-        # whole run executes on the scalar loop.
+        # loads, so every block is cut after its first iteration and the
+        # whole run still drives batched.
         program = loop_program(store_offset=4)
-        batched, scalar, interpreted = three_way(program, make_state)
-        assert batched.drive_path == "compiled"
-        assert "memory aliasing" in batched.drive_reason
+        batched, interpreted = both_paths(program, make_state)
+        assert batched.drive_path == "batched"
+        assert batched.drive_reason == ""
         assert run_fingerprint(batched) == run_fingerprint(interpreted)
-        assert run_fingerprint(scalar) == run_fingerprint(interpreted)
+
+    def test_in_iteration_forward_steps_interpreter(self, monkeypatch):
+        # The store writes the fixed address x14, and a second walking
+        # load placed after it reaches that address at iteration 10: the
+        # one iteration where the load forwards from the store of its own
+        # iteration.  The block of iterations 8-15 is cut at iteration 10
+        # (the first walking load also reads the earlier stores there),
+        # and the next block starts with the forward, which only the
+        # interpreter executes — then batching resumes.
+        monkeypatch.setattr(batch, "DEFAULT_BLOCK", 8)
+        program = forwarding_program()
+        target = LOAD_BASE + 4 * 11
+
+        def make():
+            return make_state(iterations=30, store_target=target)
+
+        batched, interpreted = both_paths(program, make)
+        assert batched.drive_path == "batched"
+        assert batched.drive_reason == (
+            "in-iteration store-to-load forwarding at iteration 10")
+        assert batched.iterations == 30
+        # The forward is modeled (here as a speculative load's replay).
+        activity = batched.activity
+        assert activity.lsq_forwards + activity.load_replays == 1
+        assert run_fingerprint(batched) == run_fingerprint(interpreted)
 
     def test_max_iterations_cut_bit_identical(self):
         program = loop_program()
-        batched, scalar, interpreted = three_way(program, make_state,
-                                                 max_iterations=13)
+        batched, interpreted = both_paths(program, make_state,
+                                          max_iterations=13)
         assert batched.iterations == 13
         assert batched.drive_path == "batched"
         assert run_fingerprint(batched) == run_fingerprint(interpreted)
-        assert run_fingerprint(scalar) == run_fingerprint(interpreted)
 
     def test_single_iteration_loop(self):
         program = loop_program()
-        batched, scalar, interpreted = three_way(
+        batched, interpreted = both_paths(
             program, lambda: make_state(iterations=1))
         assert batched.iterations == 1
         assert run_fingerprint(batched) == run_fingerprint(interpreted)
-        assert run_fingerprint(scalar) == run_fingerprint(interpreted)
 
     def test_batch_disabled_pins_scalar_loop(self):
-        program = loop_program()
-        run = run_direct(program, make_state(), batch=False)
-        assert run.drive_path == "compiled"
+        # compiled=False pins the interpreter, the scalar reference; it is
+        # a choice, not a fallback, so no reason is reported.
+        run = DataflowEngine(loop_program(), compiled=False).run(make_state())
+        assert run.drive_path == "interpreted"
         assert run.drive_reason == ""
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
-            ExecutionOptions(batch_block=-1)
+            ExecutionOptions(replay_penalty=-1)
+        with pytest.raises(ValueError):
+            ExecutionOptions(tile_factor=0)
+
+
+def forwarding_program() -> AcceleratorProgram:
+    """:func:`loop_program` with its store pinned to ``x14`` and a second
+    walking load (node 9) after it, so the load forwards from the store of
+    its own iteration whenever it reaches ``x14``."""
+    program = loop_program(store_offset=0, store_base_register=True)
+    base = 0x2000
+    load = ConfiguredNode(9, Instruction(base + 36, Opcode.LW, rd=x(8),
+                                         rs1=x(10), imm=0),
+                          (3, -1), src1=Operand.node(1), is_memory=True)
+    branch = program.nodes[9]
+    branch = dataclasses.replace(
+        branch, node_id=10,
+        instruction=dataclasses.replace(branch.instruction,
+                                        address=base + 40))
+    return dataclasses.replace(
+        program, nodes=[*program.nodes[:9], load, branch],
+        loop_branch_id=10, live_out={**program.live_out, x(8): 9})
 
 
 def edit_node(program, node_id, **changes):
@@ -306,10 +328,9 @@ class TestNewFamilyEquivalence:
     """
 
     def assert_batched_identical(self, program, make=make_state, **overrides):
-        batched, scalar, interpreted = three_way(program, make, **overrides)
+        batched, interpreted = both_paths(program, make, **overrides)
         assert batched.drive_path == "batched", batched.drive_reason
         assert run_fingerprint(batched) == run_fingerprint(interpreted)
-        assert run_fingerprint(scalar) == run_fingerprint(interpreted)
         return batched
 
     def test_guarded_store_bit_identical(self):
@@ -372,11 +393,12 @@ class TestNewFamilyEquivalence:
         program = edit_node(program, 5, guard=Guard(6, Operand.node(3)))
         self.assert_batched_identical(program)
 
-    def test_cluster_block_boundaries_bit_identical(self):
+    def test_cluster_block_boundaries_bit_identical(self, monkeypatch):
         # The cluster's loop-carried seam must carry across blocks.
+        monkeypatch.setattr(batch, "DEFAULT_BLOCK", 7)
         program = loop_program()
         guard = dataclasses.replace(
             program.nodes[7].guard,
             fallback=Operand.loop_carried(7, x(7)))
         program = edit_node(program, 7, guard=guard)
-        self.assert_batched_identical(program, batch_block=7)
+        self.assert_batched_identical(program)

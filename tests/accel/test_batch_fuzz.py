@@ -2,12 +2,15 @@
 
 Hypothesis generates random single-loop accelerator programs — random
 compute DAGs over int and float producers, optional loads and stores off a
-walking address (stores may alias later loads, exercising the mid-run bail
-path), optional predication with loop-carried fallbacks, and random live-in
-register values including NaN and infinity payloads.  The property under
-test is the batched path's whole contract in one line: **whatever the
-capability analysis decides**, a batched-requested run is bit-identical to
-the interpreter — cycles, counters, registers, and memory.
+walking address (stores may alias later loads, exercising first-hazard
+block truncation), stores addressed by a loaded value masked into a small
+window, loads that follow an overlapping store in the same iteration
+(in-iteration forwarding, stepped on the interpreter), optional
+predication with loop-carried fallbacks, and random live-in register values
+including NaN and infinity payloads.  The property under test is the
+batched path's whole contract in one line: **whatever the capability
+analysis decides**, a default engine run is bit-identical to the
+interpreter — cycles, counters, registers, and memory.
 
 This seeds the ROADMAP's random-kernel fuzzing item.
 """
@@ -27,6 +30,7 @@ from repro.accel import (
     ExecutionOptions,
     Guard,
     Operand,
+    batch,
 )
 from repro.isa import Instruction, MachineState, Opcode, f, x
 from repro.mem import Memory
@@ -69,9 +73,13 @@ def programs(draw):
     Node 0 is always the countdown (ADDI -1 self-reduction), node 1 the
     address walker (ADDI 4 self-reduction); the last node is the loop
     branch.  In between sit 1–5 random compute nodes, at most one load
-    and one store.  Wiring keeps int consumers on int producers (so both
-    engine paths perform identical exact conversions) but otherwise roams
-    freely over earlier nodes, loop-carried values, and registers.
+    and one store, plus, after the store, at most one load that may
+    overlap it in the same iteration.  The store walks with node 1 or,
+    when there is a load, may take its address from the loaded value
+    masked into an 8-word window the walking load also reads.  Wiring
+    keeps int consumers on int producers (so both engine paths perform
+    identical exact conversions) but otherwise roams freely over earlier
+    nodes, loop-carried values, and registers.
     """
     base = 0x3000
     iterations = draw(st.integers(1, 24))
@@ -85,7 +93,7 @@ def programs(draw):
     ]
     # dtype per producer node: "i" or "f" (branches produce nothing).
     dtypes = {0: "i", 1: "i"}
-    live_in = {x(5), x(10)}
+    live_in = {x(5), x(10), x(14)}
     live_out = {}
     int_regs = [x(11), x(12), x(13)]
     fp_regs = [f(4), f(5), f(6)]
@@ -126,8 +134,10 @@ def programs(draw):
         grid += 1
         return ((grid - 1) // CFG.cols, (grid - 1) % CFG.cols)
 
+    load_id = None
     if has_load:
         i = len(nodes)
+        load_id = i
         nodes.append(ConfiguredNode(
             i, Instruction(base + 4 * i, Opcode.LW, rd=x(6), rs1=x(10),
                            imm=draw(st.integers(-8, 8)) * 4),
@@ -178,10 +188,39 @@ def programs(draw):
         # Offsets near zero overlap the load window — aliasing on purpose.
         offset = draw(st.integers(-4, 4)) * 4 + 0x40 * draw(
             st.sampled_from((0, 1)))
+        address = Operand.node(1)
+        if load_id is not None and draw(st.booleans()):
+            # Load-dependent addressing: x14 + (loaded & 0x1C), a window
+            # of 8 words the walking load reads early in the run.
+            nodes.append(ConfiguredNode(
+                i, Instruction(base + 4 * i, Opcode.ANDI, rd=x(8), rs1=x(6),
+                               imm=0x1C),
+                place(False), src1=Operand.node(load_id)))
+            nodes.append(ConfiguredNode(
+                i + 1, Instruction(base + 4 * i + 4, Opcode.ADD, rd=x(8),
+                                   rs1=x(8), rs2=x(14)),
+                place(False), src1=Operand.node(i),
+                src2=Operand.from_register(x(14))))
+            dtypes[i] = dtypes[i + 1] = "i"
+            address = Operand.node(i + 1)
+            offset = 0
+            i += 2
         nodes.append(ConfiguredNode(
             i, Instruction(base + 4 * i, Opcode.SW, rs1=x(10), rs2=x(7),
                            imm=offset),
-            place(True), src1=Operand.node(1), src2=data, is_memory=True))
+            place(True), src1=address, src2=data, is_memory=True))
+        if draw(st.booleans()):
+            # A load after the store off the same base: it overlaps the
+            # store of its own iteration at delta 0 (store-to-load
+            # forwarding) and, on a walking base, the previous
+            # iteration's store at delta -4.
+            delta = draw(st.sampled_from((0, 4, -4)))
+            i = len(nodes)
+            nodes.append(ConfiguredNode(
+                i, Instruction(base + 4 * i, Opcode.LW, rd=x(9), rs1=x(10),
+                               imm=offset + delta),
+                place(True), src1=address, is_memory=True))
+            live_out[x(9)] = i
 
     i = len(nodes)
     nodes.append(ConfiguredNode(
@@ -196,6 +235,7 @@ def programs(draw):
     reg_values = {
         x(5): iterations,
         x(10): LOAD_BASE,
+        x(14): LOAD_BASE,
     }
     for reg in int_regs:
         reg_values[reg] = draw(st.integers(-(1 << 31), (1 << 31) - 1))
@@ -222,9 +262,12 @@ def build_state(reg_values, mem_words, iterations) -> MachineState:
 @given(programs())
 def test_batched_request_bit_identical_to_interpreter(drawn):
     program, reg_values, mem_words, iterations = drawn
-    batched = DataflowEngine(program).run(
-        build_state(reg_values, mem_words, iterations),
-        ExecutionOptions(batch=True, batch_block=8))
+    with pytest.MonkeyPatch.context() as patch:
+        # Blocks of 8 put block boundaries inside the 1-24 iteration runs.
+        patch.setattr(batch, "DEFAULT_BLOCK", 8)
+        batched = DataflowEngine(program).run(
+            build_state(reg_values, mem_words, iterations),
+            ExecutionOptions())
     reference = DataflowEngine(program, compiled=False).run(
         build_state(reg_values, mem_words, iterations),
         ExecutionOptions())
