@@ -1,17 +1,16 @@
-"""Throughput scaling of the multi-process execution backend.
+"""Throughput scaling of the service's supervised worker pool.
 
-The thread backend shares one configuration cache but is GIL-bound: four
-executor threads still simulate one kernel at a time, so service
-throughput is flat in ``--workers``.  The supervised process pool
-(:class:`repro.service.ProcessWorkerPool`) is the scaling story — N
-worker *processes* simulate N requests genuinely in parallel, with
+The service runs every request through one task function, either in its
+own process (``workers=0``: one simulation at a time) or on the
+supervised process pool (:class:`repro.service.ProcessWorkerPool`), where
+N worker *processes* simulate N requests genuinely in parallel, with
 sticky region→worker affinity keeping per-worker caches warm.
 
-This benchmark drives the same request wave through both backends at
+This benchmark drives the same request wave in-process and at
 ``workers=4`` and reports requests/second.  On hosts with at least 4
-physical cores the process backend must clear **1.5x** the thread
-backend's throughput (the acceptance bar; in practice it lands near the
-core count).  On smaller hosts the numbers are still recorded, but the
+physical cores the pooled run must clear **1.5x** the in-process
+throughput (the acceptance bar; in practice it lands near the core
+count).  On smaller hosts the numbers are still recorded, but the
 assertion is skipped — without real cores behind the workers the
 comparison measures scheduler noise, not scaling.
 """
@@ -29,20 +28,20 @@ REQUESTS = 24
 ITERATIONS = 256
 #: Accelerating kernels with meaty per-request simulation time.
 KERNELS = ("hotspot", "pathfinder", "nn", "kmeans")
-#: Acceptance bar for the process backend on a >=4-core host.
+#: Acceptance bar for the pooled run on a >=4-core host.
 MIN_SCALING = 1.5
 
 
-async def _drive(execution: str) -> tuple[float, int]:
+async def _drive(workers: int) -> tuple[float, int]:
     """One timed wave; returns (wall_seconds, completed)."""
     service = MesaService(pool=ControllerPool(),
                           max_queue=REQUESTS + len(KERNELS),
                           max_per_client=REQUESTS + len(KERNELS),
-                          workers=WORKERS, execution=execution)
+                          workers=workers)
     await service.start()
     # Warm-up wave: one request per kernel populates the caches (the
-    # shared cache for threads, each sticky worker's cache for
-    # processes) so the timed wave compares steady-state throughput.
+    # in-process cache, or each sticky worker's cache) so the timed wave
+    # compares steady-state throughput.
     warmup = await asyncio.gather(*[
         service.offload(OffloadRequest.for_kernel(
             name, iterations=ITERATIONS, client="warmup"))
@@ -62,26 +61,26 @@ async def _drive(execution: str) -> tuple[float, int]:
 
 
 def _run_both() -> dict[str, float]:
-    thread_wall, _ = asyncio.run(_drive("thread"))
-    process_wall, _ = asyncio.run(_drive("process"))
-    return {"thread": REQUESTS / thread_wall,
-            "process": REQUESTS / process_wall}
+    inline_wall, _ = asyncio.run(_drive(0))
+    pooled_wall, _ = asyncio.run(_drive(WORKERS))
+    return {"inline": REQUESTS / inline_wall,
+            "pooled": REQUESTS / pooled_wall}
 
 
 def test_service_procpool_scaling(benchmark):
     throughput = run_once(benchmark, _run_both)
-    scaling = throughput["process"] / throughput["thread"]
+    scaling = throughput["pooled"] / throughput["inline"]
     gated = CORES >= 4
 
     lines = [
-        f"service execution backends: {REQUESTS} requests over "
+        f"service worker pool: {REQUESTS} requests over "
         f"{len(KERNELS)} kernels, {ITERATIONS} iterations, "
-        f"workers={WORKERS}, host cores={CORES}",
-        f"  thread backend:  {throughput['thread']:6.2f} req/s "
-        f"(GIL-bound; shared cache)",
-        f"  process backend: {throughput['process']:6.2f} req/s "
-        f"(supervised pool; sticky per-worker caches)",
-        f"  scaling:         {scaling:.2f}x "
+        f"host cores={CORES}",
+        f"  workers=0 (in-process): {throughput['inline']:6.2f} req/s "
+        f"(one simulation at a time)",
+        f"  workers={WORKERS} (pooled):     {throughput['pooled']:6.2f} "
+        f"req/s (supervised pool; sticky per-worker caches)",
+        f"  scaling:                {scaling:.2f}x "
         + (f"(assertion: >= {MIN_SCALING}x on this {CORES}-core host)"
            if gated else
            f"(informational only: {CORES} core(s) < 4, "
@@ -91,5 +90,5 @@ def test_service_procpool_scaling(benchmark):
 
     if gated:
         assert scaling >= MIN_SCALING, (
-            f"process backend must scale on a {CORES}-core host: "
+            f"the worker pool must scale on a {CORES}-core host: "
             f"{scaling:.2f}x < {MIN_SCALING}x")

@@ -104,14 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="admission control: max in-flight requests "
                                 "per client id (default 8)")
     serve_cmd.add_argument("--workers", type=int, default=2, metavar="N",
-                           help="executor threads driving the controller "
-                                "pool (default 2)")
-    serve_cmd.add_argument("--execution", choices=["thread", "process"],
-                           default="thread",
-                           help="execution backend: thread pool (shared "
-                                "cache, GIL-bound) or supervised worker "
-                                "processes (crash isolation, true "
-                                "parallelism; default thread)")
+                           help="supervised worker processes running "
+                                "the simulations; 0 runs them in the "
+                                "server's own process (default 2)")
     serve_cmd.add_argument("--request-timeout", type=float, default=None,
                            metavar="S",
                            help="default end-to-end deadline per request "
@@ -338,7 +333,6 @@ def _serve_forever(args) -> int:
         service = MesaService(pool=pool, max_queue=args.queue,
                               max_per_client=args.per_client,
                               workers=args.workers,
-                              execution=args.execution,
                               request_timeout_s=args.request_timeout,
                               checkpoint_path=args.checkpoint,
                               checkpoint_interval_s=args.checkpoint_interval)
@@ -347,7 +341,7 @@ def _serve_forever(args) -> int:
         address = server.sockets[0].getsockname()
         print(f"repro serve: listening on {address[0]}:{address[1]} "
               f"(queue={args.queue}, per-client={args.per_client}, "
-              f"workers={args.workers} [{args.execution}], "
+              f"workers={args.workers}, "
               f"cache={args.cache_capacity} {args.cache_policy}"
               + (f", checkpoint={args.checkpoint}" if args.checkpoint
                  else "") + ")")

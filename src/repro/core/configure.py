@@ -384,8 +384,18 @@ class ConfigCache:
         """Cache a configuration; returns its bitstream."""
         return self.put(start, end, config_name, program, cost).bitstream
 
-    def export_regions(self) -> list[dict]:
-        """Portable snapshot of every resident configuration.
+    def holds(self, start: int, end: int, config_name: str,
+              digest: str | None = None) -> bool:
+        """Whether :meth:`lookup` would hit, without counting or touching."""
+        with self._lock:
+            entry = self._entries.get(
+                self._key(start, end, config_name, digest))
+            return entry is not None and (digest is None
+                                          or entry.digest is None
+                                          or entry.digest == digest)
+
+    def export_regions(self, keys=None) -> list[dict]:
+        """Portable snapshot of the resident configurations.
 
         Each record is plain JSON-serializable data — addresses, content
         digest, the four :class:`ConfigurationCost` components, and the
@@ -396,10 +406,17 @@ class ConfigCache:
         <repro.core.controller.MesaController.restore_cache_regions>`.
         Export order is the cache's current victim order (oldest first),
         so a restore into a smaller cache keeps the hottest entries.
+
+        Args:
+            keys: if given, a collection of ``(start, end, digest)``
+                triples; only the entries they name are exported.
         """
         with self._lock:
             records = []
             for key, entry in self._entries.items():
+                if keys is not None and (key[0], key[1],
+                                         entry.digest) not in keys:
+                    continue
                 records.append({
                     "config": key[2],
                     "start": key[0],

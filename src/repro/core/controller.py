@@ -701,9 +701,10 @@ class MesaController:
 
     # -- configuration-cache persistence ---------------------------------------
 
-    def export_cache_regions(self) -> list[dict]:
-        """JSON-serializable records of every cached configuration."""
-        return self.config_cache.export_regions()
+    def export_cache_regions(self, keys=None) -> list[dict]:
+        """JSON-serializable records of the cached configurations (all, or
+        those whose ``(start, end, digest)`` is in ``keys``)."""
+        return self.config_cache.export_regions(keys)
 
     def restore_cache_regions(self, records: list[dict]) -> int:
         """Re-seed the configuration cache from exported records.

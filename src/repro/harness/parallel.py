@@ -11,8 +11,8 @@ completion order, so any table or JSON built from them is byte-identical to
 a serial run.
 
 :class:`WorkerPool` is the one supervised process pool in the repo; the
-sweep harness (:class:`ShardRunner`) and the offload service's process
-backend (:class:`repro.service.ProcessWorkerPool`) both run on it.  Each
+sweep harness (:class:`ShardRunner`) and the offload service's worker
+pool (:class:`repro.service.ProcessWorkerPool`) both run on it.  Each
 worker process is owned directly and served one task at a time over its
 own pipe, which buys three serving-grade properties a shared-queue
 ``ProcessPoolExecutor`` cannot give:

@@ -7,12 +7,14 @@ configuration cache, many concurrent offload streams:
 * :class:`MesaService` — asyncio server: bounded queue, admission control
   with per-client fairness, request coalescing (identical in-flight
   regions translate once), per-request deadlines, circuit-broken
-  CPU-baseline degradation, idempotent dedupe, and a choice of
-  thread-pool or supervised multi-process execution;
+  CPU-baseline degradation, idempotent dedupe, and one dispatch path:
+  every request runs the same task on supervised worker processes
+  (``workers >= 1``) or in-process (``workers=0``);
 * :class:`ControllerPool` — one shared controller per chip/backend;
-* :class:`ProcessWorkerPool` / :class:`CircuitBreaker` — the supervised
-  worker processes behind ``execution="process"``: crash isolation,
-  deadline kills, in-place replacement, warm seeding;
+* :class:`OffloadTask` / :class:`ProcessWorkerPool` /
+  :class:`CircuitBreaker` — the picklable task payload and the supervised
+  worker processes that run it: crash isolation, deadline kills,
+  in-place replacement, warm seeding;
 * :class:`RegionStore` / :func:`save_snapshot` / :func:`load_snapshot` —
   config-cache persistence: versioned on-disk snapshots, tolerant
   restore;
@@ -55,6 +57,8 @@ from .net import (
 )
 from .procpool import (
     CircuitBreaker,
+    ControllerPool,
+    OffloadTask,
     PoolBroken,
     ProcessWorkerPool,
     WorkerCrash,
@@ -64,7 +68,6 @@ from .procpool import (
 from .server import (
     TERMINAL_STATUSES,
     AdmissionError,
-    ControllerPool,
     MesaService,
     OffloadRequest,
     OffloadResponse,
@@ -94,6 +97,7 @@ __all__ = [
     "corrupt_snapshot",
     "run_chaos_test",
     "CircuitBreaker",
+    "OffloadTask",
     "PoolBroken",
     "ProcessWorkerPool",
     "WorkerCrash",

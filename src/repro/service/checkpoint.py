@@ -21,10 +21,10 @@ Design rules:
 * **Versioned.**  ``version`` gates the schema; readers skip snapshots
   newer than they understand instead of misparsing them.
 
-:class:`RegionStore` is the in-memory accumulator the multi-process
-server uses: workers report freshly configured regions (exported records)
-after each request, the store deduplicates them by key, and both the
-periodic checkpoint and replacement-worker seeding read from it.
+:class:`RegionStore` is the service's in-memory accumulator: every
+execute reports the regions it configured (exported records) and the
+keys of those that hit, the store keeps the most recently used ones per
+chip, and both checkpoints and worker seeding read from it.
 """
 
 from __future__ import annotations
@@ -56,18 +56,20 @@ class RegionStore:
     """Thread-safe, deduplicating accumulator of exported region records.
 
     Keyed the same way as a tag-indexed :class:`ConfigCache` — (config,
-    start, end, digest) — so re-reports of an already-known region are
-    free.  Insertion order is preserved, which keeps the snapshot's
-    restore order stable.
+    start, end, digest) — and kept in use order per chip: a re-reported
+    or :meth:`touch`-ed key moves to the end, and each chip keeps at most
+    ``capacity`` records (the least recently used go first), so a restore
+    into a capacity-N LRU cache gets the N most recently used regions.
     """
 
-    def __init__(self) -> None:
-        self._records: dict[tuple, dict] = {}
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self._chips: dict[object, dict[tuple, dict]] = {}
         self._lock = Lock()
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._records)
+            return sum(len(chip) for chip in self._chips.values())
 
     def add_many(self, records: list[dict]) -> int:
         """Merge records; returns how many were new."""
@@ -75,14 +77,27 @@ class RegionStore:
         with self._lock:
             for record in records:
                 key = _record_key(record)
-                if key not in self._records:
+                chip = self._chips.setdefault(key[0], {})
+                if chip.pop(key, None) is None:
                     new += 1
-                self._records[key] = record
+                chip[key] = record
+                if len(chip) > self.capacity:
+                    del chip[next(iter(chip))]
         return new
+
+    def touch(self, keys) -> None:
+        """Move the held records among ``(config, start, end, digest)``
+        keys to the end (a cache hit on them)."""
+        with self._lock:
+            for key in keys:
+                chip = self._chips.get(key[0])
+                if chip is not None and key in chip:
+                    chip[key] = chip.pop(key)
 
     def records(self) -> list[dict]:
         with self._lock:
-            return list(self._records.values())
+            return [record for chip in self._chips.values()
+                    for record in chip.values()]
 
 
 def save_snapshot(path: str, records: list[dict],

@@ -10,7 +10,8 @@ executing requests.
 Fault classes the plan can inject:
 
 * ``crash``   — the worker process dies mid-execute (``os._exit``), or
-  the thread backend raises; exercises supervisor replacement.
+  an in-process task (``workers=0``) raises; exercises supervisor
+  replacement.
 * ``hang``    — the execute sleeps past its deadline; exercises the
   deadline kill path.
 * connection drops — the TCP front end (:func:`repro.service.net.serve`)
@@ -132,7 +133,7 @@ async def _chaos(requests: int, iterations: int, workers: int,
         snapshot = os.path.join(tmp, "cache.snapshot.json")
         service = MesaService(max_queue=max(requests, 1),
                               max_per_client=max(requests, 1),
-                              workers=workers, execution="process",
+                              workers=workers,
                               request_timeout_s=90.0,
                               checkpoint_path=snapshot,
                               fault_plan=plan)
@@ -160,8 +161,7 @@ async def _chaos(requests: int, iterations: int, workers: int,
 
         # Corrupt the flushed snapshot and prove the next boot survives.
         corrupt_snapshot(snapshot, "garbage")
-        reboot = MesaService(workers=1, execution="thread",
-                             checkpoint_path=snapshot)
+        reboot = MesaService(workers=0, checkpoint_path=snapshot)
         await reboot.start()
         reboot_stats = reboot.stats()
         await reboot.close()

@@ -167,7 +167,7 @@ class ServiceStats:
     accelerated: int = 0
     #: Completed requests whose configuration came from the shared cache.
     cache_hits: int = 0
-    # -- robustness counters (multi-process backend and persistence) ----------
+    # -- robustness counters (worker pool and persistence) --------------------
     #: Worker processes that died mid-request (each degraded exactly one
     #: request; the supervisor replaced the worker in place).
     worker_crashes: int = 0

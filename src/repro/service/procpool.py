@@ -1,26 +1,32 @@
-"""Supervised multi-process execution for the offload service.
+"""The service's one task function and the supervised pool that runs it.
 
-One asyncio process tops out at ~1 core of simulation (the GIL serializes
-the thread-pool executors), so the service's multi-process backend runs
-``MesaController.execute`` in N long-lived worker *processes* on the
-repo's one supervised pool, :class:`repro.harness.parallel.WorkerPool`:
-dispatch over per-worker pipes (the per-request deadline anchors at
-actual dispatch and crash blame is exact), kill-and-replace repair (a
-worker that crashes or blows its deadline degrades only its own request
-and is replaced in place), and a cap on consecutive boot failures.  This
-module holds only what is particular to the service.
+Every request the service executes — a named kernel, a generated region,
+or the circuit breaker's CPU-baseline fallback — becomes one picklable
+:class:`OffloadTask`: the request's program, its state factory, the chip,
+and the fault (if any) a test plan injects.  :class:`ChipTask` runs it
+against a :class:`ControllerPool`, one controller per chip, and returns a
+compact summary dict (a :class:`~repro.core.controller.MesaResult` holds
+traces and is deliberately not shipped).  The summary carries the
+execute's cache counters, its phase seconds, the region records it
+inserted and the keys of the regions that hit — the parent learns about
+the cache only through it.
+
+With ``workers >= 1`` the service runs the task in N long-lived worker
+processes on the repo's one supervised pool,
+:class:`repro.harness.parallel.WorkerPool`: dispatch over per-worker
+pipes (the per-request deadline anchors at actual dispatch and crash
+blame is exact), kill-and-replace repair (a worker that crashes or blows
+its deadline degrades only its own request and is replaced in place), and
+a cap on consecutive boot failures.  With ``workers=0`` the same task
+function runs in the service's own process.
 
 Each worker owns its own per-chip controllers (process memory is not
-shared), so warm-cache behavior is preserved two ways: *sticky affinity*
-routes identical regions to the same worker when it is idle, and every
-worker's warm boot (initial or replacement) is seeded with the service's
-:class:`~repro.service.checkpoint.RegionStore` records as they stand at
-that spawn, so a replacement rejoins warm instead of cold.
-
-Results cross the pipe as compact summary dicts (a
-:class:`~repro.core.controller.MesaResult` holds closures and traces and
-is deliberately not pickled); freshly configured regions come back as
-exported bitstream records for the parent's store.
+shared), so warm-cache behavior is preserved three ways: *sticky
+affinity* routes identical regions to the same worker when it is idle,
+a coalesced request carries its leader's freshly inserted records, and
+every worker's warm boot (initial or replacement) is seeded with the
+service's :class:`~repro.service.checkpoint.RegionStore` records as they
+stand at that spawn.
 
 :class:`CircuitBreaker` lives here too: the per-(config, region)
 consecutive-failure counter the server consults before dispatching, with
@@ -29,10 +35,17 @@ half-open probing so a recovered region closes the circuit again.
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import os
 import time
+from dataclasses import dataclass
+from threading import Lock
 from typing import Any, Callable
 
+from ..accel import mesa_config
+from ..core import MesaController, MesaOptions, region_digest
+from ..cpu import CpuConfig
 from ..harness.parallel import (
     PoolBroken,
     WorkerCrash,
@@ -40,15 +53,16 @@ from ..harness.parallel import (
     WorkerTaskError,
     WorkerTimeout,
 )
+from ..isa import MachineState, Program
 
-__all__ = ["ProcessWorkerPool", "WorkerCrash", "WorkerTimeout",
-           "WorkerTaskError", "PoolBroken", "CircuitBreaker",
-           "cpu_baseline_summary"]
+__all__ = ["OffloadTask", "ControllerPool", "ChipTask", "ProcessWorkerPool",
+           "WorkerCrash", "WorkerTimeout", "WorkerTaskError", "PoolBroken",
+           "CircuitBreaker", "cpu_baseline_summary"]
 
 
 def cpu_baseline_summary(program, state_factory, cpu_config=None) -> dict:
     """CPU-only execution summary (the circuit breaker's degraded path)."""
-    from ..cpu import CpuConfig, OutOfOrderCore, collect_trace
+    from ..cpu import OutOfOrderCore, collect_trace
     from ..mem import MemoryHierarchy
 
     config = cpu_config if cpu_config is not None else CpuConfig()
@@ -59,72 +73,128 @@ def cpu_baseline_summary(program, state_factory, cpu_config=None) -> dict:
             "total_cycles": float(core.cycles), "phase_seconds": {}}
 
 
-# -- worker process side ------------------------------------------------------
+@dataclass(frozen=True)
+class OffloadTask:
+    """One execution, as it crosses to wherever the task runs."""
+
+    program: Program
+    state_factory: Callable[[], MachineState]
+    config: str = "M-128"
+    parallelizable: bool = False
+    #: ``"mesa"`` runs the controller; ``"cpu"`` the CPU baseline only.
+    mode: str = "mesa"
+    #: Injected fault (``"crash"`` / ``"hang"``) from a test fault plan.
+    fault: str | None = None
+    hang_s: float = 30.0
+    #: Region records restored before executing: a coalesced request
+    #: carries its leader's, so it hits on whichever worker it lands.
+    seed: tuple[dict, ...] = ()
 
 
-class _WorkerChips:
-    """One worker process's per-chip controllers.
+class ControllerPool:
+    """One shared :class:`MesaController` per chip (backend config).
+
+    The pool is the unit of sharing: every request routed to chip
+    ``M-128`` lands on the same controller, hence the same configuration
+    cache.  Controllers are built lazily on first use with service-grade
+    cache settings (larger, LRU, digest-indexed) derived from
+    ``base_options``.  A pool crosses a process boundary as its settings
+    only: each process builds its own controllers.
+    """
+
+    def __init__(self, base_options: MesaOptions | None = None,
+                 cpu_config: CpuConfig | None = None,
+                 cache_capacity: int = 64,
+                 cache_policy: str = "lru",
+                 cache_tag_indexed: bool = True,
+                 factory: Callable[[str], MesaController] | None = None
+                 ) -> None:
+        self.options = dataclasses.replace(
+            base_options if base_options is not None else MesaOptions(),
+            cache_capacity=cache_capacity,
+            cache_policy=cache_policy,
+            cache_tag_indexed=cache_tag_indexed)
+        self.cpu_config = cpu_config
+        self._factory = factory
+        self._controllers: dict[str, MesaController] = {}
+        self._lock = Lock()
+
+    def __getstate__(self) -> dict:
+        return {"options": self.options, "cpu_config": self.cpu_config,
+                "_factory": self._factory}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _controllers={}, _lock=Lock())
+
+    def controller(self, config_name: str) -> MesaController:
+        with self._lock:
+            controller = self._controllers.get(config_name)
+            if controller is None:
+                if self._factory is not None:
+                    controller = self._factory(config_name)
+                else:
+                    controller = MesaController(
+                        mesa_config(config_name), self.cpu_config,
+                        self.options)
+                self._controllers[config_name] = controller
+            return controller
+
+    def chips(self) -> list[str]:
+        with self._lock:
+            return list(self._controllers)
+
+
+class ChipTask:
+    """The task function: runs an :class:`OffloadTask` on a chip's controller.
 
     The pool hands the same instance to every worker as both the task
     function and (via :meth:`seed`) the initializer; each worker process
-    gets its own copy, which the two share.
+    gets its own copy.  ``isolated`` says the task runs in a worker
+    process, where an injected crash kills the process the way a
+    segfault would; in the service's own process it raises instead.
     """
 
-    def __init__(self, options, cpu_config) -> None:
-        self.options = options
-        self.cpu_config = cpu_config
-        self.controllers: dict[str, Any] = {}
-
-    def controller(self, name: str):
-        controller = self.controllers.get(name)
-        if controller is None:
-            from ..accel import mesa_config
-            from ..core import MesaController
-
-            controller = MesaController(mesa_config(name), self.cpu_config,
-                                        self.options)
-            self.controllers[name] = controller
-        return controller
+    def __init__(self, pool: ControllerPool, isolated: bool) -> None:
+        self.pool = pool
+        self.isolated = isolated
 
     def seed(self, records: list[dict]) -> None:
-        """Warm boot: restore the parent's region records into the caches."""
-        for record in records:
+        """Warm boot: restore region records into each chip's cache."""
+        for config in dict.fromkeys(record.get("config")
+                                    for record in records):
             try:
-                controller = self.controller(record["config"])
+                controller = self.pool.controller(config)
             except Exception:
                 continue
-            controller.restore_cache_regions([record])
+            controller.restore_cache_regions(records)
 
-    def __call__(self, payload: dict) -> dict:
-        """Run one request payload; returns a summary dict."""
-        fault = payload.get("fault")
-        if fault == "crash":
-            # Injected fault: die exactly the way a segfaulting worker
-            # would — no exception crosses the pipe, the parent sees EOF.
-            os._exit(13)
-        if fault == "hang":
-            # Injected fault: wedge until the supervisor's deadline kills us.
-            time.sleep(float(payload.get("hang_s", 3600.0)))
-
-        from ..workloads import build_kernel
-
-        kernel = build_kernel(payload["kernel"],
-                              iterations=int(payload["iterations"]))
-        if payload.get("mode") == "cpu":
-            return {**cpu_baseline_summary(kernel.program,
-                                           kernel.state_factory,
-                                           self.cpu_config),
+    def __call__(self, task: OffloadTask) -> dict:
+        """Run one task; returns a summary dict."""
+        if task.fault == "crash":
+            if self.isolated:
+                # Die exactly the way a segfaulting worker would — no
+                # exception crosses the pipe, the parent sees EOF.
+                os._exit(13)
+            raise RuntimeError("injected crash")
+        if task.fault == "hang":
+            # Wedge until the supervisor's deadline kills us.
+            time.sleep(task.hang_s)
+        if task.mode == "cpu":
+            return {**cpu_baseline_summary(task.program, task.state_factory,
+                                           self.pool.cpu_config),
                     "pid": os.getpid()}
-        controller = self.controller(payload.get("config", "M-128"))
-        result = controller.execute(kernel.program, kernel.state_factory,
-                                    parallelizable=bool(
-                                        payload.get("parallelizable", False)))
+        controller = self.pool.controller(task.config)
+        if task.seed:
+            cache = controller.config_cache
+            controller.restore_cache_regions([
+                record for record in task.seed
+                if not cache.holds(record["start"], record["end"],
+                                   record["config"], record.get("digest"))])
+        result = controller.execute(task.program, task.state_factory,
+                                    parallelizable=task.parallelizable)
         tally = result.cache_stats
-        # Fresh insertions mean this worker configured something the
-        # parent's store may not know yet; the full export is small
-        # (bitstream words) and the store deduplicates by key.
-        new_regions = (controller.export_cache_regions()
-                       if tally.insertions else [])
+        hits, misses = (_region_keys(task.program, result)
+                        if tally.hits or tally.insertions else ((), ()))
         return {"accelerated": result.accelerated,
                 "cache_hit": result.config_cache_hit,
                 "reason": result.reason,
@@ -133,11 +203,21 @@ class _WorkerChips:
                 "phase_seconds": dict(result.phase_seconds),
                 "cache_stats": (tally.hits, tally.misses, tally.evictions,
                                 tally.insertions),
-                "new_regions": new_regions,
+                "new_regions": (controller.export_cache_regions(misses)
+                                if tally.insertions else []),
+                "hit_regions": [(controller.config.name, *key)
+                                for key in hits],
                 "pid": os.getpid()}
 
 
-# -- parent side --------------------------------------------------------------
+def _region_keys(program: Program, result) -> tuple[set, set]:
+    """``(start, end, digest)`` of the execute's regions: (hits, misses)."""
+    hits, misses = set(), set()
+    for region in result.regions:
+        start, end = region.loop.start_address, region.loop.end_address
+        (hits if region.cache_hit else misses).add(
+            (start, end, region_digest(program, start, end)))
+    return hits, misses
 
 
 class ProcessWorkerPool(WorkerPool):
@@ -151,10 +231,13 @@ class ProcessWorkerPool(WorkerPool):
     region records the service holds then.
     """
 
-    def __init__(self, workers: int, options=None, cpu_config=None,
+    def __init__(self, workers: int, pool: ControllerPool | None = None,
                  seed_source: Callable[[], list[dict]] | None = None) -> None:
-        chips = _WorkerChips(options, cpu_config)
-        super().__init__(workers, chips, initializer=chips.seed)
+        # A copy (settings only): a forked worker must not inherit the
+        # caller's controllers, or its lock in whatever state it is in.
+        task = ChipTask(copy.copy(pool) if pool is not None
+                        else ControllerPool(), isolated=True)
+        super().__init__(workers, task, initializer=task.seed)
         self._seed_source = seed_source
 
     def _spawn_initargs(self) -> tuple:

@@ -7,9 +7,10 @@ models that deployment:
 
 * a **controller pool** (:class:`ControllerPool`) holds one
   :class:`~repro.core.controller.MesaController` per chip (backend
-  config), so every request targeting the same backend shares one
-  configuration cache — by default LRU-managed and content-digest-indexed,
-  the deployment knobs of :class:`~repro.core.configure.ConfigCache`;
+  config) in each process that executes, so requests targeting the same
+  backend share a configuration cache — by default LRU-managed and
+  content-digest-indexed, the deployment knobs of
+  :class:`~repro.core.configure.ConfigCache`;
 * a **bounded job queue with admission control**: a request is rejected
   *with a reason* when the queue is full or its client already has its
   quota in flight (per-client fairness — one chatty client cannot starve
@@ -17,8 +18,8 @@ models that deployment:
 * **request coalescing** generalizes ``MesaSystem``'s two-wave trick to a
   stream: a request whose region is identical (same content digest, same
   backend) to one currently being configured waits for that *leader*
-  instead of starting a duplicate translation, then executes against the
-  freshly warmed cache — N identical in-flight regions cost one
+  instead of starting a duplicate translation, then executes with the
+  leader's fresh configuration — N identical in-flight regions cost one
   translation, one miss, N−1 hits;
 * a **metrics surface**: monotonic counters plus log-bucketed latency
   histograms (queue wait, execute wall split cold/warm by cache outcome,
@@ -26,25 +27,27 @@ models that deployment:
   and subtractable for interval reporting
   (:class:`~repro.service.metrics.ServiceStats`).
 
-Two execution backends drive the simulations:
+Every request — a named kernel, a generated region, or the circuit
+breaker's CPU-baseline fallback — becomes one picklable
+:class:`~repro.service.procpool.OffloadTask` for one task function,
+:class:`~repro.service.procpool.ChipTask`, which runs it on the chip's
+controller.  ``workers >= 1`` runs the task on a supervised
+:class:`~repro.service.procpool.ProcessWorkerPool` (the service's subclass
+of the shared :class:`~repro.harness.parallel.WorkerPool`): N worker
+*processes*, per-request deadlines, crash isolation (a dying worker
+degrades only its own request and is replaced in place), sticky
+region→worker affinity, and seeding from the region store so replacement
+workers rejoin warm.  ``workers=0`` runs the same task function in the
+service's own process, one request at a time.  Either way cache counters,
+phase seconds, newly configured regions and the keys of the regions that
+hit come back only through the task's summary.
 
-* ``execution="thread"`` — ``MesaController.execute`` on a
-  ``ThreadPoolExecutor`` (thread-safe: locked cache, thread-local phase
-  accumulator).  Simple, shares one cache, capped at ~1 core by the GIL.
-* ``execution="process"`` — a supervised
-  :class:`~repro.service.procpool.ProcessWorkerPool` (the service's
-  subclass of the shared :class:`~repro.harness.parallel.WorkerPool`): N
-  worker *processes*, per-request deadlines, crash isolation (a dying worker
-  degrades only its own request and is replaced in place), sticky
-  region→worker affinity, and checkpoint-record seeding so replacement
-  workers rejoin warm.
-
-Fault tolerance on top of either backend:
+Fault tolerance on top:
 
 * **per-request deadlines** — ``offload(..., timeout_s=...)``; a request
   that expires while still queued resolves ``status="timeout"`` without
   ever occupying a worker, one that expires mid-execution is killed (a
-  process worker) or detached (a thread);
+  worker process) or detached (an in-process task);
 * **circuit breaking** — a (config, region) key whose requests keep
   failing is served a structured ``status="degraded"`` CPU-baseline
   response instead of burning workers, with half-open probing to close
@@ -53,8 +56,8 @@ Fault tolerance on top of either backend:
   ``idempotency_key`` (the client library keys them by region digest)
   attaches to the original in-flight request or replays its completed
   response — a retry after a dropped connection never double-executes;
-* **checkpointing** — configured regions persist to a versioned snapshot
-  (:mod:`repro.service.checkpoint`) on interval and at shutdown, and are
+* **checkpointing** — the region store persists to a versioned snapshot
+  (:mod:`repro.service.checkpoint`) on interval and at shutdown, and is
   warm-restored at boot, so a restart keeps the cache's hit rate.
 """
 
@@ -66,25 +69,24 @@ import logging
 import time
 from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from threading import Lock
 from typing import Any, Callable
 
-from ..accel import mesa_config
-from ..core import CacheStats, MesaController, MesaOptions, region_digest
-from ..cpu import CpuConfig
+from ..core import CacheStats, region_digest
 from ..isa import MachineState, Program
 from .checkpoint import RegionStore, load_snapshot, save_snapshot
 from .metrics import LatencyHistogram, ServiceStats
 from .procpool import (
+    ChipTask,
     CircuitBreaker,
+    ControllerPool,
+    OffloadTask,
     PoolBroken,
     ProcessWorkerPool,
     WorkerCrash,
     WorkerTaskError,
     WorkerTimeout,
-    cpu_baseline_summary,
 )
 
 __all__ = ["AdmissionError", "OffloadRequest", "OffloadResponse",
@@ -108,20 +110,21 @@ class AdmissionError(RuntimeError):
 
 @dataclass(frozen=True)
 class OffloadRequest:
-    """One client's offload request: a binary plus its fresh-state factory."""
+    """One client's offload request: a binary plus its fresh-state factory.
+
+    With ``workers >= 1`` both cross to a worker process, so both must
+    pickle: a :class:`~repro.workloads.base.StateRecipe` does, a lambda
+    does not (the request then fails with the pickling error).
+    """
 
     program: Program
     state_factory: Callable[[], MachineState]
     client: str = "local"
     config: str = "M-128"
     parallelizable: bool = False
-    #: Display name (e.g. the kernel name); purely informational.
+    #: Display name (e.g. the kernel name); also what a fault plan's
+    #: per-kernel faults match.
     label: str = ""
-    #: Named-kernel identity, set by :meth:`for_kernel`.  Required for the
-    #: multi-process backend (a closure-laden ``program`` cannot cross a
-    #: pipe); empty-kernel requests fall back to the thread backend.
-    kernel: str = ""
-    iterations: int = 0
     #: End-to-end deadline in seconds (queue wait + execution); ``None``
     #: defers to the service-wide default.
     timeout_s: float | None = None
@@ -144,7 +147,6 @@ class OffloadRequest:
                    state_factory=kernel.state_factory,
                    client=client, config=config,
                    parallelizable=kernel.parallelizable, label=name,
-                   kernel=name, iterations=iterations,
                    timeout_s=timeout_s, idempotency_key=idempotency_key)
 
     def coalesce_key(self) -> tuple[str, str]:
@@ -185,70 +187,6 @@ class OffloadResponse:
         return self.status == "completed"
 
 
-class ControllerPool:
-    """One shared :class:`MesaController` per chip (backend config).
-
-    The pool is the unit of sharing: every request the service routes to
-    chip ``M-128`` lands on the same controller, hence the same
-    configuration cache.  Controllers are built lazily on first use with
-    service-grade cache settings (larger, LRU, digest-indexed) derived
-    from ``base_options``; :meth:`cache_stats` sums the monotonic cache
-    counters across chips.
-    """
-
-    def __init__(self, base_options: MesaOptions | None = None,
-                 cpu_config: CpuConfig | None = None,
-                 cache_capacity: int = 64,
-                 cache_policy: str = "lru",
-                 cache_tag_indexed: bool = True,
-                 factory: Callable[[str], MesaController] | None = None
-                 ) -> None:
-        self.options = dataclasses.replace(
-            base_options if base_options is not None else MesaOptions(),
-            cache_capacity=cache_capacity,
-            cache_policy=cache_policy,
-            cache_tag_indexed=cache_tag_indexed)
-        self.cpu_config = cpu_config
-        self._factory = factory
-        self._controllers: dict[str, MesaController] = {}
-        self._lock = Lock()
-
-    def controller(self, config_name: str) -> MesaController:
-        with self._lock:
-            controller = self._controllers.get(config_name)
-            if controller is None:
-                if self._factory is not None:
-                    controller = self._factory(config_name)
-                else:
-                    controller = MesaController(
-                        mesa_config(config_name), self.cpu_config,
-                        self.options)
-                self._controllers[config_name] = controller
-            return controller
-
-    def chips(self) -> list[str]:
-        with self._lock:
-            return list(self._controllers)
-
-    def controllers(self) -> list[MesaController]:
-        with self._lock:
-            return list(self._controllers.values())
-
-    def cache_stats(self) -> CacheStats:
-        """Monotonic shared-cache counters summed over every chip."""
-        total = CacheStats()
-        for controller in self.controllers():
-            total = total + controller.config_cache.stats()
-        return total
-
-    def export_regions(self) -> list[dict]:
-        """Exported cache records from every chip (for checkpointing)."""
-        records: list[dict] = []
-        for controller in self.controllers():
-            records.extend(controller.export_cache_regions())
-        return records
-
-
 @dataclass
 class _Job:
     request: OffloadRequest
@@ -260,6 +198,10 @@ class _Job:
     index: int = 0
     started_at: float = 0.0
     coalesced: bool = False
+    #: Set once a coalescing leader's execution is over; followers wait
+    #: on it and then carry the leader's ``new_regions`` as their seed.
+    configured: asyncio.Event | None = None
+    new_regions: tuple[dict, ...] = ()
 
 
 class MesaService:
@@ -284,25 +226,20 @@ class MesaService:
     def __init__(self, pool: ControllerPool | None = None,
                  max_queue: int = 64, max_per_client: int = 8,
                  workers: int = 2, coalesce: bool = True,
-                 execution: str = "thread",
                  request_timeout_s: float | None = None,
                  checkpoint_path: str | None = None,
                  checkpoint_interval_s: float = 0.0,
                  breaker_threshold: int = 3,
                  breaker_probe_interval: int = 8,
                  fault_plan=None) -> None:
-        if max_queue < 1 or max_per_client < 1 or workers < 1:
-            raise ValueError("max_queue, max_per_client, and workers must "
-                             "be positive")
-        if execution not in ("thread", "process"):
-            raise ValueError(f"unknown execution backend {execution!r}; "
-                             f"expected 'thread' or 'process'")
+        if max_queue < 1 or max_per_client < 1 or workers < 0:
+            raise ValueError("max_queue and max_per_client must be "
+                             "positive, workers non-negative")
         self.pool = pool if pool is not None else ControllerPool()
         self.max_queue = max_queue
         self.max_per_client = max_per_client
         self.workers = workers
         self.coalesce = coalesce
-        self.execution = execution
         self.request_timeout_s = request_timeout_s
         self.checkpoint_path = checkpoint_path
         self.checkpoint_interval_s = checkpoint_interval_s
@@ -315,9 +252,10 @@ class MesaService:
         self._checkpoint_task: asyncio.Task | None = None
         self._executor: ThreadPoolExecutor | None = None
         self._procpool: ProcessWorkerPool | None = None
-        self._store = RegionStore()
+        self._task: ChipTask | None = None
+        self._store = RegionStore(self.pool.options.cache_capacity)
         self._cache_tally = CacheStats()
-        self._inflight: dict[tuple[str, str], asyncio.Event] = {}
+        self._inflight: dict[tuple[str, str], _Job] = {}
         self._dedupe: OrderedDict[tuple[str, str], asyncio.Future] = \
             OrderedDict()
         self._client_load: dict[str, int] = {}
@@ -336,7 +274,8 @@ class MesaService:
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self) -> None:
-        """Restore the checkpoint, boot the backend, spawn workers."""
+        """Restore the checkpoint, boot the worker pool, spawn the job
+        loops."""
         if self._worker_tasks:
             return
         self._started_at = time.perf_counter()
@@ -349,33 +288,32 @@ class MesaService:
             elif records:
                 restored = self._store.add_many(records)
                 self._counters["regions_restored"] += restored
-                if self.execution == "thread":
-                    # Seed the shared controllers now; the process backend
-                    # instead seeds each worker at boot via the store.
-                    await loop.run_in_executor(
-                        None, self._restore_controllers, records)
                 log.info("checkpoint restored %d region(s) from %s",
                          restored, self.checkpoint_path)
-        if self.execution == "process":
+        if self.workers:
+            # Every worker seeds itself from the store at boot.
             self._procpool = ProcessWorkerPool(
-                self.workers, options=self.pool.options,
-                cpu_config=self.pool.cpu_config,
+                self.workers, pool=self.pool,
                 seed_source=self._store.records)
             await loop.run_in_executor(None, self._procpool.start)
+        else:
+            self._task = ChipTask(self.pool, isolated=False)
+            await loop.run_in_executor(None, self._task.seed,
+                                       self._store.records())
+        lanes = max(self.workers, 1)
         # One spare thread so interval checkpoints never wait behind a
         # full complement of executing requests.
         self._executor = ThreadPoolExecutor(
-            max_workers=self.workers + 1, thread_name_prefix="mesa-service")
+            max_workers=lanes + 1, thread_name_prefix="mesa-service")
         self._worker_tasks = [
-            asyncio.ensure_future(self._worker())
-            for _ in range(self.workers)]
+            asyncio.ensure_future(self._worker()) for _ in range(lanes)]
         if self.checkpoint_path and self.checkpoint_interval_s > 0:
             self._checkpoint_task = asyncio.ensure_future(
                 self._checkpoint_loop())
 
     async def close(self) -> None:
         """Graceful shutdown: reject new work, drain admitted jobs, stop
-        the backend, and flush a final checkpoint."""
+        the worker pool, and flush a final checkpoint."""
         self._closed = True
         if self._worker_tasks:
             await self._queue.join()
@@ -407,34 +345,15 @@ class MesaService:
 
     # -- persistence ----------------------------------------------------------
 
-    def _restore_controllers(self, records: list[dict]) -> int:
-        """Seed the thread backend's shared controllers (blocking)."""
-        restored = 0
-        configs = sorted({record.get("config") for record in records
-                          if isinstance(record.get("config"), str)})
-        for config_name in configs:
-            try:
-                controller = self.pool.controller(config_name)
-            except Exception as exc:
-                log.warning("cannot restore regions for chip %r: %s",
-                            config_name, exc)
-                continue
-            restored += controller.restore_cache_regions(records)
-        return restored
-
     def save_checkpoint(self) -> int:
-        """Write the current configured regions to the snapshot file.
+        """Write the region store to the snapshot file.
 
-        Merges the worker-reported store with the thread backend's live
-        caches; blocking (call from an executor thread), atomic on disk.
-        Returns the record count written, 0 when checkpointing is off.
+        Blocking (call from an executor thread), atomic on disk.  Returns
+        the record count written, 0 when checkpointing is off.
         """
         if not self.checkpoint_path:
             return 0
-        merged = RegionStore()
-        merged.add_many(self._store.records())
-        merged.add_many(self.pool.export_regions())
-        count = save_snapshot(self.checkpoint_path, merged.records())
+        count = save_snapshot(self.checkpoint_path, self._store.records())
         self._counters["checkpoints_saved"] += 1
         return count
 
@@ -578,7 +497,7 @@ class MesaService:
             **self._counters,
             worker_restarts=(self._procpool.restarts
                              if self._procpool is not None else 0),
-            cache=self.pool.cache_stats() + self._cache_tally,
+            cache=self._cache_tally,
             uptime_seconds=time.perf_counter() - self._started_at,
             queue_depth=self._queue.qsize(),
             inflight=self._running_jobs,
@@ -591,7 +510,7 @@ class MesaService:
         return self.stats() - since
 
     def process_stats(self) -> dict[str, Any]:
-        """Supervision state of the process backend (zeros for threads)."""
+        """Supervision state of the worker pool (zeros at ``workers=0``)."""
         if self._procpool is None:
             return {"workers": 0, "alive": 0, "restarts": 0, "pids": []}
         return {"workers": self._procpool.size,
@@ -646,7 +565,7 @@ class MesaService:
         return max(0.0, job.deadline - time.perf_counter())
 
     def _resolve_timeout(self, job: _Job, reason: str) -> None:
-        """Terminal ``status="timeout"`` without touching a backend."""
+        """Terminal ``status="timeout"`` without running the task."""
         self._counters["timed_out"] += 1
         now = time.perf_counter()
         request = job.request
@@ -671,14 +590,15 @@ class MesaService:
 
         key = request.coalesce_key() if self.coalesce else None
         leader = self._inflight.get(key) if key is not None else None
-        barrier: asyncio.Event | None = None
+        seed: tuple[dict, ...] = ()
         if leader is not None:
             # Identical region already being configured: wait for its
-            # leader, then execute against the warmed cache (N identical
-            # in-flight regions -> one translation, one miss, N-1 hits).
+            # leader, then execute with the leader's fresh configuration
+            # (N identical in-flight regions -> one translation, one miss,
+            # N-1 hits, whichever worker each lands on).
             job.coalesced = True
             self._counters["coalesced"] += 1
-            await leader.wait()
+            await leader.configured.wait()
             if job.future.cancelled():
                 self._counters["cancelled"] += 1
                 return
@@ -686,35 +606,43 @@ class MesaService:
                 self._resolve_timeout(
                     job, "deadline expired waiting on coalesced leader")
                 return
+            seed = leader.new_regions
         elif key is not None:
-            barrier = asyncio.Event()
-            self._inflight[key] = barrier
+            job.configured = asyncio.Event()
+            self._inflight[key] = job
 
         breaker_key = key if key is not None else request.coalesce_key()
         degraded_reason = (self._breaker.check(breaker_key)
                            if self._breaker is not None else None)
+        if degraded_reason is None:
+            fault, hang_s = self._planned_fault(job)
+            task = OffloadTask(request.program, request.state_factory,
+                               request.config, request.parallelizable,
+                               fault=fault, hang_s=hang_s, seed=seed)
+        else:
+            task = OffloadTask(request.program, request.state_factory,
+                               request.config, mode="cpu")
         start = time.perf_counter()
         try:
-            if degraded_reason is not None:
-                summary = await self._dispatch_degraded(job, degraded_reason)
-            else:
-                summary = await self._dispatch(job, key)
+            summary = await self._dispatch(job, task, breaker_key)
         except asyncio.CancelledError:
             raise
         except Exception as exc:
-            # Containment: an unexpected service-side error is this
-            # request's failure, never the worker loop's.
+            # Containment: an unexpected error is this request's failure,
+            # never the job loop's.
             summary = {"status": "failed",
                        "reason": f"{type(exc).__name__}: {exc}"}
         finally:
-            if barrier is not None:
+            if job.configured is not None:
                 # Release followers even on failure: they re-translate
                 # themselves rather than wait forever.
                 del self._inflight[key]
-                barrier.set()
+                job.configured.set()
+        if degraded_reason is not None and summary["status"] == "completed":
+            summary.update(status="degraded", reason=degraded_reason)
         done = time.perf_counter()
         execute_seconds = done - start
-        status = summary.get("status", "failed")
+        status = summary["status"]
 
         if self._breaker is not None and degraded_reason is None:
             self._breaker.record(breaker_key, status == "completed",
@@ -761,62 +689,46 @@ class MesaService:
             execute_seconds=execute_seconds,
             total_seconds=done - job.submitted_at))
 
-    # -- dispatch backends ----------------------------------------------------
+    # -- dispatch -------------------------------------------------------------
 
     def _planned_fault(self, job: _Job) -> tuple[str | None, float]:
         if self.fault_plan is None:
             return None, 0.0
-        fault = self.fault_plan.execution_fault(
-            job.index, job.request.kernel or job.request.label)
+        fault = self.fault_plan.execution_fault(job.index, job.request.label)
         return fault, getattr(self.fault_plan, "hang_s", 30.0)
 
-    async def _dispatch(self, job: _Job, key: tuple | None) -> dict:
+    async def _dispatch(self, job: _Job, task: OffloadTask,
+                        affinity: Any) -> dict:
+        """Run one task in-process (``workers=0``) or on the worker pool.
+
+        Returns the task's summary with ``status="completed"``, or a
+        terminal status when the request could not finish: a blown
+        deadline is a ``timeout``; a crash, a task error or a broken pool
+        is ``failed``.  An in-process task's own exception propagates.
+        """
         remaining = self._remaining(job)
         if remaining is not None and remaining <= 0.0:
             return {"status": "timeout",
                     "reason": "deadline expired before dispatch"}
-        if self._procpool is not None and job.request.kernel:
-            return await self._dispatch_process(job, key, remaining)
-        return await self._dispatch_thread(job, remaining)
-
-    async def _dispatch_process(self, job: _Job, key: tuple | None,
-                                remaining: float | None) -> dict:
-        request = job.request
-        payload = {"kernel": request.kernel,
-                   "iterations": request.iterations,
-                   "config": request.config,
-                   "parallelizable": request.parallelizable,
-                   "mode": "mesa"}
-        fault, hang_s = self._planned_fault(job)
-        if fault is not None:
-            payload["fault"] = fault
-            payload["hang_s"] = hang_s
-        summary = await self._pool_execute(payload, remaining, affinity=key)
-        if "status" in summary:
-            return summary
-        summary["status"] = "completed"
-        tally = summary.get("cache_stats")
-        if tally:
-            self._cache_tally = self._cache_tally + CacheStats(*tally)
-        new_regions = summary.get("new_regions")
-        if new_regions:
-            self._store.add_many(new_regions)
-        return summary
-
-    async def _pool_execute(self, payload: dict, timeout_s: float | None,
-                            affinity: Any = None) -> dict:
-        """Run one payload on the process pool.
-
-        Returns the worker's summary (no ``status`` key), or a terminal
-        status when the pool failed the request: a blown deadline is a
-        ``timeout``; a crash, a task error or a broken pool is ``failed``.
-        """
         loop = asyncio.get_running_loop()
         try:
-            return await loop.run_in_executor(
-                self._executor,
-                partial(self._procpool.execute, payload,
-                        timeout_s=timeout_s, affinity=affinity))
+            if self._procpool is None:
+                future = loop.run_in_executor(self._executor, self._task,
+                                              task)
+                done, _ = await asyncio.wait({future}, timeout=remaining)
+                if not done:
+                    # A thread cannot be killed: detach it (its eventual
+                    # result is discarded) and resolve the request now.
+                    future.add_done_callback(self._swallow)
+                    return {"status": "timeout",
+                            "reason": f"execution exceeded {remaining:.3f}s "
+                                      f"budget (in-process task detached)"}
+                summary = future.result()
+            else:
+                summary = await loop.run_in_executor(
+                    self._executor,
+                    partial(self._procpool.execute, task,
+                            timeout_s=remaining, affinity=affinity))
         except WorkerTimeout as exc:
             return {"status": "timeout", "reason": str(exc)}
         except WorkerCrash as exc:
@@ -824,70 +736,19 @@ class MesaService:
             return {"status": "failed", "reason": str(exc)}
         except (WorkerTaskError, PoolBroken) as exc:
             return {"status": "failed", "reason": str(exc)}
-
-    async def _dispatch_thread(self, job: _Job,
-                               remaining: float | None) -> dict:
-        request = job.request
-        controller = self.pool.controller(request.config)
-        fault, hang_s = self._planned_fault(job)
-        loop = asyncio.get_running_loop()
-        future = loop.run_in_executor(
-            self._executor,
-            partial(self._thread_execute, controller, request, fault,
-                    hang_s))
-        done, pending = await asyncio.wait({future}, timeout=remaining)
-        if pending:
-            # Threads cannot be killed: detach the executor thread (its
-            # eventual result is discarded) and resolve the request now.
-            future.add_done_callback(self._swallow)
-            return {"status": "timeout",
-                    "reason": f"execution exceeded {remaining:.3f}s budget "
-                              f"(executor thread detached)"}
-        try:
-            result = future.result()
-        except Exception as exc:
-            return {"status": "failed",
-                    "reason": f"{type(exc).__name__}: {exc}"}
-        return {"status": "completed",
-                "accelerated": result.accelerated,
-                "cache_hit": result.config_cache_hit,
-                "reason": result.reason,
-                "speedup": result.speedup_vs_single_core,
-                "total_cycles": result.total_cycles,
-                "phase_seconds": dict(result.phase_seconds)}
-
-    @staticmethod
-    def _thread_execute(controller: MesaController,
-                        request: OffloadRequest, fault: str | None,
-                        hang_s: float):
-        if fault == "crash":
-            raise RuntimeError("injected crash (thread backend)")
-        if fault == "hang":
-            time.sleep(hang_s)
-        return controller.execute(request.program, request.state_factory,
-                                  parallelizable=request.parallelizable)
+        summary["status"] = "completed"
+        tally = summary.get("cache_stats")
+        if tally:
+            self._cache_tally = self._cache_tally + CacheStats(*tally)
+        job.new_regions = tuple(summary.get("new_regions", ()))
+        self._store.add_many(job.new_regions)
+        self._store.touch(summary.get("hit_regions", ()))
+        return summary
 
     @staticmethod
     def _swallow(future) -> None:
         if not future.cancelled():
             future.exception()
-
-    async def _dispatch_degraded(self, job: _Job, reason: str) -> dict:
-        """The circuit breaker's fallback: a CPU-baseline execution."""
-        request = job.request
-        if self._procpool is not None and request.kernel:
-            payload = {"kernel": request.kernel,
-                       "iterations": request.iterations,
-                       "config": request.config, "mode": "cpu"}
-            summary = await self._pool_execute(payload, self._remaining(job))
-        else:
-            summary = await asyncio.get_running_loop().run_in_executor(
-                self._executor,
-                partial(cpu_baseline_summary, request.program,
-                        request.state_factory, self.pool.cpu_config))
-        if "status" not in summary:
-            summary.update(status="degraded", reason=reason)
-        return summary
 
     def _finish(self, job: _Job, response: OffloadResponse) -> None:
         if job.future.cancelled():

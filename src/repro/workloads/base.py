@@ -15,7 +15,7 @@ from typing import Callable
 
 from ..isa import MachineState, Program, Register, assemble, parse_register
 
-__all__ = ["KernelInstance", "load_immediate", "StateBuilder"]
+__all__ = ["KernelInstance", "load_immediate", "StateBuilder", "StateRecipe"]
 
 
 @dataclass(frozen=True)
@@ -100,30 +100,43 @@ class StateBuilder:
         self.words(address, values)
         return values
 
-    def factory(self) -> Callable[[], MachineState]:
+    def factory(self) -> "StateRecipe":
         """A zero-argument factory producing identical fresh states."""
+        return StateRecipe(
+            base_address=self.program.base_address,
+            int_regs=tuple(self._int_regs.items()),
+            fp_regs=tuple(self._fp_regs.items()),
+            float_arrays=tuple((address, tuple(values)) for address, values
+                               in self._float_arrays.items()),
+            word_arrays=tuple((address, tuple(values)) for address, values
+                              in self._word_arrays.items()))
+
+
+@dataclass(frozen=True)
+class StateRecipe:
+    """The recorded inputs of a :class:`StateBuilder`, callable as a state
+    factory.
+
+    Plain frozen data rather than a closure, so a request's state factory
+    pickles across a process boundary along with its program.
+    """
+
+    base_address: int
+    int_regs: tuple[tuple[Register, int], ...]
+    fp_regs: tuple[tuple[Register, float], ...]
+    float_arrays: tuple[tuple[int, tuple[float, ...]], ...]
+    word_arrays: tuple[tuple[int, tuple[int, ...]], ...]
+
+    def __call__(self) -> MachineState:
         from ..mem import Memory
 
-        program = self.program
-        int_regs = dict(self._int_regs)
-        fp_regs = dict(self._fp_regs)
-        float_arrays = {addr: list(vals)
-                        for addr, vals in self._float_arrays.items()}
-        word_arrays = {addr: list(vals)
-                       for addr, vals in self._word_arrays.items()}
-
-        def make() -> MachineState:
-            state = MachineState(pc=program.base_address)
-            memory = Memory()
-            for address, values in float_arrays.items():
-                memory.store_floats(address, values)
-            for address, values in word_arrays.items():
-                memory.store_words(address, values)
-            state.memory = memory
-            for register, value in int_regs.items():
-                state.write(register, value)
-            for register, value in fp_regs.items():
-                state.write(register, value)
-            return state
-
-        return make
+        state = MachineState(pc=self.base_address)
+        memory = Memory()
+        for address, values in self.float_arrays:
+            memory.store_floats(address, values)
+        for address, values in self.word_arrays:
+            memory.store_words(address, values)
+        state.memory = memory
+        for register, value in self.int_regs + self.fp_regs:
+            state.write(register, value)
+        return state

@@ -11,6 +11,7 @@ from repro.accel import mesa_config
 from repro.core import MesaController
 from repro.service import (
     SNAPSHOT_VERSION,
+    ControllerPool,
     MesaService,
     OffloadRequest,
     RegionStore,
@@ -18,7 +19,7 @@ from repro.service import (
     load_snapshot,
     save_snapshot,
 )
-from repro.workloads import build_kernel
+from repro.workloads import GeneratorParams, build_kernel, generate_kernel
 
 
 def configured_controller(iterations=64):
@@ -35,13 +36,40 @@ class TestRegionStore:
     def test_deduplicates_by_key(self):
         record = {"config": "M-128", "start": 0, "end": 4, "digest": "d",
                   "cost": [1, 2, 3, 0], "bitstream": [1, 2]}
-        store = RegionStore()
+        store = RegionStore(capacity=4)
         assert store.add_many([record]) == 1
         assert store.add_many([record, dict(record)]) == 0
         assert len(store) == 1
         other = dict(record, digest="e")
         assert store.add_many([other]) == 1
         assert len(store) == 2
+
+    def test_re_reported_key_moves_to_the_end(self):
+        first, second = ({"config": "M-128", "start": 0, "end": 4,
+                          "digest": digest} for digest in "ab")
+        store = RegionStore(capacity=4)
+        store.add_many([first, second])
+        assert store.add_many([dict(first)]) == 0
+        assert [r["digest"] for r in store.records()] == ["b", "a"]
+
+    def test_touched_key_survives_the_cap(self):
+        a, b, c = ({"config": "M-128", "start": 0, "end": 4,
+                    "digest": digest} for digest in "abc")
+        store = RegionStore(capacity=2)
+        store.add_many([a, b])
+        store.touch([("M-128", 0, 4, "a"), ("M-128", 0, 4, "unknown"),
+                     ("M-64", 0, 4, "a")])
+        store.add_many([c])
+        assert [r["digest"] for r in store.records()] == ["a", "c"]
+
+    def test_capped_per_chip_oldest_first(self):
+        store = RegionStore(capacity=2)
+        store.add_many([{"config": config, "start": 0, "end": 4,
+                         "digest": str(index)}
+                        for index in range(4)
+                        for config in ("M-64", "M-128")])
+        assert [(r["config"], r["digest"]) for r in store.records()] == [
+            ("M-64", "2"), ("M-64", "3"), ("M-128", "2"), ("M-128", "3")]
 
 
 class TestSnapshotFile:
@@ -152,6 +180,64 @@ class TestServiceCheckpointRoundTrip:
             assert stats.cache.hits == 1 and stats.cache.misses == 0
 
         asyncio.run(scenario())
+
+    def test_snapshot_keeps_the_most_recent_regions(self, tmp_path):
+        snap = str(tmp_path / "cache.snapshot.json")
+        kernels = [generate_kernel(GeneratorParams(iterations=64, seed=seed))
+                   for seed in range(40)]
+
+        async def scenario():
+            service = MesaService(
+                pool=ControllerPool(cache_capacity=16), workers=1,
+                checkpoint_path=snap)
+            await service.start()
+            for kernel in kernels:
+                response = await service.offload(OffloadRequest(
+                    program=kernel.program,
+                    state_factory=kernel.state_factory))
+                assert response.ok and not response.cache_hit
+            await service.close()
+
+        asyncio.run(scenario())
+        direct = MesaController(mesa_config("M-128"), None,
+                                ControllerPool(cache_capacity=16).options)
+        for kernel in kernels:
+            direct.execute(kernel.program, kernel.state_factory)
+        records, reason = load_snapshot(snap)
+        assert reason == "" and len(records) == 16
+        assert records == direct.export_cache_regions()
+
+    @pytest.mark.parametrize("workers", [0, 1])
+    def test_snapshot_keeps_a_hit_region_over_older_inserts(self, tmp_path,
+                                                            workers):
+        snap = str(tmp_path / "cache.snapshot.json")
+        a, b, c = (generate_kernel(GeneratorParams(iterations=64, seed=seed))
+                   for seed in range(3))
+
+        async def scenario():
+            service = MesaService(
+                pool=ControllerPool(cache_capacity=2), workers=workers,
+                checkpoint_path=snap)
+            await service.start()
+            hits = []
+            for kernel in (a, b, a, c):
+                response = await service.offload(OffloadRequest(
+                    program=kernel.program,
+                    state_factory=kernel.state_factory))
+                assert response.ok
+                hits.append(response.cache_hit)
+            await service.close()
+            assert hits == [False, False, True, False]
+
+        asyncio.run(scenario())
+        direct = MesaController(mesa_config("M-128"), None,
+                                ControllerPool(cache_capacity=2).options)
+        for kernel in (a, b, a, c):
+            direct.execute(kernel.program, kernel.state_factory)
+        records, reason = load_snapshot(snap)
+        assert reason == "" and len(records) == 2
+        # A was hit after B was inserted, so C evicts B, not A.
+        assert records == direct.export_cache_regions()
 
     def test_corrupt_snapshot_boots_cold(self, tmp_path):
         snap = str(tmp_path / "cache.snapshot.json")

@@ -32,13 +32,6 @@ class CountingController:
         self.calls = 0
         self.lock = threading.Lock()
 
-    class _Cache:
-        @staticmethod
-        def stats():
-            return CacheStats()
-
-    config_cache = _Cache()
-
     def execute(self, program, state_factory, parallelizable=False):
         with self.lock:
             self.calls += 1
@@ -50,13 +43,15 @@ class CountingController:
             speedup_vs_single_core = 2.0
             total_cycles = 100.0
             phase_seconds = {}
+            cache_stats = CacheStats()
 
         return Result()
 
 
 def counting_service(chip, **kwargs):
+    """An in-process service (``workers=0``) whose every chip is ``chip``."""
     return MesaService(pool=ControllerPool(factory=lambda name: chip),
-                       **kwargs)
+                       workers=0, **kwargs)
 
 
 class TestFaultPlan:
@@ -144,8 +139,7 @@ class TestInjectedCrashes:
         chip.execute = flaky_execute
 
         async def scenario():
-            service = counting_service(chip, workers=1,
-                                       breaker_threshold=2,
+            service = counting_service(chip, breaker_threshold=2,
                                        breaker_probe_interval=2)
             await service.start()
             request = OffloadRequest.for_kernel("nn", iterations=24)
@@ -162,7 +156,7 @@ class TestInjectedCrashes:
 
 
 class TestInjectedHangs:
-    def test_hung_thread_request_times_out_and_pool_survives(self):
+    def test_hung_request_times_out_and_pool_survives(self):
         async def scenario():
             service = MesaService(
                 workers=1,
@@ -174,8 +168,8 @@ class TestInjectedHangs:
                 OffloadRequest.for_kernel("nn", iterations=24),
                 timeout_s=0.05)
             assert hung.status == "timeout"
-            # The detached executor thread drains; the service keeps
-            # serving other kernels meanwhile.
+            # The hung worker is killed and replaced; the service keeps
+            # serving other kernels.
             healthy = await service.offload(
                 OffloadRequest.for_kernel("pathfinder", iterations=24))
             stats = service.stats()
@@ -198,7 +192,7 @@ class TestConnectionDrops:
         chip = CountingController()
 
         async def scenario():
-            service = counting_service(chip, workers=1)
+            service = counting_service(chip)
             await service.start()
             server = await serve(service, "127.0.0.1", 0,
                                  fault_plan=DropFirst())

@@ -17,13 +17,6 @@ from repro.service import (
 class InstantController:
     """Controller double that completes immediately."""
 
-    class _Cache:
-        @staticmethod
-        def stats():
-            return CacheStats()
-
-    config_cache = _Cache()
-
     def execute(self, program, state_factory, parallelizable=False):
         class Result:
             accelerated = True
@@ -32,14 +25,15 @@ class InstantController:
             speedup_vs_single_core = 2.0
             total_cycles = 100.0
             phase_seconds = {}
+            cache_stats = CacheStats()
 
         return Result()
 
 
-async def started_service(**kwargs):
+async def started_service():
     service = MesaService(
         pool=ControllerPool(factory=lambda name: InstantController()),
-        **kwargs)
+        workers=0)
     await service.start()
     server = await serve(service, "127.0.0.1", 0)
     host, port = server.sockets[0].getsockname()[:2]
@@ -55,7 +49,7 @@ async def shutdown(service, server):
 class TestMalformedInput:
     def test_garbage_then_valid_on_same_connection(self):
         async def scenario():
-            service, server, host, port = await started_service(workers=1)
+            service, server, host, port = await started_service()
             try:
                 reader, writer = await asyncio.open_connection(host, port)
                 # Malformed JSON: structured error, connection survives.
@@ -83,7 +77,7 @@ class TestMalformedInput:
 
     def test_unknown_kernel_and_bad_timeout_are_structured(self):
         async def scenario():
-            service, server, host, port = await started_service(workers=1)
+            service, server, host, port = await started_service()
             try:
                 bad_kernel = await request_once(host, port, {
                     "op": "offload", "kernel": "not-a-kernel"})
@@ -103,7 +97,7 @@ class TestMalformedInput:
 class TestOversizedFrames:
     def test_oversized_frame_rejected_connection_survives(self):
         async def scenario():
-            service, server, host, port = await started_service(workers=1)
+            service, server, host, port = await started_service()
             try:
                 reader, writer = await asyncio.open_connection(host, port)
                 # A frame past the cap, then a valid request behind it.
@@ -125,7 +119,7 @@ class TestOversizedFrames:
 
     def test_oversized_frame_without_newline_at_eof(self):
         async def scenario():
-            service, server, host, port = await started_service(workers=1)
+            service, server, host, port = await started_service()
             try:
                 reader, writer = await asyncio.open_connection(host, port)
                 writer.write(b"y" * (MAX_LINE_BYTES + 4096))
@@ -145,7 +139,7 @@ class TestOversizedFrames:
 class TestPipelining:
     def test_many_requests_one_connection(self):
         async def scenario():
-            service, server, host, port = await started_service(workers=2)
+            service, server, host, port = await started_service()
             try:
                 reader, writer = await asyncio.open_connection(host, port)
                 for index in range(5):
@@ -169,7 +163,7 @@ class TestPipelining:
 class TestStatsSurface:
     def test_stats_expose_robustness_counters(self):
         async def scenario():
-            service, server, host, port = await started_service(workers=1)
+            service, server, host, port = await started_service()
             try:
                 return await request_once(host, port, {"op": "stats"})
             finally:

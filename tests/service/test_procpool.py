@@ -2,18 +2,24 @@
 deadline kills with in-place replacement, task-error containment, warm
 seeding, and the circuit breaker."""
 
+import dataclasses
 import sys
+from functools import partial
 
 import pytest
 
 from repro.harness import Shard, ShardRunner
 from repro.service import (
     CircuitBreaker,
+    ControllerPool,
+    OffloadTask,
     ProcessWorkerPool,
     WorkerCrash,
     WorkerTaskError,
     WorkerTimeout,
 )
+from repro.service.procpool import ChipTask
+from repro.workloads import GeneratorParams, build_kernel, generate_kernel
 
 _BOOT_TOKEN = None
 #: Set only in the test process; a forked worker would inherit it.
@@ -31,10 +37,14 @@ def _read_process_state(payload):
 
 def cpu_payload(kernel="nn", iterations=24, **extra):
     """A fast worker payload (CPU baseline; no fabric pipeline)."""
-    payload = {"kernel": kernel, "iterations": iterations,
-               "config": "M-128", "mode": "cpu"}
-    payload.update(extra)
-    return payload
+    built = build_kernel(kernel, iterations=iterations)
+    return OffloadTask(built.program, built.state_factory, mode="cpu",
+                       **extra)
+
+
+def mesa_payload(kernel):
+    return OffloadTask(kernel.program, kernel.state_factory,
+                       parallelizable=kernel.parallelizable)
 
 
 @pytest.fixture(scope="module")
@@ -78,8 +88,9 @@ class TestProcessWorkerPool:
     def test_task_error_leaves_worker_alive(self, pool):
         before = set(pool.worker_pids())
         with pytest.raises(WorkerTaskError) as excinfo:
-            pool.execute({"kernel": "no-such-kernel", "iterations": 8,
-                          "config": "M-128", "mode": "cpu"})
+            pool.execute(OffloadTask(
+                cpu_payload().program,
+                partial(build_kernel, "no-such-kernel"), mode="cpu"))
         assert "no-such-kernel" in str(excinfo.value)
         assert set(pool.worker_pids()) == before  # no replacement needed
 
@@ -110,15 +121,56 @@ class TestSeeding:
         pool = ProcessWorkerPool(workers=1, seed_source=lambda: records)
         pool.start()
         try:
-            summary = pool.execute({"kernel": "nn", "iterations": 64,
-                                    "config": "M-128",
-                                    "parallelizable":
-                                        kernel.parallelizable,
-                                    "mode": "mesa"})
+            summary = pool.execute(mesa_payload(kernel))
             assert summary["cache_hit"] is True
             assert summary["total_cycles"] == warm.total_cycles
         finally:
             pool.close()
+
+
+class TestNewRegions:
+    def test_each_cold_request_ships_only_its_own_region(self):
+        kernels = [generate_kernel(GeneratorParams(iterations=64, seed=seed))
+                   for seed in range(6)]
+        pool = ProcessWorkerPool(workers=1)
+        pool.start()
+        try:
+            summaries = [pool.execute(mesa_payload(kernel))
+                         for kernel in kernels]
+        finally:
+            pool.close()
+        assert all(not summary["cache_hit"] for summary in summaries)
+        assert [len(summary["new_regions"]) for summary in summaries] \
+            == [1] * len(kernels)
+        digests = {summary["new_regions"][0]["digest"]
+                   for summary in summaries}
+        assert len(digests) == len(kernels)
+
+
+    def test_hit_ships_its_key_and_no_records(self):
+        kernel = generate_kernel(GeneratorParams(iterations=64, seed=1))
+        task = ChipTask(ControllerPool(), isolated=False)
+        cold = task(mesa_payload(kernel))
+        warm = task(mesa_payload(kernel))
+        (record,) = cold["new_regions"]
+        assert cold["hit_regions"] == []
+        assert warm["cache_hit"] and warm["new_regions"] == []
+        assert warm["hit_regions"] == [(record["config"], record["start"],
+                                        record["end"], record["digest"])]
+
+    def test_seed_already_resident_is_not_restored(self):
+        kernel = generate_kernel(GeneratorParams(iterations=64, seed=1))
+        task = ChipTask(ControllerPool(), isolated=False)
+        records = task(mesa_payload(kernel))["new_regions"]
+        cache = task.pool.controller("M-128").config_cache
+        before = cache.stats().insertions
+        follower = task(dataclasses.replace(mesa_payload(kernel),
+                                            seed=tuple(records)))
+        assert follower["cache_hit"]
+        assert cache.stats().insertions == before
+        # The leader's entry, with its Sdfg, still serves the hit.
+        (entry,) = cache._entries.values()
+        assert entry.sdfg is not None
 
 
 class TestSpawnStartMethod:
@@ -150,11 +202,7 @@ class TestSpawnStartMethod:
         pool = ProcessWorkerPool(workers=1, seed_source=lambda: records)
         pool.start()
         try:
-            summary = pool.execute({"kernel": "nn", "iterations": 64,
-                                    "config": "M-128",
-                                    "parallelizable":
-                                        kernel.parallelizable,
-                                    "mode": "mesa"})
+            summary = pool.execute(mesa_payload(kernel))
         finally:
             pool.close()
         assert summary["cache_hit"] is True

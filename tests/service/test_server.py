@@ -40,6 +40,7 @@ class FakeResult:
     speedup_vs_single_core = 2.0
     total_cycles = 100.0
     phase_seconds = {"execute": 0.001}
+    cache_stats = CacheStats()
 
 
 class FakeController:
@@ -49,13 +50,6 @@ class FakeController:
         self.release = threading.Event()
         self.calls = 0
         self.fail = fail
-
-    class _Cache:
-        @staticmethod
-        def stats():
-            return CacheStats()
-
-    config_cache = _Cache()
 
     def execute(self, program, state_factory, parallelizable=False):
         self.calls += 1
@@ -67,8 +61,9 @@ class FakeController:
 
 
 def fake_service(chip, **kwargs) -> MesaService:
+    """An in-process service (``workers=0``) whose every chip is ``chip``."""
     pool = ControllerPool(factory=lambda name: chip)
-    return MesaService(pool=pool, **kwargs)
+    return MesaService(pool=pool, workers=0, **kwargs)
 
 
 async def spin(predicate, timeout=5.0):
@@ -86,7 +81,7 @@ class TestAdmission:
     def test_queue_full_rejected_with_reason(self):
         async def scenario():
             chip = FakeController()
-            service = fake_service(chip, max_queue=1, workers=1)
+            service = fake_service(chip, max_queue=1)
             await service.start()
             first = asyncio.ensure_future(
                 service.offload(kernel_request(client="a")))
@@ -115,8 +110,7 @@ class TestAdmission:
     def test_per_client_quota_is_fair(self):
         async def scenario():
             chip = FakeController()
-            service = fake_service(chip, max_queue=64, max_per_client=1,
-                                   workers=1)
+            service = fake_service(chip, max_queue=64, max_per_client=1)
             await service.start()
             first = asyncio.ensure_future(
                 service.offload(kernel_request(client="greedy")))
@@ -142,7 +136,7 @@ class TestAdmission:
 
     def test_submit_after_close_rejected(self):
         async def scenario():
-            service = fake_service(FakeController(), workers=1)
+            service = fake_service(FakeController())
             await service.start()
             await service.close()
             with pytest.raises(AdmissionError):
@@ -155,7 +149,7 @@ class TestAdmission:
 
     def test_submit_before_start_rejected(self):
         async def scenario():
-            service = fake_service(FakeController(), workers=1)
+            service = fake_service(FakeController())
             with pytest.raises(AdmissionError):
                 service.submit(kernel_request())
 
@@ -165,7 +159,7 @@ class TestAdmission:
         with pytest.raises(ValueError):
             MesaService(max_queue=0)
         with pytest.raises(ValueError):
-            MesaService(workers=0)
+            MesaService(max_per_client=0)
 
 
 # -- cancellation -------------------------------------------------------------
@@ -175,7 +169,7 @@ class TestCancellation:
     def test_cancel_mid_queue_leaves_pool_healthy(self):
         async def scenario():
             chip = FakeController()
-            service = fake_service(chip, workers=1)
+            service = fake_service(chip)
             await service.start()
             first = asyncio.ensure_future(
                 service.offload(kernel_request(client="a")))
@@ -286,7 +280,7 @@ class TestExecution:
         async def scenario():
             chip = FakeController(fail=True)
             chip.release.set()
-            service = fake_service(chip, workers=1)
+            service = fake_service(chip)
             await service.start()
             failed = await service.offload(kernel_request())
             chip.fail = False
@@ -303,7 +297,7 @@ class TestExecution:
 
     def test_distinct_configs_use_distinct_chips(self):
         async def scenario():
-            service = MesaService(workers=1)
+            service = MesaService(workers=0)
             await service.start()
             await service.offload(kernel_request(config="M-128"))
             await service.offload(kernel_request(config="M-64"))
@@ -404,7 +398,7 @@ class TestDeadlines:
     def test_queue_expired_request_never_occupies_the_chip(self):
         async def scenario():
             chip = FakeController()
-            service = fake_service(chip, workers=1)
+            service = fake_service(chip)
             await service.start()
             blocker = asyncio.ensure_future(
                 service.offload(kernel_request(client="a")))
@@ -432,7 +426,7 @@ class TestDeadlines:
     def test_request_default_timeout_from_service(self):
         async def scenario():
             chip = FakeController()
-            service = fake_service(chip, workers=1, request_timeout_s=0.05)
+            service = fake_service(chip, request_timeout_s=0.05)
             await service.start()
             response = await service.offload(kernel_request())
             await spin(lambda: True)
@@ -451,7 +445,7 @@ class TestDedupe:
         async def scenario():
             chip = FakeController()
             chip.release.set()
-            service = fake_service(chip, workers=1)
+            service = fake_service(chip)
             await service.start()
             request = kernel_request()
             request = dataclasses.replace(request, idempotency_key="idem-1")
@@ -470,7 +464,7 @@ class TestDedupe:
     def test_inflight_retry_attaches_to_leader(self):
         async def scenario():
             chip = FakeController()
-            service = fake_service(chip, workers=2)
+            service = fake_service(chip)
             await service.start()
             request = dataclasses.replace(kernel_request(),
                                           idempotency_key="idem-2")
@@ -492,7 +486,7 @@ class TestDedupe:
         async def scenario():
             chip = FakeController(fail=True)
             chip.release.set()
-            service = fake_service(chip, workers=1)
+            service = fake_service(chip)
             await service.start()
             request = dataclasses.replace(kernel_request(),
                                           idempotency_key="idem-3")
@@ -513,7 +507,7 @@ class TestDedupe:
         async def scenario():
             chip = FakeController()
             chip.release.set()
-            service = fake_service(chip, workers=1)
+            service = fake_service(chip)
             await service.start()
             first = await service.offload(dataclasses.replace(
                 kernel_request(client="a"), idempotency_key="shared"))
@@ -531,7 +525,7 @@ class TestGracefulDrain:
     def test_close_finishes_inflight_and_rejects_new(self):
         async def scenario():
             chip = FakeController()
-            service = fake_service(chip, workers=1)
+            service = fake_service(chip)
             await service.start()
             inflight = asyncio.ensure_future(
                 service.offload(kernel_request(client="a")))
@@ -554,11 +548,11 @@ class TestGracefulDrain:
         assert stats.completed == 1
         assert stats.queue_depth == 0 and stats.inflight == 0
 
-    def test_process_stats_zero_for_thread_backend(self):
+    def test_process_stats_zero_in_process(self):
         async def scenario():
             chip = FakeController()
             chip.release.set()
-            service = fake_service(chip, workers=1)
+            service = fake_service(chip)
             await service.start()
             state = service.process_stats()
             await service.close()
@@ -568,9 +562,9 @@ class TestGracefulDrain:
         assert state == {"workers": 0, "alive": 0, "restarts": 0,
                          "pids": []}
 
-    def test_invalid_execution_backend_rejected(self):
+    def test_negative_workers_rejected(self):
         with pytest.raises(ValueError):
-            MesaService(execution="fiber")
+            MesaService(workers=-1)
 
 
 class FailingPool:
@@ -597,7 +591,7 @@ class FailingPool:
         return [None] * self.size
 
     def execute(self, payload, timeout_s=None, affinity=None):
-        if payload["mode"] != "cpu":
+        if payload.mode != "cpu":
             raise WorkerTaskError("fabric caught fire")
         self.restarts += 1
         raise self.degraded_error("injected pool failure")
@@ -614,8 +608,7 @@ class TestProcessDegradedPath:
         monkeypatch.setattr(server_module, "ProcessWorkerPool", pool_type)
 
         async def scenario():
-            service = MesaService(workers=1, execution="process",
-                                  breaker_threshold=1,
+            service = MesaService(workers=1, breaker_threshold=1,
                                   breaker_probe_interval=100)
             await service.start()
             first = await service.offload(kernel_request(iterations=24))
