@@ -13,7 +13,7 @@ on everything the batched path accepts.  That is only possible because of a
 few provable properties of the model:
 
 * **Float semantics.**  The interpreter computes every FP op as
-  ``_f32(op(float(a), float(b)))`` — float64 arithmetic rounded to binary32.
+  ``f32(op(float(a), float(b)))`` — float64 arithmetic rounded to binary32.
   The batched path converts operands to float64 (exact for binary32 values
   and for integers in the RV32 range), applies the same float64 ufunc, and
   rounds with ``astype(float32)`` — the identical computation, including NaN
@@ -86,11 +86,10 @@ try:
 except ImportError:  # pragma: no cover - the toolchain ships numpy
     np = None
 
-from ..isa import Opcode
+from ..isa import ACCESS_FORMATS, Opcode
 from ..isa.registers import RegFile
 from ..mem.lsq import block_alias_hazard
 from .plan import (
-    _LOAD_FORMATS,
     K_CONST,
     K_LOOP,
     K_NODE,
@@ -146,7 +145,7 @@ def _f64(a):
 
 
 def _r32(a):
-    """Round float64 lanes to binary32 — the vector ``_f32`` (overflow goes
+    """Round float64 lanes to binary32 — the vector ``f32`` (overflow goes
     to ±inf under the suppressed-errstate astype, matching saturation)."""
     return a.astype(np.float32)
 
@@ -427,7 +426,7 @@ def _compile(plan):
             rec.tag = "mem"
             rec.req1 = "i"  # address base goes through int()
             if mem.is_load:
-                size, signed = _LOAD_FORMATS[instr.opcode]
+                size, signed = ACCESS_FORMATS[instr.opcode]
                 if instr.opcode is Opcode.FLW:
                     rec.dtype = D_FP
                 elif signed:
@@ -739,7 +738,6 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
     speculative = options.speculative_loads
     store_issue = plan.store_issue
     memory = state.memory
-    gather = getattr(memory, "gather", None)
     access = hierarchy.access
     ideal_latency = hierarchy.ideal_latency
 
@@ -766,8 +764,7 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
         # -- phase A: values -------------------------------------------------
         with np.errstate(all="ignore"):
             vals, offs, taken, mem_vecs = _phase_values(
-                bp, nb, first, prev, const1, const2, const_fb, memory,
-                gather)
+                bp, nb, first, prev, const1, const2, const_fb, memory.gather)
 
         loop_vec = taken[loop_id]
         exited = not loop_vec.all()
@@ -906,8 +903,7 @@ def _truncate(vals, offs, mem_vecs, nb):
                 rec_vec[j] = vec[:nb]
 
 
-def _phase_values(bp, nb, first, prev, const1, const2, const_fb, memory,
-                  gather):
+def _phase_values(bp, nb, first, prev, const1, const2, const_fb, gather):
     """Compute every node's (nb,)-value vector in topological order."""
     nodes = bp.nodes
     n = len(nodes)
@@ -961,22 +957,8 @@ def _phase_values(bp, nb, first, prev, const1, const2, const_fb, memory,
                 offs[i] = off
                 on = ~off
             if mem_plan.is_load:
-                addr_list = addr.tolist()
-                if on is not None:
-                    mask = on.tolist()
-                    if gather is not None:
-                        raw = gather(addr_list, mem_plan.size, mask)
-                    else:
-                        load = memory.load
-                        size = mem_plan.size
-                        raw = [load(a, size) if live else 0
-                               for a, live in zip(addr_list, mask)]
-                elif gather is not None:
-                    raw = gather(addr_list, mem_plan.size)
-                else:
-                    load = memory.load
-                    size = mem_plan.size
-                    raw = [load(a, size) for a in addr_list]
+                raw = gather(addr.tolist(), mem_plan.size,
+                             None if on is None else on.tolist())
                 if rec.dtype == D_FP:
                     value = np.array(raw, np.uint32).view(np.float32)
                 else:

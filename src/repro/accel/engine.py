@@ -38,15 +38,15 @@ from __future__ import annotations
 
 import functools
 import math
-import struct
 from dataclasses import dataclass
 
 from ..isa import (
-    Instruction,
+    ACCESS_FORMATS,
     MachineState,
-    Opcode,
     apply_operation,
     branch_taken,
+    load_value,
+    store_value,
 )
 from ..mem import (
     AccessKind,
@@ -59,7 +59,7 @@ from .batch import drive_batched
 from .config import AcceleratorConfig
 from .counters import ActivityCounters, LatencyCounters
 from .interconnect import Interconnect, build_interconnect
-from .plan import _LOAD_FORMATS, _STORE_SIZES, compile_plan
+from .plan import compile_plan
 from .program import AcceleratorProgram, ConfiguredNode, Operand, OperandKind
 
 __all__ = ["ExecutionOptions", "AcceleratorRun", "DataflowEngine"]
@@ -353,13 +353,13 @@ class DataflowEngine:
         """Execute a load/store entry: disambiguation, forwarding, ports."""
         instr = node.instruction
         address = (base + instr.imm) & ((1 << self.config.xlen) - 1)
+        size = ACCESS_FORMATS[instr.opcode][0]
         if instr.is_load:
-            size, signed = _LOAD_FORMATS[instr.opcode]
             lsq.push(node.node_id, AccessKind.LOAD, pc=instr.address, size=size)
             outcome, store = lsq.resolve_load(node.node_id, address)
             activity.loads += 1
             if outcome is LoadOutcome.FORWARDED:
-                value = self._load_value(state, instr, address, size, signed)
+                value = load_value(state.memory, instr.opcode, address)
                 store_done = completion.get(store.seq, ready)
                 fwd_done = (max(ready, store_done)
                             + self.config.latencies.store_issue)
@@ -391,7 +391,7 @@ class DataflowEngine:
             if node.prefetched and iteration > 0:
                 # Issued an iteration early: only the L1 latency is exposed.
                 cycles = min(cycles, self.hierarchy.ideal_latency)
-            value = self._load_value(state, instr, address, size, signed)
+            value = load_value(state.memory, instr.opcode, address)
             done = grant + cycles
             if options.speculative_loads:
                 # §4.2 invalidation: an older store whose address resolved
@@ -406,36 +406,15 @@ class DataflowEngine:
                         break
             return value, done
         # Store: commit the value to memory; timing is port grant + hand-off.
-        size = _STORE_SIZES[instr.opcode]
         lsq.push(node.node_id, AccessKind.STORE, pc=instr.address, size=size)
         lsq.resolve_store(node.node_id, address)
         activity.stores += 1
         grant = ports.request(ready)
         self.hierarchy.access(address, is_write=True, pc=instr.address)
-        self._store_value(state, instr, address, size, data)
+        store_value(state.memory, instr.opcode, address, data)
         done = grant + self.config.latencies.store_issue
         stores_seen.append((node.node_id, address, size, done))
         return 0, done
-
-    @staticmethod
-    def _load_value(state: MachineState, instr: Instruction, address: int,
-                    size: int, signed: bool):
-        raw = state.memory.load(address, size)
-        if instr.opcode is Opcode.FLW:
-            return struct.unpack("<f", raw.to_bytes(4, "little"))[0]
-        if signed:
-            sign = 1 << (size * 8 - 1)
-            return (raw & (sign - 1)) - (raw & sign)
-        return raw
-
-    @staticmethod
-    def _store_value(state: MachineState, instr: Instruction, address: int,
-                     size: int, data) -> None:
-        if instr.opcode is Opcode.FSW:
-            raw = int.from_bytes(struct.pack("<f", float(data)), "little")
-        else:
-            raw = int(data) & ((1 << (size * 8)) - 1)
-        state.memory.store(address, size, raw)
 
     # -- mode timing ---------------------------------------------------------------
 

@@ -35,7 +35,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from ..isa import ExecutionError, Opcode, compile_branch, compile_operation
+from ..isa import (
+    ACCESS_FORMATS,
+    ExecutionError,
+    compile_branch,
+    compile_operation,
+)
 from .config import AcceleratorConfig
 from .interconnect import Interconnect
 from .program import (
@@ -63,16 +68,6 @@ K_NODE = 2   # same-iteration DFG edge
 N_COMPUTE = 0
 N_MEMORY = 1
 N_CONTROL = 2  # branch or jump
-
-_LOAD_FORMATS = {
-    Opcode.LB: (1, True), Opcode.LBU: (1, False),
-    Opcode.LH: (2, True), Opcode.LHU: (2, False),
-    Opcode.LW: (4, True), Opcode.FLW: (4, False),
-    Opcode.LWU: (4, False), Opcode.LD: (8, True),
-}
-_STORE_SIZES = {Opcode.SB: 1, Opcode.SH: 2, Opcode.SW: 4, Opcode.FSW: 4,
-                Opcode.SD: 8}
-
 
 @dataclass(frozen=True, slots=True)
 class EdgePlan:
@@ -243,8 +238,7 @@ class ExecutionPlan:
             kind = N_MEMORY
             memory = MemoryPlan(
                 is_load=instr.is_load,
-                size=(_LOAD_FORMATS[instr.opcode][0] if instr.is_load
-                      else _STORE_SIZES[instr.opcode]),
+                size=ACCESS_FORMATS[instr.opcode][0],
                 imm=instr.imm,
                 pc=instr.address,
                 vector_group=node.vector_group,

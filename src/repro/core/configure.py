@@ -378,12 +378,6 @@ class ConfigCache:
         return InsertOutcome(bitstream=bitstream, evicted=evicted,
                              replaced=replaced)
 
-    def insert(self, start: int, end: int, config_name: str,
-               program: AcceleratorProgram,
-               cost: ConfigurationCost) -> list[int]:
-        """Cache a configuration; returns its bitstream."""
-        return self.put(start, end, config_name, program, cost).bitstream
-
     def holds(self, start: int, end: int, config_name: str,
               digest: str | None = None) -> bool:
         """Whether :meth:`lookup` would hit, without counting or touching."""

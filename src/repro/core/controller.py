@@ -610,8 +610,6 @@ class MesaController:
         state = state_factory()
         executor = Executor(program, state)
         breakdown = CycleBreakdown()
-        stepped = 0
-        start, end = program.base_address, program.end_address
         by_entry = {region.loop.start_address: region for region in regions}
         engines = {
             region.loop.start_address: DataflowEngine(
@@ -622,33 +620,34 @@ class MesaController:
         visits: dict[int, int] = {addr: 0 for addr in by_entry}
         configured: set[int] = set()  # regions past their first offload
 
-        while start <= state.pc < end:
-            region = by_entry.get(state.pc)
-            if region is not None:
-                entry = state.pc
-                visits[entry] += 1
-                threshold = 0 if entry in configured else region.warmup
-                if visits[entry] > threshold:
-                    # Offload: drain, transfer state, run on the fabric.
-                    region.offloads += 1
-                    configured.add(entry)
-                    accel_program = region.accel_program
-                    breakdown.offload_cycles += options.offload.offload_cycles(
-                        len(accel_program.live_in))
-                    run = engines[entry].run(
-                        state, region.plan.to_execution_options(
-                            speculative_loads=options.speculative_loads))
-                    region.runs.append(run)
-                    breakdown.accel_cycles += run.cycles
-                    breakdown.return_cycles += options.offload.return_cycles(
-                        len(accel_program.live_out))
-                    state.pc = region.loop.end_address + 4
-                    visits[entry] = 0
-                    continue
-            executor.step()
-            stepped += 1
-            if stepped > max_steps:
-                raise RuntimeError("functional execution exceeded max_steps")
+        # The executor stops at every region entry; each stop either
+        # offloads the region or steps past its entry on the CPU.
+        stepped = executor.run(max_steps, stop_pcs=by_entry)
+        while state.pc in by_entry:
+            entry = state.pc
+            region = by_entry[entry]
+            visits[entry] += 1
+            threshold = 0 if entry in configured else region.warmup
+            if visits[entry] > threshold:
+                # Offload: drain, transfer state, run on the fabric.
+                region.offloads += 1
+                configured.add(entry)
+                accel_program = region.accel_program
+                breakdown.offload_cycles += options.offload.offload_cycles(
+                    len(accel_program.live_in))
+                run = engines[entry].run(
+                    state, region.plan.to_execution_options(
+                        speculative_loads=options.speculative_loads))
+                region.runs.append(run)
+                breakdown.accel_cycles += run.cycles
+                breakdown.return_cycles += options.offload.return_cycles(
+                    len(accel_program.live_out))
+                state.pc = region.loop.end_address + 4
+                visits[entry] = 0
+            else:
+                executor.step()
+                stepped += 1
+            stepped += executor.run(max_steps - stepped, stop_pcs=by_entry)
         breakdown.cpu_cycles = stepped * cpi
 
         # The primary region is the hottest one that actually ran.
@@ -689,14 +688,8 @@ class MesaController:
     def _state_at_loop_entry(self, program: Program, decision: RegionDecision,
                              state: MachineState, max_steps: int) -> MachineState:
         """Functionally advance a fresh state to the loop's entry point."""
-        executor = Executor(program, state)
-        start, end = program.base_address, program.end_address
-        steps = 0
-        while start <= state.pc < end and state.pc != decision.loop.start_address:
-            executor.step()
-            steps += 1
-            if steps > max_steps:
-                raise RuntimeError("loop entry never reached")
+        Executor(program, state).run(
+            max_steps, stop_pcs=(decision.loop.start_address,))
         return state
 
     # -- configuration-cache persistence ---------------------------------------

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..isa import OpClass, Opcode
+from ..isa import ACCESS_FORMATS, OpClass
 from .ldfg import Ldfg, LdfgEntry, SourceKind
 
 __all__ = ["MemoptReport", "apply_memory_optimizations",
@@ -37,18 +37,12 @@ class MemoptReport:
     prefetched_loads: int = 0
 
 
-_WIDTH = {
-    Opcode.LB: 1, Opcode.LBU: 1, Opcode.SB: 1,
-    Opcode.LH: 2, Opcode.LHU: 2, Opcode.SH: 2,
-    Opcode.LW: 4, Opcode.FLW: 4, Opcode.SW: 4, Opcode.FSW: 4,
-}
-
-
 def _same_address(a: LdfgEntry, b: LdfgEntry) -> bool:
     """Same base-register source (post-rename) and same offset and width."""
     return (a.s1 == b.s1
             and a.instruction.imm == b.instruction.imm
-            and _WIDTH[a.instruction.opcode] == _WIDTH[b.instruction.opcode])
+            and (ACCESS_FORMATS[a.instruction.opcode][0]
+                 == ACCESS_FORMATS[b.instruction.opcode][0]))
 
 
 def forward_store_loads(ldfg: Ldfg) -> int:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from ..isa import ExecutionError, Executor, Instruction, MachineState, Program
-from ..isa.semantics import _DISPATCH
 
 __all__ = ["TraceEntry", "Trace", "collect_trace"]
 
@@ -73,8 +72,7 @@ def collect_trace(program: Program, state: MachineState | None = None,
     executor = Executor(program, state)
     state = executor.state
     instructions = program.instructions
-    # Per-opcode handlers, resolved once per static instruction.
-    handlers = [_DISPATCH.get(instr.opcode) for instr in instructions]
+    handlers = executor.handlers
     address_mask = (1 << state.xlen) - 1
     # A named tuple's generated __new__ is a Python-level call per entry.
     new_entry = tuple.__new__

@@ -23,15 +23,18 @@ from .registers import (
     x,
 )
 from .semantics import (
+    ACCESS_FORMATS,
     ExecutionError,
     Executor,
     MachineState,
-    MemoryLike,
     apply_operation,
     branch_taken,
     compile_branch,
     compile_operation,
+    f32,
+    load_value,
     run,
+    store_value,
 )
 
 __all__ = [
@@ -53,10 +56,13 @@ __all__ = [
     "parse_register",
     "INT_ABI_NAMES",
     "FP_ABI_NAMES",
+    "ACCESS_FORMATS",
     "ExecutionError",
     "Executor",
     "MachineState",
-    "MemoryLike",
+    "f32",
+    "load_value",
+    "store_value",
     "run",
     "apply_operation",
     "branch_taken",

@@ -16,14 +16,15 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Iterator, Protocol
+from typing import Collection
 
+from ..mem import Memory
 from .assembler import Program
-from .instructions import Instruction, Opcode
+from .instructions import OPCODE_CLASS, Instruction, OpClass, Opcode
 from .registers import RegFile, Register
 
 __all__ = [
-    "MemoryLike",
+    "ACCESS_FORMATS",
     "ExecutionError",
     "MachineState",
     "Executor",
@@ -32,9 +33,10 @@ __all__ = [
     "branch_taken",
     "compile_operation",
     "compile_branch",
+    "f32",
+    "load_value",
+    "store_value",
 ]
-
-_MASK32 = 0xFFFFFFFF
 
 
 def _ts(value: int, xlen: int = 32) -> int:
@@ -49,23 +51,11 @@ def _tu(value: int, xlen: int = 32) -> int:
     return value & ((1 << xlen) - 1)
 
 
-class MemoryLike(Protocol):
-    """The memory interface the executor needs (satisfied by repro.mem)."""
-
-    def load(self, address: int, size: int) -> int:
-        """Read ``size`` bytes at ``address`` as an unsigned little-endian int."""
-        ...
-
-    def store(self, address: int, size: int, value: int) -> None:
-        """Write ``size`` low bytes of ``value`` at ``address``."""
-        ...
-
-
 class ExecutionError(RuntimeError):
     """Raised on unexecutable instructions (system ops, runaway loops)."""
 
 
-def _f32(value: float) -> float:
+def f32(value: float) -> float:
     """Round a Python float to single precision (the accelerator is FP32).
 
     Magnitudes beyond FP32 range overflow to ±inf, as IEEE-754
@@ -77,22 +67,6 @@ def _f32(value: float) -> float:
         return math.inf if value > 0 else -math.inf
 
 
-class _DictMemory:
-    """Sparse byte-addressed memory used when no hierarchy is supplied."""
-
-    def __init__(self) -> None:
-        self._bytes: dict[int, int] = {}
-
-    def load(self, address: int, size: int) -> int:
-        return int.from_bytes(
-            bytes(self._bytes.get(address + i, 0) for i in range(size)), "little"
-        )
-
-    def store(self, address: int, size: int, value: int) -> None:
-        for i, byte in enumerate(int(value).to_bytes(size, "little", signed=False)):
-            self._bytes[address + i] = byte
-
-
 @dataclass
 class MachineState:
     """Architectural state: PC, integer/FP register files, and memory.
@@ -102,7 +76,7 @@ class MachineState:
     """
 
     pc: int = 0
-    memory: MemoryLike = field(default_factory=_DictMemory)
+    memory: Memory = field(default_factory=Memory)
     xlen: int = 32
     _int_regs: list[int] = field(default_factory=lambda: [0] * 32)
     _fp_regs: list[float] = field(default_factory=lambda: [0.0] * 32)
@@ -123,7 +97,7 @@ class MachineState:
             if reg.index != 0:
                 self._int_regs[reg.index] = _ts(int(value), self.xlen)
         else:
-            self._fp_regs[reg.index] = _f32(float(value))
+            self._fp_regs[reg.index] = f32(float(value))
 
     def snapshot(self) -> dict[str, int | float]:
         """Register values keyed by ABI name (for test assertions)."""
@@ -153,12 +127,41 @@ def _rem(a: int, b: int, xlen: int = 32) -> int:
     return a - _div(a, b, xlen) * b
 
 
-_LOAD_SIZES = {Opcode.LB: 1, Opcode.LBU: 1, Opcode.LH: 2, Opcode.LHU: 2,
-               Opcode.LW: 4, Opcode.FLW: 4, Opcode.LWU: 4, Opcode.LD: 8}
-#: Loads whose value is sign-extended to the register width.
-_SIGNED_LOADS = frozenset({Opcode.LB, Opcode.LH, Opcode.LW, Opcode.LD})
-_STORE_SIZES = {Opcode.SB: 1, Opcode.SH: 2, Opcode.SW: 4, Opcode.FSW: 4,
-                Opcode.SD: 8}
+#: The one load/store format table: opcode -> (access size in bytes,
+#: whether a load sign-extends to the register width).  Stores never
+#: extend; their entry's flag is False.
+ACCESS_FORMATS: dict[Opcode, tuple[int, bool]] = {
+    Opcode.LB: (1, True), Opcode.LBU: (1, False), Opcode.SB: (1, False),
+    Opcode.LH: (2, True), Opcode.LHU: (2, False), Opcode.SH: (2, False),
+    Opcode.LW: (4, True), Opcode.LWU: (4, False), Opcode.SW: (4, False),
+    Opcode.FLW: (4, False), Opcode.FSW: (4, False),
+    Opcode.LD: (8, True), Opcode.SD: (8, False),
+}
+
+
+def load_value(memory: Memory, opcode: Opcode, address: int) -> int | float:
+    """The register value a load ``opcode`` reads at ``address``: FLW
+    reinterprets the bits as binary32, signed loads sign-extend."""
+    size, signed = ACCESS_FORMATS[opcode]
+    raw = memory.load(address, size)
+    if opcode is Opcode.FLW:
+        return struct.unpack("<f", raw.to_bytes(4, "little"))[0]
+    if signed:
+        sign = 1 << (size * 8 - 1)
+        return (raw & (sign - 1)) - (raw & sign)
+    return raw
+
+
+def store_value(memory: Memory, opcode: Opcode, address: int,
+                value: int | float) -> None:
+    """Commit a store ``opcode`` of register ``value`` at ``address``: FSW
+    packs the binary32 bits, integer stores keep the low ``size`` bytes."""
+    size = ACCESS_FORMATS[opcode][0]
+    if opcode is Opcode.FSW:
+        raw = int.from_bytes(struct.pack("<f", float(value)), "little")
+    else:
+        raw = int(value) & ((1 << (size * 8)) - 1)
+    memory.store(address, size, raw)
 
 
 class Executor:
@@ -168,6 +171,10 @@ class Executor:
         self.program = program
         self.state = state if state is not None else MachineState(pc=program.base_address)
         self.instret = 0  # dynamic instruction count
+        #: Per-static-instruction handler, resolved once (None where the
+        #: opcode has no semantics; :meth:`_execute` names the error).
+        self.handlers = [_DISPATCH.get(instr.opcode)
+                         for instr in program.instructions]
 
     def effective_address(self, instr: Instruction) -> int:
         """The memory address a load/store would access in the current state."""
@@ -186,30 +193,43 @@ class Executor:
         self.instret += 1
         return instr
 
-    def run(self, max_steps: int = 1_000_000) -> int:
-        """Run until PC leaves the program; returns instructions executed.
+    def run(self, max_steps: int = 1_000_000,
+            stop_pcs: Collection[int] = ()) -> int:
+        """Run until the pc leaves the program or reaches a pc in
+        ``stop_pcs`` (checked before every step, the first included);
+        returns the number of instructions executed.
 
         Raises:
-            ExecutionError: if ``max_steps`` is exceeded.
+            ExecutionError: if the run needs more than ``max_steps`` steps,
+                or reaches an instruction without semantics.
+            KeyError: on a misaligned pc inside the program.
         """
+        state = self.state
+        program = self.program
+        instructions = program.instructions
+        handlers = self.handlers
+        start, end = program.base_address, program.end_address
+        pc = state.pc
         steps = 0
-        start = self.program.base_address
-        while start <= self.state.pc < self.program.end_address:
-            self.step()
-            steps += 1
-            if steps > max_steps:
-                raise ExecutionError(f"exceeded {max_steps} steps (runaway loop?)")
+        try:
+            while start <= pc < end and pc not in stop_pcs:
+                if steps >= max_steps:
+                    raise ExecutionError(
+                        f"exceeded {max_steps} steps (runaway loop?)")
+                offset = pc - start
+                if offset & 3:
+                    program.at(pc)  # raises KeyError: misaligned
+                index = offset >> 2
+                instr = instructions[index]
+                handler = handlers[index]
+                if handler is None:
+                    self._execute(instr)  # raises ExecutionError
+                target = handler(self, instr)
+                pc = state.pc = pc + 4 if target is None else target
+                steps += 1
+        finally:
+            self.instret += steps
         return steps
-
-    def trace(self, max_steps: int = 1_000_000) -> Iterator[Instruction]:
-        """Yield the dynamic instruction stream until the program exits."""
-        steps = 0
-        start = self.program.base_address
-        while start <= self.state.pc < self.program.end_address:
-            yield self.step()
-            steps += 1
-            if steps > max_steps:
-                raise ExecutionError(f"exceeded {max_steps} steps (runaway loop?)")
 
     # -- per-opcode semantics -------------------------------------------------
 
@@ -217,8 +237,7 @@ class Executor:
         """Apply an instruction's effects; return the taken PC if a transfer.
 
         Dispatch is a single per-opcode table lookup (``_DISPATCH``, built
-        once at import) rather than a chain of set-membership tests — this
-        sits under every functionally executed instruction.
+        once at import) rather than a chain of set-membership tests.
         """
         handler = _DISPATCH.get(instr.opcode)
         if handler is None:
@@ -233,11 +252,6 @@ class Executor:
             raise ExecutionError(
                 f"RV64I instruction {instr} on an RV32 (xlen=32) state"
             )
-
-
-def _sext_bits(value: int, bits: int) -> int:
-    sign = 1 << (bits - 1)
-    return (value & (sign - 1)) - (value & sign)
 
 
 # Integer operations take (a, b, xlen): shifts mask by xlen-1, unsigned
@@ -336,9 +350,8 @@ _FP_UNARY = {
 
 # -- per-opcode dispatch table ------------------------------------------------
 #
-# One handler per opcode, closed over that opcode's semantic function.  The
-# handlers reproduce the per-group bodies of the previous ``_execute``
-# if-chain exactly; only the dispatch mechanism changed.
+# One handler per opcode, closed over that opcode's semantic function; an
+# Executor resolves them once per static instruction.
 
 def _h_nop(ex: "Executor", instr: Instruction) -> None:
     return None
@@ -401,16 +414,8 @@ def _h_load(ex: "Executor", instr: Instruction) -> None:
     if instr.requires_rv64:
         ex._require_rv64(instr)
     st = ex.state
-    addr = ex.effective_address(instr)
-    op = instr.opcode
-    size = _LOAD_SIZES[op]
-    raw = st.memory.load(addr, size)
-    if op is Opcode.FLW:
-        st.write(instr.rd, struct.unpack("<f", raw.to_bytes(4, "little"))[0])
-    elif op in _SIGNED_LOADS:
-        st.write(instr.rd, _sext_bits(raw, size * 8))
-    else:
-        st.write(instr.rd, raw)
+    st.write(instr.rd, load_value(st.memory, instr.opcode,
+                                  ex.effective_address(instr)))
     return None
 
 
@@ -419,15 +424,8 @@ def _h_store(ex: "Executor", instr: Instruction) -> None:
     if instr.requires_rv64:
         ex._require_rv64(instr)
     st = ex.state
-    addr = ex.effective_address(instr)
-    op = instr.opcode
-    size = _STORE_SIZES[op]
-    if op is Opcode.FSW:
-        raw = int.from_bytes(struct.pack("<f", float(st.read(instr.rs2))),
-                             "little")
-    else:
-        raw = int(st.read(instr.rs2)) & ((1 << (size * 8)) - 1)
-    st.memory.store(addr, size, raw)
+    store_value(st.memory, instr.opcode, ex.effective_address(instr),
+                st.read(instr.rs2))
     return None
 
 
@@ -505,10 +503,8 @@ def _build_dispatch() -> dict[Opcode, object]:
         dispatch[op] = _make_int_immop(fn)
     dispatch[Opcode.LUI] = _h_lui
     dispatch[Opcode.AUIPC] = _h_auipc
-    for op in _LOAD_SIZES:
-        dispatch[op] = _h_load
-    for op in _STORE_SIZES:
-        dispatch[op] = _h_store
+    for op in ACCESS_FORMATS:
+        dispatch[op] = _h_load if OPCODE_CLASS[op] is OpClass.LOAD else _h_store
     for op, cond in _BRANCH_CONDS.items():
         dispatch[op] = _make_branch(cond)
     dispatch[Opcode.JAL] = _h_jal
@@ -559,15 +555,15 @@ def apply_operation(instr: Instruction, a: int | float = 0,
     if op is Opcode.AUIPC:
         return _ts(instr.address + (instr.imm << 12), xlen)
     if op in _FP_BINOPS:
-        return _f32(_FP_BINOPS[op](float(a), float(b)))
+        return f32(_FP_BINOPS[op](float(a), float(b)))
     if op in _FP_CMPOPS:
         return int(_FP_CMPOPS[op](float(a), float(b)))
     if op is Opcode.FSQRT_S:
         value = float(a)
-        return _f32(math.sqrt(value)) if value >= 0 else float("nan")
+        return f32(math.sqrt(value)) if value >= 0 else float("nan")
     if op in _FP_UNARY:
         result = _FP_UNARY[op](a)
-        return _f32(result) if isinstance(result, float) else _ts(result, 32)
+        return f32(result) if isinstance(result, float) else _ts(result, 32)
     raise ExecutionError(f"not a pure compute operation: {instr}")
 
 
@@ -616,20 +612,20 @@ def compile_operation(instr: Instruction, xlen: int = 32):
         return lambda a, b: constant
     if op in _FP_BINOPS:
         fn = _FP_BINOPS[op]
-        return lambda a, b: _f32(fn(float(a), float(b)))
+        return lambda a, b: f32(fn(float(a), float(b)))
     if op in _FP_CMPOPS:
         fn = _FP_CMPOPS[op]
         return lambda a, b: int(fn(float(a), float(b)))
     if op is Opcode.FSQRT_S:
         def fsqrt(a, b):
             value = float(a)
-            return _f32(math.sqrt(value)) if value >= 0 else float("nan")
+            return f32(math.sqrt(value)) if value >= 0 else float("nan")
         return fsqrt
     if op in _FP_UNARY:
         fn = _FP_UNARY[op]
         def fp_unary(a, b):
             result = fn(a)
-            return _f32(result) if isinstance(result, float) else _ts(result, 32)
+            return f32(result) if isinstance(result, float) else _ts(result, 32)
         return fp_unary
     raise ExecutionError(f"not a pure compute operation: {instr}")
 

@@ -2,9 +2,9 @@
 
 This is the *value* side of the memory system (what data lives where); the
 *timing* side (caches, ports, AMAT) lives in :mod:`repro.mem.cache`,
-:mod:`repro.mem.hierarchy`, and :mod:`repro.mem.ports`.  The class satisfies
-the :class:`repro.isa.semantics.MemoryLike` protocol used by the functional
-executor, and adds typed helpers for staging workload arrays.
+:mod:`repro.mem.hierarchy`, and :mod:`repro.mem.ports`.  It is the one memory of the functional model:
+every :class:`repro.isa.MachineState` holds one, and it adds typed helpers
+for staging workload arrays.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ class Memory:
     def __init__(self) -> None:
         self._bytes: dict[int, int] = {}
 
-    # -- MemoryLike protocol --------------------------------------------------
+    # -- raw access -----------------------------------------------------------
 
     def load(self, address: int, size: int) -> int:
         """Read ``size`` bytes at ``address`` as an unsigned integer."""

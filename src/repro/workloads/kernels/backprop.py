@@ -9,18 +9,13 @@ a different bottleneck shape from the streaming kernels.
 from __future__ import annotations
 
 import math
-import struct
 
-from ...isa import MachineState, assemble, f
+from ...isa import MachineState, assemble, f, f32
 from ..base import KernelInstance, StateBuilder, load_immediate
 
 NAME = "backprop"
 WEIGHTS = 0x10000
 INPUTS = 0x20000
-
-
-def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
 def build(iterations: int = 256, seed: int = 1) -> KernelInstance:
@@ -47,7 +42,7 @@ def build(iterations: int = 256, seed: int = 1) -> KernelInstance:
     def verify(state: MachineState) -> bool:
         expected = 0.0
         for w, v in zip(weights, inputs):
-            expected = _f32(expected + _f32(_f32(w) * _f32(v)))
+            expected = f32(expected + f32(f32(w) * f32(v)))
         return math.isclose(float(state.read(f(8))), expected,
                             rel_tol=1e-3, abs_tol=1e-4)
 

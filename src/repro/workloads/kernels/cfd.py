@@ -8,9 +8,8 @@ divide give it the highest compute intensity of the suite.
 from __future__ import annotations
 
 import math
-import struct
 
-from ...isa import MachineState, assemble
+from ...isa import MachineState, assemble, f32
 from ..base import KernelInstance, StateBuilder, load_immediate
 
 NAME = "cfd"
@@ -19,10 +18,6 @@ MOMENTUM = 0x20000
 ENERGY = 0x28000
 FLUX = 0x30000
 GAMMA_MINUS_1 = 0.4
-
-
-def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
 def build(iterations: int = 256, seed: int = 1) -> KernelInstance:
@@ -59,10 +54,10 @@ def build(iterations: int = 256, seed: int = 1) -> KernelInstance:
 
     def verify(state: MachineState) -> bool:
         for i in range(min(iterations, 32)):
-            r, m, e = _f32(rho[i]), _f32(mom[i]), _f32(ene[i])
-            u = _f32(m / r)
-            p = _f32(_f32(e - _f32(u * m)) * _f32(GAMMA_MINUS_1))
-            expected = _f32(_f32(e + p) * u)
+            r, m, e = f32(rho[i]), f32(mom[i]), f32(ene[i])
+            u = f32(m / r)
+            p = f32(f32(e - f32(u * m)) * f32(GAMMA_MINUS_1))
+            expected = f32(f32(e + p) * u)
             got = state.memory.load_float(FLUX + 4 * i)
             if not math.isclose(got, expected, rel_tol=1e-3, abs_tol=1e-4):
                 return False

@@ -7,19 +7,14 @@ multiply-subtract, and a store per element.  Fully parallel across columns.
 from __future__ import annotations
 
 import math
-import struct
 
-from ...isa import MachineState, assemble
+from ...isa import MachineState, assemble, f32
 from ..base import KernelInstance, StateBuilder, load_immediate
 
 NAME = "gaussian"
 ROW_A = 0x10000
 ROW_B = 0x20000
 RATIO = 0.375
-
-
-def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
 def build(iterations: int = 256, seed: int = 1) -> KernelInstance:
@@ -46,8 +41,8 @@ def build(iterations: int = 256, seed: int = 1) -> KernelInstance:
 
     def verify(state: MachineState) -> bool:
         for j in range(min(iterations, 32)):
-            expected = _f32(_f32(row_a[j])
-                            - _f32(_f32(row_b[j]) * _f32(RATIO)))
+            expected = f32(f32(row_a[j])
+                           - f32(f32(row_b[j]) * f32(RATIO)))
             got = state.memory.load_float(ROW_A + 4 * j)
             if not math.isclose(got, expected, rel_tol=1e-4, abs_tol=1e-5):
                 return False

@@ -10,9 +10,8 @@ backprop in character (wide per-iteration tree, no loop-carried FP chain).
 from __future__ import annotations
 
 import math
-import struct
 
-from ...isa import MachineState, assemble
+from ...isa import MachineState, assemble, f32
 from ..base import KernelInstance, StateBuilder, load_immediate
 
 NAME = "heartwall"
@@ -20,10 +19,6 @@ IMAGE = 0x10000
 TEMPLATE = 0x20000
 CORRELATION = 0x30000
 WINDOW = 4
-
-
-def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
 def build(iterations: int = 224, seed: int = 1) -> KernelInstance:
@@ -57,12 +52,12 @@ def build(iterations: int = 224, seed: int = 1) -> KernelInstance:
     image = builder.random_floats(IMAGE, iterations + WINDOW, 0.0, 255.0)
 
     def verify(state: MachineState) -> bool:
-        t = [_f32(v) for v in template]
+        t = [f32(v) for v in template]
         for i in range(min(iterations, 24)):
-            products = [_f32(_f32(image[i + k]) * t[k])
+            products = [f32(f32(image[i + k]) * t[k])
                         for k in range(WINDOW)]
-            expected = _f32(_f32(products[0] + products[1])
-                            + _f32(products[2] + products[3]))
+            expected = f32(f32(products[0] + products[1])
+                           + f32(products[2] + products[3]))
             got = state.memory.load_float(CORRELATION + 4 * i)
             if not math.isclose(got, expected, rel_tol=1e-3, abs_tol=1e-2):
                 return False

@@ -12,9 +12,8 @@ one of the kernels that stresses the memory ports rather than the PEs.
 from __future__ import annotations
 
 import math
-import struct
 
-from ...isa import MachineState, assemble
+from ...isa import MachineState, assemble, f32
 from ..base import KernelInstance, StateBuilder, load_immediate
 
 NAME = "hotspot"
@@ -23,10 +22,6 @@ TEMPS = 0x10000
 POWER = 0x20000
 OUT = 0x30000
 K = 0.1
-
-
-def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
 def build(iterations: int = 256, seed: int = 1) -> KernelInstance:
@@ -69,17 +64,17 @@ def build(iterations: int = 256, seed: int = 1) -> KernelInstance:
                                   0.0, 1.0)
 
     def verify(state: MachineState) -> bool:
-        t = [_f32(v) for v in temps]
+        t = [f32(v) for v in temps]
         for i in range(min(iterations, 32)):  # spot-check a prefix
             c = WIDTH + i
-            ew = _f32(t[c - 1] + t[c + 1])
-            ns = _f32(t[c - WIDTH] + t[c + WIDTH])
-            twice = _f32(t[c] + t[c])
-            quad = _f32(twice + twice)
-            laplacian = _f32(_f32(ew + ns) - quad)
-            expected = _f32(laplacian * _f32(K))
-            expected = _f32(expected + t[c])
-            expected = _f32(expected + _f32(power[c]))
+            ew = f32(t[c - 1] + t[c + 1])
+            ns = f32(t[c - WIDTH] + t[c + WIDTH])
+            twice = f32(t[c] + t[c])
+            quad = f32(twice + twice)
+            laplacian = f32(f32(ew + ns) - quad)
+            expected = f32(laplacian * f32(K))
+            expected = f32(expected + t[c])
+            expected = f32(expected + f32(power[c]))
             got = state.memory.load_float(OUT + 4 * c)
             if not math.isclose(got, expected, rel_tol=1e-3, abs_tol=1e-3):
                 return False

@@ -7,9 +7,8 @@ loads + 1 store per cell, the most memory-port-hungry kernel in the suite.
 from __future__ import annotations
 
 import math
-import struct
 
-from ...isa import MachineState, assemble
+from ...isa import MachineState, assemble, f32
 from ..base import KernelInstance, StateBuilder, load_immediate
 
 NAME = "hotspot3d"
@@ -18,10 +17,6 @@ PLANE = WIDTH * WIDTH
 TEMPS = 0x10000
 OUT = 0x30000
 K = 0.125
-
-
-def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
 def build(iterations: int = 192, seed: int = 1) -> KernelInstance:
@@ -60,13 +55,13 @@ def build(iterations: int = 192, seed: int = 1) -> KernelInstance:
     temps = builder.random_floats(TEMPS, count, 300.0, 340.0)
 
     def verify(state: MachineState) -> bool:
-        t = [_f32(v) for v in temps]
+        t = [f32(v) for v in temps]
         for i in range(min(iterations, 16)):
             c = PLANE + WIDTH + 1 + i
-            neighbours = _f32(_f32(_f32(t[c - 1] + t[c + 1])
-                                   + _f32(t[c - WIDTH] + t[c + WIDTH]))
-                              + _f32(t[c - PLANE] + t[c + PLANE]))
-            expected = _f32(_f32(neighbours * _f32(K)) + t[c])
+            neighbours = f32(f32(f32(t[c - 1] + t[c + 1])
+                                 + f32(t[c - WIDTH] + t[c + WIDTH]))
+                             + f32(t[c - PLANE] + t[c + PLANE]))
+            expected = f32(f32(neighbours * f32(K)) + t[c])
             got = state.memory.load_float(OUT + 4 * c)
             if not math.isclose(got, expected, rel_tol=1e-3, abs_tol=1e-2):
                 return False

@@ -9,9 +9,8 @@ exercising bigger PE windows.
 from __future__ import annotations
 
 import math
-import struct
 
-from ...isa import MachineState, assemble
+from ...isa import MachineState, assemble, f32
 from ..base import KernelInstance, StateBuilder, load_immediate
 
 NAME = "lavamd"
@@ -19,10 +18,6 @@ NEIGHBOURS = 0x10000
 FORCES = 0x30000
 HOME = (0.5, 0.5, 0.5)
 SOFTENING = 0.05
-
-
-def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
 def build(iterations: int = 192, seed: int = 1) -> KernelInstance:
@@ -68,9 +63,9 @@ def build(iterations: int = 192, seed: int = 1) -> KernelInstance:
 
     def verify(state: MachineState) -> bool:
         for i in range(min(iterations, 16)):
-            dx = _f32(coords[3 * i]) - _f32(HOME[0])
-            dy = _f32(coords[3 * i + 1]) - _f32(HOME[1])
-            dz = _f32(coords[3 * i + 2]) - _f32(HOME[2])
+            dx = f32(coords[3 * i]) - f32(HOME[0])
+            dy = f32(coords[3 * i + 1]) - f32(HOME[1])
+            dz = f32(coords[3 * i + 2]) - f32(HOME[2])
             r2 = dx * dx + dy * dy + dz * dz + SOFTENING
             magnitude = 1.0 / (r2 * math.sqrt(r2))
             for off, component in ((0, dx), (4, dy), (8, dz)):

@@ -10,9 +10,8 @@ between the pure-compute kernels and streamcluster.
 from __future__ import annotations
 
 import math
-import struct
 
-from ...isa import MachineState, assemble
+from ...isa import MachineState, assemble, f32
 from ..base import KernelInstance, StateBuilder, load_immediate
 
 NAME = "leukocyte"
@@ -21,10 +20,6 @@ GRADY = 0x20000
 SCORES = 0x30000
 A1, A2 = 0.6, 0.3
 THRESHOLD = 0.8
-
-
-def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
 def build(iterations: int = 224, seed: int = 1) -> KernelInstance:
@@ -63,10 +58,10 @@ def build(iterations: int = 224, seed: int = 1) -> KernelInstance:
 
     def verify(state: MachineState) -> bool:
         for i in range(min(iterations, 24)):
-            gx, gy = _f32(gradx[i]), _f32(grady[i])
-            m = _f32(_f32(gx * gx) + _f32(gy * gy))
-            score = _f32(m * _f32(_f32(m * _f32(A2)) + _f32(A1)))
-            expected = score if score < _f32(THRESHOLD) else _f32(THRESHOLD)
+            gx, gy = f32(gradx[i]), f32(grady[i])
+            m = f32(f32(gx * gx) + f32(gy * gy))
+            score = f32(m * f32(f32(m * f32(A2)) + f32(A1)))
+            expected = score if score < f32(THRESHOLD) else f32(THRESHOLD)
             got = state.memory.load_float(SCORES + 4 * i)
             if not math.isclose(got, expected, rel_tol=1e-3, abs_tol=1e-5):
                 return False

@@ -8,19 +8,14 @@ input arrays.
 from __future__ import annotations
 
 import math
-import struct
 
-from ...isa import MachineState, assemble, f
+from ...isa import MachineState, assemble, f, f32
 from ..base import KernelInstance, StateBuilder, load_immediate
 
 NAME = "lud"
 L_COL = 0x10000
 U_ROW = 0x20000
 INITIAL = 10.0
-
-
-def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
 def build(iterations: int = 256, seed: int = 1) -> KernelInstance:
@@ -45,9 +40,9 @@ def build(iterations: int = 256, seed: int = 1) -> KernelInstance:
     u_row = builder.random_floats(U_ROW, iterations, 0.05, 0.25)
 
     def verify(state: MachineState) -> bool:
-        expected = _f32(INITIAL)
+        expected = f32(INITIAL)
         for a, b in zip(l_col, u_row):
-            expected = _f32(expected - _f32(_f32(a) * _f32(b)))
+            expected = f32(expected - f32(f32(a) * f32(b)))
         return math.isclose(float(state.read(f(8))), expected,
                             rel_tol=1e-3, abs_tol=1e-4)
 

@@ -9,18 +9,13 @@ serial kernels.
 from __future__ import annotations
 
 import math
-import struct
 
-from ...isa import MachineState, assemble, f
+from ...isa import MachineState, assemble, f, f32
 from ..base import KernelInstance, StateBuilder, load_immediate
 
 NAME = "myocyte"
 DT = 0.01
 A, B, C, D = 0.7, 0.3, 0.1, 0.5
-
-
-def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
 def build(iterations: int = 256, seed: int = 1) -> KernelInstance:
@@ -53,14 +48,14 @@ def build(iterations: int = 256, seed: int = 1) -> KernelInstance:
     builder.set_freg("fa4", DT)
 
     def verify(state: MachineState) -> bool:
-        v, w = _f32(v0), _f32(w0)
+        v, w = f32(v0), f32(w0)
         for _ in range(iterations):
-            dv = _f32(_f32(_f32(_f32(_f32(A) * v)
-                                - _f32(_f32(_f32(v * w)) * _f32(B)))
-                           + _f32(C)) * _f32(DT))
-            v = _f32(v + dv)
-            dw = _f32(_f32(v - _f32(_f32(D) * w)) * _f32(DT))
-            w = _f32(w + dw)
+            dv = f32(f32(f32(f32(f32(A) * v)
+                             - f32(f32(f32(v * w)) * f32(B)))
+                         + f32(C)) * f32(DT))
+            v = f32(v + dv)
+            dw = f32(f32(v - f32(f32(D) * w)) * f32(DT))
+            w = f32(w + dw)
         return (math.isclose(float(state.read(f(8))), v, rel_tol=1e-3)
                 and math.isclose(float(state.read(f(9))), w, rel_tol=1e-3))
 

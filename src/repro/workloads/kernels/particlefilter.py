@@ -10,19 +10,14 @@ different resource profile from the mul/add kernels.
 from __future__ import annotations
 
 import math
-import struct
 
-from ...isa import MachineState, assemble
+from ...isa import MachineState, assemble, f32
 from ..base import KernelInstance, StateBuilder, load_immediate
 
 NAME = "particlefilter"
 WEIGHTS = 0x10000
 ERRORS = 0x20000
 C = 0.25
-
-
-def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
 def build(iterations: int = 224, seed: int = 1) -> KernelInstance:
@@ -50,11 +45,11 @@ def build(iterations: int = 224, seed: int = 1) -> KernelInstance:
     errors = builder.random_floats(ERRORS, iterations, -1.0, 1.0)
 
     def verify(state: MachineState) -> bool:
-        c = _f32(C)
+        c = f32(C)
         for i in range(min(iterations, 24)):
-            err = _f32(errors[i])
-            likelihood = _f32(c / _f32(_f32(err * err) + c))
-            expected = _f32(_f32(weights[i]) * likelihood)
+            err = f32(errors[i])
+            likelihood = f32(c / f32(f32(err * err) + c))
+            expected = f32(f32(weights[i]) * likelihood)
             got = state.memory.load_float(WEIGHTS + 4 * i)
             if not math.isclose(got, expected, rel_tol=1e-3, abs_tol=1e-5):
                 return False

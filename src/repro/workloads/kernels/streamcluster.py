@@ -9,9 +9,8 @@ character.
 from __future__ import annotations
 
 import math
-import struct
 
-from ...isa import MachineState, assemble
+from ...isa import MachineState, assemble, f32
 from ..base import KernelInstance, StateBuilder, load_immediate
 
 NAME = "streamcluster"
@@ -19,10 +18,6 @@ POINTS = 0x10000
 WEIGHTS = 0x20000
 BEST = 0x30000
 CENTRE = (0.5, 0.5)
-
-
-def _f32(value: float) -> float:
-    return struct.unpack("<f", struct.pack("<f", value))[0]
 
 
 def build(iterations: int = 256, seed: int = 1) -> KernelInstance:
@@ -62,12 +57,12 @@ def build(iterations: int = 256, seed: int = 1) -> KernelInstance:
 
     def verify(state: MachineState) -> bool:
         for i in range(min(iterations, 32)):
-            x, y = _f32(points[2 * i]), _f32(points[2 * i + 1])
-            dx = _f32(x - _f32(CENTRE[0]))
-            dy = _f32(y - _f32(CENTRE[1]))
-            cost = _f32(_f32(_f32(dx * dx) + _f32(dy * dy))
-                        * _f32(weights[i]))
-            expected = cost if cost < _f32(best[i]) else _f32(best[i])
+            x, y = f32(points[2 * i]), f32(points[2 * i + 1])
+            dx = f32(x - f32(CENTRE[0]))
+            dy = f32(y - f32(CENTRE[1]))
+            cost = f32(f32(f32(dx * dx) + f32(dy * dy))
+                       * f32(weights[i]))
+            expected = cost if cost < f32(best[i]) else f32(best[i])
             got = state.memory.load_float(BEST + 4 * i)
             if not math.isclose(got, expected, rel_tol=1e-4, abs_tol=1e-6):
                 return False

@@ -206,7 +206,7 @@ class TestConfigCache:
         cache = ConfigCache()
         program, cost = self.make_entry()
         assert cache.lookup(0x1000, 0x1020, "M-64") is None
-        cache.insert(0x1000, 0x1020, "M-64", program, cost)
+        cache.put(0x1000, 0x1020, "M-64", program, cost)
         hit = cache.lookup(0x1000, 0x1020, "M-64")
         assert hit is not None
         assert hit[0] is program
@@ -215,22 +215,16 @@ class TestConfigCache:
     def test_distinct_backends_distinct_entries(self):
         cache = ConfigCache()
         program, cost = self.make_entry()
-        cache.insert(0x1000, 0x1020, "M-64", program, cost)
+        cache.put(0x1000, 0x1020, "M-64", program, cost)
         assert cache.lookup(0x1000, 0x1020, "M-128") is None
 
     def test_fifo_eviction(self):
         cache = ConfigCache(capacity=2)
         program, cost = self.make_entry()
         for i in range(3):
-            cache.insert(0x1000 + 0x100 * i, 0x1020, "M-64", program, cost)
+            cache.put(0x1000 + 0x100 * i, 0x1020, "M-64", program, cost)
         assert cache.lookup(0x1000, 0x1020, "M-64") is None, "evicted"
         assert cache.lookup(0x1200, 0x1020, "M-64") is not None
-
-    def test_insert_returns_bitstream(self):
-        cache = ConfigCache()
-        program, cost = self.make_entry()
-        words = cache.insert(0x1000, 0x1020, "M-64", program, cost)
-        assert len(words) > 5
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -241,9 +235,9 @@ class TestConfigCache:
         not evict the oldest unrelated entry."""
         cache = ConfigCache(capacity=2)
         program, cost = self.make_entry()
-        cache.insert(0x1000, 0x1020, "M-64", program, cost)
-        cache.insert(0x2000, 0x2020, "M-64", program, cost)
-        cache.insert(0x1000, 0x1020, "M-64", program, cost)  # overwrite
+        cache.put(0x1000, 0x1020, "M-64", program, cost)
+        cache.put(0x2000, 0x2020, "M-64", program, cost)
+        cache.put(0x1000, 0x1020, "M-64", program, cost)  # overwrite
         assert cache.lookup(0x2000, 0x2020, "M-64") is not None, (
             "overwrite evicted an unrelated entry")
         assert cache.lookup(0x1000, 0x1020, "M-64") is not None
@@ -253,9 +247,9 @@ class TestConfigCache:
     def test_eviction_counter(self):
         cache = ConfigCache(capacity=1)
         program, cost = self.make_entry()
-        cache.insert(0x1000, 0x1020, "M-64", program, cost)
+        cache.put(0x1000, 0x1020, "M-64", program, cost)
         assert cache.evictions == 0
-        cache.insert(0x2000, 0x2020, "M-64", program, cost)
+        cache.put(0x2000, 0x2020, "M-64", program, cost)
         assert cache.evictions == 1
         assert cache.insertions == 2
 
@@ -291,10 +285,10 @@ class TestConfigCache:
         least-recently-touched key, not the oldest insertion."""
         program, cost = self.make_entry()
         cache = ConfigCache(capacity=2, policy="lru")
-        cache.insert(0x1000, 0x1020, "M-64", program, cost)
-        cache.insert(0x2000, 0x2020, "M-64", program, cost)
+        cache.put(0x1000, 0x1020, "M-64", program, cost)
+        cache.put(0x2000, 0x2020, "M-64", program, cost)
         assert cache.lookup(0x1000, 0x1020, "M-64") is not None  # refresh
-        cache.insert(0x3000, 0x3020, "M-64", program, cost)      # evicts
+        cache.put(0x3000, 0x3020, "M-64", program, cost)      # evicts
         assert cache.lookup(0x1000, 0x1020, "M-64") is not None, (
             "the refreshed entry must survive")
         assert cache.lookup(0x2000, 0x2020, "M-64") is None, (
@@ -303,10 +297,10 @@ class TestConfigCache:
     def test_fifo_ignores_hits_for_eviction(self):
         program, cost = self.make_entry()
         cache = ConfigCache(capacity=2, policy="fifo")
-        cache.insert(0x1000, 0x1020, "M-64", program, cost)
-        cache.insert(0x2000, 0x2020, "M-64", program, cost)
+        cache.put(0x1000, 0x1020, "M-64", program, cost)
+        cache.put(0x2000, 0x2020, "M-64", program, cost)
         assert cache.lookup(0x1000, 0x1020, "M-64") is not None
-        cache.insert(0x3000, 0x3020, "M-64", program, cost)
+        cache.put(0x3000, 0x3020, "M-64", program, cost)
         assert cache.lookup(0x1000, 0x1020, "M-64") is None, (
             "FIFO evicts the oldest insertion regardless of hits")
 
@@ -338,7 +332,7 @@ class TestConfigCache:
         program, cost = self.make_entry()
         before = cache.stats()
         cache.lookup(0x1000, 0x1020, "M-64")
-        cache.insert(0x1000, 0x1020, "M-64", program, cost)
+        cache.put(0x1000, 0x1020, "M-64", program, cost)
         cache.lookup(0x1000, 0x1020, "M-64")
         delta = cache.stats() - before
         assert delta.hits == 1 and delta.misses == 1

@@ -62,3 +62,36 @@ class TestRv64Offload:
         run(PROGRAM, reference, max_steps=100_000)
         assert (result.final_state.memory.load(0x10000, 8)
                 == reference.memory.load(0x10000, 8))
+
+
+#: An in-iteration store and reload of the same doubleword: the §4.2
+#: store-to-load forwarding pass must recognise the RV64 access pair.
+RELOAD_PROGRAM = assemble(
+    """
+    addi t0, zero, 150
+    lui  a0, 16
+    loop:
+        addi t1, t0, 1
+        sd   t1, 0(a0)
+        ld   t2, 0(a0)
+        addi a0, a0, 8
+        addi t0, t0, -1
+        bne  t0, zero, loop
+    """
+)
+
+
+def make_reload_state() -> MachineState:
+    return MachineState(pc=RELOAD_PROGRAM.base_address, xlen=64)
+
+
+class TestRv64StoreReload:
+    def test_forwarded_and_matches_reference(self):
+        controller = MesaController(M64BIT)
+        result = controller.execute(RELOAD_PROGRAM, make_reload_state,
+                                    parallelizable=True)
+        assert result.accelerated, result.reason
+        assert result.memopt_report.forwarded_loads == 1
+        reference = run(RELOAD_PROGRAM, make_reload_state(),
+                        max_steps=100_000)
+        assert result.final_state.memory._bytes == reference.memory._bytes
