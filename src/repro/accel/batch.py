@@ -81,10 +81,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the toolchain ships numpy
-    np = None
+import numpy as np
 
 from ..isa import ACCESS_FORMATS, Opcode
 from ..isa.registers import RegFile
@@ -403,8 +400,6 @@ def compile_batch(plan) -> BatchProgram:
 
 def _compile(plan):
     """Returns a BatchProgram, or a fallback-reason string."""
-    if np is None:
-        return "numpy unavailable"
     if plan.loop_branch_id is None:
         return "no loop branch (single-shot region)"
     if plan.config.xlen != 32:

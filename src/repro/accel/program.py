@@ -140,6 +140,15 @@ class AcceleratorProgram:
         return len(self.nodes)
 
     @property
+    def pe_count(self) -> int:
+        """PEs occupied (memory nodes sit in LSU entries, at column -1)."""
+        return sum(1 for node in self.nodes if node.coord[1] >= 0)
+
+    @property
+    def lsu_count(self) -> int:
+        return sum(1 for node in self.nodes if node.coord[1] < 0)
+
+    @property
     def memory_nodes(self) -> list[ConfiguredNode]:
         return [n for n in self.nodes if n.is_memory]
 

@@ -7,6 +7,12 @@ sequential bitstream writes), and caches configurations per code region —
 "a configuration cache is stored on MESA for loops that have already been
 mapped in case they are re-encountered in the near future" (§4.3).
 
+A cache entry is a region record: ``(config, start, end, digest) →
+(program, bitstream, cost)``.  This module alone turns entries into
+JSON-serializable records and records back into entries
+(:meth:`ConfigCache.export_regions` / :meth:`ConfigCache.restore_regions`);
+the service's checkpoints and worker seeding only carry the records.
+
 The cycle model places MESA's configuration latency in the paper's reported
 10^3–10^4-cycle range for 64–512-instruction regions (Table 2's "JIT
 (ns–µs)" row at 2 GHz).
@@ -16,15 +22,17 @@ from __future__ import annotations
 
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import NamedTuple
 
 from ..accel import (
+    AcceleratorConfig,
     AcceleratorProgram,
+    BitstreamError,
     ConfiguredNode,
     Guard,
     Operand,
-    encode_bitstream,
+    decode_bitstream,
 )
 from .ldfg import SourceKind, SourceRef
 from .mapping import MappingStats
@@ -229,55 +237,40 @@ class CacheStats:
 
 
 class CachedConfiguration(NamedTuple):
-    """A configuration-cache hit: everything needed to skip T1–T3."""
+    """One configuration-cache entry: everything needed to skip T1–T3."""
 
     program: AcceleratorProgram
     bitstream: list[int]
     cost: ConfigurationCost
-    sdfg: Sdfg | None
-    memopt_report: object | None
 
 
 class InsertOutcome(NamedTuple):
     """What :meth:`ConfigCache.put` did to make room for an entry."""
 
-    bitstream: list[int]
     evicted: bool
     replaced: bool
-
-
-@dataclass
-class _CacheEntry:
-    program: AcceleratorProgram
-    bitstream: list[int]
-    cost: ConfigurationCost
-    sdfg: Sdfg | None = None
-    memopt_report: object | None = None
-    digest: str | None = None
 
 
 class ConfigCache:
     """Per-region configuration cache (re-encountered loops skip T1–T3).
 
-    Entries are keyed by (region start, region end, backend name) and
-    optionally tagged with a content *digest* of the region's instruction
-    words: a chip-wide cache sees many address spaces, so two different
-    binaries can place different loops at the same virtual addresses.  A
-    lookup that presents a digest only hits when the tag matches — an
-    address collision is a (conflict) miss, never a wrong configuration.
+    Entries are keyed by (region start, region end, backend name, content
+    *digest* of the region's instruction words): a chip-wide cache sees
+    many address spaces, so two different binaries can place different
+    loops at the same virtual addresses.  Tagging every key with the digest
+    makes such a collision two distinct entries, never a wrong
+    configuration.
 
-    Two deployment knobs generalize the hardware model for the service
-    layer (:mod:`repro.service`):
+    An entry is exactly what a region record holds — the accelerator
+    program, its bitstream words and its configuration cost — so a hit
+    serves the same warm path whether the entry was configured here or
+    restored from a record (:meth:`export_regions` /
+    :meth:`restore_regions`, the one record codec).
 
-    * ``policy`` — the eviction victim order: ``"fifo"`` (insertion order,
-      the hardware-simple default) or ``"lru"`` (a hit refreshes the
-      entry, so a popularity-skewed request mix keeps its hot regions
-      resident).
-    * ``tag_indexed`` — index entries by the content digest *as well as*
-      the addresses.  Two binaries whose loops collide at the same
-      virtual addresses then occupy distinct entries instead of
-      conflict-thrashing one slot; a hardware cache would pay wider tags
-      for this, a software-managed one gets it for free.
+    ``policy`` is the eviction victim order: ``"fifo"`` (insertion order,
+    the hardware-simple default) or ``"lru"`` (a hit refreshes the entry,
+    so a popularity-skewed request mix keeps its hot regions resident —
+    the service deployment's choice).
 
     The cache is shared by every core on the chip, so all mutating paths
     take an internal lock; counters (hits/misses/evictions/insertions) are
@@ -286,8 +279,7 @@ class ConfigCache:
 
     POLICIES = ("fifo", "lru")
 
-    def __init__(self, capacity: int = 8, policy: str = "fifo",
-                 tag_indexed: bool = False) -> None:
+    def __init__(self, capacity: int = 8, policy: str = "fifo") -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         if policy not in self.POLICIES:
@@ -295,19 +287,12 @@ class ConfigCache:
                              f"expected one of {self.POLICIES}")
         self.capacity = capacity
         self.policy = policy
-        self.tag_indexed = tag_indexed
-        self._entries: dict[tuple, _CacheEntry] = {}
+        self._entries: dict[tuple, CachedConfiguration] = {}
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         self.insertions = 0
-
-    def _key(self, start: int, end: int, config_name: str,
-             digest: str | None = None) -> tuple:
-        if self.tag_indexed:
-            return (start, end, config_name, digest)
-        return (start, end, config_name)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -320,20 +305,12 @@ class ConfigCache:
                               insertions=self.insertions)
 
     def lookup(self, start: int, end: int, config_name: str,
-               digest: str | None = None) -> CachedConfiguration | None:
-        """Probe the cache; counts a hit or a miss.
-
-        Args:
-            digest: content tag of the region being looked up.  ``None``
-                matches any entry at the key (address-only probe); a
-                mismatched digest is a conflict miss.
-        """
+               digest: str) -> CachedConfiguration | None:
+        """Probe the cache; counts a hit or a miss."""
+        key = (start, end, config_name, digest)
         with self._lock:
-            key = self._key(start, end, config_name, digest)
             entry = self._entries.get(key)
-            if entry is None or (digest is not None
-                                 and entry.digest is not None
-                                 and entry.digest != digest):
+            if entry is None:
                 self.misses += 1
                 return None
             self.hits += 1
@@ -341,23 +318,17 @@ class ConfigCache:
                 # A hit refreshes the entry: eviction takes the dict's
                 # first (least-recently-touched) key.
                 self._entries[key] = self._entries.pop(key)
-            return CachedConfiguration(
-                program=entry.program, bitstream=entry.bitstream,
-                cost=entry.cost, sdfg=entry.sdfg,
-                memopt_report=entry.memopt_report)
+            return entry
 
-    def put(self, start: int, end: int, config_name: str,
-            program: AcceleratorProgram, cost: ConfigurationCost,
-            sdfg: Sdfg | None = None, memopt_report: object | None = None,
-            digest: str | None = None) -> InsertOutcome:
+    def put(self, start: int, end: int, config_name: str, digest: str,
+            entry: CachedConfiguration) -> InsertOutcome:
         """Cache a configuration, reporting any eviction it forced.
 
         Overwriting the key already present never evicts an unrelated
         entry: membership is checked *before* the capacity test, so an
         at-capacity cache updates in place.
         """
-        bitstream = encode_bitstream(program)
-        key = self._key(start, end, config_name, digest)
+        key = (start, end, config_name, digest)
         with self._lock:
             replaced = key in self._entries
             evicted = False
@@ -365,39 +336,22 @@ class ConfigCache:
                 # The victim is the dict's first key: insertion order under
                 # FIFO (keeps the hardware simple), least-recently-touched
                 # under LRU (lookup hits refresh entries).
-                oldest = next(iter(self._entries))
-                del self._entries[oldest]
+                del self._entries[next(iter(self._entries))]
                 self.evictions += 1
                 evicted = True
             if replaced and self.policy == "lru":
                 del self._entries[key]  # refresh: re-fill counts as a touch
-            self._entries[key] = _CacheEntry(
-                program=program, bitstream=bitstream, cost=cost,
-                sdfg=sdfg, memopt_report=memopt_report, digest=digest)
+            self._entries[key] = entry
             self.insertions += 1
-        return InsertOutcome(bitstream=bitstream, evicted=evicted,
-                             replaced=replaced)
-
-    def holds(self, start: int, end: int, config_name: str,
-              digest: str | None = None) -> bool:
-        """Whether :meth:`lookup` would hit, without counting or touching."""
-        with self._lock:
-            entry = self._entries.get(
-                self._key(start, end, config_name, digest))
-            return entry is not None and (digest is None
-                                          or entry.digest is None
-                                          or entry.digest == digest)
+        return InsertOutcome(evicted=evicted, replaced=replaced)
 
     def export_regions(self, keys=None) -> list[dict]:
         """Portable snapshot of the resident configurations.
 
-        Each record is plain JSON-serializable data — addresses, content
-        digest, the four :class:`ConfigurationCost` components, and the
-        encoded bitstream words.  The bitstream codec is exact
-        (``decode_bitstream(encode_bitstream(p))`` reconstructs the
-        program), so a record round-trips through disk and back into a
-        cache entry via :meth:`MesaController.restore_cache_regions
-        <repro.core.controller.MesaController.restore_cache_regions>`.
+        Each record is plain JSON-serializable data — the key's addresses,
+        backend name and content digest, the four
+        :class:`ConfigurationCost` components, and the bitstream words —
+        and :meth:`restore_regions` turns it back into the same entry.
         Export order is the cache's current victim order (oldest first),
         so a restore into a smaller cache keeps the hottest entries.
 
@@ -406,20 +360,42 @@ class ConfigCache:
                 triples; only the entries they name are exported.
         """
         with self._lock:
-            records = []
-            for key, entry in self._entries.items():
-                if keys is not None and (key[0], key[1],
-                                         entry.digest) not in keys:
+            return [{"config": config, "start": start, "end": end,
+                     "digest": digest, "cost": list(astuple(entry.cost)),
+                     "bitstream": list(entry.bitstream)}
+                    for (start, end, config, digest), entry
+                    in self._entries.items()
+                    if keys is None or (start, end, digest) in keys]
+
+    def restore_regions(self, records, config: AcceleratorConfig) -> int:
+        """Re-seed the cache from exported records for backend ``config``.
+
+        Records for other backends, for keys already held, or that fail to
+        decode (corrupt bitstream, missing fields, no digest) are skipped
+        silently — a partial restore is strictly better than none.  Returns
+        the number of regions restored.
+        """
+        restored = 0
+        for record in records:
+            try:
+                if record["config"] != config.name:
                     continue
-                records.append({
-                    "config": key[2],
-                    "start": key[0],
-                    "end": key[1],
-                    "digest": entry.digest,
-                    "cost": [entry.cost.ldfg_build_cycles,
-                             entry.cost.mapping_cycles,
-                             entry.cost.write_cycles,
-                             entry.cost.stall_fill_cycles],
-                    "bitstream": list(entry.bitstream),
-                })
-            return records
+                start, end = int(record["start"]), int(record["end"])
+                digest = record["digest"]
+                if not isinstance(digest, str):
+                    continue
+                with self._lock:
+                    if (start, end, config.name, digest) in self._entries:
+                        continue
+                bitstream = [int(word) for word in record["bitstream"]]
+                entry = CachedConfiguration(
+                    program=decode_bitstream(bitstream, config),
+                    bitstream=bitstream,
+                    cost=ConfigurationCost(
+                        *(int(cycles) for cycles in record["cost"])))
+            except (BitstreamError, KeyError, TypeError, ValueError,
+                    IndexError):
+                continue
+            self.put(start, end, config.name, digest, entry)
+            restored += 1
+        return restored

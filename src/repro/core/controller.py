@@ -21,7 +21,10 @@ backend) hit the configuration cache: ``execute`` consults
 :meth:`ConfigCache.lookup` before translating, and on a hit skips T1–T3
 entirely — the region pays only the ConfigBlock's bitstream load
 (:meth:`ConfigurationCost.warm`), so its warm-up shrinks and the result
-records ``config_cache_hit`` plus per-execute ``cache_stats``.  One
+records ``config_cache_hit`` plus per-execute ``cache_stats``.  A hit
+carries the cached accelerator program only (its ``sdfg`` and
+``memopt_report`` are ``None``), and both paths plan loops from that
+program, so every hit runs the same warm path.  One
 controller serves the whole chip (see :mod:`repro.core.system`), so the
 cache is shared — and thread-safe — across all cores.
 """
@@ -47,7 +50,7 @@ from ..accel import (
     build_interconnect,
 )
 from ..cpu import CoreResult, CpuConfig, OutOfOrderCore, Trace, collect_trace
-from ..isa import Executor, MachineState, Program
+from ..isa import EncodingError, Executor, MachineState, Program
 from ..mem import MemoryHierarchy
 from .configure import (
     CacheStats,
@@ -83,11 +86,11 @@ def region_digest(program: Program, start_address: int,
     """Content tag of a code region: the encoded instruction words.
 
     A chip-wide configuration cache is indexed by virtual addresses, which
-    different binaries reuse freely; tagging every entry with the region's
-    instruction bytes turns an address collision into a conflict miss
-    instead of a wrong configuration.
+    different binaries reuse freely; keying every entry by the region's
+    instruction bytes as well keeps two colliding binaries in distinct
+    entries instead of replaying a wrong configuration.
     """
-    from ..isa.encoding import EncodingError, encode
+    from ..isa.encoding import encode
 
     hasher = hashlib.blake2b(digest_size=16)
     for instr in program:
@@ -126,11 +129,6 @@ class MesaOptions:
     #: Cache eviction policy: "fifo" (hardware default) or "lru" (a hit
     #: refreshes the entry — the service deployment's choice).
     cache_policy: str = "fifo"
-    #: Index cache entries by content digest as well as addresses, so two
-    #: binaries whose loops collide at the same virtual addresses occupy
-    #: distinct entries instead of conflict-thrashing one slot (see
-    #: :class:`~repro.core.configure.ConfigCache`).
-    cache_tag_indexed: bool = False
 
 
 @dataclass
@@ -150,34 +148,15 @@ class CycleBreakdown:
                 + self.return_cycles + self.exposed_config_cycles)
 
 
-class _ProgramResources:
-    """Duck-typed stand-in for an :class:`Sdfg` in loop planning.
-
-    A checkpoint-restored cache entry carries only the decoded
-    :class:`AcceleratorProgram` (the mapping itself was not serialized),
-    but :func:`plan_loop_optimizations` needs nothing beyond resource
-    occupancy — PE/LSU counts and the backend geometry — all of which the
-    decoded program's node coordinates still encode (LSU entries sit at
-    column -1, exactly as in ``Sdfg.positions``).
-    """
-
-    __slots__ = ("pe_count", "lsu_count", "config")
-
-    def __init__(self, program: AcceleratorProgram) -> None:
-        self.pe_count = sum(1 for node in program.nodes
-                            if node.coord[1] >= 0)
-        self.lsu_count = sum(1 for node in program.nodes
-                             if node.coord[1] < 0)
-        self.config = program.config
-
-
 @dataclass
 class AcceleratedRegion:
     """One configured code region and its execution record."""
 
     decision: RegionDecision
-    #: ``None`` for a region rebuilt from a checkpoint-restored cache
-    #: entry (only the decoded accelerator program survives a restart).
+    #: Content tag of the region's instruction words (its cache key's tag).
+    digest: str
+    #: ``None`` when the configuration came from the cache: an entry holds
+    #: the accelerator program, not the mapping that produced it.
     sdfg: Sdfg | None
     accel_program: AcceleratorProgram
     bitstream_words: int
@@ -305,12 +284,11 @@ class MesaController:
         self.interconnect = build_interconnect(config)
         self.config_cache = ConfigCache(
             capacity=self.options.cache_capacity,
-            policy=self.options.cache_policy,
-            tag_indexed=self.options.cache_tag_indexed)
+            policy=self.options.cache_policy)
         #: Enable per-phase cProfile capture (``repro run --profile``).
         #: Profiling is a single-threaded diagnostic: cProfile registers a
         #: global trace hook, so leave this off when several threads drive
-        #: one controller (``MesaSystem.run_threads``).
+        #: one controller.
         self.profile_phases = False
         #: Accumulated cProfile data per phase, when enabled.
         self.phase_profiles: dict[str, cProfile.Profile] = {}
@@ -432,7 +410,7 @@ class MesaController:
             if cached is not None:
                 # Warm path: skip T1–T3, pay only the bitstream load.
                 regions.append(self._region_from_cache(
-                    decision, cached, parallelizable, trace, cpi))
+                    decision, digest, cached, parallelizable, trace, cpi))
                 continue
             translated = self._translate(decision, trace, program)
             if isinstance(translated, str):
@@ -458,6 +436,9 @@ class MesaController:
                 region = self._configure_region(
                     decision, translated, sdfg, parallelizable, trace, cpi,
                     digest, tally)
+            if isinstance(region, str):
+                failure_reasons.append(region)
+                continue
             regions.append(region)
         if not regions:
             # Every per-region failure is preserved: a later region's
@@ -475,12 +456,19 @@ class MesaController:
 
     def _configure_region(self, decision, translated: TranslationResult,
                           sdfg, parallelizable, trace, cpi, digest,
-                          tally) -> AcceleratedRegion:
-        """T3 + loop planning + warm-up estimate for one accepted region."""
+                          tally) -> AcceleratedRegion | str:
+        """T3 + loop planning + warm-up estimate for one accepted region.
+
+        Returns the failure reason as a string when the configuration
+        cannot be encoded (an immediate the bitstream has no room for).
+        """
         from ..accel import encode_bitstream
 
         accel_program = build_program(sdfg)
-        bitstream = encode_bitstream(accel_program)
+        try:
+            bitstream = encode_bitstream(accel_program)
+        except EncodingError as exc:
+            return f"configuration failed: {exc}"
         window_cells = (self.options.mapping.window[0]
                         * self.options.mapping.window[1])
         cost = configuration_cost(
@@ -492,55 +480,52 @@ class MesaController:
         )
         outcome = self.config_cache.put(
             decision.loop.start_address, decision.loop.end_address,
-            self.config.name, accel_program, cost,
-            sdfg=sdfg, memopt_report=translated.memopt_report,
-            digest=digest)
+            self.config.name, digest,
+            CachedConfiguration(accel_program, bitstream, cost))
         tally["insertions"] += 1
         tally["evictions"] += outcome.evicted
-        plan = self._plan(sdfg, decision, parallelizable)
-        warmup = self._warmup_iterations(decision, trace, cpi, cost)
         return AcceleratedRegion(
             decision=decision,
+            digest=digest,
             sdfg=sdfg,
             accel_program=accel_program,
             bitstream_words=len(bitstream),
             cost=cost,
             memopt_report=translated.memopt_report,
-            plan=plan,
-            warmup=warmup,
+            plan=self._plan(accel_program, decision, parallelizable),
+            warmup=self._warmup_iterations(decision, trace, cpi, cost),
         )
 
-    def _region_from_cache(self, decision, cached: CachedConfiguration,
-                           parallelizable, trace, cpi) -> AcceleratedRegion:
+    def _region_from_cache(self, decision, digest,
+                           cached: CachedConfiguration, parallelizable,
+                           trace, cpi) -> AcceleratedRegion:
         """Warm path: rebuild the region record from a cache hit.
 
         Translation (T1), memory optimization, and mapping (T2) are all
         skipped; the only configuration work charged is the ConfigBlock's
         bitstream load (:meth:`ConfigurationCost.warm`), which shrinks the
-        warm-up window accordingly.  Loop planning is recomputed because it
+        warm-up window accordingly.  Loop planning reads the cached
+        program, as the cold path does, and is recomputed because it
         depends on this call's ``parallelizable`` annotation and expected
-        trip count, not on the cached mapping.
+        trip count.
         """
         warm_cost = cached.cost.warm()
-        resources = (cached.sdfg if cached.sdfg is not None
-                     else _ProgramResources(cached.program))
-        plan = self._plan(resources, decision, parallelizable)
-        warmup = self._warmup_iterations(decision, trace, cpi, warm_cost)
         return AcceleratedRegion(
             decision=decision,
-            sdfg=cached.sdfg,
+            digest=digest,
+            sdfg=None,
             accel_program=cached.program,
             bitstream_words=len(cached.bitstream),
             cost=warm_cost,
-            memopt_report=cached.memopt_report,
-            plan=plan,
-            warmup=warmup,
+            memopt_report=None,
+            plan=self._plan(cached.program, decision, parallelizable),
+            warmup=self._warmup_iterations(decision, trace, cpi, warm_cost),
             cache_hit=True,
         )
 
-    def _plan(self, sdfg, decision, parallelizable) -> LoopPlan:
+    def _plan(self, program, decision, parallelizable) -> LoopPlan:
         return plan_loop_optimizations(
-            sdfg, parallelizable,
+            program, parallelizable,
             expected_iterations=decision.loop.expected_trip_count,
             enable_tiling=self.options.tiling,
             enable_pipelining=self.options.pipelining,
@@ -584,7 +569,8 @@ class MesaController:
                 return f"translation failed: {exc}"
             memopt_report = None
             if self.options.memopt:
-                memopt_report = apply_memory_optimizations(ldfg)
+                memopt_report = apply_memory_optimizations(
+                    ldfg, xlen=self.config.xlen)
         mapper = InstructionMapper(self.config, self.interconnect,
                                    self.options.mapping)
         with self._phase("map"):
@@ -691,46 +677,6 @@ class MesaController:
         Executor(program, state).run(
             max_steps, stop_pcs=(decision.loop.start_address,))
         return state
-
-    # -- configuration-cache persistence ---------------------------------------
-
-    def export_cache_regions(self, keys=None) -> list[dict]:
-        """JSON-serializable records of the cached configurations (all, or
-        those whose ``(start, end, digest)`` is in ``keys``)."""
-        return self.config_cache.export_regions(keys)
-
-    def restore_cache_regions(self, records: list[dict]) -> int:
-        """Re-seed the configuration cache from exported records.
-
-        Records for other backends, or that fail to decode (corrupt
-        bitstream, missing fields), are skipped silently — a partial
-        restore is strictly better than none.  Returns the number of
-        regions restored.  Restored entries carry no :class:`Sdfg`; a hit
-        on one takes the program-resources warm path
-        (:class:`_ProgramResources`), which reproduces the same loop plan
-        because planning only consumes PE/LSU occupancy and geometry.
-        """
-        from ..accel import BitstreamError, decode_bitstream
-
-        restored = 0
-        for record in records:
-            if record.get("config") != self.config.name:
-                continue
-            try:
-                program = decode_bitstream(
-                    [int(word) for word in record["bitstream"]], self.config)
-                cost = ConfigurationCost(
-                    *(int(cycles) for cycles in record["cost"]))
-                start = int(record["start"])
-                end = int(record["end"])
-                digest = record.get("digest")
-            except (BitstreamError, KeyError, TypeError, ValueError,
-                    IndexError):
-                continue
-            self.config_cache.put(start, end, self.config.name, program,
-                                  cost, digest=digest)
-            restored += 1
-        return restored
 
     def _cpu_only_result(self, reason: str, trace: Trace,
                          cpu_only: CoreResult,

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..accel import ExecutionOptions
+from ..accel import AcceleratorProgram, ExecutionOptions
 from .sdfg import Sdfg
 
 __all__ = ["LoopPlan", "plan_loop_optimizations"]
@@ -43,7 +43,8 @@ def _floor_power_of_two(value: int) -> int:
     return power
 
 
-def plan_loop_optimizations(sdfg: Sdfg, parallelizable: bool,
+def plan_loop_optimizations(mapped: Sdfg | AcceleratorProgram,
+                            parallelizable: bool,
                             expected_iterations: float | None = None,
                             enable_tiling: bool = True,
                             enable_pipelining: bool = True,
@@ -51,7 +52,8 @@ def plan_loop_optimizations(sdfg: Sdfg, parallelizable: bool,
     """Decide tiling and pipelining for a mapped loop.
 
     Args:
-        sdfg: the mapped loop (supplies resource usage).
+        mapped: the mapped loop, as its SDFG or its accelerator program
+            (either supplies the PE/LSU occupancy and the backend).
         parallelizable: the loop carries an ``omp parallel``/``omp simd``
             annotation (no inter-iteration dependencies beyond induction).
         expected_iterations: trip-count estimate; tiling beyond the trip
@@ -70,10 +72,11 @@ def plan_loop_optimizations(sdfg: Sdfg, parallelizable: bool,
     if not enable_tiling:
         return LoopPlan(pipelined, 1, "tiling disabled")
 
-    pe_nodes = max(1, sdfg.pe_count)
-    lsu_nodes = sdfg.lsu_count
-    by_pes = sdfg.config.num_pes // pe_nodes
-    by_lsu = (sdfg.config.lsu_entries // lsu_nodes) if lsu_nodes else max_tile
+    pe_nodes = max(1, mapped.pe_count)
+    lsu_nodes = mapped.lsu_count
+    by_pes = mapped.config.num_pes // pe_nodes
+    by_lsu = (mapped.config.lsu_entries // lsu_nodes if lsu_nodes
+              else max_tile)
     limit = max(1, min(by_pes, by_lsu, max_tile))
     if expected_iterations is not None:
         limit = max(1, min(limit, int(expected_iterations) or 1))

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..isa import ACCESS_FORMATS, OpClass
+from ..isa import Opcode, OpClass
 from .ldfg import Ldfg, LdfgEntry, SourceKind
 
 __all__ = ["MemoptReport", "apply_memory_optimizations",
@@ -37,22 +37,35 @@ class MemoptReport:
     prefetched_loads: int = 0
 
 
-def _same_address(a: LdfgEntry, b: LdfgEntry) -> bool:
-    """Same base-register source (post-rename) and same offset and width."""
-    return (a.s1 == b.s1
-            and a.instruction.imm == b.instruction.imm
-            and (ACCESS_FORMATS[a.instruction.opcode][0]
-                 == ACCESS_FORMATS[b.instruction.opcode][0]))
+#: Store → load pairs, per xlen, whose load returns exactly the register
+#: value the store wrote.  Forwarding hands consumers the store's data
+#: node unconverted, so a narrower, sign-changing or int/FP-crossing pair
+#: (``sb``/``lbu``, ``fsw``/``lw``, ``sw``/``lw`` on RV64, ...) must
+#: still go through memory.
+_EXACT_PAIRS = {
+    32: {(Opcode.SW, Opcode.LW), (Opcode.FSW, Opcode.FLW)},
+    64: {(Opcode.SD, Opcode.LD), (Opcode.FSW, Opcode.FLW)},
+}
 
 
-def forward_store_loads(ldfg: Ldfg) -> int:
+def _forwardable(store: LdfgEntry, load: LdfgEntry, xlen: int) -> bool:
+    """An exact pair at the same base-register source (post-rename) and
+    offset."""
+    return ((store.instruction.opcode, load.instruction.opcode)
+            in _EXACT_PAIRS[xlen]
+            and store.s1 == load.s1
+            and store.instruction.imm == load.instruction.imm)
+
+
+def forward_store_loads(ldfg: Ldfg, xlen: int = 32) -> int:
     """Eliminate loads covered by an earlier store to the same address.
 
-    Conservative conditions: the store's *data* must be a same-iteration
-    node (so consumers can be rewired without cross-iteration bookkeeping),
-    no other store may intervene (it could alias), and neither instruction
-    may be predicated (the pair might not execute together).
-    Returns the number of loads eliminated.
+    Conservative conditions: the pair must reload exactly the stored
+    register value at this ``xlen``, the store's *data* must be a
+    same-iteration node (so consumers can be rewired without
+    cross-iteration bookkeeping), no other store may intervene (it could
+    alias), and neither instruction may be predicated (the pair might not
+    execute together).  Returns the number of loads eliminated.
     """
     eliminated = 0
     for index, load in enumerate(ldfg.entries):
@@ -66,7 +79,7 @@ def forward_store_loads(ldfg: Ldfg) -> int:
             if not prior.instruction.is_store:
                 continue
             if (prior.guard_branch is None
-                    and _same_address(prior, load)
+                    and _forwardable(prior, load, xlen)
                     and prior.s2.kind is SourceKind.NODE):
                 load.forwarded_from_store = prior.node_id
                 eliminated += 1
@@ -137,11 +150,16 @@ def mark_prefetchable(ldfg: Ldfg) -> int:
 def apply_memory_optimizations(ldfg: Ldfg,
                                forwarding: bool = True,
                                vectorization: bool = True,
-                               prefetching: bool = True) -> MemoptReport:
-    """Run the enabled §4.2 optimizations in order; returns a report."""
+                               prefetching: bool = True,
+                               xlen: int = 32) -> MemoptReport:
+    """Run the enabled §4.2 optimizations in order; returns a report.
+
+    ``xlen`` is the backend's register width, which decides the store→load
+    pairs forwarding may short-circuit.
+    """
     report = MemoptReport()
     if forwarding:
-        report.forwarded_loads = forward_store_loads(ldfg)
+        report.forwarded_loads = forward_store_loads(ldfg, xlen)
     if vectorization:
         report.vector_groups, report.vectorized_loads = vectorize_loads(ldfg)
     if prefetching:

@@ -11,10 +11,10 @@ pinned to its own core, compete for a single spatial accelerator.  The chip
 holds **one** :class:`MesaController`, so its configuration cache is shared
 across cores — two threads running the same binary configure once and the
 second hits the cache, skipping translation and mapping (§4.3).  Each
-thread is evaluated by the shared controller (concurrently, since
-per-thread evaluation is independent); qualifying threads offload their hot
-loops, and the accelerator serializes accelerated regions in arrival order
-(with a benefit-ordered policy available).  The result is a timeline with a
+thread is evaluated by the shared controller, one after another in
+submission order; qualifying threads offload their hot loops, and the
+accelerator serializes accelerated regions in arrival order (with a
+benefit-ordered policy available).  The result is a timeline with a
 makespan to compare against the all-CPU schedule — the transparent
 utilization-of-idle-silicon story of the paper's introduction.
 """
@@ -22,7 +22,6 @@ utilization-of-idle-silicon story of the paper's introduction.
 from __future__ import annotations
 
 import enum
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -30,7 +29,7 @@ from ..accel import AcceleratorConfig
 from ..cpu import CpuConfig
 from ..isa import MachineState, Program
 from .configure import CacheStats
-from .controller import MesaController, MesaOptions, MesaResult, region_digest
+from .controller import MesaController, MesaOptions, MesaResult
 
 __all__ = ["SchedulingPolicy", "ThreadSpec", "ThreadOutcome", "SystemRun",
            "MesaSystem"]
@@ -144,23 +143,24 @@ class MesaSystem:
         self.controller = (controller if controller is not None
                            else MesaController(config, cpu_config, options))
 
-    def run(self, threads: list[ThreadSpec],
-            max_workers: int | None = None) -> SystemRun:
+    def run(self, threads: list[ThreadSpec]) -> SystemRun:
         """Schedule the thread set; returns the shared timeline.
 
         Each thread is first evaluated in isolation by the shared
-        controller (its own core runs regardless).  Evaluation is
-        embarrassingly parallel, so it fans out over a thread pool — in
-        two waves, so that threads running a binary another thread already
-        configured deterministically hit the shared configuration cache
-        rather than racing it.  Accelerated regions are then serialized on
-        the single fabric in policy order: a thread whose loop reaches the
-        offload point while the fabric is busy keeps its core stalled at
-        the loop entry (the paper's halt-at-entry protocol) until the
-        fabric frees up.
+        controller (its own core runs regardless), serially in submission
+        order, so a thread running a binary an earlier thread already
+        configured deterministically hits the shared configuration cache.
+        Accelerated regions are then serialized on the single fabric in
+        policy order: a thread whose loop reaches the offload point while
+        the fabric is busy keeps its core stalled at the loop entry (the
+        paper's halt-at-entry protocol) until the fabric frees up.
         """
         stats_before = self.controller.config_cache.stats()
-        evaluated = self._evaluate(threads, max_workers)
+        evaluated = [
+            ThreadOutcome(name=spec.name, result=self.controller.execute(
+                spec.program, spec.state_factory,
+                parallelizable=spec.parallelizable))
+            for spec in threads]
 
         order = list(enumerate(evaluated))
         if self.policy is SchedulingPolicy.BEST_SPEEDUP_FIRST:
@@ -190,52 +190,6 @@ class MesaSystem:
         cache_stats = self.controller.config_cache.stats() - stats_before
         return SystemRun(outcomes=evaluated, policy=self.policy,
                          cache_stats=cache_stats)
-
-    def _evaluate(self, threads: list[ThreadSpec],
-                  max_workers: int | None) -> list[ThreadOutcome]:
-        """Evaluate every thread on the shared controller, concurrently.
-
-        Threads are split into two waves by program content: the first
-        occurrence of each distinct binary runs in wave one (these populate
-        the configuration cache), duplicates run in wave two and hit it.
-        Within a wave the evaluations are independent, so they run on a
-        pool; results are reassembled in submission order.
-        """
-        first_wave: list[int] = []
-        second_wave: list[int] = []
-        seen: set[str] = set()
-        for index, spec in enumerate(threads):
-            key = self._program_key(spec.program)
-            if key in seen:
-                second_wave.append(index)
-            else:
-                seen.add(key)
-                first_wave.append(index)
-
-        results: dict[int, MesaResult] = {}
-
-        def evaluate(index: int) -> None:
-            spec = threads[index]
-            results[index] = self.controller.execute(
-                spec.program, spec.state_factory,
-                parallelizable=spec.parallelizable)
-
-        for wave in (first_wave, second_wave):
-            if not wave:
-                continue
-            if len(wave) == 1 or max_workers == 1:
-                for index in wave:
-                    evaluate(index)
-                continue
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                list(pool.map(evaluate, wave))
-        return [ThreadOutcome(name=threads[i].name, result=results[i])
-                for i in range(len(threads))]
-
-    @staticmethod
-    def _program_key(program: Program) -> str:
-        return region_digest(program, program.base_address,
-                             program.end_address)
 
     @staticmethod
     def _ready_at(outcome: ThreadOutcome) -> float:

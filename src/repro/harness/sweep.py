@@ -201,7 +201,7 @@ def _measure_point(controller: MesaController, name: str,
             speedup=run.speedup_vs_single_core,
             cycles=run.total_cycles,
             tile_factor=run.loop_plan.tile_factor,
-            utilization=(run.sdfg.utilization()
+            utilization=(run.accel_program.pe_count / config.num_pes
                          * run.loop_plan.tile_factor),
             iteration_latency=(run.runs[0].iteration_latency
                                if run.runs else 0.0),

@@ -18,10 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - the CPU model works without numpy
-    np = None
+import numpy as np
 
 __all__ = ["AccessKind", "LoadOutcome", "LsqEntry", "LsqStats",
            "LoadStoreQueue", "block_alias_hazard"]

@@ -4,10 +4,12 @@ The shared configuration cache is the service's asset — the ROADMAP's
 "millions of users" story fails if a routine restart throws away every
 configuration and the fleet pays the full translate → map → configure
 pipeline all over again.  This module serializes what the cache actually
-needs to survive a restart: tag-indexed keys (addresses + content digest)
-and encoded bitstreams.  The bitstream codec is exact, so a restored
-record decodes back into the same :class:`AcceleratorProgram` and a warm
-hit on it is cycle-identical to a warm hit before the restart.
+needs to survive a restart: the region records that
+:meth:`~repro.core.configure.ConfigCache.export_regions` writes and
+:meth:`~repro.core.configure.ConfigCache.restore_regions` reads back.
+A cache entry and its record hold the same thing, so a warm hit on a
+restored entry is cycle-identical to a warm hit before the restart.  This
+module stores and ships records; it never decodes them.
 
 Design rules:
 
@@ -55,8 +57,8 @@ def _record_key(record: dict) -> tuple:
 class RegionStore:
     """Thread-safe, deduplicating accumulator of exported region records.
 
-    Keyed the same way as a tag-indexed :class:`ConfigCache` — (config,
-    start, end, digest) — and kept in use order per chip: a re-reported
+    Keyed the same way as a :class:`ConfigCache` entry — (config, start,
+    end, digest) — and kept in use order per chip: a re-reported
     or :meth:`touch`-ed key moves to the end, and each chip keeps at most
     ``capacity`` records (the least recently used go first), so a restore
     into a capacity-N LRU cache gets the N most recently used regions.

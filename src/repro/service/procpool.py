@@ -26,7 +26,11 @@ affinity* routes identical regions to the same worker when it is idle,
 a coalesced request carries its leader's freshly inserted records, and
 every worker's warm boot (initial or replacement) is seeded with the
 service's :class:`~repro.service.checkpoint.RegionStore` records as they
-stand at that spawn.
+stand at that spawn.  Records are written and read by the chip's
+:class:`~repro.core.configure.ConfigCache` alone (``export_regions`` /
+``restore_regions``, which skips keys already held), and a region's key
+comes from the digest the controller computed for it, so a restored entry
+serves exactly the warm path a locally configured one does.
 
 :class:`CircuitBreaker` lives here too: the per-(config, region)
 consecutive-failure counter the server consults before dispatching, with
@@ -44,7 +48,7 @@ from threading import Lock
 from typing import Any, Callable
 
 from ..accel import mesa_config
-from ..core import MesaController, MesaOptions, region_digest
+from ..core import MesaController, MesaOptions
 from ..cpu import CpuConfig
 from ..harness.parallel import (
     PoolBroken,
@@ -97,23 +101,21 @@ class ControllerPool:
     The pool is the unit of sharing: every request routed to chip
     ``M-128`` lands on the same controller, hence the same configuration
     cache.  Controllers are built lazily on first use with service-grade
-    cache settings (larger, LRU, digest-indexed) derived from
-    ``base_options``.  A pool crosses a process boundary as its settings
-    only: each process builds its own controllers.
+    cache settings (larger, LRU) derived from ``base_options``.  A pool
+    crosses a process boundary as its settings only: each process builds
+    its own controllers.
     """
 
     def __init__(self, base_options: MesaOptions | None = None,
                  cpu_config: CpuConfig | None = None,
                  cache_capacity: int = 64,
                  cache_policy: str = "lru",
-                 cache_tag_indexed: bool = True,
                  factory: Callable[[str], MesaController] | None = None
                  ) -> None:
         self.options = dataclasses.replace(
             base_options if base_options is not None else MesaOptions(),
             cache_capacity=cache_capacity,
-            cache_policy=cache_policy,
-            cache_tag_indexed=cache_tag_indexed)
+            cache_policy=cache_policy)
         self.cpu_config = cpu_config
         self._factory = factory
         self._controllers: dict[str, MesaController] = {}
@@ -166,7 +168,8 @@ class ChipTask:
                 controller = self.pool.controller(config)
             except Exception:
                 continue
-            controller.restore_cache_regions(records)
+            controller.config_cache.restore_regions(records,
+                                                    controller.config)
 
     def __call__(self, task: OffloadTask) -> dict:
         """Run one task; returns a summary dict."""
@@ -185,16 +188,17 @@ class ChipTask:
                     "pid": os.getpid()}
         controller = self.pool.controller(task.config)
         if task.seed:
-            cache = controller.config_cache
-            controller.restore_cache_regions([
-                record for record in task.seed
-                if not cache.holds(record["start"], record["end"],
-                                   record["config"], record.get("digest"))])
+            controller.config_cache.restore_regions(task.seed,
+                                                    controller.config)
         result = controller.execute(task.program, task.state_factory,
                                     parallelizable=task.parallelizable)
         tally = result.cache_stats
-        hits, misses = (_region_keys(task.program, result)
-                        if tally.hits or tally.insertions else ((), ()))
+        hits, misses = set(), set()
+        for region in (result.regions
+                       if tally.hits or tally.insertions else ()):
+            (hits if region.cache_hit else misses).add(
+                (region.loop.start_address, region.loop.end_address,
+                 region.digest))
         return {"accelerated": result.accelerated,
                 "cache_hit": result.config_cache_hit,
                 "reason": result.reason,
@@ -203,21 +207,12 @@ class ChipTask:
                 "phase_seconds": dict(result.phase_seconds),
                 "cache_stats": (tally.hits, tally.misses, tally.evictions,
                                 tally.insertions),
-                "new_regions": (controller.export_cache_regions(misses)
-                                if tally.insertions else []),
+                "new_regions": (
+                    controller.config_cache.export_regions(misses)
+                    if tally.insertions else []),
                 "hit_regions": [(controller.config.name, *key)
                                 for key in hits],
                 "pid": os.getpid()}
-
-
-def _region_keys(program: Program, result) -> tuple[set, set]:
-    """``(start, end, digest)`` of the execute's regions: (hits, misses)."""
-    hits, misses = set(), set()
-    for region in result.regions:
-        start, end = region.loop.start_address, region.loop.end_address
-        (hits if region.cache_hit else misses).add(
-            (start, end, region_digest(program, start, end)))
-    return hits, misses
 
 
 class ProcessWorkerPool(WorkerPool):

@@ -8,16 +8,17 @@ models that deployment:
 * a **controller pool** (:class:`ControllerPool`) holds one
   :class:`~repro.core.controller.MesaController` per chip (backend
   config) in each process that executes, so requests targeting the same
-  backend share a configuration cache — by default LRU-managed and
-  content-digest-indexed, the deployment knobs of
+  backend share a configuration cache — LRU-managed and larger than the
+  library default, the deployment settings of
   :class:`~repro.core.configure.ConfigCache`;
 * a **bounded job queue with admission control**: a request is rejected
   *with a reason* when the queue is full or its client already has its
   quota in flight (per-client fairness — one chatty client cannot starve
   the queue), never silently dropped;
-* **request coalescing** generalizes ``MesaSystem``'s two-wave trick to a
-  stream: a request whose region is identical (same content digest, same
-  backend) to one currently being configured waits for that *leader*
+* **request coalescing** generalizes ``MesaSystem``'s serial evaluation
+  (duplicates hit what the first occurrence configured) to a stream: a
+  request whose region is identical (same content digest, same backend)
+  to one currently being configured waits for that *leader*
   instead of starting a duplicate translation, then executes with the
   leader's fresh configuration — N identical in-flight regions cost one
   translation, one miss, N−1 hits;

@@ -7,8 +7,10 @@ from repro.accel import (
     DataflowEngine,
     InterconnectKind,
     OperandKind,
+    encode_bitstream,
 )
 from repro.core import (
+    CachedConfiguration,
     ConfigCache,
     ConfigTimingModel,
     InstructionMapper,
@@ -22,6 +24,8 @@ from repro.mem import Memory
 
 
 CONFIG = AcceleratorConfig(rows=8, cols=8, interconnect=InterconnectKind.MESH)
+#: Content tag for cache tests that do not exercise digest conflicts.
+DIGEST = "d0"
 
 
 def mapped(text: str, memopt=False):
@@ -199,32 +203,32 @@ class TestConfigCache:
     def make_entry(self):
         sdfg = mapped(LOOP)
         program = build_program(sdfg)
-        cost = configuration_cost(sdfg, 10)
-        return program, cost
+        return CachedConfiguration(program, encode_bitstream(program),
+                                   configuration_cost(sdfg, 10))
 
     def test_miss_then_hit(self):
         cache = ConfigCache()
-        program, cost = self.make_entry()
-        assert cache.lookup(0x1000, 0x1020, "M-64") is None
-        cache.put(0x1000, 0x1020, "M-64", program, cost)
-        hit = cache.lookup(0x1000, 0x1020, "M-64")
+        entry = self.make_entry()
+        assert cache.lookup(0x1000, 0x1020, "M-64", DIGEST) is None
+        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
+        hit = cache.lookup(0x1000, 0x1020, "M-64", DIGEST)
         assert hit is not None
-        assert hit[0] is program
+        assert hit is entry
         assert cache.hits == 1 and cache.misses == 1
 
     def test_distinct_backends_distinct_entries(self):
         cache = ConfigCache()
-        program, cost = self.make_entry()
-        cache.put(0x1000, 0x1020, "M-64", program, cost)
-        assert cache.lookup(0x1000, 0x1020, "M-128") is None
+        entry = self.make_entry()
+        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
+        assert cache.lookup(0x1000, 0x1020, "M-128", DIGEST) is None
 
     def test_fifo_eviction(self):
         cache = ConfigCache(capacity=2)
-        program, cost = self.make_entry()
+        entry = self.make_entry()
         for i in range(3):
-            cache.put(0x1000 + 0x100 * i, 0x1020, "M-64", program, cost)
-        assert cache.lookup(0x1000, 0x1020, "M-64") is None, "evicted"
-        assert cache.lookup(0x1200, 0x1020, "M-64") is not None
+            cache.put(0x1000 + 0x100 * i, 0x1020, "M-64", DIGEST, entry)
+        assert cache.lookup(0x1000, 0x1020, "M-64", DIGEST) is None, "evicted"
+        assert cache.lookup(0x1200, 0x1020, "M-64", DIGEST) is not None
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -234,47 +238,44 @@ class TestConfigCache:
         """Re-inserting an existing key at capacity must update in place,
         not evict the oldest unrelated entry."""
         cache = ConfigCache(capacity=2)
-        program, cost = self.make_entry()
-        cache.put(0x1000, 0x1020, "M-64", program, cost)
-        cache.put(0x2000, 0x2020, "M-64", program, cost)
-        cache.put(0x1000, 0x1020, "M-64", program, cost)  # overwrite
-        assert cache.lookup(0x2000, 0x2020, "M-64") is not None, (
+        entry = self.make_entry()
+        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
+        cache.put(0x2000, 0x2020, "M-64", DIGEST, entry)
+        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)  # overwrite
+        assert cache.lookup(0x2000, 0x2020, "M-64", DIGEST) is not None, (
             "overwrite evicted an unrelated entry")
-        assert cache.lookup(0x1000, 0x1020, "M-64") is not None
+        assert cache.lookup(0x1000, 0x1020, "M-64", DIGEST) is not None
         assert cache.evictions == 0
         assert len(cache) == 2
 
     def test_eviction_counter(self):
         cache = ConfigCache(capacity=1)
-        program, cost = self.make_entry()
-        cache.put(0x1000, 0x1020, "M-64", program, cost)
+        entry = self.make_entry()
+        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
         assert cache.evictions == 0
-        cache.put(0x2000, 0x2020, "M-64", program, cost)
+        cache.put(0x2000, 0x2020, "M-64", DIGEST, entry)
         assert cache.evictions == 1
         assert cache.insertions == 2
 
     def test_put_reports_eviction_and_replacement(self):
         cache = ConfigCache(capacity=1)
-        program, cost = self.make_entry()
-        first = cache.put(0x1000, 0x1020, "M-64", program, cost)
+        entry = self.make_entry()
+        first = cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
         assert not first.evicted and not first.replaced
-        again = cache.put(0x1000, 0x1020, "M-64", program, cost)
+        again = cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
         assert again.replaced and not again.evicted
-        other = cache.put(0x2000, 0x2020, "M-64", program, cost)
+        other = cache.put(0x2000, 0x2020, "M-64", DIGEST, entry)
         assert other.evicted and not other.replaced
-        assert len(other.bitstream) > 5
 
     def test_digest_mismatch_is_conflict_miss(self):
         """Two binaries can place different loops at the same virtual
         addresses; the content digest must keep them apart."""
         cache = ConfigCache()
-        program, cost = self.make_entry()
-        cache.put(0x1000, 0x1020, "M-64", program, cost, digest="aaaa")
-        assert cache.lookup(0x1000, 0x1020, "M-64", digest="bbbb") is None
-        assert cache.lookup(0x1000, 0x1020, "M-64", digest="aaaa") is not None
-        # An address-only probe (no digest) still matches.
-        assert cache.lookup(0x1000, 0x1020, "M-64") is not None
-        assert cache.misses == 1 and cache.hits == 2
+        entry = self.make_entry()
+        cache.put(0x1000, 0x1020, "M-64", "aaaa", entry)
+        assert cache.lookup(0x1000, 0x1020, "M-64", "bbbb") is None
+        assert cache.lookup(0x1000, 0x1020, "M-64", "aaaa") is not None
+        assert cache.misses == 1 and cache.hits == 1
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -283,59 +284,90 @@ class TestConfigCache:
     def test_lru_hit_refreshes_entry(self):
         """Under LRU a lookup hit protects the entry: the victim is the
         least-recently-touched key, not the oldest insertion."""
-        program, cost = self.make_entry()
+        entry = self.make_entry()
         cache = ConfigCache(capacity=2, policy="lru")
-        cache.put(0x1000, 0x1020, "M-64", program, cost)
-        cache.put(0x2000, 0x2020, "M-64", program, cost)
-        assert cache.lookup(0x1000, 0x1020, "M-64") is not None  # refresh
-        cache.put(0x3000, 0x3020, "M-64", program, cost)      # evicts
-        assert cache.lookup(0x1000, 0x1020, "M-64") is not None, (
+        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
+        cache.put(0x2000, 0x2020, "M-64", DIGEST, entry)
+        assert cache.lookup(0x1000, 0x1020, "M-64", DIGEST)  # refresh
+        cache.put(0x3000, 0x3020, "M-64", DIGEST, entry)  # evicts
+        assert cache.lookup(0x1000, 0x1020, "M-64", DIGEST) is not None, (
             "the refreshed entry must survive")
-        assert cache.lookup(0x2000, 0x2020, "M-64") is None, (
+        assert cache.lookup(0x2000, 0x2020, "M-64", DIGEST) is None, (
             "the least-recently-touched entry is the victim")
 
     def test_fifo_ignores_hits_for_eviction(self):
-        program, cost = self.make_entry()
+        entry = self.make_entry()
         cache = ConfigCache(capacity=2, policy="fifo")
-        cache.put(0x1000, 0x1020, "M-64", program, cost)
-        cache.put(0x2000, 0x2020, "M-64", program, cost)
-        assert cache.lookup(0x1000, 0x1020, "M-64") is not None
-        cache.put(0x3000, 0x3020, "M-64", program, cost)
-        assert cache.lookup(0x1000, 0x1020, "M-64") is None, (
+        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
+        cache.put(0x2000, 0x2020, "M-64", DIGEST, entry)
+        assert cache.lookup(0x1000, 0x1020, "M-64", DIGEST) is not None
+        cache.put(0x3000, 0x3020, "M-64", DIGEST, entry)
+        assert cache.lookup(0x1000, 0x1020, "M-64", DIGEST) is None, (
             "FIFO evicts the oldest insertion regardless of hits")
 
     def test_tag_indexed_collisions_coexist(self):
-        """Digest-indexed mode: two binaries whose loops collide at the
-        same virtual addresses occupy distinct entries (the service
-        deployment) instead of overwriting one slot."""
-        program, cost = self.make_entry()
-        cache = ConfigCache(tag_indexed=True)
-        cache.put(0x1000, 0x1020, "M-64", program, cost, digest="aaaa")
-        cache.put(0x1000, 0x1020, "M-64", program, cost, digest="bbbb")
-        assert len(cache) == 2
-        assert cache.lookup(0x1000, 0x1020, "M-64", digest="aaaa") is not None
-        assert cache.lookup(0x1000, 0x1020, "M-64", digest="bbbb") is not None
-        assert cache.evictions == 0
-
-    def test_address_indexed_collisions_overwrite(self):
-        """The hardware default keeps one entry per address key: a second
-        binary at the same addresses replaces the first (conflict)."""
-        program, cost = self.make_entry()
+        """Every key carries the digest: two binaries whose loops collide
+        at the same virtual addresses occupy distinct entries instead of
+        overwriting one slot."""
+        entry = self.make_entry()
         cache = ConfigCache()
-        cache.put(0x1000, 0x1020, "M-64", program, cost, digest="aaaa")
-        cache.put(0x1000, 0x1020, "M-64", program, cost, digest="bbbb")
-        assert len(cache) == 1
-        assert cache.lookup(0x1000, 0x1020, "M-64", digest="aaaa") is None
+        cache.put(0x1000, 0x1020, "M-64", "aaaa", entry)
+        cache.put(0x1000, 0x1020, "M-64", "bbbb", entry)
+        assert len(cache) == 2
+        assert cache.lookup(0x1000, 0x1020, "M-64", "aaaa") is not None
+        assert cache.lookup(0x1000, 0x1020, "M-64", "bbbb") is not None
+        assert cache.evictions == 0
 
     def test_stats_snapshot_and_delta(self):
         cache = ConfigCache()
-        program, cost = self.make_entry()
+        entry = self.make_entry()
         before = cache.stats()
-        cache.lookup(0x1000, 0x1020, "M-64")
-        cache.put(0x1000, 0x1020, "M-64", program, cost)
-        cache.lookup(0x1000, 0x1020, "M-64")
+        cache.lookup(0x1000, 0x1020, "M-64", DIGEST)
+        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
+        cache.lookup(0x1000, 0x1020, "M-64", DIGEST)
         delta = cache.stats() - before
         assert delta.hits == 1 and delta.misses == 1
         assert delta.insertions == 1 and delta.evictions == 0
         assert delta.lookups == 2
         assert delta.hit_rate == pytest.approx(0.5)
+
+
+class TestRegionRecords:
+    """``export_regions``/``restore_regions``: the one record codec."""
+
+    def configured_cache(self):
+        sdfg = mapped(LOOP)
+        program = build_program(sdfg)
+        bitstream = encode_bitstream(program)
+        cache = ConfigCache()
+        cache.put(0x1000, 0x1020, CONFIG.name, "aaaa", CachedConfiguration(
+            program, bitstream, configuration_cost(sdfg, len(bitstream))))
+        return cache
+
+    def test_restored_entry_equals_exported_one(self):
+        cache = self.configured_cache()
+        fresh = ConfigCache()
+        assert fresh.restore_regions(cache.export_regions(), CONFIG) == 1
+        original = cache.lookup(0x1000, 0x1020, CONFIG.name, "aaaa")
+        restored = fresh.lookup(0x1000, 0x1020, CONFIG.name, "aaaa")
+        # The codec drops only assembler metadata (branch labels), so the
+        # restored program re-encodes to the very words it came from.
+        assert restored.bitstream == original.bitstream
+        assert encode_bitstream(restored.program) == original.bitstream
+        assert restored.cost == original.cost
+        assert fresh.export_regions() == cache.export_regions()
+
+    def test_held_keys_are_skipped(self):
+        cache = self.configured_cache()
+        records = cache.export_regions()
+        assert cache.restore_regions(records, CONFIG) == 0
+        assert cache.insertions == 1
+
+    def test_records_without_a_digest_are_skipped(self):
+        (record,) = self.configured_cache().export_regions()
+        undigested = {key: value for key, value in record.items()
+                      if key != "digest"}
+        fresh = ConfigCache()
+        assert fresh.restore_regions(
+            [dict(record, digest=None), undigested], CONFIG) == 0
+        assert len(fresh) == 0

@@ -7,8 +7,8 @@ import pytest
 
 from repro import M_128, MesaController, MesaOptions, assemble
 from repro.accel import AcceleratorConfig
-from repro.core import RegionCriteria
-from repro.isa import MachineState, x
+from repro.core import RegionCriteria, region_digest
+from repro.isa import MachineState, run, x
 from repro.mem import Memory
 
 
@@ -185,8 +185,9 @@ class TestOptions:
         controller.execute(INCREMENT_LOOP, increment_state)
         loop_start = 0x1004
         loop_end = 0x1018
+        digest = region_digest(INCREMENT_LOOP, loop_start, loop_end)
         assert controller.config_cache.lookup(
-            loop_start, loop_end, M_128.name) is not None
+            loop_start, loop_end, M_128.name, digest) is not None
 
 
 class TestConfigCacheWarmPath:
@@ -358,3 +359,32 @@ class TestFailureReasons:
         assert result.reason.count("mapping failed") == 2, (
             f"both regions' failures must be reported, got: {result.reason}")
         assert "; " in result.reason
+
+    def test_unencodable_immediate_is_a_named_rejection(self):
+        """An immediate the bitstream cannot hold rejects the region with
+        a reason; the program still completes on the CPU."""
+        program = assemble(
+            """
+            addi t0, zero, 300
+            lui a0, 16
+            loop:
+                addi t1, t0, 40000
+                sw t1, 0(a0)
+                addi a0, a0, 4
+                addi t0, t0, -1
+                bne t0, zero, loop
+            """
+        )
+
+        def fresh():
+            return MachineState(pc=program.base_address)
+
+        controller = MesaController(M_128)
+        result = controller.execute(program, fresh)
+        assert result.accelerated is False
+        assert result.reason.startswith("configuration failed:")
+        assert "40000" in result.reason
+        assert len(controller.config_cache) == 0
+        reference = run(program, fresh(), max_steps=100_000)
+        assert result.final_state.snapshot() == reference.snapshot()
+        assert result.final_state.memory._bytes == reference.memory._bytes

@@ -29,6 +29,25 @@ class TestStoreLoadForwarding:
         assert ldfg[2].forwarded_from_store == 1
         assert ldfg[2].eliminated
 
+    @pytest.mark.parametrize("store, load, xlen, forwarded", [
+        ("sw", "lw", 32, 1), ("sd", "ld", 64, 1),
+        ("fsw", "flw", 32, 1), ("fsw", "flw", 64, 1),
+        ("sw", "lw", 64, 0), ("sw", "lwu", 64, 0),
+        ("sb", "lbu", 32, 0), ("sb", "lb", 32, 0), ("sh", "lh", 32, 0),
+        ("fsw", "lw", 32, 0), ("sw", "flw", 32, 0),
+    ])
+    def test_only_exact_pairs_forwarded(self, store, load, xlen, forwarded):
+        """Forwarding hands consumers the stored register unconverted, so
+        only pairs whose load reproduces it exactly at ``xlen`` qualify."""
+        data = "ft0" if store.startswith("f") else "t0"
+        produce = ("fcvt.s.w ft0, t2" if data == "ft0"
+                   else "addi t0, zero, 7")
+        dest = "ft1" if load.startswith("f") else "t1"
+        text = f"{produce}\n{store} {data}, 0(a0)\n{load} {dest}, 0(a0)"
+        assert forward_store_loads(ldfg_of(text), xlen) == forwarded
+        report = apply_memory_optimizations(ldfg_of(text), xlen=xlen)
+        assert report.forwarded_loads == forwarded
+
     def test_different_offset_not_forwarded(self):
         ldfg = ldfg_of(
             """

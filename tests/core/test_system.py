@@ -141,14 +141,6 @@ class TestSharedControllerCache:
         assert ([o.config_cache_hit for o in first.outcomes]
                 == [o.config_cache_hit for o in second.outcomes])
 
-    def test_serial_evaluation_matches_concurrent(self):
-        threads = [thread("nn"), thread("kmeans"), thread("nn")]
-        pooled = MesaSystem(M_128).run(threads)
-        serial = MesaSystem(M_128).run(threads, max_workers=1)
-        assert [o.finish for o in pooled.outcomes] \
-            == [o.finish for o in serial.outcomes]
-        assert pooled.cache_stats == serial.cache_stats
-
     def test_fifo_is_arrival_order(self):
         """The thread that reaches its offload point first claims the
         fabric first, regardless of submission order."""

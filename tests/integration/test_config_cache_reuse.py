@@ -9,10 +9,10 @@ binary (or a binary whose loop is visited repeatedly) must hit the cache.
 import pytest
 
 from repro.accel import M_128
-from repro.core import MesaController
+from repro.core import MesaController, region_digest
 from repro.isa import MachineState, assemble, x
 from repro.mem import Memory
-from repro.workloads import build_kernel
+from repro.workloads import build_kernel, kernel_names
 
 
 class TestCacheReuse:
@@ -32,10 +32,11 @@ class TestCacheReuse:
         assert warm.cache_stats.insertions == 0, "no re-configuration"
         assert warm.config_cost.total == cold.config_cost.write_cycles
         assert warm.total_cycles < cold.total_cycles
+        start = kernel.program.labels["loop"]
+        end = kernel.program.end_address - 4
         loop = controller.config_cache.lookup(
-            kernel.program.labels["loop"],
-            kernel.program.end_address - 4,
-            M_128.name)
+            start, end, M_128.name,
+            region_digest(kernel.program, start, end))
         assert loop is not None
 
     def test_distinct_kernels_distinct_entries(self):
@@ -49,10 +50,11 @@ class TestCacheReuse:
         hits = 0
         for name in ("nn", "gaussian"):
             kernel = build_kernel(name, iterations=128)
+            start = kernel.program.labels["loop"]
+            end = kernel.program.end_address - 4
             entry = controller.config_cache.lookup(
-                kernel.program.labels["loop"],
-                kernel.program.end_address - 4,
-                M_128.name)
+                start, end, M_128.name,
+                region_digest(kernel.program, start, end))
             hits += entry is not None
         assert hits == 2
 
@@ -94,3 +96,32 @@ class TestCacheReuse:
         assert memory.load_word(0x10000) == 3
         assert memory.load_word(0x10000 + 4 * 119) == 3
         assert memory.load_word(0x10000 + 4 * 120) == 0
+
+
+@pytest.mark.parametrize("name", kernel_names())
+def test_every_hit_takes_one_warm_path(name):
+    """A hit on the controller that configured the region and a hit on a
+    fresh controller seeded from its exported records are the same warm
+    path: identical cycles, and the cold run's loop plan."""
+    kernel = build_kernel(name, iterations=128)
+
+    def execute(controller):
+        return controller.execute(kernel.program, kernel.state_factory,
+                                  parallelizable=kernel.parallelizable)
+
+    controller = MesaController(M_128)
+    cold = execute(controller)
+    warm = execute(controller)
+    seeded = MesaController(M_128)
+    seeded.config_cache.restore_regions(
+        controller.config_cache.export_regions(), M_128)
+    restored = execute(seeded)
+
+    assert warm.total_cycles == restored.total_cycles
+    assert warm.loop_plan == cold.loop_plan
+    assert restored.loop_plan == cold.loop_plan
+    assert warm.config_cache_hit == restored.config_cache_hit
+    if cold.accelerated:
+        assert warm.config_cache_hit
+        for hit in (warm, restored):
+            assert hit.sdfg is None and hit.memopt_report is None

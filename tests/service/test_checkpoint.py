@@ -127,11 +127,12 @@ class TestControllerRoundTrip:
         live_warm = controller.execute(kernel.program, kernel.state_factory,
                                        parallelizable=kernel.parallelizable)
         assert live_warm.config_cache_hit
-        records = controller.export_cache_regions()
+        records = controller.config_cache.export_regions()
         assert records
 
         fresh = MesaController(mesa_config("M-128"))
-        assert fresh.restore_cache_regions(records) == len(records)
+        assert fresh.config_cache.restore_regions(
+            records, fresh.config) == len(records)
         restored = fresh.execute(kernel.program, kernel.state_factory,
                                  parallelizable=kernel.parallelizable)
         assert restored.config_cache_hit
@@ -141,12 +142,14 @@ class TestControllerRoundTrip:
 
     def test_restore_skips_foreign_config_and_junk(self):
         controller, _ = configured_controller()
-        records = controller.export_cache_regions()
+        records = controller.config_cache.export_regions()
         other = MesaController(mesa_config("M-64"))
-        assert other.restore_cache_regions(records) == 0  # config mismatch
+        # config mismatch
+        assert other.config_cache.restore_regions(records, other.config) == 0
         fresh = MesaController(mesa_config("M-128"))
         mangled = [dict(records[0], bitstream=[999999999, -3])]
-        assert fresh.restore_cache_regions(mangled) == 0  # decode fails
+        # decode fails
+        assert fresh.config_cache.restore_regions(mangled, fresh.config) == 0
 
 
 class TestServiceCheckpointRoundTrip:
@@ -205,7 +208,7 @@ class TestServiceCheckpointRoundTrip:
             direct.execute(kernel.program, kernel.state_factory)
         records, reason = load_snapshot(snap)
         assert reason == "" and len(records) == 16
-        assert records == direct.export_cache_regions()
+        assert records == direct.config_cache.export_regions()
 
     @pytest.mark.parametrize("workers", [0, 1])
     def test_snapshot_keeps_a_hit_region_over_older_inserts(self, tmp_path,
@@ -237,7 +240,7 @@ class TestServiceCheckpointRoundTrip:
         records, reason = load_snapshot(snap)
         assert reason == "" and len(records) == 2
         # A was hit after B was inserted, so C evicts B, not A.
-        assert records == direct.export_cache_regions()
+        assert records == direct.config_cache.export_regions()
 
     def test_corrupt_snapshot_boots_cold(self, tmp_path):
         snap = str(tmp_path / "cache.snapshot.json")
