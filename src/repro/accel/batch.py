@@ -191,10 +191,10 @@ def _compile_compute(instr, evaluate):
         return (D_INT, "x", None, "fn",
                 lambda a, b: a.astype(np.float32).view(np.int32)
                               .astype(np.int64))
-    # FCVT_W_S / FCVT_WU_S truncate (and raise on NaN) via Python int();
-    # the RV64 W-forms and MULH/DIV/REM families have no exact vector
-    # counterpart here; raiser nodes (system ops) must fault like the
-    # interpreter.  All run on the interpreter.
+    # FCVT_W_S / FCVT_WU_S (saturating conversions), the RV64 W-forms and
+    # the MULH/DIV/REM families have no vector table here, and raiser
+    # nodes (system ops) must fault like the interpreter.  All run on the
+    # interpreter.
     return None
 
 
@@ -216,83 +216,79 @@ def _vec_fsqrt(a, b):
     return _r32(np.where(a64 >= 0.0, root, np.nan))
 
 
-if np is not None:
-    _INT_BIN_VEC = {
-        Opcode.ADD: lambda a, b: _vts(a + b),
-        Opcode.SUB: lambda a, b: _vts(a - b),
-        Opcode.SLL: lambda a, b: _vts(a << (b & 31)),
-        Opcode.SLT: lambda a, b: (a < b).astype(np.int64),
-        Opcode.SLTU: lambda a, b: (_vtu(a) < _vtu(b)).astype(np.int64),
-        Opcode.XOR: lambda a, b: _vts(a ^ b),
-        Opcode.SRL: lambda a, b: _vts(_vtu(a) >> (b & 31)),
-        Opcode.SRA: lambda a, b: a >> (b & 31),
-        Opcode.OR: lambda a, b: _vts(a | b),
-        Opcode.AND: lambda a, b: _vts(a & b),
-        Opcode.MUL: lambda a, b: _vts(a * b),
-    }
-    _INT_IMM_VEC = {
-        Opcode.ADDI: lambda imm: lambda a, b: _vts(a + imm),
-        Opcode.SLTI: lambda imm: lambda a, b: (a < imm).astype(np.int64),
-        Opcode.SLTIU: lambda imm: (
-            lambda iu: lambda a, b: (_vtu(a) < iu).astype(np.int64)
-        )(imm & _M32),
-        Opcode.XORI: lambda imm: lambda a, b: _vts(a ^ imm),
-        Opcode.ORI: lambda imm: lambda a, b: _vts(a | imm),
-        Opcode.ANDI: lambda imm: lambda a, b: _vts(a & imm),
-        Opcode.SLLI: lambda imm: (
-            lambda sh: lambda a, b: _vts(a << sh))(imm & 31),
-        Opcode.SRLI: lambda imm: (
-            lambda sh: lambda a, b: _vts(_vtu(a) >> sh))(imm & 31),
-        Opcode.SRAI: lambda imm: (
-            lambda sh: lambda a, b: a >> sh)(imm & 31),
-    }
-    _FP_BIN_VEC = {
-        Opcode.FADD_S: lambda a, b: _r32(_f64(a) + _f64(b)),
-        Opcode.FSUB_S: lambda a, b: _r32(_f64(a) - _f64(b)),
-        Opcode.FMUL_S: lambda a, b: _r32(_f64(a) * _f64(b)),
-        Opcode.FDIV_S: _vec_fdiv,
-        # Python min/max return b only on a strict comparison win, so NaNs
-        # select a — np.where with the same strict predicate matches.
-        Opcode.FMIN_S: lambda a, b: (
-            lambda a64, b64: _r32(np.where(b64 < a64, b64, a64))
-        )(_f64(a), _f64(b)),
-        Opcode.FMAX_S: lambda a, b: (
-            lambda a64, b64: _r32(np.where(b64 > a64, b64, a64))
-        )(_f64(a), _f64(b)),
-        Opcode.FSGNJ_S: lambda a, b: _r32(np.copysign(np.abs(_f64(a)),
-                                                      _f64(b))),
-        Opcode.FSGNJN_S: lambda a, b: _r32(np.copysign(np.abs(_f64(a)),
-                                                       -_f64(b))),
-        # Scalar: a if b >= 0 else -a (NaN b takes the negate branch).
-        Opcode.FSGNJX_S: lambda a, b: (
-            lambda a64, b64: _r32(np.where(b64 >= 0.0, a64, -a64))
-        )(_f64(a), _f64(b)),
-    }
-    _FP_CMP_VEC = {
-        Opcode.FEQ_S: lambda a, b: (_f64(a) == _f64(b)).astype(np.int64),
-        Opcode.FLT_S: lambda a, b: (_f64(a) < _f64(b)).astype(np.int64),
-        Opcode.FLE_S: lambda a, b: (_f64(a) <= _f64(b)).astype(np.int64),
-    }
-    _BRANCH_VEC = {
-        Opcode.BEQ: lambda a, b: a == b,
-        Opcode.BNE: lambda a, b: a != b,
-        Opcode.BLT: lambda a, b: a < b,
-        Opcode.BGE: lambda a, b: a >= b,
-        Opcode.BLTU: lambda a, b: _vtu(a) < _vtu(b),
-        Opcode.BGEU: lambda a, b: _vtu(a) >= _vtu(b),
-    }
-    #: Self-loop reductions with an exact closed/scan form, keyed by opcode.
-    _SCAN_OPS = {
-        Opcode.ADDI: "addi",
-        Opcode.ADD: "iadd",
-        Opcode.SUB: "isub",
-        Opcode.FADD_S: "fadd",
-        Opcode.FSUB_S: "fsub",
-        Opcode.FMUL_S: "fmul",
-    }
-else:  # pragma: no cover
-    _INT_BIN_VEC = _INT_IMM_VEC = _FP_BIN_VEC = _FP_CMP_VEC = {}
-    _BRANCH_VEC = _SCAN_OPS = {}
+_INT_BIN_VEC = {
+    Opcode.ADD: lambda a, b: _vts(a + b),
+    Opcode.SUB: lambda a, b: _vts(a - b),
+    Opcode.SLL: lambda a, b: _vts(a << (b & 31)),
+    Opcode.SLT: lambda a, b: (a < b).astype(np.int64),
+    Opcode.SLTU: lambda a, b: (_vtu(a) < _vtu(b)).astype(np.int64),
+    Opcode.XOR: lambda a, b: _vts(a ^ b),
+    Opcode.SRL: lambda a, b: _vts(_vtu(a) >> (b & 31)),
+    Opcode.SRA: lambda a, b: a >> (b & 31),
+    Opcode.OR: lambda a, b: _vts(a | b),
+    Opcode.AND: lambda a, b: _vts(a & b),
+    Opcode.MUL: lambda a, b: _vts(a * b),
+}
+_INT_IMM_VEC = {
+    Opcode.ADDI: lambda imm: lambda a, b: _vts(a + imm),
+    Opcode.SLTI: lambda imm: lambda a, b: (a < imm).astype(np.int64),
+    Opcode.SLTIU: lambda imm: (
+        lambda iu: lambda a, b: (_vtu(a) < iu).astype(np.int64)
+    )(imm & _M32),
+    Opcode.XORI: lambda imm: lambda a, b: _vts(a ^ imm),
+    Opcode.ORI: lambda imm: lambda a, b: _vts(a | imm),
+    Opcode.ANDI: lambda imm: lambda a, b: _vts(a & imm),
+    Opcode.SLLI: lambda imm: (
+        lambda sh: lambda a, b: _vts(a << sh))(imm & 31),
+    Opcode.SRLI: lambda imm: (
+        lambda sh: lambda a, b: _vts(_vtu(a) >> sh))(imm & 31),
+    Opcode.SRAI: lambda imm: (
+        lambda sh: lambda a, b: a >> sh)(imm & 31),
+}
+_FP_BIN_VEC = {
+    Opcode.FADD_S: lambda a, b: _r32(_f64(a) + _f64(b)),
+    Opcode.FSUB_S: lambda a, b: _r32(_f64(a) - _f64(b)),
+    Opcode.FMUL_S: lambda a, b: _r32(_f64(a) * _f64(b)),
+    Opcode.FDIV_S: _vec_fdiv,
+    # Python min/max return b only on a strict comparison win, so NaNs
+    # select a — np.where with the same strict predicate matches.
+    Opcode.FMIN_S: lambda a, b: (
+        lambda a64, b64: _r32(np.where(b64 < a64, b64, a64))
+    )(_f64(a), _f64(b)),
+    Opcode.FMAX_S: lambda a, b: (
+        lambda a64, b64: _r32(np.where(b64 > a64, b64, a64))
+    )(_f64(a), _f64(b)),
+    Opcode.FSGNJ_S: lambda a, b: _r32(np.copysign(np.abs(_f64(a)),
+                                                  _f64(b))),
+    Opcode.FSGNJN_S: lambda a, b: _r32(np.copysign(np.abs(_f64(a)),
+                                                   -_f64(b))),
+    # Scalar: a if b >= 0 else -a (NaN b takes the negate branch).
+    Opcode.FSGNJX_S: lambda a, b: (
+        lambda a64, b64: _r32(np.where(b64 >= 0.0, a64, -a64))
+    )(_f64(a), _f64(b)),
+}
+_FP_CMP_VEC = {
+    Opcode.FEQ_S: lambda a, b: (_f64(a) == _f64(b)).astype(np.int64),
+    Opcode.FLT_S: lambda a, b: (_f64(a) < _f64(b)).astype(np.int64),
+    Opcode.FLE_S: lambda a, b: (_f64(a) <= _f64(b)).astype(np.int64),
+}
+_BRANCH_VEC = {
+    Opcode.BEQ: lambda a, b: a == b,
+    Opcode.BNE: lambda a, b: a != b,
+    Opcode.BLT: lambda a, b: a < b,
+    Opcode.BGE: lambda a, b: a >= b,
+    Opcode.BLTU: lambda a, b: _vtu(a) < _vtu(b),
+    Opcode.BGEU: lambda a, b: _vtu(a) >= _vtu(b),
+}
+#: Self-loop reductions with an exact closed/scan form, keyed by opcode.
+_SCAN_OPS = {
+    Opcode.ADDI: "addi",
+    Opcode.ADD: "iadd",
+    Opcode.SUB: "isub",
+    Opcode.FADD_S: "fadd",
+    Opcode.FSUB_S: "fsub",
+    Opcode.FMUL_S: "fmul",
+}
 
 
 class _BatchNode:

@@ -28,10 +28,18 @@ Two drive paths produce bit-identical results:
   block is cut at its first store-to-load hazard, and an in-iteration
   store-to-load forward is executed by one interpreter step;
 * the **interpreter** walks the configured nodes one iteration at a time,
-  re-deriving every static fact.  It is the executable specification the
-  golden tests compare against (``compiled=False`` pins it), and it runs
-  every plan the batched capability analysis rejects, with the reason
-  reported as the run's ``drive_reason``.
+  re-deriving routing, timing, LSQ behaviour, predication and live-outs.
+  It is the executable specification the golden tests compare against
+  (``compiled=False`` pins it), and it runs every plan the batched
+  capability analysis rejects, with the reason reported as the run's
+  ``drive_reason``.
+
+Both paths compute a node's value through the plan's per-node ``evaluate``
+closure, which :func:`repro.isa.compile_operation` /
+:func:`repro.isa.compile_branch` build at the fabric's width — the same
+semantics the CPU's :class:`~repro.isa.Executor` runs, so offloaded results
+equal CPU results by construction.  The batched path's numpy vector tables
+are the one independent implementation, checked against the interpreter.
 """
 
 from __future__ import annotations
@@ -43,8 +51,6 @@ from dataclasses import dataclass
 from ..isa import (
     ACCESS_FORMATS,
     MachineState,
-    apply_operation,
-    branch_taken,
     load_value,
     store_value,
 )
@@ -236,7 +242,7 @@ class DataflowEngine:
         stores_seen: list[tuple[int, int, int, float]] = []
         loop_taken = False
 
-        for node in self.program.nodes:
+        for node, plan_node in zip(self.program.nodes, self.plan.nodes):
             a, a_arr = self._resolve(node, node.src1, values, completion,
                                      reg_env, prev_values, iteration, start,
                                      latency, activity)
@@ -266,7 +272,7 @@ class DataflowEngine:
                                                completion, stores_seen,
                                                options)
             elif instr.is_branch or instr.is_jump:
-                taken = branch_taken(instr, a, b) if instr.is_branch else True
+                taken = plan_node.evaluate(a, b)
                 branch_outcomes[node.node_id] = taken
                 if node.node_id == self.program.loop_branch_id:
                     loop_taken = taken
@@ -274,7 +280,7 @@ class DataflowEngine:
                 done = ready + self.config.latencies.for_instruction(instr)
                 activity.control_events += 1
             else:
-                value = apply_operation(instr, a, b, xlen=self.config.xlen)
+                value = plan_node.evaluate(a, b)
                 done = ready + self.config.latencies.for_instruction(instr)
                 if instr.is_fp:
                     activity.fp_ops += 1

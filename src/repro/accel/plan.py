@@ -11,8 +11,10 @@ An :class:`ExecutionPlan` exploits that split.  It is compiled once per
 (program, interconnect) pair and precomputes, per node:
 
 * the operation's evaluator (a closure from
-  :func:`repro.isa.compile_operation` / :func:`~repro.isa.compile_branch`),
-  its constant latency, and its operand resolution codes;
+  :func:`repro.isa.compile_operation` / :func:`~repro.isa.compile_branch`
+  at the fabric's width — the one opcode-to-semantics mapping, shared with
+  the CPU executor; the engine's interpreter evaluates every node through
+  it), its constant latency, and its operand resolution codes;
 * for memory nodes, the decoded access descriptor (size, direction,
   immediate, vector group);
 
@@ -144,10 +146,9 @@ class NodePlan:
     memory: MemoryPlan | None
 
 
-def _make_raiser(instr) -> Callable:
+def _make_raiser(message: str) -> Callable:
     def raise_(a, b):
-        from ..isa.semantics import apply_operation
-        return apply_operation(instr, a, b)  # raises ExecutionError
+        raise ExecutionError(message)
     return raise_
 
 
@@ -246,18 +247,18 @@ class ExecutionPlan:
             )
         elif instr.is_control:
             kind = N_CONTROL
-            evaluate = compile_branch(instr)
+            evaluate = compile_branch(instr, xlen=self.config.xlen)
             latency = self.config.latencies.for_instruction(instr)
         else:
             kind = N_COMPUTE
             try:
                 evaluate = compile_operation(instr, xlen=self.config.xlen)
                 latency = self.config.latencies.for_instruction(instr)
-            except (ExecutionError, KeyError):
-                # Not executable on the fabric (e.g. a system op).  Mirror
-                # the interpreter: the error surfaces when the node runs,
-                # not when the plan is compiled.
-                evaluate = _make_raiser(instr)
+            except ExecutionError as error:
+                # No semantics on the fabric (a system op, an RV64-only op
+                # at 32 bits): like the executor, the error surfaces when
+                # the node runs, not when the plan is compiled.
+                evaluate = _make_raiser(str(error))
                 latency = 1
 
         return NodePlan(

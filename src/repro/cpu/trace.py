@@ -67,7 +67,8 @@ def collect_trace(program: Program, state: MachineState | None = None,
         max_steps: safety bound on executed instructions.
 
     Raises:
-        repro.isa.ExecutionError: on runaway loops or system instructions.
+        repro.isa.ExecutionError: on runaway loops or instructions without
+            semantics (system ops, RV64-only ops on an RV32 state).
     """
     executor = Executor(program, state)
     state = executor.state
@@ -89,13 +90,10 @@ def collect_trace(program: Program, state: MachineState | None = None,
             program.at(pc)  # raises KeyError: misaligned
         index = offset >> 2
         instr = instructions[index]
-        handler = handlers[index]
-        if handler is None:
-            executor._execute(instr)  # raises ExecutionError: no semantics
         address = taken = None
         if instr.is_memory:
             address = (int(state.read(instr.rs1)) + instr.imm) & address_mask
-        target = handler(executor, instr)
+        target = handlers[index]()
         next_pc = pc + 4
         if instr.is_control:
             taken = target is not None and target != next_pc

@@ -6,7 +6,9 @@ MESA controller consume.  The most commonly used entry points are:
 * :func:`assemble` — turn RISC-V assembly text into a :class:`Program`;
 * :class:`Instruction` / :class:`Opcode` / :class:`OpClass` — the decoded form;
 * :func:`encode` / :func:`decode` — 32-bit machine-word codec;
-* :class:`Executor` — the architectural (functional) reference model.
+* :class:`Executor` — the architectural (functional) reference model;
+* :func:`compile_operation` / :func:`compile_branch` — the one mapping from
+  opcode to semantics, shared by the executor and the accelerator.
 """
 
 from .assembler import AssemblyError, Program, assemble
@@ -27,8 +29,6 @@ from .semantics import (
     ExecutionError,
     Executor,
     MachineState,
-    apply_operation,
-    branch_taken,
     compile_branch,
     compile_operation,
     f32,
@@ -64,8 +64,6 @@ __all__ = [
     "load_value",
     "store_value",
     "run",
-    "apply_operation",
-    "branch_taken",
     "compile_branch",
     "compile_operation",
 ]

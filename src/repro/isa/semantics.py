@@ -1,14 +1,22 @@
 """Functional (architectural) semantics of the supported RISC-V subset.
 
-This executor computes *what* a program does — register and memory values and
-the dynamic control-flow path — independent of *how long* it takes.  It is the
-reference model the rest of the library is validated against:
+This module computes *what* a program does — register and memory values and
+the dynamic control-flow path — independent of *how long* it takes.  Every
+opcode's meaning has one implementation: :func:`compile_operation` (compute
+instructions) and :func:`compile_branch` (branch directions) turn one
+instruction at one datapath width into a closure over its source values.
+Everything that evaluates instructions goes through them:
 
-* workload kernels are checked to compute the intended result;
-* the accelerator's dataflow engine must produce the same architectural state
-  as running the loop iterations on this executor (tested in
-  ``tests/integration``);
-* the CPU timing model consumes the dynamic instruction trace it generates.
+* the :class:`Executor`, the CPU reference model, compiles one handler per
+  static instruction around them (loads, stores and jumps add only the
+  memory format table and the pc update);
+* the accelerator's execution plan (:mod:`repro.accel.plan`) bakes them
+  into its nodes, and the engine's interpreter evaluates through the plan;
+* the CPU timing model consumes the dynamic trace the executor produces.
+
+So the fabric computes what the CPU computes by construction.  The batched
+vector tables in :mod:`repro.accel.batch` are the one independent
+implementation, held to the interpreter by the equivalence tests.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from typing import Collection
 
 from ..mem import Memory
 from .assembler import Program
-from .instructions import OPCODE_CLASS, Instruction, OpClass, Opcode
+from .instructions import Instruction, Opcode
 from .registers import RegFile, Register
 
 __all__ = [
@@ -29,8 +37,6 @@ __all__ = [
     "MachineState",
     "Executor",
     "run",
-    "apply_operation",
-    "branch_taken",
     "compile_operation",
     "compile_branch",
     "f32",
@@ -164,96 +170,6 @@ def store_value(memory: Memory, opcode: Opcode, address: int,
     memory.store(address, size, raw)
 
 
-class Executor:
-    """Steps a :class:`MachineState` through a :class:`Program`."""
-
-    def __init__(self, program: Program, state: MachineState | None = None) -> None:
-        self.program = program
-        self.state = state if state is not None else MachineState(pc=program.base_address)
-        self.instret = 0  # dynamic instruction count
-        #: Per-static-instruction handler, resolved once (None where the
-        #: opcode has no semantics; :meth:`_execute` names the error).
-        self.handlers = [_DISPATCH.get(instr.opcode)
-                         for instr in program.instructions]
-
-    def effective_address(self, instr: Instruction) -> int:
-        """The memory address a load/store would access in the current state."""
-        if not instr.is_memory:
-            raise ValueError(f"{instr} is not a memory instruction")
-        assert instr.rs1 is not None
-        return _tu(int(self.state.read(instr.rs1)) + instr.imm,
-                   self.state.xlen)
-
-    def step(self) -> Instruction:
-        """Execute the instruction at PC; returns the executed instruction."""
-        instr = self.program.at(self.state.pc)
-        next_pc = self.state.pc + 4
-        taken_pc = self._execute(instr)
-        self.state.pc = taken_pc if taken_pc is not None else next_pc
-        self.instret += 1
-        return instr
-
-    def run(self, max_steps: int = 1_000_000,
-            stop_pcs: Collection[int] = ()) -> int:
-        """Run until the pc leaves the program or reaches a pc in
-        ``stop_pcs`` (checked before every step, the first included);
-        returns the number of instructions executed.
-
-        Raises:
-            ExecutionError: if the run needs more than ``max_steps`` steps,
-                or reaches an instruction without semantics.
-            KeyError: on a misaligned pc inside the program.
-        """
-        state = self.state
-        program = self.program
-        instructions = program.instructions
-        handlers = self.handlers
-        start, end = program.base_address, program.end_address
-        pc = state.pc
-        steps = 0
-        try:
-            while start <= pc < end and pc not in stop_pcs:
-                if steps >= max_steps:
-                    raise ExecutionError(
-                        f"exceeded {max_steps} steps (runaway loop?)")
-                offset = pc - start
-                if offset & 3:
-                    program.at(pc)  # raises KeyError: misaligned
-                index = offset >> 2
-                instr = instructions[index]
-                handler = handlers[index]
-                if handler is None:
-                    self._execute(instr)  # raises ExecutionError
-                target = handler(self, instr)
-                pc = state.pc = pc + 4 if target is None else target
-                steps += 1
-        finally:
-            self.instret += steps
-        return steps
-
-    # -- per-opcode semantics -------------------------------------------------
-
-    def _execute(self, instr: Instruction) -> int | None:
-        """Apply an instruction's effects; return the taken PC if a transfer.
-
-        Dispatch is a single per-opcode table lookup (``_DISPATCH``, built
-        once at import) rather than a chain of set-membership tests.
-        """
-        handler = _DISPATCH.get(instr.opcode)
-        if handler is None:
-            if instr.is_system:
-                raise ExecutionError(
-                    f"system instruction not executable: {instr}")
-            raise ExecutionError(f"no semantics for {instr}")
-        return handler(self, instr)
-
-    def _require_rv64(self, instr: Instruction) -> None:
-        if self.state.xlen != 64:
-            raise ExecutionError(
-                f"RV64I instruction {instr} on an RV32 (xlen=32) state"
-            )
-
-
 # Integer operations take (a, b, xlen): shifts mask by xlen-1, unsigned
 # comparisons/divides reinterpret at the datapath width.
 _INT_BINOPS = {
@@ -310,12 +226,12 @@ _INT_W_IMMOPS = {
 }
 
 _BRANCH_CONDS = {
-    Opcode.BEQ: lambda a, b, w=32: a == b,
-    Opcode.BNE: lambda a, b, w=32: a != b,
-    Opcode.BLT: lambda a, b, w=32: a < b,
-    Opcode.BGE: lambda a, b, w=32: a >= b,
-    Opcode.BLTU: lambda a, b, w=32: _tu(a, w) < _tu(b, w),
-    Opcode.BGEU: lambda a, b, w=32: _tu(a, w) >= _tu(b, w),
+    Opcode.BEQ: lambda a, b, w: a == b,
+    Opcode.BNE: lambda a, b, w: a != b,
+    Opcode.BLT: lambda a, b, w: a < b,
+    Opcode.BGE: lambda a, b, w: a >= b,
+    Opcode.BLTU: lambda a, b, w: _tu(a, w) < _tu(b, w),
+    Opcode.BGEU: lambda a, b, w: _tu(a, w) >= _tu(b, w),
 }
 
 _FP_BINOPS = {
@@ -336,258 +252,50 @@ _FP_CMPOPS = {
     Opcode.FLE_S: lambda a, b: a <= b,
 }
 
+
+def _fcvt_w(value: float, low: int, high: int) -> int:
+    """FCVT.W[U].S: truncate toward zero, saturating to ``[low, high]``;
+    NaN converts to ``high``, as the RISC-V spec requires."""
+    if value != value:
+        return high
+    return int(min(max(value, low), high))
+
+
+# Unary FP/int moves and conversions: register value in, register value out
+# (FP results rounded to binary32, integer results the sign-extended 32 bits).
 _FP_UNARY = {
-    Opcode.FCVT_S_W: lambda v: float(int(v)),
-    Opcode.FCVT_S_WU: lambda v: float(_tu(int(v), 32)),
-    Opcode.FCVT_W_S: lambda v: int(v),
-    Opcode.FCVT_WU_S: lambda v: int(v),
+    Opcode.FCVT_S_W: lambda v: f32(float(int(v))),
+    Opcode.FCVT_S_WU: lambda v: f32(float(_tu(int(v), 32))),
+    Opcode.FCVT_W_S: lambda v: _fcvt_w(float(v), -(1 << 31), (1 << 31) - 1),
+    Opcode.FCVT_WU_S: lambda v: _ts(_fcvt_w(float(v), 0, (1 << 32) - 1), 32),
     Opcode.FMV_X_W: lambda v: struct.unpack(
         "<i", struct.pack("<f", float(v)))[0],
-    Opcode.FMV_W_X: lambda v: struct.unpack(
-        "<f", struct.pack("<i", _ts(int(v), 32)))[0],
+    Opcode.FMV_W_X: lambda v: f32(struct.unpack(
+        "<f", struct.pack("<i", _ts(int(v), 32)))[0]),
 }
 
 
-# -- per-opcode dispatch table ------------------------------------------------
-#
-# One handler per opcode, closed over that opcode's semantic function; an
-# Executor resolves them once per static instruction.
-
-def _h_nop(ex: "Executor", instr: Instruction) -> None:
-    return None
-
-
-def _make_int_w_binop(fn):
-    def handler(ex: "Executor", instr: Instruction) -> None:
-        assert instr.rd and instr.rs1 and instr.rs2
-        ex._require_rv64(instr)
-        st = ex.state
-        st.write(instr.rd, fn(int(st.read(instr.rs1)), int(st.read(instr.rs2))))
-        return None
-    return handler
-
-
-def _make_int_w_immop(fn):
-    def handler(ex: "Executor", instr: Instruction) -> None:
-        assert instr.rd and instr.rs1
-        ex._require_rv64(instr)
-        st = ex.state
-        st.write(instr.rd, fn(int(st.read(instr.rs1)), instr.imm))
-        return None
-    return handler
-
-
-def _make_int_binop(fn):
-    def handler(ex: "Executor", instr: Instruction) -> None:
-        assert instr.rd and instr.rs1 and instr.rs2
-        st = ex.state
-        st.write(instr.rd, fn(int(st.read(instr.rs1)),
-                              int(st.read(instr.rs2)), st.xlen))
-        return None
-    return handler
-
-
-def _make_int_immop(fn):
-    def handler(ex: "Executor", instr: Instruction) -> None:
-        assert instr.rd and instr.rs1
-        st = ex.state
-        st.write(instr.rd, fn(int(st.read(instr.rs1)), instr.imm, st.xlen))
-        return None
-    return handler
-
-
-def _h_lui(ex: "Executor", instr: Instruction) -> None:
-    assert instr.rd
-    ex.state.write(instr.rd, _ts(instr.imm << 12, 32))
-    return None
-
-
-def _h_auipc(ex: "Executor", instr: Instruction) -> None:
-    assert instr.rd
-    st = ex.state
-    st.write(instr.rd, _ts(instr.address + (instr.imm << 12), st.xlen))
-    return None
-
-
-def _h_load(ex: "Executor", instr: Instruction) -> None:
-    assert instr.rd
-    if instr.requires_rv64:
-        ex._require_rv64(instr)
-    st = ex.state
-    st.write(instr.rd, load_value(st.memory, instr.opcode,
-                                  ex.effective_address(instr)))
-    return None
-
-
-def _h_store(ex: "Executor", instr: Instruction) -> None:
-    assert instr.rs2
-    if instr.requires_rv64:
-        ex._require_rv64(instr)
-    st = ex.state
-    store_value(st.memory, instr.opcode, ex.effective_address(instr),
-                st.read(instr.rs2))
-    return None
-
-
-def _make_branch(cond):
-    def handler(ex: "Executor", instr: Instruction) -> int | None:
-        assert instr.rs1 and instr.rs2 is not None
-        st = ex.state
-        a, b = int(st.read(instr.rs1)), int(st.read(instr.rs2))
-        if cond(a, b, st.xlen):
-            return instr.address + instr.imm
-        return None
-    return handler
-
-
-def _h_jal(ex: "Executor", instr: Instruction) -> int:
-    assert instr.rd is not None
-    ex.state.write(instr.rd, instr.address + 4)
-    return instr.address + instr.imm
-
-
-def _h_jalr(ex: "Executor", instr: Instruction) -> int:
-    assert instr.rd is not None and instr.rs1 is not None
-    st = ex.state
-    target = (int(st.read(instr.rs1)) + instr.imm) & ~1
-    st.write(instr.rd, instr.address + 4)
-    return _tu(target, st.xlen)
-
-
-def _make_fp_binop(fn):
-    def handler(ex: "Executor", instr: Instruction) -> None:
-        assert instr.rd and instr.rs1 and instr.rs2
-        st = ex.state
-        st.write(instr.rd, fn(float(st.read(instr.rs1)),
-                              float(st.read(instr.rs2))))
-        return None
-    return handler
-
-
-def _make_fp_cmpop(fn):
-    def handler(ex: "Executor", instr: Instruction) -> None:
-        assert instr.rd and instr.rs1 and instr.rs2
-        st = ex.state
-        st.write(instr.rd, int(fn(float(st.read(instr.rs1)),
-                                  float(st.read(instr.rs2)))))
-        return None
-    return handler
-
-
-def _h_fsqrt(ex: "Executor", instr: Instruction) -> None:
-    assert instr.rd and instr.rs1
-    st = ex.state
-    value = float(st.read(instr.rs1))
-    st.write(instr.rd, math.sqrt(value) if value >= 0 else float("nan"))
-    return None
-
-
-def _make_fp_unary(fn):
-    def handler(ex: "Executor", instr: Instruction) -> None:
-        assert instr.rd and instr.rs1
-        st = ex.state
-        st.write(instr.rd, fn(st.read(instr.rs1)))
-        return None
-    return handler
-
-
-def _build_dispatch() -> dict[Opcode, object]:
-    dispatch: dict[Opcode, object] = {Opcode.NOP: _h_nop}
-    for op, fn in _INT_W_BINOPS.items():
-        dispatch[op] = _make_int_w_binop(fn)
-    for op, fn in _INT_W_IMMOPS.items():
-        dispatch[op] = _make_int_w_immop(fn)
-    for op, fn in _INT_BINOPS.items():
-        dispatch[op] = _make_int_binop(fn)
-    for op, fn in _INT_IMMOPS.items():
-        dispatch[op] = _make_int_immop(fn)
-    dispatch[Opcode.LUI] = _h_lui
-    dispatch[Opcode.AUIPC] = _h_auipc
-    for op in ACCESS_FORMATS:
-        dispatch[op] = _h_load if OPCODE_CLASS[op] is OpClass.LOAD else _h_store
-    for op, cond in _BRANCH_CONDS.items():
-        dispatch[op] = _make_branch(cond)
-    dispatch[Opcode.JAL] = _h_jal
-    dispatch[Opcode.JALR] = _h_jalr
-    for op, fn in _FP_BINOPS.items():
-        dispatch[op] = _make_fp_binop(fn)
-    for op, fn in _FP_CMPOPS.items():
-        dispatch[op] = _make_fp_cmpop(fn)
-    dispatch[Opcode.FSQRT_S] = _h_fsqrt
-    for op, fn in _FP_UNARY.items():
-        dispatch[op] = _make_fp_unary(fn)
-    return dispatch
-
-
-_DISPATCH = _build_dispatch()
-
-
-def apply_operation(instr: Instruction, a: int | float = 0,
-                    b: int | float = 0, xlen: int = 32) -> int | float:
-    """Evaluate a *compute* instruction as a pure function of its operands.
-
-    This is the per-PE semantics of the spatial accelerator: given the
-    (resolved) source values, return the produced value.  Memory, control,
-    and system instructions are not computable here.
-
-    Args:
-        instr: the instruction (its immediate is used where applicable).
-        a: value of source 1.
-        b: value of source 2 (ignored by immediate/unary forms).
-        xlen: the PE datapath width (32 for the paper's RV32IMF backend).
-
-    Raises:
-        ExecutionError: for non-compute instructions.
-    """
-    op = instr.opcode
-    if op is Opcode.NOP:
-        return 0
-    if op in _INT_W_BINOPS:
-        return _INT_W_BINOPS[op](int(a), int(b))
-    if op in _INT_W_IMMOPS:
-        return _INT_W_IMMOPS[op](int(a), instr.imm)
-    if op in _INT_BINOPS:
-        return _ts(_INT_BINOPS[op](int(a), int(b), xlen), xlen)
-    if op in _INT_IMMOPS:
-        return _ts(_INT_IMMOPS[op](int(a), instr.imm, xlen), xlen)
-    if op is Opcode.LUI:
-        return _ts(instr.imm << 12, 32)
-    if op is Opcode.AUIPC:
-        return _ts(instr.address + (instr.imm << 12), xlen)
-    if op in _FP_BINOPS:
-        return f32(_FP_BINOPS[op](float(a), float(b)))
-    if op in _FP_CMPOPS:
-        return int(_FP_CMPOPS[op](float(a), float(b)))
-    if op is Opcode.FSQRT_S:
-        value = float(a)
-        return f32(math.sqrt(value)) if value >= 0 else float("nan")
-    if op in _FP_UNARY:
-        result = _FP_UNARY[op](a)
-        return f32(result) if isinstance(result, float) else _ts(result, 32)
-    raise ExecutionError(f"not a pure compute operation: {instr}")
-
-
-def branch_taken(instr: Instruction, a: int | float, b: int | float) -> bool:
-    """Evaluate a conditional branch's direction given its source values."""
-    if instr.opcode in _BRANCH_CONDS:
-        return _BRANCH_CONDS[instr.opcode](int(a), int(b))
-    if instr.is_jump:
-        return True
-    raise ExecutionError(f"not a branch: {instr}")
+def _require_width(instr: Instruction, xlen: int) -> None:
+    if instr.requires_rv64 and xlen != 64:
+        raise ExecutionError(
+            f"RV64I instruction {instr} on an RV32 (xlen={xlen}) state")
 
 
 def compile_operation(instr: Instruction, xlen: int = 32):
-    """Specialize :func:`apply_operation` for one instruction.
+    """The semantics of one *compute* instruction at datapath width ``xlen``.
 
     Returns a closure ``(a, b) -> value`` with the opcode dispatch, immediate,
-    and datapath width already resolved — the per-PE semantics an execution
-    plan (:mod:`repro.accel.plan`) bakes in at configuration time.  The
-    closure is bit-identical to ``apply_operation(instr, a, b, xlen)`` for
-    every input.
+    and width already resolved: given the source register values, it returns
+    the destination register value (integers sign-extended to ``xlen``, FP
+    results rounded to binary32).  Unused operands are ignored.  This is the
+    per-PE semantics an execution plan bakes in at configuration time, and
+    the computation the :class:`Executor` performs for the same instruction.
 
     Raises:
-        ExecutionError: for non-compute instructions.
+        ExecutionError: for instructions without compute semantics at
+            ``xlen`` (memory, control and system ops, RV64-only ops at 32).
     """
+    _require_width(instr, xlen)
     op = instr.opcode
     imm = instr.imm
     if op is Opcode.NOP:
@@ -623,27 +331,150 @@ def compile_operation(instr: Instruction, xlen: int = 32):
         return fsqrt
     if op in _FP_UNARY:
         fn = _FP_UNARY[op]
-        def fp_unary(a, b):
-            result = fn(a)
-            return f32(result) if isinstance(result, float) else _ts(result, 32)
-        return fp_unary
+        return lambda a, b: fn(a)
+    if instr.is_system:
+        raise ExecutionError(f"system instruction not executable: {instr}")
     raise ExecutionError(f"not a pure compute operation: {instr}")
 
 
-def compile_branch(instr: Instruction):
-    """Specialize :func:`branch_taken` for one instruction.
+def compile_branch(instr: Instruction, xlen: int = 32):
+    """The direction of one control instruction at datapath width ``xlen``.
 
-    Returns a closure ``(a, b) -> bool``; jumps compile to a constant taken.
+    Returns a closure ``(a, b) -> bool`` over the two source register
+    values; unsigned conditions compare at ``xlen`` bits, and jumps compile
+    to a constant taken.
 
     Raises:
         ExecutionError: for non-control instructions.
     """
     cond = _BRANCH_CONDS.get(instr.opcode)
     if cond is not None:
-        return lambda a, b: cond(int(a), int(b))
+        return lambda a, b: cond(int(a), int(b), xlen)
     if instr.is_jump:
         return lambda a, b: True
     raise ExecutionError(f"not a branch: {instr}")
+
+
+class Executor:
+    """Steps a :class:`MachineState` through a :class:`Program`."""
+
+    def __init__(self, program: Program, state: MachineState | None = None) -> None:
+        self.program = program
+        self.state = state if state is not None else MachineState(pc=program.base_address)
+        self.instret = 0  # dynamic instruction count
+        #: One zero-argument handler per static instruction, compiled at the
+        #: state's width: it applies the instruction's effects and returns
+        #: the taken pc of a control transfer, else None.
+        self.handlers = [_compile_handler(instr, self.state)
+                         for instr in program.instructions]
+
+    def step(self) -> Instruction:
+        """Execute the instruction at PC; returns the executed instruction."""
+        state = self.state
+        instr = self.program.at(state.pc)
+        target = self.handlers[(state.pc - self.program.base_address) >> 2]()
+        state.pc = state.pc + 4 if target is None else target
+        self.instret += 1
+        return instr
+
+    def run(self, max_steps: int = 1_000_000,
+            stop_pcs: Collection[int] = ()) -> int:
+        """Run until the pc leaves the program or reaches a pc in
+        ``stop_pcs`` (checked before every step, the first included);
+        returns the number of instructions executed.
+
+        Raises:
+            ExecutionError: if the run needs more than ``max_steps`` steps,
+                or reaches an instruction without semantics.
+            KeyError: on a misaligned pc inside the program.
+        """
+        state = self.state
+        program = self.program
+        handlers = self.handlers
+        start, end = program.base_address, program.end_address
+        pc = state.pc
+        steps = 0
+        try:
+            while start <= pc < end and pc not in stop_pcs:
+                if steps >= max_steps:
+                    raise ExecutionError(
+                        f"exceeded {max_steps} steps (runaway loop?)")
+                offset = pc - start
+                if offset & 3:
+                    program.at(pc)  # raises KeyError: misaligned
+                target = handlers[offset >> 2]()
+                pc = state.pc = pc + 4 if target is None else target
+                steps += 1
+        finally:
+            self.instret += steps
+        return steps
+
+
+# -- per-instruction handlers ---------------------------------------------------
+#
+# A handler closes over the register-file lists and indices of its operands,
+# so it reads and writes registers without going through MachineState.  The
+# values it writes are already in register form (compile_operation sign-
+# extends to the state's width and rounds FP results to binary32), and x0
+# never changes: a write to x0 or to no register lands in a discarded slot.
+
+def _register(state: MachineState, reg: Register | None) -> tuple[list, int]:
+    """(register-file list, index) of ``reg``; a missing operand reads x0."""
+    if reg is None:
+        return state._int_regs, 0
+    regs = state._int_regs if reg.file is RegFile.INT else state._fp_regs
+    return regs, reg.index
+
+
+def _compile_handler(instr: Instruction, state: MachineState):
+    """The handler running ``instr`` on ``state``.  An instruction without
+    semantics at the state's width gets one that raises the compile-time
+    :class:`ExecutionError` when it runs."""
+    xlen = state.xlen
+    try:
+        _require_width(instr, xlen)
+        r1, i1 = _register(state, instr.rs1)
+        r2, i2 = _register(state, instr.rs2)
+        rd, d = (([0], 0) if instr.destination is None
+                 else _register(state, instr.destination))
+        op = instr.opcode
+        imm = instr.imm
+        mask = (1 << xlen) - 1
+        link = _ts(instr.address + 4, xlen)
+        target = instr.address + imm
+        if instr.is_load:
+            def load():
+                rd[d] = load_value(state.memory, op, (r1[i1] + imm) & mask)
+            return load
+        if instr.is_store:
+            def store():
+                store_value(state.memory, op, (r1[i1] + imm) & mask, r2[i2])
+            return store
+        if op is Opcode.JAL:
+            def jal():
+                rd[d] = link
+                return target
+            return jal
+        if op is Opcode.JALR:
+            def jalr():
+                taken = (r1[i1] + imm) & ~1 & mask
+                rd[d] = link
+                return taken
+            return jalr
+        if instr.is_branch:
+            cond = compile_branch(instr, xlen)
+            return lambda: target if cond(r1[i1], r2[i2]) else None
+        fn = compile_operation(instr, xlen)
+    except ExecutionError as error:
+        message = str(error)
+
+        def raise_():
+            raise ExecutionError(message)
+        return raise_
+
+    def compute():
+        rd[d] = fn(r1[i1], r2[i2])
+    return compute
 
 
 def run(program: Program, state: MachineState | None = None,

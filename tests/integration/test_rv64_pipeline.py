@@ -95,3 +95,48 @@ class TestRv64StoreReload:
         reference = run(RELOAD_PROGRAM, make_reload_state(),
                         max_steps=100_000)
         assert result.final_state.memory._bytes == reference.memory._bytes
+
+
+#: A forward ``bltu`` on doublewords (1<<32)*(i%3) against a1 = 1<<32: the
+#: condition differs from its 32-bit truncation, so the fabric must compare
+#: at its 64-bit width, as the CPU does.
+UNSIGNED_BRANCH_PROGRAM = assemble(
+    """
+    addi t0, zero, 160
+    lui  a0, 16
+    addi a1, zero, 1
+    slli a1, a1, 32
+    loop:
+        ld   t1, 0(a0)
+        bltu t1, a1, skip
+        addi t1, t1, 7
+    skip:
+        sd   t1, 0(a0)
+        addi a0, a0, 8
+        addi t0, t0, -1
+        bne  t0, zero, loop
+    """
+)
+
+
+def make_unsigned_branch_state() -> MachineState:
+    state = MachineState(pc=UNSIGNED_BRANCH_PROGRAM.base_address, xlen=64)
+    for i in range(160):
+        state.memory.store(0x10000 + 8 * i, 8, (1 << 32) * (i % 3))
+    return state
+
+
+class TestRv64UnsignedBranch:
+    def test_matches_reference(self):
+        controller = MesaController(M64BIT)
+        result = controller.execute(UNSIGNED_BRANCH_PROGRAM,
+                                    make_unsigned_branch_state,
+                                    parallelizable=True)
+        assert result.accelerated, result.reason
+        reference = run(UNSIGNED_BRANCH_PROGRAM, make_unsigned_branch_state(),
+                        max_steps=100_000)
+        wrong = [i for i in range(160)
+                 if result.final_state.memory.load(0x10000 + 8 * i, 8)
+                 != reference.memory.load(0x10000 + 8 * i, 8)]
+        assert not wrong, f"{len(wrong)} of 160 words differ"
+        assert result.final_state.snapshot() == reference.snapshot()

@@ -8,6 +8,7 @@ functional run does: same pc, same value in every integer and FP register
 """
 
 import math
+import struct
 
 import pytest
 
@@ -81,3 +82,36 @@ def test_inexact_store_reload_is_not_forwarded(pair):
     assert result.memopt_report.forwarded_loads == 0
     _assert_same_state(result.final_state,
                        collect_trace(program, fresh()).final_state)
+
+
+def test_fcvt_of_nan_offloads_and_saturates():
+    """FCVT.W.S of NaN and out-of-range elements saturates on both sides, so
+    the offloaded loop ends in the CPU's state instead of faulting."""
+    program = assemble(
+        """
+        addi t0, zero, 64
+        lui a0, 16
+        loop:
+            flw ft0, 0(a0)
+            fcvt.w.s t1, ft0
+            sw t1, 0(a0)
+            addi a0, a0, 4
+            addi t0, t0, -1
+            bne t0, zero, loop
+        """
+    )
+    elements = [math.nan, 3e9, -3e9, math.inf, -1.5, 42.75, -math.inf, 7.0]
+
+    def fresh():
+        state = MachineState(pc=program.base_address)
+        for i in range(64):
+            raw = struct.pack("<f", elements[i % len(elements)])
+            state.memory.store(0x10000 + 4 * i, 4,
+                               int.from_bytes(raw, "little"))
+        return state
+
+    result = MesaController(M_128).execute(program, fresh)
+    assert result.accelerated, result.reason
+    cpu = collect_trace(program, fresh()).final_state
+    _assert_same_state(result.final_state, cpu)
+    assert cpu.memory.load(0x10000, 4) == (1 << 31) - 1

@@ -8,8 +8,8 @@ from repro.isa import (
     Instruction,
     MachineState,
     Opcode,
-    apply_operation,
     assemble,
+    compile_operation,
     decode,
     encode,
     run,
@@ -155,15 +155,15 @@ class TestRv64Encoding:
 class TestRv64ApplyOperation:
     def test_w_op_pure(self):
         instr = Instruction(0, Opcode.ADDW, rd=x(1), rs1=x(2), rs2=x(3))
-        assert apply_operation(instr, 0x7FFFFFFF, 1, xlen=64) == -(1 << 31)
+        assert compile_operation(instr, xlen=64)(0x7FFFFFFF, 1) == -(1 << 31)
 
     def test_64bit_add_pure(self):
         instr = Instruction(0, Opcode.ADD, rd=x(1), rs1=x(2), rs2=x(3))
-        assert apply_operation(instr, 1 << 40, 1, xlen=64) == (1 << 40) + 1
+        assert compile_operation(instr, xlen=64)(1 << 40, 1) == (1 << 40) + 1
 
     def test_32bit_add_wraps(self):
         instr = Instruction(0, Opcode.ADD, rd=x(1), rs1=x(2), rs2=x(3))
-        assert apply_operation(instr, 0x7FFFFFFF, 1, xlen=32) == -(1 << 31)
+        assert compile_operation(instr, xlen=32)(0x7FFFFFFF, 1) == -(1 << 31)
 
 
 class TestC2WidthCheck:

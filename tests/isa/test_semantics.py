@@ -5,6 +5,14 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.accel import (
+    AcceleratorConfig,
+    AcceleratorProgram,
+    ConfiguredNode,
+    DataflowEngine,
+    Operand,
+)
+from repro.cpu import collect_trace
 from repro.isa import ExecutionError, Executor, MachineState, assemble, f, run, x
 
 
@@ -286,3 +294,67 @@ class TestProperties:
         state = _run("fadd.s ft2, ft0, ft1\nfsub.s ft3, ft2, ft1", setup=setup)
         result = state.read(f(3))
         assert result == pytest.approx(v, abs=1e-1) or math.isclose(result, v, rel_tol=1e-5)
+
+
+def _fabric_program(instr, xlen: int) -> AcceleratorProgram:
+    """A one-node, single-pass fabric program running ``instr`` on its
+    register sources."""
+    sources = [reg for reg in (instr.rs1, instr.rs2) if reg is not None]
+    node = ConfiguredNode(0, instr, (0, 0),
+                          *[Operand.from_register(reg) for reg in sources])
+    return AcceleratorProgram(
+        config=AcceleratorConfig(rows=2, cols=2, xlen=xlen), nodes=[node],
+        loop_branch_id=None, live_in=set(sources))
+
+
+INT32_MAX, INT32_MIN = (1 << 31) - 1, -(1 << 31)
+
+
+class TestFcvtSaturation:
+    """FCVT.W[U].S truncate toward zero and saturate; NaN converts to the
+    largest value; the 32-bit result is sign-extended at RV64."""
+
+    @pytest.mark.parametrize("xlen", [32, 64])
+    @pytest.mark.parametrize("mnemonic", ["fcvt.w.s", "fcvt.wu.s"])
+    @pytest.mark.parametrize("value, signed, unsigned", [
+        (math.nan, INT32_MAX, -1),
+        (math.inf, INT32_MAX, -1),
+        (-math.inf, INT32_MIN, 0),
+        (3e9, INT32_MAX, 3_000_000_000 - (1 << 32)),
+        (-3e9, INT32_MIN, 0),
+        (-1.5, -1, 0),
+    ], ids=["nan", "+inf", "-inf", "+3e9", "-3e9", "-1.5"])
+    def test_edge(self, value, signed, unsigned, mnemonic, xlen):
+        expected = signed if mnemonic == "fcvt.w.s" else unsigned
+        program = assemble(f"{mnemonic} a0, fa0")
+        state = MachineState(pc=program.base_address, xlen=xlen)
+        state.write(f(10), value)
+        Executor(program, state).run()
+        assert state.read(x(10)) == expected
+        engine = DataflowEngine(_fabric_program(program.instructions[0], xlen))
+        assert engine.plan.nodes[0].evaluate(value, 0) == expected
+
+
+@pytest.mark.parametrize("text", ["ecall", "addw t0, t1, t2"])
+def test_no_semantics_raises_one_error_everywhere(text):
+    """An instruction without semantics at RV32 (a system op, an RV64 W-op)
+    fails with the same message on every surface that executes it."""
+    program = assemble(text)
+
+    def fresh():
+        return MachineState(pc=program.base_address)
+
+    fabric = _fabric_program(program.instructions[0], 32)
+    surfaces = [
+        lambda: Executor(program, fresh()).step(),
+        lambda: Executor(program, fresh()).run(),
+        lambda: collect_trace(program, fresh()),
+        lambda: DataflowEngine(fabric, compiled=False).run(fresh()),
+    ]
+    messages = []
+    for call in surfaces:
+        with pytest.raises(ExecutionError) as info:
+            call()
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1, messages
+    assert text in messages[0]
