@@ -17,11 +17,13 @@ few provable properties of the model:
   The batched path converts operands to float64 (exact for binary32 values
   and for integers in the RV32 range), applies the same float64 ufunc, and
   rounds with ``astype(float32)`` — the identical computation, including NaN
-  payload propagation and overflow-to-inf.  Loop-carried FP reductions
+  payload propagation and overflow-to-inf.  Where both operands are NaN the
+  hardware's choice is not portable, so both sides apply the same explicit
+  rule: the first NaN operand, quieted, wins.  Loop-carried FP reductions
   accumulate directly in float32, which equals the round-each-step scalar
   chain by the innocuous-double-rounding theorem (binary64's 53-bit
   significand exceeds 2·24+2 for add/sub; binary32 products are exact in
-  binary64).
+  binary64), and a NaN accumulator keeps its payload by the same rule.
 * **NoC ring queueing is closed-form.**  Channel state never carries
   between iterations: the next iteration starts no earlier than the last
   grant plus the edge latency (>= 1 cycle), which is exactly when the
@@ -63,12 +65,29 @@ few provable properties of the model:
   interpreter executes that one iteration (iteration barriers leave no
   NoC or LSQ state behind, and counter folds are additive), then
   batching resumes.
+* **Memory port state never carries between iterations** — under a
+  condition the drive checks.  A request frees its port ``issue_interval``
+  cycles after its grant, and its own access completes no earlier than the
+  L1 hit latency (a load) or ``store_issue`` (a store) after the grant,
+  and no later than the iteration's end.  So when the interval is within
+  both, and no grant is pending when a block starts, every port is free
+  again when the next iteration starts: like the NoC rings, each
+  iteration's grants depend only on its own requests and vectorize over
+  lanes in each lane's own time.  When the condition fails (a slow issue
+  interval, an external port pool with pending grants), the block's first
+  iteration is stepped on the interpreter instead, and the run's
+  ``drive_reason`` says why.
+* **Cache outcomes depend only on address order.**  The hierarchy's state
+  evolves with the sequence of accesses (k-major, then memory-node order),
+  never with their timing, so a block's latencies come from one bulk
+  cache pass before any timing is computed.
 * **Timing is max-plus linear.**  Completion times decompose over the
   sources {iteration start} ∪ {memory completions}: per node a static
-  weight row per source is computed vectorially (phase T), only the memory
-  grants/AMAT walk iterations sequentially (phase B), and per-node counter
-  sums fold exactly because every timing quantity is an integer-valued
-  float64 (any summation order is exact below 2**53).
+  weight row per source is computed vectorially (phase T), the memory
+  nodes are timed one node at a time over all lanes (phase B), and lane
+  starts and per-node counter sums fold exactly because every timing
+  quantity is an integer-valued float64 (any summation order is exact
+  below 2**53).
 
 Capability analysis (:func:`compile_batch`) decides statically whether a
 plan qualifies; :attr:`ExecutionPlan.batchable` exposes the verdict with a
@@ -198,13 +217,21 @@ def _compile_compute(instr, evaluate):
     return None
 
 
-def _vec_fdiv(a, b):
-    a64, b64 = _f64(a), _f64(b)
-    quotient = a64 / b64
+def _nan_first(op):
+    """A float64 binary op under the scalar two-NaN rule: where both
+    operands are NaN, the first wins (quieted by the binary32 rounding)."""
+    def fn(a, b):
+        a64, b64 = _f64(a), _f64(b)
+        return _r32(np.where(np.isnan(a64) & np.isnan(b64), a64,
+                             op(a64, b64)))
+    return fn
+
+
+def _fdiv64(a64, b64):
     # Scalar: a / b if b != 0.0 else copysign(inf, a) if a else nan —
     # NaN dividends are truthy (copysign keeps their sign bit), ±0.0 is not.
     by_zero = np.where(a64 != 0.0, np.copysign(np.inf, a64), np.nan)
-    return _r32(np.where(b64 != 0.0, quotient, by_zero))
+    return np.where(b64 != 0.0, a64 / b64, by_zero)
 
 
 def _vec_fsqrt(a, b):
@@ -246,10 +273,10 @@ _INT_IMM_VEC = {
         lambda sh: lambda a, b: a >> sh)(imm & 31),
 }
 _FP_BIN_VEC = {
-    Opcode.FADD_S: lambda a, b: _r32(_f64(a) + _f64(b)),
-    Opcode.FSUB_S: lambda a, b: _r32(_f64(a) - _f64(b)),
-    Opcode.FMUL_S: lambda a, b: _r32(_f64(a) * _f64(b)),
-    Opcode.FDIV_S: _vec_fdiv,
+    Opcode.FADD_S: _nan_first(np.add),
+    Opcode.FSUB_S: _nan_first(np.subtract),
+    Opcode.FMUL_S: _nan_first(np.multiply),
+    Opcode.FDIV_S: _nan_first(_fdiv64),
     # Python min/max return b only on a strict comparison win, so NaNs
     # select a — np.where with the same strict predicate matches.
     Opcode.FMIN_S: lambda a, b: (
@@ -714,6 +741,10 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
     :meth:`~repro.accel.engine.DataflowEngine._run_iteration`, which
     records that iteration's counters itself.
 
+    Memory ports are batched only while their state cannot carry from
+    one iteration into the next (module docstring); otherwise the block's
+    first iteration is stepped too.
+
     Returns ``(iterations, iteration_latencies, reason)``; ``reason`` names
     the first iteration the interpreter stepped ("" when none was).
     """
@@ -721,7 +752,6 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
     nodes = bp.nodes
     n = plan.n_nodes
     mem_ids = bp.mem_ids
-    n_sources = bp.n_sources
     mem_source = {i: j + 1 for j, i in enumerate(mem_ids)}
     loop_id = plan.loop_branch_id
     const1, const2, const_fb = plan.bind_constants(reg_env)
@@ -729,8 +759,7 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
     speculative = options.speculative_loads
     store_issue = plan.store_issue
     memory = state.memory
-    access = hierarchy.access
-    ideal_latency = hierarchy.ideal_latency
+    port_carry = _port_carry(bp, ports, hierarchy.ideal_latency)
 
     # Run-level accumulators, folded into the counters once at the end.
     node_total = [0.0] * n
@@ -748,7 +777,27 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
     block = DEFAULT_BLOCK
     finished = False
 
+    def step_once(why):
+        """Execute one iteration on the interpreter."""
+        nonlocal reason, clock, iterations, prev, finished
+        reason = reason or why
+        values, completion, loop_taken = step(prev, iterations, clock)
+        end = max(completion.values(), default=clock)
+        iteration_latencies.append(end - clock)
+        clock = end
+        iterations += 1
+        prev = [values[i] for i in range(n)]
+        finished = not loop_taken or iterations >= max_iterations
+
     while not finished:
+        if port_carry:
+            step_once(f"memory ports carry into iteration {iterations}: "
+                      f"{port_carry}")
+            continue
+        if mem_ids and not ports.idle_by(clock):
+            step_once("memory ports still busy at the start of iteration "
+                      f"{iterations}")
+            continue
         first = iterations == 0
         nb = min(block, max_iterations - iterations)
 
@@ -787,16 +836,8 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
                  else max(2 * hazard, 1))
         if hazard == 0:
             # An in-iteration store-to-load forward: one interpreter step.
-            if not reason:
-                reason = ("in-iteration store-to-load forwarding at "
-                          f"iteration {iterations}")
-            values, completion, loop_taken = step(prev, iterations, clock)
-            end = max(completion.values(), default=clock)
-            iteration_latencies.append(end - clock)
-            clock = end
-            iterations += 1
-            prev = [values[i] for i in range(n)]
-            finished = not loop_taken or iterations >= max_iterations
+            step_once("in-iteration store-to-load forwarding at "
+                      f"iteration {iterations}")
             continue
         if hazard is not None:
             nb = hazard
@@ -807,25 +848,14 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
         W, mem_ready, mem_off, wend, noc_waits = _phase_timing(
             bp, nb, first, offs)
 
-        # -- phase B: sequential memory walk (grants, AMAT, stores) ----------
-        if mem_ids:
-            starts, ends, done_mat = _phase_memory(
-                bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
-                wend, ports, access, ideal_latency, speculative,
-                store_issue, memory, options)
-            lat_vec = ends - starts
-        else:
-            lat_vec = wend[0]
-            starts = clock + np.concatenate(
-                ([0.0], np.cumsum(lat_vec[:-1])))
-            ends = starts + lat_vec
-            done_mat = None
+        # -- phase B: memory (cache pass, store commit, port timing) ---------
+        starts, ends, done_mat = _phase_memory(
+            bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off, wend,
+            ports, hierarchy, speculative, store_issue, memory)
+        lat_vec = ends - starts
 
         # -- phase C: counter folds ------------------------------------------
-        T = np.empty((n_sources, nb))
-        T[0] = starts
-        for j in range(len(mem_ids)):
-            T[j + 1] = done_mat[j]
+        T = np.concatenate((starts[None], done_mat))
         # Ring-channel waits: grant minus departure per contended slot, in
         # concrete time (both are maxima over the timing sources).
         for slot, dep, grant, skip0 in noc_waits:
@@ -880,6 +910,21 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
     activity.pe_busy_cycles += acc["pe_busy"]
     activity.control_events += acc["control_events"]
     return iterations, iteration_latencies, reason
+
+
+def _port_carry(bp, ports, l1_hit):
+    """Why memory-port state can carry from one iteration into the next,
+    or "" when it cannot: a port must free no later than the access it
+    granted completes (module docstring)."""
+    if ports.unlimited or not bp.mem_ids:
+        return ""
+    interval = ports.issue_interval
+    if interval > l1_hit:
+        return f"port issue interval {interval} > L1 hit latency {l1_hit}"
+    if bp.has_store and interval > bp.plan.store_issue:
+        return (f"port issue interval {interval} > store issue "
+                f"{bp.plan.store_issue}")
+    return ""
 
 
 def _truncate(vals, offs, mem_vecs, nb):
@@ -1030,7 +1075,14 @@ def _run_scan(rec, nb, first, prev, const1, const2, operand):
     acc[1:] = x
     ufunc = {"fadd": np.add, "fsub": np.subtract,
              "fmul": np.multiply}[scan]
-    return ufunc.accumulate(acc)[1:]
+    acc = ufunc.accumulate(acc)
+    # Two-NaN rule: once the accumulator is NaN it is the first operand of
+    # every later step, so it stays exactly that NaN.
+    nan = np.isnan(acc)
+    if nan.any():
+        first_nan = int(nan.argmax())
+        acc[first_nan:] = acc[first_nan]
+    return acc[1:]
 
 
 def _run_cluster(cluster, nodes, nb, first, prev, const1, const2, const_fb,
@@ -1221,106 +1273,119 @@ def _phase_timing(bp, nb, first, offs):
 
 
 def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
-                  wend, ports, access, ideal_latency, speculative,
-                  store_issue, memory, options):
-    """Sequential walk of the block's memory events (the only per-iteration
-    Python loop left): port grants, cache accesses, store commits.
+                  wend, ports, hierarchy, speculative, store_issue, memory):
+    """The block's memory events in three passes, none of them over lanes.
+
+    1. **Cache outcomes** depend only on the order of accesses (k-major,
+       then memory-node order, live lanes only), never on timing: one
+       :meth:`~repro.mem.MemoryHierarchy.access_stream` call returns every
+       latency.
+    2. **Stores commit** in that same order through one
+       :meth:`~repro.mem.Memory.scatter`; first-hazard truncation already
+       guarantees that no load of the block reads these bytes.
+    3. **Port timing** runs per memory node in request order, vectorized
+       over lanes, in each lane's own time (the drive loop only batches
+       blocks whose port state cannot carry between iterations — module
+       docstring): ready times, the store horizon, vector-group grants, a
+       (ports, nb) array of free times granted by argmin, and the prefetch
+       cap.  Lane starts are then the running sum of lane latencies —
+       exact, because every quantity is an integer-valued float64.
+
     Predicated-off lanes complete at max(operands ready, fallback arrival)
-    without requesting a port, touching the cache, or committing."""
+    without requesting a port, touching the cache, or committing.
+    Returns absolute ``(starts, ends, done_mat)``.
+    """
     nodes = bp.nodes
     mem_ids = bp.mem_ids
-    request = ports.request
-    store = memory.store
+    m = len(mem_ids)
+    plans = [nodes[i].plan_node.memory for i in mem_ids]
+    addr = np.empty((nb, m), np.int64)
+    live = np.ones((nb, m), bool)
+    for j, i in enumerate(mem_ids):
+        addr[:, j] = mem_vecs[i][0]
+        on = mem_vecs[i][2]
+        if on is not None:
+            live[:, j] = on
 
-    def compress(matrix):
-        """(source, row-list) pairs for the finite rows of a weight array."""
-        out = []
-        for s in range(matrix.shape[0]):
-            row = matrix[s]
-            if not np.all(np.isneginf(row)):
-                out.append((s, row.tolist()))
-        return out
+    # 1. cache pass
+    writes = np.broadcast_to([not p.is_load for p in plans], (nb, m))
+    pcs = np.broadcast_to([p.pc for p in plans], (nb, m))
+    cycles = np.zeros((nb, m))
+    cycles[live] = hierarchy.access_stream(addr[live], writes[live],
+                                           pcs[live])
+    ideal = hierarchy.ideal_latency
+    for j, p in enumerate(plans):
+        if p.prefetched:
+            # Issued an iteration early: only the L1 latency is exposed
+            # (the run's first iteration has nothing to prefetch behind).
+            head = cycles[0, j]
+            np.minimum(cycles[:, j], ideal, out=cycles[:, j])
+            if iterations == 0:
+                cycles[0, j] = head
 
-    records = []
-    for i in mem_ids:
-        mem_plan = nodes[i].plan_node.memory
-        addr, raw, on = mem_vecs[i]
-        records.append((
-            mem_plan.is_load, mem_plan.size, mem_plan.pc,
-            mem_plan.vector_group, mem_plan.prefetched,
-            addr.tolist(), raw.tolist() if raw is not None else None,
-            on.tolist() if on is not None else None,
-            compress(mem_ready[i]),
-            compress(mem_off[i]) if i in mem_off else None,
-            [0.0] * nb,
-        ))
-    wend_rows = compress(wend)
+    # 2. store commit
+    cols = [j for j, p in enumerate(plans) if not p.is_load]
+    if cols:
+        raw = np.stack([mem_vecs[mem_ids[j]][1] for j in cols], axis=1)
+        sizes = np.broadcast_to([plans[j].size for j in cols], raw.shape)
+        memory.scatter(addr[:, cols].ravel(), sizes.ravel(), raw.ravel(),
+                       live[:, cols].ravel())
 
-    starts_list = [0.0] * nb
-    ends_list = [0.0] * nb
-    start = clock
-    for k in range(nb):
-        starts_list[k] = start
-        vector_grants: dict[int, float] = {}
-        store_horizon = None
-        dones: list[float] = []
-        for (is_load, size, pc, group, prefetched, addr, raw, on, comps,
-             off_comps, done_row) in records:
-            if on is not None and not on[k]:
-                done = _NEG
-                for s, row in off_comps:
-                    w = row[k]
-                    if w != _NEG:
-                        t = start + w if s == 0 else dones[s - 1] + w
-                        if t > done:
-                            done = t
-                dones.append(done)
-                done_row[k] = done
-                continue
-            ready = _NEG
-            for s, row in comps:
-                w = row[k]
-                if w != _NEG:
-                    t = start + w if s == 0 else dones[s - 1] + w
-                    if t > ready:
-                        ready = t
-            if is_load:
-                if not speculative and store_horizon is not None \
-                        and store_horizon > ready:
-                    ready = store_horizon
-                if group is not None and group in vector_grants:
-                    grant = vector_grants[group]
-                    if ready > grant:
-                        grant = ready
-                else:
-                    grant = request(ready)
-                    if group is not None:
-                        vector_grants[group] = grant
-                cycles = access(addr[k], pc=pc)
-                if prefetched and iterations + k > 0 \
-                        and cycles > ideal_latency:
-                    cycles = ideal_latency
-                done = grant + cycles
+    # 3. port timing, in lane-relative time: rel[0] is the lane start, and
+    # rel[j + 1] memory node j's completion once it is timed (a node's
+    # weights from later sources are -inf, so unfilled rows never count).
+    rel = np.zeros((bp.n_sources, nb))
+    lanes = np.arange(nb)
+    interval = ports.issue_interval
+    free = (None if ports.unlimited
+            else np.full((int(ports.num_ports), nb), _NEG))
+    requests = []      # (lane mask, ready, grant) per requesting node
+    horizon = np.full(nb, _NEG)     # latest store completion so far
+    group_grants: dict[int, np.ndarray] = {}
+
+    def request(ready, mask):
+        grant = ready
+        if free is not None:
+            slot = free.argmin(axis=0)
+            grant = np.maximum(ready, free[slot, lanes])
+            free[slot[mask], lanes[mask]] = grant[mask] + interval
+        requests.append((mask, ready, grant))
+        return grant
+
+    for j, i in enumerate(mem_ids):
+        p = plans[j]
+        on = live[:, j]
+        ready = (rel + mem_ready[i]).max(axis=0)
+        if p.is_load:
+            if not speculative:
+                ready = np.maximum(ready, horizon)
+            if p.vector_group is None:
+                grant = request(ready, on)
             else:
-                grant = request(ready)
-                access(addr[k], True, pc)
-                store(addr[k], size, raw[k])
-                done = grant + store_issue
-                if store_horizon is None or done > store_horizon:
-                    store_horizon = done
-            dones.append(done)
-            done_row[k] = done
-        end = start
-        for s, row in wend_rows:
-            w = row[k]
-            if w != _NEG:
-                t = start + w if s == 0 else dones[s - 1] + w
-                if t > end:
-                    end = t
-        ends_list[k] = end
-        start = end
-    done_mat = np.array([record[10] for record in records])
-    return np.array(starts_list), np.array(ends_list), done_mat
+                # Vectorized loads piggyback on their group's first grant.
+                prior = group_grants.setdefault(p.vector_group,
+                                                np.full(nb, _NEG))
+                shared = on & (prior != _NEG)
+                own = on & ~shared
+                grant = np.where(shared, np.maximum(ready, prior),
+                                 request(ready, own))
+                prior[own] = grant[own]
+            done = grant + cycles[:, j]
+        else:
+            done = request(ready, on) + store_issue
+            horizon = np.where(on, np.maximum(horizon, done), horizon)
+        if i in mem_off:
+            done = np.where(on, done, (rel + mem_off[i]).max(axis=0))
+        rel[j + 1] = done
+    lat = np.maximum((rel + wend).max(axis=0), 0.0)
+
+    ends = clock + np.cumsum(lat)
+    starts = np.concatenate(([clock], ends[:-1]))
+    if requests:
+        mask, ready, grant = (np.array(rows) for rows in zip(*requests))
+        ports.record_grants((starts + grant + interval)[mask],
+                            float((grant - ready)[mask].sum()))
+    return starts, ends, starts + rel[1:]
 
 
 def _fold_events(bp, nb, first, offs, slot_count, acc):

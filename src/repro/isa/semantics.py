@@ -246,6 +246,15 @@ _FP_BINOPS = {
     Opcode.FSGNJX_S: lambda a, b: a if b >= 0 else -a,
 }
 
+#: Arithmetic that passes a NaN operand's payload through.  With two NaN
+#: operands the host picks one: CPython's specialized and generic float
+#: paths pick different operands, and numpy's SIMD loops pick by lane
+#: position.  The rule here is explicit: the first NaN operand, quieted,
+#: wins (operands arrive widened from binary32, so already quiet, and the
+#: binary32 rounding quiets the rest).
+_NAN_FIRST = frozenset({Opcode.FADD_S, Opcode.FSUB_S, Opcode.FMUL_S,
+                        Opcode.FDIV_S})
+
 _FP_CMPOPS = {
     Opcode.FEQ_S: lambda a, b: a == b,
     Opcode.FLT_S: lambda a, b: a < b,
@@ -318,6 +327,15 @@ def compile_operation(instr: Instruction, xlen: int = 32):
     if op is Opcode.AUIPC:
         constant = _ts(instr.address + (imm << 12), xlen)
         return lambda a, b: constant
+    if op in _NAN_FIRST:
+        fn = _FP_BINOPS[op]
+
+        def arithmetic(a, b):
+            a, b = float(a), float(b)
+            if a != a and b != b:
+                return f32(a)
+            return f32(fn(a, b))
+        return arithmetic
     if op in _FP_BINOPS:
         fn = _FP_BINOPS[op]
         return lambda a, b: f32(fn(float(a), float(b)))

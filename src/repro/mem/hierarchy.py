@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .cache import Cache, CacheConfig
 
 __all__ = ["HierarchyConfig", "AmatCounter", "MemoryHierarchy"]
@@ -79,6 +81,77 @@ class MemoryHierarchy:
                 counter = self._amat[pc] = AmatCounter()
             counter.record(latency)
         return latency
+
+    def access_stream(self, addresses, is_write, pcs) -> np.ndarray:
+        """Bulk :meth:`access`: the latency of every access in a stream.
+
+        Equivalent to ``[self.access(a, w, pc) for a, w, pc in
+        zip(addresses, is_write, pcs)]`` — same latencies, same cache
+        contents in the same LRU order with the same dirty bits, same
+        counters — but only run heads go through :meth:`Cache.access`.  An
+        access whose previous access to the same L1 set touched the same
+        line (a *tail*) is an L1 hit that leaves LRU order unchanged: a
+        stable argsort by L1 set finds the tails vectorially, a tail write
+        folds into the line's dirty bit right after its run's head, and L2
+        never sees a tail.  Hits, DRAM accesses and the per-PC AMAT
+        counters are folded in bulk.
+        """
+        addresses = np.asarray(addresses, np.int64)
+        is_write = np.asarray(is_write, bool)
+        pcs = np.asarray(pcs, np.int64)
+        cfg = self.config
+        l1_hit = cfg.l1.hit_latency
+        latencies = np.full(addresses.size, l1_hit, np.int64)
+        if not addresses.size:
+            return latencies
+        lines = addresses // cfg.l1.line_bytes
+        order = np.argsort(lines % cfg.l1.num_sets, kind="stable")
+        sorted_lines = lines[order]
+        tail = np.empty(addresses.size, bool)
+        tail[0] = False
+        np.equal(sorted_lines[1:], sorted_lines[:-1], out=tail[1:])
+        # Per run (a head and its tails): does any tail write?
+        run_of = np.cumsum(~tail) - 1
+        run_writes = np.zeros(int(run_of[-1]) + 1, bool)
+        run_writes[run_of[tail & is_write[order]]] = True
+        head_writes = np.zeros(addresses.size, bool)
+        head_writes[order[~tail]] = run_writes
+        heads = np.sort(order[~tail])
+
+        l1_access = self.l1.access
+        l2_access = self.l2.access
+        l2_latency = l1_hit + cfg.l2.hit_latency
+        dram_latency = l2_latency + cfg.dram_latency
+        head_latencies = []
+        dram = 0
+        for address, write, tail_write in zip(addresses[heads].tolist(),
+                                              is_write[heads].tolist(),
+                                              head_writes[heads].tolist()):
+            if l1_access(address, write):
+                head_latencies.append(l1_hit)
+            elif l2_access(address, write):
+                head_latencies.append(l2_latency)
+            else:
+                head_latencies.append(dram_latency)
+                dram += 1
+            if tail_write:
+                l1_access(address, True)  # one of the run's tail hits
+        latencies[heads] = head_latencies
+        self.dram_accesses += dram
+        self.l1.stats.hits += int(tail.sum()) - int(run_writes.sum())
+
+        unique, first, inverse = np.unique(pcs, return_index=True,
+                                           return_inverse=True)
+        totals = np.bincount(inverse, weights=latencies).tolist()
+        counts = np.bincount(inverse).tolist()
+        for u in np.argsort(first).tolist():  # first-access order
+            pc = int(unique[u])
+            counter = self._amat.get(pc)
+            if counter is None:
+                counter = self._amat[pc] = AmatCounter()
+            counter.total_cycles += int(totals[u])
+            counter.accesses += counts[u]
+        return latencies
 
     def amat(self, pc: int) -> float:
         """Measured AMAT for the memory instruction at ``pc`` (0 if unseen)."""

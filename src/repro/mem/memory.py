@@ -12,6 +12,8 @@ from __future__ import annotations
 import struct
 from typing import Iterable
 
+import numpy as np
+
 __all__ = ["Memory"]
 
 
@@ -80,6 +82,35 @@ class Memory:
                 value = (value << 8) | get(address + i, 0)
             out.append(value)
         return out
+
+    def scatter(self, addresses, size, values, mask=None) -> None:
+        """Bulk :meth:`store`, the mirror of :meth:`gather`.
+
+        Semantically identical to ``store(a, s, v)`` for each live entry in
+        order: a later store to the same byte wins, and a negative address
+        raises after every earlier entry has committed.  ``size`` is one
+        width for every entry or one per entry.  Masked-off entries (a
+        predicated-off store) are skipped without validation.  Values must
+        fit in int64; the bytes are split out with numpy and land in one
+        ordered dict update.
+        """
+        addresses = np.asarray(addresses, np.int64)
+        values = np.asarray(values, np.int64)
+        sizes = np.broadcast_to(np.asarray(size, np.int64), addresses.shape)
+        if mask is not None:
+            live = np.asarray(mask, bool)
+            addresses, values, sizes = (addresses[live], values[live],
+                                        sizes[live])
+        negative = np.flatnonzero(addresses < 0)
+        bad = int(negative[0]) if negative.size else addresses.size
+        byte = np.arange(int(sizes[:bad].max(initial=0)))
+        keep = byte < sizes[:bad, None]
+        byte_addresses = (addresses[:bad, None] + byte)[keep]
+        byte_values = ((values[:bad, None] >> (byte * 8)) & 0xFF)[keep]
+        self._bytes.update(zip(byte_addresses.tolist(),
+                               byte_values.tolist()))
+        if bad < addresses.size:
+            raise ValueError(f"negative address {int(addresses[bad]):#x}")
 
     # -- typed helpers --------------------------------------------------------
 

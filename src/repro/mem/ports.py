@@ -13,6 +13,8 @@ from __future__ import annotations
 import heapq
 import math
 
+import numpy as np
+
 __all__ = ["MemoryPorts"]
 
 
@@ -67,6 +69,27 @@ class MemoryPorts:
         heapq.heapreplace(self._free_at, grant + self.issue_interval)
         self.total_wait_cycles += grant - cycle
         return grant
+
+    def idle_by(self, cycle: float) -> bool:
+        """True when every port is free at ``cycle`` (no grant pending)."""
+        return self.unlimited or max(self._free_at) <= cycle
+
+    def record_grants(self, free_times, wait_cycles: float) -> None:
+        """Fold requests granted outside :meth:`request` into the arbiter.
+
+        ``free_times`` holds ``grant + issue_interval`` of every request,
+        each granted at ``max(cycle, earliest free port)``, and
+        ``wait_cycles`` the sum of their ``grant - cycle``.  Every request
+        replaces the earliest free time with a later one, so the pool ends
+        holding the ``num_ports`` latest of all free times it has seen —
+        the state :meth:`request` would have left.
+        """
+        free_times = np.asarray(free_times, np.float64)
+        self.total_requests += free_times.size
+        self.total_wait_cycles += wait_cycles
+        if not self.unlimited and free_times.size:
+            pool = np.concatenate((self._free_at, free_times))
+            self._free_at = np.sort(pool)[-len(self._free_at):].tolist()
 
     @property
     def average_wait(self) -> float:

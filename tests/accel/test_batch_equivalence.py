@@ -30,12 +30,14 @@ from repro.accel import (
 from repro.accel import M_128, batch
 from repro.core import MesaController
 from repro.isa import Instruction, MachineState, Opcode, f, x
-from repro.mem import Memory
+from repro.latency import LatencyTable
+from repro.mem import Memory, MemoryPorts
 from repro.workloads import build_kernel
 
 from .test_plan_equivalence import (
     KERNELS,
     MODES,
+    memory_fingerprint,
     result_fingerprint,
     run_fingerprint,
 )
@@ -70,6 +72,18 @@ class TestPipelineEquivalence:
         assert result.drive_path == "batched", result.drive_reason
         assert result.drive_reason == ""
         scalar = execute_on_path(name, M_128, options, False, monkeypatch)
+        assert batched == scalar
+
+    @pytest.mark.parametrize("name", KERNELS)
+    @pytest.mark.parametrize("block", (1, 7, 256))
+    def test_block_size_bit_identical(self, name, block, monkeypatch):
+        # The block size is a pure performance knob: one-lane blocks, odd
+        # blocks and full blocks all end in the interpreter's state, memory
+        # model included.
+        monkeypatch.setattr(batch, "DEFAULT_BLOCK", block)
+        batched, result = execute_kernel(name, M_128)
+        assert result.drive_path == "batched", result.drive_reason
+        scalar = execute_on_path(name, M_128, None, False, monkeypatch)
         assert batched == scalar
 
     def test_fallback_reason_is_reported(self):
@@ -191,12 +205,23 @@ def make_state(iterations: int = 50, store_target: int = 0) -> MachineState:
     return state
 
 
-def both_paths(program, make, **overrides):
-    """(batched, interpreted) runs of one program/state recipe."""
-    options = ExecutionOptions(**overrides)
-    batched = DataflowEngine(program).run(make(), options)
-    interpreted = DataflowEngine(program, compiled=False).run(make(), options)
-    return batched, interpreted
+def both_paths(program, make, ports=None, **overrides):
+    """(batched, interpreted) runs of one program/state recipe, whose
+    memory models — caches, AMAT counters, ports — must end identical.
+
+    ``ports`` makes each path's port pool (default: the config's count).
+    """
+    runs = []
+    memories = []
+    for compiled in (True, False):
+        engine = DataflowEngine(program, compiled=compiled)
+        pool = (ports() if ports is not None
+                else MemoryPorts(program.config.memory_ports))
+        runs.append(engine.run(make(), ExecutionOptions(ports=pool,
+                                                        **overrides)))
+        memories.append(memory_fingerprint(engine.hierarchy, pool))
+    assert memories[0] == memories[1]
+    return tuple(runs)
 
 
 class TestDirectEngineEquivalence:
@@ -294,6 +319,47 @@ class TestDirectEngineEquivalence:
             ExecutionOptions(replay_penalty=-1)
         with pytest.raises(ValueError):
             ExecutionOptions(tile_factor=0)
+
+
+class TestPortCarryFallback:
+    """When memory-port state can carry from one iteration into the next,
+    the drive steps those iterations on the interpreter: the run still
+    reports the batched path, stays bit-identical, and names the reason."""
+
+    def assert_stepped_identical(self, program, reason, ports=None):
+        batched, interpreted = both_paths(program, make_state, ports=ports)
+        assert batched.drive_path == "batched"
+        assert batched.drive_reason == reason
+        assert run_fingerprint(batched) == run_fingerprint(interpreted)
+
+    def test_slow_issue_interval(self):
+        self.assert_stepped_identical(
+            loop_program(),
+            "memory ports carry into iteration 0: "
+            "port issue interval 3 > L1 hit latency 2",
+            ports=lambda: MemoryPorts(1, issue_interval=3))
+
+    def test_zero_store_issue(self):
+        config = dataclasses.replace(CFG, latencies=LatencyTable(
+            store_issue=0))
+        self.assert_stepped_identical(
+            dataclasses.replace(loop_program(), config=config),
+            "memory ports carry into iteration 0: "
+            "port issue interval 1 > store issue 0")
+
+    def test_pending_grants_from_an_earlier_run(self):
+        # A shared pool still holds the first run's grants when the second
+        # run starts its clock at 0; once they drain, batching resumes.
+        def used_ports():
+            ports = MemoryPorts(1)
+            DataflowEngine(loop_program(), compiled=False).run(
+                make_state(), ExecutionOptions(ports=ports))
+            return ports
+
+        self.assert_stepped_identical(
+            loop_program(),
+            "memory ports still busy at the start of iteration 0",
+            ports=used_ports)
 
 
 def forwarding_program() -> AcceleratorProgram:

@@ -10,7 +10,8 @@ predication with loop-carried fallbacks, and random live-in register values
 including NaN and infinity payloads.  The property under test is the
 batched path's whole contract in one line: **whatever the capability
 analysis decides**, a default engine run is bit-identical to the
-interpreter — cycles, counters, registers, and memory.
+interpreter — cycles, counters, registers, memory, and the memory model's
+caches, AMAT counters and ports.
 
 This seeds the ROADMAP's random-kernel fuzzing item.
 """
@@ -33,12 +34,13 @@ from repro.accel import (
     batch,
 )
 from repro.isa import Instruction, MachineState, Opcode, f, x
-from repro.mem import Memory
+from repro.mem import Memory, MemoryPorts
 
-from .test_plan_equivalence import run_fingerprint
+from .test_plan_equivalence import memory_fingerprint, run_fingerprint
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
 
 #: Nightly CI exports REPRO_FUZZ_SCALE to multiply every example budget
 #: (10x on the scheduled run); the default keeps local runs fast.
@@ -258,18 +260,61 @@ def build_state(reg_values, mem_words, iterations) -> MachineState:
     return state
 
 
+def nan_pair_example():
+    """FADD_S of the canonical NaN and a payload NaN on every lane: the
+    pair a 20x budget found the two paths disagreeing on before both
+    applied the explicit first-NaN-wins rule."""
+    base = 0x3000
+    iterations = 24
+    nodes = [
+        ConfiguredNode(0, Instruction(base, Opcode.ADDI, rd=x(5), rs1=x(5),
+                                      imm=-1),
+                       (0, 0), src1=Operand.loop_carried(0, x(5))),
+        ConfiguredNode(1, Instruction(base + 4, Opcode.ADDI, rd=x(10),
+                                      rs1=x(10), imm=4),
+                       (0, 1), src1=Operand.loop_carried(1, x(10))),
+        ConfiguredNode(2, Instruction(base + 8, Opcode.FADD_S, rd=f(7),
+                                      rs1=f(4), rs2=f(5)),
+                       (0, 2), src1=Operand.from_register(f(4)),
+                       src2=Operand.from_register(f(5))),
+        # Every lane's result lands in memory, where the fingerprint sees it.
+        ConfiguredNode(3, Instruction(base + 12, Opcode.FSW, rs1=x(10),
+                                      rs2=f(7), imm=0x40),
+                       (0, -1), src1=Operand.node(1), src2=Operand.node(2),
+                       is_memory=True),
+        ConfiguredNode(4, Instruction(base + 16, Opcode.BNE, rs1=x(5),
+                                      rs2=x(0), imm=-16),
+                       (0, 3), src1=Operand.node(0)),
+    ]
+    program = AcceleratorProgram(
+        config=CFG, nodes=nodes, loop_branch_id=4,
+        live_in={x(5), x(10), x(14), f(4), f(5)},
+        live_out={f(22): 2, x(5): 0})
+    reg_values = {x(5): iterations, x(10): LOAD_BASE, x(14): LOAD_BASE,
+                  f(4): _bits_to_float(0x7FC00000),
+                  f(5): _bits_to_float(0x7FC12345)}
+    return program, reg_values, [0] * 8, iterations
+
+
 @settings(max_examples=60 * FUZZ_SCALE, deadline=None)
 @given(programs())
+@example(nan_pair_example())
 def test_batched_request_bit_identical_to_interpreter(drawn):
     program, reg_values, mem_words, iterations = drawn
-    with pytest.MonkeyPatch.context() as patch:
-        # Blocks of 8 put block boundaries inside the 1-24 iteration runs.
-        patch.setattr(batch, "DEFAULT_BLOCK", 8)
-        batched = DataflowEngine(program).run(
-            build_state(reg_values, mem_words, iterations),
-            ExecutionOptions())
-    reference = DataflowEngine(program, compiled=False).run(
-        build_state(reg_values, mem_words, iterations),
-        ExecutionOptions())
+    runs = []
+    memories = []
+    for compiled in (True, False):
+        engine = DataflowEngine(program, compiled=compiled)
+        ports = MemoryPorts(CFG.memory_ports)
+        with pytest.MonkeyPatch.context() as patch:
+            # Blocks of 8 put block boundaries inside the 1-24 iteration
+            # runs.
+            patch.setattr(batch, "DEFAULT_BLOCK", 8)
+            runs.append(engine.run(
+                build_state(reg_values, mem_words, iterations),
+                ExecutionOptions(ports=ports)))
+        memories.append(memory_fingerprint(engine.hierarchy, ports))
+    batched, reference = runs
     assert batched.iterations == iterations
     assert run_fingerprint(batched) == run_fingerprint(reference)
+    assert memories[0] == memories[1]

@@ -14,6 +14,7 @@ the counter records router traversals, never queueing time.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import struct
 
@@ -81,6 +82,24 @@ def run_fingerprint(run) -> tuple:
     )
 
 
+def memory_fingerprint(hierarchy, ports=None) -> tuple:
+    """The memory model's end state: per-level cache counters (writebacks
+    included) and resident lines per set in LRU order with their dirty
+    bits, DRAM accesses, the per-PC AMAT counters in creation order, and —
+    given the run's ports — their totals and pending free times."""
+    levels = tuple(
+        (dataclasses.astuple(cache.stats),
+         tuple((index, tuple(ways.items()))
+               for index, ways in enumerate(cache._sets) if ways))
+        for cache in (hierarchy.l1, hierarchy.l2))
+    amat = tuple((pc, counter.total_cycles, counter.accesses)
+                 for pc, counter in hierarchy.amat_counters().items())
+    port_state = None if ports is None else (
+        ports.total_requests, bits(ports.total_wait_cycles),
+        tuple(sorted(ports._free_at)))
+    return (levels, hierarchy.dram_accesses, amat, port_state)
+
+
 def result_fingerprint(result) -> tuple:
     return (
         result.accelerated,
@@ -90,6 +109,8 @@ def result_fingerprint(result) -> tuple:
         tuple(run_fingerprint(run) for run in result.runs),
         state_fingerprint(result.final_state)
         if result.final_state is not None else None,
+        memory_fingerprint(result.accel_hierarchy)
+        if result.accel_hierarchy is not None else None,
     )
 
 

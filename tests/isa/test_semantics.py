@@ -1,6 +1,7 @@
 """Tests for the functional executor (architectural reference model)."""
 
 import math
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,9 +12,20 @@ from repro.accel import (
     ConfiguredNode,
     DataflowEngine,
     Operand,
+    batch,
 )
 from repro.cpu import collect_trace
-from repro.isa import ExecutionError, Executor, MachineState, assemble, f, run, x
+from repro.isa import (
+    ExecutionError,
+    Executor,
+    Instruction,
+    MachineState,
+    Opcode,
+    assemble,
+    f,
+    run,
+    x,
+)
 
 
 def _run(text: str, setup=None, max_steps: int = 100_000) -> MachineState:
@@ -358,3 +370,112 @@ def test_no_semantics_raises_one_error_everywhere(text):
         messages.append(str(info.value))
     assert len(set(messages)) == 1, messages
     assert text in messages[0]
+
+
+def _float(bits: int) -> float:
+    return struct.unpack("<f", bits.to_bytes(4, "little"))[0]
+
+
+def _bits(value: float) -> int:
+    return struct.unpack("<I", struct.pack("<f", value))[0]
+
+
+#: (first, second) operand bit patterns: canonical vs payload NaNs, both
+#: orders, a negative NaN, and a signaling pattern (quieted on the way in).
+NAN_PAIRS = [(0x7FC00000, 0x7FC12345), (0x7FC12345, 0x7FC00000),
+             (0xFFC00001, 0x7FA00001), (0x7FA00001, 0x7FC00000)]
+NAN_OPS = {"fadd.s": Opcode.FADD_S, "fsub.s": Opcode.FSUB_S,
+           "fmul.s": Opcode.FMUL_S, "fdiv.s": Opcode.FDIV_S}
+#: Iterations of the loops below: past CPython's specialization warm-up
+#: and wider than numpy's SIMD chunks within one batched block.
+NAN_LANES = 320
+
+
+def _nan_loop_program(opcode) -> AcceleratorProgram:
+    """``mem[a0] = fa0 op fa1`` and ``fa3 = fa3 op fa1`` over a walking
+    ``a0``: a two-NaN op on every lane, and a loop-carried NaN
+    accumulator (a float32 scan for add/sub/mul, a microloop for div)."""
+    base = 0x2000
+    nodes = [
+        ConfiguredNode(0, Instruction(base, Opcode.ADDI, rd=x(5), rs1=x(5),
+                                      imm=-1),
+                       (0, 0), src1=Operand.loop_carried(0, x(5))),
+        ConfiguredNode(1, Instruction(base + 4, Opcode.ADDI, rd=x(10),
+                                      rs1=x(10), imm=4),
+                       (0, 1), src1=Operand.loop_carried(1, x(10))),
+        ConfiguredNode(2, Instruction(base + 8, opcode, rd=f(0), rs1=f(10),
+                                      rs2=f(11)),
+                       (1, 0), src1=Operand.from_register(f(10)),
+                       src2=Operand.from_register(f(11))),
+        ConfiguredNode(3, Instruction(base + 12, Opcode.FSW, rs1=x(10),
+                                      rs2=f(0)),
+                       (1, -1), src1=Operand.node(1), src2=Operand.node(2),
+                       is_memory=True),
+        ConfiguredNode(4, Instruction(base + 16, opcode, rd=f(3), rs1=f(3),
+                                      rs2=f(11)),
+                       (1, 1), src1=Operand.loop_carried(4, f(3)),
+                       src2=Operand.from_register(f(11))),
+        ConfiguredNode(5, Instruction(base + 20, Opcode.BNE, rs1=x(5),
+                                      rs2=x(0), imm=-20),
+                       (2, 0), src1=Operand.node(0)),
+    ]
+    return AcceleratorProgram(
+        config=AcceleratorConfig(rows=4, cols=4), nodes=nodes,
+        loop_branch_id=5, live_in={x(5), x(10), f(10), f(11), f(3)},
+        live_out={f(3): 4})
+
+
+class TestTwoNanRule:
+    """With two NaN operands the first one, quieted, wins — on the CPU, in
+    a plan node's ``evaluate``, and across a wide batched block."""
+
+    @pytest.mark.parametrize("pair", NAN_PAIRS,
+                             ids=[f"{a:08x}-{b:08x}" for a, b in NAN_PAIRS])
+    @pytest.mark.parametrize("mnemonic", sorted(NAN_OPS))
+    def test_first_nan_wins_everywhere(self, mnemonic, pair, monkeypatch):
+        first, second = pair
+        expected = first | 0x00400000
+        a, b = _float(first), _float(second)
+
+        program = assemble(
+            f"""
+            addi t0, zero, {NAN_LANES}
+            lui a0, 16
+            loop:
+                {mnemonic} ft0, fa0, fa1
+                fsw ft0, 0(a0)
+                addi a0, a0, 4
+                addi t0, t0, -1
+                bne t0, zero, loop
+            """
+        )
+        state = MachineState(pc=program.base_address)
+        state.write(f(10), a)
+        state.write(f(11), b)
+        Executor(program, state).run()
+        assert {state.memory.load(0x10000 + 4 * k, 4)
+                for k in range(NAN_LANES)} == {expected}
+
+        fabric = _nan_loop_program(NAN_OPS[mnemonic])
+        engine = DataflowEngine(fabric)
+        evaluate = engine.plan.nodes[2].evaluate
+        assert {_bits(evaluate(a, b)) for _ in range(NAN_LANES)} == {expected}
+
+        monkeypatch.setattr(batch, "DEFAULT_BLOCK", 512)
+        runs = []
+        for compiled in (True, False):
+            fabric_state = MachineState()
+            fabric_state.write(x(5), NAN_LANES)
+            fabric_state.write(x(10), 0x10000 - 4)
+            fabric_state.write(f(10), a)
+            fabric_state.write(f(11), b)
+            fabric_state.write(f(3), a)
+            runs.append(DataflowEngine(fabric, compiled=compiled)
+                        .run(fabric_state))
+        batched, interpreted = runs
+        assert batched.drive_path == "batched", batched.drive_reason
+        for run_ in runs:
+            memory = run_.final_state.memory
+            assert {memory.load(0x10000 + 4 * k, 4)
+                    for k in range(NAN_LANES)} == {expected}
+            assert _bits(run_.final_state.read(f(3))) == expected

@@ -1,0 +1,127 @@
+"""Property tests: the bulk memory APIs equal their one-at-a-time forms.
+
+The batched engine drives a block's memory events through two bulk calls:
+:meth:`MemoryHierarchy.access_stream` (every cache outcome of the block in
+one pass) and :meth:`Memory.scatter` (every store commit in one update).
+Each must be indistinguishable from the sequential loop it replaces —
+``access`` per entry, ``store`` per entry — in results, cache contents,
+LRU order, dirty bits, counters and raised errors.
+
+Streams are drawn to hit the cases the bulk paths special-case: arrays
+8 KiB apart (one L1 set in the default geometry), runs of same-line
+writes, more lines per set than ways (evictions and writebacks), cold
+lines (L2 and DRAM misses), and negative addresses.
+"""
+
+from __future__ import annotations
+
+import os
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.mem import CacheConfig, HierarchyConfig, Memory, MemoryHierarchy
+
+from ..accel.test_plan_equivalence import memory_fingerprint
+
+#: Nightly CI exports REPRO_FUZZ_SCALE to multiply every example budget.
+FUZZ_SCALE = int(os.environ.get("REPRO_FUZZ_SCALE", "1"))
+
+#: A geometry small enough to evict from both levels within a short stream.
+TINY = HierarchyConfig(
+    l1=CacheConfig(size_bytes=256, line_bytes=16, associativity=2,
+                   hit_latency=2),
+    l2=CacheConfig(size_bytes=1024, line_bytes=16, associativity=4,
+                   hit_latency=12),
+    dram_latency=100)
+
+PCS = (0x2000, 0x2004, 0x2008)
+
+
+@st.composite
+def access_streams(draw):
+    """(address, is_write, pc) triples over aliasing arrays."""
+    arrays = draw(st.integers(1, 12))
+    stream = []
+    for _ in range(draw(st.integers(0, 120))):
+        array = draw(st.integers(0, arrays - 1))
+        offset = draw(st.integers(-16, 256))
+        pc = draw(st.sampled_from(PCS))
+        # A run of accesses to nearby bytes (mostly one line).
+        for step in range(draw(st.integers(1, 4))):
+            stream.append((array * 8192 + offset + 4 * step,
+                           draw(st.booleans()), pc))
+    return stream
+
+
+@settings(max_examples=100 * FUZZ_SCALE, deadline=None)
+@given(config=st.sampled_from((TINY, HierarchyConfig())),
+       warm=access_streams(), stream=access_streams())
+def test_access_stream_equals_sequential_access(config, warm, stream):
+    sequential = MemoryHierarchy(config)
+    bulk = MemoryHierarchy(config)
+    for hierarchy in (sequential, bulk):
+        for address, is_write, pc in warm:
+            hierarchy.access(address, is_write, pc)
+    expected = [sequential.access(address, is_write, pc)
+                for address, is_write, pc in stream]
+    addresses, writes, pcs = (zip(*stream) if stream else ((), (), ()))
+    latencies = bulk.access_stream(list(addresses), list(writes), list(pcs))
+    assert latencies.tolist() == expected
+    assert memory_fingerprint(bulk) == memory_fingerprint(sequential)
+
+
+@st.composite
+def store_streams(draw):
+    """(address, size, value, live) entries over an overlapping window."""
+    entries = []
+    for _ in range(draw(st.integers(0, 40))):
+        entries.append((draw(st.integers(-8, 48)),
+                        draw(st.sampled_from((1, 2, 4, 8))),
+                        draw(st.integers(-(1 << 63), (1 << 63) - 1)),
+                        draw(st.booleans())))
+    return entries
+
+
+def _outcome(call):
+    try:
+        call()
+    except ValueError as error:
+        return str(error)
+    return None
+
+
+@settings(max_examples=100 * FUZZ_SCALE, deadline=None)
+@given(entries=store_streams(), one_size=st.booleans(),
+       masked=st.booleans())
+def test_scatter_equals_sequential_store(entries, one_size, masked):
+    if one_size:
+        entries = [(a, 4, v, live) for a, _, v, live in entries]
+    if not masked:
+        entries = [(a, s, v, True) for a, s, v, _ in entries]
+    sequential, bulk = Memory(), Memory()
+    for memory in (sequential, bulk):
+        memory.store(0x10, 4, 0xDEADBEEF)
+
+    def store_each():
+        for address, size, value, live in entries:
+            if live:
+                sequential.store(address, size, value)
+
+    addresses = [a for a, _, _, _ in entries]
+    sizes = 4 if one_size else [s for _, s, _, _ in entries]
+    values = [v for _, _, v, _ in entries]
+    mask = [live for _, _, _, live in entries] if masked else None
+    expected = _outcome(store_each)
+    assert _outcome(lambda: bulk.scatter(addresses, sizes, values,
+                                         mask)) == expected
+    assert bulk._bytes == sequential._bytes
+
+
+def test_scatter_later_store_wins_and_commits_before_the_fault():
+    memory = Memory()
+    with pytest.raises(ValueError, match="negative address -0x4"):
+        memory.scatter([0, 2, -4, 8], 4, [0x11111111, 0x2222, 7, 9])
+    assert memory.load(0, 4) == 0x22221111
+    assert memory.load(4, 2) == 0
+    assert memory.footprint() == 6
