@@ -90,8 +90,8 @@ few provable properties of the model:
   below 2**53).
 
 Capability analysis (:func:`compile_batch`) decides statically whether a
-plan qualifies; :attr:`ExecutionPlan.batchable` exposes the verdict with a
-machine-readable reason, and a rejected plan runs on the interpreter with
+plan qualifies; ``ExecutionPlan.batch_program.capability`` carries the
+verdict with a machine-readable reason, and a rejected plan runs on the interpreter with
 that reason reported as the run's ``drive_reason``.
 """
 

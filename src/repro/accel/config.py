@@ -15,7 +15,7 @@ FP capability is laid out in 2×2 *FP slices* (Table 1 lists an "FP Slice
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..isa import OpClass
 from ..latency import DEFAULT_LATENCIES, LatencyTable
@@ -116,11 +116,6 @@ class AcceleratorConfig:
         if op_class.is_fp:
             return self.supports_fp(coord)
         return True
-
-    def with_grid(self, rows: int, cols: int, name: str | None = None) -> "AcceleratorConfig":
-        """A copy with a different grid geometry (for PE-scaling sweeps)."""
-        return replace(self, rows=rows, cols=cols,
-                       name=name if name is not None else f"M-{rows * cols}")
 
 
 #: The paper's three evaluation configurations.  Memory ports scale with

@@ -44,10 +44,6 @@ class ActivityCounters:
     control_events: int = 0  # branch evaluations / enable-network activity
 
     @property
-    def total_ops(self) -> int:
-        return self.int_ops + self.fp_ops
-
-    @property
     def memory_accesses(self) -> int:
         return self.loads + self.stores
 
@@ -123,9 +119,3 @@ class LatencyCounters:
         """Average measured transfer latency for an edge (0 if unseen)."""
         count = self._edge_count.get((src, dst), 0)
         return self._edge_total[(src, dst)] / count if count else 0.0
-
-    def node_latencies(self) -> dict[int, float]:
-        return {nid: self.node_latency(nid) for nid in self._node_count}
-
-    def edge_latencies(self) -> dict[tuple[int, int], float]:
-        return {key: self.edge_latency(*key) for key in self._edge_count}

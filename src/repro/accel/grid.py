@@ -83,25 +83,10 @@ class PEGrid:
         self.placement[row, col] = node_id
         self.free[row, col] = False
 
-    def release(self, coord: Coord) -> None:
-        """Free a PE (used when re-mapping between optimization rounds)."""
-        row, col = coord
-        self.placement[row, col] = -1
-        self.free[row, col] = True
-
-    def occupant(self, coord: Coord) -> int | None:
-        """Node id at a coordinate, or None if free."""
-        value = int(self.placement[coord[0], coord[1]])
-        return None if value == -1 else value
-
     def clear(self) -> None:
         """Reset to the all-nop state."""
         self.placement.fill(-1)
         self.free.fill(True)
-
-    @property
-    def occupied_count(self) -> int:
-        return int((~self.free).sum())
 
     def free_neighbourhood(self, coord: Coord, radius: int = 1) -> int:
         """Number of free PEs within a Chebyshev radius (the paper's

@@ -4,18 +4,18 @@ Paper Fig. 5: "Load/store entries locally interconnected to PEs but maintain
 original program ordering.  Forwarding paths allow stores to broadcast data
 and address when ready, forwarding data to future loads with matching
 addresses."  Entries sit along the array's edge (modeled at column ``-1`` of
-their row) and share a small number of memory ports ("the actual design has
-far more entries sharing a port").
+their row).
 
-The entries re-use :class:`repro.mem.LoadStoreQueue` for disambiguation and
-forwarding semantics and :class:`repro.mem.MemoryPorts` for bandwidth.
+This class only places memory nodes during mapping.  Forwarding and
+disambiguation at run time belong to the interpreter's
+:class:`repro.mem.LoadStoreQueue`, and port bandwidth to the
+:class:`repro.mem.MemoryPorts` pool that the engine is driven with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..mem import MemoryPorts
 from .config import AcceleratorConfig, Coord
 
 __all__ = ["LsuAssignment", "LoadStoreEntries"]
@@ -39,17 +39,12 @@ class LoadStoreEntries:
 
     def __init__(self, config: AcceleratorConfig) -> None:
         self.config = config
-        self.ports = MemoryPorts(config.memory_ports)
         self._next = 0
-        self._assignments: dict[int, LsuAssignment] = {}  # node id -> slot
+        self._nodes: set[int] = set()
 
     @property
     def capacity(self) -> int:
         return self.config.lsu_entries
-
-    @property
-    def allocated(self) -> int:
-        return self._next
 
     @property
     def full(self) -> bool:
@@ -73,18 +68,9 @@ class LoadStoreEntries:
             raise OverflowError(
                 f"all {self.capacity} load/store entries in use"
             )
-        if node_id in self._assignments:
+        if node_id in self._nodes:
             raise ValueError(f"node {node_id} already has an LSU entry")
         assignment = LsuAssignment(self._next, self.entry_coord(self._next))
-        self._assignments[node_id] = assignment
+        self._nodes.add(node_id)
         self._next += 1
         return assignment
-
-    def assignment(self, node_id: int) -> LsuAssignment:
-        return self._assignments[node_id]
-
-    def clear(self) -> None:
-        """Release all entries (new code region)."""
-        self._next = 0
-        self._assignments.clear()
-        self.ports.reset()

@@ -215,11 +215,6 @@ class ExecutionPlan:
             self._batch = compile_batch(self)
         return self._batch
 
-    @property
-    def batchable(self):
-        """Capability verdict of the batched executor for this plan."""
-        return self.batch_program.capability
-
     # -- compilation ---------------------------------------------------------
 
     def _compile_node(self, node: ConfiguredNode) -> NodePlan:

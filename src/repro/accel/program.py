@@ -152,10 +152,6 @@ class AcceleratorProgram:
     def memory_nodes(self) -> list[ConfiguredNode]:
         return [n for n in self.nodes if n.is_memory]
 
-    @property
-    def compute_nodes(self) -> list[ConfiguredNode]:
-        return [n for n in self.nodes if not n.is_memory]
-
     def node(self, node_id: int) -> ConfiguredNode:
         return self.nodes[node_id]
 

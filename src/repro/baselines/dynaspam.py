@@ -62,10 +62,6 @@ class DynaSpamMapping:
     nodes: int
 
     @property
-    def depth_used(self) -> int:
-        return len(self.levels)
-
-    @property
     def ipc(self) -> float:
         return self.nodes / self.initiation_interval if self.initiation_interval else 0.0
 

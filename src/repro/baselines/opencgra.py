@@ -91,11 +91,6 @@ class OpenCgraScheduler:
         raise ScheduleError(
             f"no schedule found up to II={self.config.max_ii}")
 
-    def min_ii(self, ldfg: Ldfg) -> int:
-        """The lower bound max(ResMII, RecMII) without scheduling."""
-        entries = [e for e in ldfg.entries if not e.eliminated]
-        return max(self._res_mii(entries), self._rec_mii(ldfg, entries), 1)
-
     # -- MII bounds ------------------------------------------------------------
 
     def _res_mii(self, entries: list[LdfgEntry]) -> int:

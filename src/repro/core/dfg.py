@@ -82,12 +82,6 @@ class DataflowGraph:
             raise ValueError("transfer latency must be non-negative")
         self._edge_weights[(src, dst)] = weight
 
-    def set_node_weight(self, node_id: int, op_latency: float) -> None:
-        """Update a node's operation latency (e.g. from measured AMAT)."""
-        if op_latency < 0:
-            raise ValueError("operation latency must be non-negative")
-        self._nodes[node_id].op_latency = op_latency
-
     # -- queries ---------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -106,9 +100,6 @@ class DataflowGraph:
     @property
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self._edge_weights)
-
-    def edge_weight(self, src: int, dst: int) -> float:
-        return self._edge_weights[(src, dst)]
 
     def consumers(self, node_id: int) -> list[int]:
         return [dst for (src, dst) in self._edge_weights if src == node_id]
@@ -157,18 +148,6 @@ class DataflowGraph:
             current = best_src
         path.reverse()
         return path
-
-    def bottleneck_edges(self, top: int = 3) -> list[tuple[int, int]]:
-        """The heaviest transfer edges along the critical path.
-
-        These are the first candidates for re-placement in MESA's iterative
-        optimization loop.
-        """
-        path = self.critical_path()
-        on_path = list(zip(path, path[1:]))
-        weighted = [(self._edge_weights.get(edge, 0.0), edge) for edge in on_path]
-        weighted.sort(key=lambda item: (-item[0], item[1]))
-        return [edge for _, edge in weighted[:top]]
 
     def latency_table(self) -> str:
         """The Fig. 2-style latency table as text (for docs and debugging)."""

@@ -60,10 +60,6 @@ class ImapRun:
     total_cycles: int = 0
     instructions: int = 0
 
-    def cycles_for(self, index: int) -> int:
-        """Total FSM cycles spent mapping one instruction."""
-        return sum(cycles for i, _, _, cycles in self.schedule if i == index)
-
     def timing_diagram(self, max_instructions: int = 3,
                        max_width: int = 72) -> str:
         """A Fig. 8-style ASCII timing diagram of the first instructions."""

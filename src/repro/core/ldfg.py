@@ -126,16 +126,6 @@ class Ldfg:
     def __getitem__(self, node_id: int) -> LdfgEntry:
         return self.entries[node_id]
 
-    @property
-    def memory_entries(self) -> list[LdfgEntry]:
-        return [e for e in self.entries
-                if e.instruction.is_memory and not e.eliminated]
-
-    @property
-    def compute_entries(self) -> list[LdfgEntry]:
-        return [e for e in self.entries
-                if not e.instruction.is_memory and not e.eliminated]
-
     def to_dataflow_graph(self) -> DataflowGraph:
         """The Eq. 1/2 performance model over same-iteration edges.
 

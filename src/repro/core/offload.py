@@ -47,6 +47,3 @@ class OffloadCostModel:
         """Cycles to return control and state to the CPU."""
         return (self.handshake_cycles
                 + live_out_registers * self.cycles_per_register)
-
-    def round_trip_cycles(self, live_in: int, live_out: int) -> int:
-        return self.offload_cycles(live_in) + self.return_cycles(live_out)

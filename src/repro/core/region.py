@@ -79,13 +79,6 @@ class CodeRegionDetector:
         loops = detector.scan(trace)
         return [self.evaluate(loop, program) for loop in loops]
 
-    def best_region(self, trace: Trace, program: Program) -> RegionDecision | None:
-        """The hottest *accepted* region, or None."""
-        for decision in self.detect(trace, program):
-            if decision.accepted:
-                return decision
-        return None
-
     # -- per-candidate evaluation ----------------------------------------------
 
     def evaluate(self, loop: LoopCandidate, program: Program) -> RegionDecision:

@@ -103,14 +103,6 @@ class SystemRun:
         return (self.cpu_only_makespan / self.makespan
                 if self.makespan else 0.0)
 
-    @property
-    def accelerated_threads(self) -> int:
-        return sum(1 for o in self.outcomes if o.accelerated)
-
-    @property
-    def cache_hit_threads(self) -> int:
-        return sum(1 for o in self.outcomes if o.config_cache_hit)
-
     def outcome(self, name: str) -> ThreadOutcome:
         for candidate in self.outcomes:
             if candidate.name == name:

@@ -48,14 +48,6 @@ class Trace:
     def __getitem__(self, index):
         return self.entries[index]
 
-    @property
-    def memory_entries(self) -> list[TraceEntry]:
-        return [e for e in self.entries if e.instruction.is_memory]
-
-    def pc_stream(self) -> list[int]:
-        """The sequence of executed PCs (input to the loop-stream detector)."""
-        return [e.pc for e in self.entries]
-
 
 def collect_trace(program: Program, state: MachineState | None = None,
                   max_steps: int = 1_000_000) -> Trace:

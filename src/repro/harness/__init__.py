@@ -43,7 +43,6 @@ from .report import (
     format_service_stats,
     format_value,
     geomean,
-    render_series,
     render_table,
 )
 from .sweep import SweepPoint, SweepResult, pe_count_configs, sweep_backends
@@ -74,7 +73,6 @@ __all__ = [
     "format_service_stats",
     "format_value",
     "geomean",
-    "render_series",
     "render_table",
     "Shard",
     "ShardOutcome",

@@ -27,7 +27,6 @@ from ..baselines import (
     DynaSpamError,
     DynaSpamMapper,
     OpenCgraScheduler,
-    ScheduleError,
 )
 from ..core import LdfgError, MesaController, MesaOptions, build_ldfg
 from ..cpu import (
@@ -55,10 +54,6 @@ class SystemResult:
     energy_pj: float = 0.0
     accelerated: bool = True
     details: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def energy_nj(self) -> float:
-        return self.energy_pj / 1000.0
 
 
 class ExperimentRunner:

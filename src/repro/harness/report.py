@@ -12,7 +12,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from ..core import CacheStats
     from ..service import HistogramSnapshot, ServiceStats
 
-__all__ = ["render_table", "render_series", "format_value",
+__all__ = ["render_table", "format_value",
            "format_cache_stats", "format_latency", "format_service_stats",
            "geomean"]
 
@@ -100,13 +100,6 @@ def render_table(headers: Sequence[str],
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def render_series(name: str, xs: Sequence[Any], ys: Sequence[Any],
-                  x_label: str = "x", y_label: str = "y") -> str:
-    """Render one figure series as aligned (x, y) pairs."""
-    rows = list(zip(xs, ys))
-    return render_table([x_label, y_label], rows, title=name)
 
 
 def geomean(values: Sequence[float]) -> float:

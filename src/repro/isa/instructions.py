@@ -292,18 +292,6 @@ class Instruction:
             object.__setattr__(self, "_hash", cached)
         return cached
 
-    @property
-    def is_backward_branch(self) -> bool:
-        """True for a taken-backward control transfer (negative offset)."""
-        return self.is_control and self.imm < 0
-
-    @property
-    def branch_target(self) -> int | None:
-        """Target address of a PC-relative control transfer, if any."""
-        if self.is_branch or self.opcode is Opcode.JAL:
-            return self.address + self.imm
-        return None
-
     def __str__(self) -> str:
         parts = [self.opcode.value]
         operands: list[str] = []

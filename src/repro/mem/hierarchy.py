@@ -159,7 +159,8 @@ class MemoryHierarchy:
         return counter.amat if counter is not None else 0.0
 
     def amat_counters(self) -> dict[int, AmatCounter]:
-        """All per-PC AMAT counters (read by MESA's performance model)."""
+        """All per-PC AMAT counters (a copy; the fingerprint tests compare
+        them)."""
         return dict(self._amat)
 
     @property

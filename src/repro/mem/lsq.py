@@ -4,8 +4,12 @@ Paper §4.2: "If the accelerator uses traditional load-store queues that
 enforce ordering, memory disambiguation can be performed in much the same way
 as out-of-order cores. ... a load can be invalidated if a prior store
 instruction commits and matches its address."  This module implements that
-machinery once, and both the CPU core model and the accelerator's load/store
-entries use it:
+machinery for the accelerator: the interpreter
+(:class:`repro.accel.engine.DataflowEngine`) steps one queue per run, and
+:func:`block_alias_hazard` is its block-level form for the batched drive.
+The CPU core model does not use it; it reads only ``CpuConfig.lsq_size``.
+
+The queue's rules:
 
 * loads may issue out of order as soon as their address is known;
 * a load that overlaps an older resolved store forwards the store's data;

@@ -139,12 +139,6 @@ class Memory:
         for i, value in enumerate(values):
             self.store_float(address + 4 * i, value)
 
-    def load_words(self, address: int, count: int) -> list[int]:
-        return [self.load_word(address + 4 * i) for i in range(count)]
-
-    def load_floats(self, address: int, count: int) -> list[float]:
-        return [self.load_float(address + 4 * i) for i in range(count)]
-
     def footprint(self) -> int:
         """Number of bytes ever written (for tests and reporting)."""
         return len(self._bytes)

@@ -91,11 +91,6 @@ class MemoryPorts:
             pool = np.concatenate((self._free_at, free_times))
             self._free_at = np.sort(pool)[-len(self._free_at):].tolist()
 
-    @property
-    def average_wait(self) -> float:
-        """Mean cycles a request waited for a free port."""
-        return self.total_wait_cycles / self.total_requests if self.total_requests else 0.0
-
     def reset(self) -> None:
         """Free all ports and clear statistics."""
         if not self.unlimited:

@@ -16,11 +16,10 @@ assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..accel import AcceleratorConfig, ActivityCounters
 from ..mem import MemoryHierarchy
-from .tables import accelerator_components, mesa_extensions
 
 __all__ = ["EnergyParams", "EnergyBreakdown", "AcceleratorEnergyModel"]
 
@@ -65,10 +64,6 @@ class EnergyBreakdown:
     def total_pj(self) -> float:
         return (self.compute_pj + self.memory_pj + self.network_pj
                 + self.control_pj + self.static_pj + self.config_pj)
-
-    @property
-    def total_nj(self) -> float:
-        return self.total_pj / 1000.0
 
     def fractions(self) -> dict[str, float]:
         total = self.total_pj
@@ -138,16 +133,3 @@ class AcceleratorEnergyModel:
         breakdown.config_pj = (config_cycles * p.mesa_pj_per_cycle
                                + bitstream_words * p.config_word_pj)
         return breakdown
-
-    def average_power_w(self, breakdown: EnergyBreakdown,
-                        cycles: float) -> float:
-        """Mean power over a run at the configured clock."""
-        if cycles <= 0:
-            return 0.0
-        seconds = cycles / (self.config.frequency_ghz * 1e9)
-        return breakdown.total_pj * 1e-12 / seconds
-
-    def peak_power_w(self) -> float:
-        """Table-1 nameplate power of this backend."""
-        return accelerator_components(self.config).power_w + \
-            mesa_extensions().power_w

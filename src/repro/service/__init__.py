@@ -25,8 +25,7 @@ configuration cache, many concurrent offload streams:
   --chaos``;
 * :class:`ServiceStats` / :class:`HistogramSnapshot` — monotonic,
   subtractable metrics snapshots for interval reporting;
-* :func:`zipfian_stream` / :func:`request_mix` — popularity-skewed
-  request mixes;
+* :func:`zipfian_stream` — popularity-skewed request mixes;
 * :func:`run_self_test` / :func:`serve` — CI smoke and the TCP JSON-lines
   front end behind ``repro serve``.
 """
@@ -72,7 +71,7 @@ from .server import (
     OffloadRequest,
     OffloadResponse,
 )
-from .workload import popularity_tier, request_mix, zipf_weights, zipfian_stream
+from .workload import popularity_tier, zipf_weights, zipfian_stream
 
 __all__ = [
     "BUCKET_BOUNDS",
@@ -110,7 +109,6 @@ __all__ = [
     "OffloadRequest",
     "OffloadResponse",
     "popularity_tier",
-    "request_mix",
     "zipf_weights",
     "zipfian_stream",
 ]

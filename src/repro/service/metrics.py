@@ -19,7 +19,7 @@ latencies.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Mapping
 
 from ..core.configure import CacheStats
@@ -30,6 +30,10 @@ __all__ = ["BUCKET_BOUNDS", "HistogramSnapshot", "LatencyHistogram",
 #: Geometric spacing of the bucket bounds: a quarter octave (~19% steps),
 #: fine enough to separate the cold and warm execute paths.
 _STEP = 2.0 ** 0.25
+
+#: Field metadata marking a :class:`ServiceStats` gauge: a level sampled at
+#: snapshot time, which a delta keeps from the newer snapshot.
+_GAUGE = {"gauge": True}
 
 #: Upper bounds (seconds) of the histogram buckets: 1 µs rising a quarter
 #: octave at a time up to ~9 hours; a final overflow bucket catches
@@ -182,8 +186,8 @@ class ServiceStats:
     cache: CacheStats = field(default_factory=CacheStats)
     uptime_seconds: float = 0.0
     # -- gauges ---------------------------------------------------------------
-    queue_depth: int = 0
-    inflight: int = 0
+    queue_depth: int = field(default=0, metadata=_GAUGE)
+    inflight: int = field(default=0, metadata=_GAUGE)
     # -- latency histograms, keyed by phase -----------------------------------
     #: ``queue_wait`` / ``execute`` / ``total`` plus ``execute_cold`` /
     #: ``execute_warm`` / ``execute_cpu`` (split by configuration-cache
@@ -210,35 +214,16 @@ class ServiceStats:
         return self.latency.get(name, HistogramSnapshot())
 
     def __sub__(self, other: "ServiceStats") -> "ServiceStats":
-        latency = {}
-        for name, hist in self.latency.items():
-            previous = other.latency.get(name)
-            latency[name] = hist - previous if previous is not None else hist
-        return ServiceStats(
-            submitted=self.submitted - other.submitted,
-            admitted=self.admitted - other.admitted,
-            rejected_queue_full=(self.rejected_queue_full
-                                 - other.rejected_queue_full),
-            rejected_client_quota=(self.rejected_client_quota
-                                   - other.rejected_client_quota),
-            completed=self.completed - other.completed,
-            failed=self.failed - other.failed,
-            cancelled=self.cancelled - other.cancelled,
-            timed_out=self.timed_out - other.timed_out,
-            degraded=self.degraded - other.degraded,
-            coalesced=self.coalesced - other.coalesced,
-            deduped=self.deduped - other.deduped,
-            accelerated=self.accelerated - other.accelerated,
-            cache_hits=self.cache_hits - other.cache_hits,
-            worker_crashes=self.worker_crashes - other.worker_crashes,
-            worker_restarts=self.worker_restarts - other.worker_restarts,
-            checkpoints_saved=(self.checkpoints_saved
-                               - other.checkpoints_saved),
-            regions_restored=(self.regions_restored
-                              - other.regions_restored),
-            cache=self.cache - other.cache,
-            uptime_seconds=self.uptime_seconds - other.uptime_seconds,
-            queue_depth=self.queue_depth,
-            inflight=self.inflight,
-            latency=latency,
-        )
+        delta = {}
+        for f in fields(self):
+            mine = getattr(self, f.name)
+            if f.name == "latency":
+                delta["latency"] = {
+                    name: hist - other.latency[name]
+                    if name in other.latency else hist
+                    for name, hist in mine.items()}
+            elif f.metadata.get("gauge"):
+                delta[f.name] = mine
+            else:
+                delta[f.name] = mine - getattr(other, f.name)
+        return ServiceStats(**delta)

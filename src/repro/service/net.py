@@ -27,6 +27,7 @@ variant lives in :func:`repro.service.faults.run_chaos_test`.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import itertools
 import json
 from typing import Any
@@ -51,62 +52,21 @@ _OVERSIZED = object()
 
 
 def response_to_json(response: OffloadResponse) -> dict[str, Any]:
-    return {
-        "status": response.status,
-        "label": response.label,
-        "client": response.client,
-        "reason": response.reason,
-        "accelerated": response.accelerated,
-        "cache_hit": response.cache_hit,
-        "coalesced": response.coalesced,
-        "deduped": response.deduped,
-        "speedup": response.speedup,
-        "total_cycles": response.total_cycles,
-        "queue_seconds": response.queue_seconds,
-        "execute_seconds": response.execute_seconds,
-        "total_seconds": response.total_seconds,
-    }
+    return dataclasses.asdict(response)
 
 
 def stats_to_json(stats: ServiceStats) -> dict[str, Any]:
-    payload: dict[str, Any] = {
-        "submitted": stats.submitted,
-        "admitted": stats.admitted,
-        "rejected_queue_full": stats.rejected_queue_full,
-        "rejected_client_quota": stats.rejected_client_quota,
-        "completed": stats.completed,
-        "failed": stats.failed,
-        "cancelled": stats.cancelled,
-        "timed_out": stats.timed_out,
-        "degraded": stats.degraded,
-        "coalesced": stats.coalesced,
-        "deduped": stats.deduped,
-        "accelerated": stats.accelerated,
-        "cache_hits": stats.cache_hits,
-        "worker_crashes": stats.worker_crashes,
-        "worker_restarts": stats.worker_restarts,
-        "checkpoints_saved": stats.checkpoints_saved,
-        "regions_restored": stats.regions_restored,
-        "queue_depth": stats.queue_depth,
-        "inflight": stats.inflight,
-        "uptime_seconds": stats.uptime_seconds,
-        "throughput": stats.throughput,
-        "cache": {
-            "hits": stats.cache.hits,
-            "misses": stats.cache.misses,
-            "evictions": stats.cache.evictions,
-            "insertions": stats.cache.insertions,
-            "hit_rate": stats.cache.hit_rate,
-        },
-        "latency": {},
-    }
-    for name, hist in stats.latency.items():
-        payload["latency"][name] = {
-            "count": hist.count,
-            "mean": hist.mean,
-            "p50": hist.p50,
-            "p99": hist.p99,
-        }
+    """Every :class:`ServiceStats` field, plus ``throughput`` and the cache
+    hit rate; each latency histogram is reduced to count, mean, p50, p99."""
+    payload = {f.name: getattr(stats, f.name)
+               for f in dataclasses.fields(stats)}
+    payload["throughput"] = stats.throughput
+    payload["cache"] = {**dataclasses.asdict(stats.cache),
+                        "hit_rate": stats.cache.hit_rate}
+    payload["latency"] = {
+        name: {"count": hist.count, "mean": hist.mean,
+               "p50": hist.p50, "p99": hist.p99}
+        for name, hist in stats.latency.items()}
     return payload
 
 

@@ -285,7 +285,3 @@ class CircuitBreaker:
             self._failures[key] = self._failures.get(key, 0) + 1
             if error:
                 self._last_error[key] = error
-
-    def open_keys(self) -> list[Any]:
-        return [key for key, failures in self._failures.items()
-                if failures >= self.threshold]

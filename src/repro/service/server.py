@@ -68,7 +68,7 @@ import asyncio
 import dataclasses
 import logging
 import time
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -226,7 +226,7 @@ class MesaService:
 
     def __init__(self, pool: ControllerPool | None = None,
                  max_queue: int = 64, max_per_client: int = 8,
-                 workers: int = 2, coalesce: bool = True,
+                 workers: int = 2,
                  request_timeout_s: float | None = None,
                  checkpoint_path: str | None = None,
                  checkpoint_interval_s: float = 0.0,
@@ -240,14 +240,12 @@ class MesaService:
         self.max_queue = max_queue
         self.max_per_client = max_per_client
         self.workers = workers
-        self.coalesce = coalesce
         self.request_timeout_s = request_timeout_s
         self.checkpoint_path = checkpoint_path
         self.checkpoint_interval_s = checkpoint_interval_s
         self.fault_plan = fault_plan
-        self._breaker = (CircuitBreaker(breaker_threshold,
-                                        breaker_probe_interval)
-                         if breaker_threshold > 0 else None)
+        self._breaker = CircuitBreaker(breaker_threshold,
+                                       breaker_probe_interval)
         self._queue: asyncio.Queue[_Job] = asyncio.Queue()
         self._worker_tasks: list[asyncio.Task] = []
         self._checkpoint_task: asyncio.Task | None = None
@@ -262,12 +260,9 @@ class MesaService:
         self._client_load: dict[str, int] = {}
         self._running_jobs = 0
         self._admitted_index = 0
-        self._counters = {name: 0 for name in (
-            "submitted", "admitted", "rejected_queue_full",
-            "rejected_client_quota", "completed", "failed", "cancelled",
-            "timed_out", "degraded", "coalesced", "deduped", "accelerated",
-            "cache_hits", "worker_crashes", "checkpoints_saved",
-            "regions_restored")}
+        #: Counts by :class:`ServiceStats` field name; ``stats`` passes
+        #: them straight to its constructor.
+        self._counters: Counter[str] = Counter()
         self._latency: dict[str, LatencyHistogram] = {}
         self._started_at = time.perf_counter()
         self._closed = False
@@ -589,8 +584,8 @@ class MesaService:
                      f"(waited {job.started_at - job.submitted_at:.3f}s)")
             return
 
-        key = request.coalesce_key() if self.coalesce else None
-        leader = self._inflight.get(key) if key is not None else None
+        key = request.coalesce_key()
+        leader = self._inflight.get(key)
         seed: tuple[dict, ...] = ()
         if leader is not None:
             # Identical region already being configured: wait for its
@@ -608,13 +603,11 @@ class MesaService:
                     job, "deadline expired waiting on coalesced leader")
                 return
             seed = leader.new_regions
-        elif key is not None:
+        else:
             job.configured = asyncio.Event()
             self._inflight[key] = job
 
-        breaker_key = key if key is not None else request.coalesce_key()
-        degraded_reason = (self._breaker.check(breaker_key)
-                           if self._breaker is not None else None)
+        degraded_reason = self._breaker.check(key)
         if degraded_reason is None:
             fault, hang_s = self._planned_fault(job)
             task = OffloadTask(request.program, request.state_factory,
@@ -625,7 +618,7 @@ class MesaService:
                                request.config, mode="cpu")
         start = time.perf_counter()
         try:
-            summary = await self._dispatch(job, task, breaker_key)
+            summary = await self._dispatch(job, task, key)
         except asyncio.CancelledError:
             raise
         except Exception as exc:
@@ -645,8 +638,8 @@ class MesaService:
         execute_seconds = done - start
         status = summary["status"]
 
-        if self._breaker is not None and degraded_reason is None:
-            self._breaker.record(breaker_key, status == "completed",
+        if degraded_reason is None:
+            self._breaker.record(key, status == "completed",
                                  summary.get("reason", ""))
 
         if status == "completed":

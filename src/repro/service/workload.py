@@ -18,8 +18,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-__all__ = ["zipf_weights", "zipfian_stream", "popularity_tier",
-           "request_mix"]
+__all__ = ["zipf_weights", "zipfian_stream", "popularity_tier"]
 
 
 def zipf_weights(count: int, s: float = 1.1) -> list[float]:
@@ -42,21 +41,6 @@ def zipfian_stream(kernels: Sequence[str], count: int, s: float = 1.1,
     weights = zipf_weights(len(kernels), s)
     rng = random.Random(seed)
     return rng.choices(list(kernels), weights=weights, k=count)
-
-
-def request_mix(kernels: Sequence[str], count: int, clients: int = 4,
-                s: float = 1.1, seed: int = 0) -> list[tuple[str, str]]:
-    """A deterministic ``(client_id, kernel)`` stream.
-
-    The kernel sequence is :func:`zipfian_stream`; clients are assigned
-    round-robin so every client sees the full popularity skew — the shape
-    the fault and chaos suites replay.
-    """
-    if clients < 1:
-        raise ValueError("clients must be positive")
-    stream = zipfian_stream(kernels, count, s=s, seed=seed)
-    return [(f"client-{index % clients}", name)
-            for index, name in enumerate(stream)]
 
 
 def popularity_tier(kernels: Sequence[str], name: str,

@@ -10,10 +10,10 @@ verifier used by the integration tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
-from ..isa import MachineState, Program, Register, assemble, parse_register
+from ..isa import MachineState, Program, Register, parse_register
 
 __all__ = ["KernelInstance", "load_immediate", "StateBuilder", "StateRecipe"]
 
@@ -59,7 +59,7 @@ def load_immediate(register: str, value: int) -> str:
 class StateBuilder:
     """Builds fresh, seeded architectural states for a kernel.
 
-    Register values and memory arrays are recorded once; every call to
+    FP register values and memory arrays are recorded once; every call to
     :meth:`factory`'s product re-creates an identical independent state, so
     profiling windows and the measured run all start from the same inputs.
     """
@@ -67,14 +67,9 @@ class StateBuilder:
     def __init__(self, program: Program, seed: int = 1) -> None:
         self.program = program
         self.rng = random.Random(seed)
-        self._int_regs: dict[Register, int] = {}
         self._fp_regs: dict[Register, float] = {}
         self._float_arrays: dict[int, list[float]] = {}
         self._word_arrays: dict[int, list[int]] = {}
-
-    def set_reg(self, name: str, value: int) -> "StateBuilder":
-        self._int_regs[parse_register(name)] = value
-        return self
 
     def set_freg(self, name: str, value: float) -> "StateBuilder":
         self._fp_regs[parse_register(name)] = value
@@ -104,7 +99,6 @@ class StateBuilder:
         """A zero-argument factory producing identical fresh states."""
         return StateRecipe(
             base_address=self.program.base_address,
-            int_regs=tuple(self._int_regs.items()),
             fp_regs=tuple(self._fp_regs.items()),
             float_arrays=tuple((address, tuple(values)) for address, values
                                in self._float_arrays.items()),
@@ -122,7 +116,6 @@ class StateRecipe:
     """
 
     base_address: int
-    int_regs: tuple[tuple[Register, int], ...]
     fp_regs: tuple[tuple[Register, float], ...]
     float_arrays: tuple[tuple[int, tuple[float, ...]], ...]
     word_arrays: tuple[tuple[int, tuple[int, ...]], ...]
@@ -137,6 +130,6 @@ class StateRecipe:
         for address, values in self.word_arrays:
             memory.store_words(address, values)
         state.memory = memory
-        for register, value in self.int_regs + self.fp_regs:
+        for register, value in self.fp_regs:
             state.write(register, value)
         return state

@@ -81,9 +81,3 @@ class TestSupports:
 
     def test_system_never_supported(self):
         assert not M_128.supports(OpClass.SYSTEM, (0, 0))
-
-    def test_with_grid_resize(self):
-        cfg = M_128.with_grid(4, 4)
-        assert cfg.num_pes == 16
-        assert cfg.name == "M-16"
-        assert cfg.lsu_entries == M_128.lsu_entries

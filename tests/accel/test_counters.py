@@ -22,18 +22,10 @@ class TestLatencyCounters:
         assert counters.edge_latency(0, 1) == pytest.approx(3.0)
         assert counters.edge_latency(1, 0) == 0.0, "edges are directed"
 
-    def test_bulk_views(self):
-        counters = LatencyCounters()
-        counters.record_node(0, 5.0)
-        counters.record_edge(0, 1, 1.0)
-        assert counters.node_latencies() == {0: 5.0}
-        assert counters.edge_latencies() == {(0, 1): 1.0}
-
 
 class TestActivityCounters:
     def test_totals(self):
         counters = ActivityCounters(int_ops=3, fp_ops=2, loads=4, stores=1)
-        assert counters.total_ops == 5
         assert counters.memory_accesses == 5
 
     def test_merged_sums_everything(self):
@@ -60,5 +52,4 @@ class TestActivityCounters:
 
     def test_default_zero(self):
         counters = ActivityCounters()
-        assert counters.total_ops == 0
         assert counters.memory_accesses == 0

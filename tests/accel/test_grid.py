@@ -16,17 +16,16 @@ class TestOccupancy:
         g = grid()
         assert g.free.all()
         assert (g.placement == -1).all()
-        assert g.occupied_count == 0
 
     def test_occupy_and_release(self):
         g = grid()
         g.occupy((2, 3), node_id=7)
         assert not g.free[2, 3]
-        assert g.occupant((2, 3)) == 7
-        assert g.occupied_count == 1
-        g.release((2, 3))
+        assert g.placement[2, 3] == 7
+        assert (~g.free).sum() == 1
+        g.clear()
         assert g.free[2, 3]
-        assert g.occupant((2, 3)) is None
+        assert g.placement[2, 3] == -1
 
     def test_double_occupy_rejected(self):
         g = grid()

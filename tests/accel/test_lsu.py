@@ -32,18 +32,6 @@ class TestAllocation:
         with pytest.raises(ValueError):
             entries.allocate(0)
 
-    def test_assignment_lookup(self):
-        entries = lsu()
-        allocated = entries.allocate(7)
-        assert entries.assignment(7) == allocated
-
-    def test_clear(self):
-        entries = lsu()
-        entries.allocate(0)
-        entries.clear()
-        assert entries.allocated == 0
-        assert entries.allocate(1).entry_index == 0
-
 
 class TestPlacement:
     def test_entries_on_edge_column(self):
@@ -60,7 +48,3 @@ class TestPlacement:
         entries = lsu(entries=32, rows=16)
         for i in range(32):
             assert 0 <= entries.entry_coord(i)[0] < 16
-
-    def test_ports_shared(self):
-        entries = lsu()
-        assert entries.ports.num_ports == entries.config.memory_ports

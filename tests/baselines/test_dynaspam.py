@@ -40,7 +40,7 @@ class TestMapping:
         narrow = DynaSpamConfig(lanes=1, depth=16)
         text = "\n".join(f"addi t{i + 1}, zero, {i}" for i in range(4))
         mapping = DynaSpamMapper(narrow).map(ldfg_of(text))
-        assert mapping.depth_used == 4, "independent ops serialized by lanes"
+        assert len(mapping.levels) == 4, "independent ops serialized by lanes"
 
     def test_capacity_exceeded_raises(self):
         tiny = DynaSpamConfig(lanes=2, depth=2)

@@ -65,8 +65,8 @@ class TestScheduling:
                 bne t0, zero, loop
             """
         )
-        scheduler = OpenCgraScheduler()
-        assert scheduler.min_ii(ldfg) >= 3, "fp add latency is 3 cycles"
+        schedule = OpenCgraScheduler().schedule(ldfg)
+        assert schedule.ii >= 3, "fp add latency is 3 cycles"
 
     def test_ipc_definition(self):
         schedule = OpenCgraScheduler().schedule(ldfg_of(SMALL_LOOP))

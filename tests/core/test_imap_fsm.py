@@ -55,7 +55,7 @@ class TestSimulation:
     def test_fsm_loops_until_all_mapped(self):
         run = ImapFsm().simulate([32, 32, 32])
         assert run.instructions == 3
-        assert run.total_cycles == 3 * run.cycles_for(0)
+        assert run.total_cycles == 3 * ImapFsm().simulate([32]).total_cycles
 
     def test_schedule_contiguous(self):
         run = ImapFsm().simulate([8, 16])
@@ -72,8 +72,8 @@ class TestSimulation:
     @given(counts=st.lists(st.integers(0, 64), min_size=1, max_size=30))
     def test_total_is_sum_of_per_instruction(self, counts):
         run = ImapFsm().simulate(counts)
-        assert run.total_cycles == sum(run.cycles_for(i)
-                                       for i in range(len(counts)))
+        assert run.total_cycles == sum(ImapFsm().simulate([c]).total_cycles
+                                       for c in counts)
 
 
 class TestTimingDiagram:

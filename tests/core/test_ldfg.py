@@ -164,8 +164,9 @@ class TestStructure:
             sw t0, 0(a0)
             """
         ))
-        assert len(ldfg.memory_entries) == 2
-        assert len(ldfg.compute_entries) == 1
+        memory = [e for e in ldfg if e.instruction.is_memory]
+        assert len(memory) == 2
+        assert len(ldfg) - len(memory) == 1
 
 
 class TestValidation:

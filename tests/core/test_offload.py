@@ -15,11 +15,6 @@ class TestOffloadCosts:
         model = OffloadCostModel()
         assert model.return_cycles(4) < model.offload_cycles(4)
 
-    def test_round_trip(self):
-        model = OffloadCostModel()
-        assert model.round_trip_cycles(3, 5) == (
-            model.offload_cycles(3) + model.return_cycles(5))
-
     def test_scales_with_registers(self):
         model = OffloadCostModel()
         assert model.offload_cycles(10) > model.offload_cycles(2)

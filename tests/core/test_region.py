@@ -39,12 +39,6 @@ class TestAcceptance:
         decisions = detect(hot_loop_program(100))
         assert len(decisions[0].body) == 3
 
-    def test_best_region_returns_accepted(self):
-        program = hot_loop_program(100)
-        trace = collect_trace(program)
-        decision = CodeRegionDetector(M_128).best_region(trace, program)
-        assert decision is not None and decision.accepted
-
 
 class TestC1Size:
     def test_oversized_loop_rejected(self):

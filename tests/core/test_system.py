@@ -51,7 +51,7 @@ class TestContention:
         run = MesaSystem(M_128).run(
             [thread("nn"), thread("kmeans"), thread("hotspot")])
         assert run.speedup > 1.0
-        assert run.accelerated_threads == 3
+        assert all(o.accelerated for o in run.outcomes)
 
     def test_cpu_only_threads_unaffected_by_contention(self):
         run = MesaSystem(M_128).run(
@@ -92,7 +92,6 @@ class TestSharedControllerCache:
         assert run.cache_stats.hits >= 1
         assert run.cache_stats.insertions == 1, (
             "the same binary must be configured exactly once")
-        assert run.cache_hit_threads == 1
         hits = [o.config_cache_hit for o in run.outcomes]
         assert sorted(hits) == [False, True]
         assert all(o.accelerated for o in run.outcomes)

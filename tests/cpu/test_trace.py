@@ -30,7 +30,7 @@ class TestCollectTrace:
 
     def test_memory_addresses_recorded(self):
         trace = collect_trace(loop_program(2))
-        mem = trace.memory_entries
+        mem = [e for e in trace if e.instruction.is_memory]
         # 2 iterations x (1 load + 1 store)
         assert len(mem) == 4
         assert [e.address for e in mem] == [0x100, 0x100, 0x104, 0x104]
@@ -56,7 +56,7 @@ class TestCollectTrace:
     def test_pc_stream(self):
         prog = assemble("nop\nnop")
         trace = collect_trace(prog)
-        assert trace.pc_stream() == [0x1000, 0x1004]
+        assert [e.pc for e in trace] == [0x1000, 0x1004]
 
     def test_max_steps_enforced(self):
         from repro.isa import ExecutionError

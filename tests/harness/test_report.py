@@ -7,7 +7,6 @@ from repro.harness import (
     format_cache_stats,
     format_value,
     geomean,
-    render_series,
     render_table,
 )
 
@@ -63,10 +62,6 @@ class TestRenderTable:
         text = render_table(["k"], [["row1"], ["row2"], ["row3"]])
         for row in ("row1", "row2", "row3"):
             assert row in text
-
-    def test_series(self):
-        text = render_series("s", [1, 2], [10.0, 20.0], "n", "cycles")
-        assert "n" in text and "cycles" in text and "20.0" in text
 
 
 class TestGeomean:

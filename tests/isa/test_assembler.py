@@ -72,8 +72,7 @@ class TestLabelsAndBranches:
         )
         branch = prog[1]
         assert branch.imm == -4
-        assert branch.is_backward_branch
-        assert branch.branch_target == prog[0].address
+        assert branch.address + branch.imm == prog[0].address
 
     def test_forward_branch_offset(self):
         prog = assemble(
@@ -85,8 +84,7 @@ class TestLabelsAndBranches:
             """
         )
         assert prog[0].imm == 8
-        assert not prog[0].is_backward_branch
-        assert prog[0].branch_target == prog[2].address
+        assert prog[0].address + prog[0].imm == prog[2].address
 
     def test_label_at_end(self):
         prog = assemble("jal zero, end\nend:")

@@ -88,12 +88,10 @@ class TestAccessBehaviour:
         cache.access(0x0)
         assert cache.stats.accesses == 3
         assert cache.stats.hit_rate == pytest.approx(2 / 3)
-        assert cache.stats.miss_rate == pytest.approx(1 / 3)
 
     def test_empty_stats(self):
         cache = small_cache()
         assert cache.stats.hit_rate == 0.0
-        assert cache.stats.miss_rate == 0.0
 
 
 class TestProperties:

@@ -63,8 +63,8 @@ class TestTypedHelpers:
         mem = Memory()
         mem.store_floats(0x100, [1.0, 2.0, 3.0])
         mem.store_words(0x200, [10, -20, 30])
-        assert mem.load_floats(0x100, 3) == [1.0, 2.0, 3.0]
-        assert mem.load_words(0x200, 3) == [10, -20, 30]
+        assert [mem.load_float(0x100 + 4 * i) for i in range(3)] == [1.0, 2.0, 3.0]
+        assert [mem.load_word(0x200 + 4 * i) for i in range(3)] == [10, -20, 30]
 
     def test_footprint_counts_written_bytes(self):
         mem = Memory()
@@ -94,4 +94,5 @@ class TestProperties:
     def test_float_array_round_trip(self, values):
         mem = Memory()
         mem.store_floats(0x1000, values)
-        assert mem.load_floats(0x1000, len(values)) == values
+        assert [mem.load_float(0x1000 + 4 * i)
+                for i in range(len(values))] == values

@@ -22,7 +22,7 @@ class TestArbitration:
         ports = MemoryPorts(num_ports=1)
         assert ports.request(0) == 0
         assert ports.request(5) == 5
-        assert ports.average_wait == 0.0
+        assert ports.total_wait_cycles == 0.0
 
     def test_issue_interval(self):
         ports = MemoryPorts(num_ports=1, issue_interval=3)
@@ -33,13 +33,14 @@ class TestArbitration:
         ports = MemoryPorts.ideal()
         grants = [ports.request(7) for _ in range(100)]
         assert all(g == 7 for g in grants)
-        assert ports.average_wait == 0.0
+        assert ports.total_wait_cycles == 0.0
 
     def test_average_wait_accounts_queueing(self):
         ports = MemoryPorts(num_ports=1)
         for _ in range(3):
             ports.request(0)  # waits 0, 1, 2
-        assert ports.average_wait == pytest.approx(1.0)
+        assert ports.total_requests == 3
+        assert ports.total_wait_cycles == pytest.approx(3.0)
 
     def test_reset(self):
         ports = MemoryPorts(num_ports=1)

@@ -85,14 +85,6 @@ class TestAcceleratorEnergy:
         fractions = breakdown.fractions()
         assert fractions["memory"] + fractions["compute"] > 0.7
 
-    def test_average_power_sane(self):
-        model = AcceleratorEnergyModel(M_128)
-        breakdown = model.energy(
-            activity(int_ops=10_000, fp_ops=5_000, pe_busy_cycles=20_000.0),
-            cycles=10_000)
-        power = model.average_power_w(breakdown, cycles=10_000)
-        assert 0 < power < model.peak_power_w()
-
     def test_merged_breakdowns(self):
         model = AcceleratorEnergyModel(M_128)
         a = model.energy(activity(int_ops=10), 10)

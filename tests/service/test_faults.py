@@ -80,6 +80,10 @@ class TestFaultPlan:
 
 
 class TestInjectedCrashes:
+    def test_breaker_cannot_be_switched_off(self):
+        with pytest.raises(ValueError):
+            MesaService(workers=0, breaker_threshold=0)
+
     def test_crash_kernel_trips_breaker_to_degraded(self):
         """A region that always crashes ends up circuit-broken: requests
         get a structured CPU-baseline response, not an error storm."""
@@ -161,8 +165,7 @@ class TestInjectedHangs:
             service = MesaService(
                 workers=1,
                 fault_plan=FaultPlan(seed=1, hang_kernels=("nn",),
-                                     hang_s=0.4),
-                breaker_threshold=0)
+                                     hang_s=0.4))
             await service.start()
             hung = await service.offload(
                 OffloadRequest.for_kernel("nn", iterations=24),

@@ -8,9 +8,14 @@ from repro.core import CacheStats
 from repro.service import (
     MAX_LINE_BYTES,
     ControllerPool,
+    LatencyHistogram,
     MesaService,
+    OffloadResponse,
+    ServiceStats,
     request_once,
+    response_to_json,
     serve,
+    stats_to_json,
 )
 
 
@@ -174,3 +179,85 @@ class TestStatsSurface:
                     "worker_restarts", "checkpoints_saved",
                     "regions_restored"):
             assert key in stats, key
+
+
+#: The wire format, pinned key by key: a client parses these names.
+RESPONSE_KEYS = {
+    "status", "label", "client", "reason", "accelerated", "cache_hit",
+    "coalesced", "deduped", "speedup", "total_cycles", "queue_seconds",
+    "execute_seconds", "total_seconds",
+}
+COUNTERS = (
+    "submitted", "admitted", "rejected_queue_full", "rejected_client_quota",
+    "completed", "failed", "cancelled", "timed_out", "degraded", "coalesced",
+    "deduped", "accelerated", "cache_hits", "worker_crashes",
+    "worker_restarts", "checkpoints_saved", "regions_restored",
+)
+GAUGES = ("queue_depth", "inflight")
+STATS_KEYS = {*COUNTERS, *GAUGES, "uptime_seconds", "throughput", "cache",
+              "latency"}
+
+
+def histogram(*seconds):
+    hist = LatencyHistogram()
+    for value in seconds:
+        hist.record(value)
+    return hist.snapshot()
+
+
+def snapshot(scale, uptime, latency):
+    """A snapshot whose every counter holds a distinct multiple of scale."""
+    return ServiceStats(
+        **{name: scale * (i + 1) for i, name in enumerate(COUNTERS)},
+        **{name: 100 * scale + i for i, name in enumerate(GAUGES)},
+        cache=CacheStats(hits=3 * scale, misses=scale, evictions=scale,
+                         insertions=2 * scale),
+        uptime_seconds=uptime, latency=latency)
+
+
+class TestWireFormat:
+    def test_response_keys_and_values(self):
+        response = OffloadResponse(
+            label="nn", client="c1", status="completed", reason="offloaded",
+            accelerated=True, cache_hit=True, coalesced=True, deduped=True,
+            speedup=2.5, total_cycles=100.0, queue_seconds=0.25,
+            execute_seconds=0.5, total_seconds=0.75)
+        payload = response_to_json(response)
+        assert set(payload) == RESPONSE_KEYS
+        for key in RESPONSE_KEYS:
+            assert payload[key] == getattr(response, key), key
+        assert json.loads(json.dumps(payload)) == payload
+
+    def test_stats_keys_and_values(self):
+        stats = snapshot(2, uptime=4.0,
+                         latency={"execute": histogram(0.001, 0.002)})
+        payload = stats_to_json(stats)
+        assert set(payload) == STATS_KEYS
+        for key in (*COUNTERS, *GAUGES, "uptime_seconds"):
+            assert payload[key] == getattr(stats, key), key
+        assert payload["throughput"] == stats.completed / 4.0
+        assert payload["cache"] == {"hits": 6, "misses": 2, "evictions": 2,
+                                    "insertions": 4, "hit_rate": 0.75}
+        assert set(payload["latency"]) == {"execute"}
+        execute = stats.latency["execute"]
+        assert payload["latency"]["execute"] == {
+            "count": 2, "mean": execute.mean, "p50": execute.p50,
+            "p99": execute.p99}
+        assert json.loads(json.dumps(payload)) == payload
+
+    def test_subtraction_covers_every_counter_and_keeps_gauges(self):
+        earlier = snapshot(1, uptime=1.0,
+                           latency={"execute": histogram(0.001)})
+        later = snapshot(10, uptime=5.0, latency={
+            "execute": histogram(0.001, 0.002, 0.004),
+            "queue_wait": histogram(0.003)})
+        delta = later - earlier
+        for i, name in enumerate(COUNTERS):
+            assert getattr(delta, name) == 9 * (i + 1), name
+        for i, name in enumerate(GAUGES):
+            assert getattr(delta, name) == 1000 + i, name
+        assert delta.cache == CacheStats(hits=27, misses=9, evictions=9,
+                                         insertions=18)
+        assert delta.uptime_seconds == 4.0
+        assert delta.latency["execute"].count == 2
+        assert delta.latency["queue_wait"] == later.latency["queue_wait"]
