@@ -80,6 +80,9 @@ __all__ = ["MesaOptions", "CycleBreakdown", "AcceleratedRegion",
            "MesaResult", "MesaController", "TranslationResult",
            "region_digest"]
 
+#: Functional-execution safety bound of a controller's CPU runs.
+MAX_STEPS = 4_000_000
+
 
 def region_digest(program: Program, start_address: int,
                   end_address: int) -> str:
@@ -335,7 +338,7 @@ class MesaController:
     def execute(self, program: Program,
                 state_factory: Callable[[], MachineState],
                 parallelizable: bool = False,
-                max_steps: int = 4_000_000,
+                max_steps: int = MAX_STEPS,
                 trace: Trace | None = None,
                 cpu_only: CoreResult | None = None) -> MesaResult:
         """Run a program on the MESA-enabled system.
@@ -348,14 +351,18 @@ class MesaController:
             parallelizable: the hot loop carries an OpenMP-style annotation
                 (enables tiling/pipelining, §4.3).
             max_steps: functional-execution safety bound.
-            trace: precollected dynamic trace of ``program`` from a fresh
-                ``state_factory()`` state.  Trace collection is
-                deterministic, so a caller running several backends over the
-                same binary (the benchmark harness) can collect once and
-                share; omitted, the controller collects its own.
-            cpu_only: the matching CPU-baseline core result, likewise
-                shareable across calls with the same ``cpu_config``.
+            trace, cpu_only: the program's CPU baseline, as
+                :meth:`cpu_baseline` computes it — pass both or neither.
+                Both are deterministic for a given program, initial state
+                and ``cpu_config``, so a caller running several backends
+                over one binary (the benchmark harness), or serving the
+                same request again (the offload service), computes them
+                once and shares them; omitted, the controller computes its
+                own.  A shared trace is never mutated, and a CPU-only
+                result's ``final_state`` is a copy of its final state.
         """
+        if (trace is None) != (cpu_only is None):
+            raise ValueError("pass trace and cpu_only together")
         tally = {"hits": 0, "misses": 0, "evictions": 0, "insertions": 0}
         self._phase_state.seconds = {}
         result = self._run(program, state_factory, parallelizable, max_steps,
@@ -365,6 +372,24 @@ class MesaController:
         result.phase_seconds = dict(self._phase_seconds_for_thread())
         return result
 
+    def cpu_baseline(self, program: Program,
+                     state_factory: Callable[[], MachineState],
+                     max_steps: int = MAX_STEPS) -> tuple[Trace, CoreResult]:
+        """The program's CPU baseline: its dynamic trace from a fresh
+        ``state_factory()`` state, and the core model's result over it.
+
+        This is what :meth:`execute` computes when it is not handed them,
+        timed as its ``trace`` and ``cpu-model`` phases.
+        """
+        with self._phase("trace"):
+            trace = collect_trace(program, state_factory(),
+                                  max_steps=max_steps)
+        with self._phase("cpu-model"):
+            cpu_only = OutOfOrderCore(
+                self.cpu_config,
+                MemoryHierarchy(self.cpu_config.memory)).run(trace)
+        return trace, cpu_only
+
     def _run(self, program: Program,
              state_factory: Callable[[], MachineState],
              parallelizable: bool, max_steps: int,
@@ -372,14 +397,8 @@ class MesaController:
              trace: Trace | None = None,
              cpu_only: CoreResult | None = None) -> MesaResult:
         if trace is None:
-            with self._phase("trace"):
-                trace = collect_trace(program, state_factory(),
-                                      max_steps=max_steps)
-        if cpu_only is None:
-            with self._phase("cpu-model"):
-                cpu_only = OutOfOrderCore(
-                    self.cpu_config,
-                    MemoryHierarchy(self.cpu_config.memory)).run(trace)
+            trace, cpu_only = self.cpu_baseline(program, state_factory,
+                                                max_steps)
 
         detector = CodeRegionDetector(self.config, self.options.criteria)
         with self._phase("detect"):
@@ -689,5 +708,6 @@ class MesaController:
             trace=trace,
             decision=decision,
             cpu_instructions=len(trace),
-            final_state=trace.final_state,
+            # A copy: the trace may be shared across calls.
+            final_state=trace.final_state.copy(),
         )

@@ -65,7 +65,8 @@ def format_service_stats(stats: "ServiceStats") -> str:
         f"admission:  rejected_queue_full={stats.rejected_queue_full} "
         f"rejected_client_quota={stats.rejected_client_quota}",
         f"amortized:  accelerated={stats.accelerated} "
-        f"cache_hits={stats.cache_hits} coalesced={stats.coalesced} "
+        f"cache_hits={stats.cache_hits} "
+        f"baseline_hits={stats.baseline_hits} coalesced={stats.coalesced} "
         f"deduped={stats.deduped}",
         f"robustness: worker_crashes={stats.worker_crashes} "
         f"worker_restarts={stats.worker_restarts}",

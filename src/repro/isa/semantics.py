@@ -105,6 +105,12 @@ class MachineState:
         else:
             self._fp_regs[reg.index] = f32(float(value))
 
+    def copy(self) -> "MachineState":
+        """An independent copy: PC, both register files and memory."""
+        return MachineState(pc=self.pc, memory=self.memory.copy(),
+                            xlen=self.xlen, _int_regs=list(self._int_regs),
+                            _fp_regs=list(self._fp_regs))
+
     def snapshot(self) -> dict[str, int | float]:
         """Register values keyed by ABI name (for test assertions)."""
         from .registers import FP_ABI_NAMES, INT_ABI_NAMES

@@ -171,6 +171,9 @@ class ServiceStats:
     accelerated: int = 0
     #: Completed requests whose configuration came from the shared cache.
     cache_hits: int = 0
+    #: Completed requests that reused a cached CPU baseline (trace and
+    #: core-model result) instead of recomputing it.
+    baseline_hits: int = 0
     # -- robustness counters (worker pool and persistence) --------------------
     #: Worker processes that died mid-request (each degraded exactly one
     #: request; the supervisor replaced the worker in place).

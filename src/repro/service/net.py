@@ -20,8 +20,9 @@ pipeline any number of requests.
 
 :func:`run_self_test` is the CI smoke: start a service in-process, replay
 a small Zipfian mix, assert the shared cache actually amortized (hit rate
-> 0, every request completed), and shut down cleanly.  The ``--chaos``
-variant lives in :func:`repro.service.faults.run_chaos_test`.
+> 0, every request completed), that warm requests reused their CPU
+baseline, and shut down cleanly.  The ``--chaos`` variant lives in
+:func:`repro.service.faults.run_chaos_test`.
 """
 
 from __future__ import annotations
@@ -263,6 +264,8 @@ async def _self_test(requests: int, iterations: int, workers: int,
         (stats.cache.hits > 0,
          f"shared cache amortized: {stats.cache.hits} hits "
          f"({stats.hit_rate:.1%} hit rate)"),
+        (stats.baseline_hits > 0,
+         f"baseline reused: {stats.baseline_hits} hits"),
         (stats.queue_depth == 0 and stats.inflight == 0,
          "queue drained and no jobs in flight after close"),
         (service.closed, "service shut down cleanly"),
@@ -283,7 +286,8 @@ def run_self_test(requests: int = 48, iterations: int = 64,
     """Replay a Zipfian mix through an in-process service (CI smoke).
 
     Returns ``(ok, report)``: ``ok`` is True only if every request
-    completed, the shared cache recorded at least one hit, and shutdown
-    left the queue empty.
+    completed, the shared cache recorded at least one hit, at least one
+    request reused a cached CPU baseline, and shutdown left the queue
+    empty.
     """
     return asyncio.run(_self_test(requests, iterations, workers, seed))

@@ -7,9 +7,20 @@ and the fault (if any) a test plan injects.  :class:`ChipTask` runs it
 against a :class:`ControllerPool`, one controller per chip, and returns a
 compact summary dict (a :class:`~repro.core.controller.MesaResult` holds
 traces and is deliberately not shipped).  The summary carries the
-execute's cache counters, its phase seconds, the region records it
-inserted and the keys of the regions that hit — the parent learns about
-the cache only through it.
+execute's cache counters, its phase seconds, whether the CPU baseline was
+reused, the region records it inserted and the keys of the regions that
+hit — the parent learns about the caches only through it.
+
+A request's CPU baseline — the dynamic trace and the core model's result
+over it — depends only on the program, its initial state and the pool's
+``cpu_config``, so each :class:`ChipTask` keeps the last
+``cache_capacity`` of them in one LRU, keyed by the program's base
+address, the digest of its instruction bytes and its
+:class:`~repro.workloads.base.StateRecipe`.  A hit hands the entry to
+:meth:`MesaController.execute` (or serves the CPU-baseline fallback from
+it), so a warm request skips trace collection and the CPU model as well
+as T1–T3.  A state factory that is not a recipe (a lambda, say) has no
+value identity and bypasses the cache.
 
 With ``workers >= 1`` the service runs the task in N long-lived worker
 processes on the repo's one supervised pool,
@@ -20,11 +31,11 @@ its deadline degrades only its own request and is replaced in place), and
 a cap on consecutive boot failures.  With ``workers=0`` the same task
 function runs in the service's own process.
 
-Each worker owns its own per-chip controllers (process memory is not
-shared), so warm-cache behavior is preserved three ways: *sticky
-affinity* routes identical regions to the same worker when it is idle,
-a coalesced request carries its leader's freshly inserted records, and
-every worker's warm boot (initial or replacement) is seeded with the
+Each worker owns its own per-chip controllers and baseline cache (process
+memory is not shared), so warm-cache behavior is preserved three ways:
+*sticky affinity* routes identical regions to the same worker when it is
+idle, a coalesced request carries its leader's freshly inserted records,
+and every worker's warm boot (initial or replacement) is seeded with the
 service's :class:`~repro.service.checkpoint.RegionStore` records as they
 stand at that spawn.  Records are written and read by the chip's
 :class:`~repro.core.configure.ConfigCache` alone (``export_regions`` /
@@ -43,13 +54,14 @@ import copy
 import dataclasses
 import os
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from threading import Lock
 from typing import Any, Callable
 
 from ..accel import mesa_config
-from ..core import MesaController, MesaOptions
-from ..cpu import CpuConfig
+from ..core import MesaController, MesaOptions, region_digest
+from ..cpu import CoreResult, CpuConfig, Trace
 from ..harness.parallel import (
     PoolBroken,
     WorkerCrash,
@@ -58,23 +70,11 @@ from ..harness.parallel import (
     WorkerTimeout,
 )
 from ..isa import MachineState, Program
+from ..workloads.base import StateRecipe
 
 __all__ = ["OffloadTask", "ControllerPool", "ChipTask", "ProcessWorkerPool",
            "WorkerCrash", "WorkerTimeout", "WorkerTaskError", "PoolBroken",
-           "CircuitBreaker", "cpu_baseline_summary"]
-
-
-def cpu_baseline_summary(program, state_factory, cpu_config=None) -> dict:
-    """CPU-only execution summary (the circuit breaker's degraded path)."""
-    from ..cpu import OutOfOrderCore, collect_trace
-    from ..mem import MemoryHierarchy
-
-    config = cpu_config if cpu_config is not None else CpuConfig()
-    trace = collect_trace(program, state_factory())
-    core = OutOfOrderCore(config, MemoryHierarchy(config.memory)).run(trace)
-    return {"accelerated": False, "cache_hit": False,
-            "reason": "cpu baseline", "speedup": 1.0,
-            "total_cycles": float(core.cycles), "phase_seconds": {}}
+           "CircuitBreaker"]
 
 
 @dataclass(frozen=True)
@@ -151,14 +151,24 @@ class ChipTask:
 
     The pool hands the same instance to every worker as both the task
     function and (via :meth:`seed`) the initializer; each worker process
-    gets its own copy.  ``isolated`` says the task runs in a worker
-    process, where an injected crash kills the process the way a
-    segfault would; in the service's own process it raises instead.
+    gets its own copy, with an empty CPU-baseline cache.  ``isolated``
+    says the task runs in a worker process, where an injected crash kills
+    the process the way a segfault would; in the service's own process it
+    raises instead.
     """
 
     def __init__(self, pool: ControllerPool, isolated: bool) -> None:
         self.pool = pool
         self.isolated = isolated
+        self._baselines: OrderedDict[tuple, tuple[Trace, CoreResult]] = \
+            OrderedDict()
+        self._lock = Lock()
+
+    def __getstate__(self) -> dict:
+        return {"pool": self.pool, "isolated": self.isolated}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__init__(**state)
 
     def seed(self, records: list[dict]) -> None:
         """Warm boot: restore region records into each chip's cache."""
@@ -171,6 +181,41 @@ class ChipTask:
             controller.config_cache.restore_regions(records,
                                                     controller.config)
 
+    def _baseline_key(self, task: OffloadTask) -> tuple | None:
+        """The task's CPU-baseline cache key; None bypasses the cache.
+
+        Only a :class:`StateRecipe` compares by value: any other factory
+        could build a different state on every call.  ``cpu_config`` is
+        fixed per pool, so it is not part of the key.
+        """
+        if not isinstance(task.state_factory, StateRecipe):
+            return None
+        program = task.program
+        return (program.base_address,
+                region_digest(program, program.base_address,
+                              program.end_address),
+                task.state_factory)
+
+    def _cached_baseline(self, key: tuple | None
+                         ) -> tuple[Trace, CoreResult] | None:
+        if key is None:
+            return None
+        with self._lock:
+            baseline = self._baselines.get(key)
+            if baseline is not None:
+                self._baselines.move_to_end(key)
+            return baseline
+
+    def _remember_baseline(self, key: tuple | None,
+                           baseline: tuple[Trace, CoreResult]) -> None:
+        if key is None:
+            return
+        with self._lock:
+            self._baselines[key] = baseline
+            self._baselines.move_to_end(key)
+            while len(self._baselines) > self.pool.options.cache_capacity:
+                self._baselines.popitem(last=False)
+
     def __call__(self, task: OffloadTask) -> dict:
         """Run one task; returns a summary dict."""
         if task.fault == "crash":
@@ -182,16 +227,28 @@ class ChipTask:
         if task.fault == "hang":
             # Wedge until the supervisor's deadline kills us.
             time.sleep(task.hang_s)
-        if task.mode == "cpu":
-            return {**cpu_baseline_summary(task.program, task.state_factory,
-                                           self.pool.cpu_config),
-                    "pid": os.getpid()}
         controller = self.pool.controller(task.config)
+        key = self._baseline_key(task)
+        baseline = self._cached_baseline(key)
+        hit = baseline is not None
+        if task.mode == "cpu":
+            if not hit:
+                baseline = controller.cpu_baseline(task.program,
+                                                   task.state_factory)
+                self._remember_baseline(key, baseline)
+            return {"accelerated": False, "cache_hit": False,
+                    "baseline_hit": hit, "reason": "cpu baseline",
+                    "speedup": 1.0, "total_cycles": float(baseline[1].cycles),
+                    "phase_seconds": {}, "pid": os.getpid()}
         if task.seed:
             controller.config_cache.restore_regions(task.seed,
                                                     controller.config)
+        trace, cpu_only = baseline if hit else (None, None)
         result = controller.execute(task.program, task.state_factory,
-                                    parallelizable=task.parallelizable)
+                                    parallelizable=task.parallelizable,
+                                    trace=trace, cpu_only=cpu_only)
+        if not hit:
+            self._remember_baseline(key, (result.trace, result.cpu_only))
         tally = result.cache_stats
         hits, misses = set(), set()
         for region in (result.regions
@@ -201,6 +258,7 @@ class ChipTask:
                  region.digest))
         return {"accelerated": result.accelerated,
                 "cache_hit": result.config_cache_hit,
+                "baseline_hit": hit,
                 "reason": result.reason,
                 "speedup": result.speedup_vs_single_core,
                 "total_cycles": result.total_cycles,
@@ -210,8 +268,8 @@ class ChipTask:
                 "new_regions": (
                     controller.config_cache.export_regions(misses)
                     if tally.insertions else []),
-                "hit_regions": [(controller.config.name, *key)
-                                for key in hits],
+                "hit_regions": [(controller.config.name, *region)
+                                for region in hits],
                 "pid": os.getpid()}
 
 

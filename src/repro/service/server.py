@@ -71,11 +71,12 @@ import time
 from collections import Counter, OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Any, Callable
 
 from ..core import CacheStats, region_digest
 from ..isa import MachineState, Program
+from ..workloads.base import KernelInstance
 from .checkpoint import RegionStore, load_snapshot, save_snapshot
 from .metrics import LatencyHistogram, ServiceStats
 from .procpool import (
@@ -99,6 +100,19 @@ log = logging.getLogger("repro.service")
 #: harness asserts each in-flight request reaches exactly one of these.
 TERMINAL_STATUSES = ("completed", "rejected", "failed", "cancelled",
                      "timeout", "degraded")
+
+
+@lru_cache(maxsize=64)
+def _named_kernel(name: str, iterations: int) -> KernelInstance:
+    """A named kernel, built once per ``(name, iterations)``.
+
+    The wire front end builds every request's kernel on the event loop;
+    a client picks ``iterations`` freely, so the memo is bounded.  Sharing
+    is safe: a kernel's program and state recipe are never mutated.
+    """
+    from ..workloads import build_kernel
+
+    return build_kernel(name, iterations=iterations)
 
 
 class AdmissionError(RuntimeError):
@@ -141,9 +155,7 @@ class OffloadRequest:
                    timeout_s: float | None = None,
                    idempotency_key: str = "") -> "OffloadRequest":
         """Convenience constructor from a named Rodinia kernel."""
-        from ..workloads import build_kernel
-
-        kernel = build_kernel(name, iterations=iterations)
+        kernel = _named_kernel(name, iterations)
         return cls(program=kernel.program,
                    state_factory=kernel.state_factory,
                    client=client, config=config,
@@ -648,6 +660,8 @@ class MesaService:
                 self._counters["accelerated"] += 1
             if summary.get("cache_hit"):
                 self._counters["cache_hits"] += 1
+            if summary.get("baseline_hit"):
+                self._counters["baseline_hits"] += 1
             self._record("execute", execute_seconds)
             # Split the execute path three ways so cold-vs-warm quantiles
             # compare only runs that actually went through the config

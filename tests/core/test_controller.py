@@ -151,6 +151,47 @@ class TestFallbackPaths:
         assert result.final_state.read(x(6)) == 16
 
 
+class TestSharedBaseline:
+    def test_cpu_only_results_do_not_alias_the_shared_trace(self):
+        program = assemble(
+            """
+            addi t0, zero, 8
+            loop:
+                lw   t1, 0(a0)
+                addi t1, t1, 2
+                sw   t1, 0(a0)
+                addi t0, t0, -1
+                bne t0, zero, loop
+            """
+        )
+
+        def fresh():
+            state = MachineState(pc=program.base_address)
+            state.write(x(10), 0x4000)
+            return state
+
+        controller = MesaController(M_128)
+        trace, cpu_only = controller.cpu_baseline(program, fresh)
+        first, second = (controller.execute(program, fresh, trace=trace,
+                                            cpu_only=cpu_only)
+                         for _ in range(2))
+        assert not first.accelerated and not second.accelerated
+        assert first.final_state.memory.load(0x4000, 4) == 16
+        assert first.final_state.read(x(6)) == 16
+
+        first.final_state.memory.store(0x4000, 4, 99)
+        first.final_state.write(x(6), 99)
+        for state in (second.final_state, trace.final_state):
+            assert state.memory.load(0x4000, 4) == 16
+            assert state.read(x(6)) == 16
+
+    def test_trace_and_cpu_only_come_together(self):
+        controller = MesaController(M_128)
+        trace, _ = controller.cpu_baseline(INCREMENT_LOOP, increment_state)
+        with pytest.raises(ValueError):
+            controller.execute(INCREMENT_LOOP, increment_state, trace=trace)
+
+
 class TestOptions:
     def test_iterative_rounds_recorded(self):
         controller = MesaController(M_128,

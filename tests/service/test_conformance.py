@@ -36,10 +36,12 @@ def direct_results(kernels, passes=2):
 
 
 def service_results(kernels, workers, passes=2):
+    """The service's answers, plus its ``baseline_hits`` count after each
+    pass."""
     async def scenario():
         service = MesaService(workers=workers)
         await service.start()
-        responses = []
+        responses, baseline_hits = [], []
         for _ in range(passes):
             for kernel in kernels:
                 responses.append(await service.offload(OffloadRequest(
@@ -47,11 +49,13 @@ def service_results(kernels, workers, passes=2):
                     state_factory=kernel.state_factory,
                     parallelizable=kernel.parallelizable,
                     label=kernel.name)))
+            baseline_hits.append(service.stats().baseline_hits)
         await service.close()
-        return responses
+        return responses, baseline_hits
 
-    return [(r.status, r.accelerated, r.cache_hit, r.total_cycles)
-            for r in asyncio.run(scenario())]
+    responses, baseline_hits = asyncio.run(scenario())
+    return ([(r.status, r.accelerated, r.cache_hit, r.total_cycles)
+             for r in responses], baseline_hits)
 
 
 @pytest.mark.parametrize("workers", [0, 2])
@@ -60,7 +64,10 @@ def test_named_kernels_cold_then_warm_match_direct(workers):
                for name in kernel_names()]
     expected = direct_results(kernels)
     assert sum(hit for _, _, hit, _ in expected) > len(kernels) // 2
-    assert service_results(kernels, workers) == expected
+    results, baseline_hits = service_results(kernels, workers)
+    assert results == expected
+    # Pass 1 computes every baseline; pass 2 reuses every one.
+    assert baseline_hits == [0, len(kernels)]
 
 
 @pytest.mark.parametrize("workers", [0, 2])
@@ -69,7 +76,7 @@ def test_generated_region_matches_direct(workers):
                                                seed=5))]
     expected = direct_results(kernels)
     assert [hit for _, _, hit, _ in expected] == [False, True]
-    assert service_results(kernels, workers) == expected
+    assert service_results(kernels, workers) == (expected, [0, 1])
 
 
 def test_unpicklable_state_factory_fails_without_restart():

@@ -6,6 +6,7 @@ stay consistent, and retries never double-execute."""
 import asyncio
 import os
 import threading
+from types import SimpleNamespace
 
 import pytest
 
@@ -32,7 +33,8 @@ class CountingController:
         self.calls = 0
         self.lock = threading.Lock()
 
-    def execute(self, program, state_factory, parallelizable=False):
+    def execute(self, program, state_factory, parallelizable=False,
+                trace=None, cpu_only=None):
         with self.lock:
             self.calls += 1
 
@@ -44,8 +46,13 @@ class CountingController:
             total_cycles = 100.0
             phase_seconds = {}
             cache_stats = CacheStats()
+            trace = None
+            cpu_only = None
 
         return Result()
+
+    def cpu_baseline(self, program, state_factory):
+        return None, SimpleNamespace(cycles=200)
 
 
 def counting_service(chip, **kwargs):
@@ -134,11 +141,13 @@ class TestInjectedCrashes:
 
         real_execute = chip.execute
 
-        def flaky_execute(program, state_factory, parallelizable=False):
+        def flaky_execute(program, state_factory, parallelizable=False,
+                          **baseline):
             if fail_until["n"] > 0:
                 fail_until["n"] -= 1
                 raise RuntimeError("transient fabric fault")
-            return real_execute(program, state_factory, parallelizable)
+            return real_execute(program, state_factory, parallelizable,
+                                **baseline)
 
         chip.execute = flaky_execute
 

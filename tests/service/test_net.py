@@ -22,7 +22,8 @@ from repro.service import (
 class InstantController:
     """Controller double that completes immediately."""
 
-    def execute(self, program, state_factory, parallelizable=False):
+    def execute(self, program, state_factory, parallelizable=False,
+                trace=None, cpu_only=None):
         class Result:
             accelerated = True
             config_cache_hit = False
@@ -31,6 +32,8 @@ class InstantController:
             total_cycles = 100.0
             phase_seconds = {}
             cache_stats = CacheStats()
+            trace = None
+            cpu_only = None
 
         return Result()
 
@@ -190,7 +193,7 @@ RESPONSE_KEYS = {
 COUNTERS = (
     "submitted", "admitted", "rejected_queue_full", "rejected_client_quota",
     "completed", "failed", "cancelled", "timed_out", "degraded", "coalesced",
-    "deduped", "accelerated", "cache_hits", "worker_crashes",
+    "deduped", "accelerated", "cache_hits", "baseline_hits", "worker_crashes",
     "worker_restarts", "checkpoints_saved", "regions_restored",
 )
 GAUGES = ("queue_depth", "inflight")

@@ -4,6 +4,7 @@ seeding, and the circuit breaker."""
 
 import dataclasses
 import sys
+import threading
 from functools import partial
 
 import pytest
@@ -18,8 +19,14 @@ from repro.service import (
     WorkerTaskError,
     WorkerTimeout,
 )
+from repro.isa import Program
 from repro.service.procpool import ChipTask
-from repro.workloads import GeneratorParams, build_kernel, generate_kernel
+from repro.workloads import (
+    GeneratorParams,
+    build_kernel,
+    generate_kernel,
+    kernel_names,
+)
 
 _BOOT_TOKEN = None
 #: Set only in the test process; a forked worker would inherit it.
@@ -168,6 +175,137 @@ class TestNewRegions:
                                             seed=tuple(records)))
         assert follower["cache_hit"]
         assert cache.stats().insertions == before
+
+
+#: Summary fields a reused CPU baseline must leave bit-identical.
+RESULT_FIELDS = ("accelerated", "cache_hit", "reason", "speedup",
+                 "total_cycles", "cache_stats", "hit_regions")
+
+
+def result_fields(summary):
+    return {name: summary.get(name) for name in RESULT_FIELDS}
+
+
+class TestBaselineCache:
+    @pytest.mark.parametrize("name", kernel_names())
+    def test_baseline_hit_matches_fresh_task(self, name):
+        kernel = build_kernel(name, iterations=64)
+        task = ChipTask(ControllerPool(), isolated=False)
+        cold = task(mesa_payload(kernel))
+        warm = task(mesa_payload(kernel))
+        assert not cold["baseline_hit"] and warm["baseline_hit"]
+        assert "trace" not in warm["phase_seconds"]
+        assert "cpu-model" not in warm["phase_seconds"]
+
+        # A fresh task with the same configured regions recomputes the
+        # baseline; everything it reports must match the reused one.
+        fresh = ChipTask(ControllerPool(), isolated=False)
+        fresh.seed(cold["new_regions"])
+        expected = fresh(mesa_payload(kernel))
+        assert not expected["baseline_hit"]
+        assert "trace" in expected["phase_seconds"]
+        assert result_fields(warm) == result_fields(expected)
+
+        cpu_task = dataclasses.replace(mesa_payload(kernel), mode="cpu")
+        reused = task(cpu_task)
+        assert reused["baseline_hit"]
+        assert result_fields(reused) == result_fields(
+            ChipTask(ControllerPool(), isolated=False)(cpu_task))
+
+    def test_cpu_fallback_baseline_serves_a_cold_execute(self):
+        kernel = build_kernel("nn", iterations=64)
+        task = ChipTask(ControllerPool(), isolated=False)
+        fallback = task(dataclasses.replace(mesa_payload(kernel), mode="cpu"))
+        served = task(mesa_payload(kernel))
+        expected = ChipTask(ControllerPool(), isolated=False)(
+            mesa_payload(kernel))
+        assert not fallback["baseline_hit"] and served["baseline_hit"]
+        assert not served["cache_hit"]
+        assert result_fields(served) == result_fields(expected)
+
+    def test_lambda_factory_never_hits(self):
+        kernel = build_kernel("nn", iterations=24)
+        task = ChipTask(ControllerPool(), isolated=False)
+        for mode in ("cpu", "mesa"):
+            payload = OffloadTask(kernel.program,
+                                  lambda: kernel.state_factory(), mode=mode)
+            assert [task(payload)["baseline_hit"] for _ in range(2)] \
+                == [False, False]
+        assert not task._baselines
+
+    def test_other_base_address_or_recipe_misses(self):
+        kernel = build_kernel("nn", iterations=24)
+        program = kernel.program
+        shift = 0x1000
+        moved = Program(
+            tuple(dataclasses.replace(instr, address=instr.address + shift)
+                  for instr in program),
+            dict(program.labels), program.base_address + shift)
+        reseeded = build_kernel("nn", iterations=24, seed=2)
+        assert reseeded.program == program
+        assert reseeded.state_factory != kernel.state_factory
+
+        task = ChipTask(ControllerPool(), isolated=False)
+        assert not task(cpu_payload("nn"))["baseline_hit"]
+        for other in (OffloadTask(moved, kernel.state_factory, mode="cpu"),
+                      OffloadTask(program, reseeded.state_factory,
+                                  mode="cpu")):
+            assert not task(other)["baseline_hit"]
+            assert task(other)["baseline_hit"]
+        assert task(cpu_payload("nn"))["baseline_hit"]
+        assert len(task._baselines) == 3
+
+    def test_lru_holds_at_most_cache_capacity(self):
+        kernels = [generate_kernel(GeneratorParams(iterations=24, seed=seed))
+                   for seed in range(5)]
+        payloads = [OffloadTask(kernel.program, kernel.state_factory,
+                                mode="cpu") for kernel in kernels]
+        task = ChipTask(ControllerPool(cache_capacity=2), isolated=False)
+        for payload in payloads:
+            assert not task(payload)["baseline_hit"]
+            assert len(task._baselines) <= 2
+        # The two most recent stay; the oldest was evicted.
+        assert task(payloads[-1])["baseline_hit"]
+        assert task(payloads[-2])["baseline_hit"]
+        assert not task(payloads[0])["baseline_hit"]
+        assert len(task._baselines) == 2
+
+    def test_concurrent_callers_share_one_bounded_lru(self):
+        kernels = [generate_kernel(GeneratorParams(iterations=16, seed=seed))
+                   for seed in range(6)]
+        payloads = [OffloadTask(kernel.program, kernel.state_factory,
+                                mode="cpu") for kernel in kernels]
+        expected = [ChipTask(ControllerPool(), isolated=False)(payload)
+                    ["total_cycles"] for payload in payloads]
+        task = ChipTask(ControllerPool(cache_capacity=3), isolated=False)
+        errors, sizes = [], []
+
+        def hammer(offset):
+            try:
+                for step in range(24):
+                    index = (offset + step) % len(payloads)
+                    summary = task(payloads[index])
+                    assert summary["total_cycles"] == expected[index]
+                    with task._lock:
+                        sizes.append(len(task._baselines))
+            except Exception as exc:  # reported below, with its thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=hammer, args=(offset,))
+                       for offset in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors, errors
+        assert len(sizes) == 4 * 24
+        assert max(sizes) <= 3
 
 
 class TestSpawnStartMethod:

@@ -41,6 +41,8 @@ class FakeResult:
     total_cycles = 100.0
     phase_seconds = {"execute": 0.001}
     cache_stats = CacheStats()
+    trace = None
+    cpu_only = None
 
 
 class FakeController:
@@ -51,7 +53,8 @@ class FakeController:
         self.calls = 0
         self.fail = fail
 
-    def execute(self, program, state_factory, parallelizable=False):
+    def execute(self, program, state_factory, parallelizable=False,
+                trace=None, cpu_only=None):
         self.calls += 1
         if not self.release.wait(timeout=30):  # pragma: no cover
             raise RuntimeError("test forgot to release the fake chip")
