@@ -993,12 +993,11 @@ def _phase_values(bp, nb, first, prev, const1, const2, const_fb, gather):
                 offs[i] = off
                 on = ~off
             if mem_plan.is_load:
-                raw = gather(addr.tolist(), mem_plan.size,
-                             None if on is None else on.tolist())
+                raw = gather(addr, mem_plan.size, on)
                 if rec.dtype == D_FP:
-                    value = np.array(raw, np.uint32).view(np.float32)
+                    value = raw.astype(np.uint32).view(np.float32)
                 else:
-                    value = np.array(raw, int64)
+                    value = raw.astype(int64)
                     if rec.mem_sign:
                         sign = rec.mem_sign
                         value = (value & (sign - 1)) - (value & sign)

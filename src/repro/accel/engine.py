@@ -51,8 +51,8 @@ from dataclasses import dataclass
 from ..isa import (
     ACCESS_FORMATS,
     MachineState,
-    load_value,
-    store_value,
+    compile_load,
+    compile_store,
 )
 from ..mem import (
     AccessKind,
@@ -169,7 +169,8 @@ class DataflowEngine:
         if batch_program is not None and batch_program.capability:
             drive_path = "batched"
             step = functools.partial(
-                self._run_iteration, state, reg_env, ports=ports,
+                self._run_iteration, self._memory_access(state.memory),
+                reg_env, ports=ports,
                 latency=latency, activity=activity, options=options)
             iterations, iteration_latencies, drive_reason = drive_batched(
                 batch_program, self.hierarchy, state, reg_env, ports,
@@ -203,6 +204,7 @@ class DataflowEngine:
                            activity: ActivityCounters,
                            options: ExecutionOptions):
         """Run the loop node-by-node (the executable specification)."""
+        access = self._memory_access(state.memory)
         prev_values: dict[int, int | float] = {}
         iteration_latencies: list[float] = []
         clock = 0.0
@@ -210,7 +212,7 @@ class DataflowEngine:
         exited = False
         while not exited and iterations < options.max_iterations:
             values, completion, loop_taken = self._run_iteration(
-                state, reg_env, prev_values, iterations, clock,
+                access, reg_env, prev_values, iterations, clock,
                 ports, latency, activity, options,
             )
             iteration_end = max(completion.values(), default=clock)
@@ -229,10 +231,18 @@ class DataflowEngine:
 
     # -- one iteration -----------------------------------------------------------
 
-    def _run_iteration(self, state, reg_env, prev_values, iteration, start,
+    def _memory_access(self, memory) -> dict:
+        """Each memory node's load or store, compiled against ``memory``."""
+        return {node.node_id: (compile_load if node.instruction.is_load
+                               else compile_store)(memory,
+                                                   node.instruction.opcode)
+                for node in self.program.nodes if node.is_memory}
+
+    def _run_iteration(self, access, reg_env, prev_values, iteration, start,
                        ports, latency, activity, options: ExecutionOptions):
         """Execute all nodes of one iteration; returns (values, completion,
-        loop-branch outcome)."""
+        loop-branch outcome).  ``access`` is :meth:`_memory_access` of the
+        state's memory."""
         values: dict[int, int | float] = {}
         completion: dict[int, float] = {}
         branch_outcomes: dict[int, bool] = {}
@@ -267,7 +277,8 @@ class DataflowEngine:
                     value = 0  # suppressed store produces nothing
             elif node.is_memory:
                 value, done = self._run_memory(node, int(a), b, ready, start,
-                                               state, lsq, ports, activity,
+                                               access[node.node_id], lsq,
+                                               ports, activity,
                                                iteration, vector_grants,
                                                completion, stores_seen,
                                                options)
@@ -350,7 +361,7 @@ class DataflowEngine:
         return channel
 
     def _run_memory(self, node: ConfiguredNode, base: int, data, ready, start,
-                    state: MachineState, lsq: LoadStoreQueue,
+                    access, lsq: LoadStoreQueue,
                     ports: MemoryPorts, activity: ActivityCounters,
                     iteration: int, vector_grants: dict[int, float],
                     completion: dict[int, float],
@@ -365,7 +376,7 @@ class DataflowEngine:
             outcome, store = lsq.resolve_load(node.node_id, address)
             activity.loads += 1
             if outcome is LoadOutcome.FORWARDED:
-                value = load_value(state.memory, instr.opcode, address)
+                value = access(address)
                 store_done = completion.get(store.seq, ready)
                 fwd_done = (max(ready, store_done)
                             + self.config.latencies.store_issue)
@@ -397,7 +408,7 @@ class DataflowEngine:
             if node.prefetched and iteration > 0:
                 # Issued an iteration early: only the L1 latency is exposed.
                 cycles = min(cycles, self.hierarchy.ideal_latency)
-            value = load_value(state.memory, instr.opcode, address)
+            value = access(address)
             done = grant + cycles
             if options.speculative_loads:
                 # §4.2 invalidation: an older store whose address resolved
@@ -417,7 +428,7 @@ class DataflowEngine:
         activity.stores += 1
         grant = ports.request(ready)
         self.hierarchy.access(address, is_write=True, pc=instr.address)
-        store_value(state.memory, instr.opcode, address, data)
+        access(address, data)
         done = grant + self.config.latencies.store_issue
         stores_seen.append((node.node_id, address, size, done))
         return 0, done

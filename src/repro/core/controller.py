@@ -554,8 +554,7 @@ class MesaController:
                            cost: ConfigurationCost) -> int:
         """CPU iterations that overlap detection + configuration."""
         loop = decision.loop
-        loop_entries = sum(1 for e in trace
-                           if loop.start_address <= e.pc <= loop.end_address)
+        loop_entries = trace.executions(loop.start_address, loop.end_address)
         iterations = max(1, loop.total_iterations)
         cycles_per_iteration = max(1.0, loop_entries / iterations * cpi)
         return self.options.detection_iterations + math.ceil(

@@ -115,8 +115,12 @@ class LoopStreamDetector:
 
     def scan(self, trace: Trace) -> list[LoopCandidate]:
         """Run the detector over a full trace; returns hot loops found,
-        ordered by total dynamic iterations (hottest first)."""
-        for entry in trace:
+        ordered by total dynamic iterations (hottest first).
+
+        Only the trace's back-edges are fed to :meth:`observe`, which
+        ignores every other entry, so the result equals observing the
+        whole stream."""
+        for entry in trace.back_edges:
             self.observe(entry)
         self.finish()
         return sorted(self._loops.values(),

@@ -263,8 +263,9 @@ class ExperimentRunner:
     def _loop_fraction(self, kernel: KernelInstance) -> float:
         trace = self.trace(kernel.name)
         body = self._loop_body(kernel, accept_inner=True)
-        addresses = {i.address for i in body}
-        in_loop = sum(1 for e in trace if e.pc in addresses)
+        counts = trace.pc_counts
+        in_loop = sum(counts[address]
+                      for address in {i.address for i in body})
         return in_loop / max(1, len(trace))
 
 

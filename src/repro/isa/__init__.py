@@ -30,11 +30,11 @@ from .semantics import (
     Executor,
     MachineState,
     compile_branch,
+    compile_load,
     compile_operation,
+    compile_store,
     f32,
-    load_value,
     run,
-    store_value,
 )
 
 __all__ = [
@@ -61,9 +61,9 @@ __all__ = [
     "Executor",
     "MachineState",
     "f32",
-    "load_value",
-    "store_value",
     "run",
     "compile_branch",
+    "compile_load",
     "compile_operation",
+    "compile_store",
 ]

@@ -40,8 +40,8 @@ __all__ = [
     "compile_operation",
     "compile_branch",
     "f32",
-    "load_value",
-    "store_value",
+    "compile_load",
+    "compile_store",
 ]
 
 
@@ -105,6 +105,15 @@ class MachineState:
         else:
             self._fp_regs[reg.index] = f32(float(value))
 
+    def slot(self, reg: Register | None) -> tuple[list, int]:
+        """(register-file list, index) holding ``reg``, for compiled code
+        that reads registers without a call; a missing operand reads
+        ``x0``, whose slot always holds 0."""
+        if reg is None:
+            return self._int_regs, 0
+        regs = self._int_regs if reg.file is RegFile.INT else self._fp_regs
+        return regs, reg.index
+
     def copy(self) -> "MachineState":
         """An independent copy: PC, both register files and memory."""
         return MachineState(pc=self.pc, memory=self.memory.copy(),
@@ -151,29 +160,36 @@ ACCESS_FORMATS: dict[Opcode, tuple[int, bool]] = {
 }
 
 
-def load_value(memory: Memory, opcode: Opcode, address: int) -> int | float:
-    """The register value a load ``opcode`` reads at ``address``: FLW
-    reinterprets the bits as binary32, signed loads sign-extend."""
+_BINARY32 = struct.Struct("<f")
+
+
+def compile_load(memory: Memory, opcode: Opcode):
+    """The load ``opcode`` against ``memory``, resolved once: returns
+    ``address -> register value``.  FLW reinterprets the bits as
+    binary32, signed loads sign-extend."""
     size, signed = ACCESS_FORMATS[opcode]
-    raw = memory.load(address, size)
+    load = memory.load
     if opcode is Opcode.FLW:
-        return struct.unpack("<f", raw.to_bytes(4, "little"))[0]
+        unpack = _BINARY32.unpack
+        return lambda address: unpack(
+            load(address, 4).to_bytes(4, "little"))[0]
     if signed:
         sign = 1 << (size * 8 - 1)
-        return (raw & (sign - 1)) - (raw & sign)
-    return raw
+        return lambda address: (load(address, size) ^ sign) - sign
+    return lambda address: load(address, size)
 
 
-def store_value(memory: Memory, opcode: Opcode, address: int,
-                value: int | float) -> None:
-    """Commit a store ``opcode`` of register ``value`` at ``address``: FSW
-    packs the binary32 bits, integer stores keep the low ``size`` bytes."""
+def compile_store(memory: Memory, opcode: Opcode):
+    """The store ``opcode`` against ``memory``, resolved once: returns
+    ``(address, register value) -> None``.  FSW packs the binary32 bits,
+    integer stores keep the low ``size`` bytes."""
     size = ACCESS_FORMATS[opcode][0]
+    store = memory.store
     if opcode is Opcode.FSW:
-        raw = int.from_bytes(struct.pack("<f", float(value)), "little")
-    else:
-        raw = int(value) & ((1 << (size * 8)) - 1)
-    memory.store(address, size, raw)
+        pack = _BINARY32.pack
+        return lambda address, value: store(
+            address, 4, int.from_bytes(pack(float(value)), "little"))
+    return lambda address, value: store(address, size, value)
 
 
 # Integer operations take (a, b, xlen): shifts mask by xlen-1, unsigned
@@ -442,14 +458,6 @@ class Executor:
 # extends to the state's width and rounds FP results to binary32), and x0
 # never changes: a write to x0 or to no register lands in a discarded slot.
 
-def _register(state: MachineState, reg: Register | None) -> tuple[list, int]:
-    """(register-file list, index) of ``reg``; a missing operand reads x0."""
-    if reg is None:
-        return state._int_regs, 0
-    regs = state._int_regs if reg.file is RegFile.INT else state._fp_regs
-    return regs, reg.index
-
-
 def _compile_handler(instr: Instruction, state: MachineState):
     """The handler running ``instr`` on ``state``.  An instruction without
     semantics at the state's width gets one that raises the compile-time
@@ -457,22 +465,26 @@ def _compile_handler(instr: Instruction, state: MachineState):
     xlen = state.xlen
     try:
         _require_width(instr, xlen)
-        r1, i1 = _register(state, instr.rs1)
-        r2, i2 = _register(state, instr.rs2)
+        r1, i1 = state.slot(instr.rs1)
+        r2, i2 = state.slot(instr.rs2)
         rd, d = (([0], 0) if instr.destination is None
-                 else _register(state, instr.destination))
+                 else state.slot(instr.destination))
         op = instr.opcode
         imm = instr.imm
         mask = (1 << xlen) - 1
         link = _ts(instr.address + 4, xlen)
         target = instr.address + imm
         if instr.is_load:
+            read = compile_load(state.memory, op)
+
             def load():
-                rd[d] = load_value(state.memory, op, (r1[i1] + imm) & mask)
+                rd[d] = read((r1[i1] + imm) & mask)
             return load
         if instr.is_store:
+            write = compile_store(state.memory, op)
+
             def store():
-                store_value(state.memory, op, (r1[i1] + imm) & mask, r2[i2])
+                write((r1[i1] + imm) & mask, r2[i2])
             return store
         if op is Opcode.JAL:
             def jal():

@@ -14,7 +14,8 @@ hit — the parent learns about the caches only through it.
 A request's CPU baseline — the dynamic trace and the core model's result
 over it — depends only on the program, its initial state and the pool's
 ``cpu_config``, so each :class:`ChipTask` keeps the last
-``cache_capacity`` of them in one LRU, keyed by the program's base
+``cache_capacity`` of them, holding at most :data:`BASELINE_TRACE_ENTRIES`
+trace entries between them, in one LRU keyed by the program's base
 address, the digest of its instruction bytes and its
 :class:`~repro.workloads.base.StateRecipe`.  A hit hands the entry to
 :meth:`MesaController.execute` (or serves the CPU-baseline fallback from
@@ -75,6 +76,14 @@ from ..workloads.base import StateRecipe
 __all__ = ["OffloadTask", "ControllerPool", "ChipTask", "ProcessWorkerPool",
            "WorkerCrash", "WorkerTimeout", "WorkerTaskError", "PoolBroken",
            "CircuitBreaker"]
+
+#: The most dynamic trace entries one :class:`ChipTask`'s baseline LRU
+#: holds in total; a wire client picks ``iterations`` freely, so
+#: ``cache_capacity`` alone would not bound a worker's memory.  The 19
+#: named kernels at the service's usual 64 iterations (0.5k-1.9k entries
+#: each) fit about six times over; a trace larger than the whole budget
+#: is served but never kept.
+BASELINE_TRACE_ENTRIES = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -208,12 +217,14 @@ class ChipTask:
 
     def _remember_baseline(self, key: tuple | None,
                            baseline: tuple[Trace, CoreResult]) -> None:
-        if key is None:
+        if key is None or len(baseline[0]) > BASELINE_TRACE_ENTRIES:
             return
         with self._lock:
             self._baselines[key] = baseline
             self._baselines.move_to_end(key)
-            while len(self._baselines) > self.pool.options.cache_capacity:
+            while (len(self._baselines) > self.pool.options.cache_capacity
+                   or sum(len(trace) for trace, _ in self._baselines.values())
+                   > BASELINE_TRACE_ENTRIES):
                 self._baselines.popitem(last=False)
 
     def __call__(self, task: OffloadTask) -> dict:

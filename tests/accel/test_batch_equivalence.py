@@ -194,14 +194,14 @@ def make_state(iterations: int = 50, store_target: int = 0) -> MachineState:
     state.write(f(2), 0.5)     # accumulator seed
     for i in range(iterations + 2):
         address = LOAD_BASE + 4 * (i + 1)
-        state.memory.store_word(address, (i * 2654435761) % 97 - 48)
+        state.memory.store_words(address, [(i * 2654435761) % 97 - 48])
         if i % 7 == 3:
             # Payloaded NaNs and a negative zero in the float region.
             raw = 0x7FC00001 if i % 2 else 0x80000000
             state.memory.store(address + FP_OFFSET, 4, raw)
         else:
-            state.memory.store_float(address + FP_OFFSET,
-                                     (i - 20) * 0.3125)
+            state.memory.store_floats(address + FP_OFFSET,
+                                      [(i - 20) * 0.3125])
     return state
 
 

@@ -53,7 +53,7 @@ def conflict_program() -> AcceleratorProgram:
 def make_state(store_base: int) -> MachineState:
     state = MachineState()
     memory = Memory()
-    memory.store_word(0x400, 111)  # old value at the load address
+    memory.store_words(0x400, [111])  # old value at the load address
     state.memory = memory
     state.write(x(28), store_base)  # t3: sqrt of the store address
     state.write(x(30), 999)         # t5: store data

@@ -45,17 +45,17 @@ class TestBasicStorage:
 class TestTypedHelpers:
     def test_signed_word(self):
         mem = Memory()
-        mem.store_word(0x40, -5)
+        mem.store_words(0x40, [-5])
         assert mem.load_word(0x40) == -5
 
     def test_float_round_trip(self):
         mem = Memory()
-        mem.store_float(0x50, 2.75)
+        mem.store_floats(0x50, [2.75])
         assert mem.load_float(0x50) == 2.75
 
     def test_float_single_precision(self):
         mem = Memory()
-        mem.store_float(0x60, 0.1)
+        mem.store_floats(0x60, [0.1])
         assert mem.load_float(0x60) != 0.1  # binary32 cannot represent 0.1
         assert math.isclose(mem.load_float(0x60), 0.1, rel_tol=1e-6)
 
@@ -68,15 +68,15 @@ class TestTypedHelpers:
 
     def test_footprint_counts_written_bytes(self):
         mem = Memory()
-        mem.store_word(0, 1)
-        mem.store_word(100, 2)
+        mem.store_words(0, [1])
+        mem.store_words(100, [2])
         assert mem.footprint() == 8
 
     def test_copy_is_independent(self):
         mem = Memory()
-        mem.store_word(0, 7)
+        mem.store_words(0, [7])
         clone = mem.copy()
-        clone.store_word(0, 9)
+        clone.store_words(0, [9])
         assert mem.load_word(0) == 7
         assert clone.load_word(0) == 9
 

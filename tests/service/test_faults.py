@@ -46,13 +46,13 @@ class CountingController:
             total_cycles = 100.0
             phase_seconds = {}
             cache_stats = CacheStats()
-            trace = None
+            trace = ()  # an empty trace: sized, like a real one
             cpu_only = None
 
         return Result()
 
     def cpu_baseline(self, program, state_factory):
-        return None, SimpleNamespace(cycles=200)
+        return (), SimpleNamespace(cycles=200)  # an empty trace
 
 
 def counting_service(chip, **kwargs):

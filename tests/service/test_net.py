@@ -32,7 +32,7 @@ class InstantController:
             total_cycles = 100.0
             phase_seconds = {}
             cache_stats = CacheStats()
-            trace = None
+            trace = ()  # an empty trace: sized, like a real one
             cpu_only = None
 
         return Result()

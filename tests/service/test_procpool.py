@@ -19,8 +19,9 @@ from repro.service import (
     WorkerTaskError,
     WorkerTimeout,
 )
+from repro.cpu import collect_trace
 from repro.isa import Program
-from repro.service.procpool import ChipTask
+from repro.service.procpool import BASELINE_TRACE_ENTRIES, ChipTask
 from repro.workloads import (
     GeneratorParams,
     build_kernel,
@@ -269,6 +270,29 @@ class TestBaselineCache:
         assert task(payloads[-2])["baseline_hit"]
         assert not task(payloads[0])["baseline_hit"]
         assert len(task._baselines) == 2
+
+    def test_lru_holds_at_most_its_trace_budget(self):
+        task = ChipTask(ControllerPool(), isolated=False)
+        for iterations in (2048, 4096, 8192):
+            summary = task(cpu_payload("nn", iterations=iterations))
+            assert not summary["baseline_hit"]
+            assert sum(len(trace) for trace, _ in task._baselines.values()) \
+                <= BASELINE_TRACE_ENTRIES
+        # The newest trace is kept and older ones went oldest first.
+        assert len(task._baselines) < 3
+        assert task(cpu_payload("nn", iterations=8192))["baseline_hit"]
+        assert not task(cpu_payload("nn", iterations=2048))["baseline_hit"]
+
+        # A trace larger than the whole budget is served but not kept, and
+        # evicts nothing.
+        kept = list(task._baselines)
+        oversized = cpu_payload("nn", iterations=16384)
+        assert len(collect_trace(oversized.program, oversized.state_factory())) \
+            > BASELINE_TRACE_ENTRIES
+        served = [task(oversized) for _ in range(2)]
+        assert not any(summary["baseline_hit"] for summary in served)
+        assert served[0]["total_cycles"] == served[1]["total_cycles"] > 0
+        assert list(task._baselines) == kept
 
     def test_concurrent_callers_share_one_bounded_lru(self):
         kernels = [generate_kernel(GeneratorParams(iterations=16, seed=seed))

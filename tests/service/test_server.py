@@ -41,7 +41,7 @@ class FakeResult:
     total_cycles = 100.0
     phase_seconds = {"execute": 0.001}
     cache_stats = CacheStats()
-    trace = None
+    trace = ()  # an empty trace: sized, like a real one
     cpu_only = None
 
 
