@@ -1,13 +1,14 @@
 """Harness throughput: serial vs process-parallel sweep execution.
 
 The simulator itself is single-threaded Python, so the harness's only
-route to multi-core throughput is sharding: the ``(kernel, config)`` grid
-of a sweep is dispatched in chunks to a persistent pool of warm worker
-processes (:mod:`repro.harness.parallel`).  This benchmark times one
-15-kernel sweep at ``workers=1`` (the historical serial path) and
-``workers=2`` — plus ``workers=4`` when the host has the cores for it —
-asserts every pooled run produces a byte-identical table, and records the
-wall clocks (with the host core count) under ``benchmarks/results/``.
+route to multi-core throughput is sharding: every ``(kernel, config)``
+point of a sweep is one shard on a pool of worker processes
+(:mod:`repro.harness.parallel`).  This benchmark times one 15-kernel sweep
+at ``workers=1`` (the in-process serial path) and ``workers=2`` — plus
+``workers=4`` when the host has the cores for it — asserts every pooled
+run reproduces the serial points, cache stats and rendered table exactly,
+and records the wall clocks (with the host core count) under
+``benchmarks/results/``.
 
 Two scaling assertions guard against negative-scaling regressions landing
 silently in a results file:
@@ -17,8 +18,8 @@ silently in a results file:
 * on hosts with ≥4 cores, ``workers=4`` must deliver ≥2x.
 
 On a 1-core box the pooled numbers are still recorded for the report, and
-the bit-identity assertion — the property that cannot degrade gracefully —
-always runs.
+the identity assertions — the property that cannot degrade gracefully —
+always run.
 """
 
 import time
@@ -48,9 +49,17 @@ def _timed_sweep(workers):
     return result, time.perf_counter() - start
 
 
+def _assert_matches_serial(pooled, serial):
+    assert pooled.points == serial.points, (
+        "sharded sweep must reproduce every serial point")
+    assert pooled.cache_stats == serial.cache_stats
+    assert pooled.render("speedup") == serial.render("speedup"), (
+        "sharded sweep must merge to a byte-identical table")
+    assert not pooled.degraded_points()
+
+
 def test_parallel_sweep_matches_serial(benchmark):
     serial, serial_seconds = _timed_sweep(workers=1)
-    serial_table = serial.render("speedup")
 
     # workers=2 is the scaling-sanity point CI asserts on; run it under
     # pytest-benchmark so the pooled path is what gets measured.
@@ -59,15 +68,12 @@ def test_parallel_sweep_matches_serial(benchmark):
         SWEEP_KERNELS, [M_64, M_128], iterations=SWEEP_ITERATIONS,
         workers=2))
     pooled2_seconds = time.perf_counter() - start
-    assert pooled2.render("speedup") == serial_table, (
-        "sharded sweep must merge to a byte-identical table")
-    assert not pooled2.degraded_points()
+    _assert_matches_serial(pooled2, serial)
 
     rows = [(1, serial_seconds), (2, pooled2_seconds)]
     if CORES >= 4 and max(WORKERS, 4) >= 4:
         pooled4, pooled4_seconds = _timed_sweep(workers=4)
-        assert pooled4.render("speedup") == serial_table
-        assert not pooled4.degraded_points()
+        _assert_matches_serial(pooled4, serial)
         rows.append((4, pooled4_seconds))
 
     lines = [
@@ -80,8 +86,9 @@ def test_parallel_sweep_matches_serial(benchmark):
         tag = "serial  " if workers == 1 else "parallel"
         lines.append(f"  {tag} (workers={workers}): {seconds:8.2f} s "
                      f"({speedup:5.2f}x)")
-    lines.append("  tables byte-identical:        True")
-    emit("parallel_sweep", "\n".join(lines) + "\n\n" + serial_table)
+    lines.append("  points, cache stats and tables identical: True")
+    emit("parallel_sweep",
+         "\n".join(lines) + "\n\n" + serial.render("speedup"))
 
     if CORES >= 2:
         assert pooled2_seconds <= 1.05 * serial_seconds, (

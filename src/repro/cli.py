@@ -30,7 +30,6 @@ from .harness import (
     format_cache_stats,
     table1_area_power,
     table2_config_latency,
-    warm_boot_imports,
 )
 from .workloads import build_kernel, kernel_names
 
@@ -196,8 +195,7 @@ def _cmd_run_many(args) -> str:
                     payload=(name, args.config, args.iterations, args.serial))
               for name in args.kernel]
     runner = ShardRunner(workers=args.workers,
-                         shard_timeout=args.shard_timeout,
-                         initializer=warm_boot_imports)
+                         shard_timeout=args.shard_timeout)
     rows = []
     degraded = []
     for outcome in runner.map(_run_kernel_worker, shards):

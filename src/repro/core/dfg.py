@@ -101,9 +101,6 @@ class DataflowGraph:
     def edges(self) -> list[tuple[int, int]]:
         return sorted(self._edge_weights)
 
-    def consumers(self, node_id: int) -> list[int]:
-        return [dst for (src, dst) in self._edge_weights if src == node_id]
-
     # -- the performance model ---------------------------------------------------
 
     def completion_times(self) -> dict[int, float]:

@@ -50,9 +50,6 @@ class Sdfg:
     def lsu_count(self) -> int:
         return sum(1 for coord in self.positions.values() if coord[1] < 0)
 
-    def position(self, node_id: int) -> Coord:
-        return self.positions[node_id]
-
     def to_dataflow_graph(self, interconnect: Interconnect) -> DataflowGraph:
         """The Eq. 1/2 performance model with real transfer weights.
 

@@ -51,10 +51,6 @@ class MulticoreResult:
     def speedup_vs_single(self) -> float:
         return self.single_core.cycles / self.cycles if self.cycles else 0.0
 
-    @property
-    def efficiency(self) -> float:
-        return self.speedup_vs_single / self.num_cores
-
 
 class MulticoreCpu:
     """Analytic multicore model layered on the detailed single-core model."""

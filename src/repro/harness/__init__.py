@@ -34,8 +34,6 @@ from .parallel import (
     ShardOutcome,
     ShardRunner,
     describe_error,
-    pool_start_method,
-    warm_boot_imports,
 )
 from .report import (
     format_cache_stats,
@@ -78,8 +76,6 @@ __all__ = [
     "ShardOutcome",
     "ShardRunner",
     "describe_error",
-    "pool_start_method",
-    "warm_boot_imports",
     "SweepPoint",
     "SweepResult",
     "pe_count_configs",

@@ -18,7 +18,7 @@ from ..mem import MemoryPorts
 from ..power import AcceleratorEnergyModel
 from ..workloads import FIG11_SET, FIG12_SET, FIG14_SET, build_kernel
 from .experiment import ExperimentRunner, SystemResult
-from .parallel import Shard, ShardRunner, warm_boot_imports
+from .parallel import Shard, ShardRunner
 from .report import geomean, render_table
 
 __all__ = ["Fig11Result", "fig11_rodinia", "Fig12Result", "fig12_opencgra",
@@ -99,8 +99,7 @@ def fig11_rodinia(iterations: int = 256,
     """
     shards = [Shard(key=(name,), payload=(name, iterations, cores))
               for name in kernels]
-    runner = ShardRunner(workers=workers, shard_timeout=shard_timeout,
-                         initializer=warm_boot_imports)
+    runner = ShardRunner(workers=workers, shard_timeout=shard_timeout)
     result = Fig11Result()
     for outcome in runner.map(_fig11_row_worker, shards):
         if outcome.failed:
@@ -339,8 +338,7 @@ def fig15_pe_scaling(iterations: int = 2048,
     """
     shards = [Shard(key=(pes,), payload=(pes, iterations))
               for pes in pe_counts]
-    runner = ShardRunner(workers=workers, shard_timeout=shard_timeout,
-                         initializer=warm_boot_imports)
+    runner = ShardRunner(workers=workers, shard_timeout=shard_timeout)
     result = Fig15Result()
     base_cycles: float | None = None
     base_ideal: float | None = None

@@ -4,11 +4,11 @@ The paper's evaluation is an embarrassingly parallel grid — kernels ×
 backend configs × PE-scaling points — but a single Python process caps the
 harness's throughput no matter how fast the simulator's hot loop gets.
 This module decomposes a sweep into independent *shards* (one picklable
-work unit each — a ``(kernel, config)`` point, or a *chunk* of points) and
-executes them on a **persistent pool of warm workers**, merging the results
-**deterministically**: outcomes are returned in shard-submission order, not
-completion order, so any table or JSON built from them is byte-identical to
-a serial run.
+work unit each, such as one ``(kernel, config)`` point) and executes them
+on a pool of worker processes, merging the results **deterministically**:
+outcomes are returned in shard-submission order, not completion order.
+Because every shard is a pure function of its payload, any table or JSON
+built from the outcomes is identical to a serial run.
 
 :class:`WorkerPool` is the one supervised process pool in the repo; the
 sweep harness (:class:`ShardRunner`) and the offload service's worker
@@ -17,10 +17,10 @@ worker process is owned directly and served one task at a time over its
 own pipe, which buys three serving-grade properties a shared-queue
 ``ProcessPoolExecutor`` cannot give:
 
-* **warm boot** — every worker runs an ``initializer`` before accepting
-  work (pre-import the simulator stack, pre-build per-config controllers,
-  seed caches) and then signals readiness over the pipe; a worker survives
-  across tasks, so per-process caches stay resident;
+* **warm boot** — a pool may run an ``initializer`` in every worker
+  before it accepts work (the service seeds each worker's configuration
+  cache this way) and then signals readiness over the pipe; a worker
+  survives across tasks, so per-process caches stay resident;
 * **deadline watchdog** — a task's wall-clock budget is measured from the
   moment it is handed to an idle worker, i.e. from actual execution
   start.  A task queued behind a slow one gets its *full* budget.  On
@@ -30,23 +30,21 @@ own pipe, which buys three serving-grade properties a shared-queue
   one waiting on that worker's pipe, so a dying worker process fails
   *its* task only (no ``BrokenProcessPool`` fan-out).
 
-:class:`ShardRunner` adds per-shard robustness on top: ``retries`` bounded
-re-execution after a crash, timeout, or worker exception, and **graceful
-degradation** — a shard that exhausts its retries becomes a failed
-:class:`ShardOutcome` carrying the error string, and the caller renders it
-as a degraded row instead of aborting the whole sweep.
+:class:`ShardRunner` adds per-shard robustness on top: :data:`RETRIES`
+bounded re-execution after a crash, timeout, or worker exception, and
+**graceful degradation** — a shard that exhausts its retries becomes a
+failed :class:`ShardOutcome` carrying the error string, and the caller
+renders it as a degraded row instead of aborting the whole sweep.
 
 ``workers=1`` runs every shard inline in the calling process — no pool, no
-pickling — preserving the exact pre-existing serial behaviour (and letting
-worker-side caches, like the per-config controller reuse in
-:mod:`repro.harness.sweep`, live in the caller's process).  Any
-``workers > 1`` goes through the pool, *including a single shard*: a lone
-``(kernel, config)`` point still gets timeout enforcement and process
-isolation.
+pickling.  Any ``workers > 1`` goes through the pool, *including a single
+shard*: a lone ``(kernel, config)`` point still gets timeout enforcement
+and process isolation.
 
 Worker processes use the ``fork`` start method where the platform provides
-it (the child inherits every imported module, making warm boot nearly
-free) and fall back to ``spawn``; override with ``REPRO_MP_START_METHOD``.
+it (the child inherits every imported module) and fall back to ``spawn``,
+where unpickling the module-level worker function imports its module and
+with it the simulator stack.
 """
 
 from __future__ import annotations
@@ -62,12 +60,21 @@ from typing import Any, Callable, Sequence
 
 __all__ = ["Shard", "ShardOutcome", "ShardRunner", "WorkerPool",
            "WorkerCrash", "WorkerTimeout", "WorkerTaskError", "PoolBroken",
-           "MAX_BOOT_FAILURES", "describe_error", "pool_start_method",
-           "warm_boot_imports"]
+           "MAX_BOOT_FAILURES", "RETRIES", "describe_error"]
 
 #: Consecutive worker boot deaths tolerated before the pool gives up; a
 #: worker that can't even boot is an environment failure, not any task's.
 MAX_BOOT_FAILURES = 3
+
+#: Extra attempts :class:`ShardRunner` grants a shard after its crash,
+#: timeout or exception.
+RETRIES = 1
+
+#: ``fork`` where the platform allows it — the child inherits the parent's
+#: imported modules and read-only state — with ``spawn`` as the portable
+#: fallback (macOS, Windows).
+_START_METHOD = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+                 else "spawn")
 
 
 class WorkerCrash(RuntimeError):
@@ -86,49 +93,16 @@ class PoolBroken(RuntimeError):
     """Workers failed to boot, none remain, or the pool is closed."""
 
 
-def pool_start_method() -> str:
-    """The multiprocessing start method the pool will use.
-
-    ``fork`` where the platform allows it — the child inherits the parent's
-    imported modules and read-only state, so warm boot costs almost nothing
-    — with ``spawn`` as the portable fallback (macOS, Windows).  Set
-    ``REPRO_MP_START_METHOD=spawn|fork|forkserver`` to override.
-    """
-    override = os.environ.get("REPRO_MP_START_METHOD")
-    if override:
-        return override
-    methods = multiprocessing.get_all_start_methods()
-    return "fork" if "fork" in methods else "spawn"
-
-
-def warm_boot_imports() -> None:
-    """Default warm-boot initializer for this repo's own drivers.
-
-    Imports the simulator stack so a spawn-context worker's first shard
-    pays no import latency; under ``fork`` the child inherits the parent's
-    modules and this is a no-op.
-    """
-    import repro.accel  # noqa: F401
-    import repro.core  # noqa: F401
-    import repro.cpu  # noqa: F401
-    import repro.harness.experiment  # noqa: F401
-    import repro.workloads  # noqa: F401
-
-
 @dataclass(frozen=True)
 class Shard:
     """One independent unit of work.
 
-    ``key`` identifies and orders the shard (e.g. ``(config, kernel)``);
-    ``payload`` is the picklable argument handed to the worker function;
-    ``timeout`` overrides the runner-wide ``shard_timeout`` for this shard
-    (chunked shards scale it by their chunk size so a *per-point* budget
-    still holds).
+    ``key`` identifies and orders the shard (e.g. ``(kernel, config)``);
+    ``payload`` is the picklable argument handed to the worker function.
     """
 
     key: tuple
     payload: Any
-    timeout: float | None = None
 
 
 @dataclass
@@ -242,7 +216,8 @@ class WorkerPool:
     """Fixed-size supervised pool of persistent worker processes.
 
     Every worker runs ``initializer(*initargs)`` and then
-    ``worker_fn(payload)`` for each task it is handed.  :meth:`execute` is
+    ``worker_fn(payload)`` for each task it is handed; ``initargs`` is
+    ``()`` unless a subclass computes it.  :meth:`execute` is
     blocking and thread-safe: callers drive the pool from as many threads
     as there are workers, one task per thread.  ``affinity`` routes a task
     to a preferred worker (``hash(affinity) % size``) when that worker is
@@ -256,15 +231,13 @@ class WorkerPool:
     BOOT_TIMEOUT = 120.0
 
     def __init__(self, workers: int, worker_fn: Callable[[Any], Any],
-                 initializer: Callable[..., None] | None = None,
-                 initargs: Sequence[Any] = ()) -> None:
+                 initializer: Callable[..., None] | None = None) -> None:
         if workers < 1:
             raise ValueError("workers must be positive")
         self.size = workers
         self._worker_fn = worker_fn
         self._initializer = initializer
-        self._initargs = tuple(initargs)
-        self._ctx = multiprocessing.get_context(pool_start_method())
+        self._ctx = multiprocessing.get_context(_START_METHOD)
         self._cond = threading.Condition()
         # Replacements spawn from dispatch threads.  One spawn at a time,
         # so no forked child inherits another new worker's end of its
@@ -380,7 +353,7 @@ class WorkerPool:
 
     def _spawn_initargs(self) -> tuple:
         """The initializer's arguments for the worker about to spawn."""
-        return self._initargs
+        return ()
 
     def _spawn(self) -> _Worker:
         initargs = self._spawn_initargs()
@@ -466,35 +439,21 @@ class ShardRunner:
 
     Args:
         workers: pool size; ``1`` (the default) runs shards inline in the
-            calling process, byte-identical to the historical serial path.
-            Any larger value pools — even for a single shard, so timeout
-            enforcement and process isolation never silently disappear.
+            calling process.  Any larger value pools — even for a single
+            shard, so timeout enforcement and process isolation never
+            silently disappear.
         shard_timeout: wall-clock seconds allowed per shard, measured from
             the moment the shard starts executing on a worker (None =
-            unbounded).  :attr:`Shard.timeout` overrides it per shard.
-            Only enforceable with ``workers > 1`` — an in-process shard
-            cannot be interrupted.
-        retries: extra attempts granted after a crash/timeout/exception.
-        initializer: warm-boot callable run once in each worker process
-            before it accepts shards (and once in the calling process for
-            the inline path, which *is* the worker).  Must be picklable
-            under the ``spawn`` start method.
-        initargs: arguments for ``initializer``.
+            unbounded).  Only enforceable with ``workers > 1`` — an
+            in-process shard cannot be interrupted.
     """
 
-    def __init__(self, workers: int = 1, shard_timeout: float | None = None,
-                 retries: int = 1,
-                 initializer: Callable[..., None] | None = None,
-                 initargs: Sequence[Any] = ()) -> None:
+    def __init__(self, workers: int = 1,
+                 shard_timeout: float | None = None) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        if retries < 0:
-            raise ValueError("retries must be >= 0")
         self.workers = workers
         self.shard_timeout = shard_timeout
-        self.retries = retries
-        self.initializer = initializer
-        self.initargs = tuple(initargs)
 
     def map(self, worker: Callable[[Any], Any],
             shards: Sequence[Shard]) -> list[ShardOutcome]:
@@ -509,16 +468,13 @@ class ShardRunner:
         if not shards:
             return []
         if self.workers == 1:
-            if self.initializer is not None:
-                self.initializer(*self.initargs)
             return [self._run(lambda s: worker(s.payload), shard)
                     for shard in shards]
-        pool = WorkerPool(min(self.workers, len(shards)), worker,
-                          self.initializer, self.initargs)
+        pool = WorkerPool(min(self.workers, len(shards)), worker)
         pool.start()
 
         def execute(shard: Shard) -> Any:
-            return pool.execute(shard.payload, timeout_s=self._budget(shard))
+            return pool.execute(shard.payload, timeout_s=self.shard_timeout)
 
         threads = ThreadPoolExecutor(max_workers=pool.size,
                                      thread_name_prefix="shard-dispatch")
@@ -544,19 +500,15 @@ class ShardRunner:
             except PoolBroken:
                 raise
             except Exception as exc:
-                if attempts > self.retries:
+                if attempts > RETRIES:
                     return ShardOutcome(key=shard.key, attempts=attempts,
-                                        error=self._error(exc, shard))
+                                        error=self._error(exc))
 
-    def _budget(self, shard: Shard) -> float | None:
-        return (shard.timeout if shard.timeout is not None
-                else self.shard_timeout)
-
-    def _error(self, exc: Exception, shard: Shard) -> str:
+    def _error(self, exc: Exception) -> str:
         if isinstance(exc, WorkerCrash):
             return "worker process crashed"
         if isinstance(exc, WorkerTimeout):
-            return f"timed out after {self._budget(shard):g}s"
+            return f"timed out after {self.shard_timeout:g}s"
         if isinstance(exc, WorkerTaskError):
             return str(exc)
         return describe_error(exc)

@@ -7,32 +7,23 @@ library's sweep driver: run a set of kernels over a set of backend
 configurations and collect speedup, utilization, and mapping quality in one
 table — the engine behind ``examples/design_space.py`` and custom studies.
 
-The grid is dispatched in **chunks**: several grid points of one backend
-config travel as a single shard of a
-:class:`~repro.harness.parallel.ShardRunner`, so pickling and IPC are
-amortized and each worker's per-config controller serves ≥2 points of the
-same config back to back (the warm path the cache was built for).  A sweep
-fans out over a persistent pool of warm-booted workers (``workers=N``)
-while its merged table stays byte-identical to the serial run — chunks are
-formed in grid order and merge in grid order, not completion order.  A
-chunk that crashes or times out degrades every point it carried to a
+Every (kernel, config) grid point is one shard of a
+:class:`~repro.harness.parallel.ShardRunner` and runs on a fresh
+``MesaController``, so a point is a pure function of its payload: the
+same kernel, config and iteration count give the same ``SweepPoint``
+whatever else ran in the process before it.  That is what lets a sweep
+fan out over ``workers=N`` processes and still produce output identical
+to the serial run — points merge in grid order, not completion order.
+``SweepPoint.cache_stats`` is the configuration-cache activity of the
+point's own execute, and ``SweepResult.cache_stats`` their sum.  A point
+that crashes or times out degrades to a
 ``SweepPoint(accelerated=False, reason="shard failed: …")`` row rather
-than aborting the sweep; the rendered matrix marks them ``—`` and lists
-the degraded shards in a footer.  ``shard_timeout`` stays a *per-point*
-budget: a chunk's deadline is the budget times its chunk size, measured
-from the moment the chunk starts executing on a worker.
-
-Within one worker process, the chip-level semantics of PR 1 are preserved:
-every point of the same backend config reuses **one** ``MesaController``
-(pre-built by the pool's warm-boot initializer), so re-encountered regions
-hit the shared configuration cache's warm path, and the per-point cache
-activity is surfaced through ``SweepPoint.cache_stats`` /
-``SweepResult.cache_stats``.
+than aborting the sweep; the rendered matrix marks it ``—`` and lists the
+degraded points in a footer.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 from ..accel import AcceleratorConfig
@@ -40,7 +31,7 @@ from ..core import MesaController, MesaOptions
 from ..core.configure import CacheStats
 from ..cpu import CpuConfig
 from ..workloads import build_kernel
-from .parallel import Shard, ShardRunner, describe_error
+from .parallel import Shard, ShardRunner
 from .report import render_table
 
 __all__ = ["SweepPoint", "SweepResult", "sweep_backends", "pe_count_configs"]
@@ -151,45 +142,10 @@ class SweepResult:
 
 # -- shard worker -------------------------------------------------------------
 
-#: Per-worker-process controller reuse: one controller per (sweep, backend
-#: config), so every point of a config inside one worker shares the chip's
-#: configuration cache (re-encountered regions hit the warm path).  Keyed by
-#: sweep token so successive sweeps in one process stay independent —
-#: byte-identical to a fresh serial run.
-_WORKER_CONTROLLERS: dict[tuple, MesaController] = {}
-_SWEEP_TOKENS = itertools.count()
-
-
-def _controller_for(token: int, config: AcceleratorConfig,
-                    cpu_config: CpuConfig | None,
-                    options: MesaOptions | None) -> MesaController:
-    key = (token, config, cpu_config, options)
-    controller = _WORKER_CONTROLLERS.get(key)
-    if controller is None:
-        # A new sweep invalidates the previous one's controllers (bounds
-        # worker-resident state in long-lived pool processes, and clears
-        # fork-inherited controllers from the parent's earlier sweeps).
-        for stale in [k for k in _WORKER_CONTROLLERS if k[0] != token]:
-            del _WORKER_CONTROLLERS[stale]
-        controller = MesaController(config, cpu_config, options)
-        _WORKER_CONTROLLERS[key] = controller
-    return controller
-
-
-def _sweep_warm_boot(token: int, configs: tuple,
-                     cpu_config: CpuConfig | None,
-                     options: MesaOptions | None) -> None:
-    """Pool initializer: pre-build this worker's per-config controllers so
-    the config cache and plan cache are resident before the first chunk
-    lands (and evict any fork-inherited controllers of earlier sweeps)."""
-    for config in configs:
-        _controller_for(token, config, cpu_config, options)
-
-
 def _measure_point(controller: MesaController, name: str,
                    config: AcceleratorConfig,
                    iterations: int) -> SweepPoint:
-    """Measure one (kernel, config) grid point on a resident controller."""
+    """Measure one (kernel, config) grid point on ``controller``."""
     kernel = build_kernel(name, iterations=iterations)
     run = controller.execute(kernel.program, kernel.state_factory,
                              parallelizable=kernel.parallelizable)
@@ -218,41 +174,12 @@ def _measure_point(controller: MesaController, name: str,
     )
 
 
-def _sweep_chunk_worker(payload: tuple) -> list[SweepPoint]:
-    """Measure one chunk of same-config grid points (module-level:
-    picklable).  A point that raises degrades to its own ``shard failed``
-    row without taking its chunk siblings down with it."""
-    token, config, names, iterations, cpu_config, options = payload
-    controller = _controller_for(token, config, cpu_config, options)
-    points = []
-    for name in names:
-        try:
-            points.append(_measure_point(controller, name, config,
-                                         iterations))
-        except Exception as exc:
-            points.append(SweepPoint(
-                kernel=name, config_name=config.name, accelerated=False,
-                speedup=1.0, cycles=0.0,
-                reason=f"shard failed: {describe_error(exc)}"))
-    return points
-
-
-def _chunk_size(n_kernels: int, workers: int, chunk: int | None) -> int:
-    """Grid points of one config per shard.
-
-    Auto policy (``chunk=None``): serial execution takes one chunk per
-    config; pooled execution aims for ~2 chunks per worker per config —
-    large enough to amortize pickling/IPC and hit the per-config
-    controller's warm path, small enough that the pool load-balances
-    kernels of uneven cost.
-    """
-    if chunk is not None:
-        if chunk < 1:
-            raise ValueError("chunk must be >= 1")
-        return chunk
-    if workers <= 1:
-        return max(1, n_kernels)
-    return max(1, -(-n_kernels // (workers * 2)))
+def _sweep_point_worker(payload: tuple) -> SweepPoint:
+    """Measure one grid point on a fresh controller (module-level:
+    picklable), so the point depends on its payload alone."""
+    name, config, iterations, cpu_config, options = payload
+    return _measure_point(MesaController(config, cpu_config, options),
+                          name, config, iterations)
 
 
 def sweep_backends(kernels: list[str], configs: list[AcceleratorConfig],
@@ -260,8 +187,7 @@ def sweep_backends(kernels: list[str], configs: list[AcceleratorConfig],
                    cpu_config: CpuConfig | None = None,
                    options: MesaOptions | None = None,
                    workers: int = 1,
-                   shard_timeout: float | None = None,
-                   chunk: int | None = None) -> SweepResult:
+                   shard_timeout: float | None = None) -> SweepResult:
     """Run every kernel on every backend configuration.
 
     Speedups are relative to the single-core OoO baseline (which is part of
@@ -270,52 +196,30 @@ def sweep_backends(kernels: list[str], configs: list[AcceleratorConfig],
     they simply keep running on the CPU.
 
     Args:
-        workers: shard the grid over this many warm worker processes; ``1``
-            (default) runs serially in-process.  Results are merged in grid
-            order either way, so the output is byte-identical.
+        workers: shard the grid over this many worker processes; ``1``
+            (default) runs serially in-process.  Every point runs on its
+            own controller and results merge in grid order, so the output
+            is identical for any worker count.
         shard_timeout: wall-clock seconds allowed per (kernel, config)
-            point, measured from when its chunk starts executing on a
-            worker; a chunk's deadline is this budget × its chunk size.  A
-            chunk that blows its deadline degrades every point it carried
-            to a ``shard failed`` row (pooled execution only).
-        chunk: grid points of one config per shard; ``None`` picks
-            automatically (see :func:`_chunk_size`).
+            point, measured from when it starts executing on a worker.  A
+            point that blows it degrades to a ``shard failed`` row (pooled
+            execution only).
     """
-    token = next(_SWEEP_TOKENS)
-    size = _chunk_size(len(kernels), workers, chunk)
-    shards = []
-    for config in configs:
-        for base in range(0, len(kernels), size):
-            names = tuple(kernels[base:base + size])
-            shards.append(Shard(
-                key=(config.name,) + names,
-                payload=(token, config, names, iterations, cpu_config,
-                         options),
-                timeout=(shard_timeout * len(names)
-                         if shard_timeout is not None else None)))
-    runner = ShardRunner(workers=workers, shard_timeout=shard_timeout,
-                         initializer=_sweep_warm_boot,
-                         initargs=(token, tuple(configs), cpu_config,
-                                   options))
+    shards = [Shard(key=(name, config.name),
+                    payload=(name, config, iterations, cpu_config, options))
+              for config in configs for name in kernels]
+    runner = ShardRunner(workers=workers, shard_timeout=shard_timeout)
     result = SweepResult()
-    for shard, outcome in zip(shards, runner.map(_sweep_chunk_worker,
-                                                 shards)):
-        config_name = shard.key[0]
-        names = shard.payload[2]
+    for outcome in runner.map(_sweep_point_worker, shards):
         if outcome.failed:
-            points = [SweepPoint(
-                kernel=name,
-                config_name=config_name,
-                accelerated=False,
-                speedup=1.0,
-                cycles=0.0,
-                reason=f"shard failed: {outcome.error}",
-            ) for name in names]
+            name, config_name = outcome.key
+            point = SweepPoint(kernel=name, config_name=config_name,
+                               accelerated=False, speedup=1.0, cycles=0.0,
+                               reason=f"shard failed: {outcome.error}")
         else:
-            points = outcome.value
-        for point in points:
-            result.points.append(point)
-            result.cache_stats = result.cache_stats + point.cache_stats
+            point = outcome.value
+        result.points.append(point)
+        result.cache_stats = result.cache_stats + point.cache_stats
     return result
 
 

@@ -90,11 +90,3 @@ class MemoryPorts:
         if not self.unlimited and free_times.size:
             pool = np.concatenate((self._free_at, free_times))
             self._free_at = np.sort(pool)[-len(self._free_at):].tolist()
-
-    def reset(self) -> None:
-        """Free all ports and clear statistics."""
-        if not self.unlimited:
-            self._free_at = [0.0] * int(self.num_ports)
-            heapq.heapify(self._free_at)
-        self.total_requests = 0
-        self.total_wait_cycles = 0.0

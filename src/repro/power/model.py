@@ -65,19 +65,6 @@ class EnergyBreakdown:
         return (self.compute_pj + self.memory_pj + self.network_pj
                 + self.control_pj + self.static_pj + self.config_pj)
 
-    def fractions(self) -> dict[str, float]:
-        total = self.total_pj
-        if total <= 0:
-            return {}
-        return {
-            "compute": self.compute_pj / total,
-            "memory": self.memory_pj / total,
-            "network": self.network_pj / total,
-            "control": self.control_pj / total,
-            "static": self.static_pj / total,
-            "config": self.config_pj / total,
-        }
-
     def merged(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
         return EnergyBreakdown(
             compute_pj=self.compute_pj + other.compute_pj,

@@ -48,7 +48,6 @@ from .metrics import (
 from .net import (
     MAX_LINE_BYTES,
     SELF_TEST_KERNELS,
-    request_once,
     response_to_json,
     run_self_test,
     serve,
@@ -80,7 +79,6 @@ __all__ = [
     "ServiceStats",
     "MAX_LINE_BYTES",
     "SELF_TEST_KERNELS",
-    "request_once",
     "response_to_json",
     "run_self_test",
     "serve",

@@ -121,14 +121,6 @@ class ServiceClient:
 
     # -- public API -----------------------------------------------------------
 
-    async def ping(self) -> bool:
-        try:
-            reply = await self._roundtrip({"op": "ping"})
-        except (ConnectionError, OSError, ValueError, asyncio.TimeoutError,
-                asyncio.IncompleteReadError):
-            return False
-        return reply.get("status") == "ok"
-
     async def stats(self) -> dict[str, Any] | None:
         try:
             return await self._roundtrip({"op": "stats"})

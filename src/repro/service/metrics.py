@@ -199,10 +199,6 @@ class ServiceStats:
     latency: Mapping[str, HistogramSnapshot] = field(default_factory=dict)
 
     @property
-    def rejected(self) -> int:
-        return self.rejected_queue_full + self.rejected_client_quota
-
-    @property
     def hit_rate(self) -> float:
         """Shared-cache hit rate over every lookup the pool ever made."""
         return self.cache.hit_rate

@@ -37,7 +37,7 @@ from .metrics import ServiceStats
 from .server import MesaService, OffloadRequest, OffloadResponse
 
 __all__ = ["MAX_LINE_BYTES", "response_to_json", "stats_to_json", "serve",
-           "request_once", "run_self_test", "SELF_TEST_KERNELS"]
+           "run_self_test", "SELF_TEST_KERNELS"]
 
 #: Largest accepted request frame.  A real request is a few hundred bytes;
 #: anything without a newline in 64 KiB is garbage or abuse, and bounding
@@ -210,25 +210,6 @@ async def serve(service: MesaService, host: str = "127.0.0.1",
         lambda r, w: _handle_connection(service, r, w, fault_plan,
                                         request_counter),
         host, port)
-
-
-async def request_once(host: str, port: int,
-                       payload: dict[str, Any]) -> dict[str, Any]:
-    """One request/response round trip (client helper; tests and tools)."""
-    reader, writer = await asyncio.open_connection(host, port)
-    try:
-        writer.write(json.dumps(payload).encode() + b"\n")
-        await writer.drain()
-        line = await reader.readline()
-        if not line:
-            raise ConnectionResetError("server closed before replying")
-        return json.loads(line)
-    finally:
-        writer.close()
-        try:
-            await writer.wait_closed()
-        except (ConnectionError, OSError):
-            pass
 
 
 #: Popular accelerating kernels used by the self-test's Zipfian mix (rank

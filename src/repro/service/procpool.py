@@ -150,10 +150,6 @@ class ControllerPool:
                 self._controllers[config_name] = controller
             return controller
 
-    def chips(self) -> list[str]:
-        with self._lock:
-            return list(self._controllers)
-
 
 class ChipTask:
     """The task function: runs an :class:`OffloadTask` on a chip's controller.

@@ -87,7 +87,7 @@ class TestConstruction:
         graph.add_node(0, 1)
         graph.add_node(1, 1, (0,))
         graph.add_node(2, 1, (0,))
-        assert graph.consumers(0) == [1, 2]
+        assert [dst for src, dst in graph.edges if src == 0] == [1, 2]
 
 
 class TestModel:

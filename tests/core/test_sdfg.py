@@ -45,8 +45,8 @@ class TestCounts:
 
     def test_position_lookup(self):
         sdfg = mapped(LOOP)
-        assert sdfg.position(0)[1] == -1
-        assert sdfg.position(1)[1] >= 0
+        assert sdfg.positions[0][1] == -1
+        assert sdfg.positions[1][1] >= 0
 
 
 class TestPerformanceModel:

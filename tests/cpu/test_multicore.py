@@ -49,7 +49,6 @@ class TestScaling:
         trace = compute_kernel_trace()
         result = MulticoreCpu(CpuConfig(num_cores=16)).run(trace, 1.0)
         assert result.speedup_vs_single <= 16
-        assert 0 < result.efficiency <= 1
 
     def test_serial_kernel_does_not_scale(self):
         trace = compute_kernel_trace()

@@ -3,10 +3,12 @@
 import os
 import tempfile
 import time
+from functools import partial
 
 import pytest
 
 from repro.harness import Shard, ShardOutcome, ShardRunner
+from repro.harness.parallel import RETRIES, PoolBroken, WorkerPool
 
 
 # -- worker functions (module-level: picklable into pool processes) -----------
@@ -110,32 +112,20 @@ class TestShardRunnerSerial:
         assert all(not o.failed and o.attempts == 1 for o in outcomes)
 
     def test_inline_exception_degrades_after_retries(self):
-        outcomes = ShardRunner(workers=1, retries=1).map(
+        outcomes = ShardRunner(workers=1).map(
             _always_raises, _shards(["x"]))
         assert outcomes[0].failed
-        assert outcomes[0].attempts == 2, "one retry consumed"
+        assert outcomes[0].attempts == 1 + RETRIES == 2, "one retry consumed"
         assert "ValueError" in outcomes[0].error
         assert "bad shard x" in outcomes[0].error
 
     def test_inline_retry_recovers(self, tmp_path):
         marker = str(tmp_path / "failed")
-        outcomes = ShardRunner(workers=1, retries=1).map(
+        outcomes = ShardRunner(workers=1).map(
             _fail_once, _shards([(5, marker)]))
         assert not outcomes[0].failed
         assert outcomes[0].value == 25
         assert outcomes[0].attempts == 2
-
-    def test_inline_runs_initializer_once(self):
-        global _BOOT_TOKEN
-        _BOOT_TOKEN = None
-        try:
-            outcomes = ShardRunner(
-                workers=1, initializer=_set_boot_token,
-                initargs=("inline-warm",)).map(_read_boot_token,
-                                               _shards([0, 1]))
-            assert [o.value for o in outcomes] == ["inline-warm"] * 2
-        finally:
-            _BOOT_TOKEN = None
 
     def test_empty_shards(self):
         assert ShardRunner(workers=1).map(_square, []) == []
@@ -144,8 +134,6 @@ class TestShardRunnerSerial:
     def test_invalid_arguments_rejected(self):
         with pytest.raises(ValueError):
             ShardRunner(workers=0)
-        with pytest.raises(ValueError):
-            ShardRunner(retries=-1)
 
     def test_outcome_failed_property(self):
         assert ShardOutcome(key=(0,), error="boom").failed
@@ -169,11 +157,12 @@ class TestShardRunnerPooled:
 
     def test_timeout_degrades_shard(self):
         shards = _shards([(1, 0.0), (2, 30.0), (3, 0.0)])
-        outcomes = ShardRunner(workers=2, shard_timeout=0.5,
-                               retries=0).map(_slow_square, shards)
+        outcomes = ShardRunner(workers=2, shard_timeout=0.5).map(
+            _slow_square, shards)
         assert outcomes[0].value == 1
         assert outcomes[1].failed
         assert "timed out" in outcomes[1].error
+        assert outcomes[1].attempts == 2, "the retry timed out too"
         assert outcomes[2].value == 9, \
             "shards after the timeout still complete"
 
@@ -184,22 +173,21 @@ class TestShardRunnerPooled:
             handle.write("ok")
         shards = [Shard(key=(0,), payload=(6, marker)),
                   Shard(key=(1,), payload=(3, satisfied))]
-        outcomes = ShardRunner(workers=2, retries=1).map(
-            _crash_once, shards)
+        outcomes = ShardRunner(workers=2).map(_crash_once, shards)
         assert not outcomes[0].failed
         assert outcomes[0].value == 36
         assert outcomes[0].attempts == 2, "recovered on the bounded retry"
         assert outcomes[1].value == 9
 
     def test_crash_exhausting_retries_degrades(self):
-        outcomes = ShardRunner(workers=2, retries=1).map(
+        outcomes = ShardRunner(workers=2).map(
             _always_crashes, _shards([7, 8]))
         assert all(o.failed for o in outcomes)
         assert all("crashed" in o.error for o in outcomes)
         assert all(o.attempts == 2 for o in outcomes)
 
     def test_worker_exception_keeps_pool_alive(self):
-        outcomes = ShardRunner(workers=2, retries=0).map(
+        outcomes = ShardRunner(workers=2).map(
             _always_raises, _shards(["a", "b", "c"]))
         assert all(o.failed for o in outcomes)
         assert [o.key for o in outcomes] == [(0,), (1,), (2,)]
@@ -211,7 +199,7 @@ class TestSingleShardPooled:
 
     def test_single_wedged_shard_times_out(self):
         start = time.monotonic()
-        outcomes = ShardRunner(workers=2, shard_timeout=0.5, retries=0).map(
+        outcomes = ShardRunner(workers=2, shard_timeout=0.5).map(
             _slow_square, [Shard(key=(0,), payload=(9, 60.0))])
         elapsed = time.monotonic() - start
         assert len(outcomes) == 1
@@ -235,7 +223,7 @@ class TestCrashBlame:
     def test_late_crasher_never_blames_earlier_healthy_shard(self):
         shards = [Shard(key=(0,), payload=("sleep", 5, 0.8)),
                   Shard(key=(1,), payload=("crash",))]
-        outcomes = ShardRunner(workers=2, retries=0).map(_behave, shards)
+        outcomes = ShardRunner(workers=2).map(_behave, shards)
         assert not outcomes[0].failed, \
             "the healthy shard must survive the sibling's crash"
         assert outcomes[0].value == 25
@@ -243,14 +231,14 @@ class TestCrashBlame:
             "the healthy shard is neither re-charged nor re-run"
         assert outcomes[1].failed
         assert "crashed" in outcomes[1].error
-        assert outcomes[1].attempts == 1
+        assert outcomes[1].attempts == 2, "the crasher pays both attempts"
 
     def test_crasher_retry_leaves_siblings_untouched(self, tmp_path):
         marker = str(tmp_path / "crashed")
         shards = [Shard(key=(0,), payload=("sleep", 4, 0.5)),
                   Shard(key=(1,), payload=("pid-crash-once", marker)),
                   Shard(key=(2,), payload=("sleep", 6, 0.1))]
-        outcomes = ShardRunner(workers=2, retries=1).map(_behave, shards)
+        outcomes = ShardRunner(workers=2).map(_behave, shards)
         assert outcomes[0].value == 16 and outcomes[0].attempts == 1
         assert not outcomes[1].failed and outcomes[1].attempts == 2
         assert outcomes[2].value == 36 and outcomes[2].attempts == 1
@@ -267,7 +255,7 @@ class TestWarmPool:
                   Shard(key=(3,), payload=("pid",)),
                   Shard(key=(4,), payload=("pid",)),
                   Shard(key=(5,), payload=("pid",))]
-        outcomes = ShardRunner(workers=2, retries=1).map(_behave, shards)
+        outcomes = ShardRunner(workers=2).map(_behave, shards)
         assert all(not o.failed for o in outcomes)
         pids = {o.value for o in outcomes}
         # 2 original workers + at most 1 replacement for the crashed one;
@@ -284,16 +272,19 @@ class TestWarmPool:
         assert len(pids) <= 2, "8 shards served by 2 persistent workers"
 
     def test_initializer_warms_every_worker(self):
-        outcomes = ShardRunner(
-            workers=2, initializer=_set_boot_token,
-            initargs=("pool-warm",)).map(_read_boot_token,
-                                         _shards([0, 1, 2, 3]))
-        assert [o.value for o in outcomes] == ["pool-warm"] * 4
+        pool = WorkerPool(2, _read_boot_token,
+                          initializer=partial(_set_boot_token, "pool-warm"))
+        pool.start()
+        try:
+            values = [pool.execute(i, affinity=i) for i in range(4)]
+        finally:
+            pool.close()
+        assert values == ["pool-warm"] * 4
 
     def test_crashing_initializer_raises_not_hangs(self):
-        with pytest.raises(RuntimeError, match="failed to boot"):
-            ShardRunner(workers=2, initializer=_boot_crash).map(
-                _square, _shards([1, 2, 3]))
+        pool = WorkerPool(2, _square, initializer=_boot_crash)
+        with pytest.raises(PoolBroken, match="failed to boot"):
+            pool.start()
 
 
 class TestDeadlineWatchdog:
@@ -301,10 +292,12 @@ class TestDeadlineWatchdog:
         """Deadlines anchor at shard *start*: a shard queued behind slow
         siblings must not be charged its wait in line."""
         shards = _shards([(2, 0.7), (3, 0.7), (4, 0.7)])
-        outcomes = ShardRunner(workers=2, shard_timeout=1.0,
-                               retries=0).map(_slow_square, shards)
+        outcomes = ShardRunner(workers=2, shard_timeout=1.0).map(
+            _slow_square, shards)
         assert [o.value for o in outcomes] == [4, 9, 16], \
             "the third shard starts ~0.7s in and still gets its full 1.0s"
+        assert all(o.attempts == 1 for o in outcomes), \
+            "no shard needed its retry"
 
     def test_deadline_kills_only_the_wedged_worker(self, tmp_path):
         """On timeout the pool is repaired, not rebuilt: shards on other
@@ -319,25 +312,15 @@ class TestDeadlineWatchdog:
                   Shard(key=(3,), payload=("count-sleep", 4, 0.3,
                                            directory))]
         start = time.monotonic()
-        outcomes = ShardRunner(workers=2, shard_timeout=1.2,
-                               retries=0).map(_behave, shards)
+        outcomes = ShardRunner(workers=2, shard_timeout=1.2).map(
+            _behave, shards)
         elapsed = time.monotonic() - start
         assert outcomes[0].failed and "timed out" in outcomes[0].error
+        assert outcomes[0].attempts == 2
         assert [o.value for o in outcomes[1:]] == [4, 9, 16]
         for value in (2, 3, 4):
             assert _executions(directory, value) == 1, \
                 "healthy shards run once — never re-run after pool repair"
-        assert all(o.attempts == 1 for o in outcomes), \
+        assert all(o.attempts == 1 for o in outcomes[1:]), \
             "pool repair does not charge attempts"
         assert elapsed < 15.0
-
-    def test_per_shard_timeout_override(self):
-        """``Shard.timeout`` overrides the runner default (chunked shards
-        scale their budget by chunk size through exactly this hook)."""
-        shards = [Shard(key=(0,), payload=("sleep", 3, 1.0), timeout=5.0),
-                  Shard(key=(1,), payload=("sleep", 4, 1.0))]
-        outcomes = ShardRunner(workers=2, shard_timeout=0.4,
-                               retries=0).map(_behave, shards)
-        assert outcomes[0].value == 9, "override grants the longer budget"
-        assert outcomes[1].failed
-        assert "timed out after 0.4s" in outcomes[1].error

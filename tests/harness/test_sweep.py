@@ -10,6 +10,7 @@ from repro.harness import (
     pe_count_configs,
     sweep_backends,
 )
+from repro.workloads import kernel_names
 
 
 @pytest.fixture(scope="module")
@@ -76,6 +77,14 @@ class TestSweep:
         text = sweep.render("tile_factor")
         assert "tile_factor" in text
 
+    def test_raising_point_degrades_alone(self):
+        result = sweep_backends(["nn", "no-such-kernel"], [M_64],
+                                iterations=32)
+        assert not result.point("nn", "M-64").degraded
+        bad = result.point("no-such-kernel", "M-64")
+        assert bad.degraded and "KeyError" in bad.reason
+        assert result.degraded_points() == [bad]
+
     def test_cache_stats_surfaced(self, sweep):
         total = CacheStats()
         for point in sweep.points:
@@ -93,24 +102,23 @@ class TestParallelSweep:
         assert pooled.cache_stats == sweep.cache_stats
         assert pooled.render("speedup") == sweep.render("speedup")
 
-    def test_chunked_dispatch_matches_serial(self, sweep):
-        # Every chunk geometry — single-point shards and multi-point
-        # chunks alike — must merge to the identical grid.
-        for chunk in (1, 2):
-            pooled = sweep_backends(["nn", "srad"], [M_64, M_128],
-                                    iterations=96, workers=2, chunk=chunk)
-            assert pooled.points == sweep.points, f"chunk={chunk}"
-            assert pooled.cache_stats == sweep.cache_stats, f"chunk={chunk}"
+    def test_workers_axis_identical_over_every_kernel(self):
+        # Every Rodinia kernel on two configs overflows the 8-entry config
+        # cache, so any state shared between points (evictions included)
+        # would make the output depend on which points share a worker.
+        def run(workers):
+            return sweep_backends(kernel_names(), [M_64, M_128],
+                                  iterations=64, workers=workers)
 
-    def test_serial_chunk_size_is_irrelevant(self, sweep):
-        resized = sweep_backends(["nn", "srad"], [M_64, M_128],
-                                 iterations=96, workers=1, chunk=1)
-        assert resized.points == sweep.points
-
-    def test_chunk_must_be_positive(self):
-        with pytest.raises(ValueError):
-            sweep_backends(["nn"], [M_64], iterations=96, workers=2,
-                           chunk=0)
+        serial = run(1)
+        assert len(serial.points) == 2 * len(kernel_names())
+        # workers=2 twice: two pooled runs must agree with each other too.
+        for workers in (2, 4, 2):
+            pooled = run(workers)
+            assert pooled.points == serial.points, f"workers={workers}"
+            assert pooled.cache_stats == serial.cache_stats, \
+                f"workers={workers}"
+            assert pooled.render("speedup") == serial.render("speedup")
 
 
 class TestDegradedRendering:

@@ -42,13 +42,6 @@ class TestArbitration:
         assert ports.total_requests == 3
         assert ports.total_wait_cycles == pytest.approx(3.0)
 
-    def test_reset(self):
-        ports = MemoryPorts(num_ports=1)
-        ports.request(0)
-        ports.reset()
-        assert ports.request(0) == 0
-        assert ports.total_requests == 1
-
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             MemoryPorts(num_ports=0)

@@ -100,10 +100,6 @@ class TestServiceStats:
         assert delta.histogram("execute").count == 1
         assert delta.histogram("absent").count == 0
 
-    def test_rejected_totals(self):
-        stats = ServiceStats(rejected_queue_full=2, rejected_client_quota=3)
-        assert stats.rejected == 5
-
     def test_throughput_zero_uptime(self):
         assert ServiceStats().throughput == 0.0
 

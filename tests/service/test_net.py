@@ -12,11 +12,28 @@ from repro.service import (
     MesaService,
     OffloadResponse,
     ServiceStats,
-    request_once,
     response_to_json,
     serve,
     stats_to_json,
 )
+
+
+async def request_once(host, port, payload):
+    """One request/response round trip over a fresh connection."""
+    reader, writer = await asyncio.open_connection(host, port)
+    try:
+        writer.write(json.dumps(payload).encode() + b"\n")
+        await writer.drain()
+        line = await reader.readline()
+        if not line:
+            raise ConnectionResetError("server closed before replying")
+        return json.loads(line)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionError, OSError):
+            pass
 
 
 class InstantController:

@@ -9,7 +9,7 @@ from functools import partial
 
 import pytest
 
-from repro.harness import Shard, ShardRunner
+from repro.harness import Shard, ShardRunner, parallel
 from repro.service import (
     CircuitBreaker,
     ControllerPool,
@@ -29,18 +29,12 @@ from repro.workloads import (
     kernel_names,
 )
 
-_BOOT_TOKEN = None
 #: Set only in the test process; a forked worker would inherit it.
 _PARENT_MARK = None
 
 
-def _set_boot_token(value):
-    global _BOOT_TOKEN
-    _BOOT_TOKEN = value
-
-
 def _read_process_state(payload):
-    return _BOOT_TOKEN, _PARENT_MARK
+    return _PARENT_MARK, "repro.core" in sys.modules
 
 
 def cpu_payload(kernel="nn", iterations=24, **extra):
@@ -339,16 +333,14 @@ class TestSpawnStartMethod:
         from repro.core import MesaController
         from repro.workloads import build_kernel
 
-        monkeypatch.setenv("REPRO_MP_START_METHOD", "spawn")
+        monkeypatch.setattr(parallel, "_START_METHOD", "spawn")
         monkeypatch.setattr(sys.modules[__name__], "_PARENT_MARK", "parent")
 
-        outcomes = ShardRunner(
-            workers=2, initializer=_set_boot_token,
-            initargs=("spawn-warm",)).map(
-                _read_process_state,
-                [Shard(key=(i,), payload=i) for i in range(3)])
-        assert [o.value for o in outcomes] == [("spawn-warm", None)] * 3, \
-            "workers start from a fresh import, warmed by the initializer"
+        outcomes = ShardRunner(workers=2).map(
+            _read_process_state,
+            [Shard(key=(i,), payload=i) for i in range(3)])
+        assert [o.value for o in outcomes] == [(None, True)] * 3, \
+            "workers start from a fresh import that loads the simulator stack"
 
         kernel = build_kernel("nn", iterations=64)
         controller = MesaController(mesa_config("M-128"))

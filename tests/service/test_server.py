@@ -16,12 +16,13 @@ from repro.service import (
     WorkerCrash,
     WorkerTaskError,
     WorkerTimeout,
-    request_once,
     run_self_test,
     serve,
 )
 from repro.service import server as server_module
 from repro.workloads import build_kernel
+
+from .test_net import request_once
 
 
 def kernel_request(name="nn", iterations=96, client="local",
@@ -287,7 +288,7 @@ class TestExecution:
             await service.start()
             await service.offload(kernel_request(config="M-128"))
             await service.offload(kernel_request(config="M-64"))
-            chips = sorted(service.pool.chips())
+            chips = sorted(service.pool._controllers)
             stats = service.stats()
             await service.close()
             return chips, stats

@@ -1,14 +1,15 @@
 """Every public function and method under ``src/repro`` has a caller.
 
-A definition counts as used when its name appears as a word somewhere in
-``src/`` other than in its own definitions, or anywhere in ``examples/``
-or ``benchmarks/``.  A helper that only tests read stays only as an entry
-of :data:`ORACLES`, with the reason the tests need it.
+A definition counts as used when code in ``src/``, ``examples/`` or
+``benchmarks/`` references its name: a ``Name``, an ``Attribute`` or an
+imported alias.  Docstrings, comments and other strings do not count, nor
+do the re-exports of a package ``__init__``.  A helper that only tests
+read stays only as an entry of :data:`ORACLES`, with the reason the tests
+need it.
 """
 
 import ast
 import functools
-import re
 from collections import Counter
 from pathlib import Path
 
@@ -25,14 +26,37 @@ ORACLES = {
     "Memory.footprint":
         "oracle for bytes written: scatter and kernel staging tests count "
         "them",
+    "Cache.probe":
+        "residency oracle: cache tests check a line is resident without "
+        "touching LRU order or counters",
+    "PEGrid.free_neighbourhood":
+        "scalar oracle of free_neighbourhood_matrix: grid tests pin the "
+        "paper's tie-breaker one PE at a time",
+    "Program.listing":
+        "disassembly oracle: assembler tests check label and address "
+        "placement through the readable listing",
+    "MulticoreResult.speedup_vs_single":
+        "scaling oracle: multicore tests bound the analytic model's speedup "
+        "by core count and parallel fraction",
+    "LoadStoreQueue.commit":
+        "retirement oracle: LSQ tests pin in-order, resolved-only "
+        "retirement; the engine drops its per-iteration queue instead",
 }
 
 
-def _word_counts(*dirs):
+def _references(*dirs):
+    """How often code under ``dirs`` references each name."""
     counts = Counter()
-    for name in dirs:
-        for path in (ROOT / name).rglob("*.py"):
-            counts.update(re.findall(r"\w+", path.read_text()))
+    for directory in dirs:
+        for path in (ROOT / directory).rglob("*.py"):
+            reexports = path.name == "__init__.py"
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Name):
+                    counts[node.id] += 1
+                elif isinstance(node, ast.Attribute):
+                    counts[node.attr] += 1
+                elif isinstance(node, ast.alias) and not reexports:
+                    counts[node.name.rpartition(".")[2]] += 1
     return counts
 
 
@@ -54,13 +78,10 @@ def _public_definitions():
 
 @functools.cache
 def _unused():
-    definitions = list(_public_definitions())
-    defined = Counter(name for _, name, _ in definitions)
-    in_src = _word_counts("src")
-    elsewhere = _word_counts("examples", "benchmarks")
+    references = _references("src", "examples", "benchmarks")
     return {qualified: location
-            for qualified, name, location in definitions
-            if in_src[name] <= defined[name] and not elsewhere[name]}
+            for qualified, name, location in _public_definitions()
+            if not references[name]}
 
 
 def test_every_public_definition_has_a_caller():
