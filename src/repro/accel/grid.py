@@ -83,11 +83,6 @@ class PEGrid:
         self.placement[row, col] = node_id
         self.free[row, col] = False
 
-    def clear(self) -> None:
-        """Reset to the all-nop state."""
-        self.placement.fill(-1)
-        self.free.fill(True)
-
     def free_neighbourhood(self, coord: Coord, radius: int = 1) -> int:
         """Number of free PEs within a Chebyshev radius (the paper's
         tie-breaker: "prioritize positions with more free entries in its

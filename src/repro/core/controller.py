@@ -35,7 +35,6 @@ import cProfile
 import hashlib
 import math
 import struct
-import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -56,23 +55,17 @@ from .configure import (
     CacheStats,
     CachedConfiguration,
     ConfigCache,
-    ConfigTimingModel,
     ConfigurationCost,
     build_program,
     configuration_cost,
 )
 from .ldfg import LdfgError, build_ldfg
 from .loopopt import LoopPlan, plan_loop_optimizations
-from .mapping import (
-    InstructionMapper,
-    MappingError,
-    MappingOptions,
-    MappingStats,
-)
+from .mapping import InstructionMapper, MappingError, MappingStats
 from .memopt import MemoptReport, apply_memory_optimizations
 from .offload import OffloadCostModel
 from .optimizer import IterativeOptimizer
-from .region import CodeRegionDetector, RegionCriteria, RegionDecision
+from .region import CodeRegionDetector, RegionDecision
 from .sdfg import Sdfg
 from .trace_cache import TraceCache
 
@@ -82,6 +75,13 @@ __all__ = ["MesaOptions", "CycleBreakdown", "AcceleratedRegion",
 
 #: Functional-execution safety bound of a controller's CPU runs.
 MAX_STEPS = 4_000_000
+#: Iterations the LSD needs before a loop is considered hot.
+DETECTION_ITERATIONS = 4
+#: Iterations per profiling window in iterative mode.
+PROFILE_ITERATIONS = 16
+
+#: The CPU <-> fabric control-transfer protocol's cycle costs (§5.1).
+_OFFLOAD = OffloadCostModel()
 
 
 def region_digest(program: Program, start_address: int,
@@ -107,26 +107,19 @@ def region_digest(program: Program, start_address: int,
 
 @dataclass(frozen=True)
 class MesaOptions:
-    """Feature switches and policy knobs for one controller instance."""
+    """Feature switches and policy knobs for one controller instance.
 
+    The mapper, region criteria, offload protocol and configuration timing
+    are fixed properties of the modelled microarchitecture: the controller
+    always uses their classes' defaults.
+    """
+
+    #: §4.2 memory optimizations (store→load forwarding) before mapping.
     memopt: bool = True
+    #: §4.3 spatial tiling of ``parallelizable`` loops.
     tiling: bool = True
-    pipelining: bool = True
-    #: Out-of-order load issue with invalidation replay (§4.2).
-    speculative_loads: bool = True
     #: Extra profile→remap rounds after the initial configuration.
     iterative_rounds: int = 0
-    mapping: MappingOptions = field(default_factory=MappingOptions)
-    criteria: RegionCriteria = field(default_factory=RegionCriteria)
-    offload: OffloadCostModel = field(default_factory=OffloadCostModel)
-    config_timing: ConfigTimingModel = field(default_factory=ConfigTimingModel)
-    #: Iterations the LSD needs before a loop is considered hot.
-    detection_iterations: int = 4
-    #: Iterations per profiling window in iterative mode.
-    profile_iterations: int = 16
-    #: Consult the configuration cache before translating (§4.3).  Disable
-    #: to model a cache-less controller (the per-thread-chip baseline).
-    enable_config_cache: bool = True
     #: Configuration-cache entries the chip retains.
     cache_capacity: int = 8
     #: Cache eviction policy: "fifo" (hardware default) or "lru" (a hit
@@ -269,6 +262,45 @@ class TranslationResult:
     mapper_stats: MappingStats
 
 
+class _Call:
+    """One :meth:`MesaController.execute` call's own record.
+
+    ``execute`` creates it and passes it down to every helper, so the cache
+    tally and the phase seconds belong to exactly one call: concurrent
+    calls on one controller (as :class:`~repro.core.system.MesaSystem` and
+    the offload service make) keep complete, disjoint timings.
+    """
+
+    def __init__(self, profiles: dict[str, cProfile.Profile] | None) -> None:
+        self.cache = {"hits": 0, "misses": 0, "evictions": 0,
+                      "insertions": 0}
+        self.phase_seconds: dict[str, float] = {}
+        #: The controller's per-phase cProfile accumulators, or None when
+        #: it is not profiling.
+        self.profiles = profiles
+
+    @contextmanager
+    def phase(self, name: str) -> Iterator[None]:
+        """Attribute the enclosed work to one pipeline phase.
+
+        Phases are flat (never nested) so a single cProfile.Profile per
+        phase can be enabled/disabled around the section.
+        """
+        profiler = None
+        if self.profiles is not None:
+            profiler = self.profiles.setdefault(name, cProfile.Profile())
+            profiler.enable()
+        start = time.perf_counter()
+        try:
+            yield
+        finally:
+            elapsed = time.perf_counter() - start
+            if profiler is not None:
+                profiler.disable()
+            self.phase_seconds[name] = (self.phase_seconds.get(name, 0.0)
+                                        + elapsed)
+
+
 class MesaController:
     """Drives the full MESA pipeline over one program.
 
@@ -295,52 +327,17 @@ class MesaController:
         self.profile_phases = False
         #: Accumulated cProfile data per phase, when enabled.
         self.phase_profiles: dict[str, cProfile.Profile] = {}
-        #: Per-thread phase-timing accumulator.  One controller serves the
-        #: whole chip, so concurrent ``execute`` calls (each confined to its
-        #: own thread) must not interleave writes into a shared dict — the
-        #: thread-local keeps every execute's ``phase_seconds`` complete and
-        #: disjoint.
-        self._phase_state = threading.local()
 
-    def _phase_seconds_for_thread(self) -> dict[str, float]:
-        """The calling thread's phase accumulator (created on first use)."""
-        seconds = getattr(self._phase_state, "seconds", None)
-        if seconds is None:
-            seconds = {}
-            self._phase_state.seconds = seconds
-        return seconds
-
-    @contextmanager
-    def _phase(self, name: str) -> Iterator[None]:
-        """Attribute the enclosed work to one pipeline phase.
-
-        Phases are flat (never nested) so a single cProfile.Profile per
-        phase can be enabled/disabled around the section; wall seconds
-        always accumulate into the calling thread's current execute's
-        ``phase_seconds``.
-        """
-        profiler = None
-        if self.profile_phases:
-            profiler = self.phase_profiles.setdefault(name, cProfile.Profile())
-            profiler.enable()
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - start
-            if profiler is not None:
-                profiler.disable()
-            seconds = self._phase_seconds_for_thread()
-            seconds[name] = seconds.get(name, 0.0) + elapsed
+    def _call(self) -> _Call:
+        return _Call(self.phase_profiles if self.profile_phases else None)
 
     # -- top level ------------------------------------------------------------
 
     def execute(self, program: Program,
                 state_factory: Callable[[], MachineState],
                 parallelizable: bool = False,
-                max_steps: int = MAX_STEPS,
-                trace: Trace | None = None,
-                cpu_only: CoreResult | None = None) -> MesaResult:
+                baseline: tuple[Trace, CoreResult] | None = None
+                ) -> MesaResult:
         """Run a program on the MESA-enabled system.
 
         Args:
@@ -350,41 +347,42 @@ class MesaController:
                 reference trace, profiling windows, and the measured run.
             parallelizable: the hot loop carries an OpenMP-style annotation
                 (enables tiling/pipelining, §4.3).
-            max_steps: functional-execution safety bound.
-            trace, cpu_only: the program's CPU baseline, as
-                :meth:`cpu_baseline` computes it — pass both or neither.
-                Both are deterministic for a given program, initial state
-                and ``cpu_config``, so a caller running several backends
-                over one binary (the benchmark harness), or serving the
-                same request again (the offload service), computes them
-                once and shares them; omitted, the controller computes its
-                own.  A shared trace is never mutated, and a CPU-only
-                result's ``final_state`` is a copy of its final state.
+            baseline: the program's CPU baseline ``(trace, cpu_only)``, as
+                :meth:`cpu_baseline` returns it.  It is deterministic for
+                a given program, initial state and ``cpu_config``, so a
+                caller running several backends over one binary (the
+                benchmark harness), or serving the same request again (the
+                offload service), computes it once and shares it; omitted,
+                the controller computes its own.  A shared trace is never
+                mutated, and a CPU-only result's ``final_state`` is a copy
+                of its final state.
         """
-        if (trace is None) != (cpu_only is None):
-            raise ValueError("pass trace and cpu_only together")
-        tally = {"hits": 0, "misses": 0, "evictions": 0, "insertions": 0}
-        self._phase_state.seconds = {}
-        result = self._run(program, state_factory, parallelizable, max_steps,
-                           tally, trace, cpu_only)
-        result.cache_stats = CacheStats(**tally)
-        result.config_cache_hit = tally["hits"] > 0
-        result.phase_seconds = dict(self._phase_seconds_for_thread())
+        call = self._call()
+        result = self._run(program, state_factory, parallelizable, call,
+                           baseline)
+        result.cache_stats = CacheStats(**call.cache)
+        result.config_cache_hit = call.cache["hits"] > 0
+        result.phase_seconds = call.phase_seconds
         return result
 
     def cpu_baseline(self, program: Program,
-                     state_factory: Callable[[], MachineState],
-                     max_steps: int = MAX_STEPS) -> tuple[Trace, CoreResult]:
+                     state_factory: Callable[[], MachineState]
+                     ) -> tuple[Trace, CoreResult]:
         """The program's CPU baseline: its dynamic trace from a fresh
         ``state_factory()`` state, and the core model's result over it.
 
-        This is what :meth:`execute` computes when it is not handed them,
+        This is what :meth:`execute` computes when it is not handed one,
         timed as its ``trace`` and ``cpu-model`` phases.
         """
-        with self._phase("trace"):
+        return self._cpu_baseline(program, state_factory, self._call())
+
+    def _cpu_baseline(self, program: Program,
+                      state_factory: Callable[[], MachineState],
+                      call: _Call) -> tuple[Trace, CoreResult]:
+        with call.phase("trace"):
             trace = collect_trace(program, state_factory(),
-                                  max_steps=max_steps)
-        with self._phase("cpu-model"):
+                                  max_steps=MAX_STEPS)
+        with call.phase("cpu-model"):
             cpu_only = OutOfOrderCore(
                 self.cpu_config,
                 MemoryHierarchy(self.cpu_config.memory)).run(trace)
@@ -392,16 +390,14 @@ class MesaController:
 
     def _run(self, program: Program,
              state_factory: Callable[[], MachineState],
-             parallelizable: bool, max_steps: int,
-             tally: dict[str, int],
-             trace: Trace | None = None,
-             cpu_only: CoreResult | None = None) -> MesaResult:
-        if trace is None:
-            trace, cpu_only = self.cpu_baseline(program, state_factory,
-                                                max_steps)
+             parallelizable: bool, call: _Call,
+             baseline: tuple[Trace, CoreResult] | None) -> MesaResult:
+        if baseline is None:
+            baseline = self._cpu_baseline(program, state_factory, call)
+        trace, cpu_only = baseline
 
-        detector = CodeRegionDetector(self.config, self.options.criteria)
-        with self._phase("detect"):
+        detector = CodeRegionDetector(self.config)
+        with call.phase("detect"):
             decisions = detector.detect(trace, program)
         accepted = [d for d in decisions if d.accepted]
         if not accepted:
@@ -420,18 +416,16 @@ class MesaController:
             loop = decision.loop
             digest = region_digest(program, loop.start_address,
                                    loop.end_address)
-            cached: CachedConfiguration | None = None
-            if self.options.enable_config_cache:
-                cached = self.config_cache.lookup(
-                    loop.start_address, loop.end_address, self.config.name,
-                    digest)
-                tally["hits" if cached is not None else "misses"] += 1
+            cached = self.config_cache.lookup(
+                loop.start_address, loop.end_address, self.config.name,
+                digest)
+            call.cache["hits" if cached is not None else "misses"] += 1
             if cached is not None:
                 # Warm path: skip T1–T3, pay only the bitstream load.
                 regions.append(self._region_from_cache(
                     decision, digest, cached, parallelizable, trace, cpi))
                 continue
-            translated = self._translate(decision, trace, program)
+            translated = self._translate(decision, trace, program, call)
             if isinstance(translated, str):
                 failure_reasons.append(translated)
                 continue
@@ -439,22 +433,22 @@ class MesaController:
             if not regions and self.options.iterative_rounds > 0:
                 # Iterative re-optimization (F3) on the primary region.
                 optimizer = IterativeOptimizer(
-                    self.config, self.options.mapping, self.interconnect)
-                with self._phase("optimize"):
+                    self.config, interconnect=self.interconnect)
+                with call.phase("optimize"):
                     sdfg = optimizer.optimize(
                         sdfg.ldfg, sdfg,
                         state_factory=lambda d=decision:
                             self._state_at_loop_entry(
-                                program, d, state_factory(), max_steps),
+                                program, d, state_factory()),
                         hierarchy=MemoryHierarchy(self.cpu_config.memory),
                         rounds=self.options.iterative_rounds,
-                        profile_iterations=self.options.profile_iterations,
+                        profile_iterations=PROFILE_ITERATIONS,
                     )
                 optimizer_history = optimizer.history
-            with self._phase("configure"):
+            with call.phase("configure"):
                 region = self._configure_region(
                     decision, translated, sdfg, parallelizable, trace, cpi,
-                    digest, tally)
+                    digest, call)
             if isinstance(region, str):
                 failure_reasons.append(region)
                 continue
@@ -468,14 +462,14 @@ class MesaController:
                 "; ".join(unique_reasons) or "no region survived translation",
                 trace, cpu_only, accepted[0])
 
-        with self._phase("execute"):
+        with call.phase("execute"):
             return self._execute_with_offload(
                 program, state_factory, regions, trace, cpu_only,
-                accel_hierarchy, optimizer_history, max_steps)
+                accel_hierarchy, optimizer_history)
 
     def _configure_region(self, decision, translated: TranslationResult,
                           sdfg, parallelizable, trace, cpi, digest,
-                          tally) -> AcceleratedRegion | str:
+                          call: _Call) -> AcceleratedRegion | str:
         """T3 + loop planning + warm-up estimate for one accepted region.
 
         Returns the failure reason as a string when the configuration
@@ -488,21 +482,17 @@ class MesaController:
             bitstream = encode_bitstream(accel_program)
         except EncodingError as exc:
             return f"configuration failed: {exc}"
-        window_cells = (self.options.mapping.window[0]
-                        * self.options.mapping.window[1])
         cost = configuration_cost(
             sdfg, len(bitstream),
             mapper_stats=translated.mapper_stats,
             stall_fills=translated.trace_cache.stall_fills,
-            timing=self.options.config_timing,
-            window_cells=window_cells,
         )
         outcome = self.config_cache.put(
             decision.loop.start_address, decision.loop.end_address,
             self.config.name, digest,
             CachedConfiguration(accel_program, bitstream, cost))
-        tally["insertions"] += 1
-        tally["evictions"] += outcome.evicted
+        call.cache["insertions"] += 1
+        call.cache["evictions"] += outcome.evicted
         return AcceleratedRegion(
             decision=decision,
             digest=digest,
@@ -547,7 +537,6 @@ class MesaController:
             program, parallelizable,
             expected_iterations=decision.loop.expected_trip_count,
             enable_tiling=self.options.tiling,
-            enable_pipelining=self.options.pipelining,
         )
 
     def _warmup_iterations(self, decision, trace, cpi,
@@ -557,19 +546,19 @@ class MesaController:
         loop_entries = trace.executions(loop.start_address, loop.end_address)
         iterations = max(1, loop.total_iterations)
         cycles_per_iteration = max(1.0, loop_entries / iterations * cpi)
-        return self.options.detection_iterations + math.ceil(
+        return DETECTION_ITERATIONS + math.ceil(
             cost.total / cycles_per_iteration)
 
     # -- translation (T1 + §4.2 optimizations + T2) -----------------------------
 
     def _translate(self, decision: RegionDecision, trace: Trace,
-                   program: Program) -> TranslationResult | str:
+                   program: Program, call: _Call) -> TranslationResult | str:
         """Trace cache capture, LDFG build, memopt, and spatial mapping.
 
         Returns a :class:`TranslationResult` on success, or the failure
         reason as a string when the region cannot be translated or mapped.
         """
-        with self._phase("translate"):
+        with call.phase("translate"):
             trace_cache = TraceCache(self.config.max_instructions)
             trace_cache.set_region(decision.loop.start_address,
                                    decision.loop.end_address)
@@ -589,9 +578,8 @@ class MesaController:
             if self.options.memopt:
                 memopt_report = apply_memory_optimizations(
                     ldfg, xlen=self.config.xlen)
-        mapper = InstructionMapper(self.config, self.interconnect,
-                                   self.options.mapping)
-        with self._phase("map"):
+        mapper = InstructionMapper(self.config, self.interconnect)
+        with call.phase("map"):
             try:
                 sdfg = mapper.map(ldfg)
             except MappingError as exc:
@@ -604,11 +592,9 @@ class MesaController:
 
     def _execute_with_offload(self, program, state_factory,
                               regions: list[AcceleratedRegion], trace,
-                              cpu_only, accel_hierarchy, optimizer_history,
-                              max_steps):
+                              cpu_only, accel_hierarchy, optimizer_history):
         """Measured run: step the CPU, offloading at every configured
         region's entry PC once its configuration has warmed up."""
-        options = self.options
         cpi = cpu_only.cycles / max(1, len(trace))
 
         state = state_factory()
@@ -626,7 +612,7 @@ class MesaController:
 
         # The executor stops at every region entry; each stop either
         # offloads the region or steps past its entry on the CPU.
-        stepped = executor.run(max_steps, stop_pcs=by_entry)
+        stepped = executor.run(MAX_STEPS, stop_pcs=by_entry)
         while state.pc in by_entry:
             entry = state.pc
             region = by_entry[entry]
@@ -637,21 +623,20 @@ class MesaController:
                 region.offloads += 1
                 configured.add(entry)
                 accel_program = region.accel_program
-                breakdown.offload_cycles += options.offload.offload_cycles(
+                breakdown.offload_cycles += _OFFLOAD.offload_cycles(
                     len(accel_program.live_in))
                 run = engines[entry].run(
-                    state, region.plan.to_execution_options(
-                        speculative_loads=options.speculative_loads))
+                    state, region.plan.to_execution_options())
                 region.runs.append(run)
                 breakdown.accel_cycles += run.cycles
-                breakdown.return_cycles += options.offload.return_cycles(
+                breakdown.return_cycles += _OFFLOAD.return_cycles(
                     len(accel_program.live_out))
                 state.pc = region.loop.end_address + 4
                 visits[entry] = 0
             else:
                 executor.step()
                 stepped += 1
-            stepped += executor.run(max_steps - stepped, stop_pcs=by_entry)
+            stepped += executor.run(MAX_STEPS - stepped, stop_pcs=by_entry)
         breakdown.cpu_cycles = stepped * cpi
 
         # The primary region is the hottest one that actually ran.
@@ -690,10 +675,10 @@ class MesaController:
     # -- helpers ---------------------------------------------------------------
 
     def _state_at_loop_entry(self, program: Program, decision: RegionDecision,
-                             state: MachineState, max_steps: int) -> MachineState:
+                             state: MachineState) -> MachineState:
         """Functionally advance a fresh state to the loop's entry point."""
         Executor(program, state).run(
-            max_steps, stop_pcs=(decision.loop.start_address,))
+            MAX_STEPS, stop_pcs=(decision.loop.start_address,))
         return state
 
     def _cpu_only_result(self, reason: str, trace: Trace,

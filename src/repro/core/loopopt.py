@@ -22,6 +22,9 @@ from .sdfg import Sdfg
 
 __all__ = ["LoopPlan", "plan_loop_optimizations"]
 
+#: Upper bound on duplicated SDFG instances.
+MAX_TILE = 64
+
 
 @dataclass(frozen=True)
 class LoopPlan:
@@ -46,9 +49,7 @@ def _floor_power_of_two(value: int) -> int:
 def plan_loop_optimizations(mapped: Sdfg | AcceleratorProgram,
                             parallelizable: bool,
                             expected_iterations: float | None = None,
-                            enable_tiling: bool = True,
-                            enable_pipelining: bool = True,
-                            max_tile: int = 64) -> LoopPlan:
+                            enable_tiling: bool = True) -> LoopPlan:
     """Decide tiling and pipelining for a mapped loop.
 
     Args:
@@ -58,29 +59,27 @@ def plan_loop_optimizations(mapped: Sdfg | AcceleratorProgram,
             annotation (no inter-iteration dependencies beyond induction).
         expected_iterations: trip-count estimate; tiling beyond the trip
             count wastes PEs.
-        enable_tiling / enable_pipelining: ablation switches.
-        max_tile: upper bound on duplicated instances.
+        enable_tiling: ablation switch.
     """
     # Pipelining is the fabric's natural dataflow overlap: successive
     # iterations launch as soon as their loop-carried inputs arrive, which
-    # is always dependence-safe.  Only *tiling* (duplicating the SDFG over
-    # disjoint iterations) requires the explicit parallel annotation.
-    pipelined = enable_pipelining
+    # is always dependence-safe, so every plan pipelines.  Only *tiling*
+    # (duplicating the SDFG over disjoint iterations) requires the
+    # explicit parallel annotation.
     if not parallelizable:
-        return LoopPlan(pipelined, 1,
-                        "loop not annotated parallel; no tiling")
+        return LoopPlan(True, 1, "loop not annotated parallel; no tiling")
     if not enable_tiling:
-        return LoopPlan(pipelined, 1, "tiling disabled")
+        return LoopPlan(True, 1, "tiling disabled")
 
     pe_nodes = max(1, mapped.pe_count)
     lsu_nodes = mapped.lsu_count
     by_pes = mapped.config.num_pes // pe_nodes
     by_lsu = (mapped.config.lsu_entries // lsu_nodes if lsu_nodes
-              else max_tile)
-    limit = max(1, min(by_pes, by_lsu, max_tile))
+              else MAX_TILE)
+    limit = max(1, min(by_pes, by_lsu, MAX_TILE))
     if expected_iterations is not None:
         limit = max(1, min(limit, int(expected_iterations) or 1))
     tile = _floor_power_of_two(limit)
     reason = (f"tile x{tile} (PE capacity {by_pes}, LSU capacity {by_lsu})"
               if tile > 1 else "no room to tile")
-    return LoopPlan(pipelined, tile, reason)
+    return LoopPlan(True, tile, reason)

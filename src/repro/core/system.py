@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 from ..accel import AcceleratorConfig
-from ..cpu import CpuConfig
 from ..isa import MachineState, Program
 from .configure import CacheStats
-from .controller import MesaController, MesaOptions, MesaResult
+from .controller import MesaController, MesaResult
 
 __all__ = ["SchedulingPolicy", "ThreadSpec", "ThreadOutcome", "SystemRun",
            "MesaSystem"]
@@ -120,20 +119,11 @@ class MesaSystem:
     """
 
     def __init__(self, config: AcceleratorConfig,
-                 cpu_config: CpuConfig | None = None,
-                 options: MesaOptions | None = None,
-                 policy: SchedulingPolicy = SchedulingPolicy.FIFO,
-                 controller: MesaController | None = None) -> None:
+                 policy: SchedulingPolicy = SchedulingPolicy.FIFO) -> None:
         self.config = config
-        self.cpu_config = cpu_config
-        self.options = options
         self.policy = policy
         #: The chip's single MESA controller (shared configuration cache).
-        #: Passing ``controller`` shares an existing chip — e.g. one of the
-        #: offload service's pooled controllers (:mod:`repro.service`) —
-        #: so system runs and service requests hit the same cache.
-        self.controller = (controller if controller is not None
-                           else MesaController(config, cpu_config, options))
+        self.controller = MesaController(config)
 
     def run(self, threads: list[ThreadSpec]) -> SystemRun:
         """Schedule the thread set; returns the shared timeline.

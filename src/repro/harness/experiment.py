@@ -17,7 +17,7 @@ be formed uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any
 
 from ..accel import AcceleratorConfig, M_128
@@ -29,6 +29,7 @@ from ..baselines import (
     OpenCgraScheduler,
 )
 from ..core import LdfgError, MesaController, MesaOptions, build_ldfg
+from ..core.controller import MAX_STEPS
 from ..cpu import (
     CoreResult,
     CpuConfig,
@@ -59,11 +60,10 @@ class SystemResult:
 class ExperimentRunner:
     """Builds kernels and runs them on the modeled systems."""
 
-    def __init__(self, iterations: int = 256, seed: int = 1,
-                 cpu_config: CpuConfig | None = None) -> None:
+    def __init__(self, iterations: int = 256, seed: int = 1) -> None:
         self.iterations = iterations
         self.seed = seed
-        self.cpu_config = cpu_config if cpu_config is not None else CpuConfig()
+        self.cpu_config = CpuConfig()
         self._kernel_cache: dict[str, KernelInstance] = {}
         self._trace_cache: dict[str, Trace] = {}
         self._core_cache: dict[str, tuple[CoreResult, MemoryHierarchy]] = {}
@@ -84,7 +84,7 @@ class ExperimentRunner:
         if name not in self._trace_cache:
             kernel = self.kernel(name)
             self._trace_cache[name] = collect_trace(
-                kernel.program, kernel.fresh_state(), max_steps=4_000_000)
+                kernel.program, kernel.fresh_state(), max_steps=MAX_STEPS)
         return self._trace_cache[name]
 
     def _core_run(self, name: str) -> tuple[CoreResult, MemoryHierarchy]:
@@ -100,19 +100,16 @@ class ExperimentRunner:
 
     def mesa(self, kernel_name: str,
              config: AcceleratorConfig = M_128,
-             options: MesaOptions | None = None,
-             parallel_override: bool | None = None) -> SystemResult:
+             options: MesaOptions | None = None) -> SystemResult:
         """Run the full MESA pipeline; falls back to CPU timing when the
         kernel does not qualify (exactly as the real system would)."""
         kernel = self.kernel(kernel_name)
         controller = MesaController(config, self.cpu_config, options)
-        parallel = (kernel.parallelizable if parallel_override is None
-                    else parallel_override)
         cpu_only, _ = self._core_run(kernel_name)
-        result = controller.execute(kernel.program, kernel.state_factory,
-                                    parallelizable=parallel,
-                                    trace=self.trace(kernel_name),
-                                    cpu_only=cpu_only)
+        result = controller.execute(
+            kernel.program, kernel.state_factory,
+            parallelizable=kernel.parallelizable,
+            baseline=(self.trace(kernel_name), cpu_only))
         energy, accel_breakdown = self._mesa_energy(result, config)
         return SystemResult(
             kernel=kernel_name,
@@ -167,12 +164,9 @@ class ExperimentRunner:
         config = CpuConfig(name=f"multicore-{cores}", num_cores=cores)
         parallel_fraction = 1.0 if kernel.parallelizable else 0.0
         model = MulticoreCpu(config)
-        # name/num_cores do not enter the single-core timing model, so when
-        # the rest of the config matches the runner's, reuse its cached run.
-        single = hierarchy = None
-        if replace(config, name=self.cpu_config.name,
-                   num_cores=self.cpu_config.num_cores) == self.cpu_config:
-            single, hierarchy = self._core_run(kernel_name)
+        # name/num_cores do not enter the single-core timing model, so the
+        # runner's cached single-core run is this config's too.
+        single, hierarchy = self._core_run(kernel_name)
         result = model.run(trace, parallel_fraction,
                            single=single, hierarchy=hierarchy)
         hierarchy = MemoryHierarchy(config.memory)

@@ -48,11 +48,8 @@ def format_latency(hist: "HistogramSnapshot") -> str:
     """One-line ``count / mean / p50 / p99`` summary of a histogram."""
     if not hist.count:
         return "n=0"
-    line = (f"n={hist.count} mean={hist.mean * 1e3:.2f}ms "
+    return (f"n={hist.count} mean={hist.mean * 1e3:.2f}ms "
             f"p50={hist.p50 * 1e3:.2f}ms p99={hist.p99 * 1e3:.2f}ms")
-    if hist.clamped:
-        line += f" clamped={hist.clamped}"
-    return line
 
 
 def format_service_stats(stats: "ServiceStats") -> str:

@@ -27,9 +27,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..accel import AcceleratorConfig
-from ..core import MesaController, MesaOptions
+from ..core import MesaController
 from ..core.configure import CacheStats
-from ..cpu import CpuConfig
 from ..workloads import build_kernel
 from .parallel import Shard, ShardRunner
 from .report import render_table
@@ -177,15 +176,12 @@ def _measure_point(controller: MesaController, name: str,
 def _sweep_point_worker(payload: tuple) -> SweepPoint:
     """Measure one grid point on a fresh controller (module-level:
     picklable), so the point depends on its payload alone."""
-    name, config, iterations, cpu_config, options = payload
-    return _measure_point(MesaController(config, cpu_config, options),
-                          name, config, iterations)
+    name, config, iterations = payload
+    return _measure_point(MesaController(config), name, config, iterations)
 
 
 def sweep_backends(kernels: list[str], configs: list[AcceleratorConfig],
                    iterations: int = 192,
-                   cpu_config: CpuConfig | None = None,
-                   options: MesaOptions | None = None,
                    workers: int = 1,
                    shard_timeout: float | None = None) -> SweepResult:
     """Run every kernel on every backend configuration.
@@ -206,7 +202,7 @@ def sweep_backends(kernels: list[str], configs: list[AcceleratorConfig],
             execution only).
     """
     shards = [Shard(key=(name, config.name),
-                    payload=(name, config, iterations, cpu_config, options))
+                    payload=(name, config, iterations))
               for config in configs for name in kernels]
     runner = ShardRunner(workers=workers, shard_timeout=shard_timeout)
     result = SweepResult()

@@ -219,10 +219,6 @@ class LoadStoreQueue:
         entry.performed = True
         return entry
 
-    def clear(self) -> None:
-        """Drop all in-flight entries (pipeline flush); stats are kept."""
-        self._entries.clear()
-
     def _require(self, seq: int, kind: AccessKind) -> LsqEntry:
         entry = self._entries.get(seq)
         if entry is None:

@@ -49,11 +49,6 @@ class HistogramSnapshot:
     counts: tuple[int, ...] = ()
     count: int = 0
     sum_seconds: float = 0.0
-    #: Recordings whose duration was negative (a clock went backwards, or
-    #: a caller's bookkeeping bug) and were clamped to zero.  Surfaced so
-    #: a nonzero rate is visible instead of silently polluting the first
-    #: bucket.
-    clamped: int = 0
 
     @property
     def mean(self) -> float:
@@ -92,8 +87,7 @@ class HistogramSnapshot:
         return HistogramSnapshot(counts=tuple(counts),
                                  count=self.count - other.count,
                                  sum_seconds=self.sum_seconds
-                                 - other.sum_seconds,
-                                 clamped=self.clamped - other.clamped)
+                                 - other.sum_seconds)
 
     def __add__(self, other: "HistogramSnapshot") -> "HistogramSnapshot":
         length = max(len(self.counts), len(other.counts))
@@ -104,25 +98,29 @@ class HistogramSnapshot:
         return HistogramSnapshot(counts=tuple(counts),
                                  count=self.count + other.count,
                                  sum_seconds=self.sum_seconds
-                                 + other.sum_seconds,
-                                 clamped=self.clamped + other.clamped)
+                                 + other.sum_seconds)
 
 
 class LatencyHistogram:
     """Mutable log-bucketed recorder; snapshots are monotonic."""
 
-    __slots__ = ("_counts", "_count", "_sum", "_clamped")
+    __slots__ = ("_counts", "_count", "_sum")
 
     def __init__(self) -> None:
         self._counts = [0] * (len(BUCKET_BOUNDS) + 1)
         self._count = 0
         self._sum = 0.0
-        self._clamped = 0
 
     def record(self, seconds: float) -> None:
+        """Count one duration.
+
+        Raises:
+            ValueError: if ``seconds`` is negative.  Every caller records a
+                ``time.perf_counter()`` difference, which is monotonic, so
+                a negative duration is a bookkeeping bug, not a sample.
+        """
         if seconds < 0.0:
-            self._clamped += 1
-            seconds = 0.0
+            raise ValueError(f"negative duration {seconds!r}")
         index = bisect.bisect_left(BUCKET_BOUNDS, seconds)
         self._counts[index] += 1
         self._count += 1
@@ -134,8 +132,7 @@ class LatencyHistogram:
 
     def snapshot(self) -> HistogramSnapshot:
         return HistogramSnapshot(counts=tuple(self._counts),
-                                 count=self._count, sum_seconds=self._sum,
-                                 clamped=self._clamped)
+                                 count=self._count, sum_seconds=self._sum)
 
 
 @dataclass(frozen=True)

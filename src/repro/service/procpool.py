@@ -12,16 +12,15 @@ reused, the region records it inserted and the keys of the regions that
 hit — the parent learns about the caches only through it.
 
 A request's CPU baseline — the dynamic trace and the core model's result
-over it — depends only on the program, its initial state and the pool's
-``cpu_config``, so each :class:`ChipTask` keeps the last
-``cache_capacity`` of them, holding at most :data:`BASELINE_TRACE_ENTRIES`
-trace entries between them, in one LRU keyed by the program's base
-address, the digest of its instruction bytes and its
-:class:`~repro.workloads.base.StateRecipe`.  A hit hands the entry to
-:meth:`MesaController.execute` (or serves the CPU-baseline fallback from
-it), so a warm request skips trace collection and the CPU model as well
-as T1–T3.  A state factory that is not a recipe (a lambda, say) has no
-value identity and bypasses the cache.
+over it — depends only on the program and its initial state, so each
+:class:`ChipTask` keeps the last ``cache_capacity`` of them, holding at
+most :data:`BASELINE_TRACE_ENTRIES` trace entries between them, in one LRU
+keyed by the program's base address, the digest of its instruction bytes
+and its :class:`~repro.workloads.base.StateRecipe`.  A hit hands the
+entry to :meth:`MesaController.execute` (or serves the CPU-baseline
+fallback from it), so a warm request skips trace collection and the CPU
+model as well as T1–T3.  A state factory that is not a recipe (a lambda,
+say) has no value identity and bypasses the cache.
 
 With ``workers >= 1`` the service runs the task in N long-lived worker
 processes on the repo's one supervised pool,
@@ -52,7 +51,6 @@ half-open probing so a recovered region closes the circuit again.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import os
 import time
 from collections import OrderedDict
@@ -110,22 +108,17 @@ class ControllerPool:
     The pool is the unit of sharing: every request routed to chip
     ``M-128`` lands on the same controller, hence the same configuration
     cache.  Controllers are built lazily on first use with service-grade
-    cache settings (larger, LRU) derived from ``base_options``.  A pool
-    crosses a process boundary as its settings only: each process builds
-    its own controllers.
+    cache settings (larger, LRU).  A pool crosses a process boundary as its
+    settings only: each process builds its own controllers.
     """
 
-    def __init__(self, base_options: MesaOptions | None = None,
-                 cpu_config: CpuConfig | None = None,
-                 cache_capacity: int = 64,
+    def __init__(self, cache_capacity: int = 64,
                  cache_policy: str = "lru",
                  factory: Callable[[str], MesaController] | None = None
                  ) -> None:
-        self.options = dataclasses.replace(
-            base_options if base_options is not None else MesaOptions(),
-            cache_capacity=cache_capacity,
-            cache_policy=cache_policy)
-        self.cpu_config = cpu_config
+        self.options = MesaOptions(cache_capacity=cache_capacity,
+                                   cache_policy=cache_policy)
+        self.cpu_config = CpuConfig()
         self._factory = factory
         self._controllers: dict[str, MesaController] = {}
         self._lock = Lock()
@@ -190,8 +183,7 @@ class ChipTask:
         """The task's CPU-baseline cache key; None bypasses the cache.
 
         Only a :class:`StateRecipe` compares by value: any other factory
-        could build a different state on every call.  ``cpu_config`` is
-        fixed per pool, so it is not part of the key.
+        could build a different state on every call.
         """
         if not isinstance(task.state_factory, StateRecipe):
             return None
@@ -250,10 +242,9 @@ class ChipTask:
         if task.seed:
             controller.config_cache.restore_regions(task.seed,
                                                     controller.config)
-        trace, cpu_only = baseline if hit else (None, None)
         result = controller.execute(task.program, task.state_factory,
                                     parallelizable=task.parallelizable,
-                                    trace=trace, cpu_only=cpu_only)
+                                    baseline=baseline)
         if not hit:
             self._remember_baseline(key, (result.trace, result.cpu_only))
         tally = result.cache_stats

@@ -37,6 +37,7 @@ from repro.workloads import build_kernel
 from .test_plan_equivalence import (
     KERNELS,
     MODES,
+    execute_result,
     memory_fingerprint,
     result_fingerprint,
     run_fingerprint,
@@ -51,10 +52,10 @@ LOAD_BASE = 0x100
 FP_OFFSET = 0x200
 
 
-def execute_kernel(name: str, config, options=None) -> tuple:
+def execute_kernel(name: str, config) -> tuple:
     """One kernel through the full pipeline on the default drive path."""
     kernel = build_kernel(name, iterations=96, seed=1)
-    controller = MesaController(config, options=options)
+    controller = MesaController(config)
     result = controller.execute(kernel.program, kernel.state_factory,
                                 parallelizable=kernel.parallelizable)
     return result_fingerprint(result), result
@@ -67,12 +68,12 @@ class TestPipelineEquivalence:
         # Every kernel here batches end to end (bfs included: its
         # load-dependent store addresses are handled by first-hazard
         # truncation) and matches the scalar reference, the interpreter.
-        options = MODES[mode]
-        batched, result = execute_kernel(name, M_128, options)
+        overrides = MODES[mode]
+        result = execute_result(name, M_128, overrides, True, monkeypatch)
         assert result.drive_path == "batched", result.drive_reason
         assert result.drive_reason == ""
-        scalar = execute_on_path(name, M_128, options, False, monkeypatch)
-        assert batched == scalar
+        scalar = execute_on_path(name, M_128, overrides, False, monkeypatch)
+        assert result_fingerprint(result) == scalar
 
     @pytest.mark.parametrize("name", KERNELS)
     @pytest.mark.parametrize("block", (1, 7, 256))
@@ -83,7 +84,7 @@ class TestPipelineEquivalence:
         monkeypatch.setattr(batch, "DEFAULT_BLOCK", block)
         batched, result = execute_kernel(name, M_128)
         assert result.drive_path == "batched", result.drive_reason
-        scalar = execute_on_path(name, M_128, None, False, monkeypatch)
+        scalar = execute_on_path(name, M_128, {}, False, monkeypatch)
         assert batched == scalar
 
     def test_fallback_reason_is_reported(self):

@@ -23,9 +23,6 @@ class TestOccupancy:
         assert not g.free[2, 3]
         assert g.placement[2, 3] == 7
         assert (~g.free).sum() == 1
-        g.clear()
-        assert g.free[2, 3]
-        assert g.placement[2, 3] == -1
 
     def test_double_occupy_rejected(self):
         g = grid()
@@ -36,12 +33,6 @@ class TestOccupancy:
     def test_out_of_bounds_rejected(self):
         with pytest.raises(IndexError):
             grid().occupy((8, 0), 1)
-
-    def test_clear(self):
-        g = grid()
-        g.occupy((1, 1), 5)
-        g.clear()
-        assert g.free.all()
 
 
 class TestMasks:

@@ -15,7 +15,6 @@ the counter records router traversals, never queueing time.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import struct
 
 import pytest
@@ -31,7 +30,7 @@ from repro.accel import (
     compile_plan,
 )
 from repro.accel import M_128, M_512
-from repro.core import MesaController, MesaOptions
+from repro.core import MesaController
 from repro.isa import Instruction, MachineState, Opcode, x
 from repro.workloads import build_kernel
 
@@ -40,10 +39,12 @@ from repro.workloads import build_kernel
 # (kmeans), guarded compute (nn), reductions (lud), control (bfs).
 KERNELS = ("hotspot", "cfd", "kmeans", "nn", "lud", "bfs")
 
+#: Engine-level ExecutionOptions overrides on top of the controller's loop
+#: plan: in-order loads, and barrier mode (no pipelining, no tiling).
 MODES = {
-    "default": None,
-    "no-speculation": MesaOptions(speculative_loads=False),
-    "no-loopopt": MesaOptions(tiling=False, pipelining=False),
+    "default": {},
+    "no-speculation": {"speculative_loads": False},
+    "no-loopopt": {"pipelined": False, "tile_factor": 1},
 }
 
 
@@ -114,34 +115,46 @@ def result_fingerprint(result) -> tuple:
     )
 
 
-def execute_kernel(name: str, config, options, compiled: bool,
-                   monkeypatch) -> tuple:
-    """One kernel through the full pipeline on the chosen engine path."""
+def execute_result(name: str, config, overrides: dict, compiled: bool,
+                   monkeypatch):
+    """One kernel through the full pipeline on the chosen engine path, with
+    ``overrides`` replacing fields of every run's ExecutionOptions."""
     import repro.core.controller as controller_mod
 
-    monkeypatch.setattr(
-        controller_mod, "DataflowEngine",
-        functools.partial(DataflowEngine, compiled=compiled))
+    class Engine(DataflowEngine):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, compiled=compiled, **kwargs)
+
+        def run(self, state, options):
+            return super().run(state,
+                               dataclasses.replace(options, **overrides))
+
+    monkeypatch.setattr(controller_mod, "DataflowEngine", Engine)
     kernel = build_kernel(name, iterations=96, seed=1)
-    controller = MesaController(config, options=options)
-    result = controller.execute(kernel.program, kernel.state_factory,
-                                parallelizable=kernel.parallelizable)
-    return result_fingerprint(result)
+    controller = MesaController(config)
+    return controller.execute(kernel.program, kernel.state_factory,
+                              parallelizable=kernel.parallelizable)
+
+
+def execute_kernel(name: str, config, overrides: dict, compiled: bool,
+                   monkeypatch) -> tuple:
+    return result_fingerprint(
+        execute_result(name, config, overrides, compiled, monkeypatch))
 
 
 class TestPipelineEquivalence:
     @pytest.mark.parametrize("name", KERNELS)
     @pytest.mark.parametrize("mode", sorted(MODES))
     def test_m128_bit_identical(self, name, mode, monkeypatch):
-        options = MODES[mode]
-        fast = execute_kernel(name, M_128, options, True, monkeypatch)
-        slow = execute_kernel(name, M_128, options, False, monkeypatch)
+        overrides = MODES[mode]
+        fast = execute_kernel(name, M_128, overrides, True, monkeypatch)
+        slow = execute_kernel(name, M_128, overrides, False, monkeypatch)
         assert fast == slow
 
     @pytest.mark.parametrize("name", ("hotspot", "cfd"))
     def test_m512_bit_identical(self, name, monkeypatch):
-        fast = execute_kernel(name, M_512, None, True, monkeypatch)
-        slow = execute_kernel(name, M_512, None, False, monkeypatch)
+        fast = execute_kernel(name, M_512, {}, True, monkeypatch)
+        slow = execute_kernel(name, M_512, {}, False, monkeypatch)
         assert fast == slow
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro import M_128, MesaController, MesaOptions, assemble
 from repro.accel import AcceleratorConfig
-from repro.core import RegionCriteria, region_digest
+from repro.core import region_digest
 from repro.isa import MachineState, run, x
 from repro.mem import Memory
 
@@ -171,9 +171,10 @@ class TestSharedBaseline:
             return state
 
         controller = MesaController(M_128)
-        trace, cpu_only = controller.cpu_baseline(program, fresh)
-        first, second = (controller.execute(program, fresh, trace=trace,
-                                            cpu_only=cpu_only)
+        baseline = controller.cpu_baseline(program, fresh)
+        trace = baseline[0]
+        first, second = (controller.execute(program, fresh,
+                                            baseline=baseline)
                          for _ in range(2))
         assert not first.accelerated and not second.accelerated
         assert first.final_state.memory.load(0x4000, 4) == 16
@@ -184,12 +185,6 @@ class TestSharedBaseline:
         for state in (second.final_state, trace.final_state):
             assert state.memory.load(0x4000, 4) == 16
             assert state.read(x(6)) == 16
-
-    def test_trace_and_cpu_only_come_together(self):
-        controller = MesaController(M_128)
-        trace, _ = controller.cpu_baseline(INCREMENT_LOOP, increment_state)
-        with pytest.raises(ValueError):
-            controller.execute(INCREMENT_LOOP, increment_state, trace=trace)
 
 
 class TestOptions:
@@ -206,13 +201,6 @@ class TestOptions:
         result = controller.execute(INCREMENT_LOOP, increment_state)
         assert result.accelerated
         assert result.memopt_report is None
-
-    def test_criteria_threaded_through(self):
-        options = MesaOptions(criteria=RegionCriteria(
-            min_expected_iterations=100_000))
-        controller = MesaController(M_128, options=options)
-        result = controller.execute(INCREMENT_LOOP, increment_state)
-        assert not result.accelerated
 
     def test_parallel_beats_serial(self):
         serial = MesaController(M_128).execute(
@@ -278,17 +266,6 @@ class TestConfigCacheWarmPath:
         for i in range(400):
             assert memory.load_word(0x4000 + 4 * i) == 6
 
-    def test_cache_can_be_disabled(self):
-        controller = MesaController(
-            M_128, options=MesaOptions(enable_config_cache=False))
-        controller.execute(INCREMENT_LOOP, increment_state,
-                           parallelizable=True)
-        result = controller.execute(INCREMENT_LOOP, increment_state,
-                                    parallelizable=True)
-        assert not result.config_cache_hit
-        assert result.cache_stats.hits == 0
-        assert result.cache_stats.lookups == 0
-
     def test_distinct_backends_do_not_cross_hit(self):
         from repro.accel import M_64
 
@@ -307,7 +284,7 @@ class TestPhaseTimingThreadSafety:
     """Regression: two threads sharing one controller used to clobber each
     other's ``phase_seconds`` (the accumulator was an instance dict that
     ``execute`` reset, so a concurrent run wiped the other's partial
-    timings).  The accumulator is now thread-local."""
+    timings).  Each execute now owns its record."""
 
     # Phases every execute records; translate/map/configure additionally
     # run on a config-cache miss ("optimize" needs iterative_rounds > 0).
@@ -349,25 +326,6 @@ class TestPhaseTimingThreadSafety:
             # thread's phases leak into — and inflate — the other's).
             assert sum(result.phase_seconds.values()) <= walls[slot] + 0.05
         assert results[0].phase_seconds is not results[1].phase_seconds
-
-    def test_phase_accumulator_is_thread_local(self):
-        controller = MesaController(M_128)
-        seen = {}
-
-        def accumulate(name, delay):
-            with controller._phase(name):
-                time.sleep(delay)
-            seen[name] = dict(controller._phase_seconds_for_thread())
-
-        threads = [threading.Thread(target=accumulate, args=("a", 0.02)),
-                   threading.Thread(target=accumulate, args=("b", 0.02))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        assert set(seen["a"]) == {"a"}, "thread A never saw thread B's phase"
-        assert set(seen["b"]) == {"b"}, "thread B never saw thread A's phase"
 
 
 class TestFailureReasons:

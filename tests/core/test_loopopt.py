@@ -4,6 +4,7 @@ import pytest
 
 from repro.accel import AcceleratorConfig, InterconnectKind, M_128
 from repro.core import InstructionMapper, build_ldfg, plan_loop_optimizations
+from repro.core.loopopt import MAX_TILE
 from repro.isa import assemble
 
 
@@ -69,15 +70,13 @@ class TestPlanning:
         assert plan.tile_factor == 1
         assert plan.pipelined, "pipelining is independent of tiling"
 
-    def test_pipelining_switch(self):
-        plan = plan_loop_optimizations(mapped(SMALL_LOOP), parallelizable=True,
-                                       enable_pipelining=False)
-        assert not plan.pipelined
-
     def test_max_tile_cap(self):
-        plan = plan_loop_optimizations(mapped(SMALL_LOOP), parallelizable=True,
-                                       expected_iterations=10_000, max_tile=8)
-        assert plan.tile_factor <= 8
+        # Room for 256 instances by PEs and by LSU entries alike.
+        config = AcceleratorConfig(rows=32, cols=32, lsu_entries=512)
+        plan = plan_loop_optimizations(mapped(SMALL_LOOP, config),
+                                       parallelizable=True,
+                                       expected_iterations=10_000)
+        assert plan.tile_factor == MAX_TILE
 
     def test_to_execution_options(self):
         plan = plan_loop_optimizations(mapped(SMALL_LOOP), parallelizable=True,

@@ -153,12 +153,6 @@ class TestCommit:
         with pytest.raises(ValueError):
             LoadStoreQueue().commit(0)
 
-    def test_clear_drops_entries(self):
-        lsq = LoadStoreQueue()
-        lsq.push(0, AccessKind.LOAD)
-        lsq.clear()
-        assert len(lsq) == 0
-
     def test_wrong_kind_rejected(self):
         lsq = LoadStoreQueue()
         lsq.push(0, AccessKind.LOAD)

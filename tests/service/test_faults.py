@@ -34,7 +34,7 @@ class CountingController:
         self.lock = threading.Lock()
 
     def execute(self, program, state_factory, parallelizable=False,
-                trace=None, cpu_only=None):
+                baseline=None):
         with self.lock:
             self.calls += 1
 

@@ -50,26 +50,14 @@ class TestLatencyHistogram:
         assert merged.count == 2
         assert merged.sum_seconds == pytest.approx(0.005)
 
-    def test_negative_and_zero_clamped(self):
+    def test_negative_duration_rejected(self):
         hist = LatencyHistogram()
-        hist.record(0.0)
-        hist.record(-1.0)
+        hist.record(0.0)  # a zero-duration sample is legitimate
+        with pytest.raises(ValueError, match="negative duration"):
+            hist.record(-1.0)
         snap = hist.snapshot()
-        assert snap.count == 2
+        assert snap.count == 1, "a rejected duration is not counted"
         assert snap.sum_seconds == 0.0
-        # Only the genuinely negative recording counts as clamped; a
-        # zero-duration sample is legitimate.
-        assert snap.clamped == 1
-
-    def test_clamped_counter_subtracts_and_merges(self):
-        hist = LatencyHistogram()
-        hist.record(-0.5)
-        earlier = hist.snapshot()
-        hist.record(-0.25)
-        hist.record(0.001)
-        later = hist.snapshot()
-        assert (later - earlier).clamped == 1
-        assert (later + earlier).clamped == 3
 
 
 class TestServiceStats:
@@ -112,9 +100,6 @@ class TestRendering:
         text = format_latency(hist.snapshot())
         assert text.startswith("n=1 ")
         assert "p50=" in text and "p99=" in text
-        assert "clamped" not in text, "absent while the count is zero"
-        hist.record(-1.0)
-        assert format_latency(hist.snapshot()).endswith("clamped=1")
 
     def test_format_service_stats(self):
         hist = LatencyHistogram()

@@ -40,7 +40,7 @@ class InstantController:
     """Controller double that completes immediately."""
 
     def execute(self, program, state_factory, parallelizable=False,
-                trace=None, cpu_only=None):
+                baseline=None):
         class Result:
             accelerated = True
             config_cache_hit = False

@@ -55,7 +55,7 @@ class FakeController:
         self.fail = fail
 
     def execute(self, program, state_factory, parallelizable=False,
-                trace=None, cpu_only=None):
+                baseline=None):
         self.calls += 1
         if not self.release.wait(timeout=30):  # pragma: no cover
             raise RuntimeError("test forgot to release the fake chip")

@@ -72,6 +72,23 @@ class TestCommands:
         assert "hits=1 misses=1" in out
         assert "50.0% hit rate" in out
 
+    def test_run_profile_reports_every_phase(self, capsys):
+        # 64 iterations: the smallest power of two at which nn clears C3
+        # and offloads, so every cold-path phase runs.
+        assert main(["run", "nn", "--iterations", "64", "--profile",
+                     "--profile-top", "3"]) == 0
+        out = capsys.readouterr().out
+        table, _, sections = out.partition(
+            "simulator profile (host time, not modeled cycles):\n")
+        assert "accelerated: True" in table
+        phases = ("trace", "cpu-model", "detect", "translate", "map",
+                  "configure", "execute")
+        rows = [line.split()[0] for line in sections.splitlines()
+                if line.startswith("  ") and line.rstrip().endswith("%)")]
+        assert sorted(rows) == sorted(phases)
+        for phase in phases:
+            assert sections.count(f"-- {phase}: top 3 by cumulative") == 1
+
     def test_run_disqualifying_kernel(self, capsys):
         assert main(["run", "srad", "--iterations", "96"]) == 0
         out = capsys.readouterr().out
