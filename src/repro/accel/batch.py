@@ -12,14 +12,11 @@ The contract is the same as the plan's: **bit-identical** to the interpreter
 on everything the batched path accepts.  That is only possible because of a
 few provable properties of the model:
 
-* **Float semantics.**  The interpreter computes every FP op as
-  ``f32(op(float(a), float(b)))`` — float64 arithmetic rounded to binary32.
-  The batched path converts operands to float64 (exact for binary32 values
-  and for integers in the RV32 range), applies the same float64 ufunc, and
-  rounds with ``astype(float32)`` — the identical computation, including NaN
-  payload propagation and overflow-to-inf.  Where both operands are NaN the
-  hardware's choice is not portable, so both sides apply the same explicit
-  rule: the first NaN operand, quieted, wins.  Loop-carried FP reductions
+* **Opcode semantics come from one table.**  Every compute and branch
+  node runs its opcode's lane form from :data:`repro.isa.OPCODE_TABLE`,
+  whose row also holds the scalar form the interpreter runs; a per-row
+  differential test holds the two to the same bits, NaN payloads and the
+  two-NaN rule included.  Loop-carried FP reductions
   accumulate directly in float32, which equals the round-each-step scalar
   chain by the innocuous-double-rounding theorem (binary64's 53-bit
   significand exceeds 2·24+2 for add/sub; binary32 products are exact in
@@ -102,8 +99,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..isa import ACCESS_FORMATS, Opcode
+from ..isa import ACCESS_FORMATS, ExecutionError, Opcode
 from ..isa.registers import RegFile
+from ..isa.semantics import _vts, _vtu, compile_lanes
 from ..mem.lsq import block_alias_hazard
 from .plan import (
     K_CONST,
@@ -119,13 +117,7 @@ __all__ = ["BatchCapability", "BatchProgram", "compile_batch",
 #: Iterations per batched block.
 DEFAULT_BLOCK = 256
 
-_M32 = 0xFFFFFFFF
-_SIGN32 = 0x80000000
 _NEG = float("-inf")
-
-# Node result dtypes.
-D_INT = 0   # int64 lanes holding signed-32 values
-D_FP = 1    # float32 lanes
 
 # Per-slot edge event cadences (for counter folding).
 EV_ALWAYS = 0    # fires every iteration
@@ -146,167 +138,6 @@ class BatchCapability:
         return self.supported
 
 
-def _vts(a):
-    """Vector ``_ts``: reinterpret the low 32 bits as signed (int64 lanes)."""
-    return ((a & _M32) ^ _SIGN32) - _SIGN32
-
-
-def _vtu(a):
-    """Vector ``_tu``: low 32 bits as unsigned (int64 lanes)."""
-    return a & _M32
-
-
-def _f64(a):
-    return a.astype(np.float64)
-
-
-def _r32(a):
-    """Round float64 lanes to binary32 — the vector ``f32`` (overflow goes
-    to ±inf under the suppressed-errstate astype, matching saturation)."""
-    return a.astype(np.float32)
-
-
-# -- vector evaluators ---------------------------------------------------------
-
-def _compile_compute(instr, evaluate):
-    """(dtype, req1, req2, tag, payload) for one compute instruction.
-
-    ``tag`` is "const" (payload: the constant value) or "fn" (payload: a
-    ``(a_vec, b_vec) -> vec`` ufunc chain).  Returns None when the opcode
-    has no exact vector form.  Requirement codes: "i" = operand lanes must
-    be int64 (the interpreter applies ``int()``), "x" = any dtype (the
-    interpreter applies ``float()``, exact from both lane types), None =
-    operand value unused.
-    """
-    op = instr.opcode
-    imm = instr.imm
-    if op in (Opcode.NOP, Opcode.LUI, Opcode.AUIPC):
-        return (D_INT, None, None, "const", evaluate(0, 0))
-
-    fn = _INT_BIN_VEC.get(op)
-    if fn is not None:
-        return (D_INT, "i", "i", "fn", fn)
-    fn = _INT_IMM_VEC.get(op)
-    if fn is not None:
-        return (D_INT, "i", None, "fn", fn(imm))
-    fn = _FP_BIN_VEC.get(op)
-    if fn is not None:
-        return (D_FP, "x", "x", "fn", fn)
-    fn = _FP_CMP_VEC.get(op)
-    if fn is not None:
-        return (D_INT, "x", "x", "fn", fn)
-    if op is Opcode.FSQRT_S:
-        return (D_FP, "x", None, "fn", _vec_fsqrt)
-    if op is Opcode.FCVT_S_W:
-        return (D_FP, "i", None, "fn",
-                lambda a, b: a.astype(np.float32))
-    if op is Opcode.FCVT_S_WU:
-        return (D_FP, "i", None, "fn",
-                lambda a, b: _vtu(a).astype(np.float32))
-    if op is Opcode.FMV_W_X:
-        return (D_FP, "i", None, "fn",
-                lambda a, b: a.astype(np.int32).view(np.float32))
-    if op is Opcode.FMV_X_W:
-        return (D_INT, "x", None, "fn",
-                lambda a, b: a.astype(np.float32).view(np.int32)
-                              .astype(np.int64))
-    # FCVT_W_S / FCVT_WU_S (saturating conversions), the RV64 W-forms and
-    # the MULH/DIV/REM families have no vector table here, and raiser
-    # nodes (system ops) must fault like the interpreter.  All run on the
-    # interpreter.
-    return None
-
-
-def _nan_first(op):
-    """A float64 binary op under the scalar two-NaN rule: where both
-    operands are NaN, the first wins (quieted by the binary32 rounding)."""
-    def fn(a, b):
-        a64, b64 = _f64(a), _f64(b)
-        return _r32(np.where(np.isnan(a64) & np.isnan(b64), a64,
-                             op(a64, b64)))
-    return fn
-
-
-def _fdiv64(a64, b64):
-    # Scalar: a / b if b != 0.0 else copysign(inf, a) if a else nan —
-    # NaN dividends are truthy (copysign keeps their sign bit), ±0.0 is not.
-    by_zero = np.where(a64 != 0.0, np.copysign(np.inf, a64), np.nan)
-    return np.where(b64 != 0.0, a64 / b64, by_zero)
-
-
-def _vec_fsqrt(a, b):
-    a64 = _f64(a)
-    root = np.sqrt(a64)
-    # Negative (and NaN) inputs produce the canonical NaN, like the
-    # interpreter's float("nan") — np.sqrt's payload-propagating NaN must
-    # not leak.
-    return _r32(np.where(a64 >= 0.0, root, np.nan))
-
-
-_INT_BIN_VEC = {
-    Opcode.ADD: lambda a, b: _vts(a + b),
-    Opcode.SUB: lambda a, b: _vts(a - b),
-    Opcode.SLL: lambda a, b: _vts(a << (b & 31)),
-    Opcode.SLT: lambda a, b: (a < b).astype(np.int64),
-    Opcode.SLTU: lambda a, b: (_vtu(a) < _vtu(b)).astype(np.int64),
-    Opcode.XOR: lambda a, b: _vts(a ^ b),
-    Opcode.SRL: lambda a, b: _vts(_vtu(a) >> (b & 31)),
-    Opcode.SRA: lambda a, b: a >> (b & 31),
-    Opcode.OR: lambda a, b: _vts(a | b),
-    Opcode.AND: lambda a, b: _vts(a & b),
-    Opcode.MUL: lambda a, b: _vts(a * b),
-}
-_INT_IMM_VEC = {
-    Opcode.ADDI: lambda imm: lambda a, b: _vts(a + imm),
-    Opcode.SLTI: lambda imm: lambda a, b: (a < imm).astype(np.int64),
-    Opcode.SLTIU: lambda imm: (
-        lambda iu: lambda a, b: (_vtu(a) < iu).astype(np.int64)
-    )(imm & _M32),
-    Opcode.XORI: lambda imm: lambda a, b: _vts(a ^ imm),
-    Opcode.ORI: lambda imm: lambda a, b: _vts(a | imm),
-    Opcode.ANDI: lambda imm: lambda a, b: _vts(a & imm),
-    Opcode.SLLI: lambda imm: (
-        lambda sh: lambda a, b: _vts(a << sh))(imm & 31),
-    Opcode.SRLI: lambda imm: (
-        lambda sh: lambda a, b: _vts(_vtu(a) >> sh))(imm & 31),
-    Opcode.SRAI: lambda imm: (
-        lambda sh: lambda a, b: a >> sh)(imm & 31),
-}
-_FP_BIN_VEC = {
-    Opcode.FADD_S: _nan_first(np.add),
-    Opcode.FSUB_S: _nan_first(np.subtract),
-    Opcode.FMUL_S: _nan_first(np.multiply),
-    Opcode.FDIV_S: _nan_first(_fdiv64),
-    # Python min/max return b only on a strict comparison win, so NaNs
-    # select a — np.where with the same strict predicate matches.
-    Opcode.FMIN_S: lambda a, b: (
-        lambda a64, b64: _r32(np.where(b64 < a64, b64, a64))
-    )(_f64(a), _f64(b)),
-    Opcode.FMAX_S: lambda a, b: (
-        lambda a64, b64: _r32(np.where(b64 > a64, b64, a64))
-    )(_f64(a), _f64(b)),
-    Opcode.FSGNJ_S: lambda a, b: _r32(np.copysign(np.abs(_f64(a)),
-                                                  _f64(b))),
-    Opcode.FSGNJN_S: lambda a, b: _r32(np.copysign(np.abs(_f64(a)),
-                                                   -_f64(b))),
-    # Scalar: a if b >= 0 else -a (NaN b takes the negate branch).
-    Opcode.FSGNJX_S: lambda a, b: (
-        lambda a64, b64: _r32(np.where(b64 >= 0.0, a64, -a64))
-    )(_f64(a), _f64(b)),
-}
-_FP_CMP_VEC = {
-    Opcode.FEQ_S: lambda a, b: (_f64(a) == _f64(b)).astype(np.int64),
-    Opcode.FLT_S: lambda a, b: (_f64(a) < _f64(b)).astype(np.int64),
-    Opcode.FLE_S: lambda a, b: (_f64(a) <= _f64(b)).astype(np.int64),
-}
-_BRANCH_VEC = {
-    Opcode.BEQ: lambda a, b: a == b,
-    Opcode.BNE: lambda a, b: a != b,
-    Opcode.BLT: lambda a, b: a < b,
-    Opcode.BGE: lambda a, b: a >= b,
-    Opcode.BLTU: lambda a, b: _vtu(a) < _vtu(b),
-    Opcode.BGEU: lambda a, b: _vtu(a) >= _vtu(b),
-}
 #: Self-loop reductions with an exact closed/scan form, keyed by opcode.
 _SCAN_OPS = {
     Opcode.ADDI: "addi",
@@ -322,23 +153,22 @@ class _BatchNode:
     """Per-node batched execution recipe (compiled once per plan)."""
 
     __slots__ = ("plan_node", "i", "kind", "dtype", "np_dtype", "guard",
-                 "tag", "fn", "scan", "scan_imm", "opcode", "mem_sign",
+                 "fn", "scan", "scan_imm", "opcode", "mem_sign",
                  "req1", "req2", "cluster")
 
     def __init__(self, plan_node, i):
         self.plan_node = plan_node
         self.i = i
         self.kind = plan_node.kind
-        self.dtype = D_INT
+        self.dtype = "i"         # "i": int64 lanes of signed-32, "f": float32
         self.np_dtype = None
         self.guard = -1          # active guard branch id, -1 when inert
-        self.tag = ""            # "const"/"fn"/"cond"/"jump"/"mem"/"scan"
-        self.fn = None           # payload per tag
+        self.fn = None           # lane form (a, b) -> lanes; None: memory
         self.scan = ""           # _SCAN_OPS tag for scan nodes
         self.scan_imm = 0        # immediate of an "addi" closed-form scan
         self.opcode = None
         self.mem_sign = 0        # sign-extension bit for signed loads
-        self.req1 = None         # operand dtype requirements ("i"/"x"/None)
+        self.req1 = None         # operand values: FORM_VALUES codes
         self.req2 = None
         self.cluster = -1        # index into BatchProgram.clusters
 
@@ -404,7 +234,7 @@ def _operand_dtype(op, dtypes):
     """Lane dtype an operand resolves to (K_CONST by register file)."""
     if op.kind == K_CONST:
         reg = op.register
-        return D_FP if (reg is not None and reg.file is RegFile.FP) else D_INT
+        return "f" if (reg is not None and reg.file is RegFile.FP) else "i"
     return dtypes[op.src_id]
 
 
@@ -431,8 +261,8 @@ def _compile(plan):
     n = plan.n_nodes
 
     nodes: list[_BatchNode] = []
-    dtypes: list[int] = []
-    # Pass 1: per-node recipe + result dtype (from the opcode alone).
+    dtypes: list[str] = []
+    # Pass 1: per-node recipe + result dtype (from the opcode's row form).
     for i, pnode in enumerate(plan.nodes):
         instr = program_nodes[i].instruction
         rec = _BatchNode(pnode, i)
@@ -441,37 +271,25 @@ def _compile(plan):
             mem = pnode.memory
             if mem.size > 4:
                 return "wide memory access"
-            rec.tag = "mem"
             rec.req1 = "i"  # address base goes through int()
             if mem.is_load:
                 size, signed = ACCESS_FORMATS[instr.opcode]
                 if instr.opcode is Opcode.FLW:
-                    rec.dtype = D_FP
+                    rec.dtype = "f"
                 elif signed:
                     rec.mem_sign = 1 << (size * 8 - 1)
             else:
-                rec.req2 = "x" if instr.opcode is Opcode.FSW else "i"
-        elif pnode.kind == N_CONTROL:
-            cond = _BRANCH_VEC.get(instr.opcode)
-            if cond is not None:
-                rec.tag, rec.fn = "cond", cond
-                rec.req1 = rec.req2 = "i"  # branch conds compare int()s
-            elif instr.is_jump:
-                rec.tag = "jump"
-            else:
-                return f"unsupported opcode {instr.opcode.name}"
+                rec.req2 = "f" if instr.opcode is Opcode.FSW else "i"
         else:
-            compiled = _compile_compute(instr, pnode.evaluate)
-            if compiled is None:
-                return f"unsupported opcode {instr.opcode.name}"
-            rec.dtype, rec.req1, rec.req2, rec.tag, rec.fn = compiled
-            if rec.tag == "fn" and instr.opcode is Opcode.ADDI:
-                rec.scan_imm = instr.imm
+            try:
+                rec.fn, (rec.dtype, rec.req1, rec.req2) = compile_lanes(instr)
+            except ExecutionError as error:
+                return str(error)
         nodes.append(rec)
         dtypes.append(rec.dtype)
 
     for rec in nodes:
-        rec.np_dtype = np.float32 if rec.dtype == D_FP else np.int64
+        rec.np_dtype = np.float32 if rec.dtype == "f" else np.int64
         # Guards at or after their node never fire (the interpreter reads
         # the iteration's still-False branch state) — the plan hoists that
         # rule into ``effective_guard``.
@@ -503,7 +321,7 @@ def _compile(plan):
     for rec in nodes:
         pnode = rec.plan_node
         if not (pnode.src1.kind == K_LOOP and pnode.src1.src_id == rec.i
-                and rec.tag == "fn" and rec.opcode in _SCAN_OPS
+                and rec.opcode in _SCAN_OPS
                 and pnode.guard_branch < 0
                 and not (pnode.src2.kind == K_LOOP
                          and pnode.src2.src_id == rec.i)):
@@ -511,9 +329,10 @@ def _compile(plan):
         scan = _SCAN_OPS[rec.opcode]
         seed = pnode.src1.register
         ok = not (seed is not None
-                  and (seed.file is RegFile.FP) != (rec.dtype == D_FP))
+                  and (seed.file is RegFile.FP) != (rec.dtype == "f"))
         if ok:
             if scan == "addi":
+                rec.scan_imm = program_nodes[rec.i].instruction.imm
                 ok = abs(rec.scan_imm) < 1 << 31
             else:
                 x_dtype = _operand_dtype(pnode.src2, dtypes)
@@ -564,7 +383,7 @@ def _compile(plan):
         # The interpreter converts operands with int()/float() — the lane
         # dtype must make those conversions the identity.
         for op, req in ((pnode.src1, rec.req1), (pnode.src2, rec.req2)):
-            if req == "i" and _operand_dtype(op, dtypes) != D_INT:
+            if req == "i" and _operand_dtype(op, dtypes) != "i":
                 return "operand dtype mismatch"
         # Loop-carried seeds must be exact in the producer's lane dtype.
         for op in (pnode.src1, pnode.src2,
@@ -573,7 +392,7 @@ def _compile(plan):
                 seed = op.register
                 if seed is not None and (
                         (seed.file is RegFile.FP)
-                        != (dtypes[op.src_id] == D_FP)):
+                        != (dtypes[op.src_id] == "f")):
                     return "loop-carried seed dtype mismatch"
 
     cluster_objs = [_make_cluster(comp, nodes) for comp in clusters]
@@ -994,8 +813,11 @@ def _phase_values(bp, nb, first, prev, const1, const2, const_fb, gather):
                 on = ~off
             if mem_plan.is_load:
                 raw = gather(addr, mem_plan.size, on)
-                if rec.dtype == D_FP:
-                    value = raw.astype(np.uint32).view(np.float32)
+                if rec.dtype == "f":
+                    # Widened and rounded back, as the scalar FLW's
+                    # binary32 read quiets a signaling pattern.
+                    value = (raw.astype(np.uint32).view(np.float32)
+                             .astype(np.float64).astype(np.float32))
                 else:
                     value = raw.astype(int64)
                     if rec.mem_sign:
@@ -1021,27 +843,12 @@ def _phase_values(bp, nb, first, prev, const1, const2, const_fb, gather):
         if rec.guard >= 0:
             off = taken[rec.guard]
             offs[i] = off
+        a = operand(pnode.src1, const1[i])
+        b = operand(pnode.src2, const2[i])
+        result = rec.fn(a, b)
         if rec.kind == N_CONTROL:
-            if rec.tag == "jump":
-                cond = np.ones(nb, bool)
-            else:
-                a = operand(pnode.src1, const1[i])
-                b = operand(pnode.src2, const2[i])
-                cond = rec.fn(a, b)
-            if off is not None:
-                taken[i] = cond & ~off
-                fb = operand(pnode.fallback, const_fb[i], rec.np_dtype)
-                vals[i] = np.where(off, fb, cond.astype(int64))
-            else:
-                taken[i] = cond
-                vals[i] = cond.astype(int64)
-            continue
-        if rec.tag == "const":
-            result = np.full(nb, rec.fn, rec.np_dtype)
-        else:
-            a = operand(pnode.src1, const1[i])
-            b = operand(pnode.src2, const2[i])
-            result = rec.fn(a, b)
+            taken[i] = result if off is None else result & ~off
+            result = result.astype(int64)
         if off is not None:
             fb = operand(pnode.fallback, const_fb[i], rec.np_dtype)
             result = np.where(off, fb, result)

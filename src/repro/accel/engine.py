@@ -38,8 +38,8 @@ Both paths compute a node's value through the plan's per-node ``evaluate``
 closure, which :func:`repro.isa.compile_operation` /
 :func:`repro.isa.compile_branch` build at the fabric's width — the same
 semantics the CPU's :class:`~repro.isa.Executor` runs, so offloaded results
-equal CPU results by construction.  The batched path's numpy vector tables
-are the one independent implementation, checked against the interpreter.
+equal CPU results by construction.  The batched path runs the lane forms
+that sit beside those scalar forms in :data:`repro.isa.OPCODE_TABLE`.
 """
 
 from __future__ import annotations

@@ -226,6 +226,7 @@ def _cmd_run(args) -> str:
     repeats = max(1, args.repeat)
     result = controller.execute(kernel.program, kernel.state_factory,
                                 parallelizable=parallel)
+    controller.profile_phases = False  # profile the first execute only
     reruns = [controller.execute(kernel.program, kernel.state_factory,
                                  parallelizable=parallel)
               for _ in range(repeats - 1)]
@@ -273,8 +274,8 @@ def _cmd_run(args) -> str:
 
 def _render_profile(controller: MesaController, result,
                     top: int) -> str:
-    """Host-side profile of the pipeline: wall seconds per phase, then the
-    cProfile hot spots of each phase (all repeats accumulated)."""
+    """Host-side profile of the first execute: wall seconds per phase,
+    then the cProfile hot spots of each phase."""
     import io
     import pstats
 

@@ -7,8 +7,8 @@ MESA controller consume.  The most commonly used entry points are:
 * :class:`Instruction` / :class:`Opcode` / :class:`OpClass` — the decoded form;
 * :func:`encode` / :func:`decode` — 32-bit machine-word codec;
 * :class:`Executor` — the architectural (functional) reference model;
-* :func:`compile_operation` / :func:`compile_branch` — the one mapping from
-  opcode to semantics, shared by the executor and the accelerator.
+* :data:`OPCODE_TABLE` — the one mapping from opcode to semantics, compiled
+  by :func:`compile_operation` / :func:`compile_branch`.
 """
 
 from .assembler import AssemblyError, Program, assemble
@@ -26,6 +26,7 @@ from .registers import (
 )
 from .semantics import (
     ACCESS_FORMATS,
+    OPCODE_TABLE,
     ExecutionError,
     Executor,
     MachineState,
@@ -57,6 +58,7 @@ __all__ = [
     "INT_ABI_NAMES",
     "FP_ABI_NAMES",
     "ACCESS_FORMATS",
+    "OPCODE_TABLE",
     "ExecutionError",
     "Executor",
     "MachineState",

@@ -2,10 +2,12 @@
 
 This module computes *what* a program does — register and memory values and
 the dynamic control-flow path — independent of *how long* it takes.  Every
-opcode's meaning has one implementation: :func:`compile_operation` (compute
-instructions) and :func:`compile_branch` (branch directions) turn one
-instruction at one datapath width into a closure over its source values.
-Everything that evaluates instructions goes through them:
+opcode's meaning is one row of :data:`OPCODE_TABLE`: a scalar form, and a
+lane form over numpy lanes at xlen 32 or the reason there is none.
+:func:`compile_operation` (compute instructions) and :func:`compile_branch`
+(branch directions) turn one instruction at one datapath width into a
+closure over its source values.  Everything that evaluates instructions
+goes through them:
 
 * the :class:`Executor`, the CPU reference model, compiles one handler per
   static instruction around them (loads, stores and jumps add only the
@@ -15,8 +17,10 @@ Everything that evaluates instructions goes through them:
 * the CPU timing model consumes the dynamic trace the executor produces.
 
 So the fabric computes what the CPU computes by construction.  The batched
-vector tables in :mod:`repro.accel.batch` are the one independent
-implementation, held to the interpreter by the equivalence tests.
+fabric path runs the lane forms, and a per-row differential test holds
+each row's two forms to the same bits.  Without a lane form: MULH/DIV/REM
+(no exact int64 lane form), RV64 W-forms (xlen 64), FCVT.W[U].S
+(saturating conversion).
 """
 
 from __future__ import annotations
@@ -24,7 +28,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Collection
+from typing import Callable, Collection, NamedTuple
+
+import numpy as np
 
 from ..mem import Memory
 from .assembler import Program
@@ -39,6 +45,10 @@ __all__ = [
     "run",
     "compile_operation",
     "compile_branch",
+    "compile_lanes",
+    "FORM_VALUES",
+    "OPCODE_TABLE",
+    "OpcodeRow",
     "f32",
     "compile_load",
     "compile_store",
@@ -192,96 +202,93 @@ def compile_store(memory: Memory, opcode: Opcode):
     return lambda address, value: store(address, size, value)
 
 
-# Integer operations take (a, b, xlen): shifts mask by xlen-1, unsigned
-# comparisons/divides reinterpret at the datapath width.
-_INT_BINOPS = {
-    Opcode.ADD: lambda a, b, w: a + b,
-    Opcode.SUB: lambda a, b, w: a - b,
-    Opcode.SLL: lambda a, b, w: _ts(a << (b & (w - 1)), w),
-    Opcode.SLT: lambda a, b, w: int(a < b),
-    Opcode.SLTU: lambda a, b, w: int(_tu(a, w) < _tu(b, w)),
-    Opcode.XOR: lambda a, b, w: a ^ b,
-    Opcode.SRL: lambda a, b, w: _ts(_tu(a, w) >> (b & (w - 1)), w),
-    Opcode.SRA: lambda a, b, w: a >> (b & (w - 1)),
-    Opcode.OR: lambda a, b, w: a | b,
-    Opcode.AND: lambda a, b, w: a & b,
-    Opcode.MUL: lambda a, b, w: _ts(a * b, w),
-    Opcode.MULH: lambda a, b, w: (a * b) >> w,
-    Opcode.MULHSU: lambda a, b, w: (a * _tu(b, w)) >> w,
-    Opcode.MULHU: lambda a, b, w: (_tu(a, w) * _tu(b, w)) >> w,
-    Opcode.DIV: lambda a, b, w: _div(a, b, w),
-    Opcode.DIVU: lambda a, b, w: _ts(
-        (1 << w) - 1 if b == 0 else _tu(a, w) // _tu(b, w), w
-    ),
-    Opcode.REM: lambda a, b, w: _rem(a, b, w),
-    Opcode.REMU: lambda a, b, w: _ts(
-        _tu(a, w) if b == 0 else _tu(a, w) % _tu(b, w), w
-    ),
-}
+# -- the opcode table -----------------------------------------------------------
+#
+# Lane forms take ``(a, b)`` lanes at xlen 32 (``(a, imm)`` for "int_imm",
+# ``(a, constant)`` for "const") and run under ``np.errstate(all="ignore")``.
 
-_INT_IMMOPS = {
-    Opcode.ADDI: lambda a, i, w: a + i,
-    Opcode.SLTI: lambda a, i, w: int(a < i),
-    Opcode.SLTIU: lambda a, i, w: int(_tu(a, w) < _tu(i, w)),
-    Opcode.XORI: lambda a, i, w: a ^ i,
-    Opcode.ORI: lambda a, i, w: a | i,
-    Opcode.ANDI: lambda a, i, w: a & i,
-    Opcode.SLLI: lambda a, i, w: _ts(a << (i & (w - 1)), w),
-    Opcode.SRLI: lambda a, i, w: _ts(_tu(a, w) >> (i & (w - 1)), w),
-    Opcode.SRAI: lambda a, i, w: a >> (i & (w - 1)),
-}
+_M32 = 0xFFFFFFFF
+_SIGN32 = 0x80000000
 
-# RV64I W-forms: operate on the low 32 bits, sign-extend the 32-bit result.
-_INT_W_BINOPS = {
-    Opcode.ADDW: lambda a, b: _ts(a + b, 32),
-    Opcode.SUBW: lambda a, b: _ts(a - b, 32),
-    Opcode.SLLW: lambda a, b: _ts(a << (b & 31), 32),
-    Opcode.SRLW: lambda a, b: _ts(_tu(a, 32) >> (b & 31), 32),
-    Opcode.SRAW: lambda a, b: _ts(_ts(a, 32) >> (b & 31), 32),
-}
 
-_INT_W_IMMOPS = {
-    Opcode.ADDIW: lambda a, i: _ts(a + i, 32),
-    Opcode.SLLIW: lambda a, i: _ts(a << (i & 31), 32),
-    Opcode.SRLIW: lambda a, i: _ts(_tu(a, 32) >> (i & 31), 32),
-    Opcode.SRAIW: lambda a, i: _ts(_ts(a, 32) >> (i & 31), 32),
-}
+def _vts(a):
+    """Lane ``_ts``: reinterpret the low 32 bits as signed (int64 lanes)."""
+    return ((a & _M32) ^ _SIGN32) - _SIGN32
 
-_BRANCH_CONDS = {
-    Opcode.BEQ: lambda a, b, w: a == b,
-    Opcode.BNE: lambda a, b, w: a != b,
-    Opcode.BLT: lambda a, b, w: a < b,
-    Opcode.BGE: lambda a, b, w: a >= b,
-    Opcode.BLTU: lambda a, b, w: _tu(a, w) < _tu(b, w),
-    Opcode.BGEU: lambda a, b, w: _tu(a, w) >= _tu(b, w),
-}
 
-_FP_BINOPS = {
-    Opcode.FADD_S: lambda a, b: a + b,
-    Opcode.FSUB_S: lambda a, b: a - b,
-    Opcode.FMUL_S: lambda a, b: a * b,
-    Opcode.FDIV_S: lambda a, b: a / b if b != 0.0 else math.copysign(math.inf, a) if a else math.nan,
-    Opcode.FMIN_S: min,
-    Opcode.FMAX_S: max,
-    Opcode.FSGNJ_S: lambda a, b: math.copysign(abs(a), b),
-    Opcode.FSGNJN_S: lambda a, b: math.copysign(abs(a), -b),
-    Opcode.FSGNJX_S: lambda a, b: a if b >= 0 else -a,
-}
+def _vtu(a):
+    """Lane ``_tu``: low 32 bits as unsigned (int64 lanes)."""
+    return a & _M32
 
-#: Arithmetic that passes a NaN operand's payload through.  With two NaN
-#: operands the host picks one: CPython's specialized and generic float
-#: paths pick different operands, and numpy's SIMD loops pick by lane
-#: position.  The rule here is explicit: the first NaN operand, quieted,
-#: wins (operands arrive widened from binary32, so already quiet, and the
-#: binary32 rounding quiets the rest).
-_NAN_FIRST = frozenset({Opcode.FADD_S, Opcode.FSUB_S, Opcode.FMUL_S,
-                        Opcode.FDIV_S})
 
-_FP_CMPOPS = {
-    Opcode.FEQ_S: lambda a, b: a == b,
-    Opcode.FLT_S: lambda a, b: a < b,
-    Opcode.FLE_S: lambda a, b: a <= b,
-}
+def _f64(a):
+    return a.astype(np.float64)
+
+
+def _r32(a):
+    """Lane ``f32``: round float64 lanes to binary32 (overflow to ±inf)."""
+    return a.astype(np.float32)
+
+
+def _first_nan(op):
+    """Lane form of float64 ``op`` under the two-NaN rule: first NaN wins."""
+    def lanes(a, b):
+        a64, b64 = _f64(a), _f64(b)
+        return _r32(np.where(np.isnan(a64) & np.isnan(b64), a64,
+                             op(a64, b64)))
+    return lanes
+
+
+def _fdiv(a: float, b: float) -> float:
+    """IEEE 754 division where Python's raises: x/±0 is an infinity signed
+    by both operands, 0/0 the canonical NaN, and NaN/0 the NaN dividend."""
+    if b != 0.0:
+        return a / b
+    if a != a:
+        return a
+    if a == 0.0:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _fdiv_lanes(a64, b64):
+    # numpy divides like IEEE 754 except that 0/0 gives a negative NaN.
+    return np.where((a64 == 0.0) & (b64 == 0.0), np.nan, a64 / b64)
+
+
+def _fmin_fmax(lower: bool):
+    """FMIN.S (``lower``) or FMAX.S: -0.0 orders below +0.0, one NaN
+    operand yields the other operand, and two yield the canonical NaN."""
+    def pick(a, b):
+        if b != b:
+            return math.nan if a != a else a
+        if a != a:
+            return b
+        below = math.copysign(1.0, b) < 0 if a == b else b < a
+        return b if below == lower else a
+    return pick
+
+
+def _fmin_fmax_lanes(lower: bool):
+    def lanes(a, b):
+        a64, b64 = _f64(a), _f64(b)
+        below = np.where(a64 == b64, np.signbit(b64), b64 < a64)
+        b_wins = np.isnan(a64) | (~np.isnan(b64) & (below == lower))
+        return _r32(np.where(np.isnan(a64) & np.isnan(b64), np.nan,
+                             np.where(b_wins, b64, a64)))
+    return lanes
+
+
+def _fsqrt(a, b):
+    value = float(a)
+    return f32(math.sqrt(value)) if value >= 0 else math.nan
+
+
+def _fsqrt_lanes(a, b):
+    a64 = _f64(a)
+    # Negative and NaN inputs give the canonical NaN, as the scalar form
+    # does: np.sqrt's payload-propagating NaN must not leak.
+    return _r32(np.where(a64 >= 0.0, np.sqrt(a64), np.nan))
 
 
 def _fcvt_w(value: float, low: int, high: int) -> int:
@@ -292,18 +299,182 @@ def _fcvt_w(value: float, low: int, high: int) -> int:
     return int(min(max(value, low), high))
 
 
-# Unary FP/int moves and conversions: register value in, register value out
-# (FP results rounded to binary32, integer results the sign-extended 32 bits).
-_FP_UNARY = {
-    Opcode.FCVT_S_W: lambda v: f32(float(int(v))),
-    Opcode.FCVT_S_WU: lambda v: f32(float(_tu(int(v), 32))),
-    Opcode.FCVT_W_S: lambda v: _fcvt_w(float(v), -(1 << 31), (1 << 31) - 1),
-    Opcode.FCVT_WU_S: lambda v: _ts(_fcvt_w(float(v), 0, (1 << 32) - 1), 32),
-    Opcode.FMV_X_W: lambda v: struct.unpack(
-        "<i", struct.pack("<f", float(v)))[0],
-    Opcode.FMV_W_X: lambda v: f32(struct.unpack(
-        "<f", struct.pack("<i", _ts(int(v), 32)))[0]),
+class OpcodeRow(NamedTuple):
+    """One opcode's meaning: scalar form, lane form or why there is none."""
+
+    form: str
+    scalar: Callable
+    lane: Callable | None = None
+    reason: str = ""
+
+
+#: Per form: the (rd, rs1, rs2) values its closure writes and reads: "i" an
+#: integer, read through int(), "f" a float, read through float(), or None.
+FORM_VALUES = {
+    "int": ("i", "i", "i"),          # scalar (a, b, xlen)
+    "int_imm": ("i", "i", None),     # scalar (a, imm, xlen)
+    "word": ("i", "i", "i"),         # scalar (a, b), RV64 W-form
+    "word_imm": ("i", "i", None),    # scalar (a, imm), RV64 W-form
+    "const": ("i", None, None),      # scalar (imm, pc, xlen) -> constant
+    "fp": ("f", "f", "f"),           # scalar (a, b) -> float
+    "fp_nan": ("f", "f", "f"),       # "fp" under the two-NaN rule
+    "fp_cmp": ("i", "f", "f"),       # scalar (a, b) -> bool
+    "fp_unary": ("f", "f", None),    # scalar (a, b) is the closure itself
+    "to_fp": ("f", "i", None),       # scalar (v) -> register value
+    "to_int": ("i", "f", None),      # scalar (v) -> register value
+    "branch": ("i", "i", "i"),       # scalar (a, b, xlen) -> taken
 }
+
+_NO_INT64 = "no exact int64 lane form"
+_XLEN_64 = "xlen 64"
+_SATURATING = "saturating conversion"
+
+#: Rows by form: opcode -> (scalar form, lane form) or (scalar form, None,
+#: reason).  Integer scalar forms take the datapath width: shifts mask by
+#: xlen-1, unsigned comparisons and divides reinterpret at xlen bits.
+_ROWS = {
+    "int": {
+        Opcode.ADD: (lambda a, b, w: a + b, lambda a, b: _vts(a + b)),
+        Opcode.SUB: (lambda a, b, w: a - b, lambda a, b: _vts(a - b)),
+        Opcode.SLL: (lambda a, b, w: _ts(a << (b & (w - 1)), w),
+                     lambda a, b: _vts(a << (b & 31))),
+        Opcode.SLT: (lambda a, b, w: int(a < b),
+                     lambda a, b: (a < b).astype(np.int64)),
+        Opcode.SLTU: (lambda a, b, w: int(_tu(a, w) < _tu(b, w)),
+                      lambda a, b: (_vtu(a) < _vtu(b)).astype(np.int64)),
+        Opcode.XOR: (lambda a, b, w: a ^ b, lambda a, b: _vts(a ^ b)),
+        Opcode.SRL: (lambda a, b, w: _ts(_tu(a, w) >> (b & (w - 1)), w),
+                     lambda a, b: _vts(_vtu(a) >> (b & 31))),
+        Opcode.SRA: (lambda a, b, w: a >> (b & (w - 1)),
+                     lambda a, b: a >> (b & 31)),
+        Opcode.OR: (lambda a, b, w: a | b, lambda a, b: _vts(a | b)),
+        Opcode.AND: (lambda a, b, w: a & b, lambda a, b: _vts(a & b)),
+        Opcode.MUL: (lambda a, b, w: _ts(a * b, w),
+                     lambda a, b: _vts(a * b)),
+        Opcode.MULH: (lambda a, b, w: (a * b) >> w, None, _NO_INT64),
+        Opcode.MULHSU: (lambda a, b, w: (a * _tu(b, w)) >> w, None,
+                        _NO_INT64),
+        Opcode.MULHU: (lambda a, b, w: (_tu(a, w) * _tu(b, w)) >> w, None,
+                       _NO_INT64),
+        Opcode.DIV: (lambda a, b, w: _div(a, b, w), None, _NO_INT64),
+        Opcode.DIVU: (lambda a, b, w: _ts(
+            (1 << w) - 1 if b == 0 else _tu(a, w) // _tu(b, w), w),
+            None, _NO_INT64),
+        Opcode.REM: (lambda a, b, w: _rem(a, b, w), None, _NO_INT64),
+        Opcode.REMU: (lambda a, b, w: _ts(
+            _tu(a, w) if b == 0 else _tu(a, w) % _tu(b, w), w),
+            None, _NO_INT64),
+    },
+    "int_imm": {
+        Opcode.ADDI: (lambda a, i, w: a + i, lambda a, i: _vts(a + i)),
+        Opcode.SLTI: (lambda a, i, w: int(a < i),
+                      lambda a, i: (a < i).astype(np.int64)),
+        Opcode.SLTIU: (lambda a, i, w: int(_tu(a, w) < _tu(i, w)),
+                       lambda a, i: (_vtu(a) < (i & _M32)).astype(np.int64)),
+        Opcode.XORI: (lambda a, i, w: a ^ i, lambda a, i: _vts(a ^ i)),
+        Opcode.ORI: (lambda a, i, w: a | i, lambda a, i: _vts(a | i)),
+        Opcode.ANDI: (lambda a, i, w: a & i, lambda a, i: _vts(a & i)),
+        Opcode.SLLI: (lambda a, i, w: _ts(a << (i & (w - 1)), w),
+                      lambda a, i: _vts(a << (i & 31))),
+        Opcode.SRLI: (lambda a, i, w: _ts(_tu(a, w) >> (i & (w - 1)), w),
+                      lambda a, i: _vts(_vtu(a) >> (i & 31))),
+        Opcode.SRAI: (lambda a, i, w: a >> (i & (w - 1)),
+                      lambda a, i: a >> (i & 31)),
+    },
+    # RV64I W-forms: operate on the low 32 bits, sign-extend the result.
+    "word": {
+        Opcode.ADDW: (lambda a, b: _ts(a + b, 32), None, _XLEN_64),
+        Opcode.SUBW: (lambda a, b: _ts(a - b, 32), None, _XLEN_64),
+        Opcode.SLLW: (lambda a, b: _ts(a << (b & 31), 32), None, _XLEN_64),
+        Opcode.SRLW: (lambda a, b: _ts(_tu(a, 32) >> (b & 31), 32), None,
+                      _XLEN_64),
+        Opcode.SRAW: (lambda a, b: _ts(_ts(a, 32) >> (b & 31), 32), None,
+                      _XLEN_64),
+    },
+    "word_imm": {
+        Opcode.ADDIW: (lambda a, i: _ts(a + i, 32), None, _XLEN_64),
+        Opcode.SLLIW: (lambda a, i: _ts(a << (i & 31), 32), None, _XLEN_64),
+        Opcode.SRLIW: (lambda a, i: _ts(_tu(a, 32) >> (i & 31), 32), None,
+                       _XLEN_64),
+        Opcode.SRAIW: (lambda a, i: _ts(_ts(a, 32) >> (i & 31), 32), None,
+                       _XLEN_64),
+    },
+    "const": {
+        Opcode.NOP: (lambda i, pc, w: 0, np.full_like),
+        Opcode.LUI: (lambda i, pc, w: _ts(i << 12, 32), np.full_like),
+        Opcode.AUIPC: (lambda i, pc, w: _ts(pc + (i << 12), w),
+                       np.full_like),
+    },
+    "fp_nan": {
+        Opcode.FADD_S: (lambda a, b: a + b, _first_nan(np.add)),
+        Opcode.FSUB_S: (lambda a, b: a - b, _first_nan(np.subtract)),
+        Opcode.FMUL_S: (lambda a, b: a * b, _first_nan(np.multiply)),
+        Opcode.FDIV_S: (_fdiv, _first_nan(_fdiv_lanes)),
+    },
+    # Sign injection reads b's sign bit, NaN and -0.0 included.
+    "fp": {
+        Opcode.FMIN_S: (_fmin_fmax(True), _fmin_fmax_lanes(True)),
+        Opcode.FMAX_S: (_fmin_fmax(False), _fmin_fmax_lanes(False)),
+        Opcode.FSGNJ_S: (
+            lambda a, b: math.copysign(abs(a), b),
+            lambda a, b: _r32(np.copysign(np.abs(_f64(a)), _f64(b)))),
+        Opcode.FSGNJN_S: (
+            lambda a, b: math.copysign(abs(a), -b),
+            lambda a, b: _r32(np.copysign(np.abs(_f64(a)), -_f64(b)))),
+        Opcode.FSGNJX_S: (
+            lambda a, b: -a if math.copysign(1.0, b) < 0 else a,
+            lambda a, b: _r32(np.where(np.signbit(_f64(b)), -_f64(a),
+                                       _f64(a)))),
+    },
+    "fp_cmp": {
+        Opcode.FEQ_S: (lambda a, b: a == b,
+                       lambda a, b: (_f64(a) == _f64(b)).astype(np.int64)),
+        Opcode.FLT_S: (lambda a, b: a < b,
+                       lambda a, b: (_f64(a) < _f64(b)).astype(np.int64)),
+        Opcode.FLE_S: (lambda a, b: a <= b,
+                       lambda a, b: (_f64(a) <= _f64(b)).astype(np.int64)),
+    },
+    "fp_unary": {Opcode.FSQRT_S: (_fsqrt, _fsqrt_lanes)},
+    # FMV.W.X's widening to a register value quiets a signaling pattern,
+    # so its lanes round-trip through float64 too.
+    "to_fp": {
+        Opcode.FCVT_S_W: (lambda v: f32(float(int(v))),
+                          lambda a, b: a.astype(np.float32)),
+        Opcode.FCVT_S_WU: (lambda v: f32(float(_tu(int(v), 32))),
+                           lambda a, b: _vtu(a).astype(np.float32)),
+        Opcode.FMV_W_X: (
+            lambda v: f32(struct.unpack(
+                "<f", struct.pack("<i", _ts(int(v), 32)))[0]),
+            lambda a, b: _r32(_f64(a.astype(np.int32).view(np.float32)))),
+    },
+    "to_int": {
+        Opcode.FMV_X_W: (
+            lambda v: struct.unpack("<i", struct.pack("<f", float(v)))[0],
+            lambda a, b: a.astype(np.float32).view(np.int32)
+                          .astype(np.int64)),
+        Opcode.FCVT_W_S: (
+            lambda v: _fcvt_w(float(v), -(1 << 31), (1 << 31) - 1),
+            None, _SATURATING),
+        Opcode.FCVT_WU_S: (
+            lambda v: _ts(_fcvt_w(float(v), 0, (1 << 32) - 1), 32),
+            None, _SATURATING),
+    },
+    "branch": {
+        Opcode.BEQ: (lambda a, b, w: a == b, lambda a, b: a == b),
+        Opcode.BNE: (lambda a, b, w: a != b, lambda a, b: a != b),
+        Opcode.BLT: (lambda a, b, w: a < b, lambda a, b: a < b),
+        Opcode.BGE: (lambda a, b, w: a >= b, lambda a, b: a >= b),
+        Opcode.BLTU: (lambda a, b, w: _tu(a, w) < _tu(b, w),
+                      lambda a, b: _vtu(a) < _vtu(b)),
+        Opcode.BGEU: (lambda a, b, w: _tu(a, w) >= _tu(b, w),
+                      lambda a, b: _vtu(a) >= _vtu(b)),
+    },
+}
+
+#: The one opcode table.
+OPCODE_TABLE: dict[Opcode, OpcodeRow] = {
+    op: OpcodeRow(form, *forms)
+    for form, rows in _ROWS.items() for op, forms in rows.items()}
 
 
 def _require_width(instr: Instruction, xlen: int) -> None:
@@ -327,54 +498,41 @@ def compile_operation(instr: Instruction, xlen: int = 32):
             ``xlen`` (memory, control and system ops, RV64-only ops at 32).
     """
     _require_width(instr, xlen)
-    op = instr.opcode
-    imm = instr.imm
-    if op is Opcode.NOP:
-        return lambda a, b: 0
-    if op in _INT_W_BINOPS:
-        fn = _INT_W_BINOPS[op]
-        return lambda a, b: fn(int(a), int(b))
-    if op in _INT_W_IMMOPS:
-        fn = _INT_W_IMMOPS[op]
-        return lambda a, b: fn(int(a), imm)
-    if op in _INT_BINOPS:
-        fn = _INT_BINOPS[op]
+    row = OPCODE_TABLE.get(instr.opcode)
+    if instr.is_system:
+        raise ExecutionError(f"system instruction not executable: {instr}")
+    if row is None or row.form == "branch":
+        raise ExecutionError(f"not a pure compute operation: {instr}")
+    form, fn, imm = row.form, row.scalar, instr.imm
+    if form == "int":
         return lambda a, b: _ts(fn(int(a), int(b), xlen), xlen)
-    if op in _INT_IMMOPS:
-        fn = _INT_IMMOPS[op]
+    if form == "int_imm":
         return lambda a, b: _ts(fn(int(a), imm, xlen), xlen)
-    if op is Opcode.LUI:
-        constant = _ts(imm << 12, 32)
+    if form == "word":
+        return lambda a, b: fn(int(a), int(b))
+    if form == "word_imm":
+        return lambda a, b: fn(int(a), imm)
+    if form == "const":
+        constant = fn(imm, instr.address, xlen)
         return lambda a, b: constant
-    if op is Opcode.AUIPC:
-        constant = _ts(instr.address + (imm << 12), xlen)
-        return lambda a, b: constant
-    if op in _NAN_FIRST:
-        fn = _FP_BINOPS[op]
-
+    if form == "fp_nan":
+        # Arithmetic passes a NaN operand's payload through.  Which of two
+        # NaN operands the host passes is not portable (CPython's float
+        # paths and numpy's SIMD loops differ), so the first one wins,
+        # quieted by the widening from binary32 and the rounding back.
         def arithmetic(a, b):
             a, b = float(a), float(b)
             if a != a and b != b:
                 return f32(a)
             return f32(fn(a, b))
         return arithmetic
-    if op in _FP_BINOPS:
-        fn = _FP_BINOPS[op]
+    if form == "fp":
         return lambda a, b: f32(fn(float(a), float(b)))
-    if op in _FP_CMPOPS:
-        fn = _FP_CMPOPS[op]
+    if form == "fp_cmp":
         return lambda a, b: int(fn(float(a), float(b)))
-    if op is Opcode.FSQRT_S:
-        def fsqrt(a, b):
-            value = float(a)
-            return f32(math.sqrt(value)) if value >= 0 else float("nan")
-        return fsqrt
-    if op in _FP_UNARY:
-        fn = _FP_UNARY[op]
-        return lambda a, b: fn(a)
-    if instr.is_system:
-        raise ExecutionError(f"system instruction not executable: {instr}")
-    raise ExecutionError(f"not a pure compute operation: {instr}")
+    if form == "fp_unary":
+        return fn
+    return lambda a, b: fn(a)  # "to_fp", "to_int"
 
 
 def compile_branch(instr: Instruction, xlen: int = 32):
@@ -387,12 +545,40 @@ def compile_branch(instr: Instruction, xlen: int = 32):
     Raises:
         ExecutionError: for non-control instructions.
     """
-    cond = _BRANCH_CONDS.get(instr.opcode)
-    if cond is not None:
+    row = OPCODE_TABLE.get(instr.opcode)
+    if row is not None and row.form == "branch":
+        cond = row.scalar
         return lambda a, b: cond(int(a), int(b), xlen)
     if instr.is_jump:
         return lambda a, b: True
     raise ExecutionError(f"not a branch: {instr}")
+
+
+def compile_lanes(instr: Instruction):
+    """The lane form of one compute or control instruction at xlen 32 — a
+    closure ``(a, b) -> lanes`` over (B,)-shaped lanes that equals
+    :func:`compile_operation` (or :func:`compile_branch`) lane by lane —
+    and its form's (rd, rs1, rs2) :data:`FORM_VALUES` codes.
+
+    Raises:
+        ExecutionError: when the opcode has no lane form, with its row's
+            reason ("no lane form for div: no exact int64 lane form").
+    """
+    if instr.is_jump:
+        return (lambda a, b: np.ones(np.shape(a), bool)), FORM_VALUES["branch"]
+    row = OPCODE_TABLE.get(instr.opcode)
+    if row is None or row.lane is None:
+        reason = "no compute or branch semantics" if row is None \
+            else row.reason
+        raise ExecutionError(f"no lane form for {instr.opcode}: {reason}")
+    lane, values = row.lane, FORM_VALUES[row.form]
+    if row.form == "int_imm":
+        imm = instr.imm
+        return (lambda a, b: lane(a, imm)), values
+    if row.form == "const":
+        constant = row.scalar(instr.imm, instr.address, 32)
+        return (lambda a, b: lane(a, constant)), values
+    return lane, values
 
 
 class Executor:

@@ -239,6 +239,27 @@ def test_operand_dtype_mismatch():
     assert reason_for(program) == "operand dtype mismatch"
 
 
+@pytest.mark.parametrize("opcode", [Opcode.DIV, Opcode.MULH],
+                         ids=["div", "mulh"])
+def test_laneless_opcode_falls_back_with_its_row_reason(opcode):
+    # The guarded add becomes an opcode whose row in the opcode table has
+    # no lane form: the plan runs on the interpreter, says why, and the
+    # run is the interpreter's bit for bit.
+    from .test_batch_equivalence import make_state
+    from .test_plan_equivalence import run_fingerprint
+
+    program = loop_program()
+    instr = dataclasses.replace(program.nodes[7].instruction, opcode=opcode)
+    program = edit_node(program, 7, instruction=instr)
+    reason = f"no lane form for {opcode.value}: no exact int64 lane form"
+    assert reason_for(program) == reason
+    run = DataflowEngine(program).run(make_state())
+    reference = DataflowEngine(program, compiled=False).run(make_state())
+    assert run.drive_path == "interpreted"
+    assert run.drive_reason == reason
+    assert run_fingerprint(run) == run_fingerprint(reference)
+
+
 def test_batchable_program_accepts():
     capability = compile_batch(DataflowEngine(loop_program()).plan).capability
     assert capability

@@ -425,6 +425,60 @@ def _nan_loop_program(opcode) -> AcceleratorProgram:
         live_out={f(3): 4})
 
 
+def _pin_on_every_path(mnemonic, a, b, expected, monkeypatch,
+                       accumulates=True):
+    """``mnemonic`` of ``(a, b)`` gives the binary32 word ``expected`` on
+    every lane: on the CPU, in a plan node's ``evaluate``, and across a
+    wide batched block and its interpreted reference.  With
+    ``accumulates`` the loop-carried ``fa3 = fa3 op fa1`` (seeded with
+    ``a``) ends at ``expected`` too; otherwise both fabric paths only end
+    with the same ``fa3``."""
+    program = assemble(
+        f"""
+        addi t0, zero, {NAN_LANES}
+        lui a0, 16
+        loop:
+            {mnemonic} ft0, fa0, fa1
+            fsw ft0, 0(a0)
+            addi a0, a0, 4
+            addi t0, t0, -1
+            bne t0, zero, loop
+        """
+    )
+    state = MachineState(pc=program.base_address)
+    state.write(f(10), a)
+    state.write(f(11), b)
+    Executor(program, state).run()
+    assert {state.memory.load(0x10000 + 4 * k, 4)
+            for k in range(NAN_LANES)} == {expected}
+
+    fabric = _nan_loop_program(Opcode(mnemonic))
+    engine = DataflowEngine(fabric)
+    evaluate = engine.plan.nodes[2].evaluate
+    assert {_bits(evaluate(a, b)) for _ in range(NAN_LANES)} == {expected}
+
+    monkeypatch.setattr(batch, "DEFAULT_BLOCK", 512)
+    runs = []
+    for compiled in (True, False):
+        fabric_state = MachineState()
+        fabric_state.write(x(5), NAN_LANES)
+        fabric_state.write(x(10), 0x10000 - 4)
+        fabric_state.write(f(10), a)
+        fabric_state.write(f(11), b)
+        fabric_state.write(f(3), a)
+        runs.append(DataflowEngine(fabric, compiled=compiled)
+                    .run(fabric_state))
+    batched, interpreted = runs
+    assert batched.drive_path == "batched", batched.drive_reason
+    for run_ in runs:
+        memory = run_.final_state.memory
+        assert {memory.load(0x10000 + 4 * k, 4)
+                for k in range(NAN_LANES)} == {expected}
+    accumulated = {_bits(run_.final_state.read(f(3))) for run_ in runs}
+    assert accumulated == ({expected} if accumulates else accumulated)
+    assert len(accumulated) == 1
+
+
 class TestTwoNanRule:
     """With two NaN operands the first one, quieted, wins — on the CPU, in
     a plan node's ``evaluate``, and across a wide batched block."""
@@ -434,48 +488,80 @@ class TestTwoNanRule:
     @pytest.mark.parametrize("mnemonic", sorted(NAN_OPS))
     def test_first_nan_wins_everywhere(self, mnemonic, pair, monkeypatch):
         first, second = pair
-        expected = first | 0x00400000
-        a, b = _float(first), _float(second)
+        _pin_on_every_path(mnemonic, _float(first), _float(second),
+                           first | 0x00400000, monkeypatch)
 
-        program = assemble(
-            f"""
-            addi t0, zero, {NAN_LANES}
-            lui a0, 16
-            loop:
-                {mnemonic} ft0, fa0, fa1
-                fsw ft0, 0(a0)
-                addi a0, a0, 4
-                addi t0, t0, -1
-                bne t0, zero, loop
-            """
-        )
-        state = MachineState(pc=program.base_address)
-        state.write(f(10), a)
-        state.write(f(11), b)
-        Executor(program, state).run()
-        assert {state.memory.load(0x10000 + 4 * k, 4)
-                for k in range(NAN_LANES)} == {expected}
 
-        fabric = _nan_loop_program(NAN_OPS[mnemonic])
-        engine = DataflowEngine(fabric)
-        evaluate = engine.plan.nodes[2].evaluate
-        assert {_bits(evaluate(a, b)) for _ in range(NAN_LANES)} == {expected}
+#: (mnemonic, a, b, expected) binary32 words of RISC-V F edge cases:
+#: NaN/±0 keeps the NaN dividend, x/-0 is -inf, sign injection reads the
+#: sign bit (fabs.s of -0.0 is +0.0), fmin/fmax return the non-NaN operand
+#: and order -0.0 below +0.0, and two NaNs give the canonical NaN.
+FP_EDGES = [
+    ("fdiv.s", 0x7FC12345, 0x00000000, 0x7FC12345),
+    ("fdiv.s", 0xFFC00123, 0x80000000, 0xFFC00123),
+    ("fdiv.s", 0x3F800000, 0x80000000, 0xFF800000),
+    ("fsgnjx.s", 0x80000000, 0x80000000, 0x00000000),
+    ("fsgnjx.s", 0x3F800000, 0x7FC00000, 0x3F800000),
+    ("fmin.s", 0x7FC00000, 0x3F800000, 0x3F800000),
+    ("fmax.s", 0x7FC00000, 0x3F800000, 0x3F800000),
+    ("fmin.s", 0x00000000, 0x80000000, 0x80000000),
+    ("fmax.s", 0x80000000, 0x00000000, 0x00000000),
+    ("fmin.s", 0x7FC12345, 0xFFC00001, 0x7FC00000),
+    ("fmax.s", 0x7FC12345, 0xFFC00001, 0x7FC00000),
+]
 
-        monkeypatch.setattr(batch, "DEFAULT_BLOCK", 512)
-        runs = []
-        for compiled in (True, False):
-            fabric_state = MachineState()
-            fabric_state.write(x(5), NAN_LANES)
-            fabric_state.write(x(10), 0x10000 - 4)
-            fabric_state.write(f(10), a)
-            fabric_state.write(f(11), b)
-            fabric_state.write(f(3), a)
-            runs.append(DataflowEngine(fabric, compiled=compiled)
-                        .run(fabric_state))
-        batched, interpreted = runs
-        assert batched.drive_path == "batched", batched.drive_reason
-        for run_ in runs:
-            memory = run_.final_state.memory
-            assert {memory.load(0x10000 + 4 * k, 4)
-                    for k in range(NAN_LANES)} == {expected}
-            assert _bits(run_.final_state.read(f(3))) == expected
+
+class TestFpEdgeCases:
+    @pytest.mark.parametrize(
+        "mnemonic,a,b,expected", FP_EDGES,
+        ids=[f"{m}-{a:08x}-{b:08x}" for m, a, b, _ in FP_EDGES])
+    def test_edge_everywhere(self, mnemonic, a, b, expected, monkeypatch):
+        _pin_on_every_path(mnemonic, _float(a), _float(b), expected,
+                           monkeypatch, accumulates=False)
+
+
+def _store_loop(source: Instruction, operand: Operand) -> AcceleratorProgram:
+    """``mem[a0] = source`` over a walking ``a0`` (node 2 is ``source``)."""
+    base = 0x2000
+    nodes = [
+        ConfiguredNode(0, Instruction(base, Opcode.ADDI, rd=x(5), rs1=x(5),
+                                      imm=-1),
+                       (0, 0), src1=Operand.loop_carried(0, x(5))),
+        ConfiguredNode(1, Instruction(base + 4, Opcode.ADDI, rd=x(10),
+                                      rs1=x(10), imm=4),
+                       (0, 1), src1=Operand.loop_carried(1, x(10))),
+        ConfiguredNode(2, source, (1, 0) if not source.is_load else (1, -1),
+                       src1=operand, is_memory=source.is_load),
+        ConfiguredNode(3, Instruction(base + 12, Opcode.FSW, rs1=x(10),
+                                      rs2=f(0)),
+                       (1, -1), src1=Operand.node(1), src2=Operand.node(2),
+                       is_memory=True),
+        ConfiguredNode(4, Instruction(base + 16, Opcode.BNE, rs1=x(5),
+                                      rs2=x(0), imm=-16),
+                       (2, 0), src1=Operand.node(0)),
+    ]
+    return AcceleratorProgram(
+        config=AcceleratorConfig(rows=4, cols=4), nodes=nodes,
+        loop_branch_id=4, live_in={x(5), x(10), x(11)}, live_out={})
+
+
+@pytest.mark.parametrize("opcode", [Opcode.FMV_W_X, Opcode.FLW],
+                         ids=["fmv.w.x", "flw"])
+def test_signaling_nan_word_is_quieted_on_both_fabric_paths(opcode):
+    # A binary32 register value is a widened float, so a signaling word
+    # moved or loaded into one is quiet when stored again, in the
+    # interpreter and in the batched lanes alike.
+    word, quiet = 0x7F800001, 0x7FC00001
+    source = Instruction(0x2008, opcode, rd=f(0), rs1=x(11))
+    fabric = _store_loop(source, Operand.from_register(x(11)))
+    for compiled in (True, False):
+        state = MachineState()
+        state.write(x(5), 8)
+        state.write(x(10), 0x10000 - 4)
+        state.write(x(11), 0x20000 if opcode is Opcode.FLW else word)
+        state.memory.store(0x20000, 4, word)
+        run_ = DataflowEngine(fabric, compiled=compiled).run(state)
+        assert run_.drive_path == ("batched" if compiled
+                                   else "interpreted"), run_.drive_reason
+        assert {run_.final_state.memory.load(0x10000 + 4 * k, 4)
+                for k in range(8)} == {quiet}

@@ -89,6 +89,18 @@ class TestCommands:
         for phase in phases:
             assert sections.count(f"-- {phase}: top 3 by cumulative") == 1
 
+    def test_run_profile_covers_first_execute_only(self, capsys):
+        # With --repeat, the phase table and the cProfile sections both
+        # describe the first execute: the trace runs once in it.
+        assert main(["run", "nn", "--iterations", "64", "--repeat", "3",
+                     "--profile", "--profile-top", "40"]) == 0
+        out = capsys.readouterr().out
+        trace = out.split("-- trace: top 40 by cumulative")[1]
+        trace = trace.split("\n-- ")[0]
+        calls = [line.split()[0] for line in trace.splitlines()
+                 if line.rstrip().endswith("(collect_trace)")]
+        assert calls == ["1"]
+
     def test_run_disqualifying_kernel(self, capsys):
         assert main(["run", "srad", "--iterations", "96"]) == 0
         out = capsys.readouterr().out
