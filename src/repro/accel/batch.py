@@ -48,32 +48,32 @@ few provable properties of the model:
   scalar evaluator closures — bit-identical by construction — while every
   node outside the cluster, and all timing, stays vectorized.  Clusters
   through memory nodes are rejected (their lane values gate port state).
-* **First-hazard truncation keeps the LSQ inert.**  Loads are gathered
-  before any store of the block commits, so a block is exact up to its
-  first iteration whose load byte-overlaps an earlier store of the block
-  (same iteration and earlier in program order, or any earlier
-  iteration).  A vectorized alias check finds that iteration from the
-  concrete addresses, and only the iterations before it commit; the next
-  block starts there, sized from the hazard spacing.  This holds even when store addresses are computed
-  from loaded values: every access before the first hazard reads memory
-  no store of the block wrote, so its address and value are exact, and so
-  is the hazard search up to that point.  A hazard in a block's first
-  iteration can only be an in-iteration store-to-load forward; the
-  interpreter executes that one iteration (iteration barriers leave no
-  NoC or LSQ state behind, and counter folds are additive), then
-  batching resumes.
-* **Memory port state never carries between iterations** — under a
-  condition the drive checks.  A request frees its port ``issue_interval``
-  cycles after its grant, and its own access completes no earlier than the
-  L1 hit latency (a load) or ``store_issue`` (a store) after the grant,
-  and no later than the iteration's end.  So when the interval is within
-  both, and no grant is pending when a block starts, every port is free
-  again when the next iteration starts: like the NoC rings, each
-  iteration's grants depend only on its own requests and vectorize over
-  lanes in each lane's own time.  When the condition fails (a slow issue
-  interval, an external port pool with pending grants), the block's first
-  iteration is stepped on the interpreter instead, and the run's
-  ``drive_reason`` says why.
+* **First-hazard truncation keeps store→load ordering inert.**  Loads
+  are gathered before any store of the block commits, so a block is exact
+  up to its first iteration whose load byte-overlaps an earlier store of
+  the block (same iteration and earlier in program order, or any earlier
+  iteration) — the first load :func:`repro.mem.lsq.forwarding_store`
+  would send to a store.  A vectorized alias check finds that iteration
+  from the concrete addresses, and only the iterations before it commit;
+  the next block starts there, sized from the hazard spacing.  This holds
+  even when store addresses are computed from loaded values: every access
+  before the first hazard reads memory no store of the block wrote, so
+  its address and value are exact, and so is the hazard search up to that
+  point.  A hazard in a block's first iteration can only be an
+  in-iteration store-to-load forward; the interpreter executes that one
+  iteration (iteration barriers leave no NoC state or store list behind,
+  and counter folds are additive), then batching resumes.
+* **Memory port state never carries between iterations** once no grant
+  is pending when a block starts.  A request frees its port one cycle
+  after its grant, and its own access completes no earlier than the L1
+  hit latency (a load) or ``store_issue`` (a store) after the grant —
+  both at least 1 cycle, which their configs enforce — and no later than
+  the iteration's end.  So every port is free again when the next
+  iteration starts: like the NoC rings, each iteration's grants depend
+  only on its own requests and vectorize over lanes in each lane's own
+  time.  An external port pool that still holds an earlier run's grants
+  has the block's first iteration stepped on the interpreter instead,
+  and the run's ``drive_reason`` says why.
 * **Cache outcomes depend only on address order.**  The hierarchy's state
   evolves with the sequence of accesses (k-major, then memory-node order),
   never with their timing, so a block's latencies come from one bulk
@@ -560,9 +560,9 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
     :meth:`~repro.accel.engine.DataflowEngine._run_iteration`, which
     records that iteration's counters itself.
 
-    Memory ports are batched only while their state cannot carry from
-    one iteration into the next (module docstring); otherwise the block's
-    first iteration is stepped too.
+    Memory ports are batched only while no grant is pending at the
+    block's start (module docstring); otherwise the block's first
+    iteration is stepped too.
 
     Returns ``(iterations, iteration_latencies, reason)``; ``reason`` names
     the first iteration the interpreter stepped ("" when none was).
@@ -575,10 +575,8 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
     loop_id = plan.loop_branch_id
     const1, const2, const_fb = plan.bind_constants(reg_env)
     max_iterations = options.max_iterations
-    speculative = options.speculative_loads
     store_issue = plan.store_issue
     memory = state.memory
-    port_carry = _port_carry(bp, ports, hierarchy.ideal_latency)
 
     # Run-level accumulators, folded into the counters once at the end.
     node_total = [0.0] * n
@@ -609,10 +607,6 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
         finished = not loop_taken or iterations >= max_iterations
 
     while not finished:
-        if port_carry:
-            step_once(f"memory ports carry into iteration {iterations}: "
-                      f"{port_carry}")
-            continue
         if mem_ids and not ports.idle_by(clock):
             step_once("memory ports still busy at the start of iteration "
                       f"{iterations}")
@@ -670,7 +664,7 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
         # -- phase B: memory (cache pass, store commit, port timing) ---------
         starts, ends, done_mat = _phase_memory(
             bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off, wend,
-            ports, hierarchy, speculative, store_issue, memory)
+            ports, hierarchy, store_issue, memory)
         lat_vec = ends - starts
 
         # -- phase C: counter folds ------------------------------------------
@@ -729,21 +723,6 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
     activity.pe_busy_cycles += acc["pe_busy"]
     activity.control_events += acc["control_events"]
     return iterations, iteration_latencies, reason
-
-
-def _port_carry(bp, ports, l1_hit):
-    """Why memory-port state can carry from one iteration into the next,
-    or "" when it cannot: a port must free no later than the access it
-    granted completes (module docstring)."""
-    if ports.unlimited or not bp.mem_ids:
-        return ""
-    interval = ports.issue_interval
-    if interval > l1_hit:
-        return f"port issue interval {interval} > L1 hit latency {l1_hit}"
-    if bp.has_store and interval > bp.plan.store_issue:
-        return (f"port issue interval {interval} > store issue "
-                f"{bp.plan.store_issue}")
-    return ""
 
 
 def _truncate(vals, offs, mem_vecs, nb):
@@ -1079,7 +1058,7 @@ def _phase_timing(bp, nb, first, offs):
 
 
 def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
-                  wend, ports, hierarchy, speculative, store_issue, memory):
+                  wend, ports, hierarchy, store_issue, memory):
     """The block's memory events in three passes, none of them over lanes.
 
     1. **Cache outcomes** depend only on the order of accesses (k-major,
@@ -1091,11 +1070,11 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
        guarantees that no load of the block reads these bytes.
     3. **Port timing** runs per memory node in request order, vectorized
        over lanes, in each lane's own time (the drive loop only batches
-       blocks whose port state cannot carry between iterations — module
-       docstring): ready times, the store horizon, vector-group grants, a
-       (ports, nb) array of free times granted by argmin, and the prefetch
-       cap.  Lane starts are then the running sum of lane latencies —
-       exact, because every quantity is an integer-valued float64.
+       blocks that start with every port idle — module docstring): ready
+       times, vector-group grants, a (ports, nb) array of free times
+       granted by argmin, and the prefetch cap.  Lane starts are then the
+       running sum of lane latencies — exact, because every quantity is an
+       integer-valued float64.
 
     Predicated-off lanes complete at max(operands ready, fallback arrival)
     without requesting a port, touching the cache, or committing.
@@ -1142,11 +1121,9 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
     # weights from later sources are -inf, so unfilled rows never count).
     rel = np.zeros((bp.n_sources, nb))
     lanes = np.arange(nb)
-    interval = ports.issue_interval
     free = (None if ports.unlimited
             else np.full((int(ports.num_ports), nb), _NEG))
     requests = []      # (lane mask, ready, grant) per requesting node
-    horizon = np.full(nb, _NEG)     # latest store completion so far
     group_grants: dict[int, np.ndarray] = {}
 
     def request(ready, mask):
@@ -1154,7 +1131,7 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
         if free is not None:
             slot = free.argmin(axis=0)
             grant = np.maximum(ready, free[slot, lanes])
-            free[slot[mask], lanes[mask]] = grant[mask] + interval
+            free[slot[mask], lanes[mask]] = grant[mask] + 1
         requests.append((mask, ready, grant))
         return grant
 
@@ -1163,8 +1140,6 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
         on = live[:, j]
         ready = (rel + mem_ready[i]).max(axis=0)
         if p.is_load:
-            if not speculative:
-                ready = np.maximum(ready, horizon)
             if p.vector_group is None:
                 grant = request(ready, on)
             else:
@@ -1179,7 +1154,6 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
             done = grant + cycles[:, j]
         else:
             done = request(ready, on) + store_issue
-            horizon = np.where(on, np.maximum(horizon, done), horizon)
         if i in mem_off:
             done = np.where(on, done, (rel + mem_off[i]).max(axis=0))
         rel[j + 1] = done
@@ -1189,7 +1163,7 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
     starts = np.concatenate(([clock], ends[:-1]))
     if requests:
         mask, ready, grant = (np.array(rows) for rows in zip(*requests))
-        ports.record_grants((starts + grant + interval)[mask],
+        ports.record_grants((starts + grant + 1)[mask],
                             float((grant - ready)[mask].sum()))
     return starts, ends, starts + rel[1:]
 

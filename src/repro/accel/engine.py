@@ -20,6 +20,12 @@ Functional results are mode-independent (the paper only tiles loops that are
 explicitly parallel), so the engine always executes iterations sequentially
 for correctness and applies the mode's timing model for cycle counts.
 
+Memory ordering is one rule, :mod:`repro.mem.lsq`: a load issues as soon
+as its address is ready and reads the newest older store of its iteration
+that overlaps it (forwarding, or a replay when it issued before that store
+completed), and memory otherwise.  Each memory port starts one access per
+cycle.
+
 Two drive paths produce bit-identical results:
 
 * the **batched** path (default) compiles the program's
@@ -28,9 +34,9 @@ Two drive paths produce bit-identical results:
   block is cut at its first store-to-load hazard, and an in-iteration
   store-to-load forward is executed by one interpreter step;
 * the **interpreter** walks the configured nodes one iteration at a time,
-  re-deriving routing, timing, LSQ behaviour, predication and live-outs.
-  It is the executable specification the golden tests compare against
-  (``compiled=False`` pins it), and it runs every plan the batched
+  re-deriving routing, timing, store→load ordering, predication and
+  live-outs.  It is the executable specification the golden tests compare
+  against (``compiled=False`` pins it), and it runs every plan the batched
   capability analysis rejects, with the reason reported as the run's
   ``drive_reason``.
 
@@ -54,13 +60,8 @@ from ..isa import (
     compile_load,
     compile_store,
 )
-from ..mem import (
-    AccessKind,
-    LoadOutcome,
-    LoadStoreQueue,
-    MemoryHierarchy,
-    MemoryPorts,
-)
+from ..mem import MemoryHierarchy, MemoryPorts
+from ..mem.lsq import forwarding_store
 from .batch import drive_batched
 from .config import AcceleratorConfig
 from .counters import ActivityCounters, LatencyCounters
@@ -81,13 +82,9 @@ class ExecutionOptions:
     #: Ports model; None uses the config's port count.  Use
     #: :meth:`repro.mem.MemoryPorts.ideal` for the Fig. 15 ideal-memory case.
     ports: MemoryPorts | None = None
-    #: Loads issue as soon as their address is ready, even past older
-    #: stores with unresolved addresses (§4.2: "individual loads can be
-    #: performed out-of-order as soon as their addresses are generated").
-    #: A later-matching store invalidates the load and the new value must
-    #: re-propagate — modeled as a replay penalty on the load's completion.
-    speculative_loads: bool = True
-    #: Cycles to re-propagate a value after a load invalidation.
+    #: Cycles to re-propagate a value after a load invalidation: a load
+    #: issues as soon as its address is ready (§4.2), and an older store
+    #: to the same bytes that completes later invalidates it.
     replay_penalty: int = 6
 
     def __post_init__(self) -> None:
@@ -246,10 +243,9 @@ class DataflowEngine:
         values: dict[int, int | float] = {}
         completion: dict[int, float] = {}
         branch_outcomes: dict[int, bool] = {}
-        lsq = LoadStoreQueue(capacity=max(len(self.program), 1))
         vector_grants: dict[int, float] = {}
-        #: Stores seen so far this iteration: (node id, addr, size, done).
-        stores_seen: list[tuple[int, int, int, float]] = []
+        #: Stores issued so far this iteration: (address, size, done).
+        stores_seen: list[tuple[int, int, float]] = []
         loop_taken = False
 
         for node, plan_node in zip(self.program.nodes, self.plan.nodes):
@@ -276,11 +272,10 @@ class DataflowEngine:
                 if instr.is_store:
                     value = 0  # suppressed store produces nothing
             elif node.is_memory:
-                value, done = self._run_memory(node, int(a), b, ready, start,
-                                               access[node.node_id], lsq,
-                                               ports, activity,
-                                               iteration, vector_grants,
-                                               completion, stores_seen,
+                value, done = self._run_memory(node, int(a), b, ready,
+                                               access[node.node_id], ports,
+                                               activity, iteration,
+                                               vector_grants, stores_seen,
                                                options)
             elif instr.is_branch or instr.is_jump:
                 taken = plan_node.evaluate(a, b)
@@ -360,27 +355,24 @@ class DataflowEngine:
             self._noc_channels[row] = channel
         return channel
 
-    def _run_memory(self, node: ConfiguredNode, base: int, data, ready, start,
-                    access, lsq: LoadStoreQueue,
-                    ports: MemoryPorts, activity: ActivityCounters,
+    def _run_memory(self, node: ConfiguredNode, base: int, data, ready,
+                    access, ports: MemoryPorts, activity: ActivityCounters,
                     iteration: int, vector_grants: dict[int, float],
-                    completion: dict[int, float],
-                    stores_seen: list[tuple[int, int, int, float]],
+                    stores_seen: list[tuple[int, int, float]],
                     options: ExecutionOptions):
-        """Execute a load/store entry: disambiguation, forwarding, ports."""
+        """Execute a load/store entry: ordering, forwarding, ports."""
         instr = node.instruction
         address = (base + instr.imm) & ((1 << self.config.xlen) - 1)
         size = ACCESS_FORMATS[instr.opcode][0]
         if instr.is_load:
-            lsq.push(node.node_id, AccessKind.LOAD, pc=instr.address, size=size)
-            outcome, store = lsq.resolve_load(node.node_id, address)
             activity.loads += 1
-            if outcome is LoadOutcome.FORWARDED:
+            store = forwarding_store(stores_seen, address, size)
+            if store is not None:
                 value = access(address)
-                store_done = completion.get(store.seq, ready)
+                store_done = store[2]
                 fwd_done = (max(ready, store_done)
                             + self.config.latencies.store_issue)
-                if options.speculative_loads and ready < store_done:
+                if ready < store_done:
                     # The load issued before the store resolved, already
                     # read stale data, and is *invalidated* when the store
                     # broadcasts — "this invalidation forces the new value
@@ -391,11 +383,6 @@ class DataflowEngine:
                 # The forwarding path delivers the data directly.
                 activity.lsq_forwards += 1
                 return value, fwd_done
-            if not options.speculative_loads:
-                # Conservative ordering: wait for every older store's
-                # address to resolve before issuing.
-                for _, _, _, store_done in stores_seen:
-                    ready = max(ready, store_done)
             # Vectorized loads piggyback on their group's port grant.
             if (node.vector_group is not None
                     and node.vector_group in vector_grants):
@@ -408,29 +395,14 @@ class DataflowEngine:
             if node.prefetched and iteration > 0:
                 # Issued an iteration early: only the L1 latency is exposed.
                 cycles = min(cycles, self.hierarchy.ideal_latency)
-            value = access(address)
-            done = grant + cycles
-            if options.speculative_loads:
-                # §4.2 invalidation: an older store whose address resolved
-                # *after* this load issued and overlaps it forces the new
-                # value to re-propagate through the DFG.
-                for _, s_addr, s_size, s_done in stores_seen:
-                    overlaps = (s_addr < address + size
-                                and address < s_addr + s_size)
-                    if overlaps and s_done > grant:
-                        activity.load_replays += 1
-                        done = max(done, s_done + options.replay_penalty)
-                        break
-            return value, done
+            return access(address), grant + cycles
         # Store: commit the value to memory; timing is port grant + hand-off.
-        lsq.push(node.node_id, AccessKind.STORE, pc=instr.address, size=size)
-        lsq.resolve_store(node.node_id, address)
         activity.stores += 1
         grant = ports.request(ready)
         self.hierarchy.access(address, is_write=True, pc=instr.address)
         access(address, data)
         done = grant + self.config.latencies.store_issue
-        stores_seen.append((node.node_id, address, size, done))
+        stores_seen.append((address, size, done))
         return 0, done
 
     # -- mode timing ---------------------------------------------------------------
@@ -445,7 +417,6 @@ class DataflowEngine:
         # request; a vector group of loads shares a single grant.
         memory_per_iter = self.plan.memory_per_iter
         port_count = math.inf if ports.unlimited else ports.num_ports
-        issue = ports.issue_interval
 
         if not options.pipelined and options.tile_factor == 1:
             return barrier_total, mean_latency
@@ -457,7 +428,7 @@ class DataflowEngine:
             bandwidth_ii = 0.0
             occupancy_ii = 0.0
         else:
-            bandwidth_ii = tile * memory_per_iter * issue / port_count
+            bandwidth_ii = tile * memory_per_iter / port_count
             # Load/store entries hold a request for its *exposed* latency,
             # so outstanding-miss parallelism is bounded by the entry pool
             # (the MLP limit that makes miss-heavy kernels latency-bound

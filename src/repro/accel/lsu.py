@@ -7,9 +7,10 @@ addresses."  Entries sit along the array's edge (modeled at column ``-1`` of
 their row).
 
 This class only places memory nodes during mapping.  Forwarding and
-disambiguation at run time belong to the interpreter's
-:class:`repro.mem.LoadStoreQueue`, and port bandwidth to the
-:class:`repro.mem.MemoryPorts` pool that the engine is driven with.
+disambiguation at run time follow the one ordering rule of
+:mod:`repro.mem.lsq` over the engine's per-iteration store list, and port
+bandwidth is the :class:`repro.mem.MemoryPorts` pool that the engine is
+driven with.
 """
 
 from __future__ import annotations

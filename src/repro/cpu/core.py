@@ -94,7 +94,7 @@ def _slot(reg: Register | None) -> int:
 def _decode(instr: Instruction, pools: dict, lat: LatencyTable) -> tuple:
     """Everything the scoreboard needs from one static instruction.
 
-    Returns ``(op_class, src1, src2, dest, fu_heap, issue_interval, kind,
+    Returns ``(op_class, src1, src2, dest, fu_heap, fu_interval, kind,
     latency, is_memory, is_control, predicted_taken, pc)``.
 
     Raises:

@@ -18,8 +18,8 @@ goes through them:
 
 So the fabric computes what the CPU computes by construction.  The batched
 fabric path runs the lane forms, and a per-row differential test holds
-each row's two forms to the same bits.  Without a lane form: MULH/DIV/REM
-(no exact int64 lane form), RV64 W-forms (xlen 64), FCVT.W[U].S
+each row's two forms to the same bits.  Without a lane form: MULHU and
+DIV/REM (no exact int64 lane form), RV64 W-forms (xlen 64), FCVT.W[U].S
 (saturating conversion).
 """
 
@@ -351,9 +351,11 @@ _ROWS = {
         Opcode.AND: (lambda a, b, w: a & b, lambda a, b: _vts(a & b)),
         Opcode.MUL: (lambda a, b, w: _ts(a * b, w),
                      lambda a, b: _vts(a * b)),
-        Opcode.MULH: (lambda a, b, w: (a * b) >> w, None, _NO_INT64),
-        Opcode.MULHSU: (lambda a, b, w: (a * _tu(b, w)) >> w, None,
-                        _NO_INT64),
+        # 32-bit products fit in int64; MULHU's would need uint64.
+        Opcode.MULH: (lambda a, b, w: (a * b) >> w,
+                      lambda a, b: (a * b) >> 32),
+        Opcode.MULHSU: (lambda a, b, w: (a * _tu(b, w)) >> w,
+                        lambda a, b: (a * _vtu(b)) >> 32),
         Opcode.MULHU: (lambda a, b, w: (_tu(a, w) * _tu(b, w)) >> w, None,
                        _NO_INT64),
         Opcode.DIV: (lambda a, b, w: _div(a, b, w), None, _NO_INT64),

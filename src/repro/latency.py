@@ -13,7 +13,7 @@ FP mul = 5 cycles) and common RISC-V FU pipelines for the rest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from .isa import Instruction, OpClass
@@ -53,6 +53,11 @@ class LatencyTable:
     }
 
     def __post_init__(self) -> None:
+        # A result (or a store's hand-off) takes at least one cycle: the
+        # fabric's port timing relies on it (repro.accel.batch).
+        for spec in fields(self):
+            if getattr(self, spec.name) < 1:
+                raise ValueError(f"{spec.name} latency must be >= 1 cycle")
         # Materialize the class -> cycles map once; ``for_class`` sits on the
         # per-dynamic-instruction path of every timing model.
         object.__setattr__(self, "_by_class_value", {
@@ -75,18 +80,6 @@ class LatencyTable:
     def for_instruction(self, instr: Instruction) -> int:
         """Latency of a non-memory instruction."""
         return self.for_class(instr.op_class)
-
-    def scaled(self, factor: float) -> "LatencyTable":
-        """A copy with all latencies scaled (min 1 cycle each)."""
-        updates = {
-            name: max(1, round(getattr(self, name) * factor))
-            for name in (
-                "int_alu", "int_mul", "int_div", "fp_add", "fp_mul",
-                "fp_div", "fp_sqrt", "fp_cmp", "fp_cvt", "branch", "jump",
-                "store_issue",
-            )
-        }
-        return replace(self, **updates)
 
 
 #: The library-wide default latency table.

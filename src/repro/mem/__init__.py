@@ -1,15 +1,14 @@
-"""Memory substrate: storage, caches, hierarchy timing, ports, and LSQ.
+"""Memory substrate: storage, caches, hierarchy timing, ports, and ordering.
 
 * :class:`Memory` — functional byte-addressed storage (the data itself);
 * :class:`Cache` / :class:`CacheConfig` — one set-associative level;
 * :class:`MemoryHierarchy` — L1 + L2 + DRAM timing with per-PC AMAT counters;
 * :class:`MemoryPorts` — bandwidth arbitration for the accelerator's ports;
-* :class:`LoadStoreQueue` — disambiguation and store→load forwarding.
+* :mod:`repro.mem.lsq` — the fabric's store→load ordering rule.
 """
 
 from .cache import Cache, CacheConfig, CacheStats
 from .hierarchy import AmatCounter, HierarchyConfig, MemoryHierarchy
-from .lsq import AccessKind, LoadOutcome, LoadStoreQueue, LsqEntry, LsqStats
 from .memory import Memory
 from .ports import MemoryPorts
 
@@ -20,11 +19,6 @@ __all__ = [
     "AmatCounter",
     "HierarchyConfig",
     "MemoryHierarchy",
-    "AccessKind",
-    "LoadOutcome",
-    "LoadStoreQueue",
-    "LsqEntry",
-    "LsqStats",
     "Memory",
     "MemoryPorts",
 ]

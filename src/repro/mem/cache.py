@@ -34,6 +34,8 @@ class CacheConfig:
             )
         if self.line_bytes & (self.line_bytes - 1):
             raise ValueError("line size must be a power of two")
+        if self.hit_latency < 1:
+            raise ValueError("hit latency must be >= 1 cycle")
 
     @property
     def num_sets(self) -> int:

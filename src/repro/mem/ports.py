@@ -22,23 +22,19 @@ class MemoryPorts:
     """Arbiter for a fixed pool of memory ports.
 
     ``request(cycle)`` returns the cycle at which the access can *start*
-    (>= the requested cycle).  Pass ``float("inf")`` port count via
-    :meth:`ideal` for the paper's ideal-memory scenario.
+    (>= the requested cycle); the port is free again one cycle later.
+    :meth:`ideal` gives the paper's ideal-memory scenario.
     """
 
-    def __init__(self, num_ports: int, issue_interval: int = 1) -> None:
+    def __init__(self, num_ports: int | float) -> None:
         """
         Args:
             num_ports: number of ports that can each start one access per
-                ``issue_interval`` cycles.
-            issue_interval: cycles a port is busy per access initiation.
+                cycle; ``math.inf`` for unlimited bandwidth.
         """
         if num_ports < 1:
             raise ValueError("need at least one port")
-        if issue_interval < 1:
-            raise ValueError("issue interval must be >= 1")
         self.num_ports = num_ports
-        self.issue_interval = issue_interval
         self.unlimited = math.isinf(float(num_ports))
         # Min-heap of cycles at which each port next becomes free.
         self._free_at: list[float] = [0.0] * (0 if self.unlimited else int(num_ports))
@@ -50,14 +46,7 @@ class MemoryPorts:
     @classmethod
     def ideal(cls) -> "MemoryPorts":
         """An arbiter with unlimited bandwidth (Fig. 15 'Ideal Memory')."""
-        arbiter = cls.__new__(cls)
-        arbiter.num_ports = math.inf  # type: ignore[assignment]
-        arbiter.issue_interval = 1
-        arbiter.unlimited = True
-        arbiter._free_at = []
-        arbiter.total_requests = 0
-        arbiter.total_wait_cycles = 0.0
-        return arbiter
+        return cls(math.inf)
 
     def request(self, cycle: float) -> float:
         """Claim a port at or after ``cycle``; returns the grant cycle."""
@@ -66,7 +55,7 @@ class MemoryPorts:
             return cycle
         earliest = self._free_at[0]
         grant = max(cycle, earliest)
-        heapq.heapreplace(self._free_at, grant + self.issue_interval)
+        heapq.heapreplace(self._free_at, grant + 1)
         self.total_wait_cycles += grant - cycle
         return grant
 
@@ -77,12 +66,12 @@ class MemoryPorts:
     def record_grants(self, free_times, wait_cycles: float) -> None:
         """Fold requests granted outside :meth:`request` into the arbiter.
 
-        ``free_times`` holds ``grant + issue_interval`` of every request,
-        each granted at ``max(cycle, earliest free port)``, and
-        ``wait_cycles`` the sum of their ``grant - cycle``.  Every request
-        replaces the earliest free time with a later one, so the pool ends
-        holding the ``num_ports`` latest of all free times it has seen —
-        the state :meth:`request` would have left.
+        ``free_times`` holds ``grant + 1`` of every request, each granted
+        at ``max(cycle, earliest free port)``, and ``wait_cycles`` the sum
+        of their ``grant - cycle``.  Every request replaces the earliest
+        free time with a later one, so the pool ends holding the
+        ``num_ports`` latest of all free times it has seen — the state
+        :meth:`request` would have left.
         """
         free_times = np.asarray(free_times, np.float64)
         self.total_requests += free_times.size

@@ -239,8 +239,8 @@ def test_operand_dtype_mismatch():
     assert reason_for(program) == "operand dtype mismatch"
 
 
-@pytest.mark.parametrize("opcode", [Opcode.DIV, Opcode.MULH],
-                         ids=["div", "mulh"])
+@pytest.mark.parametrize("opcode", [Opcode.DIV, Opcode.MULHU],
+                         ids=["div", "mulhu"])
 def test_laneless_opcode_falls_back_with_its_row_reason(opcode):
     # The guarded add becomes an opcode whose row in the opcode table has
     # no lane form: the plan runs on the interpreter, says why, and the

@@ -40,10 +40,9 @@ from repro.workloads import build_kernel
 KERNELS = ("hotspot", "cfd", "kmeans", "nn", "lud", "bfs")
 
 #: Engine-level ExecutionOptions overrides on top of the controller's loop
-#: plan: in-order loads, and barrier mode (no pipelining, no tiling).
+#: plan: barrier mode (no pipelining, no tiling).
 MODES = {
     "default": {},
-    "no-speculation": {"speculative_loads": False},
     "no-loopopt": {"pipelined": False, "tile_factor": 1},
 }
 

@@ -1,5 +1,7 @@
 """Tests for out-of-order load speculation on the fabric (paper §4.2)."""
 
+import dataclasses
+
 import pytest
 
 from repro.accel import (
@@ -66,7 +68,7 @@ class TestSpeculation:
         """Store to 32*32=0x400 == load address -> invalidation."""
         state = make_state(32)
         engine = DataflowEngine(conflict_program())
-        run = engine.run(state, ExecutionOptions(speculative_loads=True))
+        run = engine.run(state)
         assert run.activity.load_replays == 1
         # Functional result is the *stored* value (program order semantics).
         assert state.read(x(31)) == 999
@@ -75,33 +77,23 @@ class TestSpeculation:
         """Store to 16*16=0x100 != load address 0x400 -> speculation wins."""
         state = make_state(16)
         engine = DataflowEngine(conflict_program())
-        run = engine.run(state, ExecutionOptions(speculative_loads=True))
+        run = engine.run(state)
         assert run.activity.load_replays == 0
         assert state.read(x(31)) == 111, "load sees the old memory value"
 
-    def test_speculation_faster_when_disjoint(self):
-        spec = DataflowEngine(conflict_program()).run(
-            make_state(16), ExecutionOptions(speculative_loads=True))
-        conservative = DataflowEngine(conflict_program()).run(
-            make_state(16), ExecutionOptions(speculative_loads=False))
-        assert spec.latency.node_latency(3) < conservative.latency.node_latency(3), (
-            "waiting for the slow store address must delay the load")
-
     def test_replay_penalty_charged(self):
         cheap = DataflowEngine(conflict_program()).run(
-            make_state(32), ExecutionOptions(speculative_loads=True,
-                                             replay_penalty=0))
+            make_state(32), ExecutionOptions(replay_penalty=0))
         costly = DataflowEngine(conflict_program()).run(
-            make_state(32), ExecutionOptions(speculative_loads=True,
-                                             replay_penalty=50))
+            make_state(32), ExecutionOptions(replay_penalty=50))
         assert (costly.latency.node_latency(3)
                 > cheap.latency.node_latency(3))
 
     def test_functional_result_mode_independent(self):
-        for speculative in (True, False):
+        for penalty in (0, 50):
             state = make_state(32)
             DataflowEngine(conflict_program()).run(
-                state, ExecutionOptions(speculative_loads=speculative))
+                state, ExecutionOptions(replay_penalty=penalty))
             assert state.read(x(31)) == 999
 
     def test_invalid_penalty_rejected(self):
@@ -136,9 +128,63 @@ class TestSpeculation:
         state.write(t3, 5)
         state.write(x(10), 0x500)
         run = DataflowEngine(program).run(state)
-        # The disambiguation hardware catches the pair either way: as a
-        # forward (conservative) or as an invalidation (speculative).
-        assert run.activity.lsq_forwards + run.activity.load_replays == 1
+        # The load's address is ready before the store completes, so the
+        # ordering rule catches the pair as an invalidation and replay.
+        assert run.activity.load_replays == 1
+        assert run.activity.lsq_forwards == 0
         assert state.read(t6) == 25
         # Load completes after the mul -> store chain, not at cycle ~1.
         assert run.latency.node_latency(2) >= run.latency.node_latency(0)
+
+
+def two_store_program() -> AcceleratorProgram:
+    """:func:`conflict_program`'s slow store, then a second store to the
+    load's address whose own address is ready at once, then the load."""
+    program = conflict_program()
+    base = 0x1000
+    fast_store = ConfiguredNode(
+        3, Instruction(base + 12, Opcode.SW, rs1=x(10), rs2=x(11), imm=0),
+        (2, -1), src1=Operand.from_register(x(10)),
+        src2=Operand.from_register(x(11)), is_memory=True)
+    load = ConfiguredNode(
+        4, Instruction(base + 16, Opcode.LW, rd=x(31), rs1=x(10), imm=0),
+        (1, -1), src1=Operand.from_register(x(10)), is_memory=True)
+    return AcceleratorProgram(
+        config=CFG, nodes=[*program.nodes[:3], fast_store, load],
+        loop_branch_id=None, live_in={*program.live_in, x(11)},
+        live_out={x(31): 4})
+
+
+class TestOrderingRule:
+    def test_load_replays_against_the_newest_overlapping_store(self):
+        # Both stores write the load's address: the load reads the fast
+        # (newer) store's data, and its replay waits for that store, not
+        # for the slow older one.
+        state = make_state(32)
+        state.write(x(11), 888)
+        options = ExecutionOptions()
+        run = DataflowEngine(two_store_program()).run(state, options)
+        assert state.read(x(31)) == 888
+        assert run.activity.load_replays == 1
+        latency = run.latency
+        assert latency.node_latency(4) == (latency.node_latency(3)
+                                           + options.replay_penalty)
+        assert latency.node_latency(4) < (latency.node_latency(2)
+                                          + options.replay_penalty)
+
+    def test_younger_store_does_not_touch_the_load(self):
+        # A store after the load in program order is not in its store
+        # list: the load reads the old value from memory.
+        program = conflict_program()
+        store, load = program.nodes[2:]
+        program = dataclasses.replace(
+            program, nodes=[*program.nodes[:2],
+                            dataclasses.replace(load, node_id=2),
+                            dataclasses.replace(store, node_id=3)],
+            live_out={x(31): 2})
+        state = make_state(32)
+        run = DataflowEngine(program).run(state)
+        assert state.read(x(31)) == 111
+        assert run.activity.load_replays == 0
+        assert run.activity.lsq_forwards == 0
+        assert state.memory.load(0x400, 4) == 999

@@ -74,8 +74,8 @@ IMM_EDGES = (0, 1, -1, 4, 31, 32, 33, 63, -2048, 2047)
 
 #: Lane-less rows and their reasons.
 LANELESS = {
-    **dict.fromkeys((Opcode.MULH, Opcode.MULHSU, Opcode.MULHU, Opcode.DIV,
-                     Opcode.DIVU, Opcode.REM, Opcode.REMU),
+    **dict.fromkeys((Opcode.MULHU, Opcode.DIV, Opcode.DIVU, Opcode.REM,
+                     Opcode.REMU),
                     "no exact int64 lane form"),
     **dict.fromkeys((Opcode.ADDW, Opcode.SUBW, Opcode.SLLW, Opcode.SRLW,
                      Opcode.SRAW, Opcode.ADDIW, Opcode.SLLIW, Opcode.SRLIW,

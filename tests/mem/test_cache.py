@@ -26,6 +26,10 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             CacheConfig(size_bytes=0)
 
+    def test_rejects_hit_latency_below_one_cycle(self):
+        with pytest.raises(ValueError, match="hit latency"):
+            CacheConfig(size_bytes=1024, hit_latency=0)
+
     def test_num_sets(self):
         cfg = CacheConfig(size_bytes=64 * 1024, line_bytes=64, associativity=8)
         assert cfg.num_sets == 128

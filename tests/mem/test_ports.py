@@ -24,11 +24,6 @@ class TestArbitration:
         assert ports.request(5) == 5
         assert ports.total_wait_cycles == 0.0
 
-    def test_issue_interval(self):
-        ports = MemoryPorts(num_ports=1, issue_interval=3)
-        assert ports.request(0) == 0
-        assert ports.request(0) == 3
-
     def test_ideal_never_waits(self):
         ports = MemoryPorts.ideal()
         grants = [ports.request(7) for _ in range(100)]
@@ -45,8 +40,6 @@ class TestArbitration:
     def test_invalid_configs(self):
         with pytest.raises(ValueError):
             MemoryPorts(num_ports=0)
-        with pytest.raises(ValueError):
-            MemoryPorts(num_ports=1, issue_interval=0)
 
 
 class TestProperties:

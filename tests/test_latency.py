@@ -36,15 +36,10 @@ class TestLatencyTable:
                 continue
             assert DEFAULT_LATENCIES.for_class(cls) >= 1
 
-    def test_scaled(self):
-        doubled = DEFAULT_LATENCIES.scaled(2.0)
-        assert doubled.fp_mul == 10
-        assert doubled.int_alu == 2
-
-    def test_scaled_floors_at_one(self):
-        tiny = DEFAULT_LATENCIES.scaled(0.01)
-        assert tiny.int_alu == 1
-        assert tiny.fp_sqrt == 1
+    @pytest.mark.parametrize("field", ["int_alu", "fp_sqrt", "store_issue"])
+    def test_latency_below_one_cycle_rejected(self, field):
+        with pytest.raises(ValueError, match=f"{field} latency must be >= 1"):
+            LatencyTable(**{field: 0})
 
     def test_custom_table(self):
         table = LatencyTable(fp_mul=7)

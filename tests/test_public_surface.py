@@ -38,9 +38,6 @@ ORACLES = {
     "MulticoreResult.speedup_vs_single":
         "scaling oracle: multicore tests bound the analytic model's speedup "
         "by core count and parallel fraction",
-    "LoadStoreQueue.commit":
-        "retirement oracle: LSQ tests pin in-order, resolved-only "
-        "retirement; the engine drops its per-iteration queue instead",
 }
 
 
