@@ -57,8 +57,7 @@ def _offload_setup(name: str):
 
     def entry_state():
         return controller._state_at_loop_entry(
-            kernel.program, result.decision, kernel.state_factory(),
-            4_000_000)
+            kernel.program, result.decision, kernel.state_factory())
 
     return result.accel_program, controller.interconnect, options, entry_state
 

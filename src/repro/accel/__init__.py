@@ -30,7 +30,7 @@ from .interconnect import (
     RowSliceInterconnect,
     build_interconnect,
 )
-from .lsu import LoadStoreEntries, LsuAssignment
+from .lsu import LoadStoreEntries
 from .plan import ExecutionPlan, compile_plan
 from .program import (
     AcceleratorProgram,
@@ -63,7 +63,6 @@ __all__ = [
     "RowSliceInterconnect",
     "build_interconnect",
     "LoadStoreEntries",
-    "LsuAssignment",
     "ExecutionPlan",
     "compile_plan",
     "AcceleratorProgram",

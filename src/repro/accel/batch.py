@@ -63,17 +63,17 @@ few provable properties of the model:
   in-iteration store-to-load forward; the interpreter executes that one
   iteration (iteration barriers leave no NoC state or store list behind,
   and counter folds are additive), then batching resumes.
-* **Memory port state never carries between iterations** once no grant
-  is pending when a block starts.  A request frees its port one cycle
-  after its grant, and its own access completes no earlier than the L1
+* **Memory port state never carries between iterations.**  Each run's
+  pool starts empty at clock 0.  A request frees its port one cycle
+  after its grant, and its own node completes no earlier than the L1
   hit latency (a load) or ``store_issue`` (a store) after the grant —
-  both at least 1 cycle, which their configs enforce — and no later than
-  the iteration's end.  So every port is free again when the next
+  both at least 1 cycle, which their configs enforce; a replayed load,
+  whose completion the store sets, is bounded below by grant + 1 — and
+  no later than the iteration's end.  So every port is free again when the next
   iteration starts: like the NoC rings, each iteration's grants depend
   only on its own requests and vectorize over lanes in each lane's own
-  time.  An external port pool that still holds an earlier run's grants
-  has the block's first iteration stepped on the interpreter instead,
-  and the run's ``drive_reason`` says why.
+  time, and an interpreter step's grants never depend on the pool state
+  that batched blocks leave unwritten.
 * **Cache outcomes depend only on address order.**  The hierarchy's state
   evolves with the sequence of accesses (k-major, then memory-node order),
   never with their timing, so a block's latencies come from one bulk
@@ -550,7 +550,7 @@ def _make_cluster(comp, nodes):
 
 # -- block driver --------------------------------------------------------------
 
-def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
+def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
                   latency, activity, options, step):
     """Drive the loop in vectorized blocks.
 
@@ -558,11 +558,8 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
     docstring); a hazard in a block's first iteration is executed by
     ``step(prev_values, iteration, start)`` — the interpreter's
     :meth:`~repro.accel.engine.DataflowEngine._run_iteration`, which
-    records that iteration's counters itself.
-
-    Memory ports are batched only while no grant is pending at the
-    block's start (module docstring); otherwise the block's first
-    iteration is stepped too.
+    records that iteration's counters itself.  ``memory_ports`` is the
+    config's port count (``math.inf`` for unlimited ports).
 
     Returns ``(iterations, iteration_latencies, reason)``; ``reason`` names
     the first iteration the interpreter stepped ("" when none was).
@@ -607,10 +604,6 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
         finished = not loop_taken or iterations >= max_iterations
 
     while not finished:
-        if mem_ids and not ports.idle_by(clock):
-            step_once("memory ports still busy at the start of iteration "
-                      f"{iterations}")
-            continue
         first = iterations == 0
         nb = min(block, max_iterations - iterations)
 
@@ -664,7 +657,7 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, ports,
         # -- phase B: memory (cache pass, store commit, port timing) ---------
         starts, ends, done_mat = _phase_memory(
             bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off, wend,
-            ports, hierarchy, store_issue, memory)
+            memory_ports, hierarchy, store_issue, memory)
         lat_vec = ends - starts
 
         # -- phase C: counter folds ------------------------------------------
@@ -1058,7 +1051,7 @@ def _phase_timing(bp, nb, first, offs):
 
 
 def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
-                  wend, ports, hierarchy, store_issue, memory):
+                  wend, memory_ports, hierarchy, store_issue, memory):
     """The block's memory events in three passes, none of them over lanes.
 
     1. **Cache outcomes** depend only on the order of accesses (k-major,
@@ -1069,8 +1062,8 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
        :meth:`~repro.mem.Memory.scatter`; first-hazard truncation already
        guarantees that no load of the block reads these bytes.
     3. **Port timing** runs per memory node in request order, vectorized
-       over lanes, in each lane's own time (the drive loop only batches
-       blocks that start with every port idle — module docstring): ready
+       over lanes, in each lane's own time (every port is idle when an
+       iteration starts — module docstring): ready
        times, vector-group grants, a (ports, nb) array of free times
        granted by argmin, and the prefetch cap.  Lane starts are then the
        running sum of lane latencies — exact, because every quantity is an
@@ -1093,11 +1086,9 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
             live[:, j] = on
 
     # 1. cache pass
-    writes = np.broadcast_to([not p.is_load for p in plans], (nb, m))
     pcs = np.broadcast_to([p.pc for p in plans], (nb, m))
     cycles = np.zeros((nb, m))
-    cycles[live] = hierarchy.access_stream(addr[live], writes[live],
-                                           pcs[live])
+    cycles[live] = hierarchy.access_stream(addr[live], pcs[live])
     ideal = hierarchy.ideal_latency
     for j, p in enumerate(plans):
         if p.prefetched:
@@ -1121,9 +1112,8 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
     # weights from later sources are -inf, so unfilled rows never count).
     rel = np.zeros((bp.n_sources, nb))
     lanes = np.arange(nb)
-    free = (None if ports.unlimited
-            else np.full((int(ports.num_ports), nb), _NEG))
-    requests = []      # (lane mask, ready, grant) per requesting node
+    free = (None if np.isinf(memory_ports)
+            else np.full((int(memory_ports), nb), _NEG))
     group_grants: dict[int, np.ndarray] = {}
 
     def request(ready, mask):
@@ -1132,7 +1122,6 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
             slot = free.argmin(axis=0)
             grant = np.maximum(ready, free[slot, lanes])
             free[slot[mask], lanes[mask]] = grant[mask] + 1
-        requests.append((mask, ready, grant))
         return grant
 
     for j, i in enumerate(mem_ids):
@@ -1161,10 +1150,6 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
 
     ends = clock + np.cumsum(lat)
     starts = np.concatenate(([clock], ends[:-1]))
-    if requests:
-        mask, ready, grant = (np.array(rows) for rows in zip(*requests))
-        ports.record_grants((starts + grant + 1)[mask],
-                            float((grant - ready)[mask].sum()))
     return starts, ends, starts + rel[1:]
 
 

@@ -56,9 +56,10 @@ class AcceleratorConfig:
     noc_slice: int = 4
     noc_hop_latency: int = 1
     noc_inject_latency: int = 2
-    #: Load/store entries and the memory ports they share.
+    #: Load/store entries and the memory ports they share.  Fig. 15's
+    #: "Ideal Memory" curve sets ``memory_ports`` to ``math.inf``.
     lsu_entries: int = 32
-    memory_ports: int = 2
+    memory_ports: int | float = 2
     #: Operation latencies of the PEs' functional units.
     latencies: LatencyTable = DEFAULT_LATENCIES
     frequency_ghz: float = 2.0

@@ -23,8 +23,10 @@ for correctness and applies the mode's timing model for cycle counts.
 Memory ordering is one rule, :mod:`repro.mem.lsq`: a load issues as soon
 as its address is ready and reads the newest older store of its iteration
 that overlaps it (forwarding, or a replay when it issued before that store
-completed), and memory otherwise.  Each memory port starts one access per
-cycle.
+completed), and memory otherwise.  A load that reads memory — a replayed
+one too, which read stale data — takes a port grant and a cache access.
+Each run builds its own pool of ``config.memory_ports`` ports, each of
+which starts one access per cycle.
 
 Two drive paths produce bit-identical results:
 
@@ -79,9 +81,6 @@ class ExecutionOptions:
     pipelined: bool = False
     tile_factor: int = 1
     max_iterations: int = 1_000_000
-    #: Ports model; None uses the config's port count.  Use
-    #: :meth:`repro.mem.MemoryPorts.ideal` for the Fig. 15 ideal-memory case.
-    ports: MemoryPorts | None = None
     #: Cycles to re-propagate a value after a load invalidation: a load
     #: issues as soon as its address is ready (§4.2), and an older store
     #: to the same bytes that completes later invalidates it.
@@ -152,8 +151,7 @@ class DataflowEngine:
         control-return protocol (§5.1).
         """
         options = options if options is not None else ExecutionOptions()
-        ports = (options.ports if options.ports is not None
-                 else MemoryPorts(self.config.memory_ports))
+        ports = MemoryPorts(self.config.memory_ports)
         # Each run starts a fresh timeline: clear NoC ring-channel state.
         self._noc_channels.clear()
         latency = LatencyCounters()
@@ -170,8 +168,8 @@ class DataflowEngine:
                 reg_env, ports=ports,
                 latency=latency, activity=activity, options=options)
             iterations, iteration_latencies, drive_reason = drive_batched(
-                batch_program, self.hierarchy, state, reg_env, ports,
-                latency, activity, options, step)
+                batch_program, self.hierarchy, state, reg_env,
+                self.config.memory_ports, latency, activity, options, step)
         else:
             if batch_program is not None:
                 drive_reason = batch_program.capability.reason
@@ -181,7 +179,7 @@ class DataflowEngine:
         mean_latency = (sum(iteration_latencies) / len(iteration_latencies)
                         if iteration_latencies else 0.0)
         total_cycles, ii = self._total_cycles(
-            iterations, iteration_latencies, mean_latency, options, ports)
+            iterations, iteration_latencies, mean_latency, options)
         return AcceleratorRun(
             iterations=iterations,
             cycles=total_cycles,
@@ -367,8 +365,20 @@ class DataflowEngine:
         if instr.is_load:
             activity.loads += 1
             store = forwarding_store(stores_seen, address, size)
+            if store is None or ready < store[2]:
+                # Memory is read: by a load no older store overlaps, or by
+                # one that issued before such a store completed.
+                if (node.vector_group is not None
+                        and node.vector_group in vector_grants):
+                    # Vectorized loads piggyback on their group's grant.
+                    grant = max(ready, vector_grants[node.vector_group])
+                else:
+                    grant = ports.request(ready)
+                    if node.vector_group is not None:
+                        vector_grants[node.vector_group] = grant
+                cycles = self.hierarchy.access(address, pc=instr.address)
+            value = access(address)
             if store is not None:
-                value = access(address)
                 store_done = store[2]
                 fwd_done = (max(ready, store_done)
                             + self.config.latencies.store_issue)
@@ -377,29 +387,23 @@ class DataflowEngine:
                     # read stale data, and is *invalidated* when the store
                     # broadcasts — "this invalidation forces the new value
                     # to propagate through the remainder of the DFG" (§4.2).
+                    # It completes no earlier than its stale read's port
+                    # frees, so no port stays busy past the iteration.
                     activity.load_replays += 1
                     return value, max(fwd_done,
-                                      store_done + options.replay_penalty)
+                                      store_done + options.replay_penalty,
+                                      grant + 1)
                 # The forwarding path delivers the data directly.
                 activity.lsq_forwards += 1
                 return value, fwd_done
-            # Vectorized loads piggyback on their group's port grant.
-            if (node.vector_group is not None
-                    and node.vector_group in vector_grants):
-                grant = max(ready, vector_grants[node.vector_group])
-            else:
-                grant = ports.request(ready)
-                if node.vector_group is not None:
-                    vector_grants[node.vector_group] = grant
-            cycles = self.hierarchy.access(address, pc=instr.address)
             if node.prefetched and iteration > 0:
                 # Issued an iteration early: only the L1 latency is exposed.
                 cycles = min(cycles, self.hierarchy.ideal_latency)
-            return access(address), grant + cycles
+            return value, grant + cycles
         # Store: commit the value to memory; timing is port grant + hand-off.
         activity.stores += 1
         grant = ports.request(ready)
-        self.hierarchy.access(address, is_write=True, pc=instr.address)
+        self.hierarchy.access(address, pc=instr.address)
         access(address, data)
         done = grant + self.config.latencies.store_issue
         stores_seen.append((address, size, done))
@@ -408,7 +412,7 @@ class DataflowEngine:
     # -- mode timing ---------------------------------------------------------------
 
     def _total_cycles(self, iterations, iteration_latencies, mean_latency,
-                      options: ExecutionOptions, ports: MemoryPorts):
+                      options: ExecutionOptions):
         """Total region cycles under the selected execution mode."""
         if iterations == 0:
             return 0.0, 0.0
@@ -416,7 +420,7 @@ class DataflowEngine:
         # Port requests per iteration: every store and ungrouped load is one
         # request; a vector group of loads shares a single grant.
         memory_per_iter = self.plan.memory_per_iter
-        port_count = math.inf if ports.unlimited else ports.num_ports
+        port_count = self.config.memory_ports
 
         if not options.pipelined and options.tile_factor == 1:
             return barrier_total, mean_latency
@@ -424,7 +428,7 @@ class DataflowEngine:
         recurrence = self._recurrence_ii()
         tile = options.tile_factor
         rounds = math.ceil(iterations / tile)
-        if port_count is math.inf or port_count == float("inf"):
+        if math.isinf(port_count):
             bandwidth_ii = 0.0
             occupancy_ii = 0.0
         else:

@@ -9,25 +9,15 @@ their row).
 This class only places memory nodes during mapping.  Forwarding and
 disambiguation at run time follow the one ordering rule of
 :mod:`repro.mem.lsq` over the engine's per-iteration store list, and port
-bandwidth is the :class:`repro.mem.MemoryPorts` pool that the engine is
-driven with.
+bandwidth is the :class:`repro.mem.MemoryPorts` pool that each engine run
+builds.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .config import AcceleratorConfig, Coord
 
-__all__ = ["LsuAssignment", "LoadStoreEntries"]
-
-
-@dataclass(frozen=True)
-class LsuAssignment:
-    """A memory instruction's slot among the load/store entries."""
-
-    entry_index: int
-    coord: Coord  # position used by the interconnect latency model
+__all__ = ["LoadStoreEntries"]
 
 
 class LoadStoreEntries:
@@ -58,8 +48,10 @@ class LoadStoreEntries:
         row = (entry_index * stride) % rows
         return (row, -1)
 
-    def allocate(self, node_id: int) -> LsuAssignment:
-        """Assign the next entry, in program order, to a memory node.
+    def allocate(self, node_id: int) -> Coord:
+        """Assign the next entry, in program order, to a memory node;
+        returns the entry's coordinate (what the interconnect latency model
+        reads).
 
         Raises:
             OverflowError: when all entries are taken (a structural hazard
@@ -71,7 +63,7 @@ class LoadStoreEntries:
             )
         if node_id in self._nodes:
             raise ValueError(f"node {node_id} already has an LSU entry")
-        assignment = LsuAssignment(self._next, self.entry_coord(self._next))
+        coord = self.entry_coord(self._next)
         self._nodes.add(node_id)
         self._next += 1
-        return assignment
+        return coord

@@ -76,7 +76,6 @@ class EdgePlan:
     """One DFG or loop-carried edge with its routing decision frozen."""
 
     src_id: int
-    dst_id: int
     #: Static transfer latency ``l(C)`` — the full cost for local routes,
     #: the unloaded cost for NoC routes (queue wait is added dynamically).
     cycles: float
@@ -89,7 +88,7 @@ class EdgePlan:
     src_row: int
     #: Router-to-router hops for NoC-routed packets (activity, not latency).
     router_hops: int
-    #: ``(src_id, dst_id)`` — the latency-counter key.
+    #: ``(src_id, destination node id)`` — the latency-counter key.
     key: tuple[int, int]
     #: Index into ``ExecutionPlan.edge_slots`` — one slot per operand
     #: occurrence, so per-event accounting can use flat arrays instead of
@@ -295,7 +294,6 @@ class ExecutionPlan:
         is_local = manhattan * self.config.local_hop_latency <= cycles
         edge = EdgePlan(
             src_id=src_id,
-            dst_id=dst.node_id,
             cycles=cycles,
             is_local=is_local,
             manhattan=manhattan,

@@ -19,7 +19,6 @@ from .configure import (
     ConfigCache,
     ConfigTimingModel,
     ConfigurationCost,
-    InsertOutcome,
     build_program,
     configuration_cost,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "ConfigCache",
     "ConfigTimingModel",
     "ConfigurationCost",
-    "InsertOutcome",
     "build_program",
     "configuration_cost",
     "AcceleratedRegion",

@@ -39,7 +39,7 @@ from .mapping import MappingStats
 from .sdfg import Sdfg
 
 __all__ = ["ConfigTimingModel", "ConfigurationCost", "ConfigCache",
-           "CacheStats", "CachedConfiguration", "InsertOutcome",
+           "CacheStats", "CachedConfiguration",
            "build_program", "configuration_cost"]
 
 
@@ -244,13 +244,6 @@ class CachedConfiguration(NamedTuple):
     cost: ConfigurationCost
 
 
-class InsertOutcome(NamedTuple):
-    """What :meth:`ConfigCache.put` did to make room for an entry."""
-
-    evicted: bool
-    replaced: bool
-
-
 class ConfigCache:
     """Per-region configuration cache (re-encountered loops skip T1–T3).
 
@@ -321,8 +314,8 @@ class ConfigCache:
             return entry
 
     def put(self, start: int, end: int, config_name: str, digest: str,
-            entry: CachedConfiguration) -> InsertOutcome:
-        """Cache a configuration, reporting any eviction it forced.
+            entry: CachedConfiguration) -> bool:
+        """Cache a configuration; returns whether it forced an eviction.
 
         Overwriting the key already present never evicts an unrelated
         entry: membership is checked *before* the capacity test, so an
@@ -343,7 +336,7 @@ class ConfigCache:
                 del self._entries[key]  # refresh: re-fill counts as a touch
             self._entries[key] = entry
             self.insertions += 1
-        return InsertOutcome(evicted=evicted, replaced=replaced)
+        return evicted
 
     def export_regions(self, keys=None) -> list[dict]:
         """Portable snapshot of the resident configurations.

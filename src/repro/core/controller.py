@@ -487,12 +487,12 @@ class MesaController:
             mapper_stats=translated.mapper_stats,
             stall_fills=translated.trace_cache.stall_fills,
         )
-        outcome = self.config_cache.put(
+        evicted = self.config_cache.put(
             decision.loop.start_address, decision.loop.end_address,
             self.config.name, digest,
             CachedConfiguration(accel_program, bitstream, cost))
         call.cache["insertions"] += 1
-        call.cache["evictions"] += outcome.evicted
+        call.cache["evictions"] += evicted
         return AcceleratedRegion(
             decision=decision,
             digest=digest,

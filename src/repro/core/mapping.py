@@ -133,7 +133,7 @@ class InstructionMapper:
 
     def _place_memory(self, entry: LdfgEntry, lsu: LoadStoreEntries) -> Coord:
         try:
-            return lsu.allocate(entry.node_id).coord
+            return lsu.allocate(entry.node_id)
         except OverflowError as exc:
             raise MappingError(
                 f"out of load/store entries at node {entry.node_id}"

@@ -47,7 +47,6 @@ class OptimizationRound:
     measured_iteration_latency: float
     predicted_after_remap: float
     remapped: bool
-    profile_iterations: int
 
 
 class IterativeOptimizer:
@@ -106,7 +105,6 @@ class IterativeOptimizer:
                 measured_iteration_latency=measured.iteration_latency,
                 predicted_after_remap=candidate.predicted_latency,
                 remapped=remap,
-                profile_iterations=measured.iterations,
             ))
             if not remap:
                 break

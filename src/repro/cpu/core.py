@@ -151,7 +151,7 @@ class OutOfOrderCore:
         last_commit = commit_count = 0
         mispredicts = forwards = 0
 
-        for _, instr, address, taken in trace:
+        for instr, address, taken in trace:
             record = decoded.get(id(instr))
             if record is None:
                 record = decoded[id(instr)] = (
@@ -208,9 +208,9 @@ class OutOfOrderCore:
                     forwards += 1
                     complete = max(issue + store_issue, done)
                 else:
-                    complete = issue + access(address, False, pc)
+                    complete = issue + access(address, pc)
             else:
-                access(address, True, pc)
+                access(address, pc)
                 complete = issue + store_issue
                 stores[address] = (n_stores, complete)
                 n_stores += 1

@@ -45,7 +45,6 @@ class MulticoreResult:
     cycles: float
     single_core: CoreResult
     num_cores: int
-    parallel_fraction: float
 
     @property
     def speedup_vs_single(self) -> float:
@@ -104,5 +103,4 @@ class MulticoreCpu:
             cycles=total,
             single_core=single,
             num_cores=n,
-            parallel_fraction=parallel_fraction,
         )

@@ -21,9 +21,9 @@ __all__ = ["TraceEntry", "Trace", "collect_trace"]
 
 
 class TraceEntry(NamedTuple):
-    """One dynamically executed instruction."""
+    """One dynamically executed instruction (its stream position is its
+    index in :attr:`Trace.entries`)."""
 
-    seq: int
     instruction: Instruction
     #: Effective address for loads/stores, else ``None``.
     address: int | None = None
@@ -59,7 +59,7 @@ class Trace:
     def pc_counts(self) -> Counter[int]:
         """Dynamic execution count of every executed pc."""
         return Counter(map(attrgetter("address"),
-                           map(itemgetter(1), self.entries)))
+                           map(itemgetter(0), self.entries)))
 
     @cached_property
     def back_edges(self) -> tuple[TraceEntry, ...]:
@@ -106,9 +106,9 @@ def collect_trace(program: Program, state: MachineState | None = None,
     append = entries.append
     start, end = program.base_address, program.end_address
     pc = state.pc
-    seq = 0
+    executed = 0
     while start <= pc < end:
-        if seq == max_steps:
+        if executed == max_steps:
             raise ExecutionError(f"exceeded {max_steps} steps (runaway loop?)")
         offset = pc - start
         if offset & 3:
@@ -119,6 +119,6 @@ def collect_trace(program: Program, state: MachineState | None = None,
         next_pc = pc + 4
         taken = (target is not None and target != next_pc) if control else None
         pc = state.pc = next_pc if target is None else target
-        append(new_entry(TraceEntry, (seq, instr, address, taken)))
-        seq += 1
+        append(new_entry(TraceEntry, (instr, address, taken)))
+        executed += 1
     return Trace(tuple(entries), state)

@@ -10,11 +10,14 @@ compares against the paper.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, replace
 
-from ..accel import AcceleratorConfig, M_128, M_512, M_64, ExecutionOptions
+from ..accel import (AcceleratorConfig, AcceleratorRun, DataflowEngine, M_128,
+                     M_512, M_64)
 from ..core import MesaOptions
-from ..mem import MemoryPorts
+from ..isa import Executor
+from ..mem import MemoryHierarchy
 from ..power import AcceleratorEnergyModel
 from ..workloads import FIG11_SET, FIG12_SET, FIG14_SET, build_kernel
 from .experiment import ExperimentRunner, SystemResult
@@ -330,7 +333,8 @@ def fig15_pe_scaling(iterations: int = 2048,
                      workers: int = 1,
                      shard_timeout: float | None = None) -> Fig15Result:
     """Fig. 15: nn performance scaling with PE count, with a fixed memory
-    system (8 ports) — plus the ideal-memory and ideal-scaling curves.
+    system (256 entries, 16 ports) — plus the ideal-memory and
+    ideal-scaling curves.
 
     One shard per PE count; speedups normalize against the first
     *successful* point, merged in PE order.  A failed shard drops its
@@ -363,31 +367,27 @@ def _nn_accel_cycles(config: AcceleratorConfig, iterations: int,
     from ..core import MesaController
 
     kernel = build_kernel("nn", iterations=iterations)
-    controller = MesaController(config)
+    result = MesaController(config).execute(
+        kernel.program, kernel.state_factory, parallelizable=True)
+    if not result.accelerated:
+        return float(result.total_cycles)
     if ideal:
-        # Monkey-free ideal-memory variant: run the configured program with
-        # unlimited ports.
-        result = controller.execute(kernel.program, kernel.state_factory,
-                                    parallelizable=True)
-        if not result.accelerated:
-            return float(result.total_cycles)
-        from ..accel import DataflowEngine
-        from ..mem import MemoryHierarchy
+        return _ideal_memory_run(kernel, result, iterations).cycles
+    return result.breakdown.accel_cycles
 
-        engine = DataflowEngine(result.accel_program,
-                                hierarchy=MemoryHierarchy())
-        plan = result.loop_plan
-        run = engine.run(kernel.fresh_state(),
-                         ExecutionOptions(pipelined=plan.pipelined,
-                                          tile_factor=plan.tile_factor,
-                                          max_iterations=iterations,
-                                          ports=MemoryPorts.ideal()))
-        return run.cycles
-    result = controller.execute(kernel.program, kernel.state_factory,
-                                parallelizable=True)
-    if result.accelerated:
-        return result.breakdown.accel_cycles
-    return float(result.total_cycles)
+
+def _ideal_memory_run(kernel, result, iterations: int) -> AcceleratorRun:
+    """Fig. 15's "Ideal Memory" drive: the mapped program over its config
+    with unlimited memory ports, from the state at the loop's entry."""
+    program = result.accel_program
+    config = replace(program.config, memory_ports=math.inf)
+    engine = DataflowEngine(replace(program, config=config, plan_cache={}),
+                            hierarchy=MemoryHierarchy())
+    state = kernel.fresh_state()
+    Executor(kernel.program, state).run(
+        stop_pcs=(result.decision.loop.start_address,))
+    return engine.run(state, result.loop_plan.to_execution_options(
+        max_iterations=iterations))
 
 
 # ---------------------------------------------------------------- Fig. 16 --

@@ -4,7 +4,9 @@ The evaluation platform in the paper configures "a memory hierarchy of 64KB
 L1, unified 8MB L2" (§6.1); this module provides the building block for that
 hierarchy.  Only *timing* is modeled — data always comes from
 :class:`repro.mem.memory.Memory` — so a cache access returns whether it hit
-and lets the hierarchy translate that into cycles.
+and lets the hierarchy translate that into cycles.  Reads and writes are
+timed alike and lines keep no dirty bit: no writeback costs a cycle, and
+the energy models read only access counts.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ class CacheStats:
     hits: int = 0
     misses: int = 0
     evictions: int = 0
-    writebacks: int = 0
 
     @property
     def accesses(self) -> int:
@@ -70,21 +71,20 @@ class Cache:
         self._line_bytes = config.line_bytes
         self._num_sets = config.num_sets
         self._ways = config.associativity
-        # One ordered dict per set (tag -> dirty flag, in LRU order),
-        # created when the set is first touched: an 8MB L2 has 8192 sets,
-        # and most runs touch few of them.
-        self._sets: list[OrderedDict[int, bool] | None] = [None] * self._num_sets
+        # One ordered dict per set (its tags, in LRU order), created when
+        # the set is first touched: an 8MB L2 has 8192 sets, and most runs
+        # touch few of them.
+        self._sets: list[OrderedDict[int, None] | None] = [None] * self._num_sets
 
     def _locate(self, address: int) -> tuple[int, int]:
         line = address // self._line_bytes
         return line % self._num_sets, line // self._num_sets
 
-    def access(self, address: int, is_write: bool = False) -> bool:
+    def access(self, address: int) -> bool:
         """Access one address; returns True on hit.
 
         On a miss the line is filled (allocate-on-miss for both reads and
-        writes) and the LRU way evicted if the set is full; dirty evictions
-        count as writebacks.
+        writes) and the LRU way evicted if the set is full.
         """
         line = address // self._line_bytes
         set_index, tag = line % self._num_sets, line // self._num_sets
@@ -93,17 +93,13 @@ class Cache:
             ways = self._sets[set_index] = OrderedDict()
         elif tag in ways:
             self.stats.hits += 1
-            if is_write:
-                ways[tag] = True
             ways.move_to_end(tag)
             return True
         self.stats.misses += 1
         if len(ways) >= self._ways:
-            _, dirty = ways.popitem(last=False)
+            ways.popitem(last=False)
             self.stats.evictions += 1
-            if dirty:
-                self.stats.writebacks += 1
-        ways[tag] = is_write
+        ways[tag] = None
         return False
 
     def probe(self, address: int) -> bool:

@@ -5,7 +5,9 @@ equal to their *per-instruction average memory access time* measured by
 "counters at load/store unit entries" (§3.1, §4.2).  This module provides
 exactly that: a hierarchy whose :meth:`MemoryHierarchy.access` returns the
 latency of one access, and which keeps a running AMAT keyed by the PC of the
-memory instruction so the MESA performance model can read it back.
+memory instruction so the MESA performance model can read it back.  A store
+is timed like a load: no writeback costs a cycle, so no level keeps dirty
+state.
 """
 
 from __future__ import annotations
@@ -59,20 +61,18 @@ class MemoryHierarchy:
         self.dram_accesses = 0
         self._amat: dict[int, AmatCounter] = {}
 
-    def access(self, address: int, is_write: bool = False,
-               pc: int | None = None) -> int:
+    def access(self, address: int, pc: int | None = None) -> int:
         """Access the hierarchy once; returns the latency in cycles.
 
         Args:
             address: byte address of the access.
-            is_write: True for stores.
             pc: instruction address, used to key the per-PC AMAT counter
                 (the paper's load/store-entry latency counters).
         """
         latency = self.config.l1.hit_latency
-        if not self.l1.access(address, is_write):
+        if not self.l1.access(address):
             latency += self.config.l2.hit_latency
-            if not self.l2.access(address, is_write):
+            if not self.l2.access(address):
                 latency += self.config.dram_latency
                 self.dram_accesses += 1
         if pc is not None:
@@ -82,22 +82,19 @@ class MemoryHierarchy:
             counter.record(latency)
         return latency
 
-    def access_stream(self, addresses, is_write, pcs) -> np.ndarray:
+    def access_stream(self, addresses, pcs) -> np.ndarray:
         """Bulk :meth:`access`: the latency of every access in a stream.
 
-        Equivalent to ``[self.access(a, w, pc) for a, w, pc in
-        zip(addresses, is_write, pcs)]`` — same latencies, same cache
-        contents in the same LRU order with the same dirty bits, same
-        counters — but only run heads go through :meth:`Cache.access`.  An
-        access whose previous access to the same L1 set touched the same
-        line (a *tail*) is an L1 hit that leaves LRU order unchanged: a
-        stable argsort by L1 set finds the tails vectorially, a tail write
-        folds into the line's dirty bit right after its run's head, and L2
-        never sees a tail.  Hits, DRAM accesses and the per-PC AMAT
-        counters are folded in bulk.
+        Equivalent to ``[self.access(a, pc) for a, pc in zip(addresses,
+        pcs)]`` — same latencies, same cache contents in the same LRU
+        order, same counters — but only run heads go through
+        :meth:`Cache.access`.  An access whose previous access to the same
+        L1 set touched the same line (a *tail*) is an L1 hit that leaves
+        LRU order unchanged: a stable argsort by L1 set finds the tails
+        vectorially, and L2 never sees a tail.  Hits, DRAM accesses and
+        the per-PC AMAT counters are folded in bulk.
         """
         addresses = np.asarray(addresses, np.int64)
-        is_write = np.asarray(is_write, bool)
         pcs = np.asarray(pcs, np.int64)
         cfg = self.config
         l1_hit = cfg.l1.hit_latency
@@ -110,12 +107,6 @@ class MemoryHierarchy:
         tail = np.empty(addresses.size, bool)
         tail[0] = False
         np.equal(sorted_lines[1:], sorted_lines[:-1], out=tail[1:])
-        # Per run (a head and its tails): does any tail write?
-        run_of = np.cumsum(~tail) - 1
-        run_writes = np.zeros(int(run_of[-1]) + 1, bool)
-        run_writes[run_of[tail & is_write[order]]] = True
-        head_writes = np.zeros(addresses.size, bool)
-        head_writes[order[~tail]] = run_writes
         heads = np.sort(order[~tail])
 
         l1_access = self.l1.access
@@ -124,21 +115,17 @@ class MemoryHierarchy:
         dram_latency = l2_latency + cfg.dram_latency
         head_latencies = []
         dram = 0
-        for address, write, tail_write in zip(addresses[heads].tolist(),
-                                              is_write[heads].tolist(),
-                                              head_writes[heads].tolist()):
-            if l1_access(address, write):
+        for address in addresses[heads].tolist():
+            if l1_access(address):
                 head_latencies.append(l1_hit)
-            elif l2_access(address, write):
+            elif l2_access(address):
                 head_latencies.append(l2_latency)
             else:
                 head_latencies.append(dram_latency)
                 dram += 1
-            if tail_write:
-                l1_access(address, True)  # one of the run's tail hits
         latencies[heads] = head_latencies
         self.dram_accesses += dram
-        self.l1.stats.hits += int(tail.sum()) - int(run_writes.sum())
+        self.l1.stats.hits += int(tail.sum())
 
         unique, first, inverse = np.unique(pcs, return_index=True,
                                            return_inverse=True)

@@ -31,7 +31,7 @@ from repro.accel import M_128, batch
 from repro.core import MesaController
 from repro.isa import Instruction, MachineState, Opcode, f, x
 from repro.latency import LatencyTable
-from repro.mem import Memory, MemoryPorts
+from repro.mem import Memory
 from repro.workloads import build_kernel
 
 from .test_plan_equivalence import (
@@ -206,21 +206,15 @@ def make_state(iterations: int = 50, store_target: int = 0) -> MachineState:
     return state
 
 
-def both_paths(program, make, ports=None, **overrides):
+def both_paths(program, make, **overrides):
     """(batched, interpreted) runs of one program/state recipe, whose
-    memory models — caches, AMAT counters, ports — must end identical.
-
-    ``ports`` makes each path's port pool (default: the config's count).
-    """
+    memory models — caches and AMAT counters — must end identical."""
     runs = []
     memories = []
     for compiled in (True, False):
         engine = DataflowEngine(program, compiled=compiled)
-        pool = (ports() if ports is not None
-                else MemoryPorts(program.config.memory_ports))
-        runs.append(engine.run(make(), ExecutionOptions(ports=pool,
-                                                        **overrides)))
-        memories.append(memory_fingerprint(engine.hierarchy, pool))
+        runs.append(engine.run(make(), ExecutionOptions(**overrides)))
+        memories.append(memory_fingerprint(engine.hierarchy))
     assert memories[0] == memories[1]
     return tuple(runs)
 
@@ -348,17 +342,9 @@ class TestDirectEngineEquivalence:
 
 
 class TestPortCarryFallback:
-    """When memory-port state can carry from one iteration into the next,
-    the drive steps those iterations on the interpreter: the run still
-    reports the batched path, stays bit-identical, and names the reason.
-    Only a port pool with pending grants can carry: a port frees one cycle
-    after its grant, and no access completes sooner."""
-
-    def assert_stepped_identical(self, program, reason, ports=None):
-        batched, interpreted = both_paths(program, make_state, ports=ports)
-        assert batched.drive_path == "batched"
-        assert batched.drive_reason == reason
-        assert run_fingerprint(batched) == run_fingerprint(interpreted)
+    """Memory-port state never carries from one iteration into the next:
+    each run's pool starts empty, a port frees one cycle after its grant,
+    and no access completes sooner."""
 
     def test_zero_store_issue(self):
         # A store hand-off shorter than a port's one busy cycle could leave
@@ -366,19 +352,75 @@ class TestPortCarryFallback:
         with pytest.raises(ValueError, match="store_issue latency"):
             LatencyTable(store_issue=0)
 
-    def test_pending_grants_from_an_earlier_run(self):
-        # A shared pool still holds the first run's grants when the second
-        # run starts its clock at 0; once they drain, batching resumes.
-        def used_ports():
-            ports = MemoryPorts(1)
-            DataflowEngine(loop_program(), compiled=False).run(
-                make_state(), ExecutionOptions(ports=ports))
-            return ports
+    def test_replayed_load_frees_its_port_within_the_iteration(
+            self, monkeypatch):
+        # At iteration 10 a walking load reads a slow store's address of
+        # its own iteration: it replays, and its stale read is granted the
+        # one port behind seven queued stores.  The next iteration's first
+        # load asks for the port at that iteration's start, which the
+        # batched path assumes idle.
+        monkeypatch.setattr(batch, "DEFAULT_BLOCK", 8)
+        batched, interpreted = both_paths(stale_read_program(),
+                                          stale_read_state)
+        assert batched.drive_path == "batched"
+        assert batched.drive_reason == (
+            "in-iteration store-to-load forwarding at iteration 10")
+        assert batched.activity.load_replays == 1
+        assert run_fingerprint(batched) == run_fingerprint(interpreted)
 
-        self.assert_stepped_identical(
-            loop_program(),
-            "memory ports still busy at the start of iteration 0",
-            ports=used_ports)
+
+def stale_read_program() -> AcceleratorProgram:
+    """A one-port loop: a fixed-address load, a store to ``x14`` whose data
+    comes from a 20-cycle multiply, seven stores ready at once, and a load
+    off a walking base that reaches ``x14`` at iteration 10."""
+    config = AcceleratorConfig(rows=16, cols=8, memory_ports=1,
+                               latencies=LatencyTable(int_mul=20))
+    base = 0x2000
+
+    def instr(k, opcode, **fields):
+        return Instruction(base + 4 * k, opcode, **fields)
+
+    nodes = [
+        ConfiguredNode(0, instr(0, Opcode.ADDI, rd=x(5), rs1=x(5), imm=-1),
+                       (0, 0), src1=Operand.loop_carried(0, x(5))),
+        ConfiguredNode(1, instr(1, Opcode.ADDI, rd=x(10), rs1=x(10), imm=4),
+                       (0, 1), src1=Operand.loop_carried(1, x(10))),
+        ConfiguredNode(2, instr(2, Opcode.LW, rd=x(20), rs1=x(15)),
+                       (0, -1), src1=Operand.from_register(x(15)),
+                       is_memory=True),
+        ConfiguredNode(3, instr(3, Opcode.MUL, rd=x(7), rs1=x(28),
+                                rs2=x(28)),
+                       (1, 0), src1=Operand.from_register(x(28)),
+                       src2=Operand.from_register(x(28))),
+        ConfiguredNode(4, instr(4, Opcode.SW, rs1=x(14), rs2=x(7)),
+                       (1, -1), src1=Operand.from_register(x(14)),
+                       src2=Operand.node(3), is_memory=True),
+    ]
+    for j in range(7):
+        nodes.append(ConfiguredNode(
+            5 + j, instr(5 + j, Opcode.SW, rs1=x(16), rs2=x(30), imm=4 * j),
+            (2 + j, -1), src1=Operand.from_register(x(16)),
+            src2=Operand.from_register(x(30)), is_memory=True))
+    nodes += [
+        ConfiguredNode(12, instr(12, Opcode.LW, rd=x(8), rs1=x(10)),
+                       (9, -1), src1=Operand.node(1), is_memory=True),
+        ConfiguredNode(13, instr(13, Opcode.BNE, rs1=x(5), rs2=x(0),
+                                 imm=-52),
+                       (3, 0), src1=Operand.node(0)),
+    ]
+    return AcceleratorProgram(
+        config=config, nodes=nodes, loop_branch_id=13,
+        live_in={x(5), x(10), x(14), x(15), x(16), x(28), x(30)},
+        live_out={x(8): 12, x(5): 0})
+
+
+def stale_read_state() -> MachineState:
+    state = MachineState(memory=Memory())
+    for register, value in ((x(5), 30), (x(10), LOAD_BASE),
+                            (x(14), LOAD_BASE + 4 * 11), (x(15), 0x8000),
+                            (x(16), 0x9000), (x(28), 5), (x(30), 7)):
+        state.write(register, value)
+    return state
 
 
 def forwarding_program() -> AcceleratorProgram:

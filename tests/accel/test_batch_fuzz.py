@@ -28,13 +28,12 @@ from repro.accel import (
     AcceleratorProgram,
     ConfiguredNode,
     DataflowEngine,
-    ExecutionOptions,
     Guard,
     Operand,
     batch,
 )
 from repro.isa import Instruction, MachineState, Opcode, f, x
-from repro.mem import Memory, MemoryPorts
+from repro.mem import Memory
 
 from .test_plan_equivalence import memory_fingerprint, run_fingerprint
 
@@ -305,15 +304,13 @@ def test_batched_request_bit_identical_to_interpreter(drawn):
     memories = []
     for compiled in (True, False):
         engine = DataflowEngine(program, compiled=compiled)
-        ports = MemoryPorts(CFG.memory_ports)
         with pytest.MonkeyPatch.context() as patch:
             # Blocks of 8 put block boundaries inside the 1-24 iteration
             # runs.
             patch.setattr(batch, "DEFAULT_BLOCK", 8)
             runs.append(engine.run(
-                build_state(reg_values, mem_words, iterations),
-                ExecutionOptions(ports=ports)))
-        memories.append(memory_fingerprint(engine.hierarchy, ports))
+                build_state(reg_values, mem_words, iterations)))
+        memories.append(memory_fingerprint(engine.hierarchy))
     batched, reference = runs
     assert batched.iterations == iterations
     assert run_fingerprint(batched) == run_fingerprint(reference)

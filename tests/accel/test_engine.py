@@ -1,5 +1,8 @@
 """Tests for the dataflow execution engine (functional + timing)."""
 
+import dataclasses
+import math
+
 import pytest
 
 from repro.accel import (
@@ -12,7 +15,7 @@ from repro.accel import (
     Operand,
 )
 from repro.isa import Instruction, MachineState, Opcode, assemble, run, x
-from repro.mem import Memory, MemoryPorts
+from repro.mem import Memory
 
 
 CFG = AcceleratorConfig(rows=8, cols=8, lsu_entries=16, memory_ports=2)
@@ -189,10 +192,12 @@ class TestTiming:
     def test_ideal_ports_beat_limited_ports_when_tiled(self):
         limited = DataflowEngine(increment_loop_program()).run(
             fresh_state(64), ExecutionOptions(pipelined=True, tile_factor=16))
-        ideal = DataflowEngine(increment_loop_program()).run(
-            fresh_state(64),
-            ExecutionOptions(pipelined=True, tile_factor=16,
-                             ports=MemoryPorts.ideal()))
+        program = increment_loop_program()
+        ideal_program = dataclasses.replace(
+            program, config=dataclasses.replace(program.config,
+                                                memory_ports=math.inf))
+        ideal = DataflowEngine(ideal_program).run(
+            fresh_state(64), ExecutionOptions(pipelined=True, tile_factor=16))
         assert ideal.cycles < limited.cycles
 
     def test_recurrence_limits_pipelining(self):

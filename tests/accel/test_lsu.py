@@ -15,8 +15,8 @@ class TestAllocation:
         entries = lsu()
         a = entries.allocate(node_id=3)
         b = entries.allocate(node_id=5)
-        assert a.entry_index == 0
-        assert b.entry_index == 1
+        assert a == entries.entry_coord(0)
+        assert b == entries.entry_coord(1)
 
     def test_capacity_overflow(self):
         entries = lsu(entries=2)

@@ -82,22 +82,19 @@ def run_fingerprint(run) -> tuple:
     )
 
 
-def memory_fingerprint(hierarchy, ports=None) -> tuple:
-    """The memory model's end state: per-level cache counters (writebacks
-    included) and resident lines per set in LRU order with their dirty
-    bits, DRAM accesses, the per-PC AMAT counters in creation order, and —
-    given the run's ports — their totals and pending free times."""
+def memory_fingerprint(hierarchy) -> tuple:
+    """The memory model's end state: per-level cache counters and resident
+    lines per set in LRU order, DRAM accesses, and the per-PC AMAT counters
+    in creation order.  Port grants show in a run's cycles and latency
+    counters."""
     levels = tuple(
         (dataclasses.astuple(cache.stats),
-         tuple((index, tuple(ways.items()))
+         tuple((index, tuple(ways))
                for index, ways in enumerate(cache._sets) if ways))
         for cache in (hierarchy.l1, hierarchy.l2))
     amat = tuple((pc, counter.total_cycles, counter.accesses)
                  for pc, counter in hierarchy.amat_counters().items())
-    port_state = None if ports is None else (
-        ports.total_requests, bits(ports.total_wait_cycles),
-        tuple(sorted(ports._free_at)))
-    return (levels, hierarchy.dram_accesses, amat, port_state)
+    return (levels, hierarchy.dram_accesses, amat)
 
 
 def result_fingerprint(result) -> tuple:

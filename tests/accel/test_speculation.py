@@ -96,6 +96,23 @@ class TestSpeculation:
                 state, ExecutionOptions(replay_penalty=penalty))
             assert state.read(x(31)) == 999
 
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_stale_read_charges_a_port_and_a_cache_access(self, compiled):
+        # The replayed load read memory before the store completed: that
+        # read takes a port grant and an L1 access like any other load.
+        # (A single-shot region runs on the interpreter either way; the
+        # batched path steps such iterations on it too, which
+        # test_batch_equivalence's forwarding tests hold it to.)
+        program = conflict_program()
+        program = dataclasses.replace(
+            program, config=dataclasses.replace(CFG, memory_ports=1))
+        engine = DataflowEngine(program, compiled=compiled)
+        run = engine.run(make_state(32))
+        assert run.activity.load_replays == 1
+        load_pc = program.nodes[3].instruction.address
+        assert engine.hierarchy.amat_counters()[load_pc].accesses == 1
+        assert engine.hierarchy.l1.stats.accesses == 2
+
     def test_invalid_penalty_rejected(self):
         with pytest.raises(ValueError):
             ExecutionOptions(replay_penalty=-1)

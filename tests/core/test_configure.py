@@ -260,12 +260,12 @@ class TestConfigCache:
     def test_put_reports_eviction_and_replacement(self):
         cache = ConfigCache(capacity=1)
         entry = self.make_entry()
-        first = cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
-        assert not first.evicted and not first.replaced
-        again = cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
-        assert again.replaced and not again.evicted
-        other = cache.put(0x2000, 0x2020, "M-64", DIGEST, entry)
-        assert other.evicted and not other.replaced
+        assert not cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
+        # Re-filling the resident key replaces it in place.
+        assert not cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
+        assert len(cache) == 1
+        assert cache.put(0x2000, 0x2020, "M-64", DIGEST, entry)
+        assert len(cache) == 1
 
     def test_digest_mismatch_is_conflict_miss(self):
         """Two binaries can place different loops at the same virtual

@@ -39,9 +39,9 @@ def _sha(rows) -> str:
     return digest.hexdigest()[:16]
 
 
-def _stats(cache) -> tuple[int, int, int, int]:
+def _stats(cache) -> tuple[int, int, int]:
     s = cache.stats
-    return (s.hits, s.misses, s.evictions, s.writebacks)
+    return (s.hits, s.misses, s.evictions)
 
 
 def fingerprint(name: str) -> dict:
@@ -54,7 +54,8 @@ def fingerprint(name: str) -> dict:
         trace, 1.0 if kernel.parallelizable else 0.0)
     return {
         "trace_len": len(trace),
-        "trace_sha": _sha((e.seq, e.pc, e.address, e.taken) for e in trace),
+        "trace_sha": _sha((i, e.pc, e.address, e.taken)
+                          for i, e in enumerate(trace)),
         "regs_sha": _sha(trace.final_state.snapshot().items()),
         "cycles": result.cycles,
         "instructions": counters.instructions,
@@ -86,8 +87,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 1,
         "load_forwards": 0,
-        "l1": (90, 6, 0, 0),
-        "l2": (0, 6, 0, 0),
+        "l1": (90, 6, 0),
+        "l2": (0, 6, 0),
         "dram_accesses": 6,
         "amat_sha": "229f9cd192ba60ca",
         "multicore_cycles": 315.0,
@@ -106,8 +107,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 30,
         "load_forwards": 2,
-        "l1": (95, 18, 0, 0),
-        "l2": (0, 18, 0, 0),
+        "l1": (95, 18, 0),
+        "l2": (0, 18, 0),
         "dram_accesses": 18,
         "amat_sha": "34703c43aeebedf9",
         "multicore_cycles": 655.75,
@@ -126,8 +127,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 49,
         "load_forwards": 0,
-        "l1": (230, 10, 0, 0),
-        "l2": (0, 10, 0, 0),
+        "l1": (230, 10, 0),
+        "l2": (0, 10, 0),
         "dram_accesses": 10,
         "amat_sha": "ec73be89ffb9490b",
         "multicore_cycles": 606.4375,
@@ -149,8 +150,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 1,
         "load_forwards": 0,
-        "l1": (180, 12, 0, 0),
-        "l2": (0, 12, 0, 0),
+        "l1": (180, 12, 0),
+        "l2": (0, 12, 0),
         "dram_accesses": 12,
         "amat_sha": "02d2fe6cc9d43ef4",
         "multicore_cycles": 583.5625,
@@ -171,8 +172,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 1,
         "load_forwards": 0,
-        "l1": (138, 6, 0, 0),
-        "l2": (0, 6, 0, 0),
+        "l1": (138, 6, 0),
+        "l2": (0, 6, 0),
         "dram_accesses": 6,
         "amat_sha": "143cf9d2d27a0570",
         "multicore_cycles": 539.3125,
@@ -193,8 +194,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 1,
         "load_forwards": 0,
-        "l1": (233, 7, 0, 0),
-        "l2": (0, 7, 0, 0),
+        "l1": (233, 7, 0),
+        "l2": (0, 7, 0),
         "dram_accesses": 7,
         "amat_sha": "d83d85cf6d292d30",
         "multicore_cycles": 555.375,
@@ -215,8 +216,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 1,
         "load_forwards": 0,
-        "l1": (319, 17, 0, 0),
-        "l2": (0, 17, 0, 0),
+        "l1": (319, 17, 0),
+        "l2": (0, 17, 0),
         "dram_accesses": 17,
         "amat_sha": "9ff59e4fb4b3ae03",
         "multicore_cycles": 581.1875,
@@ -237,8 +238,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 1,
         "load_forwards": 0,
-        "l1": (366, 18, 0, 0),
-        "l2": (0, 18, 0, 0),
+        "l1": (366, 18, 0),
+        "l2": (0, 18, 0),
         "dram_accesses": 18,
         "amat_sha": "3b62b8ed5b6cd0ce",
         "multicore_cycles": 572.0,
@@ -260,8 +261,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 1,
         "load_forwards": 0,
-        "l1": (180, 12, 0, 0),
-        "l2": (0, 12, 0, 0),
+        "l1": (180, 12, 0),
+        "l2": (0, 12, 0),
         "dram_accesses": 12,
         "amat_sha": "5dfd07bebc548802",
         "multicore_cycles": 605.25,
@@ -284,8 +285,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 1,
         "load_forwards": 0,
-        "l1": (270, 18, 0, 0),
-        "l2": (0, 18, 0, 0),
+        "l1": (270, 18, 0),
+        "l2": (0, 18, 0),
         "dram_accesses": 18,
         "amat_sha": "987e831f03305692",
         "multicore_cycles": 763.5625,
@@ -307,8 +308,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 35,
         "load_forwards": 0,
-        "l1": (135, 9, 0, 0),
-        "l2": (0, 9, 0, 0),
+        "l1": (135, 9, 0),
+        "l2": (0, 9, 0),
         "dram_accesses": 9,
         "amat_sha": "1a99245b025baf7d",
         "multicore_cycles": 622.0625,
@@ -328,8 +329,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 1,
         "load_forwards": 0,
-        "l1": (90, 6, 0, 0),
-        "l2": (0, 6, 0, 0),
+        "l1": (90, 6, 0),
+        "l2": (0, 6, 0),
         "dram_accesses": 6,
         "amat_sha": "229f9cd192ba60ca",
         "multicore_cycles": 315.0,
@@ -348,8 +349,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 1,
         "load_forwards": 0,
-        "l1": (0, 0, 0, 0),
-        "l2": (0, 0, 0, 0),
+        "l1": (0, 0, 0),
+        "l2": (0, 0, 0),
         "dram_accesses": 0,
         "amat_sha": "e3b0c44298fc1c14",
         "multicore_cycles": 1682.0,
@@ -371,8 +372,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 1,
         "load_forwards": 0,
-        "l1": (135, 9, 0, 0),
-        "l2": (0, 9, 0, 0),
+        "l1": (135, 9, 0),
+        "l2": (0, 9, 0),
         "dram_accesses": 9,
         "amat_sha": "ddd2f190abbc2e76",
         "multicore_cycles": 594.6875,
@@ -391,8 +392,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 61,
         "load_forwards": 0,
-        "l1": (182, 10, 0, 0),
-        "l2": (0, 10, 0, 0),
+        "l1": (182, 10, 0),
+        "l2": (0, 10, 0),
         "dram_accesses": 10,
         "amat_sha": "c4532e859bc7731d",
         "multicore_cycles": 1663.0,
@@ -414,8 +415,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 1,
         "load_forwards": 0,
-        "l1": (138, 6, 0, 0),
-        "l2": (0, 6, 0, 0),
+        "l1": (138, 6, 0),
+        "l2": (0, 6, 0),
         "dram_accesses": 6,
         "amat_sha": "e50ec70d00a9302f",
         "multicore_cycles": 571.0625,
@@ -434,8 +435,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 55,
         "load_forwards": 0,
-        "l1": (228, 12, 0, 0),
-        "l2": (0, 12, 0, 0),
+        "l1": (228, 12, 0),
+        "l2": (0, 12, 0),
         "dram_accesses": 12,
         "amat_sha": "a0e40626d87d38bf",
         "multicore_cycles": 598.1875,
@@ -454,8 +455,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 49,
         "load_forwards": 0,
-        "l1": (233, 7, 0, 0),
-        "l2": (0, 7, 0, 0),
+        "l1": (233, 7, 0),
+        "l2": (0, 7, 0),
         "dram_accesses": 7,
         "amat_sha": "eb0d8444afd5e791",
         "multicore_cycles": 579.9375,
@@ -477,8 +478,8 @@ EXPECTED: dict[str, dict] = {
         ],
         "branch_mispredicts": 19,
         "load_forwards": 0,
-        "l1": (210, 12, 0, 0),
-        "l2": (0, 12, 0, 0),
+        "l1": (210, 12, 0),
+        "l2": (0, 12, 0),
         "dram_accesses": 12,
         "amat_sha": "25e45baaa1c09459",
         "multicore_cycles": 605.0625,

@@ -12,7 +12,7 @@ def counted(*opcodes) -> PerfCounters:
     for seq, op in enumerate(opcodes):
         instr = Instruction(4 * seq, op, rd=x(1), rs1=x(2), rs2=x(3))
         address = 0x100 if instr.is_memory else None
-        entries.append(TraceEntry(seq, instr, address))
+        entries.append(TraceEntry(instr, address))
     return OutOfOrderCore().run(Trace(tuple(entries), MachineState())).counters
 
 

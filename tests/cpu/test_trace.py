@@ -26,7 +26,6 @@ class TestCollectTrace:
     def test_lengths_and_order(self):
         trace = collect_trace(loop_program(3))
         assert len(trace) == 2 + 3 * 6
-        assert [e.seq for e in trace] == list(range(len(trace)))
 
     def test_memory_addresses_recorded(self):
         trace = collect_trace(loop_program(2))

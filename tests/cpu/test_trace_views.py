@@ -66,9 +66,8 @@ def test_hand_built_trace_gets_the_same_views():
         for instr in loop:
             taken = (trip < 5) if instr.is_control else None
             address = 0x2000 if instr.is_memory else None
-            entries.append(TraceEntry(len(entries), instr, address, taken))
-    entries.append(TraceEntry(len(entries),
-                              Instruction(0x10C, Opcode.JAL, rd=x(0),
+            entries.append(TraceEntry(instr, address, taken))
+    entries.append(TraceEntry(Instruction(0x10C, Opcode.JAL, rd=x(0),
                                           imm=-0x10C), taken=True))
     trace = Trace(tuple(entries), MachineState())
     check_views(trace)

@@ -7,6 +7,8 @@ cheap parameters so `pytest tests/` exercises them too.
 
 import pytest
 
+from repro.accel import M_128
+from repro.core import MesaController
 from repro.harness import (
     fig11_rodinia,
     fig12_opencgra,
@@ -17,6 +19,8 @@ from repro.harness import (
     table1_area_power,
     table2_config_latency,
 )
+from repro.harness.figures import _ideal_memory_run
+from repro.workloads import build_kernel
 
 
 class TestFigureDrivers:
@@ -58,6 +62,14 @@ class TestFigureDrivers:
         assert result.default_speedup[1] > 1.5
         assert result.ideal_scaling == [1.0, 4.0]
         assert "PEs" in result.render()
+
+    def test_fig15_ideal_memory_drive_starts_at_the_loop_entry(self):
+        kernel = build_kernel("nn", iterations=96)
+        result = MesaController(M_128).execute(
+            kernel.program, kernel.state_factory, parallelizable=True)
+        run = _ideal_memory_run(kernel, result, 96)
+        assert run.iterations == 96
+        assert kernel.verify(run.final_state)
 
     def test_fig16_series(self):
         result = fig16_amortization(checkpoints=(1, 10, 100))

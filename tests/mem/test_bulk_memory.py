@@ -5,12 +5,12 @@ The batched engine drives a block's memory events through two bulk calls:
 one pass) and :meth:`Memory.scatter` (every store commit in one update).
 Each must be indistinguishable from the sequential loop it replaces —
 ``access`` per entry, ``store`` per entry — in results, cache contents,
-LRU order, dirty bits, counters and raised errors.
+LRU order, counters and raised errors.
 
 Streams are drawn to hit the cases the bulk paths special-case: arrays
 8 KiB apart (one L1 set in the default geometry), runs of same-line
-writes, more lines per set than ways (evictions and writebacks), cold
-lines (L2 and DRAM misses), and negative addresses.
+accesses, more lines per set than ways (evictions), cold lines (L2 and
+DRAM misses), and negative addresses.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ PCS = (0x2000, 0x2004, 0x2008)
 
 @st.composite
 def access_streams(draw):
-    """(address, is_write, pc) triples over aliasing arrays."""
+    """(address, pc) pairs over aliasing arrays."""
     arrays = draw(st.integers(1, 12))
     stream = []
     for _ in range(draw(st.integers(0, 120))):
@@ -49,8 +49,7 @@ def access_streams(draw):
         pc = draw(st.sampled_from(PCS))
         # A run of accesses to nearby bytes (mostly one line).
         for step in range(draw(st.integers(1, 4))):
-            stream.append((array * 8192 + offset + 4 * step,
-                           draw(st.booleans()), pc))
+            stream.append((array * 8192 + offset + 4 * step, pc))
     return stream
 
 
@@ -61,12 +60,11 @@ def test_access_stream_equals_sequential_access(config, warm, stream):
     sequential = MemoryHierarchy(config)
     bulk = MemoryHierarchy(config)
     for hierarchy in (sequential, bulk):
-        for address, is_write, pc in warm:
-            hierarchy.access(address, is_write, pc)
-    expected = [sequential.access(address, is_write, pc)
-                for address, is_write, pc in stream]
-    addresses, writes, pcs = (zip(*stream) if stream else ((), (), ()))
-    latencies = bulk.access_stream(list(addresses), list(writes), list(pcs))
+        for address, pc in warm:
+            hierarchy.access(address, pc)
+    expected = [sequential.access(address, pc) for address, pc in stream]
+    addresses, pcs = (zip(*stream) if stream else ((), ()))
+    latencies = bulk.access_stream(list(addresses), list(pcs))
     assert latencies.tolist() == expected
     assert memory_fingerprint(bulk) == memory_fingerprint(sequential)
 

