@@ -90,6 +90,12 @@ Capability analysis (:func:`compile_batch`) decides statically whether a
 plan qualifies; ``ExecutionPlan.batch_program.capability`` carries the
 verdict with a machine-readable reason, and a rejected plan runs on the interpreter with
 that reason reported as the run's ``drive_reason``.
+
+The value phase also drives the CPU tracer: :func:`repro.cpu.trace.collect_trace`
+hands a straight-line loop body to :func:`_compile` as node plans with
+edge-free operands, which every timing-only pass skips, and evaluates its
+blocks with :func:`_phase_values` and :func:`_truncate`, cut at the same
+first store→load hazard.
 """
 
 from __future__ import annotations
@@ -245,26 +251,33 @@ def _wildcard_const(op):
 
 def compile_batch(plan) -> BatchProgram:
     """Capability-analyze and compile a plan for batched execution."""
-    verdict = _compile(plan)
+    verdict = _compile(plan, plan.nodes,
+                       [node.instruction for node in plan.program.nodes],
+                       plan.loop_branch_id, plan.config.xlen)
     if isinstance(verdict, BatchProgram):
         return verdict
     return BatchProgram(plan, BatchCapability(False, verdict))
 
 
-def _compile(plan):
-    """Returns a BatchProgram, or a fallback-reason string."""
-    if plan.loop_branch_id is None:
+def _compile(plan, plan_nodes, instructions, loop_branch_id, xlen):
+    """Compile ``plan_nodes`` (one per instruction of ``instructions``,
+    closed by the branch node ``loop_branch_id``) at width ``xlen``.
+
+    Returns a BatchProgram, or a fallback-reason string.  The CPU tracer
+    compiles a loop body here with ``plan=None`` and edge-free operands,
+    which every timing-only pass below skips.
+    """
+    if loop_branch_id is None:
         return "no loop branch (single-shot region)"
-    if plan.config.xlen != 32:
+    if xlen != 32:
         return "xlen 64"
-    program_nodes = plan.program.nodes
-    n = plan.n_nodes
+    n = len(plan_nodes)
 
     nodes: list[_BatchNode] = []
     dtypes: list[str] = []
     # Pass 1: per-node recipe + result dtype (from the opcode's row form).
-    for i, pnode in enumerate(plan.nodes):
-        instr = program_nodes[i].instruction
+    for i, pnode in enumerate(plan_nodes):
+        instr = instructions[i]
         rec = _BatchNode(pnode, i)
         rec.opcode = instr.opcode
         if pnode.kind == N_MEMORY:
@@ -332,7 +345,7 @@ def _compile(plan):
                   and (seed.file is RegFile.FP) != (rec.dtype == "f"))
         if ok:
             if scan == "addi":
-                rec.scan_imm = program_nodes[rec.i].instruction.imm
+                rec.scan_imm = instructions[rec.i].imm
                 ok = abs(rec.scan_imm) < 1 << 31
             else:
                 x_dtype = _operand_dtype(pnode.src2, dtypes)

@@ -16,13 +16,17 @@ subject to:
 
 The model is *trace-driven*: it consumes the dynamic stream produced by
 :func:`repro.cpu.trace.collect_trace`, so wrong-path execution is approximated
-by the misprediction penalty alone.
+by the misprediction penalty alone.  It reads the trace's index, address and
+taken columns as lists and decodes each executed static instruction once per
+run, so no per-entry object is built.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+
+import numpy as np
 
 from ..isa import Instruction, OpClass, RegFile, Register
 from ..latency import LatencyTable
@@ -125,10 +129,13 @@ class OutOfOrderCore:
     def run(self, trace: Trace) -> CoreResult:
         """Model the trace's execution; returns cycles and counters.
 
-        Each static instruction is decoded once per run (:func:`_decode`)
-        and the loop touches only locals.  Cycles are integers.  Fetch and
-        commit cycles never decrease, so each keeps only the count of its
-        current cycle; issue is out of order and counts every cycle.
+        The loop reads the trace's columns as lists.  Each executed static
+        instruction is decoded once per run (:func:`_decode`), before the
+        loop, and the loop touches only locals.  Cycles are integers.
+        Fetch and commit cycles never decrease, so each keeps only the
+        count of its current cycle; issue is out of order and counts every
+        cycle.  A control row without a direction (-1, only in a
+        hand-built trace) never counts as a mispredict.
         """
         cfg = self.config
         lat = cfg.latencies
@@ -139,8 +146,16 @@ class OutOfOrderCore:
         store_issue = lat.store_issue
         heapreplace = heapq.heapreplace
         pools = _fu_pools(cfg)
-        decoded: dict[int, tuple] = {}    # id(instruction) -> (k, *_decode)
-        executed: list[int] = []          # dynamic count per decoded k
+        # Decode every executed static index once, in first-execution
+        # order (the order ``by_class`` keeps).
+        table = trace.instructions
+        static, first_row, counts = np.unique(
+            trace.index, return_index=True, return_counts=True)
+        order = np.argsort(first_row)
+        first_seen = static[order].tolist()
+        decoded: list = [None] * len(table)  # static index -> _decode(...)
+        for k in first_seen:
+            decoded[k] = _decode(table[k], pools, lat)
         reg_ready = [0] * 64              # register slot -> completion cycle
         issue_slots: dict[int, int] = {}  # cycle -> issues so far
         commits: list[int] = []           # commit cycle per instruction
@@ -151,15 +166,11 @@ class OutOfOrderCore:
         last_commit = commit_count = 0
         mispredicts = forwards = 0
 
-        for instr, address, taken in trace:
-            record = decoded.get(id(instr))
-            if record is None:
-                record = decoded[id(instr)] = (
-                    len(executed), *_decode(instr, pools, lat))
-                executed.append(0)
-            (k, _, src1, src2, dest, heap, interval, kind, latency,
-             is_memory, is_control, predicted, pc) = record
-            executed[k] += 1
+        for k, address, taken in zip(trace.index.tolist(),
+                                     trace.address.tolist(),
+                                     trace.taken.tolist()):
+            (_, src1, src2, dest, heap, interval, kind, latency,
+             is_memory, is_control, predicted, pc) = decoded[k]
 
             # -- fetch: bandwidth-limited, restarted by mispredictions ------
             if fetch_free > fetch_cycle:
@@ -232,14 +243,15 @@ class OutOfOrderCore:
             if is_memory:
                 mem_commits.append(last_commit)
                 n_mem += 1
-            if is_control and taken is not None and taken != predicted:
+            if is_control and taken != predicted and taken >= 0:
                 mispredicts += 1
                 if complete + penalty > fetch_free:
                     fetch_free = complete + penalty
 
         by_class: dict[OpClass, int] = {}
-        for k, op_class, *_ in decoded.values():
-            by_class[op_class] = by_class.get(op_class, 0) + executed[k]
+        for k, count in zip(first_seen, counts[order].tolist()):
+            op_class = decoded[k][0]
+            by_class[op_class] = by_class.get(op_class, 0) + count
         total_cycles = last_commit + 1 if n else 0
         counters = PerfCounters(cycles=total_cycles, instructions=n,
                                 by_class=by_class,

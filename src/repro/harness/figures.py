@@ -316,7 +316,10 @@ class Fig15Result:
 
 
 def _fig15_point_worker(payload: tuple) -> tuple[float, float]:
-    """Default and ideal-memory cycles at one PE count (picklable)."""
+    """Default and ideal-memory accelerator-region cycles for nn at one PE
+    count (picklable), from one run of the MESA pipeline."""
+    from ..core import MesaController
+
     pes, iterations = payload
     rows = max(2, pes // 8)
     # The memory system (entries + 16 ports) is held constant across
@@ -324,8 +327,14 @@ def _fig15_point_worker(payload: tuple) -> tuple[float, float]:
     config = AcceleratorConfig(
         name=f"M-{pes}", rows=rows, cols=min(8, pes // rows),
         lsu_entries=256, memory_ports=16)
-    return (_nn_accel_cycles(config, iterations, ideal=False),
-            _nn_accel_cycles(config, iterations, ideal=True))
+    kernel = build_kernel("nn", iterations=iterations)
+    result = MesaController(config).execute(
+        kernel.program, kernel.state_factory, parallelizable=True)
+    if not result.accelerated:
+        cycles = float(result.total_cycles)
+        return cycles, cycles
+    return (result.breakdown.accel_cycles,
+            _ideal_memory_run(kernel, result, iterations).cycles)
 
 
 def fig15_pe_scaling(iterations: int = 2048,
@@ -359,21 +368,6 @@ def fig15_pe_scaling(iterations: int = 2048,
         result.ideal_memory_speedup.append(base_ideal / ideal_cycles)
         result.ideal_scaling.append(pes / pe_counts[0])
     return result
-
-
-def _nn_accel_cycles(config: AcceleratorConfig, iterations: int,
-                     ideal: bool) -> float:
-    """Accelerator-region cycles for nn under one backend configuration."""
-    from ..core import MesaController
-
-    kernel = build_kernel("nn", iterations=iterations)
-    result = MesaController(config).execute(
-        kernel.program, kernel.state_factory, parallelizable=True)
-    if not result.accelerated:
-        return float(result.total_cycles)
-    if ideal:
-        return _ideal_memory_run(kernel, result, iterations).cycles
-    return result.breakdown.accel_cycles
 
 
 def _ideal_memory_run(kernel, result, iterations: int) -> AcceleratorRun:

@@ -2,8 +2,10 @@
 
 import pytest
 
-from repro.cpu import OutOfOrderCore, PerfCounters, Trace, TraceEntry
-from repro.isa import Instruction, MachineState, OpClass, Opcode, x
+from repro.cpu import OutOfOrderCore, PerfCounters, TraceEntry
+from repro.isa import Instruction, OpClass, Opcode, x
+
+from .test_trace_views import trace_of
 
 
 def counted(*opcodes) -> PerfCounters:
@@ -13,7 +15,7 @@ def counted(*opcodes) -> PerfCounters:
         instr = Instruction(4 * seq, op, rd=x(1), rs1=x(2), rs2=x(3))
         address = 0x100 if instr.is_memory else None
         entries.append(TraceEntry(instr, address))
-    return OutOfOrderCore().run(Trace(tuple(entries), MachineState())).counters
+    return OutOfOrderCore().run(trace_of(entries)).counters
 
 
 class TestClassification:
