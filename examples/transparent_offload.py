@@ -11,8 +11,7 @@ Run:  python examples/transparent_offload.py
 """
 
 from repro import M_128, MesaController
-from repro.accel import build_interconnect
-from repro.core import SourceKind
+from repro.accel import OperandKind, build_interconnect
 from repro.isa import Executor
 from repro.workloads import build_kernel
 
@@ -38,11 +37,11 @@ def main() -> None:
     print("T1 — logical DFG (rename table view):")
     for entry in result.sdfg.ldfg.entries[:8]:
         def describe(ref):
-            if ref.kind is SourceKind.NODE:
+            if ref.kind is OperandKind.NODE:
                 return f"i{ref.node_id}"
-            if ref.kind is SourceKind.LOOP_CARRIED:
+            if ref.kind is OperandKind.LOOP_CARRIED:
                 return f"i{ref.node_id}@prev({ref.register})"
-            if ref.kind is SourceKind.LIVE_IN:
+            if ref.kind is OperandKind.REGISTER:
                 return f"live-in({ref.register})"
             return "-"
         print(f"  i{entry.node_id:<3} {str(entry.instruction):<28} "

@@ -91,11 +91,18 @@ plan qualifies; ``ExecutionPlan.batch_program.capability`` carries the
 verdict with a machine-readable reason, and a rejected plan runs on the interpreter with
 that reason reported as the run's ``drive_reason``.
 
-The value phase also drives the CPU tracer: :func:`repro.cpu.trace.collect_trace`
-hands a straight-line loop body to :func:`_compile` as node plans with
-edge-free operands, which every timing-only pass skips, and evaluates its
-blocks with :func:`_phase_values` and :func:`_truncate`, cut at the same
-first store→load hazard.
+One block step serves two drivers.  :func:`_step_block` evaluates a
+block's values and cuts it after its first untaken loop branch and before
+its first store→load hazard, and :func:`_commit_stores` commits the cut
+block's stores, guard-masked and k-major, through one ``Memory.scatter``.
+:func:`drive_batched` adds the fabric's timing phases, its interpreter
+step for a hazard at lane 0 and its ``2 × hazard`` block sizing;
+:func:`repro.cpu.trace.collect_trace` hands a straight-line loop body to
+:func:`_compile` as node plans with edge-free operands, which every
+timing-only pass skips, and adds register writeback, trace columns and
+its own scalar backoff.  The two sizing rules differ because the two
+fallbacks cost very different amounts: one interpreter iteration against
+a few scalar-stepped trips.
 """
 
 from __future__ import annotations
@@ -208,12 +215,12 @@ class _Cluster:
 class BatchProgram:
     """A plan compiled for batched execution (or its fallback verdict)."""
 
-    __slots__ = ("plan", "capability", "nodes", "order", "mem_ids",
-                 "has_store", "slot_events", "n_sources", "clusters",
-                 "noc_rows")
+    __slots__ = ("plan", "capability", "nodes", "order", "loop_id",
+                 "mem_ids", "loads", "stores", "slot_events", "n_sources",
+                 "clusters", "noc_rows")
 
     def __init__(self, plan, capability, nodes=None, order=None,
-                 mem_ids=None, has_store=False, slot_events=None,
+                 loop_id=None, mem_ids=None, slot_events=None,
                  clusters=None, noc_rows=frozenset()):
         self.plan = plan
         self.capability = capability
@@ -221,10 +228,18 @@ class BatchProgram:
         #: Topological schedule over same-iteration + loop-carried edges
         #: (cluster members appear contiguously, ascending).
         self.order = order or []
+        #: The loop-closing branch node.
+        self.loop_id = loop_id
         #: Memory node ids in program order (their completions are the
         #: dynamic timing sources alongside the iteration start).
         self.mem_ids = mem_ids or []
-        self.has_store = has_store
+        #: (node id, access size) per load and per store, in program order:
+        #: the streams of the block alias check and of the store commit.
+        accesses = [(i, self.nodes[i].plan_node.memory)
+                    for i in self.mem_ids]
+        self.loads = [(i, mem.size) for i, mem in accesses if mem.is_load]
+        self.stores = [(i, mem.size) for i, mem in accesses
+                       if not mem.is_load]
         #: (edge, cadence, owner_node_id) per operand slot, for exact
         #: counter folds.
         self.slot_events = slot_events or []
@@ -442,7 +457,6 @@ def _compile(plan, plan_nodes, instructions, loop_branch_id, xlen):
                 heapq.heappush(heap, sk)
 
     mem_ids = [rec.i for rec in nodes if rec.kind == N_MEMORY]
-    has_store = any(nodes[i].plan_node.is_store for i in mem_ids)
 
     # Pass 4: rows whose ring channel carries more than one firing NoC
     # slot serialize through the closed-form grant chain, which replays
@@ -484,8 +498,9 @@ def _compile(plan, plan_nodes, instructions, loop_branch_id, xlen):
                  EV_FB_LOOP if pnode.fallback.kind == K_LOOP else EV_FB,
                  rec.i))
 
-    return BatchProgram(plan, BatchCapability(True), nodes, order, mem_ids,
-                        has_store, slot_events, cluster_objs, noc_rows)
+    return BatchProgram(plan, BatchCapability(True), nodes, order,
+                        loop_branch_id, mem_ids, slot_events, cluster_objs,
+                        noc_rows)
 
 
 def _tarjan_sccs(n, succs):
@@ -563,16 +578,68 @@ def _make_cluster(comp, nodes):
 
 # -- block driver --------------------------------------------------------------
 
+def _step_block(bp: BatchProgram, nb, first, prev, const1, const2, const_fb,
+                memory):
+    """Evaluate up to ``nb`` iterations' values and cut the block: after
+    its first untaken loop branch, then before its first iteration whose
+    load reads a store of the block (:func:`block_alias_hazard`).
+
+    Both drivers step through here: the fabric's :func:`drive_batched` and
+    the CPU tracer's block loop.  Returns ``(nb, exited, hazard, vals,
+    offs, taken, mem_vecs)`` with every vector but ``taken`` cut to the
+    ``nb`` iterations that commit; ``hazard`` is the cut iteration (0 when
+    the first one forwards in-iteration), or None.
+    """
+    with np.errstate(all="ignore"):
+        vals, offs, taken, mem_vecs = _phase_values(
+            bp, nb, first, prev, const1, const2, const_fb, memory.gather)
+    loop_vec = taken[bp.loop_id]
+    exited = not loop_vec.all()
+    if exited:
+        nb = int(np.argmin(loop_vec)) + 1
+        _truncate(vals, offs, mem_vecs, nb)
+    hazard = None
+    if bp.loads and bp.stores:
+        hazard = block_alias_hazard(
+            [(mem_vecs[i][0], size, i, mem_vecs[i][2])
+             for i, size in bp.loads],
+            [(mem_vecs[i][0], size, i, mem_vecs[i][2])
+             for i, size in bp.stores])
+    if hazard is not None:
+        # Every iteration before the hazard loops on.
+        nb, exited = hazard, False
+        _truncate(vals, offs, mem_vecs, nb)
+    return nb, exited, hazard, vals, offs, taken, mem_vecs
+
+
+def _commit_stores(bp: BatchProgram, nb, mem_vecs, memory) -> None:
+    """Commit a cut block's stores through one :meth:`Memory.scatter`,
+    k-major then in program order, skipping predicated-off lanes: the
+    first-hazard cut guarantees that no load of the block reads them."""
+    if not bp.stores:
+        return
+    ons = [mem_vecs[i][2] for i, _ in bp.stores]
+    live = (None if all(on is None for on in ons) else
+            np.stack([np.ones(nb, bool) if on is None else on
+                      for on in ons], axis=1).ravel())
+    memory.scatter(
+        np.stack([mem_vecs[i][0] for i, _ in bp.stores], axis=1).ravel(),
+        np.tile([size for _, size in bp.stores], nb),
+        np.stack([mem_vecs[i][1] for i, _ in bp.stores], axis=1).ravel(),
+        live)
+
+
 def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
                   latency, activity, options, step):
     """Drive the loop in vectorized blocks.
 
-    Each block is cut at its first store-to-load hazard (module
-    docstring); a hazard in a block's first iteration is executed by
-    ``step(prev_values, iteration, start)`` — the interpreter's
-    :meth:`~repro.accel.engine.DataflowEngine._run_iteration`, which
-    records that iteration's counters itself.  ``memory_ports`` is the
-    config's port count (``math.inf`` for unlimited ports).
+    Each block is cut by :func:`_step_block`; a hazard in a block's first
+    iteration is executed by ``step(prev_values, iteration, start)`` — the
+    interpreter's :meth:`~repro.accel.engine.DataflowEngine._run_iteration`,
+    which records that iteration's counters itself.  ``memory_ports`` is
+    the config's port count (``math.inf`` for unlimited ports).  Event
+    counts fold straight into ``activity``: the folds are additive, so
+    interpreter steps mix in.
 
     Returns ``(iterations, iteration_latencies, reason)``; ``reason`` names
     the first iteration the interpreter stepped ("" when none was).
@@ -580,21 +647,15 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
     plan = bp.plan
     nodes = bp.nodes
     n = plan.n_nodes
-    mem_ids = bp.mem_ids
-    mem_source = {i: j + 1 for j, i in enumerate(mem_ids)}
-    loop_id = plan.loop_branch_id
+    mem_source = {i: j + 1 for j, i in enumerate(bp.mem_ids)}
     const1, const2, const_fb = plan.bind_constants(reg_env)
     max_iterations = options.max_iterations
-    store_issue = plan.store_issue
     memory = state.memory
 
-    # Run-level accumulators, folded into the counters once at the end.
+    # Run-level accumulators, folded into the latency counters at the end.
     node_total = [0.0] * n
     slot_count = [0] * len(plan.edge_slots)
     slot_wait = [0.0] * len(plan.edge_slots)
-    acc = {"int_ops": 0, "fp_ops": 0, "forwards": 0, "loads": 0,
-           "stores": 0, "local_hops": 0, "noc_hops": 0, "pe_busy": 0.0,
-           "control_events": 0, "noc_wait": 0.0}
     iteration_latencies: list[float] = []
     prev: list = [0] * n
     clock = 0.0
@@ -604,48 +665,11 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
     block = DEFAULT_BLOCK
     finished = False
 
-    def step_once(why):
-        """Execute one iteration on the interpreter."""
-        nonlocal reason, clock, iterations, prev, finished
-        reason = reason or why
-        values, completion, loop_taken = step(prev, iterations, clock)
-        end = max(completion.values(), default=clock)
-        iteration_latencies.append(end - clock)
-        clock = end
-        iterations += 1
-        prev = [values[i] for i in range(n)]
-        finished = not loop_taken or iterations >= max_iterations
-
     while not finished:
         first = iterations == 0
-        nb = min(block, max_iterations - iterations)
-
-        # -- phase A: values -------------------------------------------------
-        with np.errstate(all="ignore"):
-            vals, offs, taken, mem_vecs = _phase_values(
-                bp, nb, first, prev, const1, const2, const_fb, memory.gather)
-
-        loop_vec = taken[loop_id]
-        exited = not loop_vec.all()
-        if exited:
-            nb = int(np.argmin(loop_vec)) + 1
-            _truncate(vals, offs, mem_vecs, nb)
-
-        # -- alias check: commit only the iterations before the first
-        # load that reads a store of this block ------------------------------
-        hazard = None
-        if bp.has_store:
-            load_streams = []
-            store_streams = []
-            for i in mem_ids:
-                mem_plan = nodes[i].plan_node.memory
-                addr, _raw, on = mem_vecs[i]
-                if mem_plan.is_load:
-                    load_streams.append((addr, mem_plan.size, i, on))
-                else:
-                    store_streams.append((addr, mem_plan.size, i, on))
-            if load_streams:
-                hazard = block_alias_hazard(load_streams, store_streams)
+        nb, exited, hazard, vals, offs, _, mem_vecs = _step_block(
+            bp, min(block, max_iterations - iterations), first, prev,
+            const1, const2, const_fb, memory)
         # Size the next block from this one's outcome: after a cut, twice
         # the iterations the cut block commits; after a clean block,
         # double back toward DEFAULT_BLOCK.  Lanes computed past a hazard
@@ -655,22 +679,26 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
                  else max(2 * hazard, 1))
         if hazard == 0:
             # An in-iteration store-to-load forward: one interpreter step.
-            step_once("in-iteration store-to-load forwarding at "
-                      f"iteration {iterations}")
+            reason = reason or ("in-iteration store-to-load forwarding at "
+                                f"iteration {iterations}")
+            values, completion, loop_taken = step(prev, iterations, clock)
+            end = max(completion.values(), default=clock)
+            iteration_latencies.append(end - clock)
+            clock = end
+            iterations += 1
+            prev = [values[i] for i in range(n)]
+            finished = not loop_taken or iterations >= max_iterations
             continue
-        if hazard is not None:
-            nb = hazard
-            exited = False  # every iteration before the hazard loops on
-            _truncate(vals, offs, mem_vecs, nb)
 
         # -- phase T: static timing weights per source -----------------------
         W, mem_ready, mem_off, wend, noc_waits = _phase_timing(
             bp, nb, first, offs)
 
-        # -- phase B: memory (cache pass, store commit, port timing) ---------
+        # -- phase B: memory (cache pass, port timing), then the stores ------
         starts, ends, done_mat = _phase_memory(
             bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off, wend,
-            memory_ports, hierarchy, store_issue, memory)
+            memory_ports, hierarchy, plan.store_issue)
+        _commit_stores(bp, nb, mem_vecs, memory)
         lat_vec = ends - starts
 
         # -- phase C: counter folds ------------------------------------------
@@ -684,14 +712,14 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
             wsum = float(wvec.sum())
             if wsum:
                 slot_wait[slot] += wsum
-                acc["noc_wait"] += wsum
+                activity.noc_wait_cycles += wsum
         for i in range(n):
             if nodes[i].kind == N_MEMORY:
                 total = (done_mat[mem_source[i] - 1] - starts).sum()
             else:
                 total = ((W[i] + T).max(axis=0) - starts).sum()
             node_total[i] += float(total)
-        _fold_events(bp, nb, first, offs, slot_count, acc)
+        _fold_events(bp, nb, first, offs, slot_count, activity)
         iteration_latencies.extend(lat_vec.tolist())
 
         # Commit the block.
@@ -706,7 +734,6 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
         if 0 <= node_id < n:
             state.write(register, prev[node_id])
 
-    # Fold the accumulators (additive, so interpreter steps mix in).
     edge_total: dict = {}
     edge_count: dict = {}
     for edge in plan.edge_slots:
@@ -718,16 +745,6 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
                                + slot_wait[edge.slot])
             edge_count[key] = edge_count.get(key, 0) + count
     latency.bulk_record(node_total, batched, edge_total, edge_count)
-    activity.int_ops += acc["int_ops"]
-    activity.fp_ops += acc["fp_ops"]
-    activity.forwards += acc["forwards"]
-    activity.loads += acc["loads"]
-    activity.stores += acc["stores"]
-    activity.local_hops += acc["local_hops"]
-    activity.noc_hops += acc["noc_hops"]
-    activity.noc_wait_cycles += acc["noc_wait"]
-    activity.pe_busy_cycles += acc["pe_busy"]
-    activity.control_events += acc["control_events"]
     return iterations, iteration_latencies, reason
 
 
@@ -1064,17 +1081,15 @@ def _phase_timing(bp, nb, first, offs):
 
 
 def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
-                  wend, memory_ports, hierarchy, store_issue, memory):
-    """The block's memory events in three passes, none of them over lanes.
+                  wend, memory_ports, hierarchy, store_issue):
+    """The block's memory timing in two passes, neither of them over lanes
+    (its stores commit after, in :func:`_commit_stores`).
 
     1. **Cache outcomes** depend only on the order of accesses (k-major,
        then memory-node order, live lanes only), never on timing: one
        :meth:`~repro.mem.MemoryHierarchy.access_stream` call returns every
        latency.
-    2. **Stores commit** in that same order through one
-       :meth:`~repro.mem.Memory.scatter`; first-hazard truncation already
-       guarantees that no load of the block reads these bytes.
-    3. **Port timing** runs per memory node in request order, vectorized
+    2. **Port timing** runs per memory node in request order, vectorized
        over lanes, in each lane's own time (every port is idle when an
        iteration starts — module docstring): ready
        times, vector-group grants, a (ports, nb) array of free times
@@ -1083,7 +1098,7 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
        integer-valued float64.
 
     Predicated-off lanes complete at max(operands ready, fallback arrival)
-    without requesting a port, touching the cache, or committing.
+    without requesting a port or touching the cache.
     Returns absolute ``(starts, ends, done_mat)``.
     """
     nodes = bp.nodes
@@ -1112,15 +1127,7 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
             if iterations == 0:
                 cycles[0, j] = head
 
-    # 2. store commit
-    cols = [j for j, p in enumerate(plans) if not p.is_load]
-    if cols:
-        raw = np.stack([mem_vecs[mem_ids[j]][1] for j in cols], axis=1)
-        sizes = np.broadcast_to([plans[j].size for j in cols], raw.shape)
-        memory.scatter(addr[:, cols].ravel(), sizes.ravel(), raw.ravel(),
-                       live[:, cols].ravel())
-
-    # 3. port timing, in lane-relative time: rel[0] is the lane start, and
+    # 2. port timing, in lane-relative time: rel[0] is the lane start, and
     # rel[j + 1] memory node j's completion once it is timed (a node's
     # weights from later sources are -inf, so unfilled rows never count).
     rel = np.zeros((bp.n_sources, nb))
@@ -1166,8 +1173,8 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
     return starts, ends, starts + rel[1:]
 
 
-def _fold_events(bp, nb, first, offs, slot_count, acc):
-    """Accumulate edge-slot and activity event counts for one block."""
+def _fold_events(bp, nb, first, offs, slot_count, activity):
+    """Accumulate one block's edge-slot counts and its activity events."""
     nodes = bp.nodes
     off_counts: dict[int, int] = {}
     for i, off in enumerate(offs):
@@ -1186,21 +1193,25 @@ def _fold_events(bp, nb, first, offs, slot_count, acc):
         if count:
             slot_count[edge.slot] += count
             if edge.is_local:
-                acc["local_hops"] += edge.manhattan * count
+                activity.local_hops += edge.manhattan * count
             else:
-                acc["noc_hops"] += edge.router_hops * count
+                activity.noc_hops += edge.router_hops * count
     for rec in nodes:
         off = off_counts.get(rec.i, 0)
         live = nb - off
         if off:
-            acc["forwards"] += off
-            acc["control_events"] += off
+            activity.forwards += off
+            activity.control_events += off
         if rec.kind == N_MEMORY:
-            key = "loads" if rec.plan_node.memory.is_load else "stores"
-            acc[key] += live
+            if rec.plan_node.memory.is_load:
+                activity.loads += live
+            else:
+                activity.stores += live
         elif rec.kind == N_CONTROL:
-            acc["control_events"] += live
+            activity.control_events += live
         else:
-            key = "fp_ops" if rec.plan_node.is_fp else "int_ops"
-            acc[key] += live
-            acc["pe_busy"] += rec.plan_node.latency * live
+            if rec.plan_node.is_fp:
+                activity.fp_ops += live
+            else:
+                activity.int_ops += live
+            activity.pe_busy_cycles += rec.plan_node.latency * live

@@ -23,8 +23,10 @@ for correctness and applies the mode's timing model for cycle counts.
 Memory ordering is one rule, :mod:`repro.mem.lsq`: a load issues as soon
 as its address is ready and reads the newest older store of its iteration
 that overlaps it (forwarding, or a replay when it issued before that store
-completed), and memory otherwise.  A load that reads memory — a replayed
-one too, which read stale data — takes a port grant and a cache access.
+completed), and memory otherwise.  A replay completes no earlier than
+:data:`REPLAY_PENALTY` cycles after the store.  A load that reads memory —
+a replayed one too, which read stale data — takes a port grant and a
+cache access.
 Each run builds its own pool of ``config.memory_ports`` ports, each of
 which starts one access per cycle.
 
@@ -34,7 +36,8 @@ Two drive paths produce bit-identical results:
   :class:`~repro.accel.plan.ExecutionPlan` into flat arrays and advances
   blocks of iterations as numpy vectors (:mod:`repro.accel.batch`).  A
   block is cut at its first store-to-load hazard, and an in-iteration
-  store-to-load forward is executed by one interpreter step;
+  store-to-load forward is executed by one interpreter step.  Event counts
+  fold straight into the run's :class:`ActivityCounters`;
 * the **interpreter** walks the configured nodes one iteration at a time,
   re-deriving routing, timing, store→load ordering, predication and
   live-outs.  It is the executable specification the golden tests compare
@@ -71,7 +74,13 @@ from .interconnect import Interconnect, build_interconnect
 from .plan import compile_plan
 from .program import AcceleratorProgram, ConfiguredNode, Operand, OperandKind
 
-__all__ = ["ExecutionOptions", "AcceleratorRun", "DataflowEngine"]
+__all__ = ["ExecutionOptions", "AcceleratorRun", "DataflowEngine",
+           "REPLAY_PENALTY"]
+
+#: Cycles to re-propagate a value after a load invalidation: a load issues
+#: as soon as its address is ready (§4.2), and an older store to the same
+#: bytes that completes later invalidates it.
+REPLAY_PENALTY = 6
 
 
 @dataclass(frozen=True)
@@ -81,18 +90,12 @@ class ExecutionOptions:
     pipelined: bool = False
     tile_factor: int = 1
     max_iterations: int = 1_000_000
-    #: Cycles to re-propagate a value after a load invalidation: a load
-    #: issues as soon as its address is ready (§4.2), and an older store
-    #: to the same bytes that completes later invalidates it.
-    replay_penalty: int = 6
 
     def __post_init__(self) -> None:
         if self.tile_factor < 1:
             raise ValueError("tile_factor must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.replay_penalty < 0:
-            raise ValueError("replay_penalty must be >= 0")
 
 
 @dataclass
@@ -165,8 +168,7 @@ class DataflowEngine:
             drive_path = "batched"
             step = functools.partial(
                 self._run_iteration, self._memory_access(state.memory),
-                reg_env, ports=ports,
-                latency=latency, activity=activity, options=options)
+                reg_env, ports=ports, latency=latency, activity=activity)
             iterations, iteration_latencies, drive_reason = drive_batched(
                 batch_program, self.hierarchy, state, reg_env,
                 self.config.memory_ports, latency, activity, options, step)
@@ -208,7 +210,7 @@ class DataflowEngine:
         while not exited and iterations < options.max_iterations:
             values, completion, loop_taken = self._run_iteration(
                 access, reg_env, prev_values, iterations, clock,
-                ports, latency, activity, options,
+                ports, latency, activity,
             )
             iteration_end = max(completion.values(), default=clock)
             iteration_latencies.append(iteration_end - clock)
@@ -234,7 +236,7 @@ class DataflowEngine:
                 for node in self.program.nodes if node.is_memory}
 
     def _run_iteration(self, access, reg_env, prev_values, iteration, start,
-                       ports, latency, activity, options: ExecutionOptions):
+                       ports, latency, activity):
         """Execute all nodes of one iteration; returns (values, completion,
         loop-branch outcome).  ``access`` is :meth:`_memory_access` of the
         state's memory."""
@@ -273,8 +275,7 @@ class DataflowEngine:
                 value, done = self._run_memory(node, int(a), b, ready,
                                                access[node.node_id], ports,
                                                activity, iteration,
-                                               vector_grants, stores_seen,
-                                               options)
+                                               vector_grants, stores_seen)
             elif instr.is_branch or instr.is_jump:
                 taken = plan_node.evaluate(a, b)
                 branch_outcomes[node.node_id] = taken
@@ -356,8 +357,7 @@ class DataflowEngine:
     def _run_memory(self, node: ConfiguredNode, base: int, data, ready,
                     access, ports: MemoryPorts, activity: ActivityCounters,
                     iteration: int, vector_grants: dict[int, float],
-                    stores_seen: list[tuple[int, int, float]],
-                    options: ExecutionOptions):
+                    stores_seen: list[tuple[int, int, float]]):
         """Execute a load/store entry: ordering, forwarding, ports."""
         instr = node.instruction
         address = (base + instr.imm) & ((1 << self.config.xlen) - 1)
@@ -391,7 +391,7 @@ class DataflowEngine:
                     # frees, so no port stays busy past the iteration.
                     activity.load_replays += 1
                     return value, max(fwd_done,
-                                      store_done + options.replay_penalty,
+                                      store_done + REPLAY_PENALTY,
                                       grant + 1)
                 # The forwarding path delivers the data directly.
                 activity.lsq_forwards += 1

@@ -22,15 +22,18 @@ import numpy as np
 from ..isa import OpClass
 from .config import AcceleratorConfig, Coord
 
-__all__ = ["PEGrid"]
+__all__ = ["PEGrid", "op_class_mask"]
 
 
 @functools.lru_cache(maxsize=1024)
-def _op_mask(config: AcceleratorConfig, op_class: OpClass) -> np.ndarray:
+def op_class_mask(config: AcceleratorConfig,
+                  op_class: OpClass) -> np.ndarray:
     """F_op of one class on one backend, built once and shared read-only.
 
     A mapper builds a fresh :class:`PEGrid` per region, so without this
-    every mapping would re-evaluate ``config.supports`` over the array.
+    every mapping would re-evaluate ``config.supports`` over the array;
+    condition C2 reads the same mask to ask whether any PE supports a
+    class.
     """
     mask = np.array(
         [[config.supports(op_class, (r, c)) for c in range(config.cols)]
@@ -60,7 +63,7 @@ class PEGrid:
         """F_op for one operation class (cached constant mask)."""
         mask = self._op_masks.get(op_class)
         if mask is None:
-            mask = self._op_masks[op_class] = _op_mask(self.config, op_class)
+            mask = self._op_masks[op_class] = op_class_mask(self.config, op_class)
         return mask
 
     def available_mask(self, op_class: OpClass) -> np.ndarray:

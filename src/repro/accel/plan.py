@@ -56,7 +56,7 @@ __all__ = [
     "K_CONST", "K_LOOP", "K_NODE",
     "N_COMPUTE", "N_MEMORY", "N_CONTROL",
     "EdgePlan", "OperandPlan", "MemoryPlan", "NodePlan", "ExecutionPlan",
-    "compile_plan",
+    "compile_plan", "operand_plan",
 ]
 
 # Operand resolution codes.  REGISTER and NONE operands collapse into one
@@ -65,6 +65,13 @@ __all__ = [
 K_CONST = 0
 K_LOOP = 1   # previous-iteration producer; constant on iteration 0
 K_NODE = 2   # same-iteration DFG edge
+
+_RESOLUTION = {
+    OperandKind.NONE: K_CONST,
+    OperandKind.REGISTER: K_CONST,
+    OperandKind.LOOP_CARRIED: K_LOOP,
+    OperandKind.NODE: K_NODE,
+}
 
 # Node execution codes.
 N_COMPUTE = 0
@@ -105,6 +112,15 @@ class OperandPlan:
     src_id: int = -1              # producing node for K_LOOP / K_NODE
     register: object = None       # live-in register for K_CONST / K_LOOP
     edge: EdgePlan | None = None  # transfer for K_LOOP / K_NODE
+
+
+def operand_plan(operand: Operand, edge: EdgePlan | None = None
+                 ) -> OperandPlan:
+    """The resolution recipe of one operand, with its producer's transfer
+    (none for the CPU tracer's edge-free loop bodies)."""
+    return OperandPlan(_RESOLUTION[operand.kind],
+                       -1 if operand.node_id is None else operand.node_id,
+                       operand.register, edge)
 
 
 @dataclass(frozen=True, slots=True)
@@ -273,16 +289,8 @@ class ExecutionPlan:
 
     def _compile_operand(self, dst: ConfiguredNode,
                          operand: Operand) -> OperandPlan:
-        kind = operand.kind
-        if kind is OperandKind.NONE:
-            return OperandPlan(K_CONST)
-        if kind is OperandKind.REGISTER:
-            return OperandPlan(K_CONST, register=operand.register)
-        edge = self._compile_edge(operand.node_id, dst)
-        if kind is OperandKind.LOOP_CARRIED:
-            return OperandPlan(K_LOOP, src_id=operand.node_id,
-                               register=operand.register, edge=edge)
-        return OperandPlan(K_NODE, src_id=operand.node_id, edge=edge)
+        return operand_plan(operand, None if operand.node_id is None
+                            else self._compile_edge(operand.node_id, dst))
 
     def _compile_edge(self, src_id: int, dst: ConfiguredNode) -> EdgePlan:
         src = self.program.node(src_id)

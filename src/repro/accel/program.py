@@ -14,18 +14,26 @@ Operand kinds capture the paper's dataflow model:
   the architectural register transferred at offload;
 * ``REGISTER`` — a loop-invariant live-in register, latched at configuration;
 * ``NONE`` — no second operand (immediates are part of the instruction).
+
+:class:`Operand` is the one operand type from the LDFG (T1) to the fabric,
+and :func:`resolve_operands` is T1's one rename rule (§3.2): a register an
+instruction reads comes from its same-iteration last writer, else from the
+body's last writer in the previous iteration, else it is a live-in.  The
+LDFG builder and the CPU tracer's loop-body compiler both call it; it sits
+here, not in :mod:`repro.core`, so that :mod:`repro.cpu` can import it.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..isa import Instruction, OpClass, Register
 from .config import AcceleratorConfig, Coord
 
 __all__ = ["OperandKind", "Operand", "Guard", "ConfiguredNode",
-           "AcceleratorProgram"]
+           "AcceleratorProgram", "resolve_operands"]
 
 
 class OperandKind(enum.Enum):
@@ -37,7 +45,7 @@ class OperandKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Operand:
-    """One input of a configured node."""
+    """One input of a configured node, or one source of an LDFG entry."""
 
     kind: OperandKind
     node_id: int | None = None
@@ -67,6 +75,45 @@ class Operand:
     @classmethod
     def none(cls) -> "Operand":
         return cls(OperandKind.NONE)
+
+
+def resolve_operands(instructions: Sequence[Instruction]) -> tuple[
+        list[tuple[Operand, Operand, Operand | None]], dict[Register, int]]:
+    """T1's rename rule over one loop body in program order.
+
+    Returns, per instruction, ``(src1, src2, prior)`` — ``prior`` is where
+    its destination's previous value comes from (the predication fallback),
+    None when it writes no register — and the body's last writer of each
+    register it writes (the final rename table, in first-write order).
+    """
+    final_writer = {instr.destination: index
+                    for index, instr in enumerate(instructions)
+                    if instr.destination is not None}
+    none = Operand.none()
+    # The rename table: each register's current source.  A register not
+    # yet written this iteration arrives from the previous one (its last
+    # writer in the body) or, never written, is a live-in.
+    table: dict[Register, Operand] = {}
+
+    def resolve(register: Register | None) -> Operand:
+        if register is None or register.is_zero:
+            return none
+        operand = table.get(register)
+        if operand is None:
+            writer = final_writer.get(register)
+            operand = table[register] = (
+                Operand.from_register(register) if writer is None
+                else Operand.loop_carried(writer, register))
+        return operand
+
+    resolved = []
+    for index, instr in enumerate(instructions):
+        dest = instr.destination
+        resolved.append((resolve(instr.rs1), resolve(instr.rs2),
+                         None if dest is None else resolve(dest)))
+        if dest is not None:
+            table[dest] = Operand.node(index)
+    return resolved, final_writer
 
 
 @dataclass(frozen=True)

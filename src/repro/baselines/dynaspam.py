@@ -23,7 +23,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..core.ldfg import Ldfg, LdfgEntry, SourceKind
+from ..accel import OperandKind
+from ..core.ldfg import Ldfg, LdfgEntry
 from ..latency import DEFAULT_LATENCIES, LatencyTable
 
 __all__ = ["DynaSpamConfig", "DynaSpamMapping", "DynaSpamMapper",
@@ -114,7 +115,7 @@ class DynaSpamMapper:
         for entry in entries:
             depth = 0
             for ref in (entry.s1, entry.s2):
-                if ref.kind is SourceKind.NODE and ref.node_id in level_of:
+                if ref.kind is OperandKind.NODE and ref.node_id in level_of:
                     depth = max(depth, level_of[ref.node_id] + 1)
             while fill.get(depth, 0) >= self.config.lanes:
                 depth += 1
@@ -144,7 +145,7 @@ class DynaSpamMapper:
                 entry = ldfg[node_id]
                 ready = 0.0
                 for ref in (entry.s1, entry.s2):
-                    if ref.kind is SourceKind.NODE and ref.node_id in completion:
+                    if ref.kind is OperandKind.NODE and ref.node_id in completion:
                         ready = max(ready, completion[ref.node_id]
                                     + self.config.stage_latency)
                 completion[node_id] = ready + self._op_latency(

@@ -20,7 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..core.ldfg import Ldfg, LdfgEntry, SourceKind
+from ..accel import OperandKind
+from ..core.ldfg import Ldfg, LdfgEntry
 from ..latency import DEFAULT_LATENCIES, LatencyTable
 
 __all__ = ["CgraConfig", "CgraSchedule", "OpenCgraScheduler", "ScheduleError"]
@@ -113,7 +114,7 @@ class OpenCgraScheduler:
         index = {e.node_id: e for e in entries}
         for entry in entries:
             for ref in (entry.s1, entry.s2):
-                if (ref.kind is SourceKind.LOOP_CARRIED
+                if (ref.kind is OperandKind.LOOP_CARRIED
                         and ref.node_id in index):
                     path = self._longest_path(entries, entry.node_id,
                                               ref.node_id)
@@ -134,7 +135,7 @@ class OpenCgraScheduler:
                 continue
             best: float | None = None
             for ref in (entry.s1, entry.s2):
-                if ref.kind is SourceKind.NODE and ref.node_id in dist:
+                if ref.kind is OperandKind.NODE and ref.node_id in dist:
                     arrival = dist[ref.node_id] + self.config.transfer_latency
                     best = arrival if best is None else max(best, arrival)
             if best is not None:
@@ -155,7 +156,7 @@ class OpenCgraScheduler:
         for entry in entries:
             earliest = 0
             for ref in (entry.s1, entry.s2):
-                if ref.kind is SourceKind.NODE and ref.node_id in slots:
+                if ref.kind is OperandKind.NODE and ref.node_id in slots:
                     _, producer_time = slots[ref.node_id]
                     producer = ldfg[ref.node_id]
                     earliest = max(

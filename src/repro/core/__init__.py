@@ -33,7 +33,7 @@ from .controller import (
 )
 from .dfg import DataflowGraph, DfgNode
 from .imap_fsm import ImapFsm, ImapRun, ImapState
-from .ldfg import Ldfg, LdfgEntry, LdfgError, SourceKind, SourceRef, build_ldfg
+from .ldfg import Ldfg, LdfgEntry, LdfgError, build_ldfg
 from .loopopt import LoopPlan, plan_loop_optimizations
 from .mapping import InstructionMapper, MappingError, MappingOptions, MappingStats
 from .memopt import (
@@ -81,8 +81,6 @@ __all__ = [
     "Ldfg",
     "LdfgEntry",
     "LdfgError",
-    "SourceKind",
-    "SourceRef",
     "build_ldfg",
     "LoopPlan",
     "plan_loop_optimizations",

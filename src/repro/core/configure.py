@@ -32,9 +32,9 @@ from ..accel import (
     ConfiguredNode,
     Guard,
     Operand,
+    OperandKind,
     decode_bitstream,
 )
-from .ldfg import SourceKind, SourceRef
 from .mapping import MappingStats
 from .sdfg import Sdfg
 
@@ -152,20 +152,18 @@ def build_program(sdfg: Sdfg) -> AcceleratorProgram:
         if entry.eliminated:
             store = ldfg[entry.forwarded_from_store]
             data = store.s2
-            assert data.kind is SourceKind.NODE, \
+            assert data.kind is OperandKind.NODE, \
                 "memopt only forwards stores with same-iteration data"
             return redirect(data.node_id)
         return node_id
 
-    def to_operand(ref: SourceRef | None) -> Operand:
-        if ref is None or ref.kind is SourceKind.NONE:
+    def to_operand(ref: Operand | None) -> Operand:
+        """Renumber a node reference into the program's dense ids."""
+        if ref is None:
             return Operand.none()
-        if ref.kind is SourceKind.LIVE_IN:
-            return Operand.from_register(ref.register)
-        target = redirect(ref.node_id)
-        if ref.kind is SourceKind.NODE:
-            return Operand.node(new_id[target])
-        return Operand.loop_carried(new_id[target], ref.register)
+        if ref.node_id is None:
+            return ref
+        return Operand(ref.kind, new_id[redirect(ref.node_id)], ref.register)
 
     nodes: list[ConfiguredNode] = []
     for entry in ldfg.entries:

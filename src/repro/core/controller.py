@@ -49,6 +49,7 @@ from ..accel import (
     build_interconnect,
 )
 from ..cpu import CoreResult, CpuConfig, OutOfOrderCore, Trace, collect_trace
+from ..cpu.lsd import HOT_ITERATIONS
 from ..isa import EncodingError, Executor, MachineState, Program
 from ..mem import MemoryHierarchy
 from .configure import (
@@ -75,8 +76,6 @@ __all__ = ["MesaOptions", "CycleBreakdown", "AcceleratedRegion",
 
 #: Functional-execution safety bound of a controller's CPU runs.
 MAX_STEPS = 4_000_000
-#: Iterations the LSD needs before a loop is considered hot.
-DETECTION_ITERATIONS = 4
 #: Iterations per profiling window in iterative mode.
 PROFILE_ITERATIONS = 16
 
@@ -546,7 +545,7 @@ class MesaController:
         loop_entries = trace.executions(loop.start_address, loop.end_address)
         iterations = max(1, loop.total_iterations)
         cycles_per_iteration = max(1.0, loop_entries / iterations * cpi)
-        return DETECTION_ITERATIONS + math.ceil(
+        return HOT_ITERATIONS + math.ceil(
             cost.total / cycles_per_iteration)
 
     # -- translation (T1 + §4.2 optimizations + T2) -----------------------------

@@ -6,65 +6,36 @@ them to instruction addresses ... we use a rename table to hold a map of
 architectural registers to the last instruction that writes to it."
 
 The LDFG stores a *linear* (program-order) view of one loop-body iteration.
-Each entry records where its two sources come from:
+Each entry records where its two sources come from, as the fabric's own
+:class:`~repro.accel.program.Operand`:
 
 * ``NODE`` — an earlier instruction of the same iteration (a DFG edge);
 * ``LOOP_CARRIED`` — the body's last writer of the register, whose value
   arrives from the *previous* iteration (an induction/recurrence input);
-* ``LIVE_IN`` — a register never written inside the body (loop-invariant).
+* ``REGISTER`` — a register never written inside the body (a live-in);
+* ``NONE`` — no source (``x0``, or an operand the instruction lacks).
 
 Each entry also records the *previous writer* of its own destination — the
 "hidden dependency" predicated-off instructions need so a disabled PE can
-forward the old register value (paper §5).
+forward the old register value (paper §5).  The rename rule itself is
+:func:`repro.accel.program.resolve_operands`, which the CPU tracer's
+loop-body compiler shares.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
+from ..accel.program import Operand, OperandKind, resolve_operands
 from ..isa import Instruction, OpClass, Register
 from ..latency import DEFAULT_LATENCIES, LatencyTable
 from .dfg import DataflowGraph
 
-__all__ = ["SourceKind", "SourceRef", "LdfgEntry", "Ldfg", "LdfgError",
-           "build_ldfg"]
+__all__ = ["LdfgEntry", "Ldfg", "LdfgError", "build_ldfg"]
 
 
 class LdfgError(ValueError):
     """Raised when an instruction sequence cannot form a valid LDFG."""
-
-
-class SourceKind(enum.Enum):
-    NONE = "none"
-    NODE = "node"
-    LOOP_CARRIED = "loop_carried"
-    LIVE_IN = "live_in"
-
-
-@dataclass(frozen=True)
-class SourceRef:
-    """Origin of one instruction operand."""
-
-    kind: SourceKind
-    node_id: int | None = None
-    register: Register | None = None
-
-    @classmethod
-    def none(cls) -> "SourceRef":
-        return cls(SourceKind.NONE)
-
-    @classmethod
-    def node(cls, node_id: int) -> "SourceRef":
-        return cls(SourceKind.NODE, node_id=node_id)
-
-    @classmethod
-    def loop_carried(cls, node_id: int, register: Register) -> "SourceRef":
-        return cls(SourceKind.LOOP_CARRIED, node_id=node_id, register=register)
-
-    @classmethod
-    def live_in(cls, register: Register) -> "SourceRef":
-        return cls(SourceKind.LIVE_IN, register=register)
 
 
 @dataclass
@@ -73,11 +44,11 @@ class LdfgEntry:
 
     node_id: int
     instruction: Instruction
-    s1: SourceRef = field(default_factory=SourceRef.none)
-    s2: SourceRef = field(default_factory=SourceRef.none)
+    s1: Operand = field(default_factory=Operand.none)
+    s2: Operand = field(default_factory=Operand.none)
     #: Previous producer of this instruction's destination register
     #: (the predication fallback), if the instruction writes one.
-    prev_writer: SourceRef | None = None
+    prev_writer: Operand | None = None
     #: Estimated/measured operation latency (AMAT for memory nodes).
     op_latency: float = 1.0
     #: Forward branch that predicates this entry off when taken.
@@ -102,7 +73,7 @@ class LdfgEntry:
     def same_iteration_sources(self) -> list[int]:
         """Node ids of same-iteration producers (the intra-iteration edges)."""
         return [ref.node_id for ref in (self.s1, self.s2)
-                if ref.kind is SourceKind.NODE]
+                if ref.kind is OperandKind.NODE]
 
 
 @dataclass
@@ -184,33 +155,17 @@ def build_ldfg(instructions: list[Instruction],
                     f"forward branch at {instr.address:#x} escapes the body"
                 )
 
-    # Last writer of each register anywhere in the body (loop-carried source).
-    final_writer: dict[Register, int] = {}
-    for index, instr in enumerate(instructions):
-        dest = instr.destination
-        if dest is not None:
-            final_writer[dest] = index
-
-    rename: dict[Register, int] = {}
+    resolved, rename = resolve_operands(instructions)
+    # Registers the first iteration reads from the CPU: every live-in and
+    # loop-carried source, in resolution order.
     live_in: set[Register] = set()
     entries: list[LdfgEntry] = []
-
-    def resolve(register: Register | None) -> SourceRef:
-        if register is None or register.is_zero:
-            return SourceRef.none()
-        if register in rename:
-            return SourceRef.node(rename[register])
-        if register in final_writer:
-            live_in.add(register)  # needed for the first iteration
-            return SourceRef.loop_carried(final_writer[register], register)
-        live_in.add(register)
-        return SourceRef.live_in(register)
-
-    for index, instr in enumerate(instructions):
-        s1 = resolve(instr.rs1)
-        s2 = resolve(instr.rs2)
-        dest = instr.destination
-        prev_writer = resolve(dest) if dest is not None else None
+    for index, (instr, (s1, s2, prev_writer)) in enumerate(
+            zip(instructions, resolved)):
+        for ref in (s1, s2, prev_writer):
+            if ref is not None and ref.kind in (OperandKind.REGISTER,
+                                                OperandKind.LOOP_CARRIED):
+                live_in.add(ref.register)
         if instr.is_memory:
             op_latency = initial_amat
         else:
@@ -226,8 +181,6 @@ def build_ldfg(instructions: list[Instruction],
             prev_writer=prev_writer,
             op_latency=op_latency,
         ))
-        if dest is not None:
-            rename[dest] = index
 
     # Predication guards from forward branches (§5, Forward Branch Instrs).
     for index, instr in enumerate(instructions):
@@ -242,6 +195,6 @@ def build_ldfg(instructions: list[Instruction],
     return Ldfg(
         entries=entries,
         loop_branch_id=loop_branch_id,
-        rename_table=dict(rename),
+        rename_table=rename,
         live_in=live_in,
     )

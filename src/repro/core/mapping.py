@@ -31,11 +31,12 @@ from ..accel import (
     Coord,
     Interconnect,
     LoadStoreEntries,
+    OperandKind,
     PEGrid,
     build_interconnect,
 )
 from .candidates import CandidateStrategy, candidate_mask
-from .ldfg import Ldfg, LdfgEntry, SourceKind
+from .ldfg import Ldfg, LdfgEntry
 from .sdfg import Sdfg
 
 __all__ = ["MappingError", "MappingOptions", "MappingStats", "InstructionMapper"]
@@ -174,9 +175,9 @@ class InstructionMapper:
             node_id = ref.node_id
             if node_id is None or node_id not in positions:
                 continue
-            if ref.kind is SourceKind.NODE:
+            if ref.kind is OperandKind.NODE:
                 placed.append((completion.get(node_id, 0.0), positions[node_id]))
-            elif ref.kind is SourceKind.LOOP_CARRIED:
+            elif ref.kind is OperandKind.LOOP_CARRIED:
                 # Arrives at iteration start; still a locality hint.
                 placed.append((0.0, positions[node_id]))
         placed.sort(key=lambda item: -item[0])
@@ -202,7 +203,7 @@ class InstructionMapper:
         self.stats.candidates_evaluated += int(cand_r.size)
         arrival = np.zeros(cand_r.size, dtype=np.float64)
         for ref in (entry.s1, entry.s2):
-            if ref.kind is SourceKind.NODE and ref.node_id in positions:
+            if ref.kind is OperandKind.NODE and ref.node_id in positions:
                 transfer = self.interconnect.latency_matrix(
                     positions[ref.node_id])[cand_r, cand_c]
                 np.maximum(arrival, completion.get(ref.node_id, 0.0) + transfer,
@@ -218,7 +219,7 @@ class InstructionMapper:
         """Eq. 1 at a candidate position: op latency + latest input arrival."""
         arrival = 0.0
         for ref in (entry.s1, entry.s2):
-            if ref.kind is SourceKind.NODE and ref.node_id in positions:
+            if ref.kind is OperandKind.NODE and ref.node_id in positions:
                 transfer = self.interconnect.latency(
                     positions[ref.node_id], coord)
                 arrival = max(arrival,

@@ -20,8 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..accel import OperandKind
 from ..isa import Opcode, OpClass
-from .ldfg import Ldfg, LdfgEntry, SourceKind
+from .ldfg import Ldfg, LdfgEntry
 
 __all__ = ["MemoptReport", "apply_memory_optimizations",
            "forward_store_loads", "vectorize_loads", "mark_prefetchable"]
@@ -80,7 +81,7 @@ def forward_store_loads(ldfg: Ldfg, xlen: int = 32) -> int:
                 continue
             if (prior.guard_branch is None
                     and _forwardable(prior, load, xlen)
-                    and prior.s2.kind is SourceKind.NODE):
+                    and prior.s2.kind is OperandKind.NODE):
                 load.forwarded_from_store = prior.node_id
                 eliminated += 1
             break
@@ -91,7 +92,7 @@ def vectorize_loads(ldfg: Ldfg) -> tuple[int, int]:
     """Group loads that share an unchanged base register.
 
     Returns ``(groups, loads_in_groups)``.  Only loads whose base is
-    loop-invariant (``LIVE_IN``) or arrives loop-carried from the same
+    loop-invariant (``REGISTER``) or arrives loop-carried from the same
     producer qualify — the base must be "the same (unchanged) base address
     register" within the iteration.
     """
@@ -100,7 +101,7 @@ def vectorize_loads(ldfg: Ldfg) -> tuple[int, int]:
         if not entry.instruction.is_load or entry.eliminated:
             continue
         base = entry.s1
-        if base.kind in (SourceKind.LIVE_IN, SourceKind.LOOP_CARRIED):
+        if base.kind in (OperandKind.REGISTER, OperandKind.LOOP_CARRIED):
             key = (base.kind, base.node_id, base.register)
             groups.setdefault(key, []).append(entry)
     group_count = 0
@@ -119,9 +120,9 @@ def _is_induction(entry: LdfgEntry) -> bool:
     """An induction update: an integer op whose only source is its own
     previous-iteration value (e.g. ``addi a0, a0, 4``)."""
     return (entry.op_class is OpClass.INT_ALU
-            and entry.s1.kind is SourceKind.LOOP_CARRIED
+            and entry.s1.kind is OperandKind.LOOP_CARRIED
             and entry.s1.node_id == entry.node_id
-            and entry.s2.kind is SourceKind.NONE)
+            and entry.s2.kind is OperandKind.NONE)
 
 
 def mark_prefetchable(ldfg: Ldfg) -> int:
@@ -138,10 +139,10 @@ def mark_prefetchable(ldfg: Ldfg) -> int:
             continue
         base = entry.s1
         depends_on_induction = (
-            (base.kind in (SourceKind.LOOP_CARRIED, SourceKind.NODE)
+            (base.kind in (OperandKind.LOOP_CARRIED, OperandKind.NODE)
              and base.node_id in induction_nodes)
         )
-        if depends_on_induction or base.kind is SourceKind.LIVE_IN:
+        if depends_on_induction or base.kind is OperandKind.REGISTER:
             entry.prefetched = True
             marked += 1
     return marked

@@ -19,8 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..accel import AcceleratorConfig
+from ..accel.grid import op_class_mask
 from ..cpu import LoopCandidate, LoopStreamDetector, Trace
-from ..isa import Instruction, OpClass, Program
+from ..isa import Instruction, Program
 
 __all__ = ["RegionCriteria", "RegionDecision", "CodeRegionDetector"]
 
@@ -141,20 +142,13 @@ class CodeRegionDetector:
                 )
                 ok = False
             elif not instr.is_memory and not instr.is_control:
-                if not self._class_supported(instr.op_class):
+                if not op_class_mask(self.config, instr.op_class).any():
                     decision.reject(
                         f"C2: no PE supports {instr.op_class.value} "
                         f"(instruction {instr})"
                     )
                     ok = False
         return ok
-
-    def _class_supported(self, op_class: OpClass) -> bool:
-        return any(
-            self.config.supports(op_class, (r, c))
-            for r in range(self.config.rows)
-            for c in range(self.config.cols)
-        )
 
     def _check_c3(self, loop: LoopCandidate, body: list[Instruction],
                   decision: RegionDecision) -> bool:

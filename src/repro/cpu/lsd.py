@@ -8,7 +8,8 @@ supported by the accelerator."
 
 The detector watches the dynamic stream at the decode stage for backward taken
 branches.  A branch that closes the same ``[target, branch]`` address range
-for ``min_iterations`` consecutive iterations becomes a *loop candidate*, and
+for :data:`HOT_ITERATIONS` consecutive iterations becomes a *loop candidate*
+(one constant, which the controller's warmup estimate reads too), and
 the detector keeps estimating its trip count from completed visits — the input
 MESA's condition C3 uses to judge whether acceleration will amortize.
 """
@@ -19,7 +20,10 @@ from dataclasses import dataclass
 
 from .trace import Trace, TraceEntry
 
-__all__ = ["LoopCandidate", "LoopStreamDetector"]
+__all__ = ["LoopCandidate", "LoopStreamDetector", "HOT_ITERATIONS"]
+
+#: Consecutive iterations before a loop is *hot*.
+HOT_ITERATIONS = 4
 
 
 @dataclass
@@ -49,18 +53,13 @@ class LoopCandidate:
 class LoopStreamDetector:
     """Detects hot loops from the dynamic instruction stream."""
 
-    def __init__(self, max_body_instructions: int = 512,
-                 min_iterations: int = 4) -> None:
+    def __init__(self, max_body_instructions: int = 512) -> None:
         """
         Args:
             max_body_instructions: condition C1's size limit — loops larger
                 than the accelerator's instruction capacity are not reported.
-            min_iterations: consecutive iterations before a loop is *hot*.
         """
-        if min_iterations < 2:
-            raise ValueError("min_iterations must be >= 2")
         self.max_body_instructions = max_body_instructions
-        self.min_iterations = min_iterations
         self._loops: dict[tuple[int, int], LoopCandidate] = {}
         #: Live back-edge streaks: key -> consecutive taken count.  A streak
         #: survives back-edges of loops *nested inside* its range (the PC
@@ -90,7 +89,7 @@ class LoopStreamDetector:
         body = (instr.address - target) // 4 + 1
         if body > self.max_body_instructions:
             return None
-        if self._streaks[key] == self.min_iterations:
+        if self._streaks[key] == HOT_ITERATIONS:
             candidate = self._loops.get(key)
             if candidate is None:
                 candidate = LoopCandidate(start_address=target,
@@ -103,7 +102,7 @@ class LoopStreamDetector:
         """Account a completed visit of one loop, if it was hot."""
         streak = self._streaks.pop(key, 0)
         candidate = self._loops.get(key)
-        if candidate is not None and streak >= self.min_iterations:
+        if candidate is not None and streak >= HOT_ITERATIONS:
             candidate.visits += 1
             # The streak counts taken back-edges; iterations = streak + 1.
             candidate.total_iterations += streak + 1

@@ -15,15 +15,17 @@ that stream.
 * **Block tracing.**  Once a loop's back edge has been taken
   :data:`BLOCK_AFTER` times in a row, its body ``[target, branch]`` runs in
   blocks of :data:`repro.accel.batch.DEFAULT_BLOCK` iterations through the
-  batched fabric drive's own value phase: :func:`compile_loop_body` turns
-  the body into edge-free node plans for that drive's compiler, whose
-  timing-only passes skip them, and :func:`repro.accel.batch._phase_values`
-  evaluates a block with the opcode table's lane forms.  Each block is cut
-  at the first untaken closing branch and at the first store→load hazard
-  (:func:`repro.mem.lsq.block_alias_hazard`); its stores commit in stream
-  order through one :meth:`~repro.mem.Memory.scatter`, and each register
-  the loop writes takes its last writer's final lane.  The hazard
-  iteration, whose load forwards from a store, runs on the scalar path.
+  batched fabric drive's own block step: :func:`compile_loop_body` turns
+  the body into edge-free node plans, with operands from the LDFG's
+  rename rule (:func:`repro.accel.program.resolve_operands`), for that
+  drive's compiler, whose timing-only passes skip them.  The drive's
+  ``_step_block`` evaluates a block with the opcode table's lane forms and
+  cuts it at the first untaken closing branch and at the first store→load
+  hazard; its ``_commit_stores`` commits the block's stores, and each
+  register the loop writes takes its last writer's final lane.  What is
+  the tracer's own is that register writeback, the trace columns and the
+  backoff below.  The hazard iteration, whose load forwards from a store,
+  runs on the scalar path.
   A block costs about as much as a few hundred scalar steps, so when a
   hazard cuts one before half its iterations the loop steps for
   :data:`BLOCK_AFTER` more taken back edges, twice as many after each
@@ -51,21 +53,20 @@ import numpy as np
 from ..accel.batch import (
     DEFAULT_BLOCK,
     BatchProgram,
+    _commit_stores,
     _compile,
-    _phase_values,
-    _truncate,
+    _step_block,
 )
 from ..accel.plan import (
-    K_CONST,
-    K_LOOP,
     K_NODE,
     N_COMPUTE,
     N_CONTROL,
     N_MEMORY,
     MemoryPlan,
     NodePlan,
-    OperandPlan,
+    operand_plan,
 )
+from ..accel.program import resolve_operands
 from ..isa import (
     ACCESS_FORMATS,
     ExecutionError,
@@ -76,7 +77,6 @@ from ..isa import (
     compile_branch,
     compile_operation,
 )
-from ..mem.lsq import block_alias_hazard
 
 __all__ = ["TraceEntry", "Trace", "collect_trace", "compile_loop_body",
            "BLOCK_AFTER"]
@@ -308,11 +308,11 @@ def compile_loop_body(body: Sequence[Instruction],
     """Compile a loop body for block tracing, or say why it steps.
 
     ``body`` runs from the back edge's target to the back edge.  Each
-    instruction becomes one node plan: a register it reads is the
-    same-iteration value of its last writer before it (K_NODE), else the
-    previous iteration's value of its last writer in the body (K_LOOP),
-    else a constant of the loop (K_CONST).  Operands carry no edge, so the
-    batched drive's compiler runs only its value passes on them.
+    instruction becomes one node plan whose operands come from the LDFG's
+    rename rule (:func:`~repro.accel.program.resolve_operands`): a K_NODE
+    same-iteration writer, else a K_LOOP previous-iteration writer, else a
+    K_CONST constant of the loop.  Operands carry no edge, so the batched
+    drive's compiler runs only its value passes on them.
 
     Returns the :class:`~repro.accel.batch.BatchProgram`, or the reason the
     body steps on the scalar path.
@@ -323,20 +323,9 @@ def compile_loop_body(body: Sequence[Instruction],
         return "inner control"
     if xlen != 32:
         return "xlen 64"
-    last_writer = _last_writers(body)
-    writer: dict = {}
-
-    def operand(reg) -> OperandPlan:
-        if reg is None or reg.is_zero:
-            return OperandPlan(K_CONST)
-        if reg in writer:
-            return OperandPlan(K_NODE, src_id=writer[reg])
-        if reg in last_writer:
-            return OperandPlan(K_LOOP, src_id=last_writer[reg], register=reg)
-        return OperandPlan(K_CONST, register=reg)
-
+    resolved, _ = resolve_operands(body)
     nodes = []
-    for i, instr in enumerate(body):
+    for i, (instr, (src1, src2, _)) in enumerate(zip(body, resolved)):
         if instr.requires_rv64:
             return f"RV64I instruction {instr} on an RV32 state"
         memory = evaluate = None
@@ -356,19 +345,11 @@ def compile_loop_body(body: Sequence[Instruction],
             except ExecutionError as error:
                 return str(error)
         nodes.append(NodePlan(
-            node_id=i, kind=kind, src1=operand(instr.rs1),
-            src2=operand(instr.rs2), guard_branch=-1, effective_guard=-1,
+            node_id=i, kind=kind, src1=operand_plan(src1),
+            src2=operand_plan(src2), guard_branch=-1, effective_guard=-1,
             fallback=None, latency=0, evaluate=evaluate, is_fp=instr.is_fp,
             is_store=instr.is_store, memory=memory))
-        if instr.destination is not None:
-            writer[instr.destination] = i
     return _compile(None, nodes, body, len(body) - 1, xlen)
-
-
-def _last_writers(body: Sequence[Instruction]) -> dict:
-    """Each register the body writes -> the index of its last writer."""
-    return {instr.destination: i for i, instr in enumerate(body)
-            if instr.destination is not None}
 
 
 class _BlockLoop:
@@ -376,8 +357,7 @@ class _BlockLoop:
     that call's state."""
 
     __slots__ = ("bp", "length", "index", "start_pc", "exit_pc",
-                 "constants", "writers", "loads", "stores", "store_sizes",
-                 "backoff")
+                 "constants", "writers", "backoff")
 
     def __init__(self, bp: BatchProgram, first: int,
                  body: Sequence[Instruction], state: MachineState) -> None:
@@ -396,15 +376,7 @@ class _BlockLoop:
             for rec in bp.nodes]
         #: (register-file list, index, node) per register the loop writes.
         self.writers = [(*state.slot(reg), i)
-                        for reg, i in _last_writers(body).items()]
-        #: (node, access size) per load and per store, in program order.
-        accesses = [(i, ACCESS_FORMATS[body[i].opcode][0])
-                    for i in bp.mem_ids]
-        self.loads = [(i, size) for i, size in accesses if body[i].is_load]
-        self.stores = [(i, size) for i, size in accesses
-                       if body[i].is_store]
-        self.store_sizes = np.array([size for _, size in self.stores],
-                                    np.int64)
+                        for reg, i in resolve_operands(body)[1].items()]
         #: Extra taken back edges the loop waits before its next block:
         #: doubled by each block a hazard cuts early, reset by any other.
         self.backoff = 0
@@ -433,7 +405,6 @@ class _BlockLoop:
         Returns the steps traced and the pc to go on from."""
         bp, length = self.bp, self.length
         memory = state.memory
-        loop_id = length - 1
         no_fallback = [0] * length
         traced = 0
         while True:
@@ -442,29 +413,19 @@ class _BlockLoop:
                 return traced, self.start_pc
             const1 = [regs[i] for (regs, i), _ in self.constants]
             const2 = [regs[i] for _, (regs, i) in self.constants]
-            with np.errstate(all="ignore"):
-                vals, offs, taken, mem_vecs = _phase_values(
-                    bp, nb, True, None, const1, const2, no_fallback,
-                    memory.gather)
-            loop_vec = taken[loop_id]
-            exited = not loop_vec.all()
-            if exited:
-                nb = int(np.argmin(loop_vec)) + 1
-                _truncate(vals, offs, mem_vecs, nb)
-            hazard = None
-            if self.loads and self.stores:
-                hazard = block_alias_hazard(
-                    [(mem_vecs[i][0], size, i, None)
-                     for i, size in self.loads],
-                    [(mem_vecs[i][0], size, i, None)
-                     for i, size in self.stores])
-            if hazard is not None:
-                # Only the iterations before the hazard commit; the hazard
-                # iteration forwards on the scalar path.
-                nb, exited = hazard, False
-                _truncate(vals, offs, mem_vecs, nb)
+            # Only the iterations before a hazard commit; the hazard
+            # iteration forwards on the scalar path.
+            nb, exited, hazard, vals, _, taken, mem_vecs = _step_block(
+                bp, nb, True, None, const1, const2, no_fallback, memory)
             if nb:
-                self._commit(state, nb, vals, mem_vecs, loop_vec, columns)
+                _commit_stores(bp, nb, mem_vecs, memory)
+                for regs, slot, i in self.writers:
+                    regs[slot] = vals[i][nb - 1].item()
+                addresses = (np.stack([mem_vecs[i][0] for i in bp.mem_ids],
+                                      axis=1).ravel()
+                             if bp.mem_ids else np.empty(0, np.int64))
+                columns.add(self.index[:nb * length], addresses,
+                            taken[bp.loop_id][:nb].astype(np.int8))
                 traced += nb * length
             if hazard is not None and hazard < DEFAULT_BLOCK // 2:
                 self.backoff = max(2 * self.backoff, BLOCK_AFTER)
@@ -472,23 +433,3 @@ class _BlockLoop:
             self.backoff = 0
             if exited:
                 return traced, self.exit_pc
-
-    def _commit(self, state: MachineState, nb: int, vals, mem_vecs,
-                loop_vec, columns: _Columns) -> None:
-        """Apply a block truncated to its first ``nb`` iterations to the
-        state, and add its rows to the columns."""
-        bp = self.bp
-        if self.stores:
-            state.memory.scatter(
-                np.stack([mem_vecs[i][0] for i, _ in self.stores],
-                         axis=1).ravel(),
-                np.tile(self.store_sizes, nb),
-                np.stack([mem_vecs[i][1] for i, _ in self.stores],
-                         axis=1).ravel())
-        for regs, slot, i in self.writers:
-            regs[slot] = vals[i][nb - 1].item()
-        addresses = (np.stack([mem_vecs[i][0] for i in bp.mem_ids],
-                              axis=1).ravel()
-                     if bp.mem_ids else np.empty(0, np.int64))
-        columns.add(self.index[:nb * self.length], addresses,
-                    loop_vec[:nb].astype(np.int8))

@@ -336,8 +336,6 @@ class TestDirectEngineEquivalence:
 
     def test_options_validation(self):
         with pytest.raises(ValueError):
-            ExecutionOptions(replay_penalty=-1)
-        with pytest.raises(ValueError):
             ExecutionOptions(tile_factor=0)
 
 

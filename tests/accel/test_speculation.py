@@ -12,6 +12,7 @@ from repro.accel import (
     ExecutionOptions,
     Operand,
 )
+from repro.accel.engine import REPLAY_PENALTY
 from repro.isa import Instruction, MachineState, Opcode, x
 from repro.mem import Memory
 
@@ -82,18 +83,19 @@ class TestSpeculation:
         assert state.read(x(31)) == 111, "load sees the old memory value"
 
     def test_replay_penalty_charged(self):
-        cheap = DataflowEngine(conflict_program()).run(
-            make_state(32), ExecutionOptions(replay_penalty=0))
-        costly = DataflowEngine(conflict_program()).run(
-            make_state(32), ExecutionOptions(replay_penalty=50))
-        assert (costly.latency.node_latency(3)
-                > cheap.latency.node_latency(3))
+        # The replayed load completes the engine's constant penalty after
+        # the store that invalidated it.
+        run = DataflowEngine(conflict_program()).run(make_state(32))
+        assert run.activity.load_replays == 1
+        assert run.latency.node_latency(3) == (run.latency.node_latency(2)
+                                               + REPLAY_PENALTY)
 
     def test_functional_result_mode_independent(self):
-        for penalty in (0, 50):
+        for options in (ExecutionOptions(), ExecutionOptions(pipelined=True),
+                        ExecutionOptions(tile_factor=2)):
             state = make_state(32)
-            DataflowEngine(conflict_program()).run(
-                state, ExecutionOptions(replay_penalty=penalty))
+            run = DataflowEngine(conflict_program()).run(state, options)
+            assert run.activity.load_replays == 1
             assert state.read(x(31)) == 999
 
     @pytest.mark.parametrize("compiled", [True, False])
@@ -112,10 +114,6 @@ class TestSpeculation:
         load_pc = program.nodes[3].instruction.address
         assert engine.hierarchy.amat_counters()[load_pc].accesses == 1
         assert engine.hierarchy.l1.stats.accesses == 2
-
-    def test_invalid_penalty_rejected(self):
-        with pytest.raises(ValueError):
-            ExecutionOptions(replay_penalty=-1)
 
     def test_forwarded_load_waits_for_store_data(self):
         """A same-base forwarded load cannot complete before the store's
@@ -179,15 +177,14 @@ class TestOrderingRule:
         # for the slow older one.
         state = make_state(32)
         state.write(x(11), 888)
-        options = ExecutionOptions()
-        run = DataflowEngine(two_store_program()).run(state, options)
+        run = DataflowEngine(two_store_program()).run(state)
         assert state.read(x(31)) == 888
         assert run.activity.load_replays == 1
         latency = run.latency
         assert latency.node_latency(4) == (latency.node_latency(3)
-                                           + options.replay_penalty)
+                                           + REPLAY_PENALTY)
         assert latency.node_latency(4) < (latency.node_latency(2)
-                                          + options.replay_penalty)
+                                          + REPLAY_PENALTY)
 
     def test_younger_store_does_not_touch_the_load(self):
         # A store after the load in program order is not in its store

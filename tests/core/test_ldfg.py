@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.core import LdfgError, SourceKind, build_ldfg
+from repro.accel import OperandKind
+from repro.core import LdfgError, build_ldfg
 from repro.isa import assemble, f, x
 
 
@@ -19,7 +20,7 @@ class TestRenaming:
             addi t1, t0, 2
             """
         ))
-        assert ldfg[1].s1.kind is SourceKind.NODE
+        assert ldfg[1].s1.kind is OperandKind.NODE
         assert ldfg[1].s1.node_id == 0
 
     def test_rename_to_last_writer(self):
@@ -35,7 +36,7 @@ class TestRenaming:
 
     def test_live_in_register(self):
         ldfg = build_ldfg(body_of("addi t0, a0, 1"))
-        assert ldfg[0].s1.kind is SourceKind.LIVE_IN
+        assert ldfg[0].s1.kind is OperandKind.REGISTER
         assert ldfg[0].s1.register == x(10)
         assert x(10) in ldfg.live_in
 
@@ -51,19 +52,19 @@ class TestRenaming:
             """
         ))
         load = ldfg[0]
-        assert load.s1.kind is SourceKind.LOOP_CARRIED
+        assert load.s1.kind is OperandKind.LOOP_CARRIED
         assert load.s1.node_id == 1, "the body's final writer of a0"
         assert load.s1.register == x(10)
         assert x(10) in ldfg.live_in, "needed for iteration 0"
 
     def test_self_loop_induction(self):
         ldfg = build_ldfg(body_of("loop:\naddi a0, a0, 4\nbne a0, zero, loop"))
-        assert ldfg[0].s1.kind is SourceKind.LOOP_CARRIED
+        assert ldfg[0].s1.kind is OperandKind.LOOP_CARRIED
         assert ldfg[0].s1.node_id == 0
 
     def test_zero_register_is_no_source(self):
         ldfg = build_ldfg(body_of("addi t0, zero, 5"))
-        assert ldfg[0].s1.kind is SourceKind.NONE
+        assert ldfg[0].s1.kind is OperandKind.NONE
 
     def test_rename_table_holds_live_outs(self):
         ldfg = build_ldfg(body_of(
@@ -84,8 +85,8 @@ class TestRenaming:
             """
         ))
         store = ldfg[1]
-        assert store.s1.kind is SourceKind.LIVE_IN, "base address"
-        assert store.s2.kind is SourceKind.NODE, "data from node 0"
+        assert store.s1.kind is OperandKind.REGISTER, "base address"
+        assert store.s2.kind is OperandKind.NODE, "data from node 0"
 
     def test_prev_writer_recorded_for_predication(self):
         ldfg = build_ldfg(body_of(
@@ -105,7 +106,7 @@ class TestRenaming:
             """
         ))
         assert ldfg[1].s1.node_id == 0
-        assert ldfg[1].s2.kind is SourceKind.LIVE_IN
+        assert ldfg[1].s2.kind is OperandKind.REGISTER
         assert f(10) in ldfg.live_in
 
 

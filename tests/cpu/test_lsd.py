@@ -27,7 +27,7 @@ class TestDetection:
         assert loop.body_instructions == 4  # 2 nops + addi + bne
 
     def test_cold_loop_not_detected(self):
-        loops = LoopStreamDetector(min_iterations=4).scan(counted_loop(3))
+        loops = LoopStreamDetector().scan(counted_loop(3))
         assert loops == []
 
     def test_trip_count_estimate(self):
@@ -61,7 +61,7 @@ class TestDetection:
 
     def test_candidate_reported_once_per_hot_visit(self):
         trace = counted_loop(10)
-        detector = LoopStreamDetector(min_iterations=4)
+        detector = LoopStreamDetector()
         reports = [c for e in trace if (c := detector.observe(e)) is not None]
         assert len(reports) == 1
 
@@ -81,10 +81,6 @@ class TestDetection:
         loops = LoopStreamDetector().scan(trace)
         assert len(loops) == 2
         assert loops[0].total_iterations > loops[1].total_iterations
-
-    def test_min_iterations_validation(self):
-        with pytest.raises(ValueError):
-            LoopStreamDetector(min_iterations=1)
 
     def test_forward_branches_ignored(self):
         trace = collect_trace(assemble(

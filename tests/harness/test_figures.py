@@ -80,6 +80,26 @@ class TestFigureDrivers:
         assert "iterations" in result.render()
 
 
+class TestWorkersAxis:
+    """Sharded figures merge in a fixed order: the rendered text is the
+    same bytes at any worker count."""
+
+    def test_fig11_renders_identically_over_workers(self):
+        serial = fig11_rodinia(iterations=64, workers=1)
+        pooled = fig11_rodinia(iterations=64, workers=2)
+        assert not serial.degraded and not pooled.degraded
+        assert pooled.render() == serial.render()
+
+    def test_fig15_renders_identically_over_workers(self):
+        def run(workers):
+            return fig15_pe_scaling(iterations=96, pe_counts=(16, 32, 64),
+                                    workers=workers)
+
+        serial, pooled = run(1), run(2)
+        assert not serial.degraded and not pooled.degraded
+        assert serial.pe_counts == [16, 32, 64]
+        assert pooled.render() == serial.render()
+
 class TestTableDrivers:
     def test_table1(self):
         result = table1_area_power()
