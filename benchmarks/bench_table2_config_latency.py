@@ -46,8 +46,9 @@ def test_table2_config_latency(benchmark):
     lines = ["addi t0, zero, 1"]
     lines += [f"addi t{1 + i % 5}, t{i % 5}, 1" for i in range(254)]
     ldfg = build_ldfg(list(assemble("\n".join(lines)).instructions))
-    sdfg = InstructionMapper(M_512).map(ldfg)
+    mapper = InstructionMapper(M_512)
+    sdfg = mapper.map(ldfg)
     words = encode_bitstream(build_program(sdfg))
-    cost = configuration_cost(sdfg, len(words))
+    cost = configuration_cost(sdfg, len(words), mapper.stats)
     assert 1e3 <= cost.total <= 1e4, (
         f"a 255-instruction region costs {cost.total} cycles")

@@ -58,7 +58,7 @@ def dump_weights(ldfg, title: str) -> None:
 
 def main() -> None:
     print("=== F3: iterative optimization from runtime counters ===\n")
-    ldfg = build_ldfg(list(LOOP_BODY.instructions), initial_amat=4.0)
+    ldfg = build_ldfg(list(LOOP_BODY.instructions))
     dump_weights(ldfg, "initial DFG memory weights (blind estimate):")
 
     interconnect = build_interconnect(M_128)
@@ -68,8 +68,7 @@ def main() -> None:
           f"cycles/iteration")
 
     hierarchy = MemoryHierarchy()
-    optimizer = IterativeOptimizer(M_128, interconnect=interconnect,
-                                   improvement_threshold=0.02)
+    optimizer = IterativeOptimizer(M_128, interconnect=interconnect)
     best = optimizer.optimize(ldfg, first, state_factory, hierarchy,
                               rounds=3, profile_iterations=24)
 

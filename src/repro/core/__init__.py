@@ -17,7 +17,6 @@ from .configure import (
     CacheStats,
     CachedConfiguration,
     ConfigCache,
-    ConfigTimingModel,
     ConfigurationCost,
     build_program,
     configuration_cost,
@@ -43,9 +42,8 @@ from .memopt import (
     mark_prefetchable,
     vectorize_loads,
 )
-from .offload import OffloadCostModel
 from .optimizer import IterativeOptimizer, OptimizationRound
-from .region import CodeRegionDetector, RegionCriteria, RegionDecision
+from .region import CodeRegionDetector, RegionDecision
 from .sdfg import Sdfg
 from .system import (
     MesaSystem,
@@ -62,7 +60,6 @@ __all__ = [
     "CacheStats",
     "CachedConfiguration",
     "ConfigCache",
-    "ConfigTimingModel",
     "ConfigurationCost",
     "build_program",
     "configuration_cost",
@@ -93,11 +90,9 @@ __all__ = [
     "forward_store_loads",
     "mark_prefetchable",
     "vectorize_loads",
-    "OffloadCostModel",
     "IterativeOptimizer",
     "OptimizationRound",
     "CodeRegionDetector",
-    "RegionCriteria",
     "RegionDecision",
     "Sdfg",
     "MesaSystem",

@@ -15,12 +15,13 @@ the service's checkpoints and worker seeding only carry the records.
 
 The cycle model places MESA's configuration latency in the paper's reported
 10^3–10^4-cycle range for 64–512-instruction regions (Table 2's "JIT
-(ns–µs)" row at 2 GHz).
+(ns–µs)" row at 2 GHz).  MESA's configuration path is fixed hardware, so
+each stage cost is one module constant, and the imap time comes only from
+stepping the Fig. 8 state machine over the mapper's candidate counts.
 """
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import astuple, dataclass
 from typing import NamedTuple
@@ -35,32 +36,26 @@ from ..accel import (
     OperandKind,
     decode_bitstream,
 )
+from .imap_fsm import ImapFsm
 from .mapping import MappingStats
 from .sdfg import Sdfg
 
-__all__ = ["ConfigTimingModel", "ConfigurationCost", "ConfigCache",
-           "CacheStats", "CachedConfiguration",
-           "build_program", "configuration_cost"]
+__all__ = ["ConfigurationCost", "ConfigCache", "CacheStats",
+           "CachedConfiguration", "build_program", "configuration_cost",
+           "RENAME_CYCLES", "MEMORY_IMAP_CYCLES", "WRITE_CYCLES_PER_WORD",
+           "STALL_FILL_CYCLES"]
 
 
-@dataclass(frozen=True)
-class ConfigTimingModel:
-    """Per-stage cycle costs of MESA's hardware pipeline."""
-
-    #: Rename + LDFG insert per instruction (frontend, §5).
-    rename_cycles: int = 1
-    #: Fixed imap FSM states per instruction (candidate generation, filter,
-    #: latency computation, writeback — Fig. 8).
-    imap_fixed_stages: int = 4
-    #: The reduction stage "depends on the dimensions of the candidate
-    #: matrix": a log-depth comparator tree over the window cells.
-    def reduction_cycles(self, window_cells: int) -> int:
-        return max(1, math.ceil(math.log2(max(2, window_cells))))
-
-    #: ConfigBlock: one configuration word written per cycle.
-    write_cycles_per_word: int = 1
-    #: Stall-fetching a missing instruction from the I-cache (§4.1).
-    stall_fill_cycles: int = 8
+#: Rename + LDFG insert per instruction (frontend, §5).
+RENAME_CYCLES = 1
+#: imap cycles per memory instruction: program-order LSU allocation
+#: replaces the candidate generation and reduction, leaving the FSM's four
+#: other one-cycle states.
+MEMORY_IMAP_CYCLES = 4
+#: ConfigBlock: one configuration word written per cycle.
+WRITE_CYCLES_PER_WORD = 1
+#: Stall-fetching a missing instruction from the I-cache (§4.1).
+STALL_FILL_CYCLES = 8
 
 
 @dataclass(frozen=True)
@@ -95,40 +90,23 @@ class ConfigurationCost:
 
 
 def configuration_cost(sdfg: Sdfg, bitstream_words: int,
-                       mapper_stats: MappingStats | None = None,
-                       stall_fills: int = 0,
-                       timing: ConfigTimingModel | None = None,
-                       window_cells: int = 32) -> ConfigurationCost:
+                       mapper_stats: MappingStats,
+                       stall_fills: int = 0) -> ConfigurationCost:
     """Cycles to build the LDFG, run imap, and write the configuration.
 
-    When mapper statistics carry per-instruction candidate counts, the imap
-    time comes from stepping the Fig. 8 state machine exactly
-    (:class:`~repro.core.imap_fsm.ImapFsm`); otherwise the analytic
-    fixed-stages + log-depth-reduction estimate is used.
+    The imap time comes from stepping the Fig. 8 state machine
+    (:class:`~repro.core.imap_fsm.ImapFsm`) over the mapper's
+    per-instruction candidate counts.
     """
-    from .imap_fsm import ImapFsm
-
-    timing = timing if timing is not None else ConfigTimingModel()
-    instructions = len(sdfg.ldfg)
-    if (mapper_stats is not None
-            and mapper_stats.per_instruction_candidates):
-        mapping_cycles = ImapFsm().simulate(
-            mapper_stats.per_instruction_candidates).total_cycles
-        # Memory instructions skip the candidate search (program-order LSU
-        # allocation) but still pass through the constant FSM states.
-        mapping_cycles += (mapper_stats.memory_placed
-                           * timing.imap_fixed_stages)
-    else:
-        per_instruction = (timing.imap_fixed_stages
-                           + timing.reduction_cycles(window_cells))
-        mapped = (mapper_stats.placed if mapper_stats is not None
-                  else instructions)
-        mapping_cycles = mapped * per_instruction
+    mapping_cycles = (
+        ImapFsm().simulate(mapper_stats.per_instruction_candidates)
+        .total_cycles
+        + mapper_stats.memory_placed * MEMORY_IMAP_CYCLES)
     return ConfigurationCost(
-        ldfg_build_cycles=instructions * timing.rename_cycles,
+        ldfg_build_cycles=len(sdfg.ldfg) * RENAME_CYCLES,
         mapping_cycles=mapping_cycles,
-        write_cycles=bitstream_words * timing.write_cycles_per_word,
-        stall_fill_cycles=stall_fills * timing.stall_fill_cycles,
+        write_cycles=bitstream_words * WRITE_CYCLES_PER_WORD,
+        stall_fill_cycles=stall_fills * STALL_FILL_CYCLES,
     )
 
 

@@ -64,7 +64,7 @@ from .ldfg import LdfgError, build_ldfg
 from .loopopt import LoopPlan, plan_loop_optimizations
 from .mapping import InstructionMapper, MappingError, MappingStats
 from .memopt import MemoptReport, apply_memory_optimizations
-from .offload import OffloadCostModel
+from .offload import offload_cycles, return_cycles
 from .optimizer import IterativeOptimizer
 from .region import CodeRegionDetector, RegionDecision
 from .sdfg import Sdfg
@@ -78,9 +78,6 @@ __all__ = ["MesaOptions", "CycleBreakdown", "AcceleratedRegion",
 MAX_STEPS = 4_000_000
 #: Iterations per profiling window in iterative mode.
 PROFILE_ITERATIONS = 16
-
-#: The CPU <-> fabric control-transfer protocol's cycle costs (§5.1).
-_OFFLOAD = OffloadCostModel()
 
 
 def region_digest(program: Program, start_address: int,
@@ -109,8 +106,8 @@ class MesaOptions:
     """Feature switches and policy knobs for one controller instance.
 
     The mapper, region criteria, offload protocol and configuration timing
-    are fixed properties of the modelled microarchitecture: the controller
-    always uses their classes' defaults.
+    are fixed properties of the modelled microarchitecture: each has one
+    value, held as a constant in its module.
     """
 
     #: §4.2 memory optimizations (store→load forwarding) before mapping.
@@ -622,13 +619,13 @@ class MesaController:
                 region.offloads += 1
                 configured.add(entry)
                 accel_program = region.accel_program
-                breakdown.offload_cycles += _OFFLOAD.offload_cycles(
+                breakdown.offload_cycles += offload_cycles(
                     len(accel_program.live_in))
                 run = engines[entry].run(
                     state, region.plan.to_execution_options())
                 region.runs.append(run)
                 breakdown.accel_cycles += run.cycles
-                breakdown.return_cycles += _OFFLOAD.return_cycles(
+                breakdown.return_cycles += return_cycles(
                     len(accel_program.live_out))
                 state.pc = region.loop.end_address + 4
                 visits[entry] = 0

@@ -9,11 +9,11 @@ all instructions in the LDFG are mapped to the SDFG."
 
 This module steps that FSM cycle by cycle: per instruction it passes through
 FETCH (read the LDFG entry), CANDGEN (build C_i), FILTER (AND with
-C_free ⊙ C_op), LATENCY (evaluate l(C) in parallel), a comparator-tree
-REDUCE whose depth is ⌈log2(candidates)⌉, and WRITEBACK (commit to the SDFG
-and free matrix).  The resulting cycle count is the hardware mapping time
-the configuration-cost model charges, and :func:`ImapRun.timing_diagram`
-renders the Fig. 8-style view.
+C_free ⊙ C_op), LATENCY (evaluate l(C) in parallel), a tree of pairwise
+comparators as REDUCE, whose depth is ⌈log2(candidates)⌉, and WRITEBACK
+(commit to the SDFG and free matrix).  The resulting cycle count is the
+only imap time the configuration-cost model charges, and
+:func:`ImapRun.timing_diagram` renders the Fig. 8-style view.
 """
 
 from __future__ import annotations
@@ -90,21 +90,11 @@ class ImapRun:
 class ImapFsm:
     """Cycle-stepped model of the hardware mapping pipeline."""
 
-    def __init__(self, reduce_radix: int = 2) -> None:
-        """
-        Args:
-            reduce_radix: fan-in of each comparator level in the arg-min
-                reduction tree (2 = pairwise comparators).
-        """
-        if reduce_radix < 2:
-            raise ValueError("reduce radix must be >= 2")
-        self.reduce_radix = reduce_radix
-
-    def reduce_cycles(self, candidates: int) -> int:
-        """Depth of the comparator tree over ``candidates`` positions."""
-        if candidates <= 1:
-            return 1
-        return max(1, math.ceil(math.log(candidates, self.reduce_radix)))
+    @staticmethod
+    def reduce_cycles(candidates: int) -> int:
+        """Depth of the pairwise comparator tree over ``candidates``
+        positions (at least one cycle)."""
+        return max(1, math.ceil(math.log2(max(1, candidates))))
 
     def simulate(self, per_instruction_candidates: list[int]) -> ImapRun:
         """Step the FSM over a mapping pass.

@@ -20,6 +20,9 @@ Each entry also records the *previous writer* of its own destination — the
 forward the old register value (paper §5).  The rename rule itself is
 :func:`repro.accel.program.resolve_operands`, which the CPU tracer's
 loop-body compiler shares.
+
+Node weights start at the constant operation latencies, and memory nodes at
+the fixed estimate :data:`INITIAL_AMAT` until F3 measures their AMAT.
 """
 
 from __future__ import annotations
@@ -31,7 +34,11 @@ from ..isa import Instruction, OpClass, Register
 from ..latency import DEFAULT_LATENCIES, LatencyTable
 from .dfg import DataflowGraph
 
-__all__ = ["LdfgEntry", "Ldfg", "LdfgError", "build_ldfg"]
+__all__ = ["LdfgEntry", "Ldfg", "LdfgError", "build_ldfg", "INITIAL_AMAT"]
+
+#: Starting estimate of a memory node's latency, refined later from the
+#: accelerator's AMAT counters (:mod:`repro.core.optimizer`).
+INITIAL_AMAT = 4.0
 
 
 class LdfgError(ValueError):
@@ -112,17 +119,15 @@ class Ldfg:
 
 
 def build_ldfg(instructions: list[Instruction],
-               latencies: LatencyTable = DEFAULT_LATENCIES,
-               initial_amat: float = 4.0) -> Ldfg:
+               latencies: LatencyTable = DEFAULT_LATENCIES) -> Ldfg:
     """Build the LDFG for one loop body (T1: Instructions → Logical DFG).
 
     Args:
         instructions: the loop body in program order.  If the final
             instruction is a backward branch it is treated as the
             loop-closing branch.
-        latencies: constant operation latencies.
-        initial_amat: starting estimate for memory-node latency, refined
-            later from the accelerator's AMAT counters.
+        latencies: constant operation latencies; memory nodes start at
+            :data:`INITIAL_AMAT`.
 
     Raises:
         LdfgError: on system instructions, inner backward branches, or
@@ -167,7 +172,7 @@ def build_ldfg(instructions: list[Instruction],
                                                 OperandKind.LOOP_CARRIED):
                 live_in.add(ref.register)
         if instr.is_memory:
-            op_latency = initial_amat
+            op_latency = INITIAL_AMAT
         else:
             try:
                 op_latency = float(latencies.for_instruction(instr))

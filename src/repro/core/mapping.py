@@ -11,10 +11,10 @@ For each LDFG instruction in program order, the mapper:
    toward positions with more free neighbours (room for future consumers).
 
 Mapping is **single-pass without backtracking**; an instruction whose
-candidate window is exhausted falls back to any free compatible PE reached
-over the secondary interconnect (the NoC), and a loop that cannot place at
-all raises :class:`MappingError` — a structural hazard that disqualifies the
-region (paper §4.1).
+candidate window is exhausted always falls back to any free compatible PE
+reached over the secondary interconnect (the NoC), and a loop that cannot
+place at all raises :class:`MappingError` — a structural hazard that
+disqualifies the region (paper §4.1).
 
 Memory instructions are assigned to load/store entries in program order
 (they keep original ordering for disambiguation, Fig. 5) rather than to PEs.
@@ -48,13 +48,11 @@ class MappingError(RuntimeError):
 
 @dataclass(frozen=True)
 class MappingOptions:
-    """Mapper policy knobs (the ablation benches sweep these)."""
+    """Candidate-matrix policy (the candidate ablation bench sweeps it)."""
 
     strategy: CandidateStrategy = CandidateStrategy.FIXED_WINDOW
     #: The fixed hardware window dimensions (4×8 in the paper).
     window: tuple[int, int] = (4, 8)
-    #: Permit full-grid fallback over the secondary interconnect.
-    allow_fallback: bool = True
 
     def __post_init__(self) -> None:
         if self.window[0] < 1 or self.window[1] < 1:
@@ -65,7 +63,6 @@ class MappingOptions:
 class MappingStats:
     """Instrumentation of one mapping pass."""
 
-    placed: int = 0
     memory_placed: int = 0
     fallbacks: int = 0
     candidates_evaluated: int = 0
@@ -120,7 +117,6 @@ class InstructionMapper:
             positions[entry.node_id] = coord
             completion[entry.node_id] = self._expected_latency(
                 entry, coord, positions, completion)
-            self.stats.placed += 1
 
         return Sdfg(
             ldfg=ldfg,
@@ -151,7 +147,7 @@ class InstructionMapper:
         self.stats.per_instruction_candidates.append(int(mask.sum()))
         coord = self._best_position(entry, mask, grid, positions, completion)
         fell_back = False
-        if coord is None and self.options.allow_fallback:
+        if coord is None:
             # Secondary interconnect fallback: any free, compatible PE.
             full = grid.available_mask(entry.op_class)
             coord = self._best_position(entry, full, grid, positions, completion)

@@ -1,6 +1,8 @@
 """Memory-access optimizations on the LDFG (paper §4.2).
 
-Three rewrites, all driven by the rename information the LDFG already holds:
+Three rewrites, all driven by the rename information the LDFG already holds.
+They always run together, in this order; ``MesaOptions.memopt`` is the one
+switch that turns the pass off:
 
 * **store→load forwarding** — "extraneous store-load pairs to the same
   addresses can be detected as they have the same address register and
@@ -148,21 +150,13 @@ def mark_prefetchable(ldfg: Ldfg) -> int:
     return marked
 
 
-def apply_memory_optimizations(ldfg: Ldfg,
-                               forwarding: bool = True,
-                               vectorization: bool = True,
-                               prefetching: bool = True,
-                               xlen: int = 32) -> MemoptReport:
-    """Run the enabled §4.2 optimizations in order; returns a report.
+def apply_memory_optimizations(ldfg: Ldfg, xlen: int = 32) -> MemoptReport:
+    """Run the three §4.2 optimizations in order; returns a report.
 
     ``xlen`` is the backend's register width, which decides the store→load
     pairs forwarding may short-circuit.
     """
-    report = MemoptReport()
-    if forwarding:
-        report.forwarded_loads = forward_store_loads(ldfg, xlen)
-    if vectorization:
-        report.vector_groups, report.vectorized_loads = vectorize_loads(ldfg)
-    if prefetching:
-        report.prefetched_loads = mark_prefetchable(ldfg)
+    report = MemoptReport(forwarded_loads=forward_store_loads(ldfg, xlen))
+    report.vector_groups, report.vectorized_loads = vectorize_loads(ldfg)
+    report.prefetched_loads = mark_prefetchable(ldfg)
     return report

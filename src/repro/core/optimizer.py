@@ -11,7 +11,7 @@ architecture and perform reconfiguration."  Concretely, each round:
    guess);
 3. re-run the mapping algorithm on the refreshed model; keep the new SDFG
    only if its *predicted* latency beats the measured one by more than the
-   reconfiguration hysteresis.
+   reconfiguration hysteresis, :data:`IMPROVEMENT_THRESHOLD`.
 
 "Our goal is not to perfect the accelerator on the first configuration; we
 opt instead to continuously iterate to close in on the optimum" (§2).
@@ -32,11 +32,15 @@ from ..isa import MachineState
 from ..mem import MemoryHierarchy
 from .configure import build_program
 from .ldfg import Ldfg
-from .mapping import InstructionMapper, MappingOptions
+from .mapping import InstructionMapper
 from .sdfg import Sdfg
 from ..accel.program import AcceleratorProgram, Operand, OperandKind
 
-__all__ = ["OptimizationRound", "IterativeOptimizer"]
+__all__ = ["OptimizationRound", "IterativeOptimizer", "IMPROVEMENT_THRESHOLD"]
+
+#: Minimum fractional predicted improvement that justifies a
+#: reconfiguration (hysteresis against thrash).
+IMPROVEMENT_THRESHOLD = 0.03
 
 
 @dataclass
@@ -53,20 +57,10 @@ class IterativeOptimizer:
     """Feedback loop between the engine's counters and the mapper."""
 
     def __init__(self, config: AcceleratorConfig,
-                 mapping_options: MappingOptions | None = None,
-                 interconnect: Interconnect | None = None,
-                 improvement_threshold: float = 0.03) -> None:
-        """
-        Args:
-            improvement_threshold: minimum fractional predicted improvement
-                to justify a reconfiguration (hysteresis against thrash).
-        """
+                 interconnect: Interconnect | None = None) -> None:
         self.config = config
-        self.mapping_options = (mapping_options if mapping_options is not None
-                                else MappingOptions())
         self.interconnect = (interconnect if interconnect is not None
                              else build_interconnect(config))
-        self.improvement_threshold = improvement_threshold
         self.history: list[OptimizationRound] = []
 
     def optimize(self, ldfg: Ldfg, sdfg: Sdfg,
@@ -92,14 +86,13 @@ class IterativeOptimizer:
             measured = self._profile(program, state_factory, hierarchy,
                                      profile_iterations)
             self._refine_weights(ldfg, hierarchy, measured, program)
-            mapper = InstructionMapper(self.config, self.interconnect,
-                                       self.mapping_options)
+            mapper = InstructionMapper(self.config, self.interconnect)
             candidate = mapper.map(ldfg)
             improvement = (measured.iteration_latency
                            - candidate.predicted_latency)
             remap = (measured.iteration_latency > 0
                      and improvement / measured.iteration_latency
-                     > self.improvement_threshold)
+                     > IMPROVEMENT_THRESHOLD)
             self.history.append(OptimizationRound(
                 round_index=round_index,
                 measured_iteration_latency=measured.iteration_latency,

@@ -12,6 +12,9 @@ MESA attempts translation:
   and an expected trip count high enough to amortize configuration —
   "target loops typically need to run 50–100 iterations to offset the
   initial cost of configuration and offloading".
+
+The detection logic is fixed hardware, so the C3 thresholds are module
+constants, one value each.
 """
 
 from __future__ import annotations
@@ -23,20 +26,17 @@ from ..accel.grid import op_class_mask
 from ..cpu import LoopCandidate, LoopStreamDetector, Trace
 from ..isa import Instruction, Program
 
-__all__ = ["RegionCriteria", "RegionDecision", "CodeRegionDetector"]
+__all__ = ["RegionDecision", "CodeRegionDetector",
+           "MIN_EXPECTED_ITERATIONS", "MIN_WORK_FRACTION",
+           "MIN_COMPUTE_INSTRUCTIONS"]
 
-
-@dataclass(frozen=True)
-class RegionCriteria:
-    """Thresholds for the three acceptance conditions."""
-
-    #: C3: minimum expected iterations per visit (amortization confidence).
-    min_expected_iterations: float = 50.0
-    #: C3: minimum fraction of compute+memory instructions in the body.
-    min_work_fraction: float = 0.5
-    #: C3: at least this many compute instructions (a pure copy loop gains
-    #: little from spatial execution).
-    min_compute_instructions: int = 1
+#: C3: minimum expected iterations per visit (amortization confidence).
+MIN_EXPECTED_ITERATIONS = 50.0
+#: C3: minimum fraction of compute+memory instructions in the body.
+MIN_WORK_FRACTION = 0.5
+#: C3: at least this many compute instructions (a pure copy loop gains
+#: little from spatial execution).
+MIN_COMPUTE_INSTRUCTIONS = 1
 
 
 @dataclass
@@ -61,10 +61,8 @@ class RegionDecision:
 class CodeRegionDetector:
     """Evaluates loop candidates for acceleration viability."""
 
-    def __init__(self, config: AcceleratorConfig,
-                 criteria: RegionCriteria | None = None) -> None:
+    def __init__(self, config: AcceleratorConfig) -> None:
         self.config = config
-        self.criteria = criteria if criteria is not None else RegionCriteria()
 
     # -- full pipeline ------------------------------------------------------
 
@@ -153,22 +151,21 @@ class CodeRegionDetector:
     def _check_c3(self, loop: LoopCandidate, body: list[Instruction],
                   decision: RegionDecision) -> bool:
         ok = True
-        criteria = self.criteria
         work = sum(1 for i in body if i.is_memory or i.op_class.is_compute)
         compute = sum(1 for i in body if i.op_class.is_compute)
-        if work / len(body) < criteria.min_work_fraction:
+        if work / len(body) < MIN_WORK_FRACTION:
             decision.reject(
                 f"C3: work fraction {work / len(body):.2f} below "
-                f"{criteria.min_work_fraction}"
+                f"{MIN_WORK_FRACTION}"
             )
             ok = False
-        if compute < criteria.min_compute_instructions:
+        if compute < MIN_COMPUTE_INSTRUCTIONS:
             decision.reject("C3: loop performs no compute")
             ok = False
-        if loop.expected_trip_count < criteria.min_expected_iterations:
+        if loop.expected_trip_count < MIN_EXPECTED_ITERATIONS:
             decision.reject(
                 f"C3: expected {loop.expected_trip_count:.0f} iterations, "
-                f"need {criteria.min_expected_iterations:.0f} to amortize"
+                f"need {MIN_EXPECTED_ITERATIONS:.0f} to amortize"
             )
             ok = False
         return ok

@@ -11,8 +11,10 @@ Every figure/table driver composes these primitives:
 * :meth:`ExperimentRunner.dynaspam` — the in-pipeline 1-D fabric
   comparator (Fig. 14).
 
-Results carry cycles and energy so speedup and energy-efficiency ratios can
-be formed uniformly.
+Both comparators run the kernel's hot loop as the loop-stream detector
+finds it in the kernel's trace (:class:`~repro.cpu.LoopStreamDetector`), the
+same detector MESA's region detection runs.  Results carry cycles and energy
+so speedup and energy-efficiency ratios can be formed uniformly.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from ..core.controller import MAX_STEPS
 from ..cpu import (
     CoreResult,
     CpuConfig,
+    LoopStreamDetector,
     MulticoreCpu,
     OutOfOrderCore,
     Trace,
@@ -236,23 +239,20 @@ class ExperimentRunner:
 
     def _loop_body(self, kernel: KernelInstance,
                    accept_inner: bool = False) -> list:
-        """Extract the hot loop body (the innermost qualifying loop)."""
-        instructions = list(kernel.program.instructions)
-        # The last backward branch closes the outer hot loop.
-        for index in range(len(instructions) - 1, -1, -1):
-            instr = instructions[index]
-            if instr.is_branch and instr.imm < 0:
-                start_addr = instr.address + instr.imm
-                start = (start_addr - kernel.program.base_address) // 4
-                body = instructions[start:index + 1]
-                if accept_inner:
-                    # Strip any inner loop by unrolling once: replace the
-                    # inner backward branch region with straight-line code.
-                    body = [i for i in body
-                            if not (i.is_branch and i.imm < 0
-                                    and i is not instructions[index])]
-                return body
-        raise LdfgError("kernel has no loop")
+        """The hot loop's body: the hottest loop the loop-stream detector
+        finds in the kernel's trace, the one MESA's own detection sees."""
+        loops = LoopStreamDetector().scan(self.trace(kernel.name))
+        if not loops:
+            raise LdfgError("kernel has no loop")
+        loop = loops[0]
+        body = [kernel.program.at(address) for address in
+                range(loop.start_address, loop.end_address + 4, 4)]
+        if accept_inner:
+            # Strip any inner loop by unrolling once: drop every backward
+            # branch but the loop-closing one.
+            body = [i for i in body[:-1]
+                    if not (i.is_branch and i.imm < 0)] + body[-1:]
+        return body
 
     def _loop_fraction(self, kernel: KernelInstance) -> float:
         trace = self.trace(kernel.name)

@@ -12,12 +12,19 @@ from repro.accel import (
 from repro.core import (
     CachedConfiguration,
     ConfigCache,
-    ConfigTimingModel,
+    ImapFsm,
     InstructionMapper,
+    MappingOptions,
     apply_memory_optimizations,
     build_ldfg,
     build_program,
     configuration_cost,
+)
+from repro.core.configure import (
+    MEMORY_IMAP_CYCLES,
+    RENAME_CYCLES,
+    STALL_FILL_CYCLES,
+    WRITE_CYCLES_PER_WORD,
 )
 from repro.isa import MachineState, assemble, run, x
 from repro.mem import Memory
@@ -33,6 +40,14 @@ def mapped(text: str, memopt=False):
     if memopt:
         apply_memory_optimizations(ldfg)
     return InstructionMapper(CONFIG).map(ldfg)
+
+
+def mapped_with_stats(text: str, window=(4, 8)):
+    """The SDFG and the mapper statistics ``configuration_cost`` reads."""
+    mapper = InstructionMapper(CONFIG,
+                               options=MappingOptions(window=window))
+    return mapper.map(build_ldfg(list(assemble(text).instructions))), \
+        mapper.stats
 
 
 LOOP = """
@@ -160,18 +175,28 @@ class TestBuildProgram:
 
 class TestConfigurationCost:
     def test_cost_breakdown(self):
-        sdfg = mapped(LOOP)
-        cost = configuration_cost(sdfg, bitstream_words=50)
-        assert cost.ldfg_build_cycles == len(sdfg.ldfg)
-        assert cost.write_cycles == 50
+        sdfg, stats = mapped_with_stats(LOOP)
+        cost = configuration_cost(sdfg, bitstream_words=50,
+                                  mapper_stats=stats)
+        assert cost.ldfg_build_cycles == len(sdfg.ldfg) * RENAME_CYCLES
+        assert cost.write_cycles == 50 * WRITE_CYCLES_PER_WORD
         assert cost.total == (cost.ldfg_build_cycles + cost.mapping_cycles
                               + cost.write_cycles)
 
     def test_reduction_scales_with_window(self):
-        timing = ConfigTimingModel()
-        assert timing.reduction_cycles(32) == 5
-        assert timing.reduction_cycles(8) == 3
-        assert timing.reduction_cycles(1) >= 1
+        """imap time is the Fig. 8 FSM over each compute instruction's
+        candidate count plus the fixed states of each memory instruction,
+        so a wider candidate window costs more reduction cycles."""
+        mapping_cycles = []
+        for window in ((2, 2), (4, 8)):
+            sdfg, stats = mapped_with_stats(LOOP, window)
+            assert stats.memory_placed == 2
+            cost = configuration_cost(sdfg, 10, stats)
+            fsm = ImapFsm().simulate(stats.per_instruction_candidates)
+            assert cost.mapping_cycles == (fsm.total_cycles
+                                           + 2 * MEMORY_IMAP_CYCLES)
+            mapping_cycles.append(cost.mapping_cycles)
+        assert mapping_cycles[0] < mapping_cycles[1]
 
     def test_large_region_in_paper_range(self):
         """A 64-512 instruction region should cost ~10^3-10^4 cycles."""
@@ -180,31 +205,31 @@ class TestConfigurationCost:
         ldfg = build_ldfg(list(assemble("\n".join(lines)).instructions))
         big = AcceleratorConfig(rows=16, cols=16,
                                 interconnect=InterconnectKind.MESH)
-        sdfg = InstructionMapper(big).map(ldfg)
-        from repro.accel import encode_bitstream
-
+        mapper = InstructionMapper(big)
+        sdfg = mapper.map(ldfg)
         words = encode_bitstream(build_program(sdfg))
-        cost = configuration_cost(sdfg, len(words))
+        cost = configuration_cost(sdfg, len(words), mapper.stats)
         assert 1e3 <= cost.total <= 1e4
 
     def test_microseconds(self):
-        sdfg = mapped(LOOP)
-        cost = configuration_cost(sdfg, bitstream_words=100)
+        sdfg, stats = mapped_with_stats(LOOP)
+        cost = configuration_cost(sdfg, bitstream_words=100,
+                                  mapper_stats=stats)
         assert cost.microseconds(2.0) == pytest.approx(cost.total / 2000.0)
 
     def test_stall_fills_charged(self):
-        sdfg = mapped(LOOP)
-        without = configuration_cost(sdfg, 10, stall_fills=0)
-        with_stalls = configuration_cost(sdfg, 10, stall_fills=4)
-        assert with_stalls.total > without.total
+        sdfg, stats = mapped_with_stats(LOOP)
+        without = configuration_cost(sdfg, 10, stats, stall_fills=0)
+        with_stalls = configuration_cost(sdfg, 10, stats, stall_fills=4)
+        assert with_stalls.total - without.total == 4 * STALL_FILL_CYCLES
 
 
 class TestConfigCache:
     def make_entry(self):
-        sdfg = mapped(LOOP)
+        sdfg, stats = mapped_with_stats(LOOP)
         program = build_program(sdfg)
         return CachedConfiguration(program, encode_bitstream(program),
-                                   configuration_cost(sdfg, 10))
+                                   configuration_cost(sdfg, 10, stats))
 
     def test_miss_then_hit(self):
         cache = ConfigCache()
@@ -336,12 +361,13 @@ class TestRegionRecords:
     """``export_regions``/``restore_regions``: the one record codec."""
 
     def configured_cache(self):
-        sdfg = mapped(LOOP)
+        sdfg, stats = mapped_with_stats(LOOP)
         program = build_program(sdfg)
         bitstream = encode_bitstream(program)
         cache = ConfigCache()
         cache.put(0x1000, 0x1020, CONFIG.name, "aaaa", CachedConfiguration(
-            program, bitstream, configuration_cost(sdfg, len(bitstream))))
+            program, bitstream,
+            configuration_cost(sdfg, len(bitstream), stats)))
         return cache
 
     def test_restored_entry_equals_exported_one(self):

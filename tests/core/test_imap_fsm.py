@@ -1,6 +1,5 @@
 """Tests for the imap state machine (paper Fig. 8)."""
 
-import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import ImapFsm, ImapState
@@ -17,14 +16,6 @@ class TestReduceStage:
         fsm = ImapFsm()
         assert fsm.reduce_cycles(1) == 1
         assert fsm.reduce_cycles(0) == 1
-
-    def test_wider_radix_is_shallower(self):
-        assert ImapFsm(reduce_radix=4).reduce_cycles(64) < \
-            ImapFsm(reduce_radix=2).reduce_cycles(64)
-
-    def test_invalid_radix(self):
-        with pytest.raises(ValueError):
-            ImapFsm(reduce_radix=1)
 
 
 class TestSimulation:

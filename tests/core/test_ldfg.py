@@ -4,6 +4,7 @@ import pytest
 
 from repro.accel import OperandKind
 from repro.core import LdfgError, build_ldfg
+from repro.core.ldfg import INITIAL_AMAT
 from repro.isa import assemble, f, x
 
 
@@ -141,9 +142,10 @@ class TestStructure:
             fmul.s ft0, fa0, fa1
             lw t0, 0(a0)
             """
-        ), initial_amat=6.0)
+        ))
         assert ldfg[0].op_latency == 5.0
-        assert ldfg[1].op_latency == 6.0, "memory starts at the AMAT estimate"
+        assert ldfg[1].op_latency == INITIAL_AMAT, \
+            "memory starts at the AMAT estimate"
 
     def test_dataflow_graph_export(self):
         ldfg = build_ldfg(body_of(

@@ -161,7 +161,9 @@ class TestCandidateStrategies:
     def test_stats_collected(self):
         mapper = InstructionMapper(mesh_config())
         mapper.map(self.big_ldfg(16))
-        assert mapper.stats.placed == 16
+        stats = mapper.stats
+        assert len(stats.per_instruction_candidates) + stats.memory_placed \
+            == 16
         assert mapper.stats.candidates_evaluated > 0
 
     def test_invalid_window_rejected(self):
@@ -187,14 +189,6 @@ class TestStructuralHazards:
         ldfg = ldfg_of("fadd.s ft0, fa0, fa1")
         with pytest.raises(MappingError):
             InstructionMapper(config).map(ldfg)
-
-    def test_fallback_disabled_fails_faster(self):
-        config = mesh_config(rows=2, cols=2)
-        ldfg = ldfg_of("\n".join(
-            ["addi t0, zero, 1"] + ["addi t0, t0, 1"] * 3))
-        options = MappingOptions(window=(1, 1), allow_fallback=False)
-        with pytest.raises(MappingError):
-            InstructionMapper(config, options=options).map(ldfg)
 
     def test_fallbacks_counted(self):
         config = mesh_config(rows=4, cols=4)

@@ -221,12 +221,3 @@ class TestCombinedPass:
         assert report.vector_groups == 1
         assert report.vectorized_loads == 2
         assert report.prefetched_loads >= 2
-
-    def test_switches(self):
-        text = "addi t0, zero, 1\nsw t0, 0(a0)\nlw t1, 0(a0)"
-        ldfg = ldfg_of(text)
-        report = apply_memory_optimizations(
-            ldfg, forwarding=False, vectorization=False, prefetching=False)
-        assert report.forwarded_loads == 0
-        assert report.prefetched_loads == 0
-        assert not ldfg[2].eliminated

@@ -4,6 +4,8 @@ import pytest
 
 from repro.accel import AcceleratorConfig, InterconnectKind
 from repro.core import InstructionMapper, IterativeOptimizer, build_ldfg
+from repro.core.ldfg import INITIAL_AMAT
+from repro.core.optimizer import IMPROVEMENT_THRESHOLD
 from repro.isa import MachineState, assemble, x
 from repro.mem import CacheConfig, HierarchyConfig, Memory, MemoryHierarchy
 
@@ -26,8 +28,7 @@ loop:
 
 
 def make_ldfg():
-    return build_ldfg(list(assemble(LOOP_BODY).instructions),
-                      initial_amat=4.0)
+    return build_ldfg(list(assemble(LOOP_BODY).instructions))
 
 
 def state_factory():
@@ -59,7 +60,7 @@ class TestIterativeOptimization:
         optimizer.optimize(ldfg, sdfg, state_factory, hierarchy,
                            rounds=1, profile_iterations=16)
         load_entry = ldfg[0]
-        assert load_entry.op_latency != 4.0, (
+        assert load_entry.op_latency != INITIAL_AMAT, (
             "measured AMAT must replace the initial estimate")
         assert load_entry.op_latency > 2.0
 
@@ -112,18 +113,24 @@ class TestIterativeOptimization:
     def test_stops_when_no_improvement(self):
         ldfg = make_ldfg()
         sdfg = InstructionMapper(CONFIG).map(ldfg)
-        optimizer = IterativeOptimizer(CONFIG, improvement_threshold=10.0)
+        optimizer = IterativeOptimizer(CONFIG)
         result = optimizer.optimize(ldfg, sdfg, state_factory,
                                     small_hierarchy(), rounds=5)
-        # An impossible threshold: round 0 must not remap, loop stops there.
-        assert len(optimizer.history) == 1
-        assert not optimizer.history[0].remapped
-        assert result is sdfg
+        for event in optimizer.history:
+            measured = event.measured_iteration_latency
+            gain = measured - event.predicted_after_remap
+            assert event.remapped == (
+                measured > 0 and gain / measured > IMPROVEMENT_THRESHOLD)
+        # Rounds stop at the first one that keeps its mapping.
+        kept = [event.remapped for event in optimizer.history]
+        assert False not in kept[:-1]
+        if not any(kept):
+            assert result is sdfg
 
     def test_returns_valid_sdfg(self):
         ldfg = make_ldfg()
         sdfg = InstructionMapper(CONFIG).map(ldfg)
-        optimizer = IterativeOptimizer(CONFIG, improvement_threshold=0.0)
+        optimizer = IterativeOptimizer(CONFIG)
         result = optimizer.optimize(ldfg, sdfg, state_factory,
                                     small_hierarchy(), rounds=2)
         assert set(result.positions) == set(sdfg.positions)

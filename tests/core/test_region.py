@@ -3,7 +3,8 @@
 import pytest
 
 from repro.accel import AcceleratorConfig, M_128
-from repro.core import CodeRegionDetector, RegionCriteria
+from repro.core import CodeRegionDetector
+from repro.core.region import MIN_EXPECTED_ITERATIONS, MIN_WORK_FRACTION
 from repro.cpu import collect_trace
 from repro.isa import assemble
 
@@ -20,10 +21,9 @@ def hot_loop_program(iters=100, body="addi t1, t1, 3"):
     )
 
 
-def detect(program, config=M_128, criteria=None):
+def detect(program, config=M_128):
     trace = collect_trace(program)
-    detector = CodeRegionDetector(config, criteria)
-    return detector.detect(trace, program)
+    return CodeRegionDetector(config).detect(trace, program)
 
 
 class TestAcceptance:
@@ -94,27 +94,39 @@ class TestC2Control:
         assert decisions[0].c2_control
 
 
+def forward_branch_body(branches: int) -> str:
+    """A multiply plus ``branches`` forward branches, which are control,
+    not work."""
+    skips = "\n".join(f"beq t2, zero, skip{i}\nskip{i}:"
+                      for i in range(branches))
+    return f"mul t1, t1, t1\n{skips}"
+
+
 class TestC3Mix:
     def test_low_trip_count_rejected(self):
-        decisions = detect(hot_loop_program(10),
-                           criteria=RegionCriteria(min_expected_iterations=50))
-        assert decisions and not decisions[0].c3_mix
+        trips = int(MIN_EXPECTED_ITERATIONS) - 1
+        decisions = detect(hot_loop_program(trips))
+        assert decisions[0].loop.expected_trip_count == trips
+        assert not decisions[0].c3_mix
         assert any("amortize" in r for r in decisions[0].reasons)
 
-    def test_trip_count_threshold_configurable(self):
-        decisions = detect(hot_loop_program(10),
-                           criteria=RegionCriteria(min_expected_iterations=5))
+    def test_trip_count_at_threshold_accepted(self):
+        trips = int(MIN_EXPECTED_ITERATIONS)
+        decisions = detect(hot_loop_program(trips))
+        assert decisions[0].loop.expected_trip_count == trips
         assert decisions[0].c3_mix
 
     def test_work_fraction(self):
-        # 1 compute instruction out of a 4-instruction body with a nop.
-        decisions = detect(
-            hot_loop_program(100, "nop\nnop\nnop\nnop\nmul t1, t1, t1"),
-            criteria=RegionCriteria(min_work_fraction=0.9),
-        )
-        assert decisions and not decisions[0].c3_mix
+        # Work: the multiply and the counter update; the rest is control.
+        # One forward branch puts the fraction at the threshold, two below.
+        for branches in (1, 2):
+            decision = detect(hot_loop_program(
+                100, forward_branch_body(branches)))[0]
+            fraction = 2 / len(decision.body)
+            assert decision.c3_mix == (fraction >= MIN_WORK_FRACTION)
+            assert any("work fraction" in r for r in decision.reasons) \
+                == (fraction < MIN_WORK_FRACTION)
 
     def test_reasons_accumulate(self):
-        decisions = detect(hot_loop_program(10),
-                           criteria=RegionCriteria(min_expected_iterations=50))
+        decisions = detect(hot_loop_program(10))
         assert len(decisions[0].reasons) >= 1

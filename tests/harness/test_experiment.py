@@ -4,11 +4,53 @@ import pytest
 
 from repro.accel import M_128, M_64
 from repro.harness import ExperimentRunner
+from repro.workloads import kernel_names
+
+#: Each kernel's hot loop at 64 iterations as ``(first, last)`` instruction
+#: address: the loop the loop-stream detector ranks hottest, which OpenCGRA
+#: schedules (Fig. 12) and DynaSpAM maps (Fig. 14).  A kernel or detector
+#: change that moves one must update this table on purpose.
+HOT_LOOPS = {
+    "backprop": (0x100c, 0x1028),
+    "bfs": (0x1010, 0x1030),
+    "btree": (0x1010, 0x103c),
+    "cfd": (0x1014, 0x1050),
+    "gaussian": (0x100c, 0x102c),
+    "heartwall": (0x100c, 0x1048),
+    "hotspot": (0x101c, 0x106c),
+    "hotspot3d": (0x1014, 0x105c),
+    "kmeans": (0x100c, 0x1058),
+    "lavamd": (0x100c, 0x106c),
+    "leukocyte": (0x1010, 0x1050),
+    "lud": (0x100c, 0x1028),
+    "myocyte": (0x1004, 0x1034),
+    "nn": (0x100c, 0x103c),
+    "nw": (0x101c, 0x105c),
+    "particlefilter": (0x100c, 0x1034),
+    "pathfinder": (0x101c, 0x1054),
+    "srad": (0x100c, 0x1040),
+    "streamcluster": (0x1010, 0x1054),
+}
 
 
 @pytest.fixture(scope="module")
 def runner():
     return ExperimentRunner(iterations=96)
+
+
+@pytest.fixture(scope="module")
+def runner64():
+    return ExperimentRunner(iterations=64)
+
+
+def test_hot_loops_cover_every_kernel():
+    assert set(HOT_LOOPS) == set(kernel_names())
+
+
+@pytest.mark.parametrize("name", sorted(HOT_LOOPS))
+def test_hot_loop_range_frozen(runner64, name):
+    body = runner64._loop_body(runner64.kernel(name))
+    assert (body[0].address, body[-1].address) == HOT_LOOPS[name]
 
 
 class TestSystems:
