@@ -71,6 +71,9 @@ class ExecutionError(RuntimeError):
     """Raised on unexecutable instructions (system ops, runaway loops)."""
 
 
+_BINARY32 = struct.Struct("<f")
+
+
 def f32(value: float) -> float:
     """Round a Python float to single precision (the accelerator is FP32).
 
@@ -78,7 +81,7 @@ def f32(value: float) -> float:
     round-to-nearest does in hardware (struct refuses to pack them).
     """
     try:
-        return struct.unpack("<f", struct.pack("<f", value))[0]
+        return _BINARY32.unpack(_BINARY32.pack(value))[0]
     except OverflowError:
         return math.inf if value > 0 else -math.inf
 
@@ -168,9 +171,6 @@ ACCESS_FORMATS: dict[Opcode, tuple[int, bool]] = {
     Opcode.FLW: (4, False), Opcode.FSW: (4, False),
     Opcode.LD: (8, True), Opcode.SD: (8, False),
 }
-
-
-_BINARY32 = struct.Struct("<f")
 
 
 def compile_load(memory: Memory, opcode: Opcode):
@@ -506,10 +506,13 @@ def compile_operation(instr: Instruction, xlen: int = 32):
     if row is None or row.form == "branch":
         raise ExecutionError(f"not a pure compute operation: {instr}")
     form, fn, imm = row.form, row.scalar, instr.imm
+    # Each form is one closure over the row's scalar, with _ts inline as
+    # ((v & mask) ^ sign) - sign.
+    mask, sign = (1 << xlen) - 1, 1 << (xlen - 1)
     if form == "int":
-        return lambda a, b: _ts(fn(int(a), int(b), xlen), xlen)
+        return lambda a, b: ((fn(int(a), int(b), xlen) & mask) ^ sign) - sign
     if form == "int_imm":
-        return lambda a, b: _ts(fn(int(a), imm, xlen), xlen)
+        return lambda a, b: ((fn(int(a), imm, xlen) & mask) ^ sign) - sign
     if form == "word":
         return lambda a, b: fn(int(a), int(b))
     if form == "word_imm":
@@ -524,9 +527,7 @@ def compile_operation(instr: Instruction, xlen: int = 32):
         # quieted by the widening from binary32 and the rounding back.
         def arithmetic(a, b):
             a, b = float(a), float(b)
-            if a != a and b != b:
-                return f32(a)
-            return f32(fn(a, b))
+            return f32(a if a != a and b != b else fn(a, b))
         return arithmetic
     if form == "fp":
         return lambda a, b: f32(fn(float(a), float(b)))
@@ -641,10 +642,11 @@ class Executor:
 # -- per-instruction handlers ---------------------------------------------------
 #
 # A handler closes over the register-file lists and indices of its operands,
-# so it reads and writes registers without going through MachineState.  The
-# values it writes are already in register form (compile_operation sign-
-# extends to the state's width and rounds FP results to binary32), and x0
-# never changes: a write to x0 or to no register lands in a discarded slot.
+# so it reads and writes registers without going through MachineState, and
+# calls its opcode row's scalar directly.  The values it writes are already
+# in register form (sign-extended to the state's width, FP results rounded
+# to binary32, as compile_operation's are), and x0 never changes: a write
+# to x0 or to no register lands in a discarded slot.
 
 def _compile_handler(instr: Instruction, state: MachineState):
     """The handler running ``instr`` on ``state``.  An instruction without
@@ -686,18 +688,61 @@ def _compile_handler(instr: Instruction, state: MachineState):
                 return taken
             return jalr
         if instr.is_branch:
-            cond = compile_branch(instr, xlen)
-            return lambda: target if cond(r1[i1], r2[i2]) else None
-        fn = compile_operation(instr, xlen)
+            cond = OPCODE_TABLE[op].scalar
+            return lambda: target if cond(r1[i1], r2[i2], xlen) else None
+        compute = _compute_handler(instr, xlen, r1, i1, r2, i2, rd, d)
     except ExecutionError as error:
         message = str(error)
 
         def raise_():
             raise ExecutionError(message)
         return raise_
+    return compute
 
-    def compute():
-        rd[d] = fn(r1[i1], r2[i2])
+
+def _compute_handler(instr: Instruction, xlen: int, r1: list, i1: int,
+                     r2: list, i2: int, rd: list, d: int):
+    """The handler of a compute instruction: one closure per form that
+    calls the row's scalar once on the register values as they are held
+    (ints in the integer file, binary32-valued floats in the FP file),
+    with :func:`compile_operation`'s truncation and rounding inline."""
+    operation = compile_operation(instr, xlen)  # raises without semantics
+    row = OPCODE_TABLE[instr.opcode]
+    form, fn, imm = row.form, row.scalar, instr.imm
+    mask, sign = (1 << xlen) - 1, 1 << (xlen - 1)
+    if form == "int":
+        def compute():
+            rd[d] = ((fn(r1[i1], r2[i2], xlen) & mask) ^ sign) - sign
+    elif form == "int_imm":
+        def compute():
+            rd[d] = ((fn(r1[i1], imm, xlen) & mask) ^ sign) - sign
+    elif form == "word":
+        def compute():
+            rd[d] = fn(r1[i1], r2[i2])
+    elif form == "word_imm":
+        def compute():
+            rd[d] = fn(r1[i1], imm)
+    elif form == "const":
+        constant = operation(0, 0)
+
+        def compute():
+            rd[d] = constant
+    elif form == "fp_nan":
+        def compute():
+            a, b = r1[i1], r2[i2]
+            rd[d] = f32(a if a != a and b != b else fn(a, b))
+    elif form == "fp":
+        def compute():
+            rd[d] = f32(fn(r1[i1], r2[i2]))
+    elif form == "fp_cmp":
+        def compute():
+            rd[d] = int(fn(r1[i1], r2[i2]))
+    elif form == "fp_unary":
+        def compute():
+            rd[d] = fn(r1[i1], r2[i2])
+    else:  # "to_fp", "to_int"
+        def compute():
+            rd[d] = fn(r1[i1])
     return compute
 
 

@@ -87,45 +87,22 @@ class MemoryHierarchy:
 
         Equivalent to ``[self.access(a, pc) for a, pc in zip(addresses,
         pcs)]`` — same latencies, same cache contents in the same LRU
-        order, same counters — but only run heads go through
-        :meth:`Cache.access`.  An access whose previous access to the same
-        L1 set touched the same line (a *tail*) is an L1 hit that leaves
-        LRU order unchanged: a stable argsort by L1 set finds the tails
-        vectorially, and L2 never sees a tail.  Hits, DRAM accesses and
-        the per-PC AMAT counters are folded in bulk.
+        order, same counters.  Each level resolves its stream with
+        :meth:`Cache.access_many`, and L2's stream is L1's misses in
+        order.  DRAM accesses and the per-PC AMAT counters are folded in
+        bulk.
         """
         addresses = np.asarray(addresses, np.int64)
         pcs = np.asarray(pcs, np.int64)
         cfg = self.config
-        l1_hit = cfg.l1.hit_latency
-        latencies = np.full(addresses.size, l1_hit, np.int64)
+        latencies = np.full(addresses.size, cfg.l1.hit_latency, np.int64)
         if not addresses.size:
             return latencies
-        lines = addresses // cfg.l1.line_bytes
-        order = np.argsort(lines % cfg.l1.num_sets, kind="stable")
-        sorted_lines = lines[order]
-        tail = np.empty(addresses.size, bool)
-        tail[0] = False
-        np.equal(sorted_lines[1:], sorted_lines[:-1], out=tail[1:])
-        heads = np.sort(order[~tail])
-
-        l1_access = self.l1.access
-        l2_access = self.l2.access
-        l2_latency = l1_hit + cfg.l2.hit_latency
-        dram_latency = l2_latency + cfg.dram_latency
-        head_latencies = []
-        dram = 0
-        for address in addresses[heads].tolist():
-            if l1_access(address):
-                head_latencies.append(l1_hit)
-            elif l2_access(address):
-                head_latencies.append(l2_latency)
-            else:
-                head_latencies.append(dram_latency)
-                dram += 1
-        latencies[heads] = head_latencies
-        self.dram_accesses += dram
-        self.l1.stats.hits += int(tail.sum())
+        missed = np.flatnonzero(~self.l1.access_many(addresses))
+        latencies[missed] += cfg.l2.hit_latency
+        dram = missed[~self.l2.access_many(addresses[missed])]
+        latencies[dram] += cfg.dram_latency
+        self.dram_accesses += dram.size
 
         unique, first, inverse = np.unique(pcs, return_index=True,
                                            return_inverse=True)

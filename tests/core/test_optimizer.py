@@ -3,7 +3,13 @@
 import pytest
 
 from repro.accel import AcceleratorConfig, InterconnectKind
-from repro.core import InstructionMapper, IterativeOptimizer, build_ldfg
+from repro.core import (
+    CandidateStrategy,
+    InstructionMapper,
+    IterativeOptimizer,
+    MappingOptions,
+    build_ldfg,
+)
 from repro.core.ldfg import INITIAL_AMAT
 from repro.core.optimizer import IMPROVEMENT_THRESHOLD
 from repro.isa import MachineState, assemble, x
@@ -134,3 +140,48 @@ class TestIterativeOptimization:
         result = optimizer.optimize(ldfg, sdfg, state_factory,
                                     small_hierarchy(), rounds=2)
         assert set(result.positions) == set(sdfg.positions)
+
+
+# A loop-carried integer chain behind one load: after refinement the
+# mapper predicts a shorter iteration than the profile measured.
+CHAIN_BODY = """
+loop:
+    lw t1, 0(a0)
+    add t2, t1, t1
+    xor t3, t2, t1
+    add t4, t3, t2
+    sub t6, t4, t3
+    add s2, t6, t4
+    xor s3, s2, t6
+    add s4, s3, s2
+    sw s4, 0(a0)
+    addi a0, a0, 4
+    addi t0, t0, -1
+    bne t0, zero, loop
+"""
+
+
+def test_remap_returns_the_candidate(monkeypatch):
+    """The branch that keeps a remapped candidate: mapped first through a
+    1x1 candidate window, the chain measures slower than the remap
+    predicts, so round 0 remaps and its candidate is what comes back."""
+    ldfg = build_ldfg(list(assemble(CHAIN_BODY).instructions))
+    poor = MappingOptions(strategy=CandidateStrategy.FIXED_WINDOW,
+                          window=(1, 1))
+    sdfg = InstructionMapper(CONFIG, options=poor).map(ldfg)
+    candidates = []
+    original = InstructionMapper.map
+
+    def recording(self, graph):
+        candidates.append(original(self, graph))
+        return candidates[-1]
+
+    monkeypatch.setattr(InstructionMapper, "map", recording)
+    optimizer = IterativeOptimizer(CONFIG)
+    result = optimizer.optimize(ldfg, sdfg, state_factory, MemoryHierarchy(),
+                                rounds=1, profile_iterations=16)
+    first = optimizer.history[0]
+    assert first.remapped
+    assert first.predicted_after_remap < first.measured_iteration_latency
+    assert result is candidates[0]
+    assert result is not sdfg

@@ -2,7 +2,8 @@
 
 The batched engine drives a block's memory events through two bulk calls:
 :meth:`MemoryHierarchy.access_stream` (every cache outcome of the block in
-one pass) and :meth:`Memory.scatter` (every store commit in one update).
+one pass, one :meth:`Cache.access_many` per level) and
+:meth:`Memory.scatter` (every store commit in one update).
 Each must be indistinguishable from the sequential loop it replaces —
 ``access`` per entry, ``store`` per entry — in results, cache contents,
 LRU order, counters and raised errors.
@@ -17,10 +18,17 @@ from __future__ import annotations
 
 import os
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.mem import CacheConfig, HierarchyConfig, Memory, MemoryHierarchy
+from repro.mem import (
+    Cache,
+    CacheConfig,
+    HierarchyConfig,
+    Memory,
+    MemoryHierarchy,
+)
 
 from ..accel.test_plan_equivalence import memory_fingerprint
 
@@ -67,6 +75,29 @@ def test_access_stream_equals_sequential_access(config, warm, stream):
     latencies = bulk.access_stream(list(addresses), list(pcs))
     assert latencies.tolist() == expected
     assert memory_fingerprint(bulk) == memory_fingerprint(sequential)
+
+
+@settings(max_examples=100 * FUZZ_SCALE, deadline=None)
+@given(warm=access_streams(), stream=access_streams(),
+       ways=st.sampled_from((1, 2, 4)), repeat=st.integers(1, 4))
+def test_cache_access_many_equals_sequential_access(warm, stream, ways,
+                                                    repeat):
+    # Repeating the stream makes most draws long enough for the bulk pass;
+    # the sets mix ones that fit their ways and ones that evict.
+    config = CacheConfig(size_bytes=64 * ways * 4, line_bytes=16,
+                         associativity=ways)
+    sequential, bulk = Cache(config), Cache(config)
+    for cache in (sequential, bulk):
+        for address, _ in warm:
+            cache.access(address)
+    addresses = [address for address, _ in stream] * repeat
+    expected = [sequential.access(address) for address in addresses]
+    hits = bulk.access_many(np.array(addresses, np.int64))
+    assert hits.tolist() == expected
+    assert bulk.stats == sequential.stats
+    assert bulk.resident_lines == sequential.resident_lines
+    assert ([list(ways or ()) for ways in bulk._sets]
+            == [list(ways or ()) for ways in sequential._sets])
 
 
 @st.composite
