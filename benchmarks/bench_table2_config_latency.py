@@ -6,7 +6,7 @@ elaborate compiler-level approaches like DORA (milliseconds) and immediate
 hardware approaches like DynaSpAM (nanoseconds)."
 """
 
-from repro.baselines import DynaSpamConfig
+from repro.baselines.dynaspam import CONFIG_CYCLES
 from repro.harness import table2_config_latency
 
 from _common import ITERATIONS, emit, run_once
@@ -20,7 +20,7 @@ def test_table2_config_latency(benchmark):
     assert result.mesa_min_cycles > 0
 
     # The middle ground: above DynaSpAM's tens of cycles ...
-    assert result.mesa_min_cycles > DynaSpamConfig().config_cycles
+    assert result.mesa_min_cycles > CONFIG_CYCLES
 
     # ... and squarely sub-microsecond-to-microsecond at 2 GHz, far below
     # DORA's milliseconds (10^6+ cycles).

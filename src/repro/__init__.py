@@ -52,7 +52,7 @@ from .core import (
 )
 from .cpu import CpuConfig, MulticoreCpu, OutOfOrderCore, collect_trace
 from .isa import Program, assemble
-from .latency import DEFAULT_LATENCIES, LatencyTable
+from .latency import OP_LATENCY, STORE_ISSUE
 
 __version__ = "1.0.0"
 
@@ -76,7 +76,7 @@ __all__ = [
     "collect_trace",
     "Program",
     "assemble",
-    "DEFAULT_LATENCIES",
-    "LatencyTable",
+    "OP_LATENCY",
+    "STORE_ISSUE",
     "__version__",
 ]

@@ -12,6 +12,7 @@ paper's three evaluation backends.
 
 from .bitstream import BitstreamError, decode_bitstream, encode_bitstream
 from .config import (
+    FREQUENCY_GHZ,
     AcceleratorConfig,
     Coord,
     InterconnectKind,
@@ -45,6 +46,7 @@ __all__ = [
     "decode_bitstream",
     "encode_bitstream",
     "AcceleratorConfig",
+    "FREQUENCY_GHZ",
     "Coord",
     "InterconnectKind",
     "M_64",

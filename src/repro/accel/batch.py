@@ -66,8 +66,9 @@ few provable properties of the model:
 * **Memory port state never carries between iterations.**  Each run's
   pool starts empty at clock 0.  A request frees its port one cycle
   after its grant, and its own node completes no earlier than the L1
-  hit latency (a load) or ``store_issue`` (a store) after the grant —
-  both at least 1 cycle, which their configs enforce; a replayed load,
+  hit latency (a load) or :data:`~repro.latency.STORE_ISSUE` (a store)
+  after the grant — both at least 1 cycle, which the cache config enforces
+  and a test asserts of the latency constants; a replayed load,
   whose completion the store sets, is bounded below by grant + 1 — and
   no later than the iteration's end.  So every port is free again when the next
   iteration starts: like the NoC rings, each iteration's grants depend
@@ -115,6 +116,7 @@ import numpy as np
 from ..isa import ACCESS_FORMATS, ExecutionError, Opcode
 from ..isa.registers import RegFile
 from ..isa.semantics import _vts, _vtu, compile_lanes
+from ..latency import STORE_ISSUE
 from ..mem.lsq import block_alias_hazard
 from .plan import (
     K_CONST,
@@ -697,7 +699,7 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
         # -- phase B: memory (cache pass, port timing), then the stores ------
         starts, ends, done_mat = _phase_memory(
             bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off, wend,
-            memory_ports, hierarchy, plan.store_issue)
+            memory_ports, hierarchy)
         _commit_stores(bp, nb, mem_vecs, memory)
         lat_vec = ends - starts
 
@@ -1081,7 +1083,7 @@ def _phase_timing(bp, nb, first, offs):
 
 
 def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
-                  wend, memory_ports, hierarchy, store_issue):
+                  wend, memory_ports, hierarchy):
     """The block's memory timing in two passes, neither of them over lanes
     (its stores commit after, in :func:`_commit_stores`).
 
@@ -1162,7 +1164,7 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
                 prior[own] = grant[own]
             done = grant + cycles[:, j]
         else:
-            done = request(ready, on) + store_issue
+            done = request(ready, on) + STORE_ISSUE
         if i in mem_off:
             done = np.where(on, done, (rel + mem_off[i]).max(axis=0))
         rel[j + 1] = done

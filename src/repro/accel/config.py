@@ -18,13 +18,22 @@ import enum
 from dataclasses import dataclass
 
 from ..isa import OpClass
-from ..latency import DEFAULT_LATENCIES, LatencyTable
 
 __all__ = ["Coord", "InterconnectKind", "AcceleratorConfig",
-           "M_64", "M_128", "M_512", "mesa_config"]
+           "M_64", "M_128", "M_512", "mesa_config", "FP_FRACTION",
+           "FREQUENCY_GHZ"]
 
 #: A PE coordinate: (row, col).  Load/store entries sit at column -1.
 Coord = tuple[int, int]
+
+#: Fraction of PEs with single-precision FP logic (in 2x2 slices): "half
+#: are equipped with single-precision floating-point logic" (§5.2).
+FP_FRACTION = 0.5
+#: Diagonal period of the FP-slice checkerboard.
+_FP_PERIOD = max(2, round(2 / FP_FRACTION))
+
+#: Clock of the fabric and of MESA, the core's 2 GHz.
+FREQUENCY_GHZ = 2.0
 
 
 class InterconnectKind(enum.Enum):
@@ -40,29 +49,23 @@ class InterconnectKind(enum.Enum):
 
 @dataclass(frozen=True)
 class AcceleratorConfig:
-    """Parameters of one spatial accelerator backend."""
+    """Parameters of one spatial accelerator backend.
+
+    The fields are what the evaluation varies (grid, load/store entries,
+    memory ports, interconnect kind) plus the datapath width; the FP layout
+    and the clock are this module's constants.
+    """
 
     name: str = "M-128"
     rows: int = 16
     cols: int = 8
-    #: Fraction of PEs with single-precision FP logic (in 2x2 slices).
-    fp_fraction: float = 0.5
+    #: The wiring; its hop latencies are constants of
+    #: :mod:`repro.accel.interconnect`.
     interconnect: InterconnectKind = InterconnectKind.MESH_NOC
-    #: Latency of one local neighbor hop.
-    local_hop_latency: int = 1
-    #: Fixed cross-row latency for the ROW_SLICE interconnect.
-    cross_row_latency: int = 3
-    #: NoC parameters: a router every `noc_slice` PEs along a row.
-    noc_slice: int = 4
-    noc_hop_latency: int = 1
-    noc_inject_latency: int = 2
     #: Load/store entries and the memory ports they share.  Fig. 15's
     #: "Ideal Memory" curve sets ``memory_ports`` to ``math.inf``.
     lsu_entries: int = 32
     memory_ports: int | float = 2
-    #: Operation latencies of the PEs' functional units.
-    latencies: LatencyTable = DEFAULT_LATENCIES
-    frequency_ghz: float = 2.0
     #: Datapath width of the PEs: 32 (RV32IMF, the paper's evaluation
     #: backend) or 64.  RV64I-only instructions disqualify a loop on a
     #: 32-bit backend (condition C2).
@@ -73,12 +76,8 @@ class AcceleratorConfig:
             raise ValueError(f"xlen must be 32 or 64, got {self.xlen}")
         if self.rows < 1 or self.cols < 1:
             raise ValueError("grid dimensions must be positive")
-        if not 0.0 <= self.fp_fraction <= 1.0:
-            raise ValueError("fp_fraction must be within [0, 1]")
         if self.lsu_entries < 1 or self.memory_ports < 1:
             raise ValueError("need at least one LSU entry and one port")
-        if self.noc_slice < 1:
-            raise ValueError("noc_slice must be positive")
 
     @property
     def num_pes(self) -> int:
@@ -93,20 +92,16 @@ class AcceleratorConfig:
         """Whether the PE at ``coord`` has FP logic.
 
         FP capability is laid out as 2×2 slices tiled in a checkerboard over
-        the grid, thinned to approximately ``fp_fraction`` of the array.
+        the grid, thinned by :data:`FP_FRACTION`.
         """
         row, col = coord
         if not (0 <= row < self.rows and 0 <= col < self.cols):
             raise IndexError(f"coordinate {coord} outside {self.rows}x{self.cols}")
-        if self.fp_fraction >= 1.0:
-            return True
-        if self.fp_fraction <= 0.0:
-            return False
         # 2x2 FP slices in a checkerboard; a block is FP-capable when its
-        # diagonal index falls inside the configured fraction.
+        # diagonal index falls inside the fraction.
         block_row, block_col = row // 2, col // 2
-        period = max(2, round(2 / self.fp_fraction))
-        return (block_row + block_col) % period < period * self.fp_fraction + 1e-9
+        return ((block_row + block_col) % _FP_PERIOD
+                < _FP_PERIOD * FP_FRACTION + 1e-9)
 
     def supports(self, op_class: OpClass, coord: Coord) -> bool:
         """Whether the PE at ``coord`` can execute ``op_class`` (F_op)."""

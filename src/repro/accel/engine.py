@@ -66,11 +66,12 @@ from ..isa import (
     compile_store,
 )
 from ..mem import MemoryHierarchy, MemoryPorts
+from ..latency import OP_LATENCY, STORE_ISSUE
 from ..mem.lsq import forwarding_store
 from .batch import drive_batched
 from .config import AcceleratorConfig
 from .counters import ActivityCounters, LatencyCounters
-from .interconnect import Interconnect, build_interconnect
+from .interconnect import LOCAL_HOP_LATENCY, Interconnect, build_interconnect
 from .plan import compile_plan
 from .program import AcceleratorProgram, ConfiguredNode, Operand, OperandKind
 
@@ -282,16 +283,17 @@ class DataflowEngine:
                 if node.node_id == self.program.loop_branch_id:
                     loop_taken = taken
                 value = int(taken)
-                done = ready + self.config.latencies.for_instruction(instr)
+                done = ready + OP_LATENCY[instr.op_class]
                 activity.control_events += 1
             else:
                 value = plan_node.evaluate(a, b)
-                done = ready + self.config.latencies.for_instruction(instr)
+                cycles = OP_LATENCY[instr.op_class]
+                done = ready + cycles
                 if instr.is_fp:
                     activity.fp_ops += 1
                 else:
                     activity.int_ops += 1
-                activity.pe_busy_cycles += self.config.latencies.for_instruction(instr)
+                activity.pe_busy_cycles += cycles
 
             values[node.node_id] = value
             completion[node.node_id] = done
@@ -331,7 +333,7 @@ class DataflowEngine:
         src = self.program.node(src_id)
         cycles = float(self.interconnect.latency(src.coord, dst.coord))
         manhattan = abs(src.coord[0] - dst.coord[0]) + abs(src.coord[1] - dst.coord[1])
-        if manhattan * self.config.local_hop_latency <= cycles:
+        if manhattan * LOCAL_HOP_LATENCY <= cycles:
             activity.local_hops += manhattan  # took the neighbor links
         else:
             # Routed over the NoC: one packet per cycle per row ring.
@@ -380,8 +382,7 @@ class DataflowEngine:
             value = access(address)
             if store is not None:
                 store_done = store[2]
-                fwd_done = (max(ready, store_done)
-                            + self.config.latencies.store_issue)
+                fwd_done = max(ready, store_done) + STORE_ISSUE
                 if ready < store_done:
                     # The load issued before the store resolved, already
                     # read stale data, and is *invalidated* when the store
@@ -405,7 +406,7 @@ class DataflowEngine:
         grant = ports.request(ready)
         self.hierarchy.access(address, pc=instr.address)
         access(address, data)
-        done = grant + self.config.latencies.store_issue
+        done = grant + STORE_ISSUE
         stores_seen.append((address, size, done))
         return 0, done
 
@@ -443,7 +444,7 @@ class DataflowEngine:
             seen_groups: set[int] = set()
             for is_store, group, prefetched, pc in self.plan.occupancy_entries:
                 if is_store:
-                    occupancy += self.config.latencies.store_issue
+                    occupancy += STORE_ISSUE
                     continue
                 if group is not None:
                     if group in seen_groups:

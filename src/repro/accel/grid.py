@@ -31,9 +31,7 @@ def op_class_mask(config: AcceleratorConfig,
     """F_op of one class on one backend, built once and shared read-only.
 
     A mapper builds a fresh :class:`PEGrid` per region, so without this
-    every mapping would re-evaluate ``config.supports`` over the array;
-    condition C2 reads the same mask to ask whether any PE supports a
-    class.
+    every mapping would re-evaluate ``config.supports`` over the array.
     """
     mask = np.array(
         [[config.supports(op_class, (r, c)) for c in range(config.cols)]

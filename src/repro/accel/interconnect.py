@@ -36,6 +36,16 @@ __all__ = [
     "build_interconnect",
 ]
 
+#: Latency of one local neighbor hop.
+LOCAL_HOP_LATENCY = 1
+#: Fixed cross-row latency of the ROW_SLICE interconnect (Fig. 4 example 1).
+CROSS_ROW_LATENCY = 3
+#: The NoC has a router every ``NOC_SLICE`` PEs along a row (Fig. 9).
+NOC_SLICE = 4
+#: Cycles per router hop, and to inject into (or eject from) the NoC.
+NOC_HOP_LATENCY = 1
+NOC_INJECT_LATENCY = 2
+
 
 class Interconnect(ABC):
     """Point-to-point latency model for one backend topology."""
@@ -106,11 +116,11 @@ class MeshInterconnect(Interconnect):
     def latency(self, src: Coord, dst: Coord) -> int:
         if src == dst:
             return 0
-        return self._manhattan(src, dst) * self.config.local_hop_latency
+        return self._manhattan(src, dst) * LOCAL_HOP_LATENCY
 
     def _compute_matrix(self, src: Coord) -> np.ndarray:
         dr, dc = self._grid_distances(src)
-        return (dr + dc) * self.config.local_hop_latency
+        return (dr + dc) * LOCAL_HOP_LATENCY
 
 
 class RowSliceInterconnect(Interconnect):
@@ -125,15 +135,15 @@ class RowSliceInterconnect(Interconnect):
         if src == dst:
             return 0
         if src[0] == dst[0]:
-            return self.config.local_hop_latency
-        return self.config.cross_row_latency
+            return LOCAL_HOP_LATENCY
+        return CROSS_ROW_LATENCY
 
     def _compute_matrix(self, src: Coord) -> np.ndarray:
         rows, cols = self.config.rows, self.config.cols
-        matrix = np.full((rows, cols), self.config.cross_row_latency,
+        matrix = np.full((rows, cols), CROSS_ROW_LATENCY,
                          dtype=np.int64)
         if 0 <= src[0] < rows:
-            matrix[src[0], :] = self.config.local_hop_latency
+            matrix[src[0], :] = LOCAL_HOP_LATENCY
             if 0 <= src[1] < cols:
                 matrix[src[0], src[1]] = 0
         return matrix
@@ -143,29 +153,29 @@ class MeshNocInterconnect(Interconnect):
     """The evaluation backend: neighbor links plus a half-ring NoC.
 
     Local PE-to-PE links cost 1 cycle per hop but are only economical for
-    short distances.  The NoC has a router at every ``noc_slice`` PEs along a
-    row; a packet pays injection/ejection overhead plus one cycle per router
-    hop along the half-ring (rows first, then columns — each lane operates
-    like a bus because mapped dataflow is strictly feedforward, §5.2).
-    A transfer takes whichever path is faster.
+    short distances.  The NoC has a router at every :data:`NOC_SLICE` PEs
+    along a row; a packet pays injection/ejection overhead plus one cycle
+    per router hop along the half-ring (rows first, then columns — each lane
+    operates like a bus because mapped dataflow is strictly feedforward,
+    §5.2).  A transfer takes whichever path is faster.
     """
 
     def latency(self, src: Coord, dst: Coord) -> int:
         if src == dst:
             return 0
-        local = self._manhattan(src, dst) * self.config.local_hop_latency
+        local = self._manhattan(src, dst) * LOCAL_HOP_LATENCY
         return min(local, self._noc_latency(src, dst))
 
     def _compute_matrix(self, src: Coord) -> np.ndarray:
         cfg = self.config
         dr, dc = self._grid_distances(src)
-        local = (dr + dc) * cfg.local_hop_latency
+        local = (dr + dc) * LOCAL_HOP_LATENCY
         src_row, src_slice = self._router(src)
-        slice_of = np.arange(cfg.cols) // cfg.noc_slice
+        slice_of = np.arange(cfg.cols) // NOC_SLICE
         slice_hops = np.abs(slice_of - src_slice)[None, :]
         row_hops = np.abs(np.arange(cfg.rows) - src_row)[:, None]
-        noc = (2 * cfg.noc_inject_latency
-               + (slice_hops + row_hops) * cfg.noc_hop_latency)
+        noc = (2 * NOC_INJECT_LATENCY
+               + (slice_hops + row_hops) * NOC_HOP_LATENCY)
         matrix = np.minimum(local, noc)
         if 0 <= src[0] < cfg.rows and 0 <= src[1] < cfg.cols:
             matrix[src[0], src[1]] = 0
@@ -181,17 +191,16 @@ class MeshNocInterconnect(Interconnect):
     def _router(self, coord: Coord) -> tuple[int, int]:
         """(row, slice index) of the router serving a coordinate."""
         row, col = coord
-        return row, max(0, col) // self.config.noc_slice
+        return row, max(0, col) // NOC_SLICE
 
     def _noc_latency(self, src: Coord, dst: Coord) -> int:
-        cfg = self.config
         src_router, dst_router = self._router(src), self._router(dst)
         # Half-ring: traverse slices within the row, then rows vertically.
         slice_hops = abs(src_router[1] - dst_router[1])
         row_hops = abs(src_router[0] - dst_router[0])
-        return (cfg.noc_inject_latency
-                + (slice_hops + row_hops) * cfg.noc_hop_latency
-                + cfg.noc_inject_latency)
+        return (NOC_INJECT_LATENCY
+                + (slice_hops + row_hops) * NOC_HOP_LATENCY
+                + NOC_INJECT_LATENCY)
 
 
 def build_interconnect(config: AcceleratorConfig) -> Interconnect:

@@ -43,8 +43,9 @@ from ..isa import (
     compile_branch,
     compile_operation,
 )
+from ..latency import OP_LATENCY
 from .config import AcceleratorConfig
-from .interconnect import Interconnect
+from .interconnect import LOCAL_HOP_LATENCY, Interconnect
 from .program import (
     AcceleratorProgram,
     ConfiguredNode,
@@ -172,7 +173,7 @@ class ExecutionPlan:
 
     __slots__ = (
         "program", "config", "interconnect", "nodes", "n_nodes",
-        "loop_branch_id", "store_issue",
+        "loop_branch_id",
         "memory_per_iter", "occupancy_entries", "edge_slots",
         "_recurrence_cache", "_batch",
     )
@@ -191,7 +192,6 @@ class ExecutionPlan:
         ]
         self.n_nodes = len(self.nodes)
         self.loop_branch_id = program.loop_branch_id
-        self.store_issue = self.config.latencies.store_issue
         # Port requests per iteration: every store and ungrouped load is one
         # request; a vector group of loads shares a single grant.
         groups: set[int] = set()
@@ -258,12 +258,12 @@ class ExecutionPlan:
         elif instr.is_control:
             kind = N_CONTROL
             evaluate = compile_branch(instr, xlen=self.config.xlen)
-            latency = self.config.latencies.for_instruction(instr)
+            latency = OP_LATENCY[instr.op_class]
         else:
             kind = N_COMPUTE
             try:
                 evaluate = compile_operation(instr, xlen=self.config.xlen)
-                latency = self.config.latencies.for_instruction(instr)
+                latency = OP_LATENCY[instr.op_class]
             except ExecutionError as error:
                 # No semantics on the fabric (a system op, an RV64-only op
                 # at 32 bits): like the executor, the error surfaces when
@@ -299,7 +299,7 @@ class ExecutionPlan:
                      + abs(src.coord[1] - dst.coord[1]))
         # The same faster-path-wins decision the cycle model makes: the
         # packet takes the neighbor links unless the NoC strictly beats them.
-        is_local = manhattan * self.config.local_hop_latency <= cycles
+        is_local = manhattan * LOCAL_HOP_LATENCY <= cycles
         edge = EdgePlan(
             src_id=src_id,
             cycles=cycles,

@@ -8,15 +8,13 @@
   :class:`MulticoreCpu`).
 """
 
-from .dynaspam import DynaSpamConfig, DynaSpamError, DynaSpamMapper, DynaSpamMapping
-from .opencgra import CgraConfig, CgraSchedule, OpenCgraScheduler, ScheduleError
+from .dynaspam import DynaSpamError, DynaSpamMapper, DynaSpamMapping
+from .opencgra import CgraSchedule, OpenCgraScheduler, ScheduleError
 
 __all__ = [
-    "DynaSpamConfig",
     "DynaSpamError",
     "DynaSpamMapper",
     "DynaSpamMapping",
-    "CgraConfig",
     "CgraSchedule",
     "OpenCgraScheduler",
     "ScheduleError",

@@ -17,6 +17,9 @@ Consequences modeled here, which drive Fig. 14's comparison:
   fabric executes one iteration's trace at a time with modest pipelining;
 * because it sits in the pipeline and leans on core speculation, it can
   accept loops with inner control that MESA must reject (SRAD, B+Tree).
+
+The fabric's shape and costs are module constants; its memory ports are the
+core's load/store ports.
 """
 
 from __future__ import annotations
@@ -25,32 +28,25 @@ from dataclasses import dataclass
 
 from ..accel import OperandKind
 from ..core.ldfg import Ldfg, LdfgEntry
-from ..latency import DEFAULT_LATENCIES, LatencyTable
+from ..cpu import CpuConfig
+from ..latency import OP_LATENCY
 
-__all__ = ["DynaSpamConfig", "DynaSpamMapping", "DynaSpamMapper",
-           "DynaSpamError"]
+__all__ = ["DynaSpamMapping", "DynaSpamMapper", "DynaSpamError"]
+
+#: Parallel functional units per stage, and feed-forward stages.
+LANES = 4
+DEPTH = 8
+CAPACITY = LANES * DEPTH
+#: Per-stage forwarding latency (the fabric is tightly bypassed).
+STAGE_LATENCY = 1
+#: Configuration cost in cycles — "JIT (ns)", i.e. tens of cycles.
+CONFIG_CYCLES = 40
+#: AMAT of the core's D-cache path, which a memory operation pays.
+MEMORY_LATENCY = 4.0
 
 
 class DynaSpamError(RuntimeError):
     """The trace does not fit the feed-forward fabric."""
-
-
-@dataclass(frozen=True)
-class DynaSpamConfig:
-    """The in-pipeline feed-forward fabric."""
-
-    lanes: int = 4        # parallel functional units per stage
-    depth: int = 8        # feed-forward stages
-    memory_ports: int = 2
-    #: Per-stage forwarding latency (the fabric is tightly bypassed).
-    stage_latency: int = 1
-    latencies: LatencyTable = DEFAULT_LATENCIES
-    #: Configuration cost in cycles — "JIT (ns)", i.e. tens of cycles.
-    config_cycles: int = 40
-
-    @property
-    def capacity(self) -> int:
-        return self.lanes * self.depth
 
 
 @dataclass
@@ -68,37 +64,29 @@ class DynaSpamMapping:
 
 
 class DynaSpamMapper:
-    """Levelize and map one loop iteration's trace onto the fabric."""
+    """Levelize and map one loop iteration's trace onto the fabric of
+    the core ``cpu``, whose memory ports the fabric shares."""
 
-    def __init__(self, config: DynaSpamConfig | None = None) -> None:
-        self.config = config if config is not None else DynaSpamConfig()
-        self._last_critical_path = 0.0
+    def __init__(self, cpu: CpuConfig) -> None:
+        self.memory_ports = cpu.load_store_ports
 
-    def map(self, ldfg: Ldfg, average_memory_latency: float = 4.0) -> DynaSpamMapping:
-        """Map the loop body; raises DynaSpamError when it does not fit.
-
-        Args:
-            ldfg: the loop body's logical DFG.
-            average_memory_latency: measured AMAT of the core's D-cache path
-                (the fabric shares the core's memory ports).
-        """
+    def map(self, ldfg: Ldfg) -> DynaSpamMapping:
+        """Map the loop body; raises DynaSpamError when it does not fit."""
         entries = [e for e in ldfg.entries if not e.eliminated]
-        if len(entries) > self.config.capacity:
+        if len(entries) > CAPACITY:
             raise DynaSpamError(
                 f"{len(entries)} operations exceed fabric capacity "
-                f"{self.config.capacity}"
+                f"{CAPACITY}"
             )
         levels = self._levelize(entries)
-        if len(levels) > self.config.depth:
+        if len(levels) > DEPTH:
             raise DynaSpamError(
                 f"dependence height {len(levels)} exceeds fabric depth "
-                f"{self.config.depth}"
+                f"{DEPTH}"
             )
 
-        cycles = self._iteration_cycles(ldfg, entries, levels,
-                                        average_memory_latency)
-        self._last_critical_path = cycles
-        ii = self._initiation_interval(entries)
+        cycles = self._iteration_cycles(ldfg, levels)
+        ii = self._initiation_interval(entries, cycles)
         return DynaSpamMapping(
             levels=levels,
             cycles_per_iteration=cycles,
@@ -117,7 +105,7 @@ class DynaSpamMapper:
             for ref in (entry.s1, entry.s2):
                 if ref.kind is OperandKind.NODE and ref.node_id in level_of:
                     depth = max(depth, level_of[ref.node_id] + 1)
-            while fill.get(depth, 0) >= self.config.lanes:
+            while fill.get(depth, 0) >= LANES:
                 depth += 1
             level_of[entry.node_id] = depth
             fill[depth] = fill.get(depth, 0) + 1
@@ -126,18 +114,12 @@ class DynaSpamMapper:
             levels[depth].append(entry.node_id)
         return levels
 
-    def _op_latency(self, entry: LdfgEntry,
-                    memory_latency: float) -> float:
+    def _op_latency(self, entry: LdfgEntry) -> float:
         if entry.instruction.is_memory:
-            return memory_latency
-        try:
-            return float(self.config.latencies.for_instruction(
-                entry.instruction))
-        except KeyError:
-            return 1.0
+            return MEMORY_LATENCY
+        return float(OP_LATENCY.get(entry.instruction.op_class, 1))
 
-    def _iteration_cycles(self, ldfg: Ldfg, entries, levels,
-                          memory_latency: float) -> float:
+    def _iteration_cycles(self, ldfg: Ldfg, levels) -> float:
         """Critical path through the levelized fabric (ops + stage hops)."""
         completion: dict[int, float] = {}
         for level in levels:
@@ -147,9 +129,8 @@ class DynaSpamMapper:
                 for ref in (entry.s1, entry.s2):
                     if ref.kind is OperandKind.NODE and ref.node_id in completion:
                         ready = max(ready, completion[ref.node_id]
-                                    + self.config.stage_latency)
-                completion[node_id] = ready + self._op_latency(
-                    entry, memory_latency)
+                                    + STAGE_LATENCY)
+                completion[node_id] = ready + self._op_latency(entry)
         return max(completion.values(), default=0.0)
 
     #: How deeply consecutive iterations overlap in the fabric.  DynaSpAM
@@ -158,11 +139,11 @@ class DynaSpamMapper:
     #: roughly two iterations in flight.
     _OVERLAP = 2.0
 
-    def _initiation_interval(self, entries) -> float:
+    def _initiation_interval(self, entries, critical_path: float) -> float:
         """Steady-state II: the fabric overlaps a couple of iterations but
         shares the core's memory ports, and loop-carried values recirculate
         through the register file."""
         memory = sum(1 for e in entries if e.instruction.is_memory)
-        resource_ii = max(1.0, memory / self.config.memory_ports)
-        depth_ii = self._last_critical_path / self._OVERLAP
+        resource_ii = max(1.0, memory / self.memory_ports)
+        depth_ii = critical_path / self._OVERLAP
         return max(resource_ii + 1.0, depth_ii)

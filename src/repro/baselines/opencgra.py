@@ -13,6 +13,9 @@ scheduler (Rau's IMS, as used by CGRA compilers) over the same LDFG MESA
 sees.  Unlike MESA's single-pass hardware algorithm it time-shares PEs,
 searches all slots, and retries at increasing II until the schedule fits —
 exactly the extra freedom a software compiler has.
+
+The CGRA is "similarly configured" (Fig. 12): it has the PE grid and the
+memory ports of the MESA backend it is compared with.
 """
 
 from __future__ import annotations
@@ -20,33 +23,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from ..accel import OperandKind
+from ..accel import AcceleratorConfig, OperandKind
 from ..core.ldfg import Ldfg, LdfgEntry
-from ..latency import DEFAULT_LATENCIES, LatencyTable
+from ..latency import OP_LATENCY
 
-__all__ = ["CgraConfig", "CgraSchedule", "OpenCgraScheduler", "ScheduleError"]
+__all__ = ["CgraSchedule", "OpenCgraScheduler", "ScheduleError"]
+
+#: Average inter-PE transfer latency assumed by the scheduler.
+TRANSFER_LATENCY = 1
+#: Give up beyond this initiation interval.
+MAX_II = 256
 
 
 class ScheduleError(RuntimeError):
     """The kernel cannot be scheduled on this CGRA."""
-
-
-@dataclass(frozen=True)
-class CgraConfig:
-    """A time-multiplexed CGRA comparable to one MESA backend."""
-
-    rows: int = 4
-    cols: int = 4
-    memory_ports: int = 2
-    #: Average inter-PE transfer latency assumed by the scheduler.
-    transfer_latency: int = 1
-    latencies: LatencyTable = DEFAULT_LATENCIES
-    #: Give up beyond this initiation interval.
-    max_ii: int = 256
-
-    @property
-    def num_pes(self) -> int:
-        return self.rows * self.cols
 
 
 @dataclass
@@ -69,10 +59,12 @@ class CgraSchedule:
 
 
 class OpenCgraScheduler:
-    """Iterative modulo scheduling of an LDFG onto a small CGRA."""
+    """Iterative modulo scheduling of an LDFG onto a time-multiplexed CGRA
+    with the grid and memory ports of ``config``."""
 
-    def __init__(self, config: CgraConfig | None = None) -> None:
-        self.config = config if config is not None else CgraConfig()
+    def __init__(self, config: AcceleratorConfig) -> None:
+        self.num_pes = config.num_pes
+        self.memory_ports = config.memory_ports
 
     # -- public API ------------------------------------------------------------
 
@@ -82,7 +74,7 @@ class OpenCgraScheduler:
         if not entries:
             raise ScheduleError("empty kernel")
         mii = max(self._res_mii(entries), self._rec_mii(ldfg, entries), 1)
-        for ii in range(mii, self.config.max_ii + 1):
+        for ii in range(mii, MAX_II + 1):
             slots = self._try_schedule(ldfg, entries, ii)
             if slots is not None:
                 length = max(t for _, t in slots.values()) + 1
@@ -90,23 +82,20 @@ class OpenCgraScheduler:
                                     schedule_length=length,
                                     nodes=len(entries))
         raise ScheduleError(
-            f"no schedule found up to II={self.config.max_ii}")
+            f"no schedule found up to II={MAX_II}")
 
     # -- MII bounds ------------------------------------------------------------
 
     def _res_mii(self, entries: list[LdfgEntry]) -> int:
         compute = sum(1 for e in entries if not e.instruction.is_memory)
         memory = len(entries) - compute
-        return max(math.ceil(compute / self.config.num_pes),
-                   math.ceil(memory / self.config.memory_ports))
+        return max(math.ceil(compute / self.num_pes),
+                   math.ceil(memory / self.memory_ports))
 
     def _op_latency(self, entry: LdfgEntry) -> int:
         if entry.instruction.is_memory:
             return max(1, round(entry.op_latency))
-        try:
-            return self.config.latencies.for_instruction(entry.instruction)
-        except KeyError:
-            return 1
+        return OP_LATENCY.get(entry.instruction.op_class, 1)
 
     def _rec_mii(self, ldfg: Ldfg, entries: list[LdfgEntry]) -> int:
         """Longest loop-carried cycle latency (dependence distance 1)."""
@@ -136,7 +125,7 @@ class OpenCgraScheduler:
             best: float | None = None
             for ref in (entry.s1, entry.s2):
                 if ref.kind is OperandKind.NODE and ref.node_id in dist:
-                    arrival = dist[ref.node_id] + self.config.transfer_latency
+                    arrival = dist[ref.node_id] + TRANSFER_LATENCY
                     best = arrival if best is None else max(best, arrival)
             if best is not None:
                 dist[entry.node_id] = best + self._op_latency(entry)
@@ -162,13 +151,12 @@ class OpenCgraScheduler:
                     earliest = max(
                         earliest,
                         producer_time + self._op_latency(producer)
-                        + self.config.transfer_latency,
+                        + TRANSFER_LATENCY,
                     )
             placed = False
             is_memory = entry.instruction.is_memory
-            resources = (range(self.config.num_pes,
-                               self.config.num_pes + self.config.memory_ports)
-                         if is_memory else range(self.config.num_pes))
+            resources = (range(self.num_pes, self.num_pes + self.memory_ports)
+                         if is_memory else range(self.num_pes))
             for time in range(earliest, earliest + horizon):
                 for resource in resources:
                     if (resource, time % ii) not in mrt:

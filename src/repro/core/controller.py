@@ -566,8 +566,7 @@ class MesaController:
                 trace_cache.fill_missing(program)
 
             try:
-                ldfg = build_ldfg(trace_cache.body(),
-                                  latencies=self.config.latencies)
+                ldfg = build_ldfg(trace_cache.body())
             except LdfgError as exc:
                 return f"translation failed: {exc}"
             memopt_report = None

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 from ..accel.program import Operand, OperandKind, resolve_operands
 from ..isa import Instruction, OpClass, Register
-from ..latency import DEFAULT_LATENCIES, LatencyTable
+from ..latency import OP_LATENCY
 from .dfg import DataflowGraph
 
 __all__ = ["LdfgEntry", "Ldfg", "LdfgError", "build_ldfg", "INITIAL_AMAT"]
@@ -118,16 +118,13 @@ class Ldfg:
         return graph
 
 
-def build_ldfg(instructions: list[Instruction],
-               latencies: LatencyTable = DEFAULT_LATENCIES) -> Ldfg:
+def build_ldfg(instructions: list[Instruction]) -> Ldfg:
     """Build the LDFG for one loop body (T1: Instructions → Logical DFG).
 
     Args:
         instructions: the loop body in program order.  If the final
             instruction is a backward branch it is treated as the
             loop-closing branch.
-        latencies: constant operation latencies; memory nodes start at
-            :data:`INITIAL_AMAT`.
 
     Raises:
         LdfgError: on system instructions, inner backward branches, or
@@ -175,7 +172,7 @@ def build_ldfg(instructions: list[Instruction],
             op_latency = INITIAL_AMAT
         else:
             try:
-                op_latency = float(latencies.for_instruction(instr))
+                op_latency = float(OP_LATENCY[instr.op_class])
             except KeyError as exc:
                 raise LdfgError(f"no latency model for {instr}") from exc
         entries.append(LdfgEntry(

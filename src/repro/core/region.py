@@ -6,8 +6,9 @@ MESA attempts translation:
 * **C1 — valid loop detection**: the loop body fits within the accelerator's
   instruction capacity (PEs + load/store entries);
 * **C2 — control check**: no system instructions, no jumps, no inner
-  backward branches, and every operation class supported somewhere on the
-  backend (e.g. FP ops need FP-capable PEs);
+  backward branches, and no 64-bit operation on a 32-bit backend.  Every
+  other operation class is supported somewhere on every backend: FP logic
+  tiles every grid from its corner (:data:`repro.accel.config.FP_FRACTION`);
 * **C3 — instruction mix**: enough compute/memory work relative to loop size
   and an expected trip count high enough to amortize configuration —
   "target loops typically need to run 50–100 iterations to offset the
@@ -22,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..accel import AcceleratorConfig
-from ..accel.grid import op_class_mask
 from ..cpu import LoopCandidate, LoopStreamDetector, Trace
 from ..isa import Instruction, Program
 
@@ -139,13 +139,6 @@ class CodeRegionDetector:
                     f"C2: forward branch at {instr.address:#x} escapes body"
                 )
                 ok = False
-            elif not instr.is_memory and not instr.is_control:
-                if not op_class_mask(self.config, instr.op_class).any():
-                    decision.reject(
-                        f"C2: no PE supports {instr.op_class.value} "
-                        f"(instruction {instr})"
-                    )
-                    ok = False
         return ok
 
     def _check_c3(self, loop: LoopCandidate, body: list[Instruction],

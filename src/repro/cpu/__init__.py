@@ -10,7 +10,7 @@ from .config import BOOM_LIKE, CpuConfig, MULTICORE_16, SINGLE_CORE
 from .core import CoreResult, OutOfOrderCore
 from .counters import PerfCounters
 from .lsd import LoopCandidate, LoopStreamDetector
-from .multicore import BandwidthModel, MulticoreCpu, MulticoreResult
+from .multicore import MulticoreCpu, MulticoreResult
 from .trace import Trace, TraceEntry, collect_trace
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "PerfCounters",
     "LoopCandidate",
     "LoopStreamDetector",
-    "BandwidthModel",
     "MulticoreCpu",
     "MulticoreResult",
     "Trace",

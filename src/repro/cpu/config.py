@@ -2,16 +2,16 @@
 
 The evaluation baseline in the paper is "a 16-core quad-issue out-of-order
 RISC-V CPU simulated in gem5 (based on BOOM as the baseline core)" running at
-2.0 GHz (the frequency MESA's extensions close timing at).  The defaults here
-mirror that machine; the DynaSpAM comparison (Fig. 14) re-uses the single-core
-variant.
+2.0 GHz (the frequency MESA's extensions close timing at,
+:data:`repro.accel.FREQUENCY_GHZ`).  The defaults here mirror that machine;
+the DynaSpAM comparison (Fig. 14) re-uses the single-core variant.  Operation
+latencies are the constants of :mod:`repro.latency`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..latency import DEFAULT_LATENCIES, LatencyTable
 from ..mem.hierarchy import HierarchyConfig
 
 __all__ = ["CpuConfig", "BOOM_LIKE", "SINGLE_CORE", "MULTICORE_16"]
@@ -22,7 +22,6 @@ class CpuConfig:
     """Parameters of the out-of-order core timing model."""
 
     name: str = "boom-like"
-    frequency_ghz: float = 2.0
     fetch_width: int = 4
     issue_width: int = 4
     commit_width: int = 4
@@ -36,8 +35,6 @@ class CpuConfig:
     branch_units: int = 1
     #: Cycles lost on a mispredicted branch (front-end refill).
     mispredict_penalty: int = 12
-    #: Operation latencies on the core's functional units.
-    latencies: LatencyTable = DEFAULT_LATENCIES
     #: Memory system configuration (64KB L1 + 8MB unified L2 per the paper).
     memory: HierarchyConfig = field(default_factory=HierarchyConfig)
     #: Number of cores for multicore runs.
@@ -49,8 +46,6 @@ class CpuConfig:
                      "load_store_ports", "branch_units", "num_cores"):
             if getattr(self, attr) < 1:
                 raise ValueError(f"{attr} must be >= 1")
-        if self.frequency_ghz <= 0:
-            raise ValueError("frequency must be positive")
         if self.mispredict_penalty < 0:
             raise ValueError("mispredict penalty must be >= 0")
 

@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..isa import Instruction, OpClass, RegFile, Register
-from ..latency import LatencyTable
+from ..latency import OP_LATENCY, STORE_ISSUE
 from ..mem import MemoryHierarchy
 from .config import CpuConfig
 from .counters import PerfCounters
@@ -100,17 +100,17 @@ def _fu_pools(config: CpuConfig) -> dict[OpClass, tuple[list[int], int]]:
     """Fresh FU pools by operation class: (min-heap of the cycles at which
     each unit can next start an operation, the unit's issue interval).
     Classes served by one pool share its tuple."""
-    lat = config.latencies
     fp = ([0] * config.fp_units, 1)
     # Divide and square root are unpipelined: the unit is busy for the
     # full latency.
-    fp_div = ([0] * config.fp_units, lat.fp_div)
+    fp_div = ([0] * config.fp_units, OP_LATENCY[OpClass.FP_DIV])
     mem = ([0] * config.load_store_ports, 1)
     branch = ([0] * config.branch_units, 1)
     return {
         OpClass.INT_ALU: ([0] * config.int_alu_units, 1),
         OpClass.INT_MUL: ([0] * config.int_mul_units, 1),
-        OpClass.INT_DIV: ([0] * config.int_mul_units, lat.int_div),
+        OpClass.INT_DIV: ([0] * config.int_mul_units,
+                           OP_LATENCY[OpClass.INT_DIV]),
         OpClass.FP_ADD: fp, OpClass.FP_MUL: fp,
         OpClass.FP_CMP: fp, OpClass.FP_CVT: fp,
         OpClass.FP_DIV: fp_div, OpClass.FP_SQRT: fp_div,
@@ -137,8 +137,7 @@ def _slot(reg: Register | None) -> int:
     return reg.index + 32 if reg.file is RegFile.FP else reg.index
 
 
-def _decode(instr: Instruction, pools: dict, lat: LatencyTable
-            ) -> tuple[tuple, tuple]:
+def _decode(instr: Instruction, pools: dict) -> tuple[tuple, tuple]:
     """Everything the model needs from one static instruction.
 
     Returns the scoreboard loop's ``(src1, src2, dest, fu_heap,
@@ -153,9 +152,9 @@ def _decode(instr: Instruction, pools: dict, lat: LatencyTable
     if instr.is_load:
         kind, latency = _LOAD, 0
     elif instr.is_store:
-        kind, latency = _STORE, lat.store_issue
+        kind, latency = _STORE, STORE_ISSUE
     else:
-        kind, latency = _FIXED, lat.for_class(instr.op_class)
+        kind, latency = _FIXED, OP_LATENCY[instr.op_class]
     heap, interval = pools[instr.op_class]
     src1, src2 = ([_slot(reg) for reg in instr.sources] + [0, 0])[:2]
     wrong = 1 - _predicts_taken(instr) if instr.is_control else 2
@@ -166,7 +165,7 @@ def _decode(instr: Instruction, pools: dict, lat: LatencyTable
 
 
 def _row_inputs(trace: Trace, statics: np.ndarray,
-                hierarchy: MemoryHierarchy, lsq_size: int, store_issue: int
+                hierarchy: MemoryHierarchy, lsq_size: int
                 ) -> tuple[np.ndarray, np.ndarray, int, int]:
     """Step 1: every row's scoreboard inputs, with every memory row resolved.
 
@@ -219,7 +218,7 @@ def _row_inputs(trace: Trace, statics: np.ndarray,
     accessed = np.flatnonzero(accessed)
     values[accessed] = hierarchy.access_stream(address[accessed],
                                                pcs[accessed])
-    values[stores] = store_issue
+    values[stores] = STORE_ISSUE
     codes = 2 * index.astype(np.int64) + mispredicted
     return codes, values, int(np.count_nonzero(mispredicted)), forwards
 
@@ -350,11 +349,10 @@ class OutOfOrderCore:
         mispredict.
         """
         cfg = self.config
-        lat = cfg.latencies
         fetch_width, issue_width = cfg.fetch_width, cfg.issue_width
         commit_width, rob_size = cfg.commit_width, cfg.rob_size
         lsq_size, penalty = cfg.lsq_size, cfg.mispredict_penalty
-        store_issue = lat.store_issue
+        store_issue = STORE_ISSUE
         heapreplace = heapq.heapreplace
         pools = _fu_pools(cfg)
         heaps = list({id(heap): heap for heap, _ in pools.values()}.values())
@@ -368,12 +366,12 @@ class OutOfOrderCore:
         decoded: list = [None] * (2 * len(instructions))  # code -> entry
         statics = [(_FIXED, 0, 0, 2, False)] * len(instructions)
         for k in first_seen:
-            entry, statics[k] = _decode(instructions[k], pools, lat)
+            entry, statics[k] = _decode(instructions[k], pools)
             decoded[2 * k] = entry + (False,)
             decoded[2 * k + 1] = entry + (True,)
         statics = np.array(statics, np.int64).reshape(-1, 5)
         codes, values, mispredicts, forwards = _row_inputs(
-            trace, statics, self.hierarchy, lsq_size, store_issue)
+            trace, statics, self.hierarchy, lsq_size)
         n = len(codes)
         runs: list = []
         if n >= _SKIP_MIN_ROWS:

@@ -13,6 +13,9 @@ This captures the two effects the paper leans on — multicore CPUs scale well
 on compute-bound kernels but saturate on bandwidth, and benchmarks like BFS
 with low parallel efficiency hold the CPU baseline back less than they hold
 MESA back.
+
+The shared-memory bandwidth limits and the fork/join overhead are module
+constants; a transfer moves one L2 line of the core's memory configuration.
 """
 
 from __future__ import annotations
@@ -24,18 +27,13 @@ from .config import CpuConfig
 from .core import CoreResult, OutOfOrderCore
 from .trace import Trace
 
-__all__ = ["BandwidthModel", "MulticoreResult", "MulticoreCpu"]
+__all__ = ["MulticoreResult", "MulticoreCpu"]
 
-
-@dataclass(frozen=True)
-class BandwidthModel:
-    """Shared-memory bandwidth limits (bytes per CPU cycle, chip-wide)."""
-
-    l2_bytes_per_cycle: float = 64.0
-    dram_bytes_per_cycle: float = 16.0
-    line_bytes: int = 64
-    #: Cycles of fork/join overhead per parallel region instance.
-    sync_overhead_cycles: float = 500.0
+#: Shared-memory bandwidth limits (bytes per CPU cycle, chip-wide).
+L2_BYTES_PER_CYCLE = 64.0
+DRAM_BYTES_PER_CYCLE = 16.0
+#: Cycles of fork/join overhead per parallel region instance.
+SYNC_OVERHEAD_CYCLES = 500.0
 
 
 @dataclass(frozen=True)
@@ -54,10 +52,8 @@ class MulticoreResult:
 class MulticoreCpu:
     """Analytic multicore model layered on the detailed single-core model."""
 
-    def __init__(self, config: CpuConfig | None = None,
-                 bandwidth: BandwidthModel | None = None) -> None:
+    def __init__(self, config: CpuConfig | None = None) -> None:
         self.config = config if config is not None else CpuConfig(num_cores=16)
-        self.bandwidth = bandwidth if bandwidth is not None else BandwidthModel()
 
     def run(self, trace: Trace, parallel_fraction: float = 1.0,
             single: CoreResult | None = None,
@@ -88,16 +84,17 @@ class MulticoreCpu:
         parallel_cycles = single.cycles * parallel_fraction
 
         # Bandwidth floor: traffic that must cross the shared levels.
-        bw = self.bandwidth
-        l2_traffic = hierarchy.l1.stats.misses * bw.line_bytes
-        dram_traffic = hierarchy.dram_accesses * bw.line_bytes
+        line_bytes = self.config.memory.l2.line_bytes
+        l2_traffic = hierarchy.l1.stats.misses * line_bytes
+        dram_traffic = hierarchy.dram_accesses * line_bytes
         bandwidth_floor = max(
-            l2_traffic / bw.l2_bytes_per_cycle,
-            dram_traffic / bw.dram_bytes_per_cycle,
+            l2_traffic / L2_BYTES_PER_CYCLE,
+            dram_traffic / DRAM_BYTES_PER_CYCLE,
         )
 
         scaled_parallel = max(parallel_cycles / n, bandwidth_floor * parallel_fraction)
-        overhead = bw.sync_overhead_cycles if n > 1 and parallel_fraction > 0 else 0.0
+        overhead = (SYNC_OVERHEAD_CYCLES if n > 1 and parallel_fraction > 0
+                    else 0.0)
         total = serial_cycles + scaled_parallel + overhead
         return MulticoreResult(
             cycles=total,

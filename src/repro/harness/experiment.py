@@ -23,13 +23,8 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..accel import AcceleratorConfig, M_128
-from ..baselines import (
-    CgraConfig,
-    DynaSpamConfig,
-    DynaSpamError,
-    DynaSpamMapper,
-    OpenCgraScheduler,
-)
+from ..baselines import DynaSpamError, DynaSpamMapper, OpenCgraScheduler
+from ..baselines.dynaspam import CONFIG_CYCLES
 from ..core import LdfgError, MesaController, MesaOptions, build_ldfg
 from ..core.controller import MAX_STEPS
 from ..cpu import (
@@ -188,8 +183,9 @@ class ExperimentRunner:
     # -- comparators -------------------------------------------------------
 
     def opencgra(self, kernel_name: str,
-                 config: CgraConfig | None = None) -> SystemResult:
-        """Schedule the kernel's loop body with the CGRA compiler baseline."""
+                 config: AcceleratorConfig = M_128) -> SystemResult:
+        """Schedule the kernel's loop body with the CGRA compiler baseline,
+        on a CGRA with the grid and memory ports of ``config``."""
         kernel = self.kernel(kernel_name)
         body = self._loop_body(kernel)
         ldfg = build_ldfg(body)
@@ -202,14 +198,13 @@ class ExperimentRunner:
             details={"schedule": schedule, "ipc": schedule.ipc},
         )
 
-    def dynaspam(self, kernel_name: str,
-                 config: DynaSpamConfig | None = None) -> SystemResult:
+    def dynaspam(self, kernel_name: str) -> SystemResult:
         """Run the DynaSpAM-style comparator; non-fitting kernels fall back
         to the single-core result (it accelerates regions opportunistically,
         speculation covers inner control)."""
         kernel = self.kernel(kernel_name)
         single = self.single_core(kernel_name)
-        mapper = DynaSpamMapper(config)
+        mapper = DynaSpamMapper(self.cpu_config)
         try:
             body = self._loop_body(kernel, accept_inner=True)
             ldfg = build_ldfg(body)
@@ -223,7 +218,7 @@ class ExperimentRunner:
             )
         fabric_cycles = (mapping.cycles_per_iteration
                          + (self.iterations - 1) * mapping.initiation_interval
-                         + mapper.config.config_cycles)
+                         + CONFIG_CYCLES)
         # Pre/post-loop work still runs normally on the core.
         loop_fraction = self._loop_fraction(kernel)
         cycles = single.cycles * (1 - loop_fraction) + fabric_cycles

@@ -22,7 +22,7 @@ from ..power import AcceleratorEnergyModel
 from ..workloads import FIG11_SET, FIG12_SET, FIG14_SET, build_kernel
 from .experiment import ExperimentRunner, SystemResult
 from .parallel import Shard, ShardRunner
-from .report import geomean, render_table
+from .report import degraded_footer, geomean, render_table
 
 __all__ = ["Fig11Result", "fig11_rodinia", "Fig12Result", "fig12_opencgra",
            "Fig13Result", "fig13_breakdown", "Fig14Result", "fig14_dynaspam",
@@ -61,12 +61,8 @@ class Fig11Result:
                      self.mean_efficiency["m128"], self.mean_efficiency["m512"]])
         text = render_table(headers, body,
                             title="Fig. 11: MESA vs 16-core CPU (Rodinia)")
-        if self.degraded:
-            lines = [f"degraded shards ({len(self.degraded)}):"]
-            lines += [f"  {name}: {error}"
-                      for name, error in self.degraded.items()]
-            text += "\n" + "\n".join(lines)
-        return text
+        return text + degraded_footer(
+            [f"{name}: {error}" for name, error in self.degraded.items()])
 
 
 def _fig11_row_worker(payload: tuple) -> dict:
@@ -132,19 +128,15 @@ class Fig12Result:
 def fig12_opencgra(iterations: int = 256,
                    kernels: tuple[str, ...] = FIG12_SET) -> Fig12Result:
     """Fig. 12: scheduling quality (IPC) without and with optimizations."""
-    from ..baselines import CgraConfig
-
     runner = ExperimentRunner(iterations=iterations)
     result = Fig12Result()
     # "Disable all optimizations used in MESA to compare only the spatially
     # mapped SDFG against one scheduled by OpenCGRA"; the dataflow overlap
     # (pipelining) is the fabric itself, not an optimization.
     unopt = MesaOptions(memopt=False, tiling=False)
-    # A "similarly configured" CGRA: the M-128 geometry, time-multiplexed.
-    cgra_config = CgraConfig(rows=M_128.rows, cols=M_128.cols,
-                             memory_ports=M_128.memory_ports)
     for name in kernels:
-        cgra = runner.opencgra(name, cgra_config)
+        # A "similarly configured" CGRA: the M-128 geometry, time-multiplexed.
+        cgra = runner.opencgra(name, M_128)
         mesa_plain = runner.mesa(name, M_128, options=unopt)
         mesa_opt = runner.mesa(name, M_128)
         body_nodes = cgra.details["schedule"].nodes
@@ -307,12 +299,8 @@ class Fig15Result:
             ["PEs", "MESA", "ideal memory", "ideal scaling"], rows,
             title="Fig. 15: nn kernel scaling with PE count "
                   "(speedup vs 16 PEs)")
-        if self.degraded:
-            lines = [f"degraded shards ({len(self.degraded)}):"]
-            lines += [f"  {pes} PEs: {error}"
-                      for pes, error in self.degraded.items()]
-            text += "\n" + "\n".join(lines)
-        return text
+        return text + degraded_footer(
+            [f"{pes} PEs: {error}" for pes, error in self.degraded.items()])
 
 
 def _fig15_point_worker(payload: tuple) -> tuple[float, float]:
@@ -423,25 +411,17 @@ class Fig16Result:
         return self._breakeven(self.warm_energy_per_iteration_nj)
 
     def render(self) -> str:
-        if self.warm_energy_per_iteration_nj:
-            rows = list(zip(self.iteration_counts,
-                            self.energy_per_iteration_nj,
-                            self.warm_energy_per_iteration_nj))
-            headers = ["iterations", "energy/iter (nJ)", "warm (nJ)"]
-        else:
-            rows = list(zip(self.iteration_counts,
-                            self.energy_per_iteration_nj))
-            headers = ["iterations", "energy/iter (nJ)"]
-        table = render_table(headers, rows,
+        rows = list(zip(self.iteration_counts, self.energy_per_iteration_nj,
+                        self.warm_energy_per_iteration_nj))
+        table = render_table(["iterations", "energy/iter (nJ)", "warm (nJ)"],
+                             rows,
                              title="Fig. 16: configuration-cost amortization "
                                    "(nn)")
-        text = (f"{table}\nsteady state: {self.steady_state_nj:.2f} nJ; "
+        return (f"{table}\nsteady state: {self.steady_state_nj:.2f} nJ; "
                 f"break-even (within {self.breakeven_factor:.0%}): "
-                f"{self.breakeven_iterations} iterations")
-        if self.warm_energy_per_iteration_nj:
-            text += (f"; warm re-encounter break-even: "
-                     f"{self.warm_breakeven_iterations} iterations")
-        return text
+                f"{self.breakeven_iterations} iterations; "
+                f"warm re-encounter break-even: "
+                f"{self.warm_breakeven_iterations} iterations")
 
 
 def fig16_amortization(

@@ -14,7 +14,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["render_table", "format_value",
            "format_cache_stats", "format_latency", "format_service_stats",
-           "geomean"]
+           "degraded_footer", "geomean"]
 
 
 def format_value(value: Any) -> str:
@@ -98,6 +98,16 @@ def render_table(headers: Sequence[str],
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def degraded_footer(entries: Sequence[str]) -> str:
+    """The ``degraded shards (N):`` block a sharded result renders below
+    its table, one indented line per failed shard; empty when none failed."""
+    if not entries:
+        return ""
+    lines = [f"degraded shards ({len(entries)}):"]
+    lines += [f"  {entry}" for entry in entries]
+    return "\n" + "\n".join(lines)
 
 
 def geomean(values: Sequence[float]) -> float:

@@ -31,7 +31,7 @@ from ..core import MesaController
 from ..core.configure import CacheStats
 from ..workloads import build_kernel
 from .parallel import Shard, ShardRunner
-from .report import render_table
+from .report import degraded_footer, render_table
 
 __all__ = ["SweepPoint", "SweepResult", "sweep_backends", "pe_count_configs"]
 
@@ -130,13 +130,9 @@ class SweepResult:
             rows.append(row)
         text = render_table(["kernel"] + configs, rows,
                             title=f"Design-space sweep: {metric}")
-        degraded = self.degraded_points()
-        if degraded:
-            lines = [f"degraded shards ({len(degraded)}):"]
-            lines += [f"  {p.kernel} @ {p.config_name}: {p.reason}"
-                      for p in degraded]
-            text += "\n" + "\n".join(lines)
-        return text
+        return text + degraded_footer(
+            [f"{p.kernel} @ {p.config_name}: {p.reason}"
+             for p in self.degraded_points()])
 
 
 # -- shard worker -------------------------------------------------------------

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..accel import AcceleratorConfig, M_128
+from ..accel import FREQUENCY_GHZ, AcceleratorConfig, M_128
 from ..core import MesaController
 from ..power import table1_rows
 from ..workloads import FIG12_SET, build_kernel
@@ -113,7 +113,7 @@ def table2_config_latency(iterations: int = 256,
     configuration cache and measures the warm (bitstream-load-only) path.
     """
     result = Table2Result(static_rows=list(_STATIC_ROWS),
-                          frequency_ghz=config.frequency_ghz)
+                          frequency_ghz=FREQUENCY_GHZ)
     costs = []
     warm_costs = []
     for name in kernels:

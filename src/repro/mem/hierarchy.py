@@ -132,12 +132,6 @@ class MemoryHierarchy:
         """Best-case (L1 hit) latency."""
         return self.config.l1.hit_latency
 
-    def warm(self, addresses: list[int]) -> None:
-        """Pre-touch addresses so subsequent accesses hit (for tests)."""
-        for address in addresses:
-            self.access(address)
-        self.reset_stats()
-
     def reset_stats(self) -> None:
         """Clear counters but keep cache contents (warm-cache measurement)."""
         self.l1.reset_stats()

@@ -6,8 +6,8 @@
 * :mod:`repro.power.cpu_power` — McPAT-like CPU energy model.
 """
 
-from .cpu_power import CpuEnergyModel, CpuEnergyParams
-from .model import AcceleratorEnergyModel, EnergyBreakdown, EnergyParams
+from .cpu_power import CpuEnergyModel
+from .model import AcceleratorEnergyModel, EnergyBreakdown
 from .tables import (
     ComponentSpec,
     accelerator_components,
@@ -18,10 +18,8 @@ from .tables import (
 
 __all__ = [
     "CpuEnergyModel",
-    "CpuEnergyParams",
     "AcceleratorEnergyModel",
     "EnergyBreakdown",
-    "EnergyParams",
     "ComponentSpec",
     "accelerator_components",
     "cpu_core_additions",

@@ -7,59 +7,42 @@ decode, rename), scheduling (issue queue wakeup/select), register file, and
 commit energy on top of its functional-unit operation — the von Neumann
 overheads the paper's Fig. 13 argument contrasts against the accelerator,
 where "CPU instructions waste significant energy on control overheads".
+
+Every per-event energy is a module constant (picojoules, McPAT-style at
+~15nm); the functional-unit and cache energies are the accelerator model's
+(:mod:`repro.power.model`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..cpu import PerfCounters
 from ..mem import MemoryHierarchy
-from .model import EnergyBreakdown
+from .model import FP_OP_PJ, INT_OP_PJ, EnergyBreakdown, hierarchy_energy
 
-__all__ = ["CpuEnergyParams", "CpuEnergyModel"]
+__all__ = ["CpuEnergyModel"]
 
-
-@dataclass(frozen=True)
-class CpuEnergyParams:
-    """Per-event CPU energies (picojoules), McPAT-style at ~15nm."""
-
-    # Front-end: I-cache read + decode + rename, per instruction.
-    fetch_decode_pj: float = 45.0
-    rename_pj: float = 12.0
-    # Scheduling: issue-queue wakeup/select + bypass, per instruction.
-    issue_pj: float = 18.0
-    # Register file read/write ports, per instruction.
-    regfile_pj: float = 14.0
-    # Reorder buffer + commit, per instruction.
-    commit_pj: float = 10.0
-    # Functional-unit operation energies.
-    int_op_pj: float = 8.0
-    fp_op_pj: float = 24.0
-    branch_pj: float = 6.0
-    # LSQ search + TLB per memory op (cache energy counted via hierarchy).
-    lsq_pj: float = 16.0
-    # Branch misprediction: wasted wrong-path work.
-    mispredict_pj: float = 600.0
-    # Memory hierarchy per access.
-    l1_access_pj: float = 20.0
-    l2_access_pj: float = 120.0
-    dram_access_pj: float = 2000.0
-    # Core static/clock power per cycle (leakage + clock tree).
-    static_pj_per_cycle: float = 120.0
-
-    @property
-    def overhead_pj(self) -> float:
-        """The per-instruction von Neumann tax (everything but the op)."""
-        return (self.fetch_decode_pj + self.rename_pj + self.issue_pj
-                + self.regfile_pj + self.commit_pj)
+# Front-end: I-cache read + decode + rename, per instruction.
+FETCH_DECODE_PJ = 45.0
+RENAME_PJ = 12.0
+# Scheduling: issue-queue wakeup/select + bypass, per instruction.
+ISSUE_PJ = 18.0
+# Register file read/write ports, per instruction.
+REGFILE_PJ = 14.0
+# Reorder buffer + commit, per instruction.
+COMMIT_PJ = 10.0
+#: The per-instruction von Neumann tax (everything but the op).
+OVERHEAD_PJ = FETCH_DECODE_PJ + RENAME_PJ + ISSUE_PJ + REGFILE_PJ + COMMIT_PJ
+BRANCH_PJ = 6.0
+# LSQ search + TLB per memory op (cache energy counted via hierarchy).
+LSQ_PJ = 16.0
+# Branch misprediction: wasted wrong-path work.
+MISPREDICT_PJ = 600.0
+# Core static/clock power per cycle (leakage + clock tree).
+STATIC_PJ_PER_CYCLE = 120.0
 
 
 class CpuEnergyModel:
     """Energy of a CPU core run from its performance counters."""
-
-    def __init__(self, params: CpuEnergyParams | None = None) -> None:
-        self.params = params if params is not None else CpuEnergyParams()
 
     def energy(self, counters: PerfCounters, cycles: float,
                hierarchy: MemoryHierarchy | None = None,
@@ -73,25 +56,20 @@ class CpuEnergyModel:
             cores: active core count (static energy scales; dynamic energy
                 already scales with instruction counts).
         """
-        p = self.params
         n = counters.instructions
         breakdown = EnergyBreakdown()
         # Control = the von Neumann overheads + branch handling.
         breakdown.control_pj = (
-            n * p.overhead_pj
-            + counters.branches * p.branch_pj
-            + counters.branch_mispredicts * p.mispredict_pj
+            n * OVERHEAD_PJ
+            + counters.branches * BRANCH_PJ
+            + counters.branch_mispredicts * MISPREDICT_PJ
         )
         int_ops = sum(count for cls, count in counters.by_class.items()
                       if cls.is_compute and not cls.is_fp)
-        breakdown.compute_pj = (int_ops * p.int_op_pj
-                                + counters.fp_ops * p.fp_op_pj)
-        breakdown.memory_pj = counters.memory_ops * p.lsq_pj
+        breakdown.compute_pj = (int_ops * INT_OP_PJ
+                                + counters.fp_ops * FP_OP_PJ)
+        breakdown.memory_pj = counters.memory_ops * LSQ_PJ
         if hierarchy is not None:
-            breakdown.memory_pj += (
-                hierarchy.l1.stats.accesses * p.l1_access_pj
-                + hierarchy.l2.stats.accesses * p.l2_access_pj
-                + hierarchy.dram_accesses * p.dram_access_pj
-            )
-        breakdown.static_pj = cycles * p.static_pj_per_cycle * cores
+            breakdown.memory_pj += hierarchy_energy(hierarchy)
+        breakdown.static_pj = cycles * STATIC_PJ_PER_CYCLE * cores
         return breakdown

@@ -12,6 +12,10 @@ operations.  Memory energy uses standard per-access costs for L1/L2/DRAM
 (CACTI-class numbers for the 15/22nm range), which makes Fig. 13's headline
 — ~87% of energy in memory + compute — an output of the model rather than an
 assumption.
+
+Every per-event energy is a module constant (picojoules).  The functional-unit
+and cache energies are the same numbers in the CPU model
+(:mod:`repro.power.cpu_power`), which reads them from here.
 """
 
 from __future__ import annotations
@@ -21,32 +25,37 @@ from dataclasses import dataclass
 from ..accel import AcceleratorConfig, ActivityCounters
 from ..mem import MemoryHierarchy
 
-__all__ = ["EnergyParams", "EnergyBreakdown", "AcceleratorEnergyModel"]
+__all__ = ["EnergyBreakdown", "AcceleratorEnergyModel", "hierarchy_energy"]
+
+# -- shared with the CPU model ------------------------------------------------
+INT_OP_PJ = 8.0
+FP_OP_PJ = 24.0
+L1_ACCESS_PJ = 20.0
+L2_ACCESS_PJ = 120.0
+DRAM_ACCESS_PJ = 2000.0
+
+# -- the fabric and MESA -------------------------------------------------------
+FORWARD_PJ = 1.0          # predicated-off value forward
+LOCAL_HOP_PJ = 1.2
+NOC_HOP_PJ = 4.0
+LSU_ACCESS_PJ = 12.0
+LSQ_FORWARD_PJ = 4.0
+CONTROL_EVENT_PJ = 3.0
+CONFIG_WORD_PJ = 10.0
+#: Idle (clock-gated) leakage per PE per cycle.  Clock gating removes
+#: dynamic power but 15nm leakage remains a meaningful fraction of the
+#: array's nameplate power.
+PE_IDLE_PJ_PER_CYCLE = 1.2
+#: MESA controller energy per active configuration cycle, from Table 1's
+#: 0.36 W at 2 GHz = 180 pJ/cycle.
+MESA_PJ_PER_CYCLE = 180.0
 
 
-@dataclass(frozen=True)
-class EnergyParams:
-    """Per-event energies (picojoules) and static power shares."""
-
-    int_op_pj: float = 8.0
-    fp_op_pj: float = 24.0
-    forward_pj: float = 1.0          # predicated-off value forward
-    local_hop_pj: float = 1.2
-    noc_hop_pj: float = 4.0
-    lsu_access_pj: float = 12.0
-    lsq_forward_pj: float = 4.0
-    l1_access_pj: float = 20.0
-    l2_access_pj: float = 120.0
-    dram_access_pj: float = 2000.0
-    control_event_pj: float = 3.0
-    config_word_pj: float = 10.0
-    #: Idle (clock-gated) leakage per PE per cycle.  Clock gating removes
-    #: dynamic power but 15nm leakage remains a meaningful fraction of the
-    #: array's nameplate power.
-    pe_idle_pj_per_cycle: float = 1.2
-    #: MESA controller energy per active configuration cycle, from Table 1's
-    #: 0.36 W at 2 GHz = 180 pJ/cycle.
-    mesa_pj_per_cycle: float = 180.0
+def hierarchy_energy(hierarchy: MemoryHierarchy) -> float:
+    """Energy of every L1, L2 and DRAM access a hierarchy counted."""
+    return (hierarchy.l1.stats.accesses * L1_ACCESS_PJ
+            + hierarchy.l2.stats.accesses * L2_ACCESS_PJ
+            + hierarchy.dram_accesses * DRAM_ACCESS_PJ)
 
 
 @dataclass
@@ -79,10 +88,8 @@ class EnergyBreakdown:
 class AcceleratorEnergyModel:
     """Turns activity counters into an energy breakdown."""
 
-    def __init__(self, config: AcceleratorConfig,
-                 params: EnergyParams | None = None) -> None:
+    def __init__(self, config: AcceleratorConfig) -> None:
         self.config = config
-        self.params = params if params is not None else EnergyParams()
 
     def energy(self, activity: ActivityCounters, cycles: float,
                hierarchy: MemoryHierarchy | None = None,
@@ -98,25 +105,20 @@ class AcceleratorEnergyModel:
                 mapping + configuration).
             bitstream_words: configuration words written to the fabric.
         """
-        p = self.params
         breakdown = EnergyBreakdown()
-        breakdown.compute_pj = (activity.int_ops * p.int_op_pj
-                                + activity.fp_ops * p.fp_op_pj
-                                + activity.forwards * p.forward_pj)
-        breakdown.memory_pj = (activity.memory_accesses * p.lsu_access_pj
-                               + activity.lsq_forwards * p.lsq_forward_pj)
+        breakdown.compute_pj = (activity.int_ops * INT_OP_PJ
+                                + activity.fp_ops * FP_OP_PJ
+                                + activity.forwards * FORWARD_PJ)
+        breakdown.memory_pj = (activity.memory_accesses * LSU_ACCESS_PJ
+                               + activity.lsq_forwards * LSQ_FORWARD_PJ)
         if hierarchy is not None:
-            l1 = hierarchy.l1.stats
-            l2 = hierarchy.l2.stats
-            breakdown.memory_pj += (l1.accesses * p.l1_access_pj
-                                    + l2.accesses * p.l2_access_pj
-                                    + hierarchy.dram_accesses * p.dram_access_pj)
-        breakdown.network_pj = (activity.local_hops * p.local_hop_pj
-                                + activity.noc_hops * p.noc_hop_pj)
-        breakdown.control_pj = activity.control_events * p.control_event_pj
+            breakdown.memory_pj += hierarchy_energy(hierarchy)
+        breakdown.network_pj = (activity.local_hops * LOCAL_HOP_PJ
+                                + activity.noc_hops * NOC_HOP_PJ)
+        breakdown.control_pj = activity.control_events * CONTROL_EVENT_PJ
         idle_pe_cycles = max(
             0.0, cycles * self.config.num_pes - activity.pe_busy_cycles)
-        breakdown.static_pj = idle_pe_cycles * p.pe_idle_pj_per_cycle
-        breakdown.config_pj = (config_cycles * p.mesa_pj_per_cycle
-                               + bitstream_words * p.config_word_pj)
+        breakdown.static_pj = idle_pe_cycles * PE_IDLE_PJ_PER_CYCLE
+        breakdown.config_pj = (config_cycles * MESA_PJ_PER_CYCLE
+                               + bitstream_words * CONFIG_WORD_PJ)
         return breakdown

@@ -30,7 +30,7 @@ from repro.accel import (
 from repro.accel import M_128, batch
 from repro.core import MesaController
 from repro.isa import Instruction, MachineState, Opcode, f, x
-from repro.latency import LatencyTable
+from repro.latency import STORE_ISSUE
 from repro.mem import Memory
 from repro.workloads import build_kernel
 
@@ -346,9 +346,8 @@ class TestPortCarryFallback:
 
     def test_zero_store_issue(self):
         # A store hand-off shorter than a port's one busy cycle could leave
-        # the port busy into the next iteration; the table rejects it.
-        with pytest.raises(ValueError, match="store_issue latency"):
-            LatencyTable(store_issue=0)
+        # the port busy into the next iteration; the constant is never 0.
+        assert STORE_ISSUE >= 1
 
     def test_replayed_load_frees_its_port_within_the_iteration(
             self, monkeypatch):
@@ -369,11 +368,12 @@ class TestPortCarryFallback:
 
 def stale_read_program() -> AcceleratorProgram:
     """A one-port loop: a fixed-address load, a store to ``x14`` whose data
-    comes from a 20-cycle multiply, seven stores ready at once, and a load
-    off a walking base that reaches ``x14`` at iteration 10."""
-    config = AcceleratorConfig(rows=16, cols=8, memory_ports=1,
-                               latencies=LatencyTable(int_mul=20))
+    comes from a chain of five dependent multiplies (about 20 cycles),
+    seven stores ready at once, and a load off a walking base that reaches
+    ``x14`` at iteration 10."""
+    config = AcceleratorConfig(rows=16, cols=8, memory_ports=1)
     base = 0x2000
+    chain = 5
 
     def instr(k, opcode, **fields):
         return Instruction(base + 4 * k, opcode, **fields)
@@ -386,30 +386,41 @@ def stale_read_program() -> AcceleratorProgram:
         ConfiguredNode(2, instr(2, Opcode.LW, rd=x(20), rs1=x(15)),
                        (0, -1), src1=Operand.from_register(x(15)),
                        is_memory=True),
-        ConfiguredNode(3, instr(3, Opcode.MUL, rd=x(7), rs1=x(28),
-                                rs2=x(28)),
-                       (1, 0), src1=Operand.from_register(x(28)),
-                       src2=Operand.from_register(x(28))),
-        ConfiguredNode(4, instr(4, Opcode.SW, rs1=x(14), rs2=x(7)),
-                       (1, -1), src1=Operand.from_register(x(14)),
-                       src2=Operand.node(3), is_memory=True),
     ]
+    # x7 = x28 ** (chain + 1), one multiply per PE along row 1 towards
+    # the store's entry: 3 cycles each plus a 1-cycle hop between them.
+    for j in range(chain):
+        first = j == 0
+        nodes.append(ConfiguredNode(
+            3 + j, instr(3 + j, Opcode.MUL, rd=x(7),
+                         rs1=x(28) if first else x(7), rs2=x(28)),
+            (1, chain - 1 - j),
+            src1=(Operand.from_register(x(28)) if first
+                  else Operand.node(2 + j)),
+            src2=Operand.from_register(x(28))))
+    store = 3 + chain
+    nodes.append(ConfiguredNode(
+        store, instr(store, Opcode.SW, rs1=x(14), rs2=x(7)),
+        (1, -1), src1=Operand.from_register(x(14)),
+        src2=Operand.node(store - 1), is_memory=True))
     for j in range(7):
         nodes.append(ConfiguredNode(
-            5 + j, instr(5 + j, Opcode.SW, rs1=x(16), rs2=x(30), imm=4 * j),
+            store + 1 + j,
+            instr(store + 1 + j, Opcode.SW, rs1=x(16), rs2=x(30), imm=4 * j),
             (2 + j, -1), src1=Operand.from_register(x(16)),
             src2=Operand.from_register(x(30)), is_memory=True))
+    load, branch = store + 8, store + 9
     nodes += [
-        ConfiguredNode(12, instr(12, Opcode.LW, rd=x(8), rs1=x(10)),
+        ConfiguredNode(load, instr(load, Opcode.LW, rd=x(8), rs1=x(10)),
                        (9, -1), src1=Operand.node(1), is_memory=True),
-        ConfiguredNode(13, instr(13, Opcode.BNE, rs1=x(5), rs2=x(0),
-                                 imm=-52),
+        ConfiguredNode(branch, instr(branch, Opcode.BNE, rs1=x(5), rs2=x(0),
+                                     imm=-4 * branch),
                        (3, 0), src1=Operand.node(0)),
     ]
     return AcceleratorProgram(
-        config=config, nodes=nodes, loop_branch_id=13,
+        config=config, nodes=nodes, loop_branch_id=branch,
         live_in={x(5), x(10), x(14), x(15), x(16), x(28), x(30)},
-        live_out={x(8): 12, x(5): 0})
+        live_out={x(8): load, x(5): 0})
 
 
 def stale_read_state() -> MachineState:

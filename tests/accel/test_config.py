@@ -30,10 +30,6 @@ class TestValidation:
         with pytest.raises(ValueError):
             AcceleratorConfig(rows=0)
 
-    def test_bad_fp_fraction(self):
-        with pytest.raises(ValueError):
-            AcceleratorConfig(fp_fraction=1.5)
-
     def test_bad_lsu(self):
         with pytest.raises(ValueError):
             AcceleratorConfig(lsu_entries=0)
@@ -52,12 +48,6 @@ class TestFpLayout:
                 block = {M_128.supports_fp((r + dr, c + dc))
                          for dr in (0, 1) for dc in (0, 1)}
                 assert len(block) == 1
-
-    def test_all_or_none_fp(self):
-        all_fp = AcceleratorConfig(fp_fraction=1.0)
-        no_fp = AcceleratorConfig(fp_fraction=0.0)
-        assert all_fp.supports_fp((3, 3))
-        assert not no_fp.supports_fp((3, 3))
 
     def test_out_of_range_coord(self):
         with pytest.raises(IndexError):

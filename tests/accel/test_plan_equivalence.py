@@ -204,7 +204,7 @@ class TestNocHopAccounting:
 
     def test_hops_track_router_distance(self):
         noc = MeshNocInterconnect(CFG)
-        # noc_slice=4: (0,0) and (0,1) share a router — no NoC traversal.
+        # NOC_SLICE=4: (0,0) and (0,1) share a router — no NoC traversal.
         assert noc.router_hops((0, 0), (0, 1)) == 0
         # Crossing slices and rows accumulates one hop per router boundary.
         assert noc.router_hops((0, 0), (0, 7)) == 1

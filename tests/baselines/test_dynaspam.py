@@ -2,9 +2,22 @@
 
 import pytest
 
-from repro.baselines import DynaSpamConfig, DynaSpamError, DynaSpamMapper
+from repro.baselines import DynaSpamError, DynaSpamMapper
+from repro.baselines.dynaspam import (
+    CAPACITY,
+    CONFIG_CYCLES,
+    DEPTH,
+    LANES,
+    MEMORY_LATENCY,
+    STAGE_LATENCY,
+)
 from repro.core import build_ldfg
-from repro.isa import assemble
+from repro.cpu import CpuConfig
+from repro.isa import OpClass, assemble
+from repro.latency import OP_LATENCY
+
+#: The fabric inside the default core.
+MAPPER = DynaSpamMapper(CpuConfig())
 
 
 def ldfg_of(text: str):
@@ -24,55 +37,59 @@ loop:
 
 class TestMapping:
     def test_small_loop_maps(self):
-        mapping = DynaSpamMapper().map(ldfg_of(SMALL_LOOP))
+        mapping = MAPPER.map(ldfg_of(SMALL_LOOP))
         assert mapping.nodes == 6
         assert mapping.cycles_per_iteration > 0
         assert mapping.initiation_interval >= 1
 
     def test_levels_respect_dependences(self):
-        mapping = DynaSpamMapper().map(ldfg_of(SMALL_LOOP))
+        mapping = MAPPER.map(ldfg_of(SMALL_LOOP))
         level_of = {nid: i for i, level in enumerate(mapping.levels)
                     for nid in level}
         assert level_of[1] > level_of[0], "addi after lw"
         assert level_of[2] > level_of[1], "sw after addi"
 
     def test_lane_limit_spills_levels(self):
-        narrow = DynaSpamConfig(lanes=1, depth=16)
-        text = "\n".join(f"addi t{i + 1}, zero, {i}" for i in range(4))
-        mapping = DynaSpamMapper(narrow).map(ldfg_of(text))
-        assert len(mapping.levels) == 4, "independent ops serialized by lanes"
+        text = "\n".join(f"addi t{i % 6 + 1}, zero, {i}"
+                         for i in range(2 * LANES))
+        mapping = MAPPER.map(ldfg_of(text))
+        assert [len(level) for level in mapping.levels] == [LANES, LANES], (
+            "independent ops serialized by lanes")
 
     def test_capacity_exceeded_raises(self):
-        tiny = DynaSpamConfig(lanes=2, depth=2)
+        text = "\n".join(f"addi t{i % 6 + 1}, zero, {i}"
+                         for i in range(CAPACITY + 1))
         with pytest.raises(DynaSpamError, match="capacity"):
-            DynaSpamMapper(tiny).map(ldfg_of(SMALL_LOOP))
+            MAPPER.map(ldfg_of(text))
 
     def test_depth_exceeded_raises(self):
-        shallow = DynaSpamConfig(lanes=8, depth=2)
         chain = "\n".join(["addi t1, zero, 1"]
-                          + ["addi t1, t1, 1"] * 5)
+                          + ["addi t1, t1, 1"] * DEPTH)
         with pytest.raises(DynaSpamError, match="depth"):
-            DynaSpamMapper(shallow).map(ldfg_of(chain))
+            MAPPER.map(ldfg_of(chain))
 
     def test_memory_latency_exposed(self):
-        fast = DynaSpamMapper().map(ldfg_of(SMALL_LOOP),
-                                    average_memory_latency=2.0)
-        slow = DynaSpamMapper().map(ldfg_of(SMALL_LOOP),
-                                    average_memory_latency=40.0)
-        assert slow.cycles_per_iteration > fast.cycles_per_iteration
+        # The critical path is lw -> addi -> sw: two memory operations at
+        # the core's AMAT, one ALU op and two stage crossings.
+        mapping = MAPPER.map(ldfg_of(SMALL_LOOP))
+        assert mapping.cycles_per_iteration == (
+            2 * MEMORY_LATENCY + 2 * STAGE_LATENCY
+            + OP_LATENCY[OpClass.INT_ALU])
 
     def test_ii_bounded_by_memory_ports(self):
-        config = DynaSpamConfig(memory_ports=1)
-        mapping = DynaSpamMapper(config).map(ldfg_of(SMALL_LOOP))
-        # 2 memory ops on one port + the writeback bubble.
-        assert mapping.initiation_interval >= 3
+        loads = "\n".join(f"lw t{i % 6 + 1}, {4 * i}(a0)" for i in range(8))
+        mapping = MAPPER.map(ldfg_of(
+            f"loop:\n{loads}\naddi t0, t0, -1\nbne t0, zero, loop"))
+        # 8 loads on the core's 2 load/store ports + the writeback bubble.
+        ports = CpuConfig().load_store_ports
+        assert mapping.initiation_interval == 8 / ports + 1
 
     def test_ipc(self):
-        mapping = DynaSpamMapper().map(ldfg_of(SMALL_LOOP))
+        mapping = MAPPER.map(ldfg_of(SMALL_LOOP))
         assert mapping.ipc == pytest.approx(
             mapping.nodes / mapping.initiation_interval)
 
     def test_config_cost_is_nanoseconds(self):
         """Table 2: DynaSpAM configures in nanoseconds (tens of cycles),
         far below MESA's 10^3-10^4 cycles."""
-        assert DynaSpamConfig().config_cycles < 100
+        assert CONFIG_CYCLES < 100

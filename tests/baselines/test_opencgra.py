@@ -2,9 +2,14 @@
 
 import pytest
 
-from repro.baselines import CgraConfig, OpenCgraScheduler, ScheduleError
+from repro.accel import AcceleratorConfig
+from repro.baselines import OpenCgraScheduler, ScheduleError
+from repro.baselines.opencgra import MAX_II
 from repro.core import build_ldfg
 from repro.isa import assemble
+
+#: A small CGRA: 4x4 PEs sharing two memory ports.
+CGRA = AcceleratorConfig(rows=4, cols=4, memory_ports=2)
 
 
 def ldfg_of(text: str):
@@ -24,14 +29,14 @@ loop:
 
 class TestScheduling:
     def test_small_loop_schedules(self):
-        schedule = OpenCgraScheduler().schedule(ldfg_of(SMALL_LOOP))
+        schedule = OpenCgraScheduler(CGRA).schedule(ldfg_of(SMALL_LOOP))
         assert schedule.ii >= 1
         assert schedule.nodes == 6
         assert len(schedule.slots) == 6
 
     def test_dependences_respected(self):
         ldfg = ldfg_of(SMALL_LOOP)
-        scheduler = OpenCgraScheduler()
+        scheduler = OpenCgraScheduler(CGRA)
         schedule = scheduler.schedule(ldfg)
         # addi t1 (node 1) depends on lw (node 0).
         _, t_load = schedule.slots[0]
@@ -40,7 +45,7 @@ class TestScheduling:
 
     def test_modulo_resource_constraint(self):
         """No resource is used twice in the same modulo slot."""
-        schedule = OpenCgraScheduler().schedule(ldfg_of(SMALL_LOOP))
+        schedule = OpenCgraScheduler(CGRA).schedule(ldfg_of(SMALL_LOOP))
         seen = set()
         for resource, time in schedule.slots.values():
             key = (resource, time % schedule.ii)
@@ -49,7 +54,7 @@ class TestScheduling:
 
     def test_res_mii_bound(self):
         """II can never beat the resource bound."""
-        config = CgraConfig(rows=1, cols=2, memory_ports=1)
+        config = AcceleratorConfig(rows=1, cols=2, memory_ports=1)
         ldfg = ldfg_of(SMALL_LOOP)
         schedule = OpenCgraScheduler(config).schedule(ldfg)
         # 2 memory ops on 1 port -> II >= 2; 4 compute on 2 PEs -> II >= 2.
@@ -65,24 +70,26 @@ class TestScheduling:
                 bne t0, zero, loop
             """
         )
-        schedule = OpenCgraScheduler().schedule(ldfg)
+        schedule = OpenCgraScheduler(CGRA).schedule(ldfg)
         assert schedule.ii >= 3, "fp add latency is 3 cycles"
 
     def test_ipc_definition(self):
-        schedule = OpenCgraScheduler().schedule(ldfg_of(SMALL_LOOP))
+        schedule = OpenCgraScheduler(CGRA).schedule(ldfg_of(SMALL_LOOP))
         assert schedule.ipc == pytest.approx(6 / schedule.ii)
 
     def test_tiny_cgra_gives_large_ii(self):
-        small = OpenCgraScheduler(CgraConfig(rows=1, cols=1)).schedule(
+        small = OpenCgraScheduler(AcceleratorConfig(rows=1, cols=1)).schedule(
             ldfg_of(SMALL_LOOP))
-        large = OpenCgraScheduler(CgraConfig(rows=8, cols=8)).schedule(
+        large = OpenCgraScheduler(AcceleratorConfig(rows=8, cols=8)).schedule(
             ldfg_of(SMALL_LOOP))
         assert small.ii >= large.ii
 
     def test_unschedulable_raises(self):
-        config = CgraConfig(rows=1, cols=1, memory_ports=1, max_ii=1)
+        # More compute operations than one PE has slots below MAX_II.
+        config = AcceleratorConfig(rows=1, cols=1, memory_ports=1)
         big = "\n".join(["loop:"]
-                        + [f"addi t{1 + i % 5}, t{i % 5}, 1" for i in range(8)]
+                        + [f"addi t{1 + i % 5}, t{i % 5}, 1"
+                           for i in range(MAX_II)]
                         + ["bne t1, zero, loop"])
         with pytest.raises(ScheduleError):
             OpenCgraScheduler(config).schedule(ldfg_of(big))
@@ -93,4 +100,4 @@ class TestScheduling:
         empty = Ldfg(entries=[], loop_branch_id=None,
                      rename_table={}, live_in=set())
         with pytest.raises(ScheduleError, match="empty"):
-            OpenCgraScheduler().schedule(empty)
+            OpenCgraScheduler(CGRA).schedule(empty)

@@ -9,8 +9,8 @@ from repro.core import CandidateStrategy, candidate_mask
 from repro.isa import OpClass
 
 
-def grid(rows=16, cols=8, fp=1.0) -> PEGrid:
-    return PEGrid(AcceleratorConfig(rows=rows, cols=cols, fp_fraction=fp))
+def grid(rows=16, cols=8) -> PEGrid:
+    return PEGrid(AcceleratorConfig(rows=rows, cols=cols))
 
 
 class TestFixedWindow:
@@ -54,10 +54,14 @@ class TestFixedWindow:
         assert not mask[8, 4]
 
     def test_fop_applied(self):
-        g = grid(fp=0.0)
+        g = grid()
+        window = candidate_mask(CandidateStrategy.FIXED_WINDOW, g,
+                                OpClass.INT_ALU, anchor=(8, 4))
         mask = candidate_mask(CandidateStrategy.FIXED_WINDOW, g,
                               OpClass.FP_MUL, anchor=(8, 4))
-        assert not mask.any()
+        fp = g.available_mask(OpClass.FP_MUL)
+        assert (window & ~fp).any(), "the window holds integer-only PEs"
+        assert (mask == (window & fp)).all()
 
 
 class TestEnclosingRect:

@@ -54,7 +54,7 @@ class TestPlacementInvariants:
         assert sdfg.pe_count == 1
 
     def test_fp_ops_on_fp_pes_only(self):
-        config = mesh_config(fp_fraction=0.5)
+        config = mesh_config()
         ldfg = ldfg_of(
             """
             fadd.s ft0, fa0, fa1
@@ -106,7 +106,7 @@ class TestFigure4Examples:
         )
 
     def test_example1_row_slice_prefers_same_row(self):
-        config = AcceleratorConfig(rows=4, cols=8, fp_fraction=1.0,
+        config = AcceleratorConfig(rows=4, cols=8,
                                    interconnect=InterconnectKind.ROW_SLICE)
         sdfg = InstructionMapper(config).map(self.ldfg())
         assert sdfg.positions[2][0] == sdfg.positions[0][0], (
@@ -115,7 +115,7 @@ class TestFigure4Examples:
         )
 
     def test_example2_mesh_minimizes_manhattan(self):
-        config = AcceleratorConfig(rows=4, cols=8, fp_fraction=1.0,
+        config = AcceleratorConfig(rows=4, cols=8,
                                    interconnect=InterconnectKind.MESH)
         sdfg = InstructionMapper(config).map(self.ldfg())
         (r1, c1), (r3, c3) = sdfg.positions[0], sdfg.positions[2]
@@ -124,14 +124,14 @@ class TestFigure4Examples:
     def test_f_op_filtering(self):
         """With FP logic only in some slices, i3 must land on one of them
         even when closer integer PEs are free."""
-        config = AcceleratorConfig(rows=4, cols=8, fp_fraction=0.5,
+        config = AcceleratorConfig(rows=4, cols=8,
                                    interconnect=InterconnectKind.MESH)
         sdfg = InstructionMapper(config).map(self.ldfg())
         assert config.supports_fp(sdfg.positions[2])
 
     def test_f_free_filtering(self):
         """Occupied PEs are excluded: i2 cannot stack onto i1."""
-        config = AcceleratorConfig(rows=4, cols=8, fp_fraction=1.0,
+        config = AcceleratorConfig(rows=4, cols=8,
                                    interconnect=InterconnectKind.MESH)
         sdfg = InstructionMapper(config).map(self.ldfg())
         assert sdfg.positions[0] != sdfg.positions[1]
@@ -185,9 +185,12 @@ class TestStructuralHazards:
             InstructionMapper(config).map(ldfg)
 
     def test_no_fp_support_raises(self):
-        config = mesh_config(fp_fraction=0.0)
-        ldfg = ldfg_of("fadd.s ft0, fa0, fa1")
-        with pytest.raises(MappingError):
+        # A 2x8 grid has FP logic in 12 PEs; the 13th FP op finds no free
+        # FP PE although integer-only PEs are free.
+        config = mesh_config(rows=2, cols=8)
+        ldfg = ldfg_of("\n".join(f"fadd.s f{12 + i}, fa0, fa1"
+                                  for i in range(13)))
+        with pytest.raises(MappingError, match="no free PE supports"):
             InstructionMapper(config).map(ldfg)
 
     def test_fallbacks_counted(self):

@@ -71,13 +71,6 @@ class TestC2Control:
         inner = [d for d in decisions if len(d.body) == 3]
         assert inner and inner[0].accepted, "the inner loop itself is fine"
 
-    def test_fp_loop_rejected_without_fp_pes(self):
-        config = AcceleratorConfig(rows=8, cols=8, fp_fraction=0.0)
-        decisions = detect(hot_loop_program(100, "fadd.s ft0, ft0, ft1"),
-                           config)
-        assert decisions and not decisions[0].c2_control
-        assert any("no PE supports" in r for r in decisions[0].reasons)
-
     def test_forward_branch_inside_body_allowed(self):
         program = assemble(
             """

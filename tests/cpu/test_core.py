@@ -3,7 +3,8 @@
 import pytest
 
 from repro.cpu import CpuConfig, OutOfOrderCore, collect_trace
-from repro.isa import assemble
+from repro.isa import OpClass, assemble
+from repro.latency import OP_LATENCY
 from repro.mem import MemoryHierarchy
 
 
@@ -38,7 +39,7 @@ class TestBasicTiming:
         n = 8
         text = "\n".join(["fadd.s ft0, ft0, ft1"] + ["fmul.s ft0, ft0, ft0"] * n)
         result, _ = run_core(text)
-        assert result.cycles >= n * CpuConfig().latencies.fp_mul
+        assert result.cycles >= n * OP_LATENCY[OpClass.FP_MUL]
 
     def test_issue_width_limits_throughput(self):
         wide, _ = run_core("\n".join(f"addi t{i % 7}, zero, 1" for i in range(64)),
@@ -58,7 +59,7 @@ class TestBasicTiming:
         text = "\n".join("div t0, a0, a1" for _ in range(4))
         result, _ = run_core(text, CpuConfig(int_mul_units=1))
         # 4 divides on one unpipelined unit: at least 4 * 12 cycles.
-        assert result.cycles >= 4 * CpuConfig().latencies.int_div
+        assert result.cycles >= 4 * OP_LATENCY[OpClass.INT_DIV]
 
     def test_ipc_reported(self):
         result, trace = run_core("\n".join("addi t0, t0, 1" for _ in range(10)))
@@ -168,8 +169,6 @@ class TestStructuralLimits:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             CpuConfig(issue_width=0)
-        with pytest.raises(ValueError):
-            CpuConfig(frequency_ghz=0)
         with pytest.raises(ValueError):
             CpuConfig(mispredict_penalty=-1)
 

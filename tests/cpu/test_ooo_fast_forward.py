@@ -23,6 +23,7 @@ import repro.cpu.core as core
 from repro.cpu import CpuConfig, OutOfOrderCore, collect_trace
 from repro.cpu.core import _fu_pools, _predicts_taken, _slot
 from repro.isa import MachineState, assemble
+from repro.latency import OP_LATENCY, STORE_ISSUE
 from repro.mem import MemoryHierarchy
 from repro.workloads import (
     GeneratorParams,
@@ -41,7 +42,6 @@ DATA = 0x10000
 def reference_run(trace, config: CpuConfig, hierarchy: MemoryHierarchy):
     """The model as one plain loop over the rows: ``(cycles, mispredicts,
     forwards, by_class)``."""
-    lat = config.latencies
     fetch_width, issue_width = config.fetch_width, config.issue_width
     commit_width, rob_size = config.commit_width, config.rob_size
     lsq_size, penalty = config.lsq_size, config.mispredict_penalty
@@ -107,16 +107,16 @@ def reference_run(trace, config: CpuConfig, hierarchy: MemoryHierarchy):
                     newest, done = store
             if newest >= 0 and n_stores - newest <= lsq_size:
                 forwards += 1
-                complete = max(issue + lat.store_issue, done)
+                complete = max(issue + STORE_ISSUE, done)
             else:
                 complete = issue + hierarchy.access(address, pc)
         elif is_store:
             hierarchy.access(address, pc)
-            complete = issue + lat.store_issue
+            complete = issue + STORE_ISSUE
             stores[address] = (n_stores, complete)
             n_stores += 1
         else:
-            complete = issue + lat.for_class(op_class)
+            complete = issue + OP_LATENCY[op_class]
 
         if complete > last_commit:
             last_commit, commit_count = complete, 1

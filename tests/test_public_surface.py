@@ -1,5 +1,7 @@
-"""Every public function and method under ``src/repro`` has a caller, and
-every public field of a dataclass or NamedTuple there has a reader.
+"""Every public function and method under ``src/repro`` has a caller,
+every public field of a dataclass or NamedTuple there has a reader, and
+every field of a ``*Config``, ``*Options`` or ``*Params`` dataclass has a
+setter.
 
 A definition counts as used when code in ``src/``, ``examples/`` or
 ``benchmarks/`` references its name: a ``Name``, an ``Attribute`` or an
@@ -9,6 +11,11 @@ that code loads an attribute of its name or holds its name as a string
 (``getattr``, ``asdict`` keys); setting it does not count.  A helper or a
 field that only tests read stays only as an entry of :data:`ORACLES` or
 :data:`FIELD_ORACLES`, with the reason the tests need it.
+
+A setting counts as set when that code passes its name as a keyword to its
+class's constructor or to ``dataclasses.replace``.  A value nothing but the
+tests sets is a constant of the model, not a setting; a setting that stays
+anyway is an entry of :data:`KNOB_ORACLES`, with the reason it stays.
 """
 
 import ast
@@ -61,6 +68,30 @@ FIELD_ORACLES = {
         "retry-budget oracle: shard-runner tests check a crashed or wedged "
         "shard is retried exactly RETRIES times",
 }
+
+#: Settings no program code sets that stay settable on purpose: qualified
+#: name -> why.
+KNOB_ORACLES = {
+    **dict.fromkeys(
+        tuple(f"CpuConfig.{name}" for name in (
+            "fetch_width", "issue_width", "commit_width", "rob_size",
+            "lsq_size", "int_alu_units", "int_mul_units", "fp_units",
+            "load_store_ports", "branch_units", "mispredict_penalty",
+            "memory")),
+        "core-shape oracle: the fast-forward and core tests hold the OoO "
+        "model exact at other core shapes, and the perf benchmark hands a "
+        "pool's CpuConfig to MesaController"),
+    **dict.fromkeys(
+        ("HierarchyConfig.l1", "HierarchyConfig.l2",
+         "HierarchyConfig.dram_latency", "CacheConfig.line_bytes"),
+        "memory-shape oracle: cache and hierarchy tests build small "
+        "hierarchies to reach evictions, line crossings and DRAM"),
+    "AcceleratorConfig.xlen":
+        "RV64 oracle: test_rv64_pipeline runs the 64-bit fabric end to end",
+}
+
+#: Class-name endings of the records whose fields are settings.
+KNOB_RECORDS = ("Config", "Options", "Params")
 
 
 def _references(*dirs):
@@ -146,6 +177,34 @@ def _unread_fields():
             if not reads[name]}
 
 
+def _keywords(*dirs):
+    """(callee name, keyword) of every call under ``dirs``."""
+    pairs = set()
+    for directory in dirs:
+        for path in (ROOT / directory).rglob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    callee = (func.attr if isinstance(func, ast.Attribute)
+                              else getattr(func, "id", None))
+                    pairs.update((callee, keyword.arg)
+                                 for keyword in node.keywords)
+    return pairs
+
+
+@functools.cache
+def _unset_knobs():
+    keywords = _keywords("src", "examples", "benchmarks")
+    unset = {}
+    for qualified, name, location in _public_fields():
+        record = qualified.partition(".")[0]
+        if (record.endswith(KNOB_RECORDS)
+                and (record, name) not in keywords
+                and ("replace", name) not in keywords):
+            unset[qualified] = location
+    return unset
+
+
 @functools.cache
 def _unused():
     references = _references("src", "examples", "benchmarks")
@@ -184,3 +243,19 @@ def test_field_oracle_entries_are_still_needed():
     stale = set(FIELD_ORACLES) - set(_unread_fields())
     assert not stale, (
         f"FIELD_ORACLES entries now read (or gone): {sorted(stale)}")
+
+
+def test_every_knob_has_a_setter():
+    unset = {qualified: location
+             for qualified, location in _unset_knobs().items()
+             if qualified not in KNOB_ORACLES}
+    assert not unset, (
+        "settings nothing outside tests sets; make them constants of the "
+        "model, or list the reason they stay in KNOB_ORACLES:\n"
+        + "\n".join(f"  {location} {qualified}"
+                    for qualified, location in sorted(unset.items())))
+
+
+def test_knob_oracle_entries_are_still_needed():
+    stale = set(KNOB_ORACLES) - set(_unset_knobs())
+    assert not stale, f"KNOB_ORACLES entries now set (or gone): {sorted(stale)}"
