@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 
 from repro.accel import DataflowEngine, M_128
-from repro.core import MesaController
+from repro.core import MesaController, state_at_loop_entry
 from repro.harness import fig11_rodinia
 from repro.workloads import build_kernel
 
@@ -56,8 +56,9 @@ def _offload_setup(name: str):
     options = result.loop_plan.to_execution_options()
 
     def entry_state():
-        return controller._state_at_loop_entry(
-            kernel.program, result.decision, kernel.state_factory())
+        return state_at_loop_entry(kernel.program,
+                                   result.decision.loop.start_address,
+                                   kernel.state_factory())
 
     return result.accel_program, controller.interconnect, options, entry_state
 

@@ -60,8 +60,7 @@ def main() -> None:
     print("Spatial DFG latency table (op latency, completion L_i, *critical):")
     print(model.latency_table())
 
-    print(f"\nloop plan: {result.loop_plan.reason}, "
-          f"pipelined={result.loop_plan.pipelined}")
+    print(f"\nloop plan: {result.loop_plan.reason}")
     print(f"configuration: {result.config_cost.total} cycles "
           f"({result.config_cost.microseconds(2.0):.3f} us at 2 GHz), "
           f"{result.bitstream_words} bitstream words")

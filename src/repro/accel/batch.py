@@ -643,8 +643,10 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
     counts fold straight into ``activity``: the folds are additive, so
     interpreter steps mix in.
 
-    Returns ``(iterations, iteration_latencies, reason)``; ``reason`` names
-    the first iteration the interpreter stepped ("" when none was).
+    Returns ``(iterations, latency_total, reason)``: the sum of the
+    iteration latencies is exact in any order, since every timing quantity
+    is an integer-valued float64; ``reason`` names the first iteration the
+    interpreter stepped ("" when none was).
     """
     plan = bp.plan
     nodes = bp.nodes
@@ -658,7 +660,7 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
     node_total = [0.0] * n
     slot_count = [0] * len(plan.edge_slots)
     slot_wait = [0.0] * len(plan.edge_slots)
-    iteration_latencies: list[float] = []
+    latency_total = 0.0
     prev: list = [0] * n
     clock = 0.0
     iterations = 0
@@ -685,7 +687,7 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
                                 f"iteration {iterations}")
             values, completion, loop_taken = step(prev, iterations, clock)
             end = max(completion.values(), default=clock)
-            iteration_latencies.append(end - clock)
+            latency_total += end - clock
             clock = end
             iterations += 1
             prev = [values[i] for i in range(n)]
@@ -701,7 +703,6 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
             bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off, wend,
             memory_ports, hierarchy)
         _commit_stores(bp, nb, mem_vecs, memory)
-        lat_vec = ends - starts
 
         # -- phase C: counter folds ------------------------------------------
         T = np.concatenate((starts[None], done_mat))
@@ -722,7 +723,7 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
                 total = ((W[i] + T).max(axis=0) - starts).sum()
             node_total[i] += float(total)
         _fold_events(bp, nb, first, offs, slot_count, activity)
-        iteration_latencies.extend(lat_vec.tolist())
+        latency_total += float((ends - starts).sum())
 
         # Commit the block.
         clock = float(ends[-1])
@@ -747,7 +748,7 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
                                + slot_wait[edge.slot])
             edge_count[key] = edge_count.get(key, 0) + count
     latency.bulk_record(node_total, batched, edge_total, edge_count)
-    return iterations, iteration_latencies, reason
+    return iterations, latency_total, reason
 
 
 def _truncate(vals, offs, mem_vecs, nb):

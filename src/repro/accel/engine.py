@@ -7,18 +7,20 @@ port contention).  Per-node and per-edge latency counters — the hardware
 counters of paper §5.2 — are collected during execution and fed back to
 MESA's iterative optimizer.
 
-Execution modes mirror the paper's loop-level optimizations (§4.3):
+Every run pipelines (§4.3: "loop pipelining can also be enabled if
+supported by the hardware", and the modeled fabric supports it): a new
+round of iterations is initiated every *II* cycles, where *II* is bounded
+below by loop-carried recurrences (RecMII), memory-port bandwidth and the
+load/store entries' occupancy.  With ``tile_factor`` > 1, that many copies
+of the dataflow graph execute concurrently on disjoint iterations (Fig. 6),
+sharing the memory ports.  A run of *N* iterations takes
 
-* **barrier** (default): iterations execute back-to-back; iteration *i+1*
-  starts when every node of iteration *i* has completed;
-* **pipelined**: iterations are initiated every *II* cycles, where *II* is
-  bounded below by loop-carried recurrences and memory-port bandwidth;
-* **tiled**: ``tile_factor`` copies of the dataflow graph execute
-  concurrently on disjoint iterations (Fig. 6), sharing the memory ports.
+    mean iteration latency + (ceil(N / tile_factor) - 1) * II
 
-Functional results are mode-independent (the paper only tiles loops that are
-explicitly parallel), so the engine always executes iterations sequentially
-for correctness and applies the mode's timing model for cycle counts.
+cycles.  Functional results do not depend on the timing (the paper only
+tiles loops that are explicitly parallel), so the engine executes
+iterations one after another for correctness, measures each one's latency,
+and applies that formula for the cycle count.
 
 Memory ordering is one rule, :mod:`repro.mem.lsq`: a load issues as soon
 as its address is ready and reads the newest older store of its iteration
@@ -86,9 +88,9 @@ REPLAY_PENALTY = 6
 
 @dataclass(frozen=True)
 class ExecutionOptions:
-    """How the configured loop is driven."""
+    """How the configured loop is driven: ``tile_factor`` copies of its
+    dataflow graph, pipelined, for at most ``max_iterations`` iterations."""
 
-    pipelined: bool = False
     tile_factor: int = 1
     max_iterations: int = 1_000_000
 
@@ -107,7 +109,8 @@ class AcceleratorRun:
     cycles: float
     #: Mean per-iteration critical-path latency (no cross-iteration overlap).
     iteration_latency: float
-    #: Effective initiation interval under the selected execution mode.
+    #: Initiation interval of the pipelined rounds: RecMII, port bandwidth
+    #: or entry occupancy, whichever binds (at least one cycle).
     initiation_interval: float
     latency: LatencyCounters
     activity: ActivityCounters
@@ -170,19 +173,19 @@ class DataflowEngine:
             step = functools.partial(
                 self._run_iteration, self._memory_access(state.memory),
                 reg_env, ports=ports, latency=latency, activity=activity)
-            iterations, iteration_latencies, drive_reason = drive_batched(
+            iterations, latency_total, drive_reason = drive_batched(
                 batch_program, self.hierarchy, state, reg_env,
                 self.config.memory_ports, latency, activity, options, step)
         else:
             if batch_program is not None:
                 drive_reason = batch_program.capability.reason
-            iterations, iteration_latencies = self._drive_interpreted(
+            iterations, latency_total = self._drive_interpreted(
                 state, reg_env, ports, latency, activity, options)
 
-        mean_latency = (sum(iteration_latencies) / len(iteration_latencies)
-                        if iteration_latencies else 0.0)
-        total_cycles, ii = self._total_cycles(
-            iterations, iteration_latencies, mean_latency, options)
+        # Both drives run at least one iteration (max_iterations >= 1).
+        mean_latency = latency_total / iterations
+        total_cycles, ii = self._total_cycles(iterations, mean_latency,
+                                              options.tile_factor)
         return AcceleratorRun(
             iterations=iterations,
             cycles=total_cycles,
@@ -201,10 +204,11 @@ class DataflowEngine:
                            latency: LatencyCounters,
                            activity: ActivityCounters,
                            options: ExecutionOptions):
-        """Run the loop node-by-node (the executable specification)."""
+        """Run the loop node-by-node (the executable specification);
+        returns the iteration count and the sum of their latencies (each
+        iteration starts where the previous one ended, the first at 0)."""
         access = self._memory_access(state.memory)
         prev_values: dict[int, int | float] = {}
-        iteration_latencies: list[float] = []
         clock = 0.0
         iterations = 0
         exited = False
@@ -213,9 +217,9 @@ class DataflowEngine:
                 access, reg_env, prev_values, iterations, clock,
                 ports, latency, activity,
             )
-            iteration_end = max(completion.values(), default=clock)
-            iteration_latencies.append(iteration_end - clock)
-            clock = iteration_end  # barrier between iterations
+            # The next iteration is measured from this one's end; the
+            # overlap is the analytic II of _total_cycles.
+            clock = max(completion.values(), default=clock)
             prev_values = values
             iterations += 1
             if self.program.loop_branch_id is None or not loop_taken:
@@ -225,7 +229,7 @@ class DataflowEngine:
         for register, node_id in self.program.live_out.items():
             if node_id in prev_values:
                 state.write(register, prev_values[node_id])
-        return iterations, iteration_latencies
+        return iterations, clock
 
     # -- one iteration -----------------------------------------------------------
 
@@ -315,8 +319,8 @@ class DataflowEngine:
                 return reg_env.get(operand.register, 0), start
             transfer = self._transfer(operand.node_id, node, start,
                                       latency, activity)
-            # Barrier execution: the producer finished before this iteration
-            # started, so only the transfer beyond the barrier is exposed.
+            # Iterations are measured back to back: the producer finished
+            # before this iteration started, so only the transfer is exposed.
             return prev_values[operand.node_id], start + transfer
         # Same-iteration DFG edge.
         depart = completion[operand.node_id]
@@ -410,30 +414,20 @@ class DataflowEngine:
         stores_seen.append((address, size, done))
         return 0, done
 
-    # -- mode timing ---------------------------------------------------------------
+    # -- timing --------------------------------------------------------------------
 
-    def _total_cycles(self, iterations, iteration_latencies, mean_latency,
-                      options: ExecutionOptions):
-        """Total region cycles under the selected execution mode."""
-        if iterations == 0:
-            return 0.0, 0.0
-        barrier_total = float(sum(iteration_latencies))
-        # Port requests per iteration: every store and ungrouped load is one
-        # request; a vector group of loads shares a single grant.
-        memory_per_iter = self.plan.memory_per_iter
+    def _total_cycles(self, iterations: int, mean_latency: float,
+                      tile: int) -> tuple[float, float]:
+        """Total region cycles and the initiation interval of ``tile``
+        pipelined copies of the loop."""
         port_count = self.config.memory_ports
-
-        if not options.pipelined and options.tile_factor == 1:
-            return barrier_total, mean_latency
-
-        recurrence = self._recurrence_ii()
-        tile = options.tile_factor
-        rounds = math.ceil(iterations / tile)
         if math.isinf(port_count):
             bandwidth_ii = 0.0
             occupancy_ii = 0.0
         else:
-            bandwidth_ii = tile * memory_per_iter / port_count
+            # Port requests per iteration: every store and ungrouped load
+            # is one request; a vector group of loads shares a single grant.
+            bandwidth_ii = tile * self.plan.memory_per_iter / port_count
             # Load/store entries hold a request for its *exposed* latency,
             # so outstanding-miss parallelism is bounded by the entry pool
             # (the MLP limit that makes miss-heavy kernels latency-bound
@@ -456,15 +450,9 @@ class DataflowEngine:
                     occupancy += (self.hierarchy.amat(pc)
                                   or self.hierarchy.ideal_latency)
             occupancy_ii = tile * occupancy / self.config.lsu_entries
-
-        if options.pipelined:
-            ii = max(recurrence, bandwidth_ii, occupancy_ii, 1.0)
-            total = mean_latency + max(0, rounds - 1) * ii
-        else:
-            round_latency = max(mean_latency, bandwidth_ii, occupancy_ii)
-            ii = round_latency
-            total = rounds * round_latency
-        return total, ii
+        ii = max(self._recurrence_ii(), bandwidth_ii, occupancy_ii, 1.0)
+        rounds = math.ceil(iterations / tile)
+        return mean_latency + (rounds - 1) * ii, ii
 
     def _recurrence_ii(self) -> float:
         """Loop-carried recurrence bound on the initiation interval (RecMII),

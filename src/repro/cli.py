@@ -46,6 +46,8 @@ _FIG_DRIVERS = {
                                         shard_timeout=args.shard_timeout),
     "16": lambda args: fig16_amortization(),
 }
+#: The figures whose drivers run shards (and so take the shard flags).
+_SHARDED_FIGS = ("11", "15")
 
 _TABLE_DRIVERS = {
     "1": lambda args: table1_area_power(mesa_config(args.config)),
@@ -189,7 +191,7 @@ def _run_kernel_worker(payload: tuple) -> dict:
 
 def _cmd_run_many(args) -> str:
     """Run several kernels as shards (``repro run nn kmeans --workers 2``)."""
-    from .harness import render_table
+    from .harness.report import degraded_footer, render_table
 
     shards = [Shard(key=(name,),
                     payload=(name, args.config, args.iterations, args.serial))
@@ -200,7 +202,7 @@ def _cmd_run_many(args) -> str:
     degraded = []
     for outcome in runner.map(_run_kernel_worker, shards):
         if outcome.failed:
-            degraded.append(f"  {outcome.key[0]}: {outcome.error}")
+            degraded.append(f"{outcome.key[0]}: {outcome.error}")
             rows.append([outcome.key[0], "—", "—", "—", "shard failed"])
             continue
         row = outcome.value
@@ -213,9 +215,7 @@ def _cmd_run_many(args) -> str:
         ["kernel", "accelerated", "cycles", "speedup", "notes"], rows,
         title=f"repro run: {args.config}, {args.iterations} iterations, "
               f"workers={args.workers}")
-    if degraded:
-        text += "\ndegraded shards:\n" + "\n".join(degraded)
-    return text
+    return text + degraded_footer(degraded)
 
 
 def _cmd_run(args) -> str:
@@ -240,8 +240,7 @@ def _cmd_run(args) -> str:
     ]
     if result.accelerated:
         lines += [
-            f"plan:        {result.loop_plan.reason}, "
-            f"pipelined={result.loop_plan.pipelined}",
+            f"plan:        {result.loop_plan.reason}",
             f"config:      {result.config_cost.total} cycles, "
             f"{result.bitstream_words} bitstream words",
             f"offloads:    {result.offload_count} "
@@ -416,6 +415,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             print(_cmd_run(args))
     elif args.command == "fig":
+        if args.number not in _SHARDED_FIGS and (
+                args.workers > 1 or args.shard_timeout is not None):
+            parser.error("--workers/--shard-timeout apply to the sharded "
+                         f"figures ({', '.join(_SHARDED_FIGS)})")
         print(_FIG_DRIVERS[args.number](args).render())
     elif args.command == "table":
         print(_TABLE_DRIVERS[args.number](args).render())

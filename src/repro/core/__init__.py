@@ -7,7 +7,7 @@
 * :func:`build_program` / :class:`ConfigCache` — configuration (T3);
 * :class:`CodeRegionDetector` — conditions C1–C3 + :class:`TraceCache`;
 * :func:`apply_memory_optimizations` — §4.2 (forwarding, vectorize, prefetch);
-* :func:`plan_loop_optimizations` — §4.3 (tiling, pipelining);
+* :func:`plan_loop_optimizations` — §4.3 (tiling; every run pipelines);
 * :class:`IterativeOptimizer` — F3 runtime feedback re-optimization;
 * :class:`MesaController` — the end-to-end system.
 """
@@ -29,6 +29,7 @@ from .controller import (
     MesaResult,
     TranslationResult,
     region_digest,
+    state_at_loop_entry,
 )
 from .dfg import DataflowGraph, DfgNode
 from .imap_fsm import ImapFsm, ImapRun, ImapState
@@ -70,6 +71,7 @@ __all__ = [
     "MesaResult",
     "TranslationResult",
     "region_digest",
+    "state_at_loop_entry",
     "DataflowGraph",
     "DfgNode",
     "ImapFsm",

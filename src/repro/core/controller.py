@@ -72,12 +72,20 @@ from .trace_cache import TraceCache
 
 __all__ = ["MesaOptions", "CycleBreakdown", "AcceleratedRegion",
            "MesaResult", "MesaController", "TranslationResult",
-           "region_digest"]
+           "region_digest", "state_at_loop_entry"]
 
 #: Functional-execution safety bound of a controller's CPU runs.
 MAX_STEPS = 4_000_000
 #: Iterations per profiling window in iterative mode.
 PROFILE_ITERATIONS = 16
+
+
+def state_at_loop_entry(program: Program, start_address: int,
+                        state: MachineState) -> MachineState:
+    """Functionally advance ``state`` (a fresh one) to the loop entry at
+    ``start_address``: the state a configured loop is driven from."""
+    Executor(program, state).run(MAX_STEPS, stop_pcs=(start_address,))
+    return state
 
 
 def region_digest(program: Program, start_address: int,
@@ -434,8 +442,9 @@ class MesaController:
                     sdfg = optimizer.optimize(
                         sdfg.ldfg, sdfg,
                         state_factory=lambda d=decision:
-                            self._state_at_loop_entry(
-                                program, d, state_factory()),
+                            state_at_loop_entry(
+                                program, d.loop.start_address,
+                                state_factory()),
                         hierarchy=MemoryHierarchy(self.cpu_config.memory),
                         rounds=self.options.iterative_rounds,
                         profile_iterations=PROFILE_ITERATIONS,
@@ -668,13 +677,6 @@ class MesaController:
         )
 
     # -- helpers ---------------------------------------------------------------
-
-    def _state_at_loop_entry(self, program: Program, decision: RegionDecision,
-                             state: MachineState) -> MachineState:
-        """Functionally advance a fresh state to the loop's entry point."""
-        Executor(program, state).run(
-            MAX_STEPS, stop_pcs=(decision.loop.start_address,))
-        return state
 
     def _cpu_only_result(self, reason: str, trace: Trace,
                          cpu_only: CoreResult,

@@ -8,8 +8,9 @@ we can fully duplicate instances of the same (virtual) SDFG when configuring
 the spatial accelerator" (Fig. 6), and "loop pipelining can also be enabled
 if supported by the hardware".
 
-The planner computes the largest tile factor that fits the PE array and the
-load/store entry pool, and returns the
+The modeled fabric supports pipelining, so every run pipelines (the
+engine's one timing formula).  The planner computes the largest tile factor
+that fits the PE array and the load/store entry pool, and returns the
 :class:`~repro.accel.engine.ExecutionOptions` the engine consumes.
 """
 
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..accel import AcceleratorProgram, ExecutionOptions
-from .sdfg import Sdfg
 
 __all__ = ["LoopPlan", "plan_loop_optimizations"]
 
@@ -30,13 +30,11 @@ MAX_TILE = 64
 class LoopPlan:
     """The chosen loop-level execution strategy."""
 
-    pipelined: bool
     tile_factor: int
     reason: str
 
     def to_execution_options(self, **overrides) -> ExecutionOptions:
-        return ExecutionOptions(pipelined=self.pipelined,
-                                tile_factor=self.tile_factor, **overrides)
+        return ExecutionOptions(tile_factor=self.tile_factor, **overrides)
 
 
 def _floor_power_of_two(value: int) -> int:
@@ -46,15 +44,15 @@ def _floor_power_of_two(value: int) -> int:
     return power
 
 
-def plan_loop_optimizations(mapped: Sdfg | AcceleratorProgram,
+def plan_loop_optimizations(mapped: AcceleratorProgram,
                             parallelizable: bool,
                             expected_iterations: float | None = None,
                             enable_tiling: bool = True) -> LoopPlan:
-    """Decide tiling and pipelining for a mapped loop.
+    """Decide the tile factor of a mapped loop.
 
     Args:
-        mapped: the mapped loop, as its SDFG or its accelerator program
-            (either supplies the PE/LSU occupancy and the backend).
+        mapped: the mapped loop's accelerator program (it supplies the
+            PE/LSU occupancy and the backend).
         parallelizable: the loop carries an ``omp parallel``/``omp simd``
             annotation (no inter-iteration dependencies beyond induction).
         expected_iterations: trip-count estimate; tiling beyond the trip
@@ -63,13 +61,12 @@ def plan_loop_optimizations(mapped: Sdfg | AcceleratorProgram,
     """
     # Pipelining is the fabric's natural dataflow overlap: successive
     # iterations launch as soon as their loop-carried inputs arrive, which
-    # is always dependence-safe, so every plan pipelines.  Only *tiling*
-    # (duplicating the SDFG over disjoint iterations) requires the
-    # explicit parallel annotation.
+    # is always dependence-safe.  Only *tiling* (duplicating the SDFG over
+    # disjoint iterations) requires the explicit parallel annotation.
     if not parallelizable:
-        return LoopPlan(True, 1, "loop not annotated parallel; no tiling")
+        return LoopPlan(1, "loop not annotated parallel; no tiling")
     if not enable_tiling:
-        return LoopPlan(True, 1, "tiling disabled")
+        return LoopPlan(1, "tiling disabled")
 
     pe_nodes = max(1, mapped.pe_count)
     lsu_nodes = mapped.lsu_count
@@ -82,4 +79,4 @@ def plan_loop_optimizations(mapped: Sdfg | AcceleratorProgram,
     tile = _floor_power_of_two(limit)
     reason = (f"tile x{tile} (PE capacity {by_pes}, LSU capacity {by_lsu})"
               if tile > 1 else "no room to tile")
-    return LoopPlan(True, tile, reason)
+    return LoopPlan(tile, reason)

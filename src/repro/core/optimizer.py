@@ -106,7 +106,9 @@ class IterativeOptimizer:
 
     def _profile(self, program: AcceleratorProgram, state_factory,
                  hierarchy: MemoryHierarchy, iterations: int):
-        """Execute a measurement window on the current configuration."""
+        """Execute a measurement window on the current configuration (the
+        refinement reads its iteration latency and counters, not its
+        cycles)."""
         engine = DataflowEngine(program, hierarchy=hierarchy,
                                 interconnect=self.interconnect)
         state: MachineState = state_factory()
@@ -159,8 +161,8 @@ class IterativeOptimizer:
             return (counters.node_latency(operand.node_id)
                     + counters.edge_latency(operand.node_id, node_id))
         if operand.kind is OperandKind.LOOP_CARRIED:
-            # The producer finished last iteration; only the transfer past
-            # the barrier is exposed.
+            # The producer finished last iteration; only the transfer is
+            # exposed.
             return counters.edge_latency(operand.node_id, node_id)
         # Live-in register or constant: latched at the PE, available at start.
         return 0.0

@@ -40,16 +40,6 @@ class Sdfg:
         """Predicted per-iteration latency (max completion time)."""
         return max(self.predicted_completion.values(), default=0.0)
 
-    @property
-    def pe_count(self) -> int:
-        """PEs occupied (memory nodes occupy LSU entries, not PEs)."""
-        return sum(1 for nid, coord in self.positions.items()
-                   if coord[1] >= 0)
-
-    @property
-    def lsu_count(self) -> int:
-        return sum(1 for coord in self.positions.values() if coord[1] < 0)
-
     def to_dataflow_graph(self, interconnect: Interconnect) -> DataflowGraph:
         """The Eq. 1/2 performance model with real transfer weights.
 
@@ -70,10 +60,6 @@ class Sdfg:
     def critical_path(self, interconnect: Interconnect) -> list[int]:
         """Critical-path node ids under the spatial performance model."""
         return self.to_dataflow_graph(interconnect).critical_path()
-
-    def utilization(self) -> float:
-        """Fraction of the PE array occupied by this mapping."""
-        return self.pe_count / self.config.num_pes if self.config.num_pes else 0.0
 
     def render_placement(self) -> str:
         """ASCII map of the array: node ids at their PEs, LSU entries in

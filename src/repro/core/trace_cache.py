@@ -31,10 +31,6 @@ class TraceCache:
         self.passive_fills = 0
         self.stall_fills = 0
 
-    @property
-    def region(self) -> tuple[int, int] | None:
-        return self._region
-
     def set_region(self, start_address: int, end_address: int) -> None:
         """Target a new code region (clears previous contents).
 

@@ -49,22 +49,5 @@ class PerfCounters:
         return self.count(OpClass.BRANCH, OpClass.JUMP)
 
     @property
-    def compute_ops(self) -> int:
-        return sum(n for cls, n in self.by_class.items() if cls.is_compute)
-
-    @property
     def fp_ops(self) -> int:
         return sum(n for cls, n in self.by_class.items() if cls.is_fp)
-
-    def merged(self, other: "PerfCounters") -> "PerfCounters":
-        """Combine two counter sets (for multicore aggregation)."""
-        merged = PerfCounters(
-            cycles=max(self.cycles, other.cycles),
-            instructions=self.instructions + other.instructions,
-            branch_mispredicts=self.branch_mispredicts + other.branch_mispredicts,
-            load_forwards=self.load_forwards + other.load_forwards,
-        )
-        for source in (self.by_class, other.by_class):
-            for cls, count in source.items():
-                merged.by_class[cls] = merged.by_class.get(cls, 0) + count
-        return merged

@@ -45,10 +45,6 @@ class LoopCandidate:
         """Estimated iterations per visit (C3's confidence heuristic)."""
         return self.total_iterations / self.visits if self.visits else 0.0
 
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.start_address, self.end_address)
-
 
 class LoopStreamDetector:
     """Detects hot loops from the dynamic instruction stream."""

@@ -13,16 +13,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from ..accel import (AcceleratorConfig, AcceleratorRun, DataflowEngine, M_128,
-                     M_512, M_64)
-from ..core import MesaOptions
-from ..isa import Executor
+from ..accel import AcceleratorRun, DataflowEngine, M_128, M_512, M_64
+from ..core import MesaController, MesaOptions, state_at_loop_entry
 from ..mem import MemoryHierarchy
 from ..power import AcceleratorEnergyModel
 from ..workloads import FIG11_SET, FIG12_SET, FIG14_SET, build_kernel
 from .experiment import ExperimentRunner, SystemResult
 from .parallel import Shard, ShardRunner
 from .report import degraded_footer, geomean, render_table
+from .sweep import pe_count_configs
 
 __all__ = ["Fig11Result", "fig11_rodinia", "Fig12Result", "fig12_opencgra",
            "Fig13Result", "fig13_breakdown", "Fig14Result", "fig14_dynaspam",
@@ -306,15 +305,7 @@ class Fig15Result:
 def _fig15_point_worker(payload: tuple) -> tuple[float, float]:
     """Default and ideal-memory accelerator-region cycles for nn at one PE
     count (picklable), from one run of the MESA pipeline."""
-    from ..core import MesaController
-
-    pes, iterations = payload
-    rows = max(2, pes // 8)
-    # The memory system (entries + 16 ports) is held constant across
-    # the sweep: saturation must come from the sweep, not the preset.
-    config = AcceleratorConfig(
-        name=f"M-{pes}", rows=rows, cols=min(8, pes // rows),
-        lsu_entries=256, memory_ports=16)
+    config, iterations = payload
     kernel = build_kernel("nn", iterations=iterations)
     result = MesaController(config).execute(
         kernel.program, kernel.state_factory, parallelizable=True)
@@ -337,8 +328,11 @@ def fig15_pe_scaling(iterations: int = 2048,
     *successful* point, merged in PE order.  A failed shard drops its
     series point and is reported in ``degraded``.
     """
-    shards = [Shard(key=(pes,), payload=(pes, iterations))
-              for pes in pe_counts]
+    # The memory system (entries + 16 ports) is held constant across the
+    # sweep: saturation must come from the sweep, not the preset.
+    configs = pe_count_configs(pe_counts, lsu_entries=256, memory_ports=16)
+    shards = [Shard(key=(pes,), payload=(config, iterations))
+              for pes, config in zip(pe_counts, configs)]
     runner = ShardRunner(workers=workers, shard_timeout=shard_timeout)
     result = Fig15Result()
     base_cycles: float | None = None
@@ -365,9 +359,9 @@ def _ideal_memory_run(kernel, result, iterations: int) -> AcceleratorRun:
     config = replace(program.config, memory_ports=math.inf)
     engine = DataflowEngine(replace(program, config=config, plan_cache={}),
                             hierarchy=MemoryHierarchy())
-    state = kernel.fresh_state()
-    Executor(kernel.program, state).run(
-        stop_pcs=(result.decision.loop.start_address,))
+    state = state_at_loop_entry(kernel.program,
+                                result.decision.loop.start_address,
+                                kernel.fresh_state())
     return engine.run(state, result.loop_plan.to_execution_options(
         max_iterations=iterations))
 

@@ -14,6 +14,7 @@ from repro.accel import (
     Guard,
     Operand,
 )
+from repro.core import plan_loop_optimizations
 from repro.isa import Instruction, MachineState, Opcode, assemble, run, x
 from repro.mem import Memory
 
@@ -169,35 +170,46 @@ class TestTiming:
         # Every iteration at minimum: load (L1 hit 2) + addi + store.
         assert result.iteration_latency > 4
 
-    def test_cycles_sum_of_iterations_in_barrier_mode(self):
-        state = fresh_state(10)
-        result = DataflowEngine(increment_loop_program()).run(state)
-        assert result.cycles == pytest.approx(
-            result.iteration_latency * result.iterations, rel=0.2)
+    def test_default_run_is_the_loop_plan_run(self):
+        """Every run pipelines: the default options drive the loop exactly
+        as an unannotated loop's plan does."""
+        program = increment_loop_program()
+        default = DataflowEngine(program).run(fresh_state(50))
+        planned = DataflowEngine(program).run(
+            fresh_state(50),
+            plan_loop_optimizations(program, False).to_execution_options())
+        assert default.cycles == planned.cycles
+        assert default.initiation_interval == planned.initiation_interval
+        assert default.iteration_latency == planned.iteration_latency
+        assert default.activity == planned.activity
+        assert default.latency == planned.latency
 
-    def test_pipelined_faster_than_barrier(self):
-        barrier = DataflowEngine(increment_loop_program()).run(fresh_state(50))
-        pipelined = DataflowEngine(increment_loop_program()).run(
-            fresh_state(50), ExecutionOptions(pipelined=True))
-        assert pipelined.cycles < barrier.cycles
-        assert pipelined.initiation_interval < barrier.iteration_latency
+    @pytest.mark.parametrize("tile", [1, 4])
+    def test_cycles_follow_the_pipelined_formula(self, tile):
+        result = DataflowEngine(increment_loop_program()).run(
+            fresh_state(50), ExecutionOptions(tile_factor=tile))
+        assert result.iterations == 50
+        assert result.initiation_interval >= 1
+        assert result.cycles == (
+            result.iteration_latency
+            + (math.ceil(50 / tile) - 1) * result.initiation_interval)
 
     def test_tiling_reduces_cycles_until_ports_saturate(self):
         base = DataflowEngine(increment_loop_program()).run(
-            fresh_state(64), ExecutionOptions(pipelined=True))
+            fresh_state(64))
         tiled4 = DataflowEngine(increment_loop_program()).run(
-            fresh_state(64), ExecutionOptions(pipelined=True, tile_factor=4))
+            fresh_state(64), ExecutionOptions(tile_factor=4))
         assert tiled4.cycles < base.cycles
 
     def test_ideal_ports_beat_limited_ports_when_tiled(self):
         limited = DataflowEngine(increment_loop_program()).run(
-            fresh_state(64), ExecutionOptions(pipelined=True, tile_factor=16))
+            fresh_state(64), ExecutionOptions(tile_factor=16))
         program = increment_loop_program()
         ideal_program = dataclasses.replace(
             program, config=dataclasses.replace(program.config,
                                                 memory_ports=math.inf))
         ideal = DataflowEngine(ideal_program).run(
-            fresh_state(64), ExecutionOptions(pipelined=True, tile_factor=16))
+            fresh_state(64), ExecutionOptions(tile_factor=16))
         assert ideal.cycles < limited.cycles
 
     def test_recurrence_limits_pipelining(self):
@@ -224,8 +236,7 @@ class TestTiming:
         state = MachineState()
         state.write(fa, 0)
         state.write(fb, 30)
-        result = DataflowEngine(program).run(
-            state, ExecutionOptions(pipelined=True))
+        result = DataflowEngine(program).run(state)
         assert result.initiation_interval >= 1
         assert state.read(fa) == sum(range(1, 31))
 

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.accel import (
-    AcceleratorConfig,
-    DataflowEngine,
-    ExecutionOptions,
-)
+from repro.accel import AcceleratorConfig, DataflowEngine
 from repro.core import (
     InstructionMapper,
     apply_memory_optimizations,
@@ -52,7 +48,7 @@ def run_loop(text: str, memopt: bool, iterations: int = 32):
     state.write(x(11), 0x30000)
     state.write(x(5), iterations)
     engine = DataflowEngine(program, hierarchy=MemoryHierarchy())
-    return engine.run(state, ExecutionOptions(pipelined=True)), state
+    return engine.run(state), state
 
 
 class TestVectorizationTiming:

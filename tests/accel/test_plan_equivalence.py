@@ -40,10 +40,11 @@ from repro.workloads import build_kernel
 KERNELS = ("hotspot", "cfd", "kmeans", "nn", "lud", "bfs")
 
 #: Engine-level ExecutionOptions overrides on top of the controller's loop
-#: plan: barrier mode (no pipelining, no tiling).
+#: plan: no loop-level optimization beyond the pipelining every run has
+#: (no tiling).
 MODES = {
     "default": {},
-    "no-loopopt": {"pipelined": False, "tile_factor": 1},
+    "no-loopopt": {"tile_factor": 1},
 }
 
 

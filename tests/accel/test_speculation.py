@@ -91,8 +91,7 @@ class TestSpeculation:
                                                + REPLAY_PENALTY)
 
     def test_functional_result_mode_independent(self):
-        for options in (ExecutionOptions(), ExecutionOptions(pipelined=True),
-                        ExecutionOptions(tile_factor=2)):
+        for options in (ExecutionOptions(), ExecutionOptions(tile_factor=2)):
             state = make_state(32)
             run = DataflowEngine(conflict_program()).run(state, options)
             assert run.activity.load_replays == 1

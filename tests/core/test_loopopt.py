@@ -3,14 +3,19 @@
 import pytest
 
 from repro.accel import AcceleratorConfig, InterconnectKind, M_128
-from repro.core import InstructionMapper, build_ldfg, plan_loop_optimizations
+from repro.core import (
+    InstructionMapper,
+    build_ldfg,
+    build_program,
+    plan_loop_optimizations,
+)
 from repro.core.loopopt import MAX_TILE
 from repro.isa import assemble
 
 
 def mapped(text: str, config=M_128):
     ldfg = build_ldfg(list(assemble(text).instructions))
-    return InstructionMapper(config).map(ldfg)
+    return build_program(InstructionMapper(config).map(ldfg))
 
 
 SMALL_LOOP = """
@@ -28,15 +33,11 @@ class TestPlanning:
     def test_serial_loop_never_tiled(self):
         plan = plan_loop_optimizations(mapped(SMALL_LOOP), parallelizable=False)
         assert plan.tile_factor == 1
-        # Pipelining is the fabric's inherent dataflow overlap and stays on
-        # even for unannotated loops; only tiling needs the annotation.
-        assert plan.pipelined
 
     def test_parallel_loop_tiled(self):
         plan = plan_loop_optimizations(mapped(SMALL_LOOP), parallelizable=True,
                                        expected_iterations=1000)
         assert plan.tile_factor > 1
-        assert plan.pipelined
 
     def test_tile_is_power_of_two(self):
         plan = plan_loop_optimizations(mapped(SMALL_LOOP), parallelizable=True,
@@ -68,7 +69,6 @@ class TestPlanning:
         plan = plan_loop_optimizations(mapped(SMALL_LOOP), parallelizable=True,
                                        enable_tiling=False)
         assert plan.tile_factor == 1
-        assert plan.pipelined, "pipelining is independent of tiling"
 
     def test_max_tile_cap(self):
         # Room for 256 instances by PEs and by LSU entries alike.
@@ -82,7 +82,6 @@ class TestPlanning:
         plan = plan_loop_optimizations(mapped(SMALL_LOOP), parallelizable=True,
                                        expected_iterations=100)
         options = plan.to_execution_options(max_iterations=50)
-        assert options.pipelined == plan.pipelined
         assert options.tile_factor == plan.tile_factor
         assert options.max_iterations == 50
 

@@ -50,8 +50,7 @@ class TestPlacementInvariants:
         assert sdfg.positions[0][1] == -1
         assert sdfg.positions[2][1] == -1
         assert sdfg.positions[1][1] >= 0
-        assert sdfg.lsu_count == 2
-        assert sdfg.pe_count == 1
+        assert len(sdfg.positions) == 3
 
     def test_fp_ops_on_fp_pes_only(self):
         config = mesh_config()

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.accel import AcceleratorConfig, InterconnectKind, build_interconnect
-from repro.core import InstructionMapper, build_ldfg
+from repro.core import InstructionMapper, build_ldfg, build_program
 from repro.isa import assemble
 
 
@@ -30,13 +30,15 @@ loop:
 class TestCounts:
     def test_pe_and_lsu_counts(self):
         sdfg = mapped(LOOP)
-        assert sdfg.pe_count == 4
-        assert sdfg.lsu_count == 2
-        assert sdfg.pe_count + sdfg.lsu_count == len(sdfg.positions)
+        program = build_program(sdfg)
+        assert program.pe_count == 4
+        assert program.lsu_count == 2
+        assert program.pe_count + program.lsu_count == len(sdfg.positions)
 
     def test_utilization(self):
-        sdfg = mapped(LOOP)
-        assert sdfg.utilization() == pytest.approx(4 / 64)
+        # The sweep's utilization: the program's PEs over the array's.
+        program = build_program(mapped(LOOP))
+        assert program.pe_count / CONFIG.num_pes == pytest.approx(4 / 64)
 
     def test_predicted_latency_is_max_completion(self):
         sdfg = mapped(LOOP)

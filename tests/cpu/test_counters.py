@@ -39,7 +39,7 @@ class TestClassification:
         counters = counted(Opcode.FADD_S, Opcode.FMUL_S, Opcode.ADD,
                            Opcode.LW)
         assert counters.fp_ops == 2
-        assert counters.compute_ops == 3, "fp + int alu, not the load"
+        assert counters.count(OpClass.INT_ALU) == 1
 
     def test_ipc(self):
         counters = counted(Opcode.ADD, Opcode.ADD)
@@ -51,27 +51,3 @@ class TestClassification:
     def test_count_helper(self):
         counters = counted(Opcode.LW, Opcode.SW, Opcode.ADD)
         assert counters.count(OpClass.LOAD, OpClass.STORE) == 2
-
-
-class TestMerged:
-    def test_merged_sums_counts(self):
-        a = counted(Opcode.ADD, Opcode.LW)
-        b = counted(Opcode.ADD, Opcode.FMUL_S)
-        a.branch_mispredicts = 2
-        b.branch_mispredicts = 3
-        merged = a.merged(b)
-        assert merged.instructions == 4
-        assert merged.by_class[OpClass.INT_ALU] == 2
-        assert merged.branch_mispredicts == 5
-
-    def test_merged_takes_max_cycles(self):
-        """Parallel cores overlap: wall-clock is the slower one."""
-        a, b = PerfCounters(cycles=100), PerfCounters(cycles=250)
-        assert a.merged(b).cycles == 250
-
-    def test_merged_does_not_mutate(self):
-        a = counted(Opcode.ADD)
-        b = counted(Opcode.SUB)
-        a.merged(b)
-        assert a.instructions == 1
-        assert b.instructions == 1

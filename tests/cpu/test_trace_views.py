@@ -77,7 +77,8 @@ def observe_all(trace):
 
 
 def loop_summary(loops):
-    return [(loop.key, loop.visits, loop.total_iterations) for loop in loops]
+    return [(loop.start_address, loop.end_address, loop.visits,
+             loop.total_iterations) for loop in loops]
 
 
 def check_views(trace):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import cli
 from repro.cli import build_parser, main
 
 
@@ -133,6 +134,28 @@ class TestCommands:
             main(["run", "nn", "--workers", "2", "--profile"])
         with pytest.raises(SystemExit):
             main(["run", "nn", "--workers", "2", "--repeat", "2"])
+
+    def test_run_many_reports_degraded_shards(self, capsys, monkeypatch):
+        def worker(payload):
+            name = payload[0]
+            if name == "srad":
+                raise RuntimeError("injected failure")
+            return {"kernel": name, "accelerated": True, "cycles": 1.0,
+                    "speedup": 1.0, "reason": "", "verified": "ok"}
+
+        monkeypatch.setattr(cli, "_run_kernel_worker", worker)
+        assert main(["run", "nn", "srad", "--iterations", "96"]) == 0
+        out = capsys.readouterr().out
+        assert "degraded shards (1):" in out
+        assert "  srad: RuntimeError: injected failure" in out
+
+    @pytest.mark.parametrize("number", ["12", "13", "14", "16"])
+    @pytest.mark.parametrize("flags", [["--workers", "2"],
+                                       ["--shard-timeout", "60"]])
+    def test_unsharded_fig_rejects_shard_flags(self, number, flags, capsys):
+        with pytest.raises(SystemExit):
+            main(["fig", number, *flags])
+        assert "--workers/--shard-timeout" in capsys.readouterr().err
 
     def test_run_serial_flag(self, capsys):
         assert main(["run", "nn", "--iterations", "96", "--serial"]) == 0

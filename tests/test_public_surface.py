@@ -10,7 +10,10 @@ do the re-exports of a package ``__init__``.  A field counts as read when
 that code loads an attribute of its name or holds its name as a string
 (``getattr``, ``asdict`` keys); setting it does not count.  A helper or a
 field that only tests read stays only as an entry of :data:`ORACLES` or
-:data:`FIELD_ORACLES`, with the reason the tests need it.
+:data:`FIELD_ORACLES`, with the reason the tests need it.  A test-only
+helper whose name program code also uses, for another definition or from
+another test-only helper, is invisible to that count: it stays only as an
+entry of both :data:`ORACLES` and :data:`SHADOWED_ORACLES`.
 
 A setting counts as set when that code passes its name as a keyword to its
 class's constructor or to ``dataclasses.replace``.  A value nothing but the
@@ -48,7 +51,28 @@ ORACLES = {
     "MulticoreResult.speedup_vs_single":
         "scaling oracle: multicore tests bound the analytic model's speedup "
         "by core count and parallel fraction",
+    "MachineState.snapshot":
+        "register-file oracle: conformance, determinism and fingerprint "
+        "tests compare every register of two states by ABI name",
+    "LoopStreamDetector.loops":
+        "stream oracle: test_trace_views checks that scanning the back "
+        "edges finds the loops observing every trace entry finds",
+    **dict.fromkeys(
+        ("Cache.flush", "Cache.reset_stats", "MemoryHierarchy.flush",
+         "MemoryHierarchy.reset_stats"),
+        "fresh-state oracle: the lazy-set tests return a used cache or "
+        "hierarchy to its fresh state and replay it against a new one"),
 }
+
+#: ORACLES entries whose name program code also uses (``snapshot`` of a
+#: latency histogram, ``flush`` of the trace columns, ``loops`` as a
+#: variable, ``reset_stats`` from the hierarchy's own oracle): counting
+#: names cannot tell those uses apart, so their stale check only asks
+#: that the definition still exists.
+SHADOWED_ORACLES = frozenset({
+    "MachineState.snapshot", "LoopStreamDetector.loops", "Cache.flush",
+    "Cache.reset_stats", "MemoryHierarchy.flush",
+    "MemoryHierarchy.reset_stats"})
 
 #: Test-only record fields kept on purpose: qualified name -> why a test
 #: needs it.
@@ -224,8 +248,18 @@ def test_every_public_definition_has_a_caller():
 
 
 def test_oracle_entries_are_still_needed():
-    stale = set(ORACLES) - set(_unused())
+    defined = {qualified for qualified, _, _ in _public_definitions()}
+    stale = ((set(ORACLES) - SHADOWED_ORACLES - set(_unused()))
+             | (SHADOWED_ORACLES - defined))
     assert not stale, f"ORACLES entries now used (or gone): {sorted(stale)}"
+
+
+def test_shadowed_oracles_are_shadowed():
+    assert SHADOWED_ORACLES <= set(ORACLES)
+    unshadowed = SHADOWED_ORACLES & set(_unused())
+    assert not unshadowed, (
+        f"no longer shadowed; keep them in ORACLES only: "
+        f"{sorted(unshadowed)}")
 
 
 def test_every_public_field_has_a_reader():
