@@ -48,6 +48,8 @@ _FIG_DRIVERS = {
 }
 #: The figures whose drivers run shards (and so take the shard flags).
 _SHARDED_FIGS = ("11", "15")
+#: The figures and tables whose drivers take ``--iterations`` (default 256).
+_ITERATED = {"fig": ("11", "12", "13", "14"), "table": ("2",)}
 
 _TABLE_DRIVERS = {
     "1": lambda args: table1_area_power(mesa_config(args.config)),
@@ -85,13 +87,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     fig_cmd = sub.add_parser("fig", help="regenerate one figure")
     fig_cmd.add_argument("number", choices=sorted(_FIG_DRIVERS))
-    fig_cmd.add_argument("--iterations", type=int, default=256)
+    fig_cmd.add_argument("--iterations", type=int)
     _add_shard_flags(fig_cmd)
 
     table_cmd = sub.add_parser("table", help="regenerate one table")
     table_cmd.add_argument("number", choices=sorted(_TABLE_DRIVERS))
     table_cmd.add_argument("--config", default="M-128")
-    table_cmd.add_argument("--iterations", type=int, default=256)
+    table_cmd.add_argument("--iterations", type=int)
 
     serve_cmd = sub.add_parser(
         "serve", help="run the long-lived offload service (shared "
@@ -263,8 +265,9 @@ def _cmd_run(args) -> str:
         lines.append(
             f"run {index}:       {tag}, config {config_cycles} cycles, "
             f"{rerun.total_cycles:.0f} total cycles")
-    lines.append(
-        f"cache:       {format_cache_stats(controller.config_cache.stats())}")
+    cache_stats = sum((run.cache_stats for run in reruns),
+                      result.cache_stats)
+    lines.append(f"cache:       {format_cache_stats(cache_stats)}")
     if args.profile:
         lines.append("")
         lines.append(_render_profile(controller, result, args.profile_top))
@@ -414,14 +417,19 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(_cmd_run_many(args))
         else:
             print(_cmd_run(args))
-    elif args.command == "fig":
-        if args.number not in _SHARDED_FIGS and (
+    elif args.command in ("fig", "table"):
+        if args.command == "fig" and args.number not in _SHARDED_FIGS and (
                 args.workers > 1 or args.shard_timeout is not None):
             parser.error("--workers/--shard-timeout apply to the sharded "
                          f"figures ({', '.join(_SHARDED_FIGS)})")
-        print(_FIG_DRIVERS[args.number](args).render())
-    elif args.command == "table":
-        print(_TABLE_DRIVERS[args.number](args).render())
+        iterated = _ITERATED[args.command]
+        if args.iterations is None:
+            args.iterations = 256
+        elif args.number not in iterated:
+            parser.error(f"--iterations applies to {args.command} "
+                         f"{', '.join(iterated)}")
+        drivers = _FIG_DRIVERS if args.command == "fig" else _TABLE_DRIVERS
+        print(drivers[args.number](args).render())
     elif args.command == "serve":
         return _cmd_serve(args)
     elif args.command == "list":

@@ -18,6 +18,7 @@ from .configure import (
     CachedConfiguration,
     ConfigCache,
     ConfigurationCost,
+    RegionKey,
     build_program,
     configuration_cost,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "CachedConfiguration",
     "ConfigCache",
     "ConfigurationCost",
+    "RegionKey",
     "build_program",
     "configuration_cost",
     "AcceleratedRegion",

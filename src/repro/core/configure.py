@@ -7,11 +7,12 @@ sequential bitstream writes), and caches configurations per code region —
 "a configuration cache is stored on MESA for loops that have already been
 mapped in case they are re-encountered in the near future" (§4.3).
 
-A cache entry is a region record: ``(config, start, end, digest) →
-(program, bitstream, cost)``.  This module alone turns entries into
-JSON-serializable records and records back into entries
-(:meth:`ConfigCache.export_regions` / :meth:`ConfigCache.restore_regions`);
-the service's checkpoints and worker seeding only carry the records.
+A cache entry maps a :class:`RegionKey` ``(config, start, end, digest)`` to
+``(program, bitstream, cost)``.  This module alone turns entries into
+JSON-serializable region records (:data:`REGION_RECORD_FIELDS`) and records
+back into entries (:meth:`ConfigCache.export_regions` /
+:meth:`ConfigCache.restore_regions`); the service's checkpoints and worker
+seeding only carry the records, and name one by :meth:`RegionKey.of`.
 
 The cycle model places MESA's configuration latency in the paper's reported
 10^3–10^4-cycle range for 64–512-instruction regions (Table 2's "JIT
@@ -41,7 +42,8 @@ from .mapping import MappingStats
 from .sdfg import Sdfg
 
 __all__ = ["ConfigurationCost", "ConfigCache", "CacheStats",
-           "CachedConfiguration", "build_program", "configuration_cost",
+           "CachedConfiguration", "RegionKey", "REGION_RECORD_FIELDS",
+           "build_program", "configuration_cost",
            "RENAME_CYCLES", "MEMORY_IMAP_CYCLES", "WRITE_CYCLES_PER_WORD",
            "STALL_FILL_CYCLES"]
 
@@ -180,7 +182,8 @@ def build_program(sdfg: Sdfg) -> AcceleratorProgram:
 
 @dataclass(frozen=True)
 class CacheStats:
-    """Snapshot of the configuration cache's observability counters."""
+    """Configuration-cache activity of one execute (its own lookups and
+    puts, ``MesaResult.cache_stats``), or a sum of such tallies."""
 
     hits: int = 0
     misses: int = 0
@@ -212,6 +215,27 @@ class CacheStats:
         )
 
 
+class RegionKey(NamedTuple):
+    """A configured region's identity, and its cache entry's key; the
+    content ``digest`` is :func:`~repro.core.controller.region_digest`."""
+
+    config: str
+    start: int
+    end: int
+    digest: str
+
+    @classmethod
+    def of(cls, record: dict) -> "RegionKey":
+        """The key a region record was exported under."""
+        return cls(record["config"], record["start"], record["end"],
+                   record["digest"])
+
+
+#: Fields of a region record: its key, then the four
+#: :class:`ConfigurationCost` components and the bitstream words.
+REGION_RECORD_FIELDS = (*RegionKey._fields, "cost", "bitstream")
+
+
 class CachedConfiguration(NamedTuple):
     """One configuration-cache entry: everything needed to skip T1–T3."""
 
@@ -223,12 +247,10 @@ class CachedConfiguration(NamedTuple):
 class ConfigCache:
     """Per-region configuration cache (re-encountered loops skip T1–T3).
 
-    Entries are keyed by (region start, region end, backend name, content
-    *digest* of the region's instruction words): a chip-wide cache sees
-    many address spaces, so two different binaries can place different
-    loops at the same virtual addresses.  Tagging every key with the digest
-    makes such a collision two distinct entries, never a wrong
-    configuration.
+    Entries are keyed by :class:`RegionKey`: backend name, region start
+    and end, and the content digest of the region's instruction words, so
+    two binaries whose loops collide at the same virtual addresses occupy
+    two distinct entries, never a wrong configuration.
 
     An entry is exactly what a region record holds — the accelerator
     program, its bitstream words and its configuration cost — so a hit
@@ -241,9 +263,9 @@ class ConfigCache:
     so a popularity-skewed request mix keeps its hot regions resident —
     the service deployment's choice).
 
-    The cache is shared by every core on the chip, so all mutating paths
-    take an internal lock; counters (hits/misses/evictions/insertions) are
-    monotonic and can be snapshot via :meth:`stats`.
+    The cache keeps no counters (each execute tallies its own
+    :class:`CacheStats`).  Every path takes a lock: a timed-out in-process
+    service task can still be running when the next request executes.
     """
 
     POLICIES = ("fifo", "lru")
@@ -256,85 +278,61 @@ class ConfigCache:
                              f"expected one of {self.POLICIES}")
         self.capacity = capacity
         self.policy = policy
-        self._entries: dict[tuple, CachedConfiguration] = {}
+        self._entries: dict[RegionKey, CachedConfiguration] = {}
         self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self.insertions = 0
 
     def __len__(self) -> int:
         return len(self._entries)
 
-    def stats(self) -> CacheStats:
-        """Consistent snapshot of the observability counters."""
-        with self._lock:
-            return CacheStats(hits=self.hits, misses=self.misses,
-                              evictions=self.evictions,
-                              insertions=self.insertions)
-
-    def lookup(self, start: int, end: int, config_name: str,
-               digest: str) -> CachedConfiguration | None:
-        """Probe the cache; counts a hit or a miss."""
-        key = (start, end, config_name, digest)
+    def lookup(self, key: RegionKey) -> CachedConfiguration | None:
+        """The entry held for ``key``, or None on a miss."""
         with self._lock:
             entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            if self.policy == "lru":
+            if entry is not None and self.policy == "lru":
                 # A hit refreshes the entry: eviction takes the dict's
                 # first (least-recently-touched) key.
                 self._entries[key] = self._entries.pop(key)
             return entry
 
-    def put(self, start: int, end: int, config_name: str, digest: str,
-            entry: CachedConfiguration) -> bool:
+    def put(self, key: RegionKey, entry: CachedConfiguration) -> bool:
         """Cache a configuration; returns whether it forced an eviction.
 
         Overwriting the key already present never evicts an unrelated
         entry: membership is checked *before* the capacity test, so an
         at-capacity cache updates in place.
         """
-        key = (start, end, config_name, digest)
         with self._lock:
             replaced = key in self._entries
-            evicted = False
-            if not replaced and len(self._entries) >= self.capacity:
+            evicted = not replaced and len(self._entries) >= self.capacity
+            if evicted:
                 # The victim is the dict's first key: insertion order under
                 # FIFO (keeps the hardware simple), least-recently-touched
                 # under LRU (lookup hits refresh entries).
                 del self._entries[next(iter(self._entries))]
-                self.evictions += 1
-                evicted = True
-            if replaced and self.policy == "lru":
+            elif replaced and self.policy == "lru":
                 del self._entries[key]  # refresh: re-fill counts as a touch
             self._entries[key] = entry
-            self.insertions += 1
         return evicted
 
     def export_regions(self, keys=None) -> list[dict]:
         """Portable snapshot of the resident configurations.
 
-        Each record is plain JSON-serializable data — the key's addresses,
-        backend name and content digest, the four
+        Each record is plain JSON-serializable data with the
+        :data:`REGION_RECORD_FIELDS` — the key's fields, the four
         :class:`ConfigurationCost` components, and the bitstream words —
         and :meth:`restore_regions` turns it back into the same entry.
         Export order is the cache's current victim order (oldest first),
         so a restore into a smaller cache keeps the hottest entries.
 
         Args:
-            keys: if given, a collection of ``(start, end, digest)``
-                triples; only the entries they name are exported.
+            keys: if given, a collection of :class:`RegionKey`; only the
+                entries they name are exported.
         """
         with self._lock:
-            return [{"config": config, "start": start, "end": end,
-                     "digest": digest, "cost": list(astuple(entry.cost)),
+            return [{**key._asdict(), "cost": list(astuple(entry.cost)),
                      "bitstream": list(entry.bitstream)}
-                    for (start, end, config, digest), entry
-                    in self._entries.items()
-                    if keys is None or (start, end, digest) in keys]
+                    for key, entry in self._entries.items()
+                    if keys is None or key in keys]
 
     def restore_regions(self, records, config: AcceleratorConfig) -> int:
         """Re-seed the cache from exported records for backend ``config``.
@@ -349,12 +347,12 @@ class ConfigCache:
             try:
                 if record["config"] != config.name:
                     continue
-                start, end = int(record["start"]), int(record["end"])
-                digest = record["digest"]
-                if not isinstance(digest, str):
+                key = RegionKey(config.name, int(record["start"]),
+                                int(record["end"]), record["digest"])
+                if not isinstance(key.digest, str):
                     continue
                 with self._lock:
-                    if (start, end, config.name, digest) in self._entries:
+                    if key in self._entries:
                         continue
                 bitstream = [int(word) for word in record["bitstream"]]
                 entry = CachedConfiguration(
@@ -365,6 +363,6 @@ class ConfigCache:
             except (BitstreamError, KeyError, TypeError, ValueError,
                     IndexError):
                 continue
-            self.put(start, end, config.name, digest, entry)
+            self.put(key, entry)
             restored += 1
         return restored

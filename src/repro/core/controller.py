@@ -26,7 +26,8 @@ carries the cached accelerator program only (its ``sdfg`` and
 ``memopt_report`` are ``None``), and both paths plan loops from that
 program, so every hit runs the same warm path.  One
 controller serves the whole chip (see :mod:`repro.core.system`), so the
-cache is shared — and thread-safe — across all cores.
+cache is shared across all cores (and locked: a timed-out in-process
+service task can still be running when the next request executes).
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .configure import (
     CachedConfiguration,
     ConfigCache,
     ConfigurationCost,
+    RegionKey,
     build_program,
     configuration_cost,
 )
@@ -153,8 +155,8 @@ class AcceleratedRegion:
     """One configured code region and its execution record."""
 
     decision: RegionDecision
-    #: Content tag of the region's instruction words (its cache key's tag).
-    digest: str
+    #: The region's configuration-cache key.
+    key: RegionKey
     #: ``None`` when the configuration came from the cache: an entry holds
     #: the accelerator program, not the mapping that produced it.
     sdfg: Sdfg | None
@@ -270,9 +272,10 @@ class _Call:
     """One :meth:`MesaController.execute` call's own record.
 
     ``execute`` creates it and passes it down to every helper, so the cache
-    tally and the phase seconds belong to exactly one call: concurrent
-    calls on one controller (as :class:`~repro.core.system.MesaSystem` and
-    the offload service make) keep complete, disjoint timings.
+    tally and the phase seconds belong to exactly one call.  The one
+    concurrent caller is the offload service: an in-process task that a
+    timeout detached keeps running on the controller while the next
+    request executes, and each keeps complete, disjoint timings.
     """
 
     def __init__(self, profiles: dict[str, cProfile.Profile] | None) -> None:
@@ -309,7 +312,7 @@ class MesaController:
     """Drives the full MESA pipeline over one program.
 
     One controller serves the whole chip: its :class:`ConfigCache` is
-    shared (and thread-safe) across every ``execute`` call, so repeated
+    shared across every ``execute`` call, so repeated
     executions of the same binary — from the same core or another one —
     skip translation and mapping and pay only the warm bitstream load.
     """
@@ -418,16 +421,16 @@ class MesaController:
         cpi = cpu_only.cycles / max(1, len(trace))
         for decision in accepted:
             loop = decision.loop
-            digest = region_digest(program, loop.start_address,
-                                   loop.end_address)
-            cached = self.config_cache.lookup(
-                loop.start_address, loop.end_address, self.config.name,
-                digest)
+            key = RegionKey(self.config.name, loop.start_address,
+                            loop.end_address,
+                            region_digest(program, loop.start_address,
+                                          loop.end_address))
+            cached = self.config_cache.lookup(key)
             call.cache["hits" if cached is not None else "misses"] += 1
             if cached is not None:
                 # Warm path: skip T1–T3, pay only the bitstream load.
                 regions.append(self._region_from_cache(
-                    decision, digest, cached, parallelizable, trace, cpi))
+                    decision, key, cached, parallelizable, trace, cpi))
                 continue
             translated = self._translate(decision, trace, program, call)
             if isinstance(translated, str):
@@ -453,7 +456,7 @@ class MesaController:
             with call.phase("configure"):
                 region = self._configure_region(
                     decision, translated, sdfg, parallelizable, trace, cpi,
-                    digest, call)
+                    key, call)
             if isinstance(region, str):
                 failure_reasons.append(region)
                 continue
@@ -473,7 +476,7 @@ class MesaController:
                 accel_hierarchy, optimizer_history)
 
     def _configure_region(self, decision, translated: TranslationResult,
-                          sdfg, parallelizable, trace, cpi, digest,
+                          sdfg, parallelizable, trace, cpi, key: RegionKey,
                           call: _Call) -> AcceleratedRegion | str:
         """T3 + loop planning + warm-up estimate for one accepted region.
 
@@ -493,14 +496,12 @@ class MesaController:
             stall_fills=translated.trace_cache.stall_fills,
         )
         evicted = self.config_cache.put(
-            decision.loop.start_address, decision.loop.end_address,
-            self.config.name, digest,
-            CachedConfiguration(accel_program, bitstream, cost))
+            key, CachedConfiguration(accel_program, bitstream, cost))
         call.cache["insertions"] += 1
         call.cache["evictions"] += evicted
         return AcceleratedRegion(
             decision=decision,
-            digest=digest,
+            key=key,
             sdfg=sdfg,
             accel_program=accel_program,
             bitstream_words=len(bitstream),
@@ -510,7 +511,7 @@ class MesaController:
             warmup=self._warmup_iterations(decision, trace, cpi, cost),
         )
 
-    def _region_from_cache(self, decision, digest,
+    def _region_from_cache(self, decision, key: RegionKey,
                            cached: CachedConfiguration, parallelizable,
                            trace, cpi) -> AcceleratedRegion:
         """Warm path: rebuild the region record from a cache hit.
@@ -526,7 +527,7 @@ class MesaController:
         warm_cost = cached.cost.warm()
         return AcceleratedRegion(
             decision=decision,
-            digest=digest,
+            key=key,
             sdfg=None,
             accel_program=cached.program,
             bitstream_words=len(cached.bitstream),

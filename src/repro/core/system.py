@@ -84,7 +84,8 @@ class SystemRun:
 
     outcomes: list[ThreadOutcome]
     policy: SchedulingPolicy
-    #: Shared-controller cache activity attributable to this run.
+    #: Shared-controller cache activity of this run: the sum of its
+    #: threads' per-execute ``result.cache_stats``.
     cache_stats: CacheStats = field(default_factory=CacheStats)
 
     @property
@@ -137,7 +138,6 @@ class MesaSystem:
         the fabric is busy keeps its core stalled at the loop entry (the
         paper's halt-at-entry protocol) until the fabric frees up.
         """
-        stats_before = self.controller.config_cache.stats()
         evaluated = [
             ThreadOutcome(name=spec.name, result=self.controller.execute(
                 spec.program, spec.state_factory,
@@ -169,9 +169,10 @@ class MesaSystem:
                           + breakdown.return_cycles)
             fabric_free = start + accel_time
             outcome.finish = start + accel_time
-        cache_stats = self.controller.config_cache.stats() - stats_before
-        return SystemRun(outcomes=evaluated, policy=self.policy,
-                         cache_stats=cache_stats)
+        return SystemRun(
+            outcomes=evaluated, policy=self.policy,
+            cache_stats=sum((outcome.result.cache_stats
+                             for outcome in evaluated), CacheStats()))
 
     @staticmethod
     def _ready_at(outcome: ThreadOutcome) -> float:

@@ -37,6 +37,8 @@ import os
 import time
 from threading import Lock
 
+from ..core.configure import REGION_RECORD_FIELDS, RegionKey
+
 __all__ = ["SNAPSHOT_MAGIC", "SNAPSHOT_VERSION", "RegionStore",
            "save_snapshot", "load_snapshot"]
 
@@ -45,20 +47,12 @@ log = logging.getLogger("repro.service")
 SNAPSHOT_MAGIC = "mesa-config-snapshot"
 SNAPSHOT_VERSION = 1
 
-#: Fields every region record must carry to be restorable.
-_RECORD_FIELDS = ("config", "start", "end", "cost", "bitstream")
-
-
-def _record_key(record: dict) -> tuple:
-    return (record.get("config"), record.get("start"), record.get("end"),
-            record.get("digest"))
-
 
 class RegionStore:
     """Thread-safe, deduplicating accumulator of exported region records.
 
-    Keyed the same way as a :class:`ConfigCache` entry — (config, start,
-    end, digest) — and kept in use order per chip: a re-reported
+    Keyed the same way as a :class:`ConfigCache` entry — by
+    :meth:`RegionKey.of` — and kept in use order per chip: a re-reported
     or :meth:`touch`-ed key moves to the end, and each chip keeps at most
     ``capacity`` records (the least recently used go first), so a restore
     into a capacity-N LRU cache gets the N most recently used regions.
@@ -66,7 +60,7 @@ class RegionStore:
 
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
-        self._chips: dict[object, dict[tuple, dict]] = {}
+        self._chips: dict[str, dict[RegionKey, dict]] = {}
         self._lock = Lock()
 
     def __len__(self) -> int:
@@ -78,8 +72,8 @@ class RegionStore:
         new = 0
         with self._lock:
             for record in records:
-                key = _record_key(record)
-                chip = self._chips.setdefault(key[0], {})
+                key = RegionKey.of(record)
+                chip = self._chips.setdefault(key.config, {})
                 if chip.pop(key, None) is None:
                     new += 1
                 chip[key] = record
@@ -88,11 +82,11 @@ class RegionStore:
         return new
 
     def touch(self, keys) -> None:
-        """Move the held records among ``(config, start, end, digest)``
-        keys to the end (a cache hit on them)."""
+        """Move the held records among ``keys`` (:class:`RegionKey`) to
+        the end (a cache hit on them)."""
         with self._lock:
             for key in keys:
-                chip = self._chips.get(key[0])
+                chip = self._chips.get(key.config)
                 if chip is not None and key in chip:
                     chip[key] = chip.pop(key)
 
@@ -102,8 +96,7 @@ class RegionStore:
                     for record in chip.values()]
 
 
-def save_snapshot(path: str, records: list[dict],
-                  extra: dict | None = None) -> int:
+def save_snapshot(path: str, records: list[dict]) -> int:
     """Atomically write a versioned snapshot; returns the record count."""
     payload = {
         "magic": SNAPSHOT_MAGIC,
@@ -111,8 +104,6 @@ def save_snapshot(path: str, records: list[dict],
         "saved_at": time.time(),
         "records": records,
     }
-    if extra:
-        payload["extra"] = extra
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -128,9 +119,9 @@ def load_snapshot(path: str) -> tuple[list[dict] | None, str]:
     Never raises — every failure mode (missing file, unreadable,
     malformed JSON, wrong magic, future version, bad shape) becomes a
     logged reason so the caller can boot cold.  Records that are not
-    dicts or miss required fields are dropped individually; per-record
-    bitstream corruption is caught later by ``decode_bitstream`` during
-    restore.
+    dicts or miss one of the codec's ``REGION_RECORD_FIELDS`` are dropped
+    individually (the count is logged); per-record bitstream corruption
+    is caught later by ``decode_bitstream`` during restore.
     """
     if not os.path.exists(path):
         return None, f"no snapshot at {path}"
@@ -158,7 +149,7 @@ def load_snapshot(path: str) -> tuple[list[dict] | None, str]:
         return None, reason
     records = [record for record in raw
                if isinstance(record, dict)
-               and all(field in record for field in _RECORD_FIELDS)]
+               and all(field in record for field in REGION_RECORD_FIELDS)]
     dropped = len(raw) - len(records)
     if dropped:
         log.warning("snapshot %s: dropped %d malformed record(s)",

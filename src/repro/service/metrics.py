@@ -5,9 +5,9 @@ configuration cache across every request it ever serves, so its counters
 must never be reset — a reset would destroy another reader's baseline.
 Everything here is therefore *monotonic* and *subtractable*: a dashboard
 takes a :class:`ServiceStats` snapshot whenever it likes and subtracts the
-previous one to get exact interval metrics (``current - previous``), the
-same way :class:`~repro.core.configure.CacheStats` deltas are computed
-from the monotonic :meth:`ConfigCache.stats` counters.
+previous one to get exact interval metrics (``current - previous``); its
+cache counts are the requests' per-execute
+:class:`~repro.core.configure.CacheStats` tallies, summed.
 
 Latency is tracked in log-spaced buckets (:class:`LatencyHistogram`):
 recording is O(log buckets), snapshots are cheap tuples, and quantiles are
@@ -182,7 +182,7 @@ class ServiceStats:
     checkpoints_saved: int = 0
     #: Region records warm-restored from a snapshot at boot.
     regions_restored: int = 0
-    #: Shared-cache counters summed over every chip in the pool.
+    #: Per-execute cache tallies summed over every request served.
     cache: CacheStats = field(default_factory=CacheStats)
     uptime_seconds: float = 0.0
     # -- gauges ---------------------------------------------------------------

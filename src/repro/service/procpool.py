@@ -7,9 +7,10 @@ and the fault (if any) a test plan injects.  :class:`ChipTask` runs it
 against a :class:`ControllerPool`, one controller per chip, and returns a
 compact summary dict (a :class:`~repro.core.controller.MesaResult` holds
 traces and is deliberately not shipped).  The summary carries the
-execute's cache counters, its phase seconds, whether the CPU baseline was
-reused, the region records it inserted and the keys of the regions that
-hit — the parent learns about the caches only through it.
+execute's :class:`~repro.core.configure.CacheStats`, its phase seconds,
+whether the CPU baseline was reused, the region records it inserted and
+the :class:`~repro.core.configure.RegionKey` of each region that hit —
+the parent learns about the caches only through it.
 
 A request's CPU baseline — the dynamic trace and the core model's result
 over it — depends only on the program and its initial state, so each
@@ -40,8 +41,8 @@ service's :class:`~repro.service.checkpoint.RegionStore` records as they
 stand at that spawn.  Records are written and read by the chip's
 :class:`~repro.core.configure.ConfigCache` alone (``export_regions`` /
 ``restore_regions``, which skips keys already held), and a region's key
-comes from the digest the controller computed for it, so a restored entry
-serves exactly the warm path a locally configured one does.
+is the one the controller looked it up under, so a restored entry serves
+exactly the warm path a locally configured one does.
 
 :class:`CircuitBreaker` lives here too: the per-(config, region)
 consecutive-failure counter the server consults before dispatching, with
@@ -248,12 +249,7 @@ class ChipTask:
         if not hit:
             self._remember_baseline(key, (result.trace, result.cpu_only))
         tally = result.cache_stats
-        hits, misses = set(), set()
-        for region in (result.regions
-                       if tally.hits or tally.insertions else ()):
-            (hits if region.cache_hit else misses).add(
-                (region.loop.start_address, region.loop.end_address,
-                 region.digest))
+        regions = result.regions if tally.hits or tally.insertions else ()
         return {"accelerated": result.accelerated,
                 "cache_hit": result.config_cache_hit,
                 "baseline_hit": hit,
@@ -261,13 +257,14 @@ class ChipTask:
                 "speedup": result.speedup_vs_single_core,
                 "total_cycles": result.total_cycles,
                 "phase_seconds": dict(result.phase_seconds),
-                "cache_stats": (tally.hits, tally.misses, tally.evictions,
-                                tally.insertions),
+                "cache_stats": tally,
                 "new_regions": (
-                    controller.config_cache.export_regions(misses)
+                    controller.config_cache.export_regions(
+                        {region.key for region in regions
+                         if not region.cache_hit})
                     if tally.insertions else []),
-                "hit_regions": [(controller.config.name, *region)
-                                for region in hits],
+                "hit_regions": [region.key for region in regions
+                                if region.cache_hit],
                 "pid": os.getpid()}
 
 

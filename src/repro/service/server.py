@@ -39,7 +39,7 @@ of the shared :class:`~repro.harness.parallel.WorkerPool`): N worker
 degrades only its own request and is replaced in place), sticky
 region→worker affinity, and seeding from the region store so replacement
 workers rejoin warm.  ``workers=0`` runs the same task function in the
-service's own process, one request at a time.  Either way cache counters,
+service's own process, one request at a time.  Either way the cache tally,
 phase seconds, newly configured regions and the keys of the regions that
 hit come back only through the task's summary.
 
@@ -745,9 +745,8 @@ class MesaService:
         except (WorkerTaskError, PoolBroken) as exc:
             return {"status": "failed", "reason": str(exc)}
         summary["status"] = "completed"
-        tally = summary.get("cache_stats")
-        if tally:
-            self._cache_tally = self._cache_tally + CacheStats(*tally)
+        if "cache_stats" in summary:
+            self._cache_tally = self._cache_tally + summary["cache_stats"]
         job.new_regions = tuple(summary.get("new_regions", ()))
         self._store.add_many(job.new_regions)
         self._store.touch(summary.get("hit_regions", ()))

@@ -15,6 +15,7 @@ from repro.core import (
     ImapFsm,
     InstructionMapper,
     MappingOptions,
+    RegionKey,
     apply_memory_optimizations,
     build_ldfg,
     build_program,
@@ -22,6 +23,7 @@ from repro.core import (
 )
 from repro.core.configure import (
     MEMORY_IMAP_CYCLES,
+    REGION_RECORD_FIELDS,
     RENAME_CYCLES,
     STALL_FILL_CYCLES,
     WRITE_CYCLES_PER_WORD,
@@ -224,6 +226,11 @@ class TestConfigurationCost:
         assert with_stalls.total - without.total == 4 * STALL_FILL_CYCLES
 
 
+def key(start, end=0x1020, config="M-64", digest=DIGEST):
+    """A cache key: the tests vary addresses, backend and digest."""
+    return RegionKey(config, start, end, digest)
+
+
 class TestConfigCache:
     def make_entry(self):
         sdfg, stats = mapped_with_stats(LOOP)
@@ -234,26 +241,24 @@ class TestConfigCache:
     def test_miss_then_hit(self):
         cache = ConfigCache()
         entry = self.make_entry()
-        assert cache.lookup(0x1000, 0x1020, "M-64", DIGEST) is None
-        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
-        hit = cache.lookup(0x1000, 0x1020, "M-64", DIGEST)
-        assert hit is not None
-        assert hit is entry
-        assert cache.hits == 1 and cache.misses == 1
+        assert cache.lookup(key(0x1000)) is None
+        assert not cache.put(key(0x1000), entry)
+        assert cache.lookup(key(0x1000)) is entry
+        assert len(cache) == 1
 
     def test_distinct_backends_distinct_entries(self):
         cache = ConfigCache()
         entry = self.make_entry()
-        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
-        assert cache.lookup(0x1000, 0x1020, "M-128", DIGEST) is None
+        cache.put(key(0x1000), entry)
+        assert cache.lookup(key(0x1000, config="M-128")) is None
 
     def test_fifo_eviction(self):
         cache = ConfigCache(capacity=2)
         entry = self.make_entry()
         for i in range(3):
-            cache.put(0x1000 + 0x100 * i, 0x1020, "M-64", DIGEST, entry)
-        assert cache.lookup(0x1000, 0x1020, "M-64", DIGEST) is None, "evicted"
-        assert cache.lookup(0x1200, 0x1020, "M-64", DIGEST) is not None
+            cache.put(key(0x1000 + 0x100 * i), entry)
+        assert cache.lookup(key(0x1000)) is None, "evicted"
+        assert cache.lookup(key(0x1200)) is not None
 
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
@@ -264,32 +269,31 @@ class TestConfigCache:
         not evict the oldest unrelated entry."""
         cache = ConfigCache(capacity=2)
         entry = self.make_entry()
-        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
-        cache.put(0x2000, 0x2020, "M-64", DIGEST, entry)
-        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)  # overwrite
-        assert cache.lookup(0x2000, 0x2020, "M-64", DIGEST) is not None, (
+        cache.put(key(0x1000), entry)
+        cache.put(key(0x2000, 0x2020), entry)
+        assert not cache.put(key(0x1000), entry), "overwrite evicted"
+        assert cache.lookup(key(0x2000, 0x2020)) is not None, (
             "overwrite evicted an unrelated entry")
-        assert cache.lookup(0x1000, 0x1020, "M-64", DIGEST) is not None
-        assert cache.evictions == 0
+        assert cache.lookup(key(0x1000)) is not None
         assert len(cache) == 2
 
     def test_eviction_counter(self):
+        """``put`` reports each eviction it forces: the caller's tally."""
         cache = ConfigCache(capacity=1)
         entry = self.make_entry()
-        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
-        assert cache.evictions == 0
-        cache.put(0x2000, 0x2020, "M-64", DIGEST, entry)
-        assert cache.evictions == 1
-        assert cache.insertions == 2
+        evictions = [cache.put(key(0x1000), entry),
+                     cache.put(key(0x2000, 0x2020), entry)]
+        assert evictions == [False, True]
+        assert len(cache) == 1
 
     def test_put_reports_eviction_and_replacement(self):
         cache = ConfigCache(capacity=1)
         entry = self.make_entry()
-        assert not cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
+        assert not cache.put(key(0x1000), entry)
         # Re-filling the resident key replaces it in place.
-        assert not cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
+        assert not cache.put(key(0x1000), entry)
         assert len(cache) == 1
-        assert cache.put(0x2000, 0x2020, "M-64", DIGEST, entry)
+        assert cache.put(key(0x2000, 0x2020), entry)
         assert len(cache) == 1
 
     def test_digest_mismatch_is_conflict_miss(self):
@@ -297,10 +301,10 @@ class TestConfigCache:
         addresses; the content digest must keep them apart."""
         cache = ConfigCache()
         entry = self.make_entry()
-        cache.put(0x1000, 0x1020, "M-64", "aaaa", entry)
-        assert cache.lookup(0x1000, 0x1020, "M-64", "bbbb") is None
-        assert cache.lookup(0x1000, 0x1020, "M-64", "aaaa") is not None
-        assert cache.misses == 1 and cache.hits == 1
+        cache.put(key(0x1000, digest="aaaa"), entry)
+        assert cache.lookup(key(0x1000, digest="bbbb")) is None
+        assert cache.lookup(key(0x1000, digest="aaaa")) is entry
+        assert len(cache) == 1
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
@@ -311,23 +315,23 @@ class TestConfigCache:
         least-recently-touched key, not the oldest insertion."""
         entry = self.make_entry()
         cache = ConfigCache(capacity=2, policy="lru")
-        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
-        cache.put(0x2000, 0x2020, "M-64", DIGEST, entry)
-        assert cache.lookup(0x1000, 0x1020, "M-64", DIGEST)  # refresh
-        cache.put(0x3000, 0x3020, "M-64", DIGEST, entry)  # evicts
-        assert cache.lookup(0x1000, 0x1020, "M-64", DIGEST) is not None, (
+        cache.put(key(0x1000), entry)
+        cache.put(key(0x2000, 0x2020), entry)
+        assert cache.lookup(key(0x1000))  # refresh
+        assert cache.put(key(0x3000, 0x3020), entry)  # evicts
+        assert cache.lookup(key(0x1000)) is not None, (
             "the refreshed entry must survive")
-        assert cache.lookup(0x2000, 0x2020, "M-64", DIGEST) is None, (
+        assert cache.lookup(key(0x2000, 0x2020)) is None, (
             "the least-recently-touched entry is the victim")
 
     def test_fifo_ignores_hits_for_eviction(self):
         entry = self.make_entry()
         cache = ConfigCache(capacity=2, policy="fifo")
-        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
-        cache.put(0x2000, 0x2020, "M-64", DIGEST, entry)
-        assert cache.lookup(0x1000, 0x1020, "M-64", DIGEST) is not None
-        cache.put(0x3000, 0x3020, "M-64", DIGEST, entry)
-        assert cache.lookup(0x1000, 0x1020, "M-64", DIGEST) is None, (
+        cache.put(key(0x1000), entry)
+        cache.put(key(0x2000, 0x2020), entry)
+        assert cache.lookup(key(0x1000)) is not None
+        assert cache.put(key(0x3000, 0x3020), entry)
+        assert cache.lookup(key(0x1000)) is None, (
             "FIFO evicts the oldest insertion regardless of hits")
 
     def test_tag_indexed_collisions_coexist(self):
@@ -336,25 +340,11 @@ class TestConfigCache:
         overwriting one slot."""
         entry = self.make_entry()
         cache = ConfigCache()
-        cache.put(0x1000, 0x1020, "M-64", "aaaa", entry)
-        cache.put(0x1000, 0x1020, "M-64", "bbbb", entry)
+        assert not cache.put(key(0x1000, digest="aaaa"), entry)
+        assert not cache.put(key(0x1000, digest="bbbb"), entry)
         assert len(cache) == 2
-        assert cache.lookup(0x1000, 0x1020, "M-64", "aaaa") is not None
-        assert cache.lookup(0x1000, 0x1020, "M-64", "bbbb") is not None
-        assert cache.evictions == 0
-
-    def test_stats_snapshot_and_delta(self):
-        cache = ConfigCache()
-        entry = self.make_entry()
-        before = cache.stats()
-        cache.lookup(0x1000, 0x1020, "M-64", DIGEST)
-        cache.put(0x1000, 0x1020, "M-64", DIGEST, entry)
-        cache.lookup(0x1000, 0x1020, "M-64", DIGEST)
-        delta = cache.stats() - before
-        assert delta.hits == 1 and delta.misses == 1
-        assert delta.insertions == 1 and delta.evictions == 0
-        assert delta.lookups == 2
-        assert delta.hit_rate == pytest.approx(0.5)
+        assert cache.lookup(key(0x1000, digest="aaaa")) is not None
+        assert cache.lookup(key(0x1000, digest="bbbb")) is not None
 
 
 class TestRegionRecords:
@@ -365,17 +355,20 @@ class TestRegionRecords:
         program = build_program(sdfg)
         bitstream = encode_bitstream(program)
         cache = ConfigCache()
-        cache.put(0x1000, 0x1020, CONFIG.name, "aaaa", CachedConfiguration(
-            program, bitstream,
-            configuration_cost(sdfg, len(bitstream), stats)))
+        cache.put(key(0x1000, config=CONFIG.name, digest="aaaa"),
+                  CachedConfiguration(
+                      program, bitstream,
+                      configuration_cost(sdfg, len(bitstream), stats)))
         return cache
 
     def test_restored_entry_equals_exported_one(self):
         cache = self.configured_cache()
         fresh = ConfigCache()
         assert fresh.restore_regions(cache.export_regions(), CONFIG) == 1
-        original = cache.lookup(0x1000, 0x1020, CONFIG.name, "aaaa")
-        restored = fresh.lookup(0x1000, 0x1020, CONFIG.name, "aaaa")
+        original = cache.lookup(key(0x1000, config=CONFIG.name,
+                                    digest="aaaa"))
+        restored = fresh.lookup(key(0x1000, config=CONFIG.name,
+                                    digest="aaaa"))
         # The codec drops only assembler metadata (branch labels), so the
         # restored program re-encodes to the very words it came from.
         assert restored.bitstream == original.bitstream
@@ -387,7 +380,23 @@ class TestRegionRecords:
         cache = self.configured_cache()
         records = cache.export_regions()
         assert cache.restore_regions(records, CONFIG) == 0
-        assert cache.insertions == 1
+        assert len(cache) == 1
+
+    def test_record_key_is_the_export_key(self):
+        """``RegionKey.of`` names every record by the key it was exported
+        under, and each record carries exactly the codec's fields."""
+        entry = self.configured_cache().lookup(
+            key(0x1000, config=CONFIG.name, digest="aaaa"))
+        keys = [key(0x1000 + 0x100 * i, config=CONFIG.name,
+                    digest=f"d{i % 2}") for i in range(4)]
+        cache = ConfigCache()
+        for region in keys:
+            cache.put(region, entry)
+        records = cache.export_regions()
+        assert [RegionKey.of(record) for record in records] == keys
+        assert all(tuple(record) == REGION_RECORD_FIELDS
+                   for record in records)
+        assert cache.export_regions({keys[2]}) == [records[2]]
 
     def test_records_without_a_digest_are_skipped(self):
         (record,) = self.configured_cache().export_regions()

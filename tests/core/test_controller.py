@@ -7,7 +7,7 @@ import pytest
 
 from repro import M_128, MesaController, MesaOptions, assemble
 from repro.accel import AcceleratorConfig
-from repro.core import region_digest
+from repro.core import RegionKey, region_digest
 from repro.isa import MachineState, run, x
 from repro.mem import Memory
 
@@ -216,7 +216,7 @@ class TestOptions:
         loop_end = 0x1018
         digest = region_digest(INCREMENT_LOOP, loop_start, loop_end)
         assert controller.config_cache.lookup(
-            loop_start, loop_end, M_128.name, digest) is not None
+            RegionKey(M_128.name, loop_start, loop_end, digest)) is not None
 
 
 class TestConfigCacheWarmPath:

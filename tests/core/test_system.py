@@ -3,7 +3,7 @@
 import pytest
 
 from repro.accel import M_128
-from repro.core import MesaSystem, SchedulingPolicy, ThreadSpec
+from repro.core import CacheStats, MesaSystem, SchedulingPolicy, ThreadSpec
 from repro.workloads import build_kernel
 
 
@@ -114,6 +114,18 @@ class TestSharedControllerCache:
             "reusing the configuration must shorten the warm thread")
         assert (sum(o.finish for o in shared.outcomes)
                 < sum(o.finish for o in alone))
+
+    def test_cache_stats_sum_the_threads_tallies(self):
+        """A run's count is its threads' per-execute tallies summed, a
+        thread that hits included."""
+        system = MesaSystem(M_128)
+        system.run([thread("nn")])
+        run = system.run([thread("nn"), thread("kmeans"), thread("nn")])
+        tallies = [o.result.cache_stats for o in run.outcomes]
+        assert run.cache_stats == sum(tallies, CacheStats())
+        assert [tally.hits for tally in tallies] == [1, 0, 1]
+        assert run.cache_stats == CacheStats(hits=2, misses=1,
+                                             insertions=1)
 
     def test_controller_persists_across_runs(self):
         system = MesaSystem(M_128)

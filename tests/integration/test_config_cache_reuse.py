@@ -9,7 +9,7 @@ binary (or a binary whose loop is visited repeatedly) must hit the cache.
 import pytest
 
 from repro.accel import M_128
-from repro.core import MesaController, region_digest
+from repro.core import MesaController, RegionKey, region_digest
 from repro.isa import MachineState, assemble, x
 from repro.mem import Memory
 from repro.workloads import build_kernel, kernel_names
@@ -34,9 +34,9 @@ class TestCacheReuse:
         assert warm.total_cycles < cold.total_cycles
         start = kernel.program.labels["loop"]
         end = kernel.program.end_address - 4
-        loop = controller.config_cache.lookup(
-            start, end, M_128.name,
-            region_digest(kernel.program, start, end))
+        loop = controller.config_cache.lookup(RegionKey(
+            M_128.name, start, end,
+            region_digest(kernel.program, start, end)))
         assert loop is not None
 
     def test_distinct_kernels_distinct_entries(self):
@@ -52,11 +52,25 @@ class TestCacheReuse:
             kernel = build_kernel(name, iterations=128)
             start = kernel.program.labels["loop"]
             end = kernel.program.end_address - 4
-            entry = controller.config_cache.lookup(
-                start, end, M_128.name,
-                region_digest(kernel.program, start, end))
+            entry = controller.config_cache.lookup(RegionKey(
+                M_128.name, start, end,
+                region_digest(kernel.program, start, end)))
             hits += entry is not None
         assert hits == 2
+
+    def test_records_are_named_by_their_region_keys(self):
+        """``RegionKey.of`` gives back, for every exported record, the key
+        the controller configured its region under."""
+        controller = MesaController(M_128)
+        keys = []
+        for name in ("nn", "gaussian", "kmeans"):
+            kernel = build_kernel(name, iterations=128)
+            result = controller.execute(kernel.program, kernel.state_factory,
+                                        parallelizable=True)
+            keys += [region.key for region in result.regions]
+        records = controller.config_cache.export_regions()
+        assert len(keys) == 3
+        assert [RegionKey.of(record) for record in records] == keys
 
     def test_revisited_loop_offloads_every_visit(self):
         """A loop inside an outer phase structure is re-entered; after the

@@ -3,12 +3,13 @@ restore of damaged snapshots, and warm-hit equivalence after a restart."""
 
 import asyncio
 import json
+import logging
 import os
 
 import pytest
 
 from repro.accel import mesa_config
-from repro.core import MesaController
+from repro.core import MesaController, RegionKey
 from repro.service import (
     SNAPSHOT_VERSION,
     ControllerPool,
@@ -57,8 +58,9 @@ class TestRegionStore:
                     "digest": digest} for digest in "abc")
         store = RegionStore(capacity=2)
         store.add_many([a, b])
-        store.touch([("M-128", 0, 4, "a"), ("M-128", 0, 4, "unknown"),
-                     ("M-64", 0, 4, "a")])
+        store.touch([RegionKey("M-128", 0, 4, "a"),
+                     RegionKey("M-128", 0, 4, "unknown"),
+                     RegionKey("M-64", 0, 4, "a")])
         store.add_many([c])
         assert [r["digest"] for r in store.records()] == ["a", "c"]
 
@@ -106,6 +108,21 @@ class TestSnapshotFile:
         loaded, reason = load_snapshot(path)
         assert loaded == [] and reason == ""
 
+    def test_record_without_digest_dropped_and_counted(self, tmp_path,
+                                                       caplog):
+        """A record the codec cannot restore is dropped at load, with a
+        logged count, instead of surviving until restore skips it."""
+        path = str(tmp_path / "snap.json")
+        good = {"config": "M-128", "start": 0, "end": 4, "digest": "d",
+                "cost": [1, 2, 3, 0], "bitstream": [7]}
+        undigested = {name: value for name, value in good.items()
+                      if name != "digest"}
+        save_snapshot(path, [good, undigested])
+        with caplog.at_level(logging.WARNING, logger="repro.service"):
+            loaded, reason = load_snapshot(path)
+        assert loaded == [good] and reason == ""
+        assert "dropped 1 malformed record(s)" in caplog.text
+
     def test_older_version_still_reads(self, tmp_path):
         path = str(tmp_path / "snap.json")
         save_snapshot(path, [])
@@ -137,7 +154,7 @@ class TestControllerRoundTrip:
                                  parallelizable=kernel.parallelizable)
         assert restored.config_cache_hit
         assert restored.total_cycles == live_warm.total_cycles
-        stats = fresh.config_cache.stats()
+        stats = restored.cache_stats
         assert stats.hits == 1 and stats.misses == 0
 
     def test_restore_skips_foreign_config_and_junk(self):

@@ -164,12 +164,12 @@ class TestNewRegions:
         kernel = generate_kernel(GeneratorParams(iterations=64, seed=1))
         task = ChipTask(ControllerPool(), isolated=False)
         records = task(mesa_payload(kernel))["new_regions"]
-        cache = task.pool.controller("M-128").config_cache
-        before = cache.stats().insertions
+        controller = task.pool.controller("M-128")
+        assert controller.config_cache.restore_regions(
+            records, controller.config) == 0
         follower = task(dataclasses.replace(mesa_payload(kernel),
                                             seed=tuple(records)))
         assert follower["cache_hit"]
-        assert cache.stats().insertions == before
 
 
 #: Summary fields a reused CPU baseline must leave bit-identical.

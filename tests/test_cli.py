@@ -157,6 +157,36 @@ class TestCommands:
             main(["fig", number, *flags])
         assert "--workers/--shard-timeout" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [["fig", "15"], ["fig", "16"],
+                                         ["table", "1"]])
+    def test_driver_without_iterations_rejects_the_flag(self, command,
+                                                         capsys):
+        with pytest.raises(SystemExit):
+            main([*command, "--iterations", "7"])
+        assert "--iterations applies to" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, driver", [
+        (["fig", "12"], "fig12_opencgra"),
+        (["table", "2"], "table2_config_latency")])
+    @pytest.mark.parametrize("flags, iterations", [([], 256),
+                                                   (["--iterations", "7"], 7)])
+    def test_iterated_driver_gets_the_flag_or_256(self, command, driver,
+                                                  flags, iterations,
+                                                  monkeypatch):
+        seen = []
+
+        class Rendered:
+            def render(self):
+                return ""
+
+        def fake(**kwargs):
+            seen.append(kwargs["iterations"])
+            return Rendered()
+
+        monkeypatch.setattr(cli, driver, fake)
+        assert main([*command, *flags]) == 0
+        assert seen == [iterations]
+
     def test_run_serial_flag(self, capsys):
         assert main(["run", "nn", "--iterations", "96", "--serial"]) == 0
         out = capsys.readouterr().out
