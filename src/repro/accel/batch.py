@@ -59,10 +59,12 @@ few provable properties of the model:
   even when store addresses are computed from loaded values: every access
   before the first hazard reads memory no store of the block wrote, so
   its address and value are exact, and so is the hazard search up to that
-  point.  A hazard in a block's first iteration can only be an
-  in-iteration store-to-load forward; the interpreter executes that one
-  iteration (iteration barriers leave no NoC state or store list behind,
-  and counter folds are additive), then batching resumes.
+  point.  The check is one sorted pass over the block's live access
+  bytes, O(n log n) in its accesses.  A hazard in a block's first
+  iteration can only be an in-iteration store-to-load forward; the
+  interpreter executes that one iteration (iteration barriers leave no
+  NoC state or store list behind, and counter folds are additive), then
+  batching resumes.
 * **Memory port state never carries between iterations.**  Each run's
   pool starts empty at clock 0.  A request frees its port one cycle
   after its grant, and its own node completes no earlier than the L1
@@ -93,9 +95,14 @@ verdict with a machine-readable reason, and a rejected plan runs on the interpre
 that reason reported as the run's ``drive_reason``.
 
 One block step serves two drivers.  :func:`_step_block` evaluates a
-block's values and cuts it after its first untaken loop branch and before
-its first store→load hazard, and :func:`_commit_stores` commits the cut
-block's stores, guard-masked and k-major, through one ``Memory.scatter``.
+block of up to :data:`DEFAULT_BLOCK` (2048) iterations and cuts it after
+its first untaken loop branch and before its first store→load hazard.  It
+evaluates the loop branch's dependence cone first (on every Rodinia
+kernel just the counter and its branch), cuts at the exit, and only then
+evaluates the other nodes on the lanes that run, so a block longer than
+the remaining trip costs little more than the cone.
+:func:`_commit_stores` commits the cut block's stores, guard-masked and
+k-major, through one ``Memory.scatter``.
 :func:`drive_batched` adds the fabric's timing phases, its interpreter
 step for a hazard at lane 0 and its ``2 × hazard`` block sizing;
 :func:`repro.cpu.trace.collect_trace` hands a straight-line loop body to
@@ -129,8 +136,11 @@ from .plan import (
 __all__ = ["BatchCapability", "BatchProgram", "compile_batch",
            "drive_batched", "DEFAULT_BLOCK"]
 
-#: Iterations per batched block.
-DEFAULT_BLOCK = 256
+#: Iterations per batched block, for the fabric drive and the CPU tracer
+#: alike.  A block pays a fixed cost of per-node numpy calls, and
+#: exit-first evaluation and the sorted alias check keep a block longer
+#: than its loop cheap, so blocks are sized well past a typical trip.
+DEFAULT_BLOCK = 2048
 
 _NEG = float("-inf")
 
@@ -217,19 +227,24 @@ class _Cluster:
 class BatchProgram:
     """A plan compiled for batched execution (or its fallback verdict)."""
 
-    __slots__ = ("plan", "capability", "nodes", "order", "loop_id",
-                 "mem_ids", "loads", "stores", "slot_events", "n_sources",
-                 "clusters", "noc_rows")
+    __slots__ = ("plan", "capability", "nodes", "order", "exit_order",
+                 "rest_order", "loop_id", "mem_ids", "loads", "stores",
+                 "slot_events", "n_sources", "clusters", "noc_rows")
 
     def __init__(self, plan, capability, nodes=None, order=None,
                  loop_id=None, mem_ids=None, slot_events=None,
-                 clusters=None, noc_rows=frozenset()):
+                 clusters=None, noc_rows=frozenset(), exit_cone=frozenset()):
         self.plan = plan
         self.capability = capability
         self.nodes = nodes or []
         #: Topological schedule over same-iteration + loop-carried edges
         #: (cluster members appear contiguously, ascending).
         self.order = order or []
+        #: The schedule split in two: the loop branch's dependence cone,
+        #: which a block evaluates first to find its exit, and every other
+        #: node, evaluated only on the lanes that run.
+        self.exit_order = [i for i in self.order if i in exit_cone]
+        self.rest_order = [i for i in self.order if i not in exit_cone]
         #: The loop-closing branch node.
         self.loop_id = loop_id
         #: Memory node ids in program order (their completions are the
@@ -458,6 +473,17 @@ def _compile(plan, plan_nodes, instructions, loop_branch_id, xlen):
             if cindeg[sk] == 0:
                 heapq.heappush(heap, sk)
 
+    # The loop branch's dependence cone: its ancestors over every edge
+    # above, so it is closed under loop-carried reads, and a cluster is in
+    # it whole or not at all (its members are each other's ancestors).
+    exit_cone = {loop_branch_id}
+    frontier = [loop_branch_id]
+    while frontier:
+        for p in preds_of[frontier.pop()]:
+            if p not in exit_cone:
+                exit_cone.add(p)
+                frontier.append(p)
+
     mem_ids = [rec.i for rec in nodes if rec.kind == N_MEMORY]
 
     # Pass 4: rows whose ring channel carries more than one firing NoC
@@ -502,7 +528,7 @@ def _compile(plan, plan_nodes, instructions, loop_branch_id, xlen):
 
     return BatchProgram(plan, BatchCapability(True), nodes, order,
                         loop_branch_id, mem_ids, slot_events, cluster_objs,
-                        noc_rows)
+                        noc_rows, exit_cone)
 
 
 def _tarjan_sccs(n, succs):
@@ -586,20 +612,29 @@ def _step_block(bp: BatchProgram, nb, first, prev, const1, const2, const_fb,
     its first untaken loop branch, then before its first iteration whose
     load reads a store of the block (:func:`block_alias_hazard`).
 
-    Both drivers step through here: the fabric's :func:`drive_batched` and
-    the CPU tracer's block loop.  Returns ``(nb, exited, hazard, vals,
-    offs, taken, mem_vecs)`` with every vector but ``taken`` cut to the
-    ``nb`` iterations that commit; ``hazard`` is the cut iteration (0 when
-    the first one forwards in-iteration), or None.
+    The loop branch's dependence cone runs first, on all ``nb`` lanes;
+    every other node runs only on the lanes up to the exit.  Both callers
+    step through here: the fabric's :func:`drive_batched` and the CPU
+    tracer's block loop.  Returns ``(nb, exited, hazard, vals, offs,
+    taken, mem_vecs)`` with every vector cut to the ``nb`` iterations that
+    commit; ``hazard`` is the cut iteration (0 when the first one forwards
+    in-iteration), or None.
     """
+    n = len(bp.nodes)
+    vals: list = [None] * n
+    offs: list = [None] * n
+    taken: list = [None] * n
+    mem_vecs: dict[int, list] = {}
     with np.errstate(all="ignore"):
-        vals, offs, taken, mem_vecs = _phase_values(
-            bp, nb, first, prev, const1, const2, const_fb, memory.gather)
-    loop_vec = taken[bp.loop_id]
-    exited = not loop_vec.all()
-    if exited:
-        nb = int(np.argmin(loop_vec)) + 1
-        _truncate(vals, offs, mem_vecs, nb)
+        _phase_values(bp, bp.exit_order, nb, first, prev, const1, const2,
+                      const_fb, memory.gather, vals, offs, taken, mem_vecs)
+        loop_vec = taken[bp.loop_id]
+        exited = not loop_vec.all()
+        if exited:
+            nb = int(np.argmin(loop_vec)) + 1
+            _truncate(vals, offs, taken, mem_vecs, nb)
+        _phase_values(bp, bp.rest_order, nb, first, prev, const1, const2,
+                      const_fb, memory.gather, vals, offs, taken, mem_vecs)
     hazard = None
     if bp.loads and bp.stores:
         hazard = block_alias_hazard(
@@ -610,7 +645,7 @@ def _step_block(bp: BatchProgram, nb, first, prev, const1, const2, const_fb,
     if hazard is not None:
         # Every iteration before the hazard loops on.
         nb, exited = hazard, False
-        _truncate(vals, offs, mem_vecs, nb)
+        _truncate(vals, offs, taken, mem_vecs, nb)
     return nb, exited, hazard, vals, offs, taken, mem_vecs
 
 
@@ -751,26 +786,24 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
     return iterations, latency_total, reason
 
 
-def _truncate(vals, offs, mem_vecs, nb):
-    """Keep the first ``nb`` lanes of a block's phase-A vectors."""
-    for i, vec in enumerate(vals):
-        vals[i] = vec[:nb]
-        if offs[i] is not None:
-            offs[i] = offs[i][:nb]
+def _truncate(vals, offs, taken, mem_vecs, nb):
+    """Keep the first ``nb`` lanes of a block's evaluated vectors."""
+    for vecs in (vals, offs, taken):
+        for i, vec in enumerate(vecs):
+            if vec is not None:
+                vecs[i] = vec[:nb]
     for rec_vec in mem_vecs.values():
         for j, vec in enumerate(rec_vec):
             if vec is not None:
                 rec_vec[j] = vec[:nb]
 
 
-def _phase_values(bp, nb, first, prev, const1, const2, const_fb, gather):
-    """Compute every node's (nb,)-value vector in topological order."""
+def _phase_values(bp, schedule, nb, first, prev, const1, const2, const_fb,
+                  gather, vals, offs, taken, mem_vecs):
+    """Compute the (nb,)-value vectors of the nodes in ``schedule`` (a
+    topological order whose producers outside it are already in ``vals``
+    and ``taken``, cut to ``nb`` lanes) into the block's vectors."""
     nodes = bp.nodes
-    n = len(nodes)
-    vals: list = [None] * n
-    offs: list = [None] * n
-    taken: list = [None] * n
-    mem_vecs: dict[int, list] = {}
     int64 = np.int64
 
     def operand(op, const_val, owner_dtype=None):
@@ -793,7 +826,7 @@ def _phase_values(bp, nb, first, prev, const1, const2, const_fb, gather):
         return np.full(nb, const_val, dtype)
 
     done_clusters: set[int] = set()
-    for i in bp.order:
+    for i in schedule:
         rec = nodes[i]
         pnode = rec.plan_node
         ci = rec.cluster
@@ -858,7 +891,6 @@ def _phase_values(bp, nb, first, prev, const1, const2, const_fb, gather):
             fb = operand(pnode.fallback, const_fb[i], rec.np_dtype)
             result = np.where(off, fb, result)
         vals[i] = result
-    return vals, offs, taken, mem_vecs
 
 
 def _run_scan(rec, nb, first, prev, const1, const2, operand):

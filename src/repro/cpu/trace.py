@@ -14,15 +14,18 @@ that stream.
   :class:`TraceEntry` views; the loop views are a bincount and a mask.
 * **Block tracing.**  Once a loop's back edge has been taken
   :data:`BLOCK_AFTER` times in a row, its body ``[target, branch]`` runs in
-  blocks of :data:`repro.accel.batch.DEFAULT_BLOCK` iterations through the
-  batched fabric drive's own block step: :func:`compile_loop_body` turns
-  the body into edge-free node plans, with operands from the LDFG's
-  rename rule (:func:`repro.accel.program.resolve_operands`), for that
-  drive's compiler, whose timing-only passes skip them.  The drive's
+  blocks of up to :data:`repro.accel.batch.DEFAULT_BLOCK` (2048)
+  iterations through the batched fabric drive's own block step:
+  :func:`compile_loop_body` turns the body into edge-free node plans, with
+  operands from the LDFG's rename rule
+  (:func:`repro.accel.program.resolve_operands`), for that drive's
+  compiler, whose timing-only passes skip them.  The drive's
   ``_step_block`` evaluates a block with the opcode table's lane forms and
   cuts it at the first untaken closing branch and at the first store→load
-  hazard; its ``_commit_stores`` commits the block's stores, and each
-  register the loop writes takes its last writer's final lane.  What is
+  hazard; it evaluates the closing branch's dependence cone first, so the
+  rest of the body runs only on the iterations before the exit.  Its
+  ``_commit_stores`` commits the block's stores, and each register the
+  loop writes takes its last writer's final lane.  What is
   the tracer's own is that register writeback, the trace columns and the
   backoff below.  The hazard iteration, whose load forwards from a store,
   runs on the scalar path.
@@ -425,7 +428,7 @@ class _BlockLoop:
                                       axis=1).ravel()
                              if bp.mem_ids else np.empty(0, np.int64))
                 columns.add(self.index[:nb * length], addresses,
-                            taken[bp.loop_id][:nb].astype(np.int8))
+                            taken[bp.loop_id].astype(np.int8))
                 traced += nb * length
             if hazard is not None and hazard < DEFAULT_BLOCK // 2:
                 self.backoff = max(2 * self.backoff, BLOCK_AFTER)

@@ -53,25 +53,53 @@ def block_alias_hazard(load_streams, store_streams) -> int | None:
     ``on_mask`` marks the lanes a guarded access actually issues on (None
     = always issues), since a predicated-off access is no store to read
     and no load to order.
+
+    One sorted pass, O(n log n) in the block's accesses: every access of
+    a stream whose address range meets one of the other kind is expanded
+    to its bytes, each ranked ``lane * stride + node_id`` (program order);
+    a load byte is a hazard when the lowest-ranked store byte at the same
+    address ranks below it.
     """
-    first = None
-    for s_addr, s_size, s_id, s_on in store_streams:
-        s_lo = int(s_addr.min())
-        s_hi = int(s_addr.max()) + s_size
-        for l_addr, l_size, l_id, l_on in load_streams:
-            if s_hi <= int(l_addr.min()) or int(l_addr.max()) + l_size <= s_lo:
-                continue
-            overlap = ((s_addr[None, :] < l_addr[:, None] + l_size)
-                       & (l_addr[:, None] < s_addr[None, :] + s_size))
-            if s_on is not None:
-                overlap &= s_on[None, :]
-            if l_on is not None:
-                overlap &= l_on[:, None]
-            # Rows index the load's iteration, columns the store's.
-            rows = (np.tril(overlap) if s_id < l_id
-                    else np.tril(overlap, -1)).any(axis=1)
-            if rows.any():
-                row = int(rows.argmax())
-                if first is None or row < first:
-                    first = row
-    return first
+    def spans(streams):
+        return [(int(addresses.min()), int(addresses.max()) + size)
+                for addresses, size, _, _ in streams]
+
+    load_spans, store_spans = spans(load_streams), spans(store_streams)
+
+    def meeting(streams, spans, others):
+        return [stream for stream, (lo, hi) in zip(streams, spans)
+                if any(lo < o_hi and o_lo < hi for o_lo, o_hi in others)]
+
+    loads = meeting(load_streams, load_spans, store_spans)
+    if not loads:
+        return None
+    stores = meeting(store_streams, store_spans, load_spans)
+    stride = 1 + max(stream[2] for stream in (*loads, *stores))
+
+    def expand(streams):
+        """Byte addresses and ranks of the streams' live accesses."""
+        byte_parts, rank_parts = [], []
+        for addresses, size, node_id, on in streams:
+            lanes = (np.arange(len(addresses)) if on is None
+                     else np.flatnonzero(on))
+            base = addresses[lanes]
+            byte_parts.append((base[:, None]
+                               + np.arange(size)).ravel())
+            rank_parts.append(np.repeat(lanes * stride + node_id, size))
+        return np.concatenate(byte_parts), np.concatenate(rank_parts)
+
+    s_bytes, s_ranks = expand(stores)
+    if not len(s_bytes):
+        return None
+    # The lowest-ranked store per byte address: the first of its run once
+    # sorted by (byte, rank).
+    order = np.lexsort((s_ranks, s_bytes))
+    s_bytes, first = np.unique(s_bytes[order], return_index=True)
+    s_ranks = s_ranks[order][first]
+
+    l_bytes, l_ranks = expand(loads)
+    at = np.minimum(np.searchsorted(s_bytes, l_bytes), len(s_bytes) - 1)
+    hazard = (s_bytes[at] == l_bytes) & (s_ranks[at] < l_ranks)
+    if not hazard.any():
+        return None
+    return int(l_ranks[hazard].min()) // stride

@@ -113,14 +113,26 @@ def save_snapshot(path: str, records: list[dict]) -> int:
     return len(records)
 
 
+def _well_formed(record) -> bool:
+    """Whether ``record`` has every field of the codec and a usable key."""
+    return (isinstance(record, dict)
+            and all(field in record for field in REGION_RECORD_FIELDS)
+            and isinstance(record["config"], str)
+            and isinstance(record["digest"], str)
+            and isinstance(record["start"], int)
+            and isinstance(record["end"], int))
+
+
 def load_snapshot(path: str) -> tuple[list[dict] | None, str]:
     """Read a snapshot tolerantly: ``(records, "")`` or ``(None, reason)``.
 
     Never raises — every failure mode (missing file, unreadable,
     malformed JSON, wrong magic, future version, bad shape) becomes a
-    logged reason so the caller can boot cold.  Records that are not
-    dicts or miss one of the codec's ``REGION_RECORD_FIELDS`` are dropped
-    individually (the count is logged); per-record bitstream corruption
+    logged reason so the caller can boot cold.  Malformed records are
+    dropped individually (the count is logged): those that are not dicts,
+    miss one of the codec's ``REGION_RECORD_FIELDS``, or hold a key field
+    that cannot key a region (``config`` or ``digest`` not a ``str``,
+    ``start`` or ``end`` not an ``int``).  Per-record bitstream corruption
     is caught later by ``decode_bitstream`` during restore.
     """
     if not os.path.exists(path):
@@ -147,9 +159,7 @@ def load_snapshot(path: str) -> tuple[list[dict] | None, str]:
         reason = f"snapshot {path} carries no record list"
         log.warning("%s", reason)
         return None, reason
-    records = [record for record in raw
-               if isinstance(record, dict)
-               and all(field in record for field in REGION_RECORD_FIELDS)]
+    records = [record for record in raw if _well_formed(record)]
     dropped = len(raw) - len(records)
     if dropped:
         log.warning("snapshot %s: dropped %d malformed record(s)",

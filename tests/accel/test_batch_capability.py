@@ -83,6 +83,23 @@ def test_kernel_verdict_frozen(name):
         assert result.drive_reason == expected
 
 
+@pytest.mark.parametrize("name", sorted(name for name, verdict
+                                         in EXPECTED.items()
+                                         if verdict == "batched"))
+def test_kernel_exit_cone_is_counter_and_branch(name):
+    # Exit-first evaluation is cheap because every batched kernel's loop
+    # branch depends on its counter alone.
+    kernel = build_kernel(name, iterations=64, seed=1)
+    result = MesaController(M_128).execute(
+        kernel.program, kernel.state_factory,
+        parallelizable=kernel.parallelizable)
+    bp = compile_batch(DataflowEngine(result.accel_program).plan)
+    counter, branch = bp.exit_order
+    assert branch == bp.loop_id
+    assert bp.nodes[counter].opcode is Opcode.ADDI
+    assert sorted(bp.exit_order + bp.rest_order) == sorted(bp.order)
+
+
 # -- unit reasons and acceptance shapes over minimal programs -----------------
 
 CFG = AcceleratorConfig(rows=16, cols=8)
@@ -188,6 +205,15 @@ def test_cluster_schedule_order_pinned():
     # node 2 (node 7 reads the load), pinning this exact order.
     bp = batch_program(coupled_program())
     assert bp.order == [1, 2, 0, 7, 3, 4, 5, 6, 8, 9]
+
+
+def test_exit_cone_keeps_clusters_whole():
+    # The loop branch (9) reads node 0, which is in the {0, 7} cluster;
+    # node 7 reads the load (2) off the walking base (1).  The cone takes
+    # all of them, the cluster whole, in schedule order.
+    bp = batch_program(coupled_program())
+    assert bp.exit_order == [1, 2, 0, 7, 9]
+    assert bp.rest_order == [3, 4, 5, 6, 8]
 
 
 def test_memory_recurrence_rejected():

@@ -14,6 +14,7 @@ for in-iteration forwarding), and across block sizes.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 
 import pytest
@@ -76,11 +77,12 @@ class TestPipelineEquivalence:
         assert result_fingerprint(result) == scalar
 
     @pytest.mark.parametrize("name", KERNELS)
-    @pytest.mark.parametrize("block", (1, 7, 256))
+    @pytest.mark.parametrize("block", (1, 7, 256, 2048, 4096))
     def test_block_size_bit_identical(self, name, block, monkeypatch):
         # The block size is a pure performance knob: one-lane blocks, odd
-        # blocks and full blocks all end in the interpreter's state, memory
-        # model included.
+        # blocks, full blocks and blocks longer than the 96-iteration run
+        # (2048, the default, and 4096) all end in the interpreter's
+        # state, memory model included.
         monkeypatch.setattr(batch, "DEFAULT_BLOCK", block)
         batched, result = execute_kernel(name, M_128)
         assert result.drive_path == "batched", result.drive_reason
@@ -549,6 +551,37 @@ class TestNewFamilyEquivalence:
         program = loop_program()
         program = edit_node(program, 5, guard=Guard(6, Operand.node(3)))
         self.assert_batched_identical(program)
+
+    def test_cluster_evaluates_each_committed_lane_once(self, monkeypatch):
+        # Exit-first evaluation: a block longer than the remaining trip
+        # runs only the loop branch's cone (the countdown and its branch)
+        # past the exit, so the recurrence cluster's evaluator is called
+        # once per iteration that commits, not once per lane of the block.
+        calls = collections.Counter()
+        make_cluster = batch._make_cluster
+
+        def counted(node_id, evaluate):
+            def wrapper(a, b):
+                calls[node_id] += 1
+                return evaluate(a, b)
+            return wrapper
+
+        def counting_cluster(comp, nodes):
+            cluster = make_cluster(comp, nodes)
+            cluster.steps = [(*step[:-1], counted(step[0], step[-1]))
+                             for step in cluster.steps]
+            return cluster
+
+        monkeypatch.setattr(batch, "_make_cluster", counting_cluster)
+        program = loop_program()
+        instr = dataclasses.replace(program.nodes[7].instruction,
+                                    opcode=Opcode.XOR)
+        program = edit_node(program, 7, instruction=instr,
+                            src1=Operand.loop_carried(7, x(7)),
+                            src2=Operand.node(2), guard=None)
+        batched = self.assert_batched_identical(program)
+        assert batched.iterations == 50 < batch.DEFAULT_BLOCK
+        assert calls == {7: 50}
 
     def test_cluster_block_boundaries_bit_identical(self, monkeypatch):
         # The cluster's loop-carried seam must carry across blocks.

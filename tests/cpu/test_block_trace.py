@@ -20,6 +20,7 @@ from collections import Counter
 
 import pytest
 
+from repro.accel.batch import DEFAULT_BLOCK
 from repro.cpu import collect_trace
 from repro.cpu.trace import BLOCK_AFTER, compile_loop_body
 from repro.isa import (
@@ -225,7 +226,9 @@ def test_cross_iteration_alias_cuts_blocks_mid_block(distance):
     assert verdict(loop_body(program, trace)[0]) == "block-traced"
 
 
-@pytest.mark.parametrize("trips", [BLOCK_AFTER + 1, 20, 256 + BLOCK_AFTER])
+@pytest.mark.parametrize("trips", [BLOCK_AFTER + 1, 20, 256 + BLOCK_AFTER,
+                                   DEFAULT_BLOCK + BLOCK_AFTER,
+                                   DEFAULT_BLOCK + BLOCK_AFTER + 1])
 def test_loop_exiting_inside_its_first_block(trips):
     program = streaming(trips, """
             lw t1, 0(a0)

@@ -5,22 +5,29 @@ once, where the batched engine must stop: the first iteration with a load
 that :func:`forwarding_store` would send to a store of the block.  The
 oracle here walks the block the way the interpreter does — iteration by
 iteration, memory nodes in node-id order, skipping guarded-off lanes,
-with one list of every store issued so far — and asks the per-access rule
-for each load.
+with every store issued so far indexed by the bytes it writes — and asks
+the per-access rule for each load about the stores on its bytes (any
+store that overlaps a load writes one of them).
 
-Streams are drawn small so that they collide often: a few memory nodes
-with access sizes 1, 2 and 4 over a 24-byte window, optional guard masks,
-and node ids in random order, so that program order within an iteration
-comes from the ids and not from the order the streams are listed in.
+Small streams collide often: a few memory nodes with access sizes 1, 2
+and 4 over a 24-byte window, optional guard masks, and node ids in
+random order, so that program order within an iteration comes from the
+ids and not from the order the streams are listed in.  Block-scale
+streams run up to ``DEFAULT_BLOCK`` lanes: random addresses over narrow
+and wide windows, strided walks whose first hazard falls deep in the
+block, address streams shared between accesses (same-lane ties that
+program order decides), and streams whose range meets no other.
 """
 
 from __future__ import annotations
 
 import os
+from collections import defaultdict
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
+from repro.accel.batch import DEFAULT_BLOCK
 from repro.mem.lsq import block_alias_hazard, forwarding_store
 
 #: Nightly CI exports REPRO_FUZZ_SCALE to multiply every example budget.
@@ -45,18 +52,57 @@ def blocks(draw):
     return nb, accesses
 
 
+@st.composite
+def large_blocks(draw):
+    """Like :func:`blocks`, with up to ``DEFAULT_BLOCK`` lanes whose
+    addresses come from a drawn numpy seed."""
+    nb = draw(st.integers(1, DEFAULT_BLOCK) | st.just(DEFAULT_BLOCK))
+    count = draw(st.integers(2, 5))
+    ids = draw(st.permutations(range(0, 3 * count, 3)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    window = draw(st.sampled_from((32, 4 * nb, 64 * nb)))
+    lanes = np.arange(nb)
+    shared = rng.integers(0, window, nb)
+    accesses = []
+    for node_id in ids:
+        layout = draw(st.sampled_from(("random", "walk", "shared",
+                                       "disjoint")))
+        if layout == "random":
+            addresses = rng.integers(0, window, nb)
+        elif layout == "walk":
+            # A store walking d elements ahead of a load with the same
+            # step first aliases it d lanes in.
+            addresses = (draw(st.sampled_from((1, 2, 4)))
+                         * (lanes + draw(st.integers(0, 64))))
+        elif layout == "shared":
+            addresses = shared
+        else:
+            addresses = rng.integers(0, window, nb) + ((node_id + 1) << 32)
+        on = (None if draw(st.booleans())
+              else rng.random(nb) < draw(st.sampled_from((0.1, 0.5, 0.9))))
+        accesses.append((node_id, draw(st.booleans()), addresses.tolist(),
+                         draw(st.sampled_from((1, 2, 4))),
+                         None if on is None else on.tolist()))
+    return nb, accesses
+
+
 def per_access_hazard(nb, accesses):
     """The first iteration whose load the per-access rule forwards from a
     store of the block, stepping lane by lane in program order."""
-    stores = []
+    stores_on = defaultdict(list)  # byte address -> stores that write it
     program = sorted(accesses, key=lambda access: access[0])
     for k in range(nb):
         for _, is_load, addresses, size, on in program:
             if on is not None and not on[k]:
                 continue
+            address = addresses[k]
             if not is_load:
-                stores.append((addresses[k], size))
-            elif forwarding_store(stores, addresses[k], size) is not None:
+                for byte in range(address, address + size):
+                    stores_on[byte].append((address, size))
+                continue
+            nearby = [store for byte in range(address, address + size)
+                      for store in stores_on.get(byte, ())]
+            if forwarding_store(nearby, address, size) is not None:
                 return k
     return None
 
@@ -71,6 +117,15 @@ def streams(accesses, want_loads):
 @settings(max_examples=200 * FUZZ_SCALE, deadline=None)
 @given(block=blocks())
 def test_block_hazard_equals_per_access_rule(block):
+    nb, accesses = block
+    assert (block_alias_hazard(streams(accesses, True),
+                               streams(accesses, False))
+            == per_access_hazard(nb, accesses))
+
+
+@settings(max_examples=40 * FUZZ_SCALE, deadline=None)
+@given(block=large_blocks())
+def test_block_scale_hazard_equals_per_access_rule(block):
     nb, accesses = block
     assert (block_alias_hazard(streams(accesses, True),
                                streams(accesses, False))

@@ -123,6 +123,19 @@ class TestSnapshotFile:
         assert loaded == [good] and reason == ""
         assert "dropped 1 malformed record(s)" in caplog.text
 
+    @pytest.mark.parametrize("field, value", [
+        ("digest", ["x"]), ("config", 128), ("start", "0"), ("end", 4.0)])
+    def test_record_with_unusable_key_dropped_and_counted(
+            self, tmp_path, caplog, field, value):
+        path = str(tmp_path / "snap.json")
+        good = {"config": "M-128", "start": 0, "end": 4, "digest": "d",
+                "cost": [1, 2, 3, 0], "bitstream": [7]}
+        save_snapshot(path, [good, {**good, field: value}])
+        with caplog.at_level(logging.WARNING, logger="repro.service"):
+            loaded, reason = load_snapshot(path)
+        assert loaded == [good] and reason == ""
+        assert "dropped 1 malformed record(s)" in caplog.text
+
     def test_older_version_still_reads(self, tmp_path):
         path = str(tmp_path / "snap.json")
         save_snapshot(path, [])
@@ -258,6 +271,26 @@ class TestServiceCheckpointRoundTrip:
         assert reason == "" and len(records) == 2
         # A was hit after B was inserted, so C evicts B, not A.
         assert records == direct.config_cache.export_regions()
+
+    def test_unhashable_key_record_does_not_stop_boot(self, tmp_path):
+        # A record whose digest is a list would make the region store's
+        # key unhashable; the service must boot with the good records.
+        snap = str(tmp_path / "cache.snapshot.json")
+        controller, _ = configured_controller()
+        good = controller.config_cache.export_regions()
+        save_snapshot(snap, [*good, {**good[0], "digest": ["x"]}])
+
+        async def scenario():
+            service = MesaService(workers=0, checkpoint_path=snap)
+            await service.start()
+            stats = service.stats()
+            await service.close()
+            return stats
+
+        stats = asyncio.run(scenario())
+        assert good and stats.regions_restored == len(good)
+        loaded, reason = load_snapshot(snap)
+        assert loaded == good and reason == ""
 
     def test_corrupt_snapshot_boots_cold(self, tmp_path):
         snap = str(tmp_path / "cache.snapshot.json")
