@@ -70,8 +70,8 @@ few provable properties of the model:
   after its grant, and its own node completes no earlier than the L1
   hit latency (a load) or :data:`~repro.latency.STORE_ISSUE` (a store)
   after the grant — both at least 1 cycle, which the cache config enforces
-  and a test asserts of the latency constants; a replayed load,
-  whose completion the store sets, is bounded below by grant + 1 — and
+  and a test asserts of the latency constants; a replayed load, whose
+  grant came before the store completed, completes after the store — and
   no later than the iteration's end.  So every port is free again when the next
   iteration starts: like the NoC rings, each iteration's grants depend
   only on its own requests and vectorize over lanes in each lane's own

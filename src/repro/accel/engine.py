@@ -24,10 +24,13 @@ and applies that formula for the cycle count.
 
 Memory ordering is one rule, :mod:`repro.mem.lsq`: a load issues as soon
 as its address is ready and reads the newest older store of its iteration
-that overlaps it (forwarding, or a replay when it issued before that store
-completed), and memory otherwise.  A replay completes no earlier than
-:data:`REPLAY_PENALTY` cycles after the store.  A load that reads memory —
-a replayed one too, which read stale data — takes a port grant and a
+that overlaps it, and memory otherwise.  A load ready once that store has
+completed takes the forwarding path.  A load ready before it reads memory
+through a port: it is invalidated and replays when its port grant came
+before the store completed (it read stale data), and is a plain memory
+read when the grant came at or after the store's completion.  A replay
+completes no earlier than :data:`REPLAY_PENALTY` cycles after the store.
+A load that reads memory — a replayed one too — takes a port grant and a
 cache access.
 Each run builds its own pool of ``config.memory_ports`` ports, each of
 which starts one access per cycle.
@@ -383,21 +386,24 @@ class DataflowEngine:
                     if node.vector_group is not None:
                         vector_grants[node.vector_group] = grant
                 cycles = self.hierarchy.access(address, pc=instr.address)
+                if store is not None and grant >= store[2]:
+                    # Its port grant came once the store had completed, so
+                    # the read saw the stored data: a plain memory read.
+                    store = None
             value = access(address)
             if store is not None:
                 store_done = store[2]
                 fwd_done = max(ready, store_done) + STORE_ISSUE
                 if ready < store_done:
-                    # The load issued before the store resolved, already
+                    # The load read memory before the store completed,
                     # read stale data, and is *invalidated* when the store
                     # broadcasts — "this invalidation forces the new value
                     # to propagate through the remainder of the DFG" (§4.2).
-                    # It completes no earlier than its stale read's port
-                    # frees, so no port stays busy past the iteration.
+                    # Its grant came before the store completed, so its
+                    # port is free again before the replay completes.
                     activity.load_replays += 1
                     return value, max(fwd_done,
-                                      store_done + REPLAY_PENALTY,
-                                      grant + 1)
+                                      store_done + REPLAY_PENALTY)
                 # The forwarding path delivers the data directly.
                 activity.lsq_forwards += 1
                 return value, fwd_done

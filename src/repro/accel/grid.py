@@ -24,6 +24,10 @@ from .config import AcceleratorConfig, Coord
 
 __all__ = ["PEGrid", "op_class_mask"]
 
+#: Chebyshev radius of the local neighbourhood the mapper's tie-breaker
+#: counts free PEs in (the 3 x 3 window around a PE).
+NEIGHBOURHOOD_RADIUS = 1
+
 
 @functools.lru_cache(maxsize=1024)
 def op_class_mask(config: AcceleratorConfig,
@@ -84,24 +88,26 @@ class PEGrid:
         self.placement[row, col] = node_id
         self.free[row, col] = False
 
-    def free_neighbourhood(self, coord: Coord, radius: int = 1) -> int:
-        """Number of free PEs within a Chebyshev radius (the paper's
-        tie-breaker: "prioritize positions with more free entries in its
-        local neighborhood")."""
+    def free_neighbourhood(self, coord: Coord) -> int:
+        """Number of free PEs within :data:`NEIGHBOURHOOD_RADIUS` (the
+        paper's tie-breaker: "prioritize positions with more free entries
+        in its local neighborhood")."""
         row, col = coord
+        radius = NEIGHBOURHOOD_RADIUS
         r0, r1 = max(0, row - radius), min(self.config.rows, row + radius + 1)
         c0, c1 = max(0, col - radius), min(self.config.cols, col + radius + 1)
         window = self.free[r0:r1, c0:c1]
         return int(window.sum()) - int(self.free[row, col])
 
-    def free_neighbourhood_matrix(self, radius: int = 1) -> np.ndarray:
+    def free_neighbourhood_matrix(self) -> np.ndarray:
         """:meth:`free_neighbourhood` for every PE at once.
 
         Computed with a summed-area table over ``F_free`` so the mapper can
         tie-break a whole candidate matrix in one shot; entry ``[r, c]``
-        equals ``free_neighbourhood((r, c), radius)`` exactly.
+        equals ``free_neighbourhood((r, c))`` exactly.
         """
         rows, cols = self.shape
+        radius = NEIGHBOURHOOD_RADIUS
         free = self.free.astype(np.int64)
         integral = np.zeros((rows + 1, cols + 1), dtype=np.int64)
         np.cumsum(np.cumsum(free, axis=0), axis=1, out=integral[1:, 1:])

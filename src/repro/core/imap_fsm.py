@@ -24,6 +24,10 @@ from dataclasses import dataclass, field
 
 __all__ = ["ImapState", "ImapRun", "ImapFsm"]
 
+#: Columns of :meth:`ImapRun.timing_diagram`'s cycle axis; a longer
+#: schedule is drawn at several cycles per column.
+DIAGRAM_WIDTH = 72
+
 
 class ImapState(enum.Enum):
     """FSM states, one per group of Algorithm 1 lines."""
@@ -60,20 +64,19 @@ class ImapRun:
     total_cycles: int = 0
     instructions: int = 0
 
-    def timing_diagram(self, max_instructions: int = 3,
-                       max_width: int = 72) -> str:
+    def timing_diagram(self, max_instructions: int = 3) -> str:
         """A Fig. 8-style ASCII timing diagram of the first instructions."""
         shown = [row for row in self.schedule if row[0] < max_instructions]
         if not shown:
             return "(empty schedule)"
         span = max(start + cycles for _, _, start, cycles in shown)
-        scale = max(1, math.ceil(span / max_width))
+        scale = max(1, math.ceil(span / DIAGRAM_WIDTH))
         letters = {
             ImapState.FETCH: "F", ImapState.CANDGEN: "C",
             ImapState.FILTER: "X", ImapState.LATENCY: "L",
             ImapState.REDUCE: "R", ImapState.WRITEBACK: "W",
         }
-        lines = [f"cycle:  0{'.' * (min(span, max_width) - 2)}{span}"]
+        lines = [f"cycle:  0{'.' * (min(span, DIAGRAM_WIDTH) - 2)}{span}"]
         for index in range(min(self.instructions, max_instructions)):
             row = [" "] * math.ceil(span / scale)
             for i, state, start, cycles in shown:

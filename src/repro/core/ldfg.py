@@ -33,6 +33,7 @@ from ..accel.program import Operand, OperandKind, resolve_operands
 from ..isa import Instruction, OpClass, Register
 from ..latency import OP_LATENCY
 from .dfg import DataflowGraph
+from .region import control_violation
 
 __all__ = ["LdfgEntry", "Ldfg", "LdfgError", "build_ldfg", "INITIAL_AMAT"]
 
@@ -127,9 +128,10 @@ def build_ldfg(instructions: list[Instruction]) -> Ldfg:
             loop-closing branch.
 
     Raises:
-        LdfgError: on system instructions, inner backward branches, or
-            forward branches escaping the body — the things condition C2
-            screens out before the LDFG is ever built.
+        LdfgError: on system instructions, jumps, inner backward branches,
+            or forward branches escaping the body — condition C2's
+            :func:`~repro.core.region.control_violation`, which screens
+            them out before the LDFG is ever built.
     """
     if not instructions:
         raise LdfgError("empty instruction sequence")
@@ -138,24 +140,10 @@ def build_ldfg(instructions: list[Instruction]) -> Ldfg:
     loop_branch_id = (len(instructions) - 1
                       if last.is_branch and last.imm < 0 else None)
 
-    # Validate control structure (C2's job, re-checked defensively).
-    body_start = instructions[0].address
-    body_end = instructions[-1].address
-    for index, instr in enumerate(instructions):
-        if instr.is_system:
-            raise LdfgError(f"system instruction at {instr.address:#x}: {instr}")
-        if instr.is_jump:
-            raise LdfgError(f"jump inside loop body at {instr.address:#x}")
-        if instr.is_branch and index != len(instructions) - 1:
-            if instr.imm <= 0:
-                raise LdfgError(
-                    f"inner backward branch at {instr.address:#x} (inner loop)"
-                )
-            target = instr.address + instr.imm
-            if target > body_end + 4:
-                raise LdfgError(
-                    f"forward branch at {instr.address:#x} escapes the body"
-                )
+    for index in range(len(instructions)):
+        reason = control_violation(instructions, index)
+        if reason is not None:
+            raise LdfgError(reason)
 
     resolved, rename = resolve_operands(instructions)
     # Registers the first iteration reads from the CPU: every live-in and

@@ -4,9 +4,13 @@ A loop found by the loop-stream detector must pass all three checks before
 MESA attempts translation:
 
 * **C1 — valid loop detection**: the loop body fits within the accelerator's
-  instruction capacity (PEs + load/store entries);
+  instruction capacity (PEs + load/store entries).  It is the one size
+  rule: the loop-stream detector reports every hot loop, so an oversized
+  one is rejected here with a reason;
 * **C2 — control check**: no system instructions, no jumps, no inner
-  backward branches, and no 64-bit operation on a 32-bit backend.  Every
+  backward branches, no forward branch out of the body, and no 64-bit
+  operation on a 32-bit backend.  The control-structure part is
+  :func:`control_violation`, which the LDFG builder applies too.  Every
   other operation class is supported somewhere on every backend: FP logic
   tiles every grid from its corner (:data:`repro.accel.config.FP_FRACTION`);
 * **C3 — instruction mix**: enough compute/memory work relative to loop size
@@ -21,12 +25,13 @@ constants, one value each.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from ..accel import AcceleratorConfig
 from ..cpu import LoopCandidate, LoopStreamDetector, Trace
 from ..isa import Instruction, Program
 
-__all__ = ["RegionDecision", "CodeRegionDetector",
+__all__ = ["RegionDecision", "CodeRegionDetector", "control_violation",
            "MIN_EXPECTED_ITERATIONS", "MIN_WORK_FRACTION",
            "MIN_COMPUTE_INSTRUCTIONS"]
 
@@ -37,6 +42,30 @@ MIN_WORK_FRACTION = 0.5
 #: C3: at least this many compute instructions (a pure copy loop gains
 #: little from spatial execution).
 MIN_COMPUTE_INSTRUCTIONS = 1
+
+
+def control_violation(body: Sequence[Instruction], index: int) -> str | None:
+    """C2's control-structure rule for ``body[index]``: why the fabric
+    cannot run it, or None.
+
+    A system instruction or a jump is never allowed.  A branch other than
+    the body's last one must jump forward, and no further than the
+    instruction after the body: it becomes a predication guard (§5).  A
+    branch to itself or backwards is an inner loop.
+    """
+    instr = body[index]
+    if instr.is_system:
+        return f"system instruction {instr}"
+    if instr.is_jump:
+        return f"jump {instr} inside loop body"
+    if not instr.is_branch:
+        return None
+    if instr.imm <= 0 and index != len(body) - 1:
+        return (f"inner backward branch at {instr.address:#x} "
+                "(nested loop must be unrolled ahead of time)")
+    if instr.imm > 0 and instr.address + instr.imm > body[-1].address + 4:
+        return f"forward branch at {instr.address:#x} escapes body"
+    return None
 
 
 @dataclass
@@ -71,11 +100,7 @@ class CodeRegionDetector:
 
         Returns decisions for every hot loop, accepted or not, hottest first.
         """
-        # The LSD itself uses a generous limit so that oversized loops are
-        # still *reported* — condition C1 then rejects them with a reason.
-        detector = LoopStreamDetector(
-            max_body_instructions=max(4096, self.config.max_instructions))
-        loops = detector.scan(trace)
+        loops = LoopStreamDetector().scan(trace)
         return [self.evaluate(loop, program) for loop in loops]
 
     # -- per-candidate evaluation ----------------------------------------------
@@ -114,30 +139,13 @@ class CodeRegionDetector:
     def _check_c2(self, body: list[Instruction],
                   decision: RegionDecision) -> bool:
         ok = True
-        last_index = len(body) - 1
         for index, instr in enumerate(body):
             if instr.requires_rv64 and self.config.xlen == 32:
-                decision.reject(
-                    f"C2: 64-bit operation {instr} on a 32-bit accelerator"
-                )
-                ok = False
-            elif instr.is_system:
-                decision.reject(f"C2: system instruction {instr}")
-                ok = False
-            elif instr.is_jump:
-                decision.reject(f"C2: jump {instr} inside loop body")
-                ok = False
-            elif instr.is_branch and instr.imm < 0 and index != last_index:
-                decision.reject(
-                    f"C2: inner backward branch at {instr.address:#x} "
-                    "(nested loop must be unrolled ahead of time)"
-                )
-                ok = False
-            elif instr.is_branch and instr.imm > 0 and (
-                    instr.address + instr.imm > body[-1].address + 4):
-                decision.reject(
-                    f"C2: forward branch at {instr.address:#x} escapes body"
-                )
+                reason = f"64-bit operation {instr} on a 32-bit accelerator"
+            else:
+                reason = control_violation(body, index)
+            if reason is not None:
+                decision.reject(f"C2: {reason}")
                 ok = False
         return ok
 

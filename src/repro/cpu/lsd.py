@@ -6,6 +6,10 @@ jumps or branches with negative offsets.  For MESA, the first condition (C1)
 mandates that the loop detected must have fewer instructions than the maximum
 supported by the accelerator."
 
+The detector reports every hot loop, whatever its size: C1's size limit is
+applied once, by :class:`repro.core.region.CodeRegionDetector`, which
+rejects an oversized loop with a reason.
+
 The detector watches the dynamic stream at the decode stage for backward taken
 branches.  A branch that closes the same ``[target, branch]`` address range
 for :data:`HOT_ITERATIONS` consecutive iterations becomes a *loop candidate*
@@ -49,13 +53,7 @@ class LoopCandidate:
 class LoopStreamDetector:
     """Detects hot loops from the dynamic instruction stream."""
 
-    def __init__(self, max_body_instructions: int = 512) -> None:
-        """
-        Args:
-            max_body_instructions: condition C1's size limit — loops larger
-                than the accelerator's instruction capacity are not reported.
-        """
-        self.max_body_instructions = max_body_instructions
+    def __init__(self) -> None:
         self._loops: dict[tuple[int, int], LoopCandidate] = {}
         #: Live back-edge streaks: key -> consecutive taken count.  A streak
         #: survives back-edges of loops *nested inside* its range (the PC
@@ -82,9 +80,6 @@ class LoopStreamDetector:
                 self._finalize(other)
         self._streaks[key] = self._streaks.get(key, 0) + 1
 
-        body = (instr.address - target) // 4 + 1
-        if body > self.max_body_instructions:
-            return None
         if self._streaks[key] == HOT_ITERATIONS:
             candidate = self._loops.get(key)
             if candidate is None:

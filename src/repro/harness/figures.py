@@ -66,9 +66,9 @@ class Fig11Result:
 
 def _fig11_row_worker(payload: tuple) -> dict:
     """One kernel's Fig. 11 row (module-level: picklable for the pool)."""
-    name, iterations, cores = payload
+    name, iterations = payload
     runner = ExperimentRunner(iterations=iterations)
-    baseline = runner.multicore(name, cores=cores)
+    baseline = runner.multicore(name)
     m128 = runner.mesa(name, M_128)
     m512 = runner.mesa(name, M_512)
     return {
@@ -84,7 +84,6 @@ def _fig11_row_worker(payload: tuple) -> dict:
 
 def fig11_rodinia(iterations: int = 256,
                   kernels: tuple[str, ...] = FIG11_SET,
-                  cores: int = 16,
                   workers: int = 1,
                   shard_timeout: float | None = None) -> Fig11Result:
     """Fig. 11: M-128/M-512 performance and energy efficiency vs multicore.
@@ -95,7 +94,7 @@ def fig11_rodinia(iterations: int = 256,
     identical output for any ``workers``.  A failed shard is dropped from
     the rows and reported in ``degraded`` (and the rendered footer).
     """
-    shards = [Shard(key=(name,), payload=(name, iterations, cores))
+    shards = [Shard(key=(name,), payload=(name, iterations))
               for name in kernels]
     runner = ShardRunner(workers=workers, shard_timeout=shard_timeout)
     result = Fig11Result()
@@ -368,6 +367,10 @@ def _ideal_memory_run(kernel, result, iterations: int) -> AcceleratorRun:
 
 # ---------------------------------------------------------------- Fig. 16 --
 
+#: The kernel whose configuration cost Fig. 16 amortizes.
+FIG16_KERNEL = "nn"
+
+
 @dataclass
 class Fig16Result:
     """Per-iteration energy amortization of the configuration cost.
@@ -410,7 +413,7 @@ class Fig16Result:
         table = render_table(["iterations", "energy/iter (nJ)", "warm (nJ)"],
                              rows,
                              title="Fig. 16: configuration-cost amortization "
-                                   "(nn)")
+                                   f"({FIG16_KERNEL})")
         return (f"{table}\nsteady state: {self.steady_state_nj:.2f} nJ; "
                 f"break-even (within {self.breakeven_factor:.0%}): "
                 f"{self.breakeven_iterations} iterations; "
@@ -420,12 +423,11 @@ class Fig16Result:
 
 def fig16_amortization(
         checkpoints: tuple[int, ...] = (1, 2, 5, 10, 20, 30, 50, 70, 100,
-                                        200, 500),
-        kernel_name: str = "nn") -> Fig16Result:
+                                        200, 500)) -> Fig16Result:
     """Fig. 16: average energy per loop iteration vs iterations elapsed —
     the configuration sunk cost amortizes over ~70 iterations."""
     runner = ExperimentRunner(iterations=max(checkpoints))
-    mesa = runner.mesa(kernel_name, M_128)
+    mesa = runner.mesa(FIG16_KERNEL, M_128)
     mesa_result = mesa.details["mesa"]
     breakdown = mesa.details["accel_energy"]
     model = AcceleratorEnergyModel(M_128)

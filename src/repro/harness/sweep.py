@@ -178,8 +178,7 @@ def _sweep_point_worker(payload: tuple) -> SweepPoint:
 
 def sweep_backends(kernels: list[str], configs: list[AcceleratorConfig],
                    iterations: int = 192,
-                   workers: int = 1,
-                   shard_timeout: float | None = None) -> SweepResult:
+                   workers: int = 1) -> SweepResult:
     """Run every kernel on every backend configuration.
 
     Speedups are relative to the single-core OoO baseline (which is part of
@@ -192,15 +191,11 @@ def sweep_backends(kernels: list[str], configs: list[AcceleratorConfig],
             (default) runs serially in-process.  Every point runs on its
             own controller and results merge in grid order, so the output
             is identical for any worker count.
-        shard_timeout: wall-clock seconds allowed per (kernel, config)
-            point, measured from when it starts executing on a worker.  A
-            point that blows it degrades to a ``shard failed`` row (pooled
-            execution only).
     """
     shards = [Shard(key=(name, config.name),
                     payload=(name, config, iterations))
               for config in configs for name in kernels]
-    runner = ShardRunner(workers=workers, shard_timeout=shard_timeout)
+    runner = ShardRunner(workers=workers)
     result = SweepResult()
     for outcome in runner.map(_sweep_point_worker, shards):
         if outcome.failed:

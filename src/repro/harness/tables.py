@@ -101,9 +101,9 @@ class Table2Result:
             title="Table 2: approach comparison")
 
 
-def table2_config_latency(iterations: int = 256,
-                          kernels: tuple[str, ...] = FIG12_SET,
-                          config: AcceleratorConfig = M_128) -> Table2Result:
+def table2_config_latency(
+        iterations: int = 256,
+        kernels: tuple[str, ...] = FIG12_SET) -> Table2Result:
     """Table 2: measure MESA's configuration latency across kernels.
 
     The paper reports "generally between 10^3 and 10^4 cycles", i.e. the
@@ -118,7 +118,7 @@ def table2_config_latency(iterations: int = 256,
     warm_costs = []
     for name in kernels:
         kernel = build_kernel(name, iterations=iterations)
-        controller = MesaController(config)
+        controller = MesaController(M_128)
         run = controller.execute(kernel.program, kernel.state_factory,
                                  parallelizable=kernel.parallelizable)
         if run.config_cost is None:

@@ -10,8 +10,9 @@ it, if there is one, and memory otherwise.
 * :func:`forwarding_store` is the rule for one access: the interpreter
   (:class:`repro.accel.engine.DataflowEngine`) keeps one list of the
   iteration's stores in program order and asks it for each load, which
-  then forwards from that store, or is invalidated and replays when it
-  issued before the store completed.
+  then forwards from that store, or reads memory when it issued before the
+  store completed: it is invalidated and replays when its port grant also
+  came before the store completed.
 * :func:`block_alias_hazard` is the rule for a block of iterations: the
   batched drive finds the first iteration where it would pick a store.
 

@@ -18,8 +18,8 @@ configuration cache, many concurrent offload streams:
 * :class:`RegionStore` / :func:`save_snapshot` / :func:`load_snapshot` —
   config-cache persistence: versioned on-disk snapshots, tolerant
   restore;
-* :class:`ServiceClient` / :class:`RetryPolicy` — backpressure-honoring
-  client with capped jittered backoff and idempotent resubmission;
+* :class:`ServiceClient` — backpressure-honoring client with capped
+  jittered backoff and idempotent resubmission;
 * :class:`FaultPlan` / :func:`run_chaos_test` — deterministic fault
   injection and the chaos smoke behind ``repro serve --self-test
   --chaos``;
@@ -37,7 +37,7 @@ from .checkpoint import (
     load_snapshot,
     save_snapshot,
 )
-from .client import RetryPolicy, ServiceClient
+from .client import ServiceClient
 from .faults import FaultPlan, corrupt_snapshot, run_chaos_test
 from .metrics import (
     BUCKET_BOUNDS,
@@ -88,7 +88,6 @@ __all__ = [
     "RegionStore",
     "load_snapshot",
     "save_snapshot",
-    "RetryPolicy",
     "ServiceClient",
     "FaultPlan",
     "corrupt_snapshot",

@@ -22,7 +22,8 @@ means *back off and retry later*, not *hammer the socket*.
 The client is deliberately sans-state between calls — it opens one
 connection per attempt (the protocol is cheap) so it also exercises the
 server's reconnect path, which is exactly what the fault-injection suite
-needs.
+needs.  The attempt budget, backoff curve, jitter and attempt timeout are
+module constants, one value each: no caller tunes them.
 """
 
 from __future__ import annotations
@@ -30,51 +31,41 @@ from __future__ import annotations
 import asyncio
 import json
 import random
-from dataclasses import dataclass
 from typing import Any
 
-__all__ = ["RetryPolicy", "ServiceClient"]
+__all__ = ["ServiceClient"]
 
 #: Rejection reasons that mean "try again later" (backpressure), as
 #: opposed to permanent refusals like an unknown kernel.
 _RETRIABLE_REJECTIONS = ("queue full", "quota exceeded",
                          "shutting down", "not started")
 
+#: Attempts per offload call, the first one included.
+MAX_ATTEMPTS = 4
+#: Backoff before the first retry; it doubles per retry up to the cap.
+BASE_BACKOFF_S = 0.05
+MAX_BACKOFF_S = 2.0
+#: Fraction of the backoff randomized away (0.5 → sleep 50–100% of the
+#: capped exponential value).
+JITTER = 0.5
+#: Seconds one attempt waits for its reply.
+ATTEMPT_TIMEOUT_S = 60.0
 
-@dataclass(frozen=True)
-class RetryPolicy:
-    """How hard to push against a busy or flaky service."""
 
-    max_attempts: int = 4
-    base_backoff_s: float = 0.05
-    max_backoff_s: float = 2.0
-    #: Fraction of the backoff randomized away (0.5 → sleep 50–100% of
-    #: the capped exponential value).
-    jitter: float = 0.5
-    #: Whether backpressure rejections are retried at all; connection
-    #: errors always are.
-    retry_rejected: bool = True
-
-    def backoff_s(self, attempt: int, rng: random.Random) -> float:
-        """Sleep before retry ``attempt`` (1-based), capped + jittered."""
-        capped = min(self.max_backoff_s,
-                     self.base_backoff_s * (2.0 ** (attempt - 1)))
-        if self.jitter <= 0.0:
-            return capped
-        return capped * (1.0 - self.jitter * rng.random())
+def backoff_s(attempt: int, rng: random.Random) -> float:
+    """Sleep before retry ``attempt`` (1-based), capped + jittered."""
+    capped = min(MAX_BACKOFF_S, BASE_BACKOFF_S * (2.0 ** (attempt - 1)))
+    return capped * (1.0 - JITTER * rng.random())
 
 
 class ServiceClient:
     """A retrying JSON-lines client for one service endpoint."""
 
     def __init__(self, host: str = "127.0.0.1", port: int = 8537,
-                 client_id: str = "client", policy: RetryPolicy | None = None,
-                 attempt_timeout_s: float = 60.0, seed: int = 0) -> None:
+                 client_id: str = "client", seed: int = 0) -> None:
         self.host = host
         self.port = port
         self.client_id = client_id
-        self.policy = policy if policy is not None else RetryPolicy()
-        self.attempt_timeout_s = attempt_timeout_s
         self._rng = random.Random(f"{client_id}:{seed}")
         self._nonce = 0
         #: Attempt-level telemetry: how often the client had to retry.
@@ -90,7 +81,7 @@ class ServiceClient:
             writer.write(json.dumps(payload).encode() + b"\n")
             await writer.drain()
             line = await asyncio.wait_for(reader.readline(),
-                                          timeout=self.attempt_timeout_s)
+                                          timeout=ATTEMPT_TIMEOUT_S)
             if not line:
                 raise ConnectionResetError("server closed before replying")
             reply = json.loads(line)
@@ -146,12 +137,11 @@ class ServiceClient:
             payload["timeout_s"] = timeout_s
         last_error = "no attempts made"
         last_reply: dict[str, Any] | None = None
-        for attempt in range(1, self.policy.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             self.attempts += 1
             if attempt > 1:
                 self.retries += 1
-                await asyncio.sleep(
-                    self.policy.backoff_s(attempt - 1, self._rng))
+                await asyncio.sleep(backoff_s(attempt - 1, self._rng))
             try:
                 reply = await self._roundtrip(payload)
             except (ConnectionError, OSError, asyncio.TimeoutError,
@@ -161,7 +151,7 @@ class ServiceClient:
                 # attach rather than double-execute.
                 last_error = f"{type(exc).__name__}: {exc}"
                 continue
-            if self._is_backpressure(reply) and self.policy.retry_rejected:
+            if self._is_backpressure(reply):
                 last_reply = reply
                 last_error = str(reply.get("reason", "rejected"))
                 continue
@@ -170,5 +160,5 @@ class ServiceClient:
             return last_reply
         return {"status": "unreachable", "kernel": kernel,
                 "client": self.client_id,
-                "reason": f"gave up after {self.policy.max_attempts} "
+                "reason": f"gave up after {MAX_ATTEMPTS} "
                           f"attempts: {last_error}"}

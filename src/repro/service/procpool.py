@@ -84,6 +84,11 @@ __all__ = ["OffloadTask", "ControllerPool", "ChipTask", "ProcessWorkerPool",
 #: is served but never kept.
 BASELINE_TRACE_ENTRIES = 1 << 17
 
+#: Consecutive failures of one (config, region) key that open its circuit.
+BREAKER_THRESHOLD = 3
+#: While a circuit is open, every this-many-th request is a half-open probe.
+BREAKER_PROBE_INTERVAL = 8
+
 
 @dataclass(frozen=True)
 class OffloadTask:
@@ -297,21 +302,17 @@ class CircuitBreaker:
     """Per-key consecutive-failure circuit with half-open probing.
 
     A key (the server uses ``(config, region digest)``) whose last
-    ``threshold`` requests all failed has its circuit *opened*: further
-    requests are told to degrade to the CPU baseline instead of burning a
-    worker on a region that keeps crashing or timing out.  Every
-    ``probe_interval``-th request while open is let through as a probe —
-    one success closes the circuit again.
+    :data:`BREAKER_THRESHOLD` requests all failed has its circuit
+    *opened*: further requests are told to degrade to the CPU baseline
+    instead of burning a worker on a region that keeps crashing or timing
+    out.  Every :data:`BREAKER_PROBE_INTERVAL`-th request while open is
+    let through as a probe — one success closes the circuit again.
 
     Single-threaded by design: the asyncio server consults it from the
     event loop only.
     """
 
-    def __init__(self, threshold: int = 3, probe_interval: int = 8) -> None:
-        if threshold < 1:
-            raise ValueError("threshold must be positive")
-        self.threshold = threshold
-        self.probe_interval = max(0, probe_interval)
+    def __init__(self) -> None:
         self._failures: dict[Any, int] = {}
         self._last_error: dict[Any, str] = {}
         self._skipped: dict[Any, int] = {}
@@ -319,11 +320,11 @@ class CircuitBreaker:
     def check(self, key: Any) -> str | None:
         """None = dispatch normally; a string = degrade, with the reason."""
         failures = self._failures.get(key, 0)
-        if failures < self.threshold:
+        if failures < BREAKER_THRESHOLD:
             return None
         skipped = self._skipped.get(key, 0) + 1
         self._skipped[key] = skipped
-        if self.probe_interval and skipped % self.probe_interval == 0:
+        if skipped % BREAKER_PROBE_INTERVAL == 0:
             return None  # half-open probe
         last = self._last_error.get(key, "repeated failures")
         return (f"circuit open after {failures} consecutive failures "

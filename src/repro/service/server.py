@@ -242,8 +242,6 @@ class MesaService:
                  request_timeout_s: float | None = None,
                  checkpoint_path: str | None = None,
                  checkpoint_interval_s: float = 0.0,
-                 breaker_threshold: int = 3,
-                 breaker_probe_interval: int = 8,
                  fault_plan=None) -> None:
         if max_queue < 1 or max_per_client < 1 or workers < 0:
             raise ValueError("max_queue and max_per_client must be "
@@ -256,8 +254,7 @@ class MesaService:
         self.checkpoint_path = checkpoint_path
         self.checkpoint_interval_s = checkpoint_interval_s
         self.fault_plan = fault_plan
-        self._breaker = CircuitBreaker(breaker_threshold,
-                                       breaker_probe_interval)
+        self._breaker = CircuitBreaker()
         self._queue: asyncio.Queue[_Job] = asyncio.Queue()
         self._worker_tasks: list[asyncio.Task] = []
         self._checkpoint_task: asyncio.Task | None = None

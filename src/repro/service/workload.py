@@ -20,6 +20,9 @@ from typing import Sequence
 
 __all__ = ["zipf_weights", "zipfian_stream", "popularity_tier"]
 
+#: The most popular ranks, the *hot* tier of :func:`popularity_tier`.
+HOT_RANKS = 3
+
 
 def zipf_weights(count: int, s: float = 1.1) -> list[float]:
     """Normalized Zipf(s) probabilities for popularity ranks 1..count."""
@@ -43,17 +46,16 @@ def zipfian_stream(kernels: Sequence[str], count: int, s: float = 1.1,
     return rng.choices(list(kernels), weights=weights, k=count)
 
 
-def popularity_tier(kernels: Sequence[str], name: str,
-                    hot_ranks: int = 3) -> str:
+def popularity_tier(kernels: Sequence[str], name: str) -> str:
     """Classify one kernel of a ranked list as ``hot``/``warm``/``cold``.
 
-    The top ``hot_ranks`` kernels are the *hot* tier (resident in any
+    The top :data:`HOT_RANKS` kernels are the *hot* tier (resident in any
     reasonable cache), the next half of the list is *warm*, the tail is
     *cold*.
     """
     rank = list(kernels).index(name)
-    if rank < hot_ranks:
+    if rank < HOT_RANKS:
         return "hot"
-    if rank < max(hot_ranks, len(kernels) // 2):
+    if rank < max(HOT_RANKS, len(kernels) // 2):
         return "warm"
     return "cold"

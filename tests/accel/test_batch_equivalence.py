@@ -29,6 +29,7 @@ from repro.accel import (
     Operand,
 )
 from repro.accel import M_128, batch
+from repro.accel import engine as engine_module
 from repro.core import MesaController
 from repro.isa import Instruction, MachineState, Opcode, f, x
 from repro.latency import STORE_ISSUE
@@ -304,8 +305,10 @@ class TestDirectEngineEquivalence:
         assert batched.drive_path == "batched"
         assert batched.drive_reason == (
             "in-iteration store-to-load forwarding at iteration 10")
+        # The load issues before the byte store completes, but its port
+        # grant comes after: a plain memory read of the stored bytes.
         activity = batched.activity
-        assert activity.lsq_forwards + activity.load_replays == 1
+        assert activity.lsq_forwards == activity.load_replays == 0
         assert run_fingerprint(batched) == run_fingerprint(interpreted)
         # The load reads the word store's value with the newer byte
         # store's byte inside it.
@@ -351,21 +354,32 @@ class TestPortCarryFallback:
         # the port busy into the next iteration; the constant is never 0.
         assert STORE_ISSUE >= 1
 
-    def test_replayed_load_frees_its_port_within_the_iteration(
-            self, monkeypatch):
+    def test_late_granted_load_frees_its_port(self, monkeypatch):
         # At iteration 10 a walking load reads a slow store's address of
-        # its own iteration: it replays, and its stale read is granted the
-        # one port behind seven queued stores.  The next iteration's first
-        # load asks for the port at that iteration's start, which the
-        # batched path assumes idle.
+        # its own iteration.  It issues before the store completes, and
+        # its read is granted the one port behind seven queued stores.
+        # The next iteration's first load asks for the port at that
+        # iteration's start, which the batched path assumes idle.
         monkeypatch.setattr(batch, "DEFAULT_BLOCK", 8)
         batched, interpreted = both_paths(stale_read_program(),
                                           stale_read_state)
         assert batched.drive_path == "batched"
         assert batched.drive_reason == (
             "in-iteration store-to-load forwarding at iteration 10")
-        assert batched.activity.load_replays == 1
+        assert batched.activity.load_replays == 0
         assert run_fingerprint(batched) == run_fingerprint(interpreted)
+
+    def test_load_granted_after_the_store_pays_no_replay(self, monkeypatch):
+        # That iteration-10 load's grant comes after the store completed,
+        # so it read the stored value: no replay, no forward, and no
+        # REPLAY_PENALTY in the run's timing on either path.
+        runs = both_paths(stale_read_program(), stale_read_state)
+        monkeypatch.setattr(engine_module, "REPLAY_PENALTY", 1000)
+        slow = both_paths(stale_read_program(), stale_read_state)
+        for run, penalized in zip(runs, slow):
+            assert run.activity.load_replays == 0
+            assert run.activity.lsq_forwards == 0
+            assert run_fingerprint(run) == run_fingerprint(penalized)
 
 
 def stale_read_program() -> AcceleratorProgram:

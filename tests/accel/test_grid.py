@@ -91,8 +91,3 @@ class TestNeighbourhood:
         g = grid()
         g.occupy((1, 2), 1)
         assert g.free_neighbourhood((1, 1)) == 7
-
-    def test_radius(self):
-        g = grid()
-        # rows 1..5 x cols 0..3 (clipped) = 20 cells minus the centre
-        assert g.free_neighbourhood((3, 2), radius=2) == 19

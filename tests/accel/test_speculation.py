@@ -103,16 +103,37 @@ class TestSpeculation:
         # read takes a port grant and an L1 access like any other load.
         # (A single-shot region runs on the interpreter either way; the
         # batched path steps such iterations on it too, which
-        # test_batch_equivalence's forwarding tests hold it to.)
+        # test_batch_equivalence's forwarding tests hold it to.)  The
+        # config has a port free for the load at once, so its grant
+        # precedes the store's completion.
         program = conflict_program()
-        program = dataclasses.replace(
-            program, config=dataclasses.replace(CFG, memory_ports=1))
+        assert CFG.memory_ports > 1
         engine = DataflowEngine(program, compiled=compiled)
         run = engine.run(make_state(32))
         assert run.activity.load_replays == 1
         load_pc = program.nodes[3].instruction.address
         assert engine.hierarchy.amat_counters()[load_pc].accesses == 1
         assert engine.hierarchy.l1.stats.accesses == 2
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_load_granted_at_store_completion_reads_memory(self, compiled):
+        # With one port, the load that issued early waits behind the
+        # store's grant and is granted as the store completes: it read the
+        # stored data, so it neither replays nor forwards, and completes
+        # one cache access after its grant.
+        program = conflict_program()
+        program = dataclasses.replace(
+            program, config=dataclasses.replace(CFG, memory_ports=1))
+        engine = DataflowEngine(program, compiled=compiled)
+        state = make_state(32)
+        run = engine.run(state)
+        assert state.read(x(31)) == 999
+        assert run.activity.load_replays == 0
+        assert run.activity.lsq_forwards == 0
+        store_done = run.latency.node_latency(2)
+        hit = engine.hierarchy.ideal_latency
+        assert run.latency.node_latency(3) == store_done + hit
+        assert run.latency.node_latency(3) < store_done + REPLAY_PENALTY
 
     def test_forwarded_load_waits_for_store_data(self):
         """A same-base forwarded load cannot complete before the store's
@@ -153,7 +174,9 @@ class TestSpeculation:
 
 def two_store_program() -> AcceleratorProgram:
     """:func:`conflict_program`'s slow store, then a second store to the
-    load's address whose own address is ready at once, then the load."""
+    load's address whose own address is ready at once, then the load.
+    Each of the three accesses has its own port, so the load's grant
+    comes before either store completes."""
     program = conflict_program()
     base = 0x1000
     fast_store = ConfiguredNode(
@@ -164,7 +187,8 @@ def two_store_program() -> AcceleratorProgram:
         4, Instruction(base + 16, Opcode.LW, rd=x(31), rs1=x(10), imm=0),
         (1, -1), src1=Operand.from_register(x(10)), is_memory=True)
     return AcceleratorProgram(
-        config=CFG, nodes=[*program.nodes[:3], fast_store, load],
+        config=dataclasses.replace(CFG, memory_ports=3),
+        nodes=[*program.nodes[:3], fast_store, load],
         loop_branch_id=None, live_in={*program.live_in, x(11)},
         live_out={x(31): 4})
 

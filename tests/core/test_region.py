@@ -3,9 +3,9 @@
 import pytest
 
 from repro.accel import AcceleratorConfig, M_128
-from repro.core import CodeRegionDetector
+from repro.core import CodeRegionDetector, LdfgError, build_ldfg
 from repro.core.region import MIN_EXPECTED_ITERATIONS, MIN_WORK_FRACTION
-from repro.cpu import collect_trace
+from repro.cpu import LoopCandidate, collect_trace
 from repro.isa import assemble
 
 
@@ -48,6 +48,16 @@ class TestC1Size:
         assert decisions and not decisions[0].c1_size
         assert any("C1" in r for r in decisions[0].reasons)
 
+    def test_loop_larger_than_every_grid_rejected_with_reason(self):
+        # Longer than any grid holds: the detector still reports it, and
+        # C1 says why it stays on the CPU.
+        body = "\n".join("addi t1, t1, 1" for _ in range(4100))
+        decisions = detect(hot_loop_program(6, body))
+        assert len(decisions) == 1
+        assert decisions[0].reasons[0] == (
+            "C1: body of 4102 instructions exceeds backend capacity "
+            f"{M_128.max_instructions}")
+
 
 class TestC2Control:
     def test_inner_loop_rejected(self):
@@ -85,6 +95,56 @@ class TestC2Control:
         )
         decisions = detect(program)
         assert decisions[0].c2_control
+
+
+#: Loop bodies (before the closing ``bne t0, zero, loop``) and the reason
+#: C2 gives for each, or None when the fabric can run it.
+CONTROL_BODIES = {
+    "clean loop": ("addi t1, t1, 1", None),
+    "inner forward branch": ("beq t1, zero, skip\naddi t2, t2, 1\nskip:",
+                             None),
+    "system op": ("ecall", "system instruction ecall"),
+    "jump": ("j next\nnext:", "jump jal zero, 4 inside loop body"),
+    "inner backward branch": (
+        "back:\naddi t1, t1, 1\nbne t1, zero, back",
+        "inner backward branch at 0x1008 "
+        "(nested loop must be unrolled ahead of time)"),
+    "escaping forward branch": ("beq t1, zero, out",
+                                "forward branch at 0x1004 escapes body"),
+    "self-branch": ("self:\nbeq t1, t2, self",
+                    "inner backward branch at 0x1004 "
+                    "(nested loop must be unrolled ahead of time)"),
+}
+
+
+@pytest.mark.parametrize("name", CONTROL_BODIES)
+def test_c2_and_ldfg_judge_control_alike(name):
+    """C2 and the LDFG builder apply one control rule: each rejects a body
+    exactly when the other does, for the same reason."""
+    body, reason = CONTROL_BODIES[name]
+    program = assemble(f"""
+        addi t0, zero, 60
+        loop:
+            {body}
+            bne t0, zero, loop
+            nop
+        out:
+            nop
+        """)
+    start = program.labels["loop"]
+    end = program.labels["out"] - 8
+    decision = CodeRegionDetector(M_128).evaluate(
+        LoopCandidate(start, end), program)
+    instructions = [program.at(a) for a in range(start, end + 4, 4)]
+    if reason is None:
+        assert decision.c2_control
+        build_ldfg(instructions)
+    else:
+        assert not decision.c2_control
+        assert f"C2: {reason}" in decision.reasons
+        with pytest.raises(LdfgError) as error:
+            build_ldfg(instructions)
+        assert str(error.value) == reason
 
 
 def forward_branch_body(branches: int) -> str:

@@ -55,9 +55,11 @@ class TestDetection:
         assert inner[0].visits == 3
         assert inner[0].expected_trip_count == pytest.approx(10)
 
-    def test_oversized_loop_rejected(self):
-        loops = LoopStreamDetector(max_body_instructions=3).scan(counted_loop(10))
-        assert loops == []
+    def test_large_loop_reported(self):
+        # The detector has no size limit: condition C1 is the one size
+        # rule (tests/core/test_region.py).
+        loops = LoopStreamDetector().scan(counted_loop(6, body_nops=600))
+        assert [loop.body_instructions for loop in loops] == [602]
 
     def test_candidate_reported_once_per_hot_visit(self):
         trace = counted_loop(10)

@@ -5,7 +5,17 @@ import asyncio
 import json
 import random
 
-from repro.service import RetryPolicy, ServiceClient
+import pytest
+
+from repro.service import ServiceClient
+from repro.service import client as client_module
+from repro.service.client import (
+    BASE_BACKOFF_S,
+    JITTER,
+    MAX_ATTEMPTS,
+    MAX_BACKOFF_S,
+    backoff_s,
+)
 
 
 class ScriptedServer:
@@ -58,34 +68,39 @@ def run_with_server(script, call):
     return asyncio.run(scenario())
 
 
-FAST = RetryPolicy(max_attempts=4, base_backoff_s=0.01, max_backoff_s=0.05)
+class NoJitter(random.Random):
+    """An RNG whose draws take no jitter off the backoff."""
+
+    def random(self):
+        return 0.0
 
 
 class TestRetryPolicy:
     def test_backoff_is_capped_exponential(self):
-        policy = RetryPolicy(base_backoff_s=0.1, max_backoff_s=0.5,
-                             jitter=0.0)
-        rng = random.Random(0)
-        sleeps = [policy.backoff_s(a, rng) for a in range(1, 6)]
-        assert sleeps == [0.1, 0.2, 0.4, 0.5, 0.5]
+        sleeps = [backoff_s(a, NoJitter()) for a in range(1, 8)]
+        assert sleeps == [0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 2.0]
+        assert sleeps[-1] == MAX_BACKOFF_S
 
     def test_jitter_stays_within_band(self):
-        policy = RetryPolicy(base_backoff_s=0.1, max_backoff_s=10.0,
-                             jitter=0.5)
         rng = random.Random(7)
-        for attempt in range(1, 6):
-            capped = min(10.0, 0.1 * 2 ** (attempt - 1))
-            sleep = policy.backoff_s(attempt, rng)
-            assert capped * 0.5 <= sleep <= capped
+        for attempt in range(1, 8):
+            capped = min(MAX_BACKOFF_S, BASE_BACKOFF_S * 2 ** (attempt - 1))
+            sleep = backoff_s(attempt, rng)
+            assert capped * (1 - JITTER) <= sleep <= capped
 
 
 class TestClientRetries:
+    @pytest.fixture(autouse=True)
+    def fast_backoff(self, monkeypatch):
+        monkeypatch.setattr(client_module, "BASE_BACKOFF_S", 0.01)
+        monkeypatch.setattr(client_module, "MAX_BACKOFF_S", 0.05)
+
     def test_drop_then_success_reuses_idempotency_key(self):
         ok = {"status": "completed", "label": "nn", "deduped": True}
         reply, requests = run_with_server(
             ["drop", ok],
             lambda host, port: ServiceClient(
-                host, port, client_id="c1", policy=FAST).offload(
+                host, port, client_id="c1").offload(
                     "nn", iterations=8))
         assert reply["status"] == "completed"
         assert len(requests) == 2
@@ -99,7 +114,7 @@ class TestClientRetries:
             scripted = ScriptedServer([{"status": "completed"},
                                        {"status": "completed"}])
             host, port = await scripted.start()
-            client = ServiceClient(host, port, client_id="c1", policy=FAST)
+            client = ServiceClient(host, port, client_id="c1")
             await client.offload("nn", iterations=8)
             await client.offload("nn", iterations=8)
             await scripted.stop()
@@ -115,7 +130,7 @@ class TestClientRetries:
         reply, requests = run_with_server(
             [rejected, rejected, ok],
             lambda host, port: ServiceClient(
-                host, port, client_id="c1", policy=FAST).offload(
+                host, port, client_id="c1").offload(
                     "nn", iterations=8))
         assert reply["status"] == "completed"
         assert len(requests) == 3
@@ -125,7 +140,7 @@ class TestClientRetries:
         reply, requests = run_with_server(
             [rejected],
             lambda host, port: ServiceClient(
-                host, port, client_id="c1", policy=FAST).offload(
+                host, port, client_id="c1").offload(
                     "zzz", iterations=8))
         assert reply["status"] == "error"
         assert len(requests) == 1  # no pointless retries
@@ -135,13 +150,13 @@ class TestClientRetries:
                     "reason": "client 'c1' quota exceeded (8 in flight, "
                               "limit 8)"}
         reply, requests = run_with_server(
-            [rejected] * 4,
+            [rejected] * MAX_ATTEMPTS,
             lambda host, port: ServiceClient(
-                host, port, client_id="c1", policy=FAST).offload(
+                host, port, client_id="c1").offload(
                     "nn", iterations=8))
         assert reply["status"] == "rejected"
         assert "quota" in reply["reason"]
-        assert len(requests) == 4
+        assert len(requests) == MAX_ATTEMPTS
 
     def test_unreachable_server_is_terminal_not_raised(self):
         async def scenario():
@@ -151,15 +166,12 @@ class TestClientRetries:
             host, port = server.sockets[0].getsockname()[:2]
             server.close()
             await server.wait_closed()
-            client = ServiceClient(host, port, client_id="c1",
-                                   policy=RetryPolicy(
-                                       max_attempts=2,
-                                       base_backoff_s=0.01))
+            client = ServiceClient(host, port, client_id="c1")
             return await client.offload("nn", iterations=8)
 
         reply = asyncio.run(scenario())
         assert reply["status"] == "unreachable"
-        assert "gave up after 2 attempts" in reply["reason"]
+        assert f"gave up after {MAX_ATTEMPTS} attempts" in reply["reason"]
 
     def test_stats_swallows_transport_errors(self):
         async def scenario():

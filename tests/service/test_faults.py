@@ -8,8 +8,6 @@ import os
 import threading
 from types import SimpleNamespace
 
-import pytest
-
 from repro.core import CacheStats
 from repro.service import (
     TERMINAL_STATUSES,
@@ -17,11 +15,11 @@ from repro.service import (
     FaultPlan,
     MesaService,
     OffloadRequest,
-    RetryPolicy,
     ServiceClient,
     run_chaos_test,
     serve,
 )
+from repro.service import procpool
 
 FUZZ_SCALE = int(os.environ.get("REPRO_FUZZ_SCALE", "1"))
 
@@ -86,20 +84,23 @@ class TestFaultPlan:
         assert plan.execution_fault(5, "nn") is None
 
 
-class TestInjectedCrashes:
-    def test_breaker_cannot_be_switched_off(self):
-        with pytest.raises(ValueError):
-            MesaService(workers=0, breaker_threshold=0)
+def breaker(monkeypatch, threshold, probe_interval):
+    """Open circuits after ``threshold`` failures and probe every
+    ``probe_interval``-th request, so a test pays few worker crashes."""
+    monkeypatch.setattr(procpool, "BREAKER_THRESHOLD", threshold)
+    monkeypatch.setattr(procpool, "BREAKER_PROBE_INTERVAL", probe_interval)
 
-    def test_crash_kernel_trips_breaker_to_degraded(self):
+
+class TestInjectedCrashes:
+    def test_crash_kernel_trips_breaker_to_degraded(self, monkeypatch):
         """A region that always crashes ends up circuit-broken: requests
         get a structured CPU-baseline response, not an error storm."""
+        breaker(monkeypatch, threshold=2, probe_interval=100)
 
         async def scenario():
             service = MesaService(
                 workers=1,
-                fault_plan=FaultPlan(seed=1, crash_kernels=("nn",)),
-                breaker_threshold=2, breaker_probe_interval=100)
+                fault_plan=FaultPlan(seed=1, crash_kernels=("nn",)))
             await service.start()
             statuses = []
             for _ in range(5):
@@ -114,12 +115,13 @@ class TestInjectedCrashes:
 
         asyncio.run(scenario())
 
-    def test_degraded_response_is_cpu_baseline(self):
+    def test_degraded_response_is_cpu_baseline(self, monkeypatch):
+        breaker(monkeypatch, threshold=1, probe_interval=100)
+
         async def scenario():
             service = MesaService(
                 workers=1,
-                fault_plan=FaultPlan(seed=1, crash_kernels=("nn",)),
-                breaker_threshold=1, breaker_probe_interval=100)
+                fault_plan=FaultPlan(seed=1, crash_kernels=("nn",)))
             await service.start()
             first = await service.offload(
                 OffloadRequest.for_kernel("nn", iterations=24))
@@ -135,7 +137,8 @@ class TestInjectedCrashes:
 
         asyncio.run(scenario())
 
-    def test_probe_closes_circuit_after_recovery(self):
+    def test_probe_closes_circuit_after_recovery(self, monkeypatch):
+        breaker(monkeypatch, threshold=2, probe_interval=2)
         chip = CountingController()
         fail_until = {"n": 2}
 
@@ -152,8 +155,7 @@ class TestInjectedCrashes:
         chip.execute = flaky_execute
 
         async def scenario():
-            service = counting_service(chip, breaker_threshold=2,
-                                       breaker_probe_interval=2)
+            service = counting_service(chip)
             await service.start()
             request = OffloadRequest.for_kernel("nn", iterations=24)
             statuses = [
@@ -209,10 +211,7 @@ class TestConnectionDrops:
             server = await serve(service, "127.0.0.1", 0,
                                  fault_plan=DropFirst())
             host, port = server.sockets[0].getsockname()[:2]
-            client = ServiceClient(
-                host, port, client_id="c1",
-                policy=RetryPolicy(base_backoff_s=0.2, max_attempts=4),
-                seed=3)
+            client = ServiceClient(host, port, client_id="c1", seed=3)
             reply = await client.offload("nn", iterations=24)
             stats = service.stats()
             server.close()

@@ -21,7 +21,12 @@ from repro.service import (
 )
 from repro.cpu import collect_trace
 from repro.isa import Program
-from repro.service.procpool import BASELINE_TRACE_ENTRIES, ChipTask
+from repro.service.procpool import (
+    BASELINE_TRACE_ENTRIES,
+    BREAKER_PROBE_INTERVAL,
+    BREAKER_THRESHOLD,
+    ChipTask,
+)
 from repro.workloads import (
     GeneratorParams,
     build_kernel,
@@ -362,28 +367,31 @@ class TestSpawnStartMethod:
 
 class TestCircuitBreaker:
     def test_opens_after_threshold_and_probes(self):
-        breaker = CircuitBreaker(threshold=3, probe_interval=4)
+        breaker = CircuitBreaker()
         key = ("M-128", "digest")
-        for _ in range(3):
+        for _ in range(BREAKER_THRESHOLD):
             assert breaker.check(key) is None
             breaker.record(key, ok=False, error="boom")
-        # Open: requests 1..3 after opening are degraded, the 4th probes.
-        outcomes = [breaker.check(key) for _ in range(4)]
-        assert [o is None for o in outcomes] == [False, False, False, True]
+        # Open: every request after opening is degraded but each
+        # BREAKER_PROBE_INTERVAL-th, which probes.
+        outcomes = [breaker.check(key) for _ in range(BREAKER_PROBE_INTERVAL)]
+        assert [o is None for o in outcomes] == (
+            [False] * (BREAKER_PROBE_INTERVAL - 1) + [True])
         # A successful probe closes the circuit.
         breaker.record(key, ok=True)
         assert all(breaker.check(key) is None for _ in range(8))
 
     def test_success_resets_count(self):
-        breaker = CircuitBreaker(threshold=2, probe_interval=8)
+        breaker = CircuitBreaker()
         key = ("M-128", "d")
-        breaker.record(key, ok=False, error="x")
-        breaker.record(key, ok=True)
-        breaker.record(key, ok=False, error="x")
+        for ok in ([False] * (BREAKER_THRESHOLD - 1) + [True]
+                   + [False] * (BREAKER_THRESHOLD - 1)):
+            breaker.record(key, ok=ok, error="x")
         assert breaker.check(key) is None  # never reached threshold
 
     def test_keys_are_independent(self):
-        breaker = CircuitBreaker(threshold=1, probe_interval=8)
-        breaker.record(("a",), ok=False, error="x")
+        breaker = CircuitBreaker()
+        for _ in range(BREAKER_THRESHOLD):
+            breaker.record(("a",), ok=False, error="x")
         assert breaker.check(("a",)) is not None
         assert breaker.check(("b",)) is None

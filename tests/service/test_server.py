@@ -19,6 +19,7 @@ from repro.service import (
     run_self_test,
     serve,
 )
+from repro.service import procpool
 from repro.service import server as server_module
 from repro.workloads import build_kernel
 
@@ -593,10 +594,12 @@ class TestProcessDegradedPath:
                                               status, counter):
         pool_type = type("Pool", (FailingPool,), {"degraded_error": error})
         monkeypatch.setattr(server_module, "ProcessWorkerPool", pool_type)
+        # The first failure opens the circuit; no probe in this test.
+        monkeypatch.setattr(procpool, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(procpool, "BREAKER_PROBE_INTERVAL", 100)
 
         async def scenario():
-            service = MesaService(workers=1, breaker_threshold=1,
-                                  breaker_probe_interval=100)
+            service = MesaService(workers=1)
             await service.start()
             first = await service.offload(kernel_request(iterations=24))
             degraded = await service.offload(kernel_request(iterations=24))

@@ -1,7 +1,7 @@
 """Every public function and method under ``src/repro`` has a caller,
 every public field of a dataclass or NamedTuple there has a reader, and
-every field of a ``*Config``, ``*Options`` or ``*Params`` dataclass has a
-setter.
+every field of a ``*Config``, ``*Options``, ``*Params`` or ``*Policy``
+dataclass and every defaulted parameter has a setter.
 
 A definition counts as used when code in ``src/``, ``examples/`` or
 ``benchmarks/`` references its name: a ``Name``, an ``Attribute`` or an
@@ -19,6 +19,14 @@ A setting counts as set when that code passes its name as a keyword to its
 class's constructor or to ``dataclasses.replace``.  A value nothing but the
 tests sets is a constant of the model, not a setting; a setting that stays
 anyway is an entry of :data:`KNOB_ORACLES`, with the reason it stays.
+
+The same holds for the defaulted parameters of every public function,
+method and constructor.  A parameter counts as set when that code passes
+it, by keyword or at its position, in a call to a callee of that name: the
+class name for ``__init__``, ``super().__init__`` in a subclass, or the
+first argument of ``functools.partial``.  Forwarding through ``*args`` or
+``**kwargs`` does not count.  A parameter that stays anyway is an entry of
+:data:`PARAM_ORACLES`, with the reason it stays.
 """
 
 import ast
@@ -115,7 +123,43 @@ KNOB_ORACLES = {
 }
 
 #: Class-name endings of the records whose fields are settings.
-KNOB_RECORDS = ("Config", "Options", "Params")
+KNOB_RECORDS = ("Config", "Options", "Params", "Policy")
+
+#: Defaulted parameters no program code sets that stay on purpose:
+#: ``callable(parameter)`` -> why.
+PARAM_ORACLES = {
+    **dict.fromkeys(
+        ("fig12_opencgra(kernels)", "fig13_breakdown(kernels)",
+         "fig14_dynaspam(kernels)", "table2_config_latency(kernels)",
+         "fig15_pe_scaling(iterations)", "fig15_pe_scaling(pe_counts)",
+         "fig16_amortization(checkpoints)"),
+        "test-speed seam: figure and table tests run the driver on one or "
+        "two kernels, fewer grids or fewer checkpoints; the defaults are "
+        "the paper's"),
+    "ControllerPool(factory)":
+        "test double: service tests swap in a controller that counts, "
+        "fails or hangs on cue",
+    "serve(fault_plan)":
+        "fault-injection seam: the fault suite drops chosen connections "
+        "at the TCP front end",
+    "main(argv)":
+        "CLI entry: CLI tests pass the argument list the console script "
+        "takes from sys.argv",
+    "assemble(base_address)":
+        "placement oracle: assembler tests check label and address "
+        "resolution at a base other than the kernels' 0x1000",
+    "MesaService.offload(timeout_s)":
+        "in-process deadline: a wire request carries its own in "
+        "OffloadRequest.timeout_s; an in-process caller, such as the hang "
+        "and deadline tests, passes one per call",
+    **dict.fromkeys(
+        ("ServiceClient.offload(timeout_s)", "ServiceClient.offload(config)"),
+        "wire request fields: a remote client picks each request's deadline "
+        "and backend, which the server reads off the wire"),
+    "ServiceClient(host)":
+        "deployment address: a client reaches the server wherever it "
+        "listens",
+}
 
 
 def _references(*dirs):
@@ -293,3 +337,120 @@ def test_every_knob_has_a_setter():
 def test_knob_oracle_entries_are_still_needed():
     stale = set(KNOB_ORACLES) - set(_unset_knobs())
     assert not stale, f"KNOB_ORACLES entries now set (or gone): {sorted(stale)}"
+
+
+def _parameters():
+    """(``callable(parameter)``, callee name, call position or None,
+    parameter name, location) of every defaulted parameter of every public
+    module-level function, method and public-class constructor.  The call
+    position skips ``self``/``cls``; keyword-only parameters have none."""
+    def defaulted(function, offset):
+        args = function.args
+        positional = args.posonlyargs + args.args
+        first = len(positional) - len(args.defaults)
+        for index, arg in enumerate(positional[first:], first):
+            yield arg.arg, index - offset
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                yield arg.arg, None
+
+    def visit(node, prefix, path):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                yield from visit(child, f"{prefix}{child.name}.", path)
+                continue
+            if not isinstance(child, (ast.FunctionDef,
+                                      ast.AsyncFunctionDef)):
+                continue
+            method = isinstance(node, ast.ClassDef)
+            static = "staticmethod" in (ast.unparse(decorator) for decorator
+                                        in child.decorator_list)
+            offset = int(method and not static)
+            if child.name == "__init__" and not node.name.startswith("_"):
+                callee, qualified = node.name, prefix[:-1]
+            elif not child.name.startswith("_"):
+                callee, qualified = child.name, f"{prefix}{child.name}"
+            else:
+                continue
+            location = f"{path.relative_to(ROOT)}:{child.lineno}"
+            for name, position in defaulted(child, offset):
+                yield (f"{qualified}({name})", callee, position, name,
+                       location)
+
+    for path in sorted(PACKAGE.rglob("*.py")):
+        yield from visit(ast.parse(path.read_text()), "", path)
+
+
+def _call_arguments(*dirs):
+    """(callee name, keyword or position) of every argument passed under
+    ``dirs``.  Arguments from a ``*args`` on are forwarded, not passed."""
+    def name_of(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr
+        return getattr(node, "id", None)
+
+    def callees(call, bases):
+        func = call.func
+        if (isinstance(func, ast.Attribute) and func.attr == "__init__"
+                and isinstance(func.value, ast.Call)
+                and name_of(func.value.func) == "super"):
+            return bases, call.args
+        if name_of(func) == "partial" and call.args:
+            return [name_of(call.args[0])], call.args[1:]
+        return [name_of(func)], call.args
+
+    passed = set()
+
+    def visit(node, bases, aliases):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, [name_of(base) for base in child.bases], aliases)
+                continue
+            if isinstance(child, ast.Call):
+                names, args = callees(child, bases)
+                for callee in (aliases.get(name, name) for name in names):
+                    passed.update((callee, keyword.arg)
+                                  for keyword in child.keywords
+                                  if keyword.arg is not None)
+                    for position, arg in enumerate(args):
+                        if isinstance(arg, ast.Starred):
+                            break
+                        passed.add((callee, position))
+            visit(child, bases, aliases)
+
+    for directory in dirs:
+        for path in (ROOT / directory).rglob("*.py"):
+            tree = ast.parse(path.read_text())
+            # A callee imported under another name is called by its own.
+            aliases = {alias.asname: alias.name.rpartition(".")[2]
+                       for node in ast.walk(tree)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       for alias in node.names if alias.asname}
+            visit(tree, [], aliases)
+    return passed
+
+
+@functools.cache
+def _unset_parameters():
+    passed = _call_arguments("src", "examples", "benchmarks")
+    return {qualified: location
+            for qualified, callee, position, name, location in _parameters()
+            if (callee, name) not in passed
+            and (callee, position) not in passed}
+
+
+def test_every_parameter_has_a_setter():
+    unset = {qualified: location
+             for qualified, location in _unset_parameters().items()
+             if qualified not in PARAM_ORACLES}
+    assert not unset, (
+        "defaulted parameters nothing outside tests sets; make them "
+        "constants, or list the reason they stay in PARAM_ORACLES:\n"
+        + "\n".join(f"  {location} {qualified}"
+                    for qualified, location in sorted(unset.items())))
+
+
+def test_param_oracle_entries_are_still_needed():
+    stale = set(PARAM_ORACLES) - set(_unset_parameters())
+    assert not stale, (
+        f"PARAM_ORACLES entries now set (or gone): {sorted(stale)}")
