@@ -16,7 +16,7 @@ traces — over all 19 Rodinia kernels through an in-process
 * client-observed latency tiers: requests are bucketed *hot* / *warm* /
   *cold* by the popularity rank of their kernel, the way a trace analysis
   would slice a production service's logs;
-* an interval snapshot (``stats_delta``) over the second half of the
+* an interval snapshot (``stats() - midpoint``) over the second half of the
   stream, demonstrating that steady-state hit rate exceeds the lifetime
   average once the cache is populated;
 * a **kill → restart** phase: the service's checkpoint is flushed, the
@@ -84,8 +84,8 @@ async def _drive():
             service.offload(OffloadRequest.for_kernel(
                 name, iterations=ITERATIONS, client="bench"))
             for name in second]))
-        steady = service.stats_delta(midpoint)
         stats = service.stats()
+        steady = stats - midpoint
         # Kill: tear the service down (close also flushes the final
         # checkpoint — the regions survive on disk, nothing else does).
         await service.close()

@@ -75,14 +75,9 @@ class Interconnect(ABC):
             self._matrix_cache[src] = cached
         return cached
 
+    @abstractmethod
     def _compute_matrix(self, src: Coord) -> np.ndarray:
-        """Fallback dense computation; topologies override with closed forms."""
-        rows, cols = self.config.rows, self.config.cols
-        return np.array(
-            [[self.latency(src, (r, c)) for c in range(cols)]
-             for r in range(rows)],
-            dtype=np.int64,
-        )
+        """``latency_matrix``'s uncached closed form for ``src``."""
 
     def router_hops(self, src: Coord, dst: Coord) -> int:
         """Router-to-router hops a NoC-routed packet traverses.

@@ -137,13 +137,14 @@ class SweepResult:
 
 # -- shard worker -------------------------------------------------------------
 
-def _measure_point(controller: MesaController, name: str,
-                   config: AcceleratorConfig,
-                   iterations: int) -> SweepPoint:
-    """Measure one (kernel, config) grid point on ``controller``."""
+def _sweep_point_worker(payload: tuple) -> SweepPoint:
+    """Measure one grid point on a fresh controller (module-level:
+    picklable), so the point depends on its payload alone."""
+    name, config, iterations = payload
     kernel = build_kernel(name, iterations=iterations)
-    run = controller.execute(kernel.program, kernel.state_factory,
-                             parallelizable=kernel.parallelizable)
+    run = MesaController(config).execute(
+        kernel.program, kernel.state_factory,
+        parallelizable=kernel.parallelizable)
     if run.accelerated:
         return SweepPoint(
             kernel=name,
@@ -167,13 +168,6 @@ def _measure_point(controller: MesaController, name: str,
         reason=run.reason,
         cache_stats=run.cache_stats,
     )
-
-
-def _sweep_point_worker(payload: tuple) -> SweepPoint:
-    """Measure one grid point on a fresh controller (module-level:
-    picklable), so the point depends on its payload alone."""
-    name, config, iterations = payload
-    return _measure_point(MesaController(config), name, config, iterations)
 
 
 def sweep_backends(kernels: list[str], configs: list[AcceleratorConfig],

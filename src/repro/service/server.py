@@ -26,7 +26,9 @@ models that deployment:
   histograms (queue wait, execute wall split cold/warm by cache outcome,
   per-pipeline-phase seconds), snapshot via :meth:`MesaService.stats`
   and subtractable for interval reporting
-  (:class:`~repro.service.metrics.ServiceStats`).
+  (:class:`~repro.service.metrics.ServiceStats`).  Every admitted request
+  resolves through one terminal path, so once the queue drains
+  ``completed + failed + timed_out + degraded + cancelled == admitted``.
 
 Every request — a named kernel, a generated region, or the circuit
 breaker's CPU-baseline fallback — becomes one picklable
@@ -45,10 +47,13 @@ hit come back only through the task's summary.
 
 Fault tolerance on top:
 
-* **per-request deadlines** — ``offload(..., timeout_s=...)``; a request
-  that expires while still queued resolves ``status="timeout"`` without
-  ever occupying a worker, one that expires mid-execution is killed (a
-  worker process) or detached (an in-process task);
+* **per-request deadlines** — ``OffloadRequest.timeout_s``, else the
+  service's ``request_timeout_s``, read once per job as it leaves the
+  queue (a coalesced follower: once its leader is done).  A request
+  expired by then resolves ``status="timeout"`` without ever occupying a
+  worker; otherwise the time left is its execution budget, and one that
+  overruns it is killed (a worker process) or detached (an in-process
+  task);
 * **circuit breaking** — a (config, region) key whose requests keep
   failing is served a structured ``status="degraded"`` CPU-baseline
   response instead of burning workers, with half-open probing to close
@@ -373,8 +378,7 @@ class MesaService:
 
     # -- submission -----------------------------------------------------------
 
-    def submit(self, request: OffloadRequest,
-               timeout_s: float | None = None) -> asyncio.Future:
+    def submit(self, request: OffloadRequest) -> asyncio.Future:
         """Admit a request; returns the future its response resolves on.
 
         Raises :class:`AdmissionError` when the service is shutting down,
@@ -415,9 +419,8 @@ class MesaService:
         self._counters["admitted"] += 1
         self._client_load[request.client] = load + 1
         submitted_at = time.perf_counter()
-        budget = timeout_s if timeout_s is not None else request.timeout_s
-        if budget is None:
-            budget = self.request_timeout_s
+        budget = (request.timeout_s if request.timeout_s is not None
+                  else self.request_timeout_s)
         job = _Job(request=request,
                    future=asyncio.get_running_loop().create_future(),
                    submitted_at=submitted_at,
@@ -477,17 +480,17 @@ class MesaService:
             source.add_done_callback(_copy)
         return mirror
 
-    async def offload(self, request: OffloadRequest,
-                      timeout_s: float | None = None) -> OffloadResponse:
+    async def offload(self, request: OffloadRequest) -> OffloadResponse:
         """Submit and await one request; refusals become responses.
 
         Cancelling the awaiting task cancels the job (a job cancelled
-        while still queued is skipped by the workers; one already
-        executing finishes but its response is discarded) — the
-        cancellation propagates to the caller as usual.
+        while still queued never reaches a worker; one already executing
+        finishes but its response is discarded), and either way the job
+        counts as ``cancelled`` — the cancellation propagates to the
+        caller as usual.
         """
         try:
-            future = self.submit(request, timeout_s=timeout_s)
+            future = self.submit(request)
         except AdmissionError as exc:
             return OffloadResponse(label=request.label,
                                    client=request.client,
@@ -509,10 +512,6 @@ class MesaService:
             latency={name: hist.snapshot()
                      for name, hist in self._latency.items()},
         )
-
-    def stats_delta(self, since: ServiceStats) -> ServiceStats:
-        """Interval metrics since an earlier :meth:`stats` snapshot."""
-        return self.stats() - since
 
     def process_stats(self) -> dict[str, Any]:
         """Supervision state of the worker pool (zeros at ``workers=0``)."""
@@ -547,87 +546,61 @@ class MesaService:
             self._client_load.pop(client, None)
 
     async def _run_job(self, job: _Job) -> None:
-        request = job.request
-        try:
-            if job.future.cancelled():
-                self._counters["cancelled"] += 1
-                return
-            self._running_jobs += 1
-            try:
-                await self._execute(job)
-            finally:
-                self._running_jobs -= 1
-        finally:
-            self._release(request.client)
-
-    def _expired(self, job: _Job) -> bool:
-        return (job.deadline is not None
-                and time.perf_counter() >= job.deadline)
-
-    def _remaining(self, job: _Job) -> float | None:
-        if job.deadline is None:
-            return None
-        return max(0.0, job.deadline - time.perf_counter())
-
-    def _resolve_timeout(self, job: _Job, reason: str) -> None:
-        """Terminal ``status="timeout"`` without running the task."""
-        self._counters["timed_out"] += 1
-        now = time.perf_counter()
-        request = job.request
-        self._finish(job, OffloadResponse(
-            label=request.label, client=request.client,
-            status="timeout", reason=reason, coalesced=job.coalesced,
-            queue_seconds=(job.started_at or now) - job.submitted_at,
-            total_seconds=now - job.submitted_at))
-
-    async def _execute(self, job: _Job) -> None:
+        """Take one admitted job from the queue to its terminal response."""
         request = job.request
         job.started_at = time.perf_counter()
         self._record("queue_wait", job.started_at - job.submitted_at)
-
-        if self._expired(job):
-            # Satellite guarantee: a queue-expired request resolves
-            # without ever occupying a worker or a coalescing slot.
-            self._resolve_timeout(
-                job, "deadline expired while queued "
-                     f"(waited {job.started_at - job.submitted_at:.3f}s)")
-            return
-
-        key = request.coalesce_key()
-        leader = self._inflight.get(key)
-        seed: tuple[dict, ...] = ()
-        if leader is not None:
-            # Identical region already being configured: wait for its
-            # leader, then execute with the leader's fresh configuration
-            # (N identical in-flight regions -> one translation, one miss,
-            # N-1 hits, whichever worker each lands on).
-            job.coalesced = True
-            self._counters["coalesced"] += 1
-            await leader.configured.wait()
+        self._running_jobs += 1
+        try:
+            key = request.coalesce_key()
+            leader = self._inflight.get(key)
+            if leader is not None:
+                # Identical region already being configured: wait for its
+                # leader, then execute with the leader's fresh configuration
+                # (N identical in-flight regions -> one translation, one
+                # miss, N-1 hits, whichever worker each lands on).
+                job.coalesced = True
+                self._counters["coalesced"] += 1
+                await leader.configured.wait()
+            # The job's one read of its cancellation and deadline: a job
+            # cancelled or expired by now never reaches a worker or leads
+            # a coalescing group, and the time left is its dispatch budget.
             if job.future.cancelled():
-                self._counters["cancelled"] += 1
+                self._finish(job, {"status": "cancelled"})
                 return
-            if self._expired(job):
-                self._resolve_timeout(
-                    job, "deadline expired waiting on coalesced leader")
+            remaining = (None if job.deadline is None
+                         else job.deadline - time.perf_counter())
+            if remaining is not None and remaining <= 0.0:
+                waited = job.started_at - job.submitted_at
+                self._finish(job, {"status": "timeout", "reason": (
+                    f"deadline expired while queued (waited {waited:.3f}s)"
+                    if job.deadline <= job.started_at
+                    else "deadline expired waiting on coalesced leader")})
                 return
-            seed = leader.new_regions
-        else:
+            await self._execute(job, key, leader, remaining)
+        finally:
+            self._running_jobs -= 1
+            self._release(request.client)
+
+    async def _execute(self, job: _Job, key: tuple[str, str],
+                       leader: _Job | None, remaining: float | None) -> None:
+        request = job.request
+        if leader is None:
             job.configured = asyncio.Event()
             self._inflight[key] = job
-
         degraded_reason = self._breaker.check(key)
         if degraded_reason is None:
             fault, hang_s = self._planned_fault(job)
             task = OffloadTask(request.program, request.state_factory,
                                request.config, request.parallelizable,
-                               fault=fault, hang_s=hang_s, seed=seed)
+                               fault=fault, hang_s=hang_s,
+                               seed=leader.new_regions if leader else ())
         else:
             task = OffloadTask(request.program, request.state_factory,
                                request.config, mode="cpu")
         start = time.perf_counter()
         try:
-            summary = await self._dispatch(job, task, key)
+            summary = await self._dispatch(job, task, key, remaining)
         except asyncio.CancelledError:
             raise
         except Exception as exc:
@@ -641,18 +614,31 @@ class MesaService:
                 # themselves rather than wait forever.
                 del self._inflight[key]
                 job.configured.set()
-        if degraded_reason is not None and summary["status"] == "completed":
-            summary.update(status="degraded", reason=degraded_reason)
-        done = time.perf_counter()
-        execute_seconds = done - start
-        status = summary["status"]
-
+        execute_seconds = time.perf_counter() - start
         if degraded_reason is None:
-            self._breaker.record(key, status == "completed",
+            self._breaker.record(key, summary["status"] == "completed",
                                  summary.get("reason", ""))
+        elif summary["status"] == "completed":
+            summary.update(status="degraded", reason=degraded_reason)
+        self._finish(job, summary, execute_seconds)
 
+    def _finish(self, job: _Job, summary: dict,
+                execute_seconds: float = 0.0) -> None:
+        """The one terminal path: count the job's outcome, record its
+        latency and resolve the caller's future.
+
+        A job whose caller cancelled its future counts as ``cancelled``
+        whatever it reached, and as nothing else, so the five terminal
+        counters sum to ``admitted``.  Only a completed job counts toward
+        ``accelerated``, ``cache_hits`` and ``baseline_hits``.
+        """
+        if job.future.cancelled():
+            self._counters["cancelled"] += 1
+            return
+        status = summary["status"]
+        self._counters["timed_out" if status == "timeout" else status] += 1
+        done = time.perf_counter()
         if status == "completed":
-            self._counters["completed"] += 1
             if summary.get("accelerated"):
                 self._counters["accelerated"] += 1
             if summary.get("cache_hit"):
@@ -670,19 +656,14 @@ class MesaService:
                 self._record("execute_warm", execute_seconds)
             else:
                 self._record("execute_cold", execute_seconds)
-            self._record("total", done - job.submitted_at)
             for phase, seconds in summary.get("phase_seconds", {}).items():
                 self._record(f"phase:{phase}", seconds)
         elif status == "degraded":
-            self._counters["degraded"] += 1
             self._record("execute_degraded", execute_seconds)
+        if status in ("completed", "degraded"):
             self._record("total", done - job.submitted_at)
-        elif status == "timeout":
-            self._counters["timed_out"] += 1
-        else:
-            self._counters["failed"] += 1
-
-        self._finish(job, OffloadResponse(
+        request = job.request
+        job.future.set_result(OffloadResponse(
             label=request.label, client=request.client,
             status=status, reason=summary.get("reason", ""),
             accelerated=bool(summary.get("accelerated")),
@@ -703,18 +684,15 @@ class MesaService:
         return fault, getattr(self.fault_plan, "hang_s", 30.0)
 
     async def _dispatch(self, job: _Job, task: OffloadTask,
-                        affinity: Any) -> dict:
-        """Run one task in-process (``workers=0``) or on the worker pool.
+                        affinity: Any, remaining: float | None) -> dict:
+        """Run one task in-process (``workers=0``) or on the worker pool
+        within ``remaining`` seconds (None: no deadline).
 
         Returns the task's summary with ``status="completed"``, or a
         terminal status when the request could not finish: a blown
         deadline is a ``timeout``; a crash, a task error or a broken pool
         is ``failed``.  An in-process task's own exception propagates.
         """
-        remaining = self._remaining(job)
-        if remaining is not None and remaining <= 0.0:
-            return {"status": "timeout",
-                    "reason": "deadline expired before dispatch"}
         loop = asyncio.get_running_loop()
         try:
             if self._procpool is None:
@@ -753,9 +731,3 @@ class MesaService:
     def _swallow(future) -> None:
         if not future.cancelled():
             future.exception()
-
-    def _finish(self, job: _Job, response: OffloadResponse) -> None:
-        if job.future.cancelled():
-            self._counters["cancelled"] += 1
-        elif not job.future.done():
-            job.future.set_result(response)

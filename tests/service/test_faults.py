@@ -178,9 +178,8 @@ class TestInjectedHangs:
                 fault_plan=FaultPlan(seed=1, hang_kernels=("nn",),
                                      hang_s=0.4))
             await service.start()
-            hung = await service.offload(
-                OffloadRequest.for_kernel("nn", iterations=24),
-                timeout_s=0.05)
+            hung = await service.offload(OffloadRequest.for_kernel(
+                "nn", iterations=24, timeout_s=0.05))
             assert hung.status == "timeout"
             # The hung worker is killed and replaced; the service keeps
             # serving other kernels.

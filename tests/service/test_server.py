@@ -3,7 +3,9 @@ cancellation, shared-cache amortization, and the TCP front end."""
 
 import asyncio
 import dataclasses
+import os
 import threading
+from collections import Counter
 
 import pytest
 
@@ -11,6 +13,7 @@ from repro.core import CacheStats
 from repro.service import (
     AdmissionError,
     ControllerPool,
+    FaultPlan,
     MesaService,
     OffloadRequest,
     WorkerCrash,
@@ -24,6 +27,9 @@ from repro.service import server as server_module
 from repro.workloads import build_kernel
 
 from .test_net import request_once
+
+#: Nightly CI exports REPRO_FUZZ_SCALE to multiply the lifecycle rounds.
+FUZZ_SCALE = int(os.environ.get("REPRO_FUZZ_SCALE", "1"))
 
 
 def kernel_request(name="nn", iterations=96, client="local",
@@ -306,7 +312,7 @@ class TestExecution:
             await service.offload(kernel_request())
             mid = service.stats()
             await service.offload(kernel_request())
-            delta = service.stats_delta(mid)
+            delta = service.stats() - mid
             await service.close()
             return delta
 
@@ -392,7 +398,8 @@ class TestDeadlines:
                 service.offload(kernel_request(client="a")))
             await spin(lambda: chip.calls == 1)
             doomed = asyncio.ensure_future(service.offload(
-                kernel_request("kmeans", client="b"), timeout_s=0.02))
+                dataclasses.replace(kernel_request("kmeans", client="b"),
+                                    timeout_s=0.02)))
             await asyncio.sleep(0.1)  # deadline passes while queued
             chip.release.set()
             timed_out = await doomed
@@ -615,3 +622,122 @@ class TestProcessDegradedPath:
         assert getattr(stats, counter) == 1
         assert stats.degraded == 0
         assert stats.worker_restarts == restarts == 1
+
+
+# -- one terminal path per request ----------------------------------------------
+
+
+#: How long a request labelled "slow" sleeps before it executes.
+HANG_S = 0.3
+
+
+def lifecycle_request(name, iterations=24, label=None, timeout_s=None,
+                      config="M-128") -> OffloadRequest:
+    return dataclasses.replace(
+        kernel_request(name, iterations=iterations, config=config),
+        label=label or name, timeout_s=timeout_s)
+
+
+async def lifecycle_round(service, lanes, index):
+    """One request down every terminal path: each case's expected status
+    and its response (None for a caller that cancelled)."""
+    name = ("nn", "pathfinder")[index % 2]
+    outcomes = []
+
+    async def response_of(future):
+        try:
+            return await future
+        except asyncio.CancelledError:
+            return None
+
+    # Completions, and coalesced followers when two lanes take identical
+    # requests at once.
+    group = await asyncio.gather(*[
+        service.offload(lifecycle_request(name)) for _ in range(lanes + 1)])
+    outcomes += [("completed", response) for response in group]
+    assert sum(response.coalesced for response in group) == lanes - 1
+
+    # Every lane busy with a slow request; the queued ones behind them are
+    # cancelled or expire before a lane frees.
+    blockers = [service.submit(lifecycle_request(name, label="slow"))
+                for _ in range(lanes)]
+    await spin(lambda: service.stats().inflight == lanes)
+    queued_cancel = service.submit(lifecycle_request(name))
+    queued_expire = service.submit(lifecycle_request(name, timeout_s=0.05))
+    queued_cancel.cancel()
+    outcomes += [("completed", await future) for future in blockers]
+    outcomes.append(("cancelled", await response_of(queued_cancel)))
+    expired = await queued_expire
+    assert "while queued" in expired.reason
+    outcomes.append(("timeout", expired))
+
+    # Cancelled while executing: the execution finishes, and the caller's
+    # cancellation is the request's one outcome.
+    executing = service.submit(lifecycle_request(name, label="slow"))
+    await spin(lambda: service.stats().inflight == 1)
+    executing.cancel()
+    outcomes.append(("cancelled", await response_of(executing)))
+    await spin(lambda: service.stats().inflight == 0)
+
+    # Expired while executing: the worker is killed, or the in-process
+    # task detached (on its own chip, so it runs alone when it resumes).
+    # The timeout counts against the key's circuit: a fresh key per round.
+    overrun = await service.offload(lifecycle_request(
+        name, iterations=26 + 2 * index, label="slow",
+        timeout_s=HANG_S / 3, config="M-64"))
+    assert "execution exceeded" in overrun.reason
+    outcomes.append(("timeout", overrun))
+
+    # A failing chip opens its key's circuit; the next request for the
+    # key is served degraded.  A fresh key per round.
+    poison = lifecycle_request(name, iterations=25 + 2 * index,
+                               label="poison")
+    outcomes.append(("failed", await service.offload(poison)))
+    outcomes.append(("degraded", await service.offload(poison)))
+    return outcomes
+
+
+class TestLifecycle:
+    @pytest.mark.parametrize("workers", [0, 1, 2])
+    def test_terminal_counters_sum_to_admitted(self, monkeypatch, workers):
+        # The first failure opens a circuit; no half-open probe in this test.
+        monkeypatch.setattr(procpool, "BREAKER_THRESHOLD", 1)
+        monkeypatch.setattr(procpool, "BREAKER_PROBE_INTERVAL", 1000)
+        rounds = FUZZ_SCALE
+        lanes = max(workers, 1)
+
+        async def scenario():
+            service = MesaService(
+                max_queue=64, max_per_client=64, workers=workers,
+                fault_plan=FaultPlan(hang_kernels=("slow",),
+                                     crash_kernels=("poison",),
+                                     hang_s=HANG_S))
+            await service.start()
+            outcomes = []
+            for index in range(rounds):
+                outcomes += await lifecycle_round(service, lanes, index)
+            await service.close()
+            return outcomes, service.stats()
+
+        outcomes, stats = asyncio.run(scenario())
+        assert [expected for expected, _ in outcomes] == [
+            response.status if response else "cancelled"
+            for _, response in outcomes]
+        tally = Counter(expected for expected, _ in outcomes)
+        assert stats.admitted == len(outcomes)
+        assert (stats.completed, stats.failed, stats.timed_out,
+                stats.degraded, stats.cancelled) == (
+            tally["completed"], tally["failed"], tally["timeout"],
+            tally["degraded"], tally["cancelled"])
+        assert (stats.completed + stats.failed + stats.timed_out
+                + stats.degraded + stats.cancelled) == stats.admitted
+        # Only completed requests count as accelerated or as hits.
+        completed = [response for _, response in outcomes
+                     if response and response.ok]
+        assert stats.accelerated == sum(r.accelerated for r in completed)
+        assert stats.cache_hits == sum(r.cache_hit for r in completed)
+        assert stats.histogram("total").count \
+            == stats.completed + stats.degraded
+        # The group's and the blockers' followers.
+        assert stats.coalesced == 2 * (lanes - 1) * rounds
+        assert stats.queue_depth == 0 and stats.inflight == 0

@@ -148,10 +148,6 @@ PARAM_ORACLES = {
     "assemble(base_address)":
         "placement oracle: assembler tests check label and address "
         "resolution at a base other than the kernels' 0x1000",
-    "MesaService.offload(timeout_s)":
-        "in-process deadline: a wire request carries its own in "
-        "OffloadRequest.timeout_s; an in-process caller, such as the hang "
-        "and deadline tests, passes one per call",
     **dict.fromkeys(
         ("ServiceClient.offload(timeout_s)", "ServiceClient.offload(config)"),
         "wire request fields: a remote client picks each request's deadline "
