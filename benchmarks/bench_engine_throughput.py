@@ -38,7 +38,7 @@ KERNELS = ("hotspot", "cfd", "kmeans", "nn", "backprop", "pathfinder",
 #: a silent fallback to the interpreter here is a regression.  The set
 #: covers contended NoC rings (kmeans, lavamd — closed-form grant chain),
 #: guarded memory (streamcluster — masked gathers), coupled recurrences
-#: (nw, myocyte — sequential microloop clusters), and load-dependent store
+#: (nw, myocyte — recurrence clusters), and load-dependent store
 #: addressing (bfs — blocks cut at the first store-to-load hazard).
 BATCHABLE = {"hotspot", "cfd", "nn", "backprop", "pathfinder", "kmeans",
              "streamcluster", "nw", "lavamd", "myocyte", "bfs"}
@@ -109,7 +109,7 @@ def test_engine_throughput(benchmark):
     _REPORT.extend(rows)
 
     # The batched path must beat the interpreter on every kernel (the
-    # microloop kernels and bfs's truncated blocks have the thinnest
+    # cluster kernels and bfs's truncated blocks have the thinnest
     # margin), with >=6x on at least 3 kernels.
     assert all(ratio > 1.0 for ratio in ratios), ratios
     assert sum(ratio >= 6.0 for ratio in ratios) >= 3, ratios

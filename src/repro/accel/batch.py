@@ -41,13 +41,21 @@ few provable properties of the model:
   reads only live lanes, and the block alias check ignores dead ones, so
   guard-false lanes charge neither port occupancy nor AMAT, exactly like
   the interpreter's suppressed accesses.
-* **Coupled recurrences run as an exact microloop.**  Loop-carried
-  strongly connected components with no closed scan form (mutually
-  recursive producers, guarded self-loops, non-linear updates) are
-  *clusters*: their members are evaluated lane by lane with the plan's own
-  scalar evaluator closures — bit-identical by construction — while every
-  node outside the cluster, and all timing, stays vectorized.  Clusters
-  through memory nodes are rejected (their lane values gate port state).
+* **Coupled recurrences run as one generated function per cluster.**
+  Loop-carried strongly connected components with no closed scan form
+  (mutually recursive producers, guarded self-loops, non-linear updates)
+  are *clusters*.  Each is compiled into one Python function that runs
+  its members straight-line, lane by lane, while every node outside the
+  cluster, and all timing, stays vectorized.  On the *fast binding* the
+  members in :data:`_FAST_OPS` run as inline operators (float32 add, sub
+  and mul on ``np.float32`` scalars, int add/sub/bitwise ops and
+  comparisons on Python ints) and every other member calls the plan's
+  scalar evaluator closure.  Inline FP is exact except on NaNs and inline
+  int sums except past signed 32 bits, so a NaN in a fast FP column or a
+  fast sum column outside signed 32 bits re-runs the block's cluster on
+  the *exact binding* — the same generator with every member on its
+  closure, bit-identical by construction.  Clusters through memory nodes
+  are rejected (their lane values gate port state).
 * **First-hazard truncation keeps store→load ordering inert.**  Loads
   are gathered before any store of the block commits, so a block is exact
   up to its first iteration whose load byte-overlaps an earlier store of
@@ -115,12 +123,13 @@ a few scalar-stepped trips.
 
 from __future__ import annotations
 
+import functools
 import heapq
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..isa import ACCESS_FORMATS, ExecutionError, Opcode
+from ..isa import ACCESS_FORMATS, OPCODE_TABLE, ExecutionError, Opcode
 from ..isa.registers import RegFile
 from ..isa.semantics import _vts, _vtu, compile_lanes
 from ..latency import STORE_ISSUE
@@ -198,30 +207,70 @@ class _BatchNode:
         self.cluster = -1        # index into BatchProgram.clusters
 
 
-# Operand access codes for cluster microloop steps: how a member reads one
-# operand at lane k of a block.
-_C_CONST = 0      # run-constant (latched live-in or zero)
-_C_NODE_IN = 1    # same-iteration value of another cluster member
-_C_NODE_EX = 2    # same-iteration value of a vectorized producer
-_C_LOOP_IN = 3    # previous lane of a cluster member (the recurrence)
-_C_LOOP_EX = 4    # previous lane of a vectorized producer
+#: Cluster members bound to an inline operator in their cluster's
+#: generated function (the fast binding), keyed by opcode: the operand
+#: type (``"f"``: every value an ``np.float32`` scalar, ``"i"``: a Python
+#: int), the expression over ``{a}`` and ``{b}`` (``{b}`` is the
+#: immediate of an int_imm row), and the re-run trigger checked on the
+#: member's column (:data:`_RERUN`).  FP arithmetic in float32 equals the
+#: closure's float64-op-then-round by the same innocuous-double-rounding
+#: theorem the FP scans rely on, except for NaN payloads and the two-NaN
+#: rule; an int sum equals the closure's wrapped one unless it leaves
+#: signed 32 bits.  Bitwise ops and comparisons of signed-32 ints are
+#: exact as they stand.  Every other member calls its plan closure.
+_FAST_OPS = {
+    Opcode.FADD_S: ("f", "{a} + {b}", "nan"),
+    Opcode.FSUB_S: ("f", "{a} - {b}", "nan"),
+    Opcode.FMUL_S: ("f", "{a} * {b}", "nan"),
+    Opcode.ADD: ("i", "{a} + {b}", "wrap"),
+    Opcode.SUB: ("i", "{a} - {b}", "wrap"),
+    Opcode.ADDI: ("i", "{a} + {b}", "wrap"),
+    Opcode.AND: ("i", "{a} & {b}", ""),
+    Opcode.OR: ("i", "{a} | {b}", ""),
+    Opcode.XOR: ("i", "{a} ^ {b}", ""),
+    Opcode.ANDI: ("i", "{a} & {b}", ""),
+    Opcode.ORI: ("i", "{a} | {b}", ""),
+    Opcode.XORI: ("i", "{a} ^ {b}", ""),
+    Opcode.BEQ: ("i", "{a} == {b}", ""),
+    Opcode.BNE: ("i", "{a} != {b}", ""),
+    Opcode.BLT: ("i", "{a} < {b}", ""),
+    Opcode.BGE: ("i", "{a} >= {b}", ""),
+}
+
+_INT32_MIN, _INT32_MAX = -(1 << 31), (1 << 31) - 1
+
+#: Re-run triggers: true on a fast member's column where its inline
+#: operator may differ from the closure, and the block's cluster re-runs
+#: on the exact binding.
+_RERUN = {
+    "nan": lambda col: bool(np.isnan(col).any()),
+    "wrap": lambda col: bool(col.min() < _INT32_MIN
+                             or col.max() > _INT32_MAX),
+}
 
 
 class _Cluster:
-    """One loop-carried strongly connected component, evaluated lane by
-    lane with the plan's scalar evaluator closures (exact by construction:
-    int64/float32 lanes round-trip through Python scalars losslessly, and
-    the closures apply the same int()/float() conversions as the
-    interpreter)."""
+    """One loop-carried strongly connected component, run lane by lane by
+    one generated function (see :func:`_cluster_source`)."""
 
-    __slots__ = ("members", "member_set", "steps")
+    __slots__ = ("members", "nodes", "fast_members", "checks", "closures",
+                 "dtypes", "fast", "exact")
 
-    def __init__(self, members, steps):
+    def __init__(self, members, nodes, fast):
         self.members = members            # ascending node ids
-        self.member_set = frozenset(members)
-        #: (node_id, is_ctrl, guard_id, a_spec, b_spec, fb_spec, evaluate)
-        #: per member; specs are (access code, src node id).
-        self.steps = steps
+        self.nodes = nodes
+        #: Members on the fast binding, ascending.
+        self.fast_members = tuple(i for i in members if i in fast)
+        #: (column, re-run trigger) per checked fast member.
+        self.checks = [(j, fast[i][2]) for j, i in enumerate(members)
+                       if i in fast and fast[i][2]]
+        #: Every member's plan closure, in member order.
+        self.closures = tuple(nodes[i].plan_node.evaluate for i in members)
+        self.dtypes = [nodes[i].np_dtype for i in members]
+        #: The fast binding, and the exact binding (every member on its
+        #: closure), generated on the first re-run.
+        self.fast = _compile_cluster(_cluster_source(members, nodes, fast))
+        self.exact = self.fast if not fast else None
 
 
 class BatchProgram:
@@ -343,7 +392,7 @@ def _compile(plan, plan_nodes, instructions, loop_branch_id, xlen):
     # Pass 2: build the combined dependence graph (same-iteration K_NODE
     # edges, loop-carried K_LOOP edges — self edges included — and guard
     # edges), then recognize which loop-carried cycles have a closed scan
-    # form and which become microloop clusters.
+    # form and which become recurrence clusters.
     preds_of: list[set] = [set() for _ in range(n)]
     for rec in nodes:
         pnode = rec.plan_node
@@ -412,8 +461,9 @@ def _compile(plan, plan_nodes, instructions, loop_branch_id, xlen):
 
     # Pass 2b: operands of *vectorized* nodes are checked for exact dtype
     # agreement with the interpreter's int()/float() conversions.  Cluster
-    # members call the scalar evaluators directly and skip these — except
-    # the guard-fallback check, whose value lands in the typed lane array.
+    # members skip these (a closure converts, and a member binds inline
+    # only on exact operands, see _make_cluster) — except the
+    # guard-fallback check, whose value lands in the typed lane array.
     for rec in nodes:
         pnode = rec.plan_node
         # Predicated-off lanes mix the fallback into the result vector
@@ -440,7 +490,8 @@ def _compile(plan, plan_nodes, instructions, loop_branch_id, xlen):
                         != (dtypes[op.src_id] == "f")):
                     return "loop-carried seed dtype mismatch"
 
-    cluster_objs = [_make_cluster(comp, nodes) for comp in clusters]
+    cluster_objs = [_make_cluster(comp, nodes, instructions)
+                    for comp in clusters]
 
     # Pass 3: deterministic topological schedule over the condensation
     # (always a DAG).  Singleton components pop in exactly the order the
@@ -580,28 +631,164 @@ def _tarjan_sccs(n, succs):
     return comps
 
 
-def _make_cluster(comp, nodes):
-    """Compile one SCC's members into microloop steps."""
-    member_set = frozenset(comp)
+def _exact_operand(nodes, op, kind):
+    """Whether operand ``op`` holds a value of type ``kind`` ("i" or "f")
+    on every lane, its loop-carried seed included, so that its canonical
+    form (a Python int, an ``np.float32``) is exact."""
+    reg = op.register
+    reg_ok = reg is None or (reg.file is RegFile.FP) == (kind == "f")
+    if op.kind == K_CONST:
+        return reg_ok
+    return nodes[op.src_id].dtype == kind and (op.kind == K_NODE or reg_ok)
 
-    def spec(op):
+
+def _make_cluster(comp, nodes, instructions):
+    """Bind each member of one SCC (fast or closure) and generate the
+    cluster's function."""
+    fast = {}
+    # On the fast binding every member's value is canonical.  A guard
+    # fallback seeded from the other register file would put a raw seed
+    # in a typed column, so such a cluster keeps every member on its
+    # closure.
+    if all(_exact_operand(nodes, nodes[i].plan_node.fallback,
+                          nodes[i].dtype)
+           for i in comp if nodes[i].guard >= 0):
+        for i in comp:
+            rec = nodes[i]
+            row = _FAST_OPS.get(rec.opcode)
+            if row is None:
+                continue
+            kind, expr, check = row
+            operands = [rec.plan_node.src1]
+            if OPCODE_TABLE[rec.opcode].form == "int_imm":
+                imm = instructions[i].imm
+                if not _INT32_MIN <= imm <= _INT32_MAX:
+                    continue
+                expr = expr.replace("{b}", repr(imm))
+            else:
+                operands.append(rec.plan_node.src2)
+            if all(_exact_operand(nodes, op, kind) for op in operands):
+                fast[i] = (kind, expr, check)
+    return _Cluster(comp, nodes, fast)
+
+
+def _cluster_source(members, nodes, fast):
+    """The source of one cluster's function under one binding.
+
+    ``fast`` maps each fast member to its (operand type, expression,
+    trigger); an empty map gives the exact binding, every member on its
+    plan closure.  The function takes ``(nb, first, prev, const1, const2,
+    const_fb, vals, taken, E)``, with ``E`` the members' closures in
+    member order, and returns one row of member values per lane.  It holds the members
+    straight-line inside one loop over the lanes: same-iteration reads of
+    members are locals, loop-carried reads of members are carry locals
+    seeded with the reader's own seed, and vectorised producers are
+    streamed (their loop-carried reads shifted by one lane behind that
+    seed).  A guarded member runs ``if guard: fallback else: op``.
+
+    FP producers stream ``np.float32`` scalars.  On the fast binding every
+    value is canonical: the constants and seeds that fast members and
+    guard fallbacks read are converted too, and FP closure results are
+    wrapped in an ``np.float32``, so no promotion rule applies.
+    """
+    member_set = set(members)
+    canonical = bool(fast)
+    prologue = [f"f{i} = E[{j}]" for j, i in enumerate(members)
+                if i not in fast]
+    carries: list[str] = []
+    streams: dict[str, str] = {}  # iterable -> loop variable
+
+    def ext_list(src):
+        # A vectorised producer's lanes as canonical scalars (closures
+        # convert either kind exactly).
+        name = f"x{src}"
+        if nodes[src].dtype == "f":
+            line = f"{name} = list(vals[{src}])"
+        else:
+            line = f"{name} = vals[{src}].tolist()"
+        if line not in prologue:
+            prologue.append(line)
+        return name
+
+    def stream(iterable):
+        name = streams.get(iterable)
+        if name is None:
+            name = streams[iterable] = f"e{len(streams)}"
+        return name
+
+    def read(op, i, slot, kind):
+        """Member ``i``'s operand ``slot`` ("a", "b", "g": the guard
+        fallback), canonical for ``kind`` ("i", "f") or raw (None)."""
+        wrap = "F({})" if kind == "f" else "{}"
+        consts = {"a": "const1", "b": "const2", "g": "const_fb"}[slot]
+        if op.kind == K_CONST:
+            value = "0" if op.register is None else f"{consts}[{i}]"
+            prologue.append(f"k{i}{slot} = {wrap.format(value)}")
+            return f"k{i}{slot}"
+        src = op.src_id
         if op.kind == K_NODE:
-            return ((_C_NODE_IN if op.src_id in member_set
-                     else _C_NODE_EX), op.src_id)
-        if op.kind == K_LOOP:
-            return ((_C_LOOP_IN if op.src_id in member_set
-                     else _C_LOOP_EX), op.src_id)
-        return (_C_CONST, -1)
+            return f"v{src}" if src in member_set else stream(ext_list(src))
+        seed = wrap.format(f"{consts}[{i}] if first else prev[{src}]")
+        if src in member_set:
+            prologue.append(f"c{i}{slot} = {seed}")
+            carries.append(f"c{i}{slot} = v{src}")
+            return f"c{i}{slot}"
+        prologue.append(f"y{i}{slot} = [{seed}] + {ext_list(src)}[:-1]")
+        return stream(f"y{i}{slot}")
 
-    steps = []
-    for i in comp:
+    body: list[str] = []
+    for i in members:
         rec = nodes[i]
         pnode = rec.plan_node
-        fb_spec = spec(pnode.fallback) if rec.guard >= 0 else None
-        steps.append((i, rec.kind == N_CONTROL, rec.guard,
-                      spec(pnode.src1), spec(pnode.src2), fb_spec,
-                      pnode.evaluate))
-    return _Cluster(comp, steps)
+        is_ctrl = rec.kind == N_CONTROL
+        if i in fast:
+            kind, expr, _ = fast[i]
+            value = expr.format(
+                a=read(pnode.src1, i, "a", kind),
+                b=(read(pnode.src2, i, "b", kind) if "{b}" in expr
+                   else None))
+        else:
+            value = (f"f{i}({read(pnode.src1, i, 'a', None)}, "
+                     f"{read(pnode.src2, i, 'b', None)})")
+            if canonical and rec.dtype == "f":
+                value = f"F({value})"
+        op_line = f"t{i} = v{i} = {value}" if is_ctrl else f"v{i} = {value}"
+        if rec.guard < 0:
+            body.append(op_line)
+            continue
+        guard = (f"t{rec.guard}" if rec.guard in member_set
+                 else stream(f"taken[{rec.guard}].tolist()"))
+        fallback = read(pnode.fallback, i, "g",
+                        rec.dtype if canonical else None)
+        body += [f"if {guard}:", f"    v{i} = {fallback}"]
+        if is_ctrl:
+            body.append(f"    t{i} = False")  # a disabled branch is untaken
+        body += ["else:", f"    {op_line}"]
+
+    head = (f"for {', '.join(streams.values())}, in "
+            f"zip({', '.join(streams)}):" if streams
+            else "for _ in range(nb):")
+    row = ", ".join(f"v{i}" for i in members)
+    lines = ["def cluster(nb, first, prev, const1, const2, const_fb, vals, "
+             "taken, E, F=F):",
+             *prologue,
+             "rows = []",
+             "push = rows.append",
+             head,
+             *("    " + line for line in body),
+             f"    push(({row},))",
+             *("    " + line for line in carries),
+             "return rows"]
+    return "\n    ".join(lines) + "\n"
+
+
+@functools.lru_cache(maxsize=256)
+def _compile_cluster(source):
+    """A cluster function from its source, memoised by the source text:
+    the CPU tracer recompiles a loop body on every trace."""
+    namespace = {"F": np.float32}
+    exec(source, namespace)
+    return namespace["cluster"]
 
 
 # -- block driver --------------------------------------------------------------
@@ -833,8 +1020,8 @@ def _phase_values(bp, schedule, nb, first, prev, const1, const2, const_fb,
         if ci >= 0:
             if ci not in done_clusters:
                 done_clusters.add(ci)
-                _run_cluster(bp.clusters[ci], nodes, nb, first, prev,
-                             const1, const2, const_fb, vals, taken, offs)
+                _run_cluster(bp.clusters[ci], nb, first, prev, const1,
+                             const2, const_fb, vals, taken, offs)
             continue
         if rec.scan:
             vals[i] = _run_scan(rec, nb, first, prev, const1, const2,
@@ -928,96 +1115,48 @@ def _run_scan(rec, nb, first, prev, const1, const2, operand):
     return acc[1:]
 
 
-def _run_cluster(cluster, nodes, nb, first, prev, const1, const2, const_fb,
-                 vals, taken, offs):
-    """Evaluate a coupled-recurrence cluster lane by lane.
+def _run_cluster(cluster, nb, first, prev, const1, const2, const_fb, vals,
+                 taken, offs):
+    """Evaluate a coupled-recurrence cluster over ``nb`` lanes.
 
-    Members run in ascending node-id order per lane using the plan's
-    scalar evaluator closures, which is bit-identical to the interpreter:
-    int64/float32 lanes round-trip through Python scalars exactly,
-    and the closures apply the same int()/float() conversions.  External
-    producers (node or loop-carried) are already vectorized; internal
-    loop-carried reads hit the previous lane's column.
+    The fast binding runs first.  When one of its checked columns trips
+    a re-run trigger (a NaN out of a fast FP member, an int sum past
+    signed 32 bits), or a runaway int overflows a conversion, the cluster
+    re-runs on the exact binding, every member on the plan closure the
+    interpreter runs: bit-identical, since int64/float32 lanes round-trip
+    through Python scalars exactly and the closures apply the same
+    int()/float() conversions.
     """
-    members = cluster.members
-    member_set = cluster.member_set
-    cols: dict[int, list] = {i: [] for i in members}
-    tk: dict[int, list] = {}
-    offl: dict[int, list] = {}
-    ext: dict[int, list] = {}
+    args = (nb, first, prev, const1, const2, const_fb, vals, taken,
+            cluster.closures)
+    try:
+        cols = _columns(cluster, cluster.fast(*args))
+        rerun = any(_RERUN[trigger](cols[j]) for j, trigger in cluster.checks)
+    except OverflowError:
+        rerun = True
+    if rerun:
+        if cluster.exact is None:
+            cluster.exact = _compile_cluster(_cluster_source(
+                cluster.members, cluster.nodes, {}))
+        cols = _columns(cluster, cluster.exact(*args))
+    nodes = cluster.nodes
+    for i, col in zip(cluster.members, cols):
+        vals[i] = col
+        rec = nodes[i]
+        if rec.guard >= 0:
+            offs[i] = taken[rec.guard]
+        if rec.kind == N_CONTROL:
+            # An untaken branch holds 0, a taken one 1; a disabled one
+            # holds its fallback and is untaken.
+            taken[i] = col != 0 if rec.guard < 0 else (col != 0) & ~offs[i]
 
-    def ext_list(src):
-        lst = ext.get(src)
-        if lst is None:
-            lst = ext[src] = vals[src].tolist()
-        return lst
 
-    # Bind each spec to (access, column, seed): access 0 reads ``seed``
-    # always, 1 reads ``column[k]``, 2 reads ``seed`` at lane 0 and
-    # ``column[k - 1]`` after.
-    def bind(spec, i, consts):
-        code, src = spec
-        if code == _C_CONST:
-            return (0, None, consts[i])
-        if code == _C_NODE_IN:
-            return (1, cols[src], None)
-        if code == _C_NODE_EX:
-            return (1, ext_list(src), None)
-        seed = consts[i] if first else prev[src]
-        if code == _C_LOOP_IN:
-            return (2, cols[src], seed)
-        return (2, ext_list(src), seed)
-
-    bound = []
-    for i, is_ctrl, guard, a_spec, b_spec, fb_spec, evaluate in \
-            cluster.steps:
-        if is_ctrl:
-            tk[i] = []
-        glist = None
-        if guard >= 0:
-            offl[i] = []
-            glist = (tk[guard] if guard in member_set
-                     else taken[guard].tolist())
-        bound.append((cols[i], is_ctrl, tk.get(i), glist,
-                      bind(a_spec, i, const1), bind(b_spec, i, const2),
-                      bind(fb_spec, i, const_fb) if fb_spec is not None
-                      else None,
-                      offl.get(i), evaluate))
-
-    def read(operand, k):
-        access, column, seed = operand
-        if access == 0:
-            return seed
-        if access == 1:
-            return column[k]
-        return seed if k == 0 else column[k - 1]
-
-    for k in range(nb):
-        for col, is_ctrl, tl, glist, a_b, b_b, fb_b, ol, evaluate in bound:
-            if glist is not None and glist[k]:
-                value = read(fb_b, k)
-                ol.append(True)
-                if is_ctrl:
-                    tl.append(False)  # a disabled branch is untaken
-            else:
-                if ol is not None:
-                    ol.append(False)
-                a = read(a_b, k)
-                b = read(b_b, k)
-                if is_ctrl:
-                    t = evaluate(a, b)
-                    tl.append(t)
-                    value = int(t)
-                else:
-                    value = evaluate(a, b)
-            col.append(value)
-
-    for i in members:
-        vals[i] = np.array(cols[i], nodes[i].np_dtype)
-    for i, tl in tk.items():
-        taken[i] = np.array(tl, bool)
-    for i, ol in offl.items():
-        offs[i] = np.array(ol, bool)
+def _columns(cluster, rows):
+    """A cluster function's rows as one typed column per member."""
+    dtypes = cluster.dtypes
+    if len(set(dtypes)) == 1:
+        return np.array(rows, dtypes[0]).T
+    return [np.array(col, dtype) for col, dtype in zip(zip(*rows), dtypes)]
 
 
 def _phase_timing(bp, nb, first, offs):

@@ -55,7 +55,9 @@ closure, which :func:`repro.isa.compile_operation` /
 :func:`repro.isa.compile_branch` build at the fabric's width — the same
 semantics the CPU's :class:`~repro.isa.Executor` runs, so offloaded results
 equal CPU results by construction.  The batched path runs the lane forms
-that sit beside those scalar forms in :data:`repro.isa.OPCODE_TABLE`.
+that sit beside those scalar forms in :data:`repro.isa.OPCODE_TABLE`, and
+its recurrence clusters run a few opcodes as inline operators that a
+re-run on the closures backs wherever they could differ.
 """
 
 from __future__ import annotations

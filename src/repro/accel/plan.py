@@ -148,7 +148,7 @@ class NodePlan:
     #: ``guard_branch`` when the guard can actually fire (a branch strictly
     #: before this node), else -1 — a guard at or after its node reads the
     #: iteration's still-default branch state and never predicates it off.
-    #: The batched capability analysis and the cluster microloop share this
+    #: The batched capability analysis and the recurrence clusters share this
     #: rule with the interpreter.
     effective_guard: int
     fallback: OperandPlan | None

@@ -291,11 +291,9 @@ class MesaService:
         self._started_at = time.perf_counter()
         loop = asyncio.get_running_loop()
         if self.checkpoint_path:
-            records, reason = load_snapshot(self.checkpoint_path)
-            if records is None:
-                if not reason.startswith("no snapshot"):
-                    log.warning("checkpoint restore skipped: %s", reason)
-            elif records:
+            # load_snapshot warns about an unusable snapshot itself.
+            records, _ = load_snapshot(self.checkpoint_path)
+            if records:
                 restored = self._store.add_many(records)
                 self._counters["regions_restored"] += restored
                 log.info("checkpoint restored %d region(s) from %s",

@@ -6,7 +6,8 @@ bit for bit, and says *why not* when it can't.  Two kinds of regression are
 frozen here:
 
 * the verdict for every Rodinia kernel at M-128, so a change that silently
-  stops batching (or starts batching something unsound) fails loudly; and
+  stops batching (or starts batching something unsound) fails loudly, and
+  which recurrence-cluster members take the fast binding; and
 * unit tests pinning each machine-readable fallback reason to a minimal
   program that triggers it, plus the acceptance shape (cluster membership,
   contended-ring detection, schedule order) for the families the analysis
@@ -100,6 +101,31 @@ def test_kernel_exit_cone_is_counter_and_branch(name):
     assert sorted(bp.exit_order + bp.rest_order) == sorted(bp.order)
 
 
+#: The members on the fast binding, per recurrence cluster, of every
+#: batched kernel at M-128 (kernels without a cluster: none).  myocyte's
+#: coupled FP updates and nw's guarded max chain bind every member, so a
+#: change that silently drops one to its closure fails here.
+FAST_MEMBERS = {
+    "myocyte": [(0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10)],
+    "nw": [(4, 6, 7, 8, 9, 11)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(name for name, verdict
+                                         in EXPECTED.items()
+                                         if verdict == "batched"))
+def test_kernel_cluster_bindings_frozen(name):
+    kernel = build_kernel(name, iterations=64, seed=1)
+    result = MesaController(M_128).execute(
+        kernel.program, kernel.state_factory,
+        parallelizable=kernel.parallelizable)
+    bp = compile_batch(DataflowEngine(result.accel_program).plan)
+    assert [cluster.fast_members for cluster in bp.clusters] \
+        == FAST_MEMBERS.get(name, [])
+    for cluster in bp.clusters:
+        assert cluster.fast_members == tuple(cluster.members)
+
+
 # -- unit reasons and acceptance shapes over minimal programs -----------------
 
 CFG = AcceleratorConfig(rows=16, cols=8)
@@ -161,7 +187,7 @@ def test_guarded_store_accepted():
 
 def test_self_referential_guard_fallback_clusters():
     # x7 = taken ? new : old(x7) is a data-dependent recurrence; it now
-    # batches through a sequential microloop cluster on node 7.
+    # batches through a single-member recurrence cluster on node 7.
     program = loop_program()
     guard = program.nodes[7].guard
     guard = dataclasses.replace(
@@ -173,7 +199,7 @@ def test_self_referential_guard_fallback_clusters():
 
 def test_non_scan_self_loop_clusters():
     # node 7 becomes x7 = x7 XOR load — XOR has no closed scan form, so
-    # the node demotes to a single-member microloop cluster.
+    # the node demotes to a single-member recurrence cluster.
     program = loop_program()
     node = program.nodes[7]
     instr = dataclasses.replace(node.instruction, opcode=Opcode.XOR)
@@ -218,7 +244,7 @@ def test_exit_cone_keeps_clusters_whole():
 
 def test_memory_recurrence_rejected():
     # A load whose address chains through its own previous value would
-    # put a memory access inside a microloop cluster, where the port and
+    # put a memory access inside a recurrence cluster, where the port and
     # cache walk cannot replay — the analysis must refuse.
     program = loop_program()
     program = edit_node(program, 2, src1=Operand.loop_carried(2, x(6)))

@@ -494,9 +494,29 @@ def edit_node(program, node_id, **changes):
     return dataclasses.replace(program, nodes=nodes)
 
 
+def record_clusters(monkeypatch) -> list:
+    """Every recurrence cluster the batch compiler builds from now on."""
+    built = []
+    make_cluster = batch._make_cluster
+
+    def recording(*args):
+        built.append(make_cluster(*args))
+        return built[-1]
+
+    monkeypatch.setattr(batch, "_make_cluster", recording)
+    return built
+
+
+def assert_reran(clusters, members):
+    """A cluster of ``members``, every one on the fast binding, tripped a
+    re-run trigger, so its exact binding was generated."""
+    assert any(cluster.fast_members == members
+               and cluster.exact is not None for cluster in clusters)
+
+
 class TestNewFamilyEquivalence:
     """The three families the capability analysis newly admits — guarded
-    memory, microloop recurrence clusters, contended NoC rings — plus the
+    memory, recurrence clusters, contended NoC rings — plus the
     guard-ordering rule, each held to bit identity against the interpreter.
     """
 
@@ -529,7 +549,7 @@ class TestNewFamilyEquivalence:
 
     def test_guard_fallback_recurrence_bit_identical(self):
         # x7 = taken ? new : old(x7) — a data-dependent recurrence the
-        # microloop cluster replays lane by lane.
+        # recurrence cluster replays lane by lane.
         program = loop_program()
         guard = dataclasses.replace(
             program.nodes[7].guard,
@@ -571,19 +591,19 @@ class TestNewFamilyEquivalence:
         # runs only the loop branch's cone (the countdown and its branch)
         # past the exit, so the recurrence cluster's evaluator is called
         # once per iteration that commits, not once per lane of the block.
+        # The count is of the lanes its generated function runs on.
         calls = collections.Counter()
         make_cluster = batch._make_cluster
 
-        def counted(node_id, evaluate):
-            def wrapper(a, b):
-                calls[node_id] += 1
-                return evaluate(a, b)
+        def counted(node_id, function):
+            def wrapper(nb, *args):
+                calls[node_id] += nb
+                return function(nb, *args)
             return wrapper
 
-        def counting_cluster(comp, nodes):
-            cluster = make_cluster(comp, nodes)
-            cluster.steps = [(*step[:-1], counted(step[0], step[-1]))
-                             for step in cluster.steps]
+        def counting_cluster(comp, nodes, instructions):
+            cluster = make_cluster(comp, nodes, instructions)
+            cluster.fast = counted(cluster.members[0], cluster.fast)
             return cluster
 
         monkeypatch.setattr(batch, "_make_cluster", counting_cluster)
@@ -596,6 +616,35 @@ class TestNewFamilyEquivalence:
         batched = self.assert_batched_identical(program)
         assert batched.iterations == 50 < batch.DEFAULT_BLOCK
         assert calls == {7: 50}
+
+    @pytest.mark.parametrize("block", (7, 2048))
+    def test_nan_reruns_fp_cluster_bit_identical(self, block, monkeypatch):
+        # Nodes 4 and 5 couple into an FP cluster on the fast binding; the
+        # payloaded NaN loaded at iteration 3 reaches it mid-block, and
+        # every block from there re-runs on the exact binding.
+        monkeypatch.setattr(batch, "DEFAULT_BLOCK", block)
+        built = record_clusters(monkeypatch)
+        program = edit_node(loop_program(), 4,
+                            src1=Operand.loop_carried(5, f(2)))
+        program = edit_node(program, 5, src1=Operand.node(4))
+        self.assert_batched_identical(program)
+        assert_reran(built, (4, 5))
+
+    @pytest.mark.parametrize("block", (7, 2048))
+    def test_int_wrap_reruns_cluster_bit_identical(self, block,
+                                                   monkeypatch):
+        # x7 doubles from 111 while the guard sees it at least x12 and
+        # passes 2**31 at iteration 24: the fast sum leaves signed 32
+        # bits, and the block re-runs on the exact binding, whose wrapped
+        # x7 turns the guard off for good.
+        monkeypatch.setattr(batch, "DEFAULT_BLOCK", block)
+        built = record_clusters(monkeypatch)
+        carried = Operand.loop_carried(7, x(7))
+        program = edit_node(loop_program(), 6, src1=carried)
+        program = edit_node(program, 7, src1=carried, src2=carried,
+                            guard=Guard(6, carried))
+        self.assert_batched_identical(program)
+        assert_reran(built, (6, 7))
 
     def test_cluster_block_boundaries_bit_identical(self, monkeypatch):
         # The cluster's loop-carried seam must carry across blocks.

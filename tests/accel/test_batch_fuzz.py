@@ -6,8 +6,10 @@ walking address (stores may alias later loads, exercising first-hazard
 block truncation), stores addressed by a loaded value masked into a small
 window, loads that follow an overlapping store in the same iteration
 (in-iteration forwarding, stepped on the interpreter), optional
-predication with loop-carried fallbacks, and random live-in register values
-including NaN and infinity payloads.  The property under test is the
+predication with loop-carried fallbacks, loop-carried reads of any node
+(itself and later nodes included, so int, FP and guarded recurrence
+clusters appear), and random live-in register values including NaN and
+infinity payloads.  The property under test is the
 batched path's whole contract in one line: **whatever the capability
 analysis decides**, a default engine run is bit-identical to the
 interpreter — cycles, counters, registers, memory, and the memory model's
@@ -35,6 +37,7 @@ from repro.accel import (
 from repro.isa import Instruction, MachineState, Opcode, f, x
 from repro.mem import Memory
 
+from .test_batch_equivalence import assert_reran, record_clusters
 from .test_plan_equivalence import memory_fingerprint, run_fingerprint
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -80,7 +83,9 @@ def programs(draw):
     masked into an 8-word window the walking load also reads.  Wiring
     keeps int consumers on int producers (so both engine paths perform
     identical exact conversions) but otherwise roams freely over earlier
-    nodes, loop-carried values, and registers.
+    nodes, registers, and loop-carried values of any node, itself and
+    later nodes included: such reads close dependence cycles, the
+    recurrence clusters the batched path runs lane by lane.
     """
     base = 0x3000
     iterations = draw(st.integers(1, 24))
@@ -101,29 +106,37 @@ def programs(draw):
     live_in.update(int_regs)
     live_in.update(fp_regs)
 
-    def int_source(i):
-        pool = [Operand.from_register(draw(st.sampled_from(int_regs)))]
-        int_nodes = [j for j in range(i) if dtypes.get(j) == "i"]
-        if int_nodes:
-            j = draw(st.sampled_from(int_nodes))
-            pool.append(Operand.node(j))
-            seed = draw(st.sampled_from(int_regs))
-            pool.append(Operand.loop_carried(j, seed))
+    def source(i, dtype, regs):
+        pool = [Operand.from_register(draw(st.sampled_from(regs)))]
+        earlier = [j for j in range(i) if dtypes.get(j) == dtype]
+        if earlier:
+            pool.append(Operand.node(draw(st.sampled_from(earlier))))
+        # A loop-carried read may name any producer, so node i itself and
+        # the compute nodes after it close cycles.
+        carried = sorted(j for j, d in dtypes.items() if d == dtype)
+        if carried:
+            seed = draw(st.sampled_from(regs))
+            pool.append(Operand.loop_carried(draw(st.sampled_from(carried)),
+                                             seed))
         return draw(st.sampled_from(pool))
 
+    def int_source(i):
+        return source(i, "i", int_regs)
+
     def fp_source(i):
-        pool = [Operand.from_register(draw(st.sampled_from(fp_regs)))]
-        fp_nodes = [j for j in range(i) if dtypes.get(j) == "f"]
-        if fp_nodes:
-            j = draw(st.sampled_from(fp_nodes))
-            pool.append(Operand.node(j))
-            seed = draw(st.sampled_from(fp_regs))
-            pool.append(Operand.loop_carried(j, seed))
-        return draw(st.sampled_from(pool))
+        return source(i, "f", fp_regs)
 
     n_mid = draw(st.integers(1, 5))
     has_load = draw(st.booleans())
     has_store = draw(st.booleans())
+    # Every compute node's kind is drawn first, so a loop-carried read
+    # can name a later node by its dtype.
+    first_mid = 2 + has_load
+    kinds = [draw(st.sampled_from(("int", "fp", "fpcmp", "branch")))
+             for _ in range(n_mid)]
+    for m, kind in enumerate(kinds):
+        if kind != "branch":
+            dtypes[first_mid + m] = "f" if kind == "fp" else "i"
     guard_branch = None
     grid, memory_row = 2, 0
 
@@ -145,9 +158,8 @@ def programs(draw):
             place(True), src1=Operand.node(1), is_memory=True))
         dtypes[i] = "i"
 
-    for _ in range(n_mid):
+    for kind in kinds:
         i = len(nodes)
-        kind = draw(st.sampled_from(("int", "fp", "fpcmp", "branch")))
         if kind == "branch":
             op = draw(st.sampled_from(GUARD_OPS))
             nodes.append(ConfiguredNode(
@@ -178,7 +190,6 @@ def programs(draw):
         nodes.append(ConfiguredNode(
             i, Instruction(base + 4 * i, op, rd=rd, rs1=x(11), rs2=x(12)),
             place(False), src1=src1, src2=src2, guard=guard))
-        dtypes[i] = dtype
         reg = x(20 + i) if dtype == "i" else f(20 + i)
         live_out[reg] = i
 
@@ -295,10 +306,87 @@ def nan_pair_example():
     return program, reg_values, [0] * 8, iterations
 
 
-@settings(max_examples=60 * FUZZ_SCALE, deadline=None)
-@given(programs())
-@example(nan_pair_example())
-def test_batched_request_bit_identical_to_interpreter(drawn):
+def _cluster_example(middle, live_in, reg_values, live_out):
+    """Countdown and walker, then ``middle`` (built from the first free
+    node id), then the loop branch: 24 iterations, three blocks of 8."""
+    base = 0x3000
+    nodes = [
+        ConfiguredNode(0, Instruction(base, Opcode.ADDI, rd=x(5), rs1=x(5),
+                                      imm=-1),
+                       (0, 0), src1=Operand.loop_carried(0, x(5))),
+        ConfiguredNode(1, Instruction(base + 4, Opcode.ADDI, rd=x(10),
+                                      rs1=x(10), imm=4),
+                       (0, 1), src1=Operand.loop_carried(1, x(10))),
+        *middle(base),
+    ]
+    i = len(nodes)
+    nodes.append(ConfiguredNode(
+        i, Instruction(base + 4 * i, Opcode.BNE, rs1=x(5), rs2=x(0),
+                       imm=-4 * i),
+        (0, i + 1), src1=Operand.node(0)))
+    program = AcceleratorProgram(
+        config=CFG, nodes=nodes, loop_branch_id=i,
+        live_in={x(5), x(10), x(14), *live_in},
+        live_out={x(5): 0, **live_out})
+    return (program, {x(5): 24, x(10): LOAD_BASE, x(14): LOAD_BASE,
+                      **reg_values}, [0] * 8, 24)
+
+
+def nan_cluster_example():
+    """An FP cluster (nodes 3 and 4, both on the fast binding) that meets
+    the NaN live-in f6 at iteration 14, lane 6 of the second block: node 3
+    takes it as its guard fallback once the countdown drops below 10."""
+    def middle(base):
+        return [
+            ConfiguredNode(2, Instruction(base + 8, Opcode.BLT, rs1=x(5),
+                                          rs2=x(11), imm=8),
+                           (0, 2), src1=Operand.node(0),
+                           src2=Operand.from_register(x(11))),
+            ConfiguredNode(3, Instruction(base + 12, Opcode.FADD_S,
+                                          rd=f(7), rs1=f(8), rs2=f(5)),
+                           (0, 3), src1=Operand.loop_carried(4, f(4)),
+                           src2=Operand.from_register(f(5)),
+                           guard=Guard(2, Operand.from_register(f(6)))),
+            ConfiguredNode(4, Instruction(base + 16, Opcode.FMUL_S,
+                                          rd=f(8), rs1=f(7), rs2=f(5)),
+                           (0, 4), src1=Operand.node(3),
+                           src2=Operand.from_register(f(5))),
+        ]
+    return _cluster_example(
+        middle, {x(11), f(4), f(5), f(6)},
+        {x(11): 10, f(4): 1.5, f(5): 0.5,
+         f(6): _bits_to_float(0x7FC01234)},
+        {f(23): 3, f(24): 4})
+
+
+def wrap_cluster_example():
+    """An add recurrence (nodes 2 and 3, Fibonacci from 20000) whose sums
+    pass 2**31 at iteration 11, lane 3 of the second block; node 4's sign
+    test of node 3 tells a wrapped sum from an unwrapped one."""
+    def middle(base):
+        return [
+            ConfiguredNode(2, Instruction(base + 8, Opcode.ADD, rd=x(11),
+                                          rs1=x(11), rs2=x(12)),
+                           (0, 2), src1=Operand.loop_carried(2, x(11)),
+                           src2=Operand.loop_carried(3, x(12))),
+            ConfiguredNode(3, Instruction(base + 12, Opcode.ADD, rd=x(12),
+                                          rs1=x(12), rs2=x(11)),
+                           (0, 3), src1=Operand.loop_carried(3, x(12)),
+                           src2=Operand.node(2)),
+            ConfiguredNode(4, Instruction(base + 16, Opcode.SLT, rd=x(13),
+                                          rs1=x(12), rs2=x(0)),
+                           (0, 4), src1=Operand.node(3)),
+            ConfiguredNode(5, Instruction(base + 20, Opcode.SW, rs1=x(10),
+                                          rs2=x(13), imm=0x40),
+                           (0, -1), src1=Operand.node(1),
+                           src2=Operand.node(4), is_memory=True),
+        ]
+    return _cluster_example(
+        middle, {x(11), x(12)}, {x(11): 20000, x(12): 20000},
+        {x(11): 2, x(12): 3, x(13): 4})
+
+
+def assert_bit_identical(drawn):
     program, reg_values, mem_words, iterations = drawn
     runs = []
     memories = []
@@ -315,3 +403,26 @@ def test_batched_request_bit_identical_to_interpreter(drawn):
     assert batched.iterations == iterations
     assert run_fingerprint(batched) == run_fingerprint(reference)
     assert memories[0] == memories[1]
+    return batched
+
+
+@settings(max_examples=60 * FUZZ_SCALE, deadline=None)
+@given(programs())
+@example(nan_pair_example())
+@example(nan_cluster_example())
+@example(wrap_cluster_example())
+def test_batched_request_bit_identical_to_interpreter(drawn):
+    assert_bit_identical(drawn)
+
+
+@pytest.mark.parametrize("drawn, members", [
+    (nan_cluster_example(), (3, 4)),
+    (wrap_cluster_example(), (2, 3)),
+], ids=["nan", "wrap"])
+def test_pinned_clusters_rerun_on_the_exact_binding(drawn, members,
+                                                    monkeypatch):
+    # The two pinned examples end in the exact re-run: their clusters run
+    # on the fast binding until a trigger trips mid-block.
+    built = record_clusters(monkeypatch)
+    assert assert_bit_identical(drawn).drive_path == "batched"
+    assert_reran(built, members)

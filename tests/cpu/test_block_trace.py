@@ -37,6 +37,8 @@ from repro.workloads import (
     kernel_names,
 )
 
+from ..accel.test_batch_equivalence import assert_reran, record_clusters
+
 #: Nightly CI exports REPRO_FUZZ_SCALE to multiply every example budget.
 FUZZ_SCALE = int(os.environ.get("REPRO_FUZZ_SCALE", "1"))
 
@@ -280,8 +282,10 @@ def test_rv64_state_steps_on_the_scalar_path():
     assert verdict(loop_body(program, trace)[0], xlen=64) == "xlen 64"
 
 
-def test_coupled_fp_recurrence_block_traces():
-    # ft1 and ft2 feed each other across iterations: one microloop cluster.
+def test_coupled_fp_recurrence_block_traces(monkeypatch):
+    # ft1 and ft2 feed each other across iterations: one recurrence
+    # cluster, on the fast binding until the NaN at iteration 33 makes
+    # its block re-run on the exact one.
     program = streaming(400, """
             flw ft0, 0(a2)
             fadd.s ft1, ft1, ft2
@@ -298,10 +302,31 @@ def test_coupled_fp_recurrence_block_traces():
         state = make()
         state.memory.store(DATA + 0x8000 + 4 * 33, 4, 0x7FC00123)  # a NaN
         return state
+    clusters = record_clusters(monkeypatch)
     trace = assert_same(program, seeded)
+    assert_reran(clusters, (1, 2, 3))
     body = loop_body(program, trace)[0]
     assert verdict(body) == "block-traced"
     assert compile_loop_body(body, 32).clusters
+
+
+def test_wrapping_int_recurrence_block_traces(monkeypatch):
+    # t1 and t2 grow as Fibonacci numbers and pass 2**31 at iteration 23
+    # (and stay within int64 over the 40 trips): the fast binding's sums
+    # leave signed 32 bits, and the block re-runs on the exact binding,
+    # which wraps as the CPU does.  The stored sign bit of t2 differs
+    # between a wrapped and an unwrapped sum.
+    program = streaming(40, """
+            add t1, t1, t2
+            add t2, t2, t1
+            slt t3, t2, zero
+            sw t3, 0(a1)
+            addi a1, a1, 4
+        """)
+    clusters = record_clusters(monkeypatch)
+    trace = assert_same(program, staged(program, t1=1, t2=1))
+    assert_reran(clusters, (0, 1))
+    assert verdict(loop_body(program, trace)[0]) == "block-traced"
 
 
 def test_pointer_chase_steps_on_the_scalar_path():

@@ -6,7 +6,9 @@ and the fabric interpreter compute; the lane form is what the batched
 fabric path computes over numpy lanes.  This file holds the two forms of
 every row to the same bits at xlen 32 — on edge operands and on random
 32-bit words read both as integers and as binary32 — and pins the rows
-that have no lane form, with their reasons.
+that have no lane form, with their reasons.  It holds the inline operators
+of the recurrence clusters' fast binding to the same scalar forms wherever
+their re-run trigger stays quiet.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from repro.isa import (
     f,
     x,
 )
+from repro.accel.batch import _FAST_OPS, _RERUN
 from repro.isa.semantics import FORM_VALUES, compile_lanes
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -183,3 +186,75 @@ def test_lane_form_equals_scalar_form_on_random_words(words, imm):
     for op in LANED:
         _assert_row_agrees(op, ints, ints[1:] + ints[:1],
                            floats, floats[1:] + floats[:1], (imm,))
+
+
+# -- the fast binding of recurrence clusters -------------------------------------
+
+FAST = sorted(_FAST_OPS, key=lambda op: op.value)
+
+
+def _assert_fast_form_agrees(op: Opcode, ints_a, ints_b, floats_a, floats_b,
+                             imms=(0,)):
+    """Wherever its re-run trigger stays quiet, ``op``'s inline operator
+    equals the row's scalar form on canonical operands (Python ints,
+    ``np.float32`` scalars): the bits the cluster keeps from a block."""
+    kind, expr, trigger = _FAST_OPS[op]
+    form = OPCODE_TABLE[op].form
+    assert kind == FORM_VALUES[form][1]
+    inline = eval(f"lambda a, b: {expr.format(a='a', b='b')}")
+    if kind == "f":
+        pairs = [(np.float32(p), np.float32(q))
+                 for p, q in zip(floats_a, floats_b)]
+    else:
+        pairs = list(zip(ints_a, ints_b))
+    mismatches = []
+    for imm in imms:
+        instr = _instruction(op, imm)
+        scalar = (compile_branch(instr, 32) if instr.is_branch
+                  else compile_operation(instr, 32))
+        for a, b in pairs:
+            expected = scalar(a, b)
+            with np.errstate(all="ignore"):
+                got = inline(a, imm if form == "int_imm" else b)
+            if kind == "f":
+                assert type(got) is np.float32
+                column = np.array([got], np.float32)
+                got, expected = _bits(got), _bits(expected)
+            else:
+                column = np.array([got], np.int64)
+                got, expected = int(got), int(expected)
+            if trigger and _RERUN[trigger](column):
+                continue  # the cluster re-runs on its closures
+            if got != expected:
+                mismatches.append((a, b, imm, expected, got))
+    assert not mismatches, (op, mismatches[:5])
+
+
+@pytest.mark.parametrize("op", FAST, ids=lambda op: op.value)
+def test_fast_form_equals_scalar_form_on_edges(op):
+    ints = list(itertools.product(INT_EDGES, repeat=2))
+    floats = list(itertools.product(FLOAT_EDGES, repeat=2))
+    imms = IMM_EDGES if OPCODE_TABLE[op].form == "int_imm" else (0,)
+    _assert_fast_form_agrees(op, [p for p, _ in ints], [q for _, q in ints],
+                             [p for p, _ in floats], [q for _, q in floats],
+                             imms)
+
+
+@settings(max_examples=50 * FUZZ_SCALE, deadline=None)
+@given(words=_words, imm=st.integers(-2048, 2047))
+def test_fast_form_equals_scalar_form_on_random_words(words, imm):
+    ints = [_signed(word) for word in words]
+    floats = [_float(word) for word in words]
+    for op in FAST:
+        _assert_fast_form_agrees(op, ints, ints[1:] + ints[:1],
+                                 floats, floats[1:] + floats[:1], (imm,))
+
+
+def test_fast_triggers_fire_where_the_forms_differ():
+    # A NaN sum and a sum past signed 32 bits are exactly the cases the
+    # inline operators get wrong, so both must trip their trigger.
+    nan = np.float32(_float(0x7FC00001)) + np.float32(1.0)
+    assert _RERUN["nan"](np.array([nan], np.float32))
+    assert _RERUN["wrap"](np.array([INT_MAX + 1], np.int64))
+    assert _RERUN["wrap"](np.array([INT_MIN - 1], np.int64))
+    assert not _RERUN["wrap"](np.array([INT_MIN, INT_MAX], np.int64))

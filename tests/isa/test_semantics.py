@@ -394,7 +394,7 @@ NAN_LANES = 320
 def _nan_loop_program(opcode) -> AcceleratorProgram:
     """``mem[a0] = fa0 op fa1`` and ``fa3 = fa3 op fa1`` over a walking
     ``a0``: a two-NaN op on every lane, and a loop-carried NaN
-    accumulator (a float32 scan for add/sub/mul, a microloop for div)."""
+    accumulator (a float32 scan for add/sub/mul, a cluster for div)."""
     base = 0x2000
     nodes = [
         ConfiguredNode(0, Instruction(base, Opcode.ADDI, rd=x(5), rs1=x(5),

@@ -309,6 +309,23 @@ class TestServiceCheckpointRoundTrip:
         loaded, reason = load_snapshot(snap)
         assert loaded == [] and reason == ""
 
+    def test_corrupt_snapshot_warns_once(self, tmp_path, caplog):
+        snap = str(tmp_path / "cache.snapshot.json")
+        save_snapshot(snap, [])
+        corrupt_snapshot(snap, "garbage")
+
+        async def scenario():
+            service = MesaService(workers=0, checkpoint_path=snap)
+            await service.start()
+            await service.close()
+
+        with caplog.at_level(logging.WARNING):
+            asyncio.run(scenario())
+        warnings = [record for record in caplog.records
+                    if record.levelno == logging.WARNING]
+        assert len(warnings) == 1, [r.getMessage() for r in warnings]
+        assert "unreadable snapshot" in warnings[0].getMessage()
+
     def test_interval_checkpoints_flush(self, tmp_path):
         snap = str(tmp_path / "cache.snapshot.json")
 
