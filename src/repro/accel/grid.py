@@ -9,8 +9,10 @@ This module realizes the matrices of paper §3.3:
   PEs support it ("predetermined based on the specifications of the hardware
   backend").
 
-Masks are NumPy boolean arrays so the mapper can combine them with
-element-wise AND exactly as the paper's hardware does.
+Masks are NumPy boolean arrays so the mapper can AND them over one
+candidate rectangle exactly as the paper's hardware does.  As in the imap
+FSM (Fig. 8), ``F_free`` and each PE's free-neighbour count are live state
+that :meth:`PEGrid.occupy` updates, never rescanned per placement.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ from ..isa import OpClass
 from .config import AcceleratorConfig, Coord
 
 __all__ = ["PEGrid", "op_class_mask"]
+
+#: A rectangle of the PE array, half-open: ``(r0, r1, c0, c1)``.
+Rect = tuple[int, int, int, int]
 
 #: Chebyshev radius of the local neighbourhood the mapper's tie-breaker
 #: counts free PEs in (the 3 x 3 window around a PE).
@@ -46,6 +51,12 @@ def op_class_mask(config: AcceleratorConfig,
     return mask
 
 
+def _span(size: int) -> np.ndarray:
+    """Neighbourhood length of each index of one axis, cut at the edges."""
+    return (np.minimum(size, np.arange(size) + NEIGHBOURHOOD_RADIUS + 1)
+            - np.maximum(0, np.arange(size) - NEIGHBOURHOOD_RADIUS))
+
+
 class PEGrid:
     """Occupancy and capability state of one accelerator's PE array."""
 
@@ -55,7 +66,9 @@ class PEGrid:
         self.placement = np.full((config.rows, config.cols), -1, dtype=np.int64)
         #: F_free: True where a PE is unoccupied.
         self.free = np.ones((config.rows, config.cols), dtype=bool)
-        self._op_masks: dict[OpClass, np.ndarray] = {}
+        #: Live free_neighbourhood of every PE (only edges cut it when empty).
+        self.free_neighbours = np.outer(_span(config.rows),
+                                        _span(config.cols)) - 1
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -63,14 +76,12 @@ class PEGrid:
 
     def op_mask(self, op_class: OpClass) -> np.ndarray:
         """F_op for one operation class (cached constant mask)."""
-        mask = self._op_masks.get(op_class)
-        if mask is None:
-            mask = self._op_masks[op_class] = op_class_mask(self.config, op_class)
-        return mask
+        return op_class_mask(self.config, op_class)
 
-    def available_mask(self, op_class: OpClass) -> np.ndarray:
-        """``F_free AND F_op``: PEs that can accept ``op_class`` right now."""
-        return self.free & self.op_mask(op_class)
+    def available_mask(self, op_class: OpClass, rect: Rect) -> np.ndarray:
+        """``F_free AND F_op`` over ``rect``: PEs that can take ``op_class``."""
+        r0, r1, c0, c1 = rect
+        return self.free[r0:r1, c0:c1] & self.op_mask(op_class)[r0:r1, c0:c1]
 
     def occupy(self, coord: Coord, node_id: int) -> None:
         """Place a node at a PE.
@@ -87,6 +98,10 @@ class PEGrid:
                              f"{self.placement[row, col]}")
         self.placement[row, col] = node_id
         self.free[row, col] = False
+        radius = NEIGHBOURHOOD_RADIUS
+        self.free_neighbours[max(0, row - radius):row + radius + 1,
+                             max(0, col - radius):col + radius + 1] -= 1
+        self.free_neighbours[row, col] += 1
 
     def free_neighbourhood(self, coord: Coord) -> int:
         """Number of free PEs within :data:`NEIGHBOURHOOD_RADIUS` (the
@@ -98,25 +113,3 @@ class PEGrid:
         c0, c1 = max(0, col - radius), min(self.config.cols, col + radius + 1)
         window = self.free[r0:r1, c0:c1]
         return int(window.sum()) - int(self.free[row, col])
-
-    def free_neighbourhood_matrix(self) -> np.ndarray:
-        """:meth:`free_neighbourhood` for every PE at once.
-
-        Computed with a summed-area table over ``F_free`` so the mapper can
-        tie-break a whole candidate matrix in one shot; entry ``[r, c]``
-        equals ``free_neighbourhood((r, c))`` exactly.
-        """
-        rows, cols = self.shape
-        radius = NEIGHBOURHOOD_RADIUS
-        free = self.free.astype(np.int64)
-        integral = np.zeros((rows + 1, cols + 1), dtype=np.int64)
-        np.cumsum(np.cumsum(free, axis=0), axis=1, out=integral[1:, 1:])
-        r = np.arange(rows)
-        c = np.arange(cols)
-        r0 = np.maximum(0, r - radius)
-        r1 = np.minimum(rows, r + radius + 1)
-        c0 = np.maximum(0, c - radius)
-        c1 = np.minimum(cols, c + radius + 1)
-        window = (integral[np.ix_(r1, c1)] - integral[np.ix_(r0, c1)]
-                  - integral[np.ix_(r1, c0)] + integral[np.ix_(r0, c0)])
-        return window - free

@@ -22,6 +22,7 @@ array's edge, Fig. 5) and are reachable by both interconnects.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -47,14 +48,18 @@ NOC_HOP_LATENCY = 1
 NOC_INJECT_LATENCY = 2
 
 
+@functools.lru_cache(maxsize=64)
+def _shared_matrices(topology: type, config: AcceleratorConfig) -> dict:
+    """Per-source ``latency_matrix`` results shared by equal backends."""
+    return {}
+
+
 class Interconnect(ABC):
     """Point-to-point latency model for one backend topology."""
 
     def __init__(self, config: AcceleratorConfig) -> None:
         self.config = config
-        #: Cached ``latency_matrix`` results keyed by source coordinate —
-        #: the matrix is a pure function of the (immutable) config.
-        self._matrix_cache: dict[Coord, np.ndarray] = {}
+        self._matrix_cache = _shared_matrices(type(self), config)
 
     @abstractmethod
     def latency(self, src: Coord, dst: Coord) -> int:
@@ -66,7 +71,7 @@ class Interconnect(ABC):
         Returns a read-only ``(rows, cols)`` int array — the latency term of
         the mapper's Eq. 1 candidate evaluation, computed for the whole
         candidate matrix at once.  ``src`` may be a load/store-entry
-        coordinate (column ``-1``).  Results are cached per source.
+        coordinate (column ``-1``).  Cached per (topology, config, source).
         """
         cached = self._matrix_cache.get(src)
         if cached is None:

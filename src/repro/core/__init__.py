@@ -12,7 +12,7 @@
 * :class:`MesaController` — the end-to-end system.
 """
 
-from .candidates import CandidateStrategy, candidate_mask
+from .candidates import CandidateStrategy, candidate_rect
 from .configure import (
     CacheStats,
     CachedConfiguration,
@@ -58,7 +58,7 @@ from .trace_cache import TraceCache
 
 __all__ = [
     "CandidateStrategy",
-    "candidate_mask",
+    "candidate_rect",
     "CacheStats",
     "CachedConfiguration",
     "ConfigCache",

@@ -2,7 +2,7 @@
 
 For each LDFG instruction in program order, the mapper:
 
-1. gathers a candidate matrix around the higher-latency predecessor
+1. gathers a candidate rectangle around the higher-latency predecessor
    (:mod:`repro.core.candidates`), filtered by ``F_free ⊙ F_op``;
 2. evaluates the expected latency of every candidate position with the
    weighted DFG model — ``L_i = L_i.op + max(L_s1 + L_(s1,c), L_s2 +
@@ -35,7 +35,8 @@ from ..accel import (
     PEGrid,
     build_interconnect,
 )
-from .candidates import CandidateStrategy, candidate_mask
+from ..accel.grid import Rect
+from .candidates import CandidateStrategy, candidate_rect
 from .ldfg import Ldfg, LdfgEntry
 from .sdfg import Sdfg
 
@@ -141,24 +142,23 @@ class InstructionMapper:
                        completion: dict[int, float],
                        last_placed: Coord | None) -> tuple[Coord, bool]:
         anchor, other = self._anchors(entry, positions, completion, last_placed)
-        mask = candidate_mask(self.options.strategy, grid,
-                              entry.op_class, anchor, other,
-                              window=self.options.window)
-        self.stats.per_instruction_candidates.append(int(mask.sum()))
-        coord = self._best_position(entry, mask, grid, positions, completion)
-        fell_back = False
-        if coord is None:
+        rect = candidate_rect(self.options.strategy, grid.shape, anchor,
+                              other, window=self.options.window)
+        coord, candidates = self._best_position(entry, rect, grid, positions,
+                                                completion)
+        self.stats.per_instruction_candidates.append(candidates)
+        fell_back = coord is None
+        if fell_back:
             # Secondary interconnect fallback: any free, compatible PE.
-            full = grid.available_mask(entry.op_class)
-            coord = self._best_position(entry, full, grid, positions, completion)
-            fell_back = coord is not None
-            if fell_back:
-                self.stats.fallbacks += 1
+            rows, cols = grid.shape
+            coord, _ = self._best_position(entry, (0, rows, 0, cols), grid,
+                                           positions, completion)
         if coord is None:
             raise MappingError(
                 f"no free PE supports {entry.op_class.value} for node "
                 f"{entry.node_id} ({entry.instruction})"
             )
+        self.stats.fallbacks += fell_back
         grid.occupy(coord, entry.node_id)
         return coord, fell_back
 
@@ -181,33 +181,35 @@ class InstructionMapper:
         other = placed[1][1] if len(placed) > 1 else None
         return anchor, other
 
-    def _best_position(self, entry: LdfgEntry, mask: np.ndarray, grid: PEGrid,
+    def _best_position(self, entry: LdfgEntry, rect: Rect, grid: PEGrid,
                        positions: dict[int, Coord],
-                       completion: dict[int, float]) -> Coord | None:
-        """arg min of the latency matrix l(C), with the paper's tie-break.
+                       completion: dict[int, float],
+                       ) -> tuple[Coord | None, int]:
+        """arg min of l(C) over ``rect`` and the number of candidates in it.
 
-        Evaluates the whole candidate matrix at once: each placed source
-        contributes ``completion + latency_matrix(src)`` and the element-wise
-        max across sources is Eq. 1 at every candidate.  The paper's
-        tie-break order — more free neighbours, then row-major position — is
-        replicated with a stable lexicographic sort, so the chosen PE is
-        exactly the one the per-candidate scan picked.
+        Evaluates every candidate of the rectangle at once: each placed
+        source contributes ``completion + latency_matrix(src)`` and the
+        element-wise max across sources is Eq. 1 at every candidate.  The
+        paper's tie-break order — more free neighbours, then row-major
+        position — is replicated with a stable lexicographic sort, so the
+        chosen PE is exactly the one the per-candidate scan picked.
         """
-        cand_r, cand_c = np.nonzero(mask)
+        r0, r1, c0, c1 = rect
+        cand_r, cand_c = np.nonzero(grid.available_mask(entry.op_class, rect))
         if cand_r.size == 0:
-            return None
+            return None, 0
         self.stats.candidates_evaluated += int(cand_r.size)
         arrival = np.zeros(cand_r.size, dtype=np.float64)
         for ref in (entry.s1, entry.s2):
             if ref.kind is OperandKind.NODE and ref.node_id in positions:
                 transfer = self.interconnect.latency_matrix(
-                    positions[ref.node_id])[cand_r, cand_c]
+                    positions[ref.node_id])[r0:r1, c0:c1][cand_r, cand_c]
                 np.maximum(arrival, completion.get(ref.node_id, 0.0) + transfer,
                            out=arrival)
         latency = entry.op_latency + arrival
-        free = grid.free_neighbourhood_matrix()[cand_r, cand_c]
+        free = grid.free_neighbours[r0:r1, c0:c1][cand_r, cand_c]
         best = np.lexsort((cand_c, cand_r, -free, latency))[0]
-        return (int(cand_r[best]), int(cand_c[best]))
+        return (r0 + int(cand_r[best]), c0 + int(cand_c[best])), int(cand_r.size)
 
     def _expected_latency(self, entry: LdfgEntry, coord: Coord,
                           positions: dict[int, Coord],

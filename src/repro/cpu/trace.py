@@ -77,6 +77,7 @@ from ..isa import (
     Instruction,
     MachineState,
     Program,
+    Register,
     compile_branch,
     compile_operation,
 )
@@ -306,8 +307,8 @@ class _Columns:
 
 # -- block tracing --------------------------------------------------------------
 
-def compile_loop_body(body: Sequence[Instruction],
-                      xlen: int) -> BatchProgram | str:
+def compile_loop_body(body: Sequence[Instruction], xlen: int,
+                      resolved: list | None = None) -> BatchProgram | str:
     """Compile a loop body for block tracing, or say why it steps.
 
     ``body`` runs from the back edge's target to the back edge.  Each
@@ -315,7 +316,8 @@ def compile_loop_body(body: Sequence[Instruction],
     rename rule (:func:`~repro.accel.program.resolve_operands`): a K_NODE
     same-iteration writer, else a K_LOOP previous-iteration writer, else a
     K_CONST constant of the loop.  Operands carry no edge, so the batched
-    drive's compiler runs only its value passes on them.
+    drive's compiler runs only its value passes on them.  ``resolved`` is
+    the first half of ``resolve_operands(body)`` when the caller has it.
 
     Returns the :class:`~repro.accel.batch.BatchProgram`, or the reason the
     body steps on the scalar path.
@@ -326,7 +328,8 @@ def compile_loop_body(body: Sequence[Instruction],
         return "inner control"
     if xlen != 32:
         return "xlen 64"
-    resolved, _ = resolve_operands(body)
+    if resolved is None:
+        resolved, _ = resolve_operands(body)
     nodes = []
     for i, (instr, (src1, src2, _)) in enumerate(zip(body, resolved)):
         if instr.requires_rv64:
@@ -363,7 +366,8 @@ class _BlockLoop:
                  "constants", "writers", "backoff")
 
     def __init__(self, bp: BatchProgram, first: int,
-                 body: Sequence[Instruction], state: MachineState) -> None:
+                 body: Sequence[Instruction], writers: dict[Register, int],
+                 state: MachineState) -> None:
         self.bp = bp
         self.length = len(body)
         #: The index column of DEFAULT_BLOCK iterations.
@@ -378,8 +382,7 @@ class _BlockLoop:
                   for op in (rec.plan_node.src1, rec.plan_node.src2))
             for rec in bp.nodes]
         #: (register-file list, index, node) per register the loop writes.
-        self.writers = [(*state.slot(reg), i)
-                        for reg, i in resolve_operands(body)[1].items()]
+        self.writers = [(*state.slot(reg), i) for reg, i in writers.items()]
         #: Extra taken back edges the loop waits before its next block:
         #: doubled by each block a hazard cuts early, reset by any other.
         self.backoff = 0
@@ -395,10 +398,11 @@ class _BlockLoop:
         if offset < 0 or offset & 3:
             return None  # the "loop" leaves the program
         body = program.instructions[offset >> 2:branch + 1]
-        bp = compile_loop_body(body, state.xlen)
+        resolved, writers = resolve_operands(body)
+        bp = compile_loop_body(body, state.xlen, resolved)
         if isinstance(bp, str):
             return None
-        return cls(bp, offset >> 2, body, state)
+        return cls(bp, offset >> 2, body, writers, state)
 
     def run(self, state: MachineState, budget: int,
             columns: _Columns) -> tuple[int, int]:

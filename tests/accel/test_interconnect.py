@@ -1,5 +1,7 @@
 """Tests for the interconnect latency models."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -102,7 +104,45 @@ class TestBuildInterconnect:
         (InterconnectKind.MESH_NOC, MeshNocInterconnect),
     ])
     def test_factory(self, kind, cls):
-        from dataclasses import replace
-
         net = build_interconnect(replace(CFG, interconnect=kind))
         assert isinstance(net, cls)
+
+
+class TestSharedLatencyMatrices:
+    """Latency matrices are cached once per (topology, config)."""
+
+    @pytest.mark.parametrize("kind", list(InterconnectKind))
+    def test_equal_configs_share_one_array(self, kind):
+        config = replace(CFG, interconnect=kind)
+        first = build_interconnect(config)
+        second = build_interconnect(replace(CFG, interconnect=kind))
+        assert first is not second
+        for src in ((0, 0), (7, 3), (5, -1)):
+            assert (second.latency_matrix(src)
+                    is first.latency_matrix(src))
+
+    def test_different_config_does_not_share(self):
+        first = build_interconnect(CFG)
+        other = build_interconnect(replace(CFG, rows=8))
+        assert other.latency_matrix((2, 3)) is not first.latency_matrix((2, 3))
+        assert other.latency_matrix((2, 3)).shape == (8, 8)
+
+    def test_different_topology_does_not_share(self):
+        """Two topologies built on one config keep their own matrices."""
+        mesh = MeshInterconnect(CFG)
+        noc = MeshNocInterconnect(CFG)
+        row = RowSliceInterconnect(CFG)
+        matrices = [net.latency_matrix((3, 6)) for net in (mesh, noc, row)]
+        assert len({id(m) for m in matrices}) == 3
+        assert matrices[0][15, 0] == mesh.latency((3, 6), (15, 0))
+        assert matrices[1][15, 0] == noc.latency((3, 6), (15, 0))
+        assert matrices[2][15, 0] == row.latency((3, 6), (15, 0))
+
+    @pytest.mark.parametrize("kind", list(InterconnectKind))
+    def test_cached_arrays_raise_on_write(self, kind):
+        config = replace(CFG, interconnect=kind)
+        build_interconnect(config).latency_matrix((1, 1))
+        shared = build_interconnect(config).latency_matrix((1, 1))
+        assert not shared.flags.writeable
+        with pytest.raises(ValueError):
+            shared[0, 0] = 7

@@ -1,16 +1,42 @@
 """Tests for the spatial mapping algorithm (paper Algorithm 1, Fig. 4)."""
 
-import pytest
+import dataclasses
+import functools
+import os
 
-from repro.accel import AcceleratorConfig, InterconnectKind, build_interconnect
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.accel import (
+    M_64,
+    M_128,
+    M_512,
+    AcceleratorConfig,
+    InterconnectKind,
+    OperandKind,
+    build_interconnect,
+)
 from repro.core import (
     CandidateStrategy,
     InstructionMapper,
+    LdfgError,
     MappingError,
     MappingOptions,
+    apply_memory_optimizations,
     build_ldfg,
 )
 from repro.isa import OpClass, assemble
+from repro.workloads import (
+    GeneratorParams,
+    build_kernel,
+    generate_kernel,
+    kernel_names,
+)
+
+from ..accel.test_grid import summed_area_counts
+
+FUZZ_SCALE = int(os.environ.get("REPRO_FUZZ_SCALE", "1"))
 
 
 def ldfg_of(text: str, **kwargs):
@@ -199,3 +225,173 @@ class TestStructuralHazards:
         sdfg = mapper.map(TestCandidateStrategies().big_ldfg(12))
         assert mapper.stats.fallbacks > 0
         assert len(sdfg.fallback_nodes) == mapper.stats.fallbacks
+
+
+# -- the full-grid mapper, kept as the reference of the window-local one -------
+
+def clip(value, low, high):
+    return max(low, min(high, value))
+
+
+def reference_candidate_mask(strategy, grid, op_class, anchor, other,
+                             window) -> np.ndarray:
+    """``C_i ⊙ C_free ⊙ C_op`` as a full-grid mask."""
+    available = grid.free & grid.op_mask(op_class)
+    rows, cols = grid.shape
+    if strategy is CandidateStrategy.FULL_GRID:
+        return available.copy()
+    region = np.zeros((rows, cols), dtype=bool)
+    if strategy is CandidateStrategy.FIXED_WINDOW:
+        win_rows, win_cols = window
+        anchor_row, anchor_col = anchor if anchor is not None else (0, 0)
+        r0 = clip(anchor_row - win_rows // 2, 0, max(0, rows - win_rows))
+        c0 = clip(anchor_col - win_cols // 2, 0, max(0, cols - win_cols))
+        region[r0:r0 + win_rows, c0:c0 + win_cols] = True
+    else:
+        first = anchor if anchor is not None else (0, 0)
+        second = other if other is not None else first
+        r0, r1 = sorted((clip(first[0], 0, rows - 1),
+                         clip(second[0], 0, rows - 1)))
+        c0, c1 = sorted((clip(first[1], 0, cols - 1),
+                         clip(second[1], 0, cols - 1)))
+        region[r0:r1 + 1, c0:c1 + 1] = True
+    return region & available
+
+
+def reference_best_position(mapper, entry, mask, grid, positions,
+                            completion):
+    """arg min of l(C) over a full-grid mask, the free neighbourhood of
+    every PE recounted with a summed-area table."""
+    cand_r, cand_c = np.nonzero(mask)
+    if cand_r.size == 0:
+        return None
+    mapper.stats.candidates_evaluated += int(cand_r.size)
+    arrival = np.zeros(cand_r.size, dtype=np.float64)
+    for ref in (entry.s1, entry.s2):
+        if ref.kind is OperandKind.NODE and ref.node_id in positions:
+            transfer = mapper.interconnect.latency_matrix(
+                positions[ref.node_id])[cand_r, cand_c]
+            np.maximum(arrival, completion.get(ref.node_id, 0.0) + transfer,
+                       out=arrival)
+    latency = entry.op_latency + arrival
+    free = summed_area_counts(grid.free)[cand_r, cand_c]
+    best = np.lexsort((cand_c, cand_r, -free, latency))[0]
+    return (int(cand_r[best]), int(cand_c[best]))
+
+
+class ReferenceMapper(InstructionMapper):
+    """Algorithm 1 evaluated over full-grid masks."""
+
+    def _place_compute(self, entry, grid, positions, completion,
+                       last_placed):
+        anchor, other = self._anchors(entry, positions, completion,
+                                      last_placed)
+        mask = reference_candidate_mask(self.options.strategy, grid,
+                                        entry.op_class, anchor, other,
+                                        self.options.window)
+        self.stats.per_instruction_candidates.append(int(mask.sum()))
+        coord = reference_best_position(self, entry, mask, grid, positions,
+                                        completion)
+        fell_back = False
+        if coord is None:
+            full = grid.free & grid.op_mask(entry.op_class)
+            coord = reference_best_position(self, entry, full, grid,
+                                            positions, completion)
+            fell_back = coord is not None
+            if fell_back:
+                self.stats.fallbacks += 1
+        if coord is None:
+            raise MappingError(f"no free PE supports {entry.op_class.value} "
+                               f"for node {entry.node_id}")
+        grid.occupy(coord, entry.node_id)
+        return coord, fell_back
+
+
+def loop_bodies(program) -> list[list]:
+    """Every static loop of a program, back-edge target to back edge."""
+    instructions = program.instructions
+    return [list(instructions[(instr.address + instr.imm
+                               - program.base_address) >> 2:index + 1])
+            for index, instr in enumerate(instructions)
+            if instr.is_branch and instr.imm < 0]
+
+
+@functools.cache
+def kernel_bodies() -> list[list]:
+    return [body for name in kernel_names()
+            for body in loop_bodies(build_kernel(name).program)]
+
+
+def assert_maps_like_reference(body, config, options) -> None:
+    """Both mappers, on the body's LDFG with and without memopt, place every
+    node at the same PE with the same statistics (or fail alike)."""
+    for memopt in (False, True):
+        outcomes = []
+        for cls in (InstructionMapper, ReferenceMapper):
+            try:
+                ldfg = build_ldfg(body)
+            except LdfgError:
+                return
+            if memopt:
+                apply_memory_optimizations(ldfg)
+            mapper = cls(config, options=options)
+            try:
+                sdfg = mapper.map(ldfg)
+            except MappingError:
+                outcomes.append(("failed", mapper.stats))
+                continue
+            outcomes.append((sdfg.positions, sdfg.fallback_nodes,
+                             sdfg.predicted_completion, mapper.stats))
+        assert outcomes[0] == outcomes[1], (
+            f"{config.name} {options} memopt={memopt}: {body}")
+
+
+def windows(config) -> list[tuple[int, int]]:
+    """The paper's 4x8, a 1x1 that forces fallbacks, and one larger than
+    the grid."""
+    return [(4, 8), (1, 1), (config.rows + 3, config.cols + 5)]
+
+
+class TestWindowLocalMatchesReference:
+    """The window-local mapper picks what the full-grid mapper picked."""
+
+    @pytest.mark.parametrize("kind", list(InterconnectKind),
+                             ids=lambda k: k.value)
+    @pytest.mark.parametrize("strategy", list(CandidateStrategy),
+                             ids=lambda s: s.value)
+    def test_every_kernel_loop(self, strategy, kind):
+        for base in (M_64, M_128, M_512):
+            config = dataclasses.replace(base, interconnect=kind)
+            for window in windows(config):
+                options = MappingOptions(strategy=strategy, window=window)
+                for body in kernel_bodies():
+                    assert_maps_like_reference(body, config, options)
+
+    @settings(max_examples=12 * FUZZ_SCALE, deadline=None)
+    @given(seed=st.integers(0, 10_000), loads=st.integers(1, 8),
+           ops=st.integers(1, 24), stores=st.integers(1, 4),
+           fp_fraction=st.sampled_from((0.0, 0.5, 1.0)),
+           strategy=st.sampled_from(list(CandidateStrategy)),
+           kind=st.sampled_from(list(InterconnectKind)),
+           base=st.sampled_from((M_64, M_128, M_512)),
+           window_index=st.integers(0, 2))
+    def test_generated_loops(self, seed, loads, ops, stores, fp_fraction,
+                             strategy, kind, base, window_index):
+        kernel = generate_kernel(GeneratorParams(
+            loads=loads, compute_ops=ops, stores=stores,
+            fp_fraction=fp_fraction, iterations=16, seed=seed))
+        config = dataclasses.replace(base, interconnect=kind)
+        options = MappingOptions(strategy=strategy,
+                                 window=windows(config)[window_index])
+        for body in loop_bodies(kernel.program):
+            assert_maps_like_reference(body, config, options)
+
+    def test_exhausted_grid_fails_alike(self):
+        config = mesh_config(rows=2, cols=2)
+        body = list(assemble("\n".join(
+            ["addi t0, zero, 1"]
+            + [f"addi t{1 + i % 5}, t{i % 5}, 1" for i in range(9)]
+        )).instructions)
+        for strategy in CandidateStrategy:
+            assert_maps_like_reference(body, config,
+                                       MappingOptions(strategy=strategy))

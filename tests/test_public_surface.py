@@ -51,8 +51,8 @@ ORACLES = {
         "residency oracle: cache tests check a line is resident without "
         "touching LRU order or counters",
     "PEGrid.free_neighbourhood":
-        "scalar oracle of free_neighbourhood_matrix: grid tests pin the "
-        "paper's tie-breaker one PE at a time",
+        "scalar oracle of the live free_neighbours counts: grid tests pin "
+        "the paper's tie-breaker one PE at a time",
     "Program.listing":
         "disassembly oracle: assembler tests check label and address "
         "placement through the readable listing",
