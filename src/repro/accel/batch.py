@@ -30,8 +30,8 @@ few provable properties of the model:
   before src2), and the grant of slot ``j`` is ``max(depart_j,
   grant_{j-1} + 1)``.  Because the issue-interval bump distributes over
   the max-plus source decomposition, the whole chain is carried as
-  per-source weight matrices (phase T) and reproduces the event-order
-  departures bit-exactly.  Only a *fallback* slot on a contended row —
+  per-source weights (phase T) and reproduces the event-order departures
+  bit-exactly.  Only a *fallback* slot on a contended row —
   whose firing depends on runtime guard values — has no static order, and
   such a plan runs on the interpreter.
 * **Guarded nodes mix, guarded memory masks.**  A predicated-off lane
@@ -88,19 +88,27 @@ few provable properties of the model:
 * **Cache outcomes depend only on address order.**  The hierarchy's state
   evolves with the sequence of accesses (k-major, then memory-node order),
   never with their timing, so a block's latencies come from one bulk
-  cache pass before any timing is computed.
-* **Timing is max-plus linear.**  Completion times decompose over the
-  sources {iteration start} ∪ {memory completions}: per node a static
-  weight row per source is computed vectorially (phase T), the memory
-  nodes are timed one node at a time over all lanes (phase B), and lane
-  starts and per-node counter sums fold exactly because every timing
-  quantity is an integer-valued float64 (any summation order is exact
-  below 2**53).
+  cache pass before any timing is computed, which folds AMAT by memory
+  node.
+* **Timing is max-plus linear, and its weights are static.**  Completion
+  times decompose over the sources {iteration start} ∪ {memory
+  completions}: per node a weight per source (phase T), then the memory
+  nodes timed one node at a time over all lanes (phase B).  Routes, hop
+  costs and op latencies are fixed when the region is configured, so a
+  lane's weights depend only on its *pattern*: whether it is the run's
+  first iteration, and which guards predicate their nodes off.  Phase T
+  walks the nodes once per plan and pattern, memoised on the
+  :class:`BatchProgram`; a block only packs each lane's pattern id, and
+  every consumer reads just the sources it can reach.  Lane starts and
+  per-node counter sums fold exactly because every timing quantity is an
+  integer-valued float64 (any summation order is exact below 2**53).
 
 Capability analysis (:func:`compile_batch`) decides statically whether a
 plan qualifies; ``ExecutionPlan.batch_program.capability`` carries the
 verdict with a machine-readable reason, and a rejected plan runs on the interpreter with
-that reason reported as the run's ``drive_reason``.
+that reason reported as the run's ``drive_reason``.  A plan with more
+than :data:`_MAX_GUARDS` active guards is one such fallback: a lane's
+pattern id holds one bit per guard.
 
 One block step serves two drivers.  :func:`_step_block` evaluates a
 block of up to :data:`DEFAULT_BLOCK` (2048) iterations and cuts it after
@@ -152,6 +160,15 @@ __all__ = ["BatchCapability", "BatchProgram", "compile_batch",
 DEFAULT_BLOCK = 2048
 
 _NEG = float("-inf")
+
+#: Active guard branches a batched plan may have.  A lane pattern key
+#: holds one bit per guard plus the first-iteration bit, so a plan has at
+#: most 128 patterns to memoise, and a block counts its lanes per key
+#: with one ``bincount`` of at most 128 bins.
+_MAX_GUARDS = 6
+#: Pattern sets whose timing a plan keeps (:func:`_block_timing`);
+#: unguarded plans use two, the Rodinia kernels at most four.
+_MAX_TIMINGS = 64
 
 # Per-slot edge event cadences (for counter folding).
 EV_ALWAYS = 0    # fires every iteration
@@ -278,7 +295,8 @@ class BatchProgram:
 
     __slots__ = ("plan", "capability", "nodes", "order", "exit_order",
                  "rest_order", "loop_id", "mem_ids", "loads", "stores",
-                 "slot_events", "n_sources", "clusters", "noc_rows")
+                 "slot_events", "n_sources", "clusters", "noc_rows",
+                 "guard_bit", "patterns", "timings")
 
     def __init__(self, plan, capability, nodes=None, order=None,
                  loop_id=None, mem_ids=None, slot_events=None,
@@ -315,6 +333,14 @@ class BatchProgram:
         #: Source rows whose ring channel carries more than one NoC slot
         #: per iteration — their grants go through the closed-form chain.
         self.noc_rows = noc_rows
+        #: Each active guard's bit in a lane pattern key (bit 0 marks the
+        #: run's first iteration; see :func:`_pattern_weights`).
+        guards = sorted({rec.guard for rec in self.nodes if rec.guard >= 0})
+        self.guard_bit = {guard: bit for bit, guard in enumerate(guards, 1)}
+        #: Memoised phase-T weights per lane pattern key, and the timing
+        #: of each block's tuple of pattern keys (:func:`_block_timing`).
+        self.patterns: dict[int, tuple] = {}
+        self.timings: dict[tuple, _Timing] = {}
 
 
 def _operand_dtype(op, dtypes):
@@ -536,6 +562,8 @@ def _compile(plan, plan_nodes, instructions, loop_branch_id, xlen):
                 frontier.append(p)
 
     mem_ids = [rec.i for rec in nodes if rec.kind == N_MEMORY]
+    if len({rec.guard for rec in nodes if rec.guard >= 0}) > _MAX_GUARDS:
+        return f"more than {_MAX_GUARDS} guard branches"
 
     # Pass 4: rows whose ring channel carries more than one firing NoC
     # slot serialize through the closed-form grant chain, which replays
@@ -871,9 +899,7 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
     interpreter stepped ("" when none was).
     """
     plan = bp.plan
-    nodes = bp.nodes
     n = plan.n_nodes
-    mem_source = {i: j + 1 for j, i in enumerate(bp.mem_ids)}
     const1, const2, const_fb = plan.bind_constants(reg_env)
     max_iterations = options.max_iterations
     memory = state.memory
@@ -893,7 +919,7 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
 
     while not finished:
         first = iterations == 0
-        nb, exited, hazard, vals, offs, _, mem_vecs = _step_block(
+        nb, exited, hazard, vals, offs, taken, mem_vecs = _step_block(
             bp, min(block, max_iterations - iterations), first, prev,
             const1, const2, const_fb, memory)
         # Size the next block from this one's outcome: after a cut, twice
@@ -916,39 +942,30 @@ def drive_batched(bp: BatchProgram, hierarchy, state, reg_env, memory_ports,
             finished = not loop_taken or iterations >= max_iterations
             continue
 
-        # -- phase T: static timing weights per source -----------------------
-        W, mem_ready, mem_off, wend, noc_waits = _phase_timing(
-            bp, nb, first, offs)
+        # -- phase T: static timing, memoised per lane pattern ---------------
+        timing, inv = _block_timing(bp, nb, first, taken)
 
         # -- phase B: memory (cache pass, port timing), then the stores ------
-        starts, ends, done_mat = _phase_memory(
-            bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off, wend,
-            memory_ports, hierarchy)
+        rel, lat = _phase_memory(bp, timing, inv, nb, iterations, mem_vecs,
+                                 memory_ports, hierarchy)
         _commit_stores(bp, nb, mem_vecs, memory)
 
-        # -- phase C: counter folds ------------------------------------------
-        T = np.concatenate((starts[None], done_mat))
-        # Ring-channel waits: grant minus departure per contended slot, in
-        # concrete time (both are maxima over the timing sources).
-        for slot, dep, grant, skip0 in noc_waits:
-            wvec = (grant + T).max(axis=0) - (dep + T).max(axis=0)
-            if skip0:
-                wvec[0] = 0.0  # the slot does not fire on iteration 0
-            wsum = float(wvec.sum())
+        # -- phase C: counter folds, in lane-relative time -------------------
+        # Ring-channel waits: grant minus departure per contended slot.
+        for slot, dep, grant in timing.noc:
+            wsum = float((_lane_max(grant, rel, inv)
+                          - _lane_max(dep, rel, inv)).sum())
             if wsum:
                 slot_wait[slot] += wsum
                 activity.noc_wait_cycles += wsum
-        for i in range(n):
-            if nodes[i].kind == N_MEMORY:
-                total = (done_mat[mem_source[i] - 1] - starts).sum()
-            else:
-                total = ((W[i] + T).max(axis=0) - starts).sum()
-            node_total[i] += float(total)
+        for i, terms in enumerate(timing.node):
+            node_total[i] += _lane_sum(terms, rel, inv, nb)
         _fold_events(bp, nb, first, offs, slot_count, activity)
-        latency_total += float((ends - starts).sum())
+        block_latency = float(lat.sum())
+        latency_total += block_latency
 
         # Commit the block.
-        clock = float(ends[-1])
+        clock += block_latency
         iterations += nb
         batched += nb
         for i in range(n):
@@ -1159,51 +1176,61 @@ def _columns(cluster, rows):
     return [np.array(col, dtype) for col, dtype in zip(zip(*rows), dtypes)]
 
 
-def _phase_timing(bp, nb, first, offs):
-    """Per-node completion weights over the timing sources.
+def _pattern_weights(bp, key):
+    """Completion weights over the timing sources of one lane pattern.
 
-    ``W[i]`` is an (n_sources, nb) float64 array: completion of node i at
-    iteration k is ``max_s(T[s, k] + W[i][s, k])`` where T holds the
-    iteration start (source 0) and each memory node's completion.  -inf
-    marks an unreachable source.
+    A lane's weights depend only on its *pattern* ``key``: bit 0 is set
+    on the run's first iteration (loop-carried operands take their
+    constant seed at time 0, and a contended channel sends no packet for
+    them), and bit ``bp.guard_bit[g]`` when guard ``g`` predicates its
+    nodes off.  Completion of node i on a lane of this pattern is
+    ``max_s(rel[s] + W[i][s])``, with ``rel`` the lane-relative iteration
+    start (source 0, always 0) and memory completions; -inf marks an
+    unreachable source.
 
-    Contended ring channels (``bp.noc_rows``) serialize their slots through
-    a per-lane grant chain kept in the same weight space: the chain state
-    ``M`` holds the previous grant, the next grant is ``max(depart,
-    M + 1)`` elementwise (the single-port issue interval), and the max
-    distributes over the source decomposition, so concrete grants are
-    exactly ``max_s(T[s] + G[s])``.  Channel state never carries between
-    iterations (the next start is at least the last grant + 1), so lanes
-    are independent.  Nodes are walked in node-id order — the
-    interpreter's request order — which pass 2's forward-edge check makes a valid
-    topological order.
+    Contended ring channels (``bp.noc_rows``) serialize their slots
+    through a grant chain kept in the same weight space: the chain holds
+    the previous grant, the next grant is ``max(depart, chain + 1)`` (the
+    single-port issue interval), and the max distributes over the source
+    decomposition, so concrete grants are exactly ``max_s(rel[s] +
+    G[s])``.  Channel state never carries between iterations (the next
+    start is at least the last grant + 1), so the chain is lane-local.
+    Nodes are walked in node-id order — the interpreter's request order —
+    which pass 2's forward-edge check makes a valid topological order.
+
+    Returns ``(W, ready, off, end, noc)``: per node its completion row;
+    per memory node (``bp.mem_ids`` order) its operands-ready row and, for
+    a guarded one, its predicated-off completion (operands ready vs the
+    fallback transfer: no grant, no AMAT); the iteration end row; and per
+    contended slot ``(slot, depart, grant)``, which are equal where the
+    slot does not fire.
     """
     nodes = bp.nodes
-    n = len(nodes)
     S = bp.n_sources
+    first = key & 1
     mem_source = {i: j + 1 for j, i in enumerate(bp.mem_ids)}
-    W: list = [None] * n
-    mem_ready: dict[int, object] = {}
-    mem_off: dict[int, object] = {}
-    chains = {row: np.full((S, nb), _NEG) for row in bp.noc_rows}
-    noc_waits: list = []
+    W: list = [None] * len(nodes)
+    ready_rows: list = []
+    off_rows: list = []
+    chains = {row: np.full(S, _NEG) for row in bp.noc_rows}
+    noc: list = []
 
-    def chained(edge, dep, skip0):
+    def start_row(weight):
+        row = np.full(S, _NEG)
+        row[0] = weight
+        return row
+
+    def chained(edge, dep, skip):
         """Arrival weights through a contended ring channel."""
-        chain = chains[edge.src_row]
-        grant = np.maximum(dep, chain + 1.0)
-        arrival = grant + edge.cycles
-        if skip0:
-            # Iteration 0 takes the constant seed: no packet, no grant.
-            new_chain = grant.copy()
-            new_chain[:, 0] = chain[:, 0]
-            chains[edge.src_row] = new_chain
-            arrival[:, 0] = _NEG
-            arrival[0, 0] = 0.0
-        else:
-            chains[edge.src_row] = grant
-        noc_waits.append((edge.slot, dep, grant, skip0))
-        return arrival
+        if skip:
+            # The first iteration takes the constant seed: no packet, no
+            # grant, no wait.
+            noc.append((edge.slot, dep, dep))
+            return start_row(0.0)
+        grant = np.maximum(dep, chains[edge.src_row] + 1.0)
+        chains[edge.src_row] = grant
+        noc.append((edge.slot, dep, grant))
+        return grant + edge.cycles
 
     def opw(op):
         edge = op.edge
@@ -1213,67 +1240,149 @@ def _phase_timing(bp, nb, first, offs):
             if contended:
                 return chained(edge, W[op.src_id], False)
             return W[op.src_id] + edge.cycles
-        row = np.full((S, nb), _NEG)
         if op.kind == K_LOOP:
             if contended:
-                row[0] = 0.0  # departure is the iteration start
-                return chained(edge, row, first)
-            row[0] = edge.cycles
-            if first:
-                row[0, 0] = 0.0
-        else:
-            row[0] = 0.0
-        return row
+                # Departure is the iteration start.
+                return chained(edge, start_row(0.0), first)
+            return start_row(0.0 if first else edge.cycles)
+        return start_row(0.0)
 
-    for i in range(n):
-        rec = nodes[i]
+    for i, rec in enumerate(nodes):
         pnode = rec.plan_node
         ready = np.maximum(opw(pnode.src1), opw(pnode.src2))
-        np.maximum(ready[0], 0.0, out=ready[0])  # the start floor
+        ready[0] = max(ready[0], 0.0)  # the start floor
         if rec.kind == N_MEMORY:
-            mem_ready[i] = ready
-            if offs[i] is not None:
-                # Completion of a predicated-off lane: operands ready vs
-                # the fallback transfer (no grant, no AMAT).
-                mem_off[i] = np.maximum(ready, opw(pnode.fallback))
-            w = np.full((S, nb), _NEG)
-            w[mem_source[i]] = 0.0
-            W[i] = w
-            continue
-        off = offs[i]
-        if off is not None:
-            w_fb = opw(pnode.fallback)
-            W[i] = np.where(off[None, :],
-                            np.maximum(ready, w_fb),
-                            ready + pnode.latency)
+            ready_rows.append(ready)
+            off_rows.append(None if rec.guard < 0 else
+                            np.maximum(ready, opw(pnode.fallback)))
+            W[i] = np.full(S, _NEG)
+            W[i][mem_source[i]] = 0.0
+        elif rec.guard >= 0 and key >> bp.guard_bit[rec.guard] & 1:
+            W[i] = np.maximum(ready, opw(pnode.fallback))
         else:
             W[i] = ready + pnode.latency
-    wend = W[0]
-    for i in range(1, n):
-        wend = np.maximum(wend, W[i])
-    return W, mem_ready, mem_off, wend, noc_waits
+    end = np.max(W, axis=0)
+    # Every lane starts at rel 0 and the start floor keeps each
+    # non-memory node's source-0 weight at >= 0: no lane latency is
+    # negative.
+    assert end[0] >= 0.0, "negative lane latency"
+    return W, ready_rows, off_rows, end, noc
 
 
-def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
-                  wend, memory_ports, hierarchy):
+def _terms(rows):
+    """One consumer's terms from its weight row per pattern: ``(source,
+    weight)`` per source finite on some pattern, the weight a float when
+    every pattern agrees, else its (patterns,) column."""
+    rows = np.array(rows)
+    terms = []
+    for s in np.flatnonzero(np.isfinite(rows).any(axis=0)).tolist():
+        col = rows[:, s]
+        terms.append((s, float(col[0]) if (col == col[0]).all() else col))
+    return terms
+
+
+class _Timing:
+    """The static timing of one set of lane patterns, as terms over the
+    finite sources of each consumer: a node's completion (``node``), a
+    memory node's operands ready and predicated-off completion
+    (``ready``, ``off``), the iteration end (``end``), and per contended
+    slot its departure and grant (``noc``)."""
+
+    __slots__ = ("node", "ready", "off", "end", "noc")
+
+    def __init__(self, patterns):
+        self.node = [_terms(rows) for rows in zip(*(p[0] for p in patterns))]
+        self.ready = [_terms(rows)
+                      for rows in zip(*(p[1] for p in patterns))]
+        self.off = [None if rows[0] is None else _terms(rows)
+                    for rows in zip(*(p[2] for p in patterns))]
+        self.end = _terms([p[3] for p in patterns])
+        self.noc = [(slots[0][0], _terms([s[1] for s in slots]),
+                     _terms([s[2] for s in slots]))
+                    for slots in zip(*(p[4] for p in patterns))]
+
+
+def _block_timing(bp, nb, first, taken):
+    """The static timing of one block's lane patterns, and which pattern
+    each lane has: ``(timing, inv)``, with ``inv`` None when every lane
+    shares one pattern, else each lane's index into the block's patterns.
+
+    Both the per-pattern weights and the timing of each pattern set are
+    memoised on ``bp``: an unguarded loop has one pattern, plus the run's
+    first iteration."""
+    inv = None
+    if bp.guard_bit:
+        pid = sum(taken[guard] * (1 << bit)
+                  for guard, bit in bp.guard_bit.items())
+        pid[0] += first
+        present = np.flatnonzero(np.bincount(pid))
+        keys = tuple(present.tolist())
+        index = np.zeros(present[-1] + 1, np.intp)
+        index[present] = np.arange(present.size)
+        inv = index[pid]
+    elif first and nb > 1:
+        keys = (0, 1)
+        inv = np.zeros(nb, np.intp)
+        inv[0] = 1
+    else:
+        keys = (int(first),)
+    if len(keys) == 1:
+        inv = None
+    timing = bp.timings.get(keys)
+    if timing is None:
+        if len(bp.timings) >= _MAX_TIMINGS:
+            bp.timings.clear()
+        for key in keys:
+            if key not in bp.patterns:
+                bp.patterns[key] = _pattern_weights(bp, key)
+        timing = bp.timings[keys] = _Timing([bp.patterns[key]
+                                             for key in keys])
+    return timing, inv
+
+
+def _lane_max(terms, rel, inv):
+    """Per lane, ``max(rel[s] + weight)`` over a consumer's terms, a
+    per-pattern weight taken by each lane's pattern index ``inv``."""
+    out = None
+    for s, w in terms:
+        if w.__class__ is not float:
+            w = w[inv]
+        value = rel[s] + w
+        out = value if out is None else np.maximum(out, value, out=out)
+    return out
+
+
+def _lane_sum(terms, rel, inv, nb):
+    """:func:`_lane_max` summed over the lanes: a consumer fed by one
+    source folds without a lane vector."""
+    if len(terms) > 1:
+        return float(_lane_max(terms, rel, inv).sum())
+    s, w = terms[0]
+    total = nb * w if w.__class__ is float else float(w[inv].sum())
+    return total + float(rel[s].sum()) if s else total
+
+
+def _phase_memory(bp, timing, inv, nb, iterations, mem_vecs, memory_ports,
+                  hierarchy):
     """The block's memory timing in two passes, neither of them over lanes
     (its stores commit after, in :func:`_commit_stores`).
 
     1. **Cache outcomes** depend only on the order of accesses (k-major,
        then memory-node order, live lanes only), never on timing: one
        :meth:`~repro.mem.MemoryHierarchy.access_stream` call returns every
-       latency.
+       latency, and folds AMAT by memory node.
     2. **Port timing** runs per memory node in request order, vectorized
        over lanes, in each lane's own time (every port is idle when an
        iteration starts — module docstring): ready
        times, vector-group grants, a (ports, nb) array of free times
-       granted by argmin, and the prefetch cap.  Lane starts are then the
-       running sum of lane latencies — exact, because every quantity is an
-       integer-valued float64.
+       granted by argmin, and the prefetch cap.
 
     Predicated-off lanes complete at max(operands ready, fallback arrival)
     without requesting a port or touching the cache.
-    Returns absolute ``(starts, ends, done_mat)``.
+    Returns ``(rel, lat)``: the (n_sources, nb) lane-relative source times
+    (row 0 the lane start, row j + 1 memory node j's completion) and each
+    lane's latency.  Lane starts are the running sum of lane latencies —
+    exact, because every quantity is an integer-valued float64.
     """
     nodes = bp.nodes
     mem_ids = bp.mem_ids
@@ -1288,9 +1397,10 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
             live[:, j] = on
 
     # 1. cache pass
-    pcs = np.broadcast_to([p.pc for p in plans], (nb, m))
+    columns = np.broadcast_to(np.arange(m), (nb, m))
     cycles = np.zeros((nb, m))
-    cycles[live] = hierarchy.access_stream(addr[live], pcs[live])
+    cycles[live] = hierarchy.access_stream(addr[live], columns[live],
+                                           [p.pc for p in plans])
     ideal = hierarchy.ideal_latency
     for j, p in enumerate(plans):
         if p.prefetched:
@@ -1303,7 +1413,7 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
 
     # 2. port timing, in lane-relative time: rel[0] is the lane start, and
     # rel[j + 1] memory node j's completion once it is timed (a node's
-    # weights from later sources are -inf, so unfilled rows never count).
+    # terms only read earlier sources).
     rel = np.zeros((bp.n_sources, nb))
     lanes = np.arange(nb)
     free = (None if np.isinf(memory_ports)
@@ -1318,10 +1428,9 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
             free[slot[mask], lanes[mask]] = grant[mask] + 1
         return grant
 
-    for j, i in enumerate(mem_ids):
-        p = plans[j]
+    for j, p in enumerate(plans):
         on = live[:, j]
-        ready = (rel + mem_ready[i]).max(axis=0)
+        ready = _lane_max(timing.ready[j], rel, inv)
         if p.is_load:
             if p.vector_group is None:
                 grant = request(ready, on)
@@ -1337,14 +1446,10 @@ def _phase_memory(bp, nb, clock, iterations, mem_vecs, mem_ready, mem_off,
             done = grant + cycles[:, j]
         else:
             done = request(ready, on) + STORE_ISSUE
-        if i in mem_off:
-            done = np.where(on, done, (rel + mem_off[i]).max(axis=0))
+        if timing.off[j] is not None:
+            done = np.where(on, done, _lane_max(timing.off[j], rel, inv))
         rel[j + 1] = done
-    lat = np.maximum((rel + wend).max(axis=0), 0.0)
-
-    ends = clock + np.cumsum(lat)
-    starts = np.concatenate(([clock], ends[:-1]))
-    return starts, ends, starts + rel[1:]
+    return rel, _lane_max(timing.end, rel, inv)
 
 
 def _fold_events(bp, nb, first, offs, slot_count, activity):

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from ..accel import AcceleratorConfig
-from ..cpu import LoopCandidate, LoopStreamDetector, Trace
+from ..cpu import LoopCandidate, Trace
 from ..isa import Instruction, Program
 
 __all__ = ["RegionDecision", "CodeRegionDetector", "control_violation",
@@ -100,8 +100,7 @@ class CodeRegionDetector:
 
         Returns decisions for every hot loop, accepted or not, hottest first.
         """
-        loops = LoopStreamDetector().scan(trace)
-        return [self.evaluate(loop, program) for loop in loops]
+        return [self.evaluate(loop, program) for loop in trace.hot_loops]
 
     # -- per-candidate evaluation ----------------------------------------------
 

@@ -178,7 +178,8 @@ def _row_inputs(trace: Trace, statics: np.ndarray,
     :meth:`~repro.mem.MemoryHierarchy.access_stream`.
     """
     index, address = trace.index, trace.address
-    kind, values, pcs, wrong, _ = statics[index].T.copy()
+    kind, values, _, wrong, _ = statics[index].T.copy()
+    pcs = statics[:, 2].tolist()
     mispredicted = trace.taken == wrong
     accessed = kind != _FIXED
     stores = np.flatnonzero(kind == _STORE)
@@ -217,7 +218,7 @@ def _row_inputs(trace: Trace, statics: np.ndarray,
             forwards = int(np.count_nonzero(forwarding))
     accessed = np.flatnonzero(accessed)
     values[accessed] = hierarchy.access_stream(address[accessed],
-                                               pcs[accessed])
+                                               index[accessed], pcs)
     values[stores] = STORE_ISSUE
     codes = 2 * index.astype(np.int64) + mispredicted
     return codes, values, int(np.count_nonzero(mispredicted)), forwards

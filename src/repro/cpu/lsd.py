@@ -21,8 +21,10 @@ MESA's condition C3 uses to judge whether acceleration will amortize.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .trace import Trace, TraceEntry
+if TYPE_CHECKING:
+    from .trace import Trace, TraceEntry
 
 __all__ = ["LoopCandidate", "LoopStreamDetector", "HOT_ITERATIONS"]
 
@@ -30,9 +32,12 @@ __all__ = ["LoopCandidate", "LoopStreamDetector", "HOT_ITERATIONS"]
 HOT_ITERATIONS = 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class LoopCandidate:
-    """A detected loop: the address range closed by a backward taken branch."""
+    """A detected loop: the address range closed by a backward taken branch.
+
+    Frozen: a trace's hot loops are scanned once and shared by every
+    decision made from that trace (:attr:`Trace.hot_loops`)."""
 
     start_address: int
     end_address: int  # address of the loop-closing branch (inclusive)
@@ -54,7 +59,8 @@ class LoopStreamDetector:
     """Detects hot loops from the dynamic instruction stream."""
 
     def __init__(self) -> None:
-        self._loops: dict[tuple[int, int], LoopCandidate] = {}
+        #: Hot loops by ``(start, branch)``: ``[visits, total iterations]``.
+        self._loops: dict[tuple[int, int], list[int]] = {}
         #: Live back-edge streaks: key -> consecutive taken count.  A streak
         #: survives back-edges of loops *nested inside* its range (the PC
         #: never left the loop), but ends on any other control transfer.
@@ -81,22 +87,17 @@ class LoopStreamDetector:
         self._streaks[key] = self._streaks.get(key, 0) + 1
 
         if self._streaks[key] == HOT_ITERATIONS:
-            candidate = self._loops.get(key)
-            if candidate is None:
-                candidate = LoopCandidate(start_address=target,
-                                          end_address=instr.address)
-                self._loops[key] = candidate
-            return candidate
+            return LoopCandidate(*key, *self._loops.setdefault(key, [0, 0]))
         return None
 
     def _finalize(self, key: tuple[int, int]) -> None:
         """Account a completed visit of one loop, if it was hot."""
         streak = self._streaks.pop(key, 0)
-        candidate = self._loops.get(key)
-        if candidate is not None and streak >= HOT_ITERATIONS:
-            candidate.visits += 1
+        tally = self._loops.get(key)
+        if tally is not None and streak >= HOT_ITERATIONS:
+            tally[0] += 1
             # The streak counts taken back-edges; iterations = streak + 1.
-            candidate.total_iterations += streak + 1
+            tally[1] += streak + 1
 
     def finish(self) -> None:
         """Flush all live streaks (call after the stream ends)."""
@@ -113,9 +114,10 @@ class LoopStreamDetector:
         for entry in trace.back_edges:
             self.observe(entry)
         self.finish()
-        return sorted(self._loops.values(),
-                      key=lambda c: c.total_iterations, reverse=True)
+        return sorted(self.loops, key=lambda c: c.total_iterations,
+                      reverse=True)
 
     @property
     def loops(self) -> list[LoopCandidate]:
-        return list(self._loops.values())
+        return [LoopCandidate(*key, *tally)
+                for key, tally in self._loops.items()]

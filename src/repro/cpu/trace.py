@@ -81,6 +81,7 @@ from ..isa import (
     compile_branch,
     compile_operation,
 )
+from .lsd import LoopCandidate, LoopStreamDetector
 
 __all__ = ["TraceEntry", "Trace", "collect_trace", "compile_loop_body",
            "BLOCK_AFTER"]
@@ -172,6 +173,12 @@ class Trace:
         rows = np.flatnonzero(backward[self.index] & (self.taken == 1))
         return tuple(TraceEntry(table[k], None, True)
                      for k in self.index[rows].tolist())
+
+    @cached_property
+    def hot_loops(self) -> tuple[LoopCandidate, ...]:
+        """The loop-stream detector's hot loops, hottest first: scanned
+        once per trace, for every config that detects regions in it."""
+        return tuple(LoopStreamDetector().scan(self))
 
     def executions(self, start: int, end: int) -> int:
         """Dynamic instructions executed at pcs in ``[start, end]``."""

@@ -12,8 +12,8 @@ Every figure/table driver composes these primitives:
   comparator (Fig. 14).
 
 Both comparators run the kernel's hot loop as the loop-stream detector
-finds it in the kernel's trace (:class:`~repro.cpu.LoopStreamDetector`), the
-same detector MESA's region detection runs.  Results carry cycles and energy
+finds it in the kernel's trace (:attr:`~repro.cpu.Trace.hot_loops`), the
+same scan MESA's region detection reads.  Results carry cycles and energy
 so speedup and energy-efficiency ratios can be formed uniformly.
 """
 
@@ -30,7 +30,6 @@ from ..core.controller import MAX_STEPS
 from ..cpu import (
     CoreResult,
     CpuConfig,
-    LoopStreamDetector,
     MulticoreCpu,
     OutOfOrderCore,
     Trace,
@@ -236,7 +235,7 @@ class ExperimentRunner:
                    accept_inner: bool = False) -> list:
         """The hot loop's body: the hottest loop the loop-stream detector
         finds in the kernel's trace, the one MESA's own detection sees."""
-        loops = LoopStreamDetector().scan(self.trace(kernel.name))
+        loops = self.trace(kernel.name).hot_loops
         if not loops:
             raise LdfgError("kernel has no loop")
         loop = loops[0]

@@ -82,18 +82,19 @@ class MemoryHierarchy:
             counter.record(latency)
         return latency
 
-    def access_stream(self, addresses, pcs) -> np.ndarray:
+    def access_stream(self, addresses, slots, pcs) -> np.ndarray:
         """Bulk :meth:`access`: the latency of every access in a stream.
 
-        Equivalent to ``[self.access(a, pc) for a, pc in zip(addresses,
-        pcs)]`` — same latencies, same cache contents in the same LRU
-        order, same counters.  Each level resolves its stream with
-        :meth:`Cache.access_many`, and L2's stream is L1's misses in
+        Each access names its instruction by its *slot*, an index into the
+        small table ``pcs``.  Equivalent to ``[self.access(a, pcs[s]) for
+        a, s in zip(addresses, slots)]`` — same latencies, same cache
+        contents in the same LRU order, same counters, created in the
+        order of each pc's first access.  Each level resolves its stream
+        with :meth:`Cache.access_many`, and L2's stream is L1's misses in
         order.  DRAM accesses and the per-PC AMAT counters are folded in
-        bulk.
+        bulk, AMAT by slot.
         """
         addresses = np.asarray(addresses, np.int64)
-        pcs = np.asarray(pcs, np.int64)
         cfg = self.config
         latencies = np.full(addresses.size, cfg.l1.hit_latency, np.int64)
         if not addresses.size:
@@ -104,17 +105,20 @@ class MemoryHierarchy:
         latencies[dram] += cfg.dram_latency
         self.dram_accesses += dram.size
 
-        unique, first, inverse = np.unique(pcs, return_index=True,
-                                           return_inverse=True)
-        totals = np.bincount(inverse, weights=latencies).tolist()
-        counts = np.bincount(inverse).tolist()
-        for u in np.argsort(first).tolist():  # first-access order
-            pc = int(unique[u])
-            counter = self._amat.get(pc)
-            if counter is None:
-                counter = self._amat[pc] = AmatCounter()
-            counter.total_cycles += int(totals[u])
-            counter.accesses += counts[u]
+        slots = np.asarray(slots)
+        totals = np.bincount(slots, latencies, len(pcs)).tolist()
+        counts = np.bincount(slots, minlength=len(pcs)).tolist()
+        amat = self._amat
+        fresh = [s for s, count in enumerate(counts)
+                 if count and pcs[s] not in amat]
+        # New counters are created in first-access order.
+        for s in sorted(fresh, key=lambda s: int((slots == s).argmax())):
+            amat.setdefault(pcs[s], AmatCounter())
+        for s, count in enumerate(counts):
+            if count:
+                counter = amat[pcs[s]]
+                counter.total_cycles += int(totals[s])
+                counter.accesses += count
         return latencies
 
     def amat(self, pc: int) -> float:

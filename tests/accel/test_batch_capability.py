@@ -32,10 +32,11 @@ from repro.accel import (
 )
 from repro.accel.batch import compile_batch
 from repro.core import MesaController, MesaOptions
-from repro.isa import Instruction, Opcode, x
+from repro.isa import Instruction, MachineState, Opcode, x
 from repro.workloads import build_kernel, kernel_names
 
 from .test_batch_equivalence import loop_program
+from .test_plan_equivalence import run_fingerprint
 
 #: Frozen verdict per kernel at M-128: "batched", a fallback reason, or
 #: None when the controller does not accelerate the kernel at all.
@@ -409,3 +410,59 @@ def test_noc_contention_kmeans_accepted():
                        interconnect=controller.interconnect).plan)
     assert bp.capability
     assert bp.noc_rows
+
+
+def guards_program(guards: int) -> AcceleratorProgram:
+    """A countdown loop with ``guards`` guard branches, each predicating
+    one add of the counter (its fallback a live-in register) while the
+    counter is below its own threshold register."""
+    base = 0x4000
+    nodes = [ConfiguredNode(0, Instruction(base, Opcode.ADDI, rd=x(5),
+                                           rs1=x(5), imm=-1),
+                            (0, 0), src1=Operand.loop_carried(0, x(5)))]
+    for g in range(guards):
+        branch = len(nodes)
+        nodes.append(ConfiguredNode(
+            branch, Instruction(base + 4 * branch, Opcode.BLT, rs1=x(5),
+                                rs2=x(16 + g), imm=8),
+            divmod(branch, 8), src1=Operand.node(0),
+            src2=Operand.from_register(x(16 + g))))
+        nodes.append(ConfiguredNode(
+            branch + 1, Instruction(base + 4 * branch + 4, Opcode.ADDI,
+                                    rd=x(6), rs1=x(5), imm=g),
+            divmod(branch + 1, 8), src1=Operand.node(0),
+            guard=Guard(branch, Operand.from_register(x(13)))))
+    last = len(nodes)
+    nodes.append(ConfiguredNode(
+        last, Instruction(base + 4 * last, Opcode.BNE, rs1=x(5), rs2=x(0),
+                          imm=-4 * last),
+        divmod(last, 8), src1=Operand.node(0)))
+    return AcceleratorProgram(
+        config=CFG, nodes=nodes, loop_branch_id=last,
+        live_in={x(5), x(13), *(x(16 + g) for g in range(guards))},
+        live_out={x(5): 0, x(6): last - 1})
+
+
+def test_guard_count_bounded_by_the_lane_pattern_id():
+    # A lane's pattern id holds one bit per active guard: 6 guards batch
+    # (bit-identical to the interpreter, with a pattern per threshold
+    # the counter crosses), 7 fall back with a reason.
+    assert reason_for(guards_program(7)) == "more than 6 guard branches"
+    program = guards_program(6)
+    engines = [DataflowEngine(program, compiled=compiled)
+               for compiled in (True, False)]
+    runs = []
+    for engine in engines:
+        state = MachineState()
+        state.write(x(5), 40)
+        state.write(x(13), 7)
+        for g in range(6):
+            state.write(x(16 + g), 6 * g + 3)
+        runs.append(engine.run(state))
+    assert runs[0].drive_path == "batched"
+    assert run_fingerprint(runs[0]) == run_fingerprint(runs[1])
+    # The first lane, then one pattern per threshold the counter has
+    # fallen below: the highest threshold (bit 6) turns its guard off
+    # first.
+    assert sorted(engines[0].plan.batch_program.patterns) == [
+        0, 1, 64, 96, 112, 120, 124, 126]

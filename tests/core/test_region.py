@@ -1,11 +1,13 @@
 """Tests for code-region detection (conditions C1-C3, paper §4.1)."""
 
+import dataclasses
+
 import pytest
 
-from repro.accel import AcceleratorConfig, M_128
+from repro.accel import M_128, M_512, AcceleratorConfig
 from repro.core import CodeRegionDetector, LdfgError, build_ldfg
 from repro.core.region import MIN_EXPECTED_ITERATIONS, MIN_WORK_FRACTION
-from repro.cpu import LoopCandidate, collect_trace
+from repro.cpu import LoopCandidate, LoopStreamDetector, collect_trace
 from repro.isa import assemble
 
 
@@ -38,6 +40,24 @@ class TestAcceptance:
     def test_body_extracted(self):
         decisions = detect(hot_loop_program(100))
         assert len(decisions[0].body) == 3
+
+    def test_configs_share_one_scan_of_a_trace(self, monkeypatch):
+        # Fig. 11 detects each kernel's regions at M-128 and at M-512 from
+        # one trace: the loop-stream scan runs once, and the candidates
+        # both decisions share are frozen.
+        scans = []
+        scan = LoopStreamDetector.scan
+        monkeypatch.setattr(LoopStreamDetector, "scan",
+                            lambda self, trace: scans.append(trace)
+                            or scan(self, trace))
+        program = hot_loop_program(100)
+        trace = collect_trace(program)
+        decisions = [CodeRegionDetector(config).detect(trace, program)
+                     for config in (M_128, M_512)]
+        assert scans == [trace]
+        assert decisions[0][0].loop is decisions[1][0].loop
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            decisions[0][0].loop.visits += 1
 
 
 class TestC1Size:

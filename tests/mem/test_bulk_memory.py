@@ -43,21 +43,22 @@ TINY = HierarchyConfig(
                    hit_latency=12),
     dram_latency=100)
 
-PCS = (0x2000, 0x2004, 0x2008)
+#: The pc table access streams index by slot; two slots share a pc.
+PCS = (0x2000, 0x2004, 0x2008, 0x2000)
 
 
 @st.composite
 def access_streams(draw):
-    """(address, pc) pairs over aliasing arrays."""
+    """(address, slot) pairs over aliasing arrays."""
     arrays = draw(st.integers(1, 12))
     stream = []
     for _ in range(draw(st.integers(0, 120))):
         array = draw(st.integers(0, arrays - 1))
         offset = draw(st.integers(-16, 256))
-        pc = draw(st.sampled_from(PCS))
+        slot = draw(st.integers(0, len(PCS) - 1))
         # A run of accesses to nearby bytes (mostly one line).
         for step in range(draw(st.integers(1, 4))):
-            stream.append((array * 8192 + offset + 4 * step, pc))
+            stream.append((array * 8192 + offset + 4 * step, slot))
     return stream
 
 
@@ -68,12 +69,34 @@ def test_access_stream_equals_sequential_access(config, warm, stream):
     sequential = MemoryHierarchy(config)
     bulk = MemoryHierarchy(config)
     for hierarchy in (sequential, bulk):
-        for address, pc in warm:
-            hierarchy.access(address, pc)
-    expected = [sequential.access(address, pc) for address, pc in stream]
-    addresses, pcs = (zip(*stream) if stream else ((), ()))
-    latencies = bulk.access_stream(list(addresses), list(pcs))
+        for address, slot in warm:
+            hierarchy.access(address, PCS[slot])
+    expected = [sequential.access(address, PCS[slot])
+                for address, slot in stream]
+    addresses, slots = (zip(*stream) if stream else ((), ()))
+    latencies = bulk.access_stream(list(addresses), list(slots), PCS)
     assert latencies.tolist() == expected
+    assert memory_fingerprint(bulk) == memory_fingerprint(sequential)
+
+
+@pytest.mark.parametrize("lanes", (3, 40))
+def test_access_stream_creates_counters_in_first_live_access_order(lanes):
+    # The drive's stream: k-major over (lanes, memory nodes), live lanes
+    # only, each access's slot its memory node's column.  Slot 0 is
+    # predicated off on lane 0, so slot 1's pc is the first one accessed
+    # and its counter must come first, as per-access ``access`` makes it.
+    pcs = [0x2000, 0x2004, 0x2008]
+    addresses = (np.arange(lanes)[:, None] * 64
+                 + np.array([0, 8192, 16384])).astype(np.int64)
+    live = np.ones(addresses.shape, bool)
+    live[0, 0] = False
+    slots = np.broadcast_to(np.arange(len(pcs)), addresses.shape)
+    sequential, bulk = MemoryHierarchy(), MemoryHierarchy()
+    expected = [sequential.access(address, pcs[slot]) for address, slot
+                in zip(addresses[live].tolist(), slots[live].tolist())]
+    latencies = bulk.access_stream(addresses[live], slots[live], pcs)
+    assert latencies.tolist() == expected
+    assert list(bulk.amat_counters()) == [0x2004, 0x2008, 0x2000]
     assert memory_fingerprint(bulk) == memory_fingerprint(sequential)
 
 
